@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check test-failure bench bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select docs clean
+.PHONY: all build test race vet fmt check test-failure bench bench-live bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select docs clean
 
 all: check
 
@@ -83,6 +83,14 @@ bench-compress:
 # 2x the best fixed strategy.
 bench-select:
 	BENCH_JSON=BENCH_10.json $(GO) test -run '^$$' -bench AutoSelect -benchtime 1x .
+
+# Live-stack benchmark smoke test. bench/ is its own Go module, so `go build
+# ./... && go test ./...` neither compiles nor runs it: this is the gate that
+# notices a change to the exported surface it is built on (frontend.Dial,
+# Client.Query, Message, ChunkJSON, ...) and drives every workload once at
+# -quick size, both passes, leak counters included.
+bench-live:
+	$(GO) test -C bench -race ./...
 
 # Documentation checks: README flag tables vs registered flags, markdown
 # links and DESIGN.md section cross-references, and the godoc package-

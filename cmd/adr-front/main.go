@@ -1,7 +1,8 @@
 // Command adr-front runs the ADR front-end process: it accepts client
-// connections (cmd/adr-query, or anything speaking the newline-delimited
-// JSON protocol), relays each range query to every back-end node's control
-// port, and streams the merged output back to the client.
+// connections (cmd/adr-query, or anything speaking the frontend package's
+// protocol: JSON control lines, binary chunk frames), relays each range query
+// to every back-end node's control port, and streams the merged output back
+// to the client.
 //
 //	adr-front -listen :7000 -nodes :7200,:7201,:7202
 //

@@ -22,6 +22,12 @@ func startNodes(t *testing.T, nodes int, mut func(i int, cfg *backend.Config)) (
 	t.Helper()
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
+	return startNodesOver(t, dir, nodes, mut)
+}
+
+// startNodesOver is startNodes over an already loaded farm directory.
+func startNodesOver(t *testing.T, dir string, nodes int, mut func(i int, cfg *backend.Config)) ([]*backend.Server, []string) {
+	t.Helper()
 	meshAddrs := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)

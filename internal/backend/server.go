@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"adr/internal/bufpool"
 	"adr/internal/chunk"
 	"adr/internal/core"
 	"adr/internal/costmodel"
@@ -529,10 +530,17 @@ func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace met
 		FwdBudgetBytes: s.cfg.FwdBudgetBytes,
 		Codec:          codec,
 		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
-			streamMu.Lock()
-			defer streamMu.Unlock()
-			chunks++
-			return frontend.WriteJSON(w, &frontend.Message{Type: "chunk", Chunk: frontend.ToChunkJSON(c)})
+			// Encode outside the lock, into a pooled buffer: concurrent
+			// emitters serialize only on the socket write.
+			frame, err := frontend.AppendFrame(bufpool.Get(frontend.FrameSize(c))[:0], c)
+			if err == nil {
+				streamMu.Lock()
+				chunks++
+				_, err = w.Write(frame)
+				streamMu.Unlock()
+			}
+			bufpool.Put(frame)
+			return err
 		},
 	}
 	if s.cfg.Degraded {

@@ -26,6 +26,13 @@ import (
 // directory with a manifest, as cmd/adr-load does.
 func buildFarmDir(t *testing.T, dir string, nodes int) {
 	t.Helper()
+	buildFarmDirCodec(t, dir, nodes, chunk.CodecNone)
+}
+
+// buildFarmDirCodec is buildFarmDir with the chunks stored under codec
+// (every chunk it shrinks at all).
+func buildFarmDirCodec(t *testing.T, dir string, nodes int, codec chunk.Codec) {
+	t.Helper()
 	farm, err := layout.OpenFarm(dir, nodes, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +53,7 @@ func buildFarmDir(t *testing.T, dir string, nodes int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := &layout.Loader{Farm: farm}
+	loader := &layout.Loader{Farm: farm, Codec: codec, MinRatio: 1}
 	inDS, err := loader.Load("sensor", inSpace, chunks)
 	if err != nil {
 		t.Fatal(err)

@@ -2,26 +2,32 @@ package frontend
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adr/internal/chunk"
+	"adr/internal/space"
 )
 
 // fakeNode is a minimal back-end control-port stand-in: it accepts
-// connections and answers each query request with a scripted sequence of
-// frame batches, one batch per request.
+// connections and answers each query request with a scripted batch of wire
+// frames, one batch per request.
 type fakeNode struct {
 	ln net.Listener
-	// respond produces the frames for the n-th request (0-based, across all
-	// connections).
-	respond func(n int) []*Message
+	// respond produces the n-th request's stream (0-based, across all
+	// connections) as raw wire bytes, one element per write: ctl and
+	// chunkFrame build well-formed frames, and a test may script anything
+	// else a node could send. A nil element hangs up mid-stream.
+	respond func(n int) [][]byte
 	reqs    atomic.Int64
 }
 
-func startFakeNode(t *testing.T, respond func(n int) []*Message) *fakeNode {
+func startFakeNode(t *testing.T, respond func(n int) [][]byte) *fakeNode {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -50,30 +56,56 @@ func (f *fakeNode) serve(conn net.Conn) {
 			return
 		}
 		n := int(f.reqs.Add(1)) - 1
-		for _, msg := range f.respond(n) {
-			if err := WriteJSON(conn, msg); err != nil {
+		for _, b := range f.respond(n) {
+			if b == nil {
+				return
+			}
+			if _, err := conn.Write(b); err != nil {
 				return
 			}
 		}
 	}
 }
 
-func busyFrame() *Message {
-	return &Message{Type: "error", Error: "node busy", ErrInfo: &ErrorInfo{
+// ctl encodes a control line as the daemons write it.
+func ctl(msg *Message) []byte {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, msg); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// fakeChunk is the output chunk the fakes stream: empty, 2-D, dataset "img".
+func fakeChunk(id int) *chunk.Chunk {
+	return &chunk.Chunk{Meta: chunk.Meta{ID: chunk.ID(id), Dataset: "img", MBR: space.R(0, 1, 0, 1)}}
+}
+
+// chunkFrame encodes c with the daemons' one frame writer.
+func chunkFrame(c *chunk.Chunk) []byte {
+	frame, err := AppendFrame(nil, c)
+	if err != nil {
+		panic(err)
+	}
+	return frame
+}
+
+func busyFrame() []byte {
+	return ctl(&Message{Type: "error", Error: "node busy", ErrInfo: &ErrorInfo{
 		Node: 0, Origin: -1, Message: "node busy: admission queue full", Retryable: true,
-	}}
+	}})
 }
 
-func fatalFrame() *Message {
-	return &Message{Type: "error", Error: "no such dataset", ErrInfo: &ErrorInfo{
+func fatalFrame() []byte {
+	return ctl(&Message{Type: "error", Error: "no such dataset", ErrInfo: &ErrorInfo{
 		Node: 0, Origin: -1, Message: "no such dataset", Retryable: false,
-	}}
+	}})
 }
 
-func doneFrame(node int) []*Message {
-	return []*Message{
-		{Type: "chunk", Chunk: &ChunkJSON{ID: int32(node), Dataset: "img", Lo: []float64{0, 0}, Hi: []float64{1, 1}}},
-		{Type: "done", Stats: &DoneStats{Node: node, Chunks: 1}},
+func doneFrame(node int) [][]byte {
+	return [][]byte{
+		chunkFrame(fakeChunk(node)),
+		ctl(&Message{Type: "done", Stats: &DoneStats{Node: node, Chunks: 1}}),
 	}
 }
 
@@ -81,9 +113,9 @@ func doneFrame(node int) []*Message {
 // with backoff under fresh query ids until the node admits the query; a
 // fatal frame is returned immediately without burning retries.
 func TestParallelClientBusyRetryFailover(t *testing.T) {
-	node := startFakeNode(t, func(n int) []*Message {
+	node := startFakeNode(t, func(n int) [][]byte {
 		if n < 2 {
-			return []*Message{busyFrame()}
+			return [][]byte{busyFrame()}
 		}
 		return doneFrame(0)
 	})
@@ -104,7 +136,7 @@ func TestParallelClientBusyRetryFailover(t *testing.T) {
 	}
 
 	// Disabled retries: the first busy frame comes straight back, typed.
-	busy := startFakeNode(t, func(int) []*Message { return []*Message{busyFrame()} })
+	busy := startFakeNode(t, func(int) [][]byte { return [][]byte{busyFrame()} })
 	pc2, err := NewParallelClient([]string{busy.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +152,7 @@ func TestParallelClientBusyRetryFailover(t *testing.T) {
 	}
 
 	// A fatal frame must not be retried at all.
-	fatal := startFakeNode(t, func(int) []*Message { return []*Message{fatalFrame()} })
+	fatal := startFakeNode(t, func(int) [][]byte { return [][]byte{fatalFrame()} })
 	pc3, err := NewParallelClient([]string{fatal.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +179,10 @@ func TestParallelClientExcludedToleranceFailover(t *testing.T) {
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
-	survivor := startFakeNode(t, func(int) []*Message {
-		return []*Message{
-			{Type: "chunk", Chunk: &ChunkJSON{ID: 1, Dataset: "img", Lo: []float64{0, 0}, Hi: []float64{1, 1}}},
-			{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}},
+	survivor := startFakeNode(t, func(int) [][]byte {
+		return [][]byte{
+			chunkFrame(fakeChunk(1)),
+			ctl(&Message{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}}),
 		}
 	})
 	pc, err := NewParallelClient([]string{deadAddr, survivor.ln.Addr().String()})
@@ -170,7 +202,7 @@ func TestParallelClientExcludedToleranceFailover(t *testing.T) {
 	}
 
 	// Same dead node, but the survivor did NOT exclude it: the query fails.
-	strict := startFakeNode(t, func(int) []*Message { return doneFrame(1) })
+	strict := startFakeNode(t, func(int) [][]byte { return doneFrame(1) })
 	pc2, err := NewParallelClient([]string{deadAddr, strict.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +217,8 @@ func TestParallelClientExcludedToleranceFailover(t *testing.T) {
 // query error reports every one of them, not just the first.
 func TestParallelClientJoinsAllErrorsFailover(t *testing.T) {
 	mk := func(text string) *fakeNode {
-		return startFakeNode(t, func(int) []*Message {
-			return []*Message{{Type: "error", Error: text, ErrInfo: &ErrorInfo{Node: -1, Origin: -1, Message: text}}}
+		return startFakeNode(t, func(int) [][]byte {
+			return [][]byte{ctl(&Message{Type: "error", Error: text, ErrInfo: &ErrorInfo{Node: -1, Origin: -1, Message: text}})}
 		})
 	}
 	a, b := mk("failure alpha"), mk("failure beta")
@@ -257,10 +289,10 @@ func TestRelayToleratesDeadNodeFailover(t *testing.T) {
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
-	survivor := startFakeNode(t, func(int) []*Message {
-		return []*Message{
-			{Type: "chunk", Chunk: &ChunkJSON{ID: 3, Dataset: "img", Lo: []float64{0, 0}, Hi: []float64{1, 1}}},
-			{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}},
+	survivor := startFakeNode(t, func(int) [][]byte {
+		return [][]byte{
+			chunkFrame(fakeChunk(3)),
+			ctl(&Message{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}}),
 		}
 	})
 	fe, err := Start("127.0.0.1:0", []string{deadAddr, survivor.ln.Addr().String()})
@@ -285,7 +317,7 @@ func TestRelayToleratesDeadNodeFailover(t *testing.T) {
 	}
 
 	// Without the survivors' exclusion, the dial failure stays fatal.
-	strict := startFakeNode(t, func(int) []*Message { return doneFrame(1) })
+	strict := startFakeNode(t, func(int) [][]byte { return doneFrame(1) })
 	fe2, err := Start("127.0.0.1:0", []string{deadAddr, strict.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -306,12 +338,12 @@ func TestRelayToleratesDeadNodeFailover(t *testing.T) {
 // error frames on its persistent connection and discards the failed
 // attempt's chunks.
 func TestClientBusyRetryFailover(t *testing.T) {
-	node := startFakeNode(t, func(n int) []*Message {
+	node := startFakeNode(t, func(n int) [][]byte {
 		if n == 0 {
 			// A partial stream followed by a retryable error: the retry must
 			// not leak these chunks into the final result.
-			return []*Message{
-				{Type: "chunk", Chunk: &ChunkJSON{ID: 7, Dataset: "img", Lo: []float64{0, 0}, Hi: []float64{1, 1}}},
+			return [][]byte{
+				chunkFrame(fakeChunk(7)),
 				busyFrame(),
 			}
 		}

@@ -227,28 +227,7 @@ func (c *ParallelClient) queryNode(i int, addr string, qid int32, spec *QuerySpe
 		out.Err = err
 		return out
 	}
-	r := bufio.NewReader(conn)
-	for {
-		if t := timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout); t > 0 {
-			conn.SetReadDeadline(time.Now().Add(t))
-		}
-		var msg Message
-		if err := ReadJSON(r, &msg); err != nil {
-			out.Err = err
-			return out
-		}
-		switch msg.Type {
-		case "chunk":
-			out.Chunks = append(out.Chunks, msg.Chunk)
-		case "done":
-			out.Stats = msg.Stats
-			return out
-		case "error":
-			out.Err = queryErrFrom(i, &msg)
-			return out
-		default:
-			out.Err = fmt.Errorf("unknown frame %q", msg.Type)
-			return out
-		}
-	}
+	out.Chunks, out.Stats, out.Err = readStream(conn, bufio.NewReader(conn),
+		timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout), i)
+	return out
 }

@@ -1,22 +1,44 @@
 // Package frontend implements the ADR front-end process (Fig 2): the query
 // interface service that clients connect to, and the query submission
 // service that relays queries to the parallel back-end and streams output
-// products back. The wire protocols — client <-> front-end and front-end <->
-// back-end control — are newline-delimited JSON over TCP, matching the
-// paper's "socket interface ... used for sequential clients".
+// products back, matching the paper's "socket interface ... used for
+// sequential clients".
+//
+// The wire protocols — client <-> front-end, front-end <-> back-end control
+// and parallel client <-> back-end control — share one framing, defined in
+// this file and nowhere else. Requests travel as one control line. A result
+// stream interleaves two kinds of frame, told apart by their first byte:
+//
+//	'{'   control line: one JSON Message ("done" | "error" | "estimate")
+//	      terminated by '\n', at most MaxControlLineBytes long.
+//	0xAD  chunk frame: the tag, a little-endian uint32 payload length (at
+//	      most rpc.MaxFrameBytes, checked before anything is allocated),
+//	      then the payload — the output chunk exactly as chunk.AppendTo
+//	      encodes it for disk and for the mesh.
+//
+// Any other first byte is a protocol error. A node encodes each output chunk
+// once (AppendFrame), the front-end relays the frame's bytes without looking
+// inside (ReadFrame, then a plain Write), and the client decodes it once
+// (DecodeFrame) — output buffers cross the system without being re-encoded,
+// as §2.4 asks of every buffer. Chunk frames are never compressed: no
+// deployment has a result link slower than loopback to pay for it.
 package frontend
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"adr/internal/apps"
+	"adr/internal/bufpool"
 	"adr/internal/chunk"
 	"adr/internal/engine"
 	"adr/internal/metrics"
 	"adr/internal/plan"
+	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
@@ -129,11 +151,16 @@ type NodeRequest struct {
 	Estimate bool `json:"estimate,omitempty"`
 }
 
-// Message is one frame of the result stream (back-end -> front-end and
-// front-end -> client).
+// Message is one control line of the result stream (back-end -> front-end
+// and front-end -> client): the stream's closing "done" or "error", or the
+// "estimate" answer to an Estimate request. Output chunks do not travel as
+// Messages — they are binary chunk frames (AppendFrame / ReadFrame) — and a
+// reader that meets a control line of any other type fails the stream.
 type Message struct {
-	Type string `json:"type"` // "chunk" | "done" | "error" | "estimate"
-	// Chunk, for type "chunk".
+	Type string `json:"type"` // "done" | "error" | "estimate"
+	// Chunk is not part of the wire protocol: it survives for code that keeps
+	// results as JSON documents (a Message of type "chunk" holding one
+	// ChunkJSON), which WriteJSON and ReadJSON still round-trip.
 	Chunk *ChunkJSON `json:"chunk,omitempty"`
 	// Error, for type "error".
 	Error string `json:"error,omitempty"`
@@ -191,7 +218,8 @@ func (e *QueryError) Error() string {
 	}
 }
 
-// ChunkJSON is an output chunk on the wire.
+// ChunkJSON is an output chunk as clients hold it: what Client.Query and
+// ParallelClient.Query return, decoded from the stream's chunk frames.
 type ChunkJSON struct {
 	ID      int32      `json:"id"`
 	Dataset string     `json:"dataset"`
@@ -241,16 +269,33 @@ func (s *DoneStats) QueryTrace(queryID int32) *metrics.QueryTrace {
 	return &metrics.QueryTrace{QueryID: queryID, Nodes: s.Traces, Selection: s.Selection}
 }
 
-// ToChunkJSON converts a finished chunk for the wire.
+// ToChunkJSON converts a finished chunk to the client representation. The
+// bounds and every item's coordinates are carved from one slab and item
+// values alias c's, so the conversion costs three allocations per chunk
+// whatever its item count.
 func ToChunkJSON(c *chunk.Chunk) *ChunkJSON {
-	lo, hi := make([]float64, c.Meta.MBR.Dims), make([]float64, c.Meta.MBR.Dims)
-	copy(lo, c.Meta.MBR.Lo[:c.Meta.MBR.Dims])
-	copy(hi, c.Meta.MBR.Hi[:c.Meta.MBR.Dims])
-	cj := &ChunkJSON{ID: int32(c.Meta.ID), Dataset: c.Meta.Dataset, Lo: lo, Hi: hi}
-	for _, it := range c.Items {
-		coords := make([]float64, it.Coord.Dims)
-		copy(coords, it.Coord.Coords[:it.Coord.Dims])
-		cj.Items = append(cj.Items, ItemJSON{Coords: coords, Value: it.Value})
+	dims := c.Meta.MBR.Dims
+	n := 2 * dims
+	for i := range c.Items {
+		n += c.Items[i].Coord.Dims
+	}
+	slab := make([]float64, n)
+	carve := func(src []float64) []float64 {
+		dst := slab[:len(src):len(src)]
+		slab = slab[len(src):]
+		copy(dst, src)
+		return dst
+	}
+	cj := &ChunkJSON{
+		ID: int32(c.Meta.ID), Dataset: c.Meta.Dataset,
+		Lo: carve(c.Meta.MBR.Lo[:dims]), Hi: carve(c.Meta.MBR.Hi[:dims]),
+	}
+	if len(c.Items) > 0 {
+		cj.Items = make([]ItemJSON, len(c.Items))
+	}
+	for i := range c.Items {
+		it := &c.Items[i]
+		cj.Items[i] = ItemJSON{Coords: carve(it.Coord.Coords[:it.Coord.Dims]), Value: it.Value}
 	}
 	return cj
 }
@@ -274,7 +319,24 @@ func FromChunkJSON(cj *ChunkJSON) (*chunk.Chunk, error) {
 	return c, nil
 }
 
-// WriteJSON writes one newline-delimited JSON frame.
+// MaxControlLineBytes caps one control line. With chunks out of JSON the
+// largest line is the front-end's merged done frame, which carries every
+// node's trace at 1-2 KiB each, so 4 MiB leaves room for a mesh of two
+// thousand nodes while bounding what a peer that never sends a newline
+// — including an unauthenticated socket on a node's control port — can make
+// the reader buffer.
+const MaxControlLineBytes = 4 << 20
+
+// ErrLineTooLong is returned (wrapped) by ReadJSON and ReadFrame when a
+// control line exceeds MaxControlLineBytes.
+var ErrLineTooLong = errors.New("frontend: control line too long")
+
+// ErrFrame is returned (wrapped) by ReadFrame and DecodeFrame for a stream
+// that breaks the framing: an unknown leading byte, a chunk frame longer than
+// rpc.MaxFrameBytes, a frame that does not hold what its header declares.
+var ErrFrame = errors.New("frontend: malformed frame")
+
+// WriteJSON writes one control line: v as JSON, newline-terminated.
 func WriteJSON(w io.Writer, v interface{}) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -285,11 +347,109 @@ func WriteJSON(w io.Writer, v interface{}) error {
 	return err
 }
 
-// ReadJSON reads one newline-delimited JSON frame into v.
+// ReadJSON reads one control line of at most MaxControlLineBytes into v.
 func ReadJSON(r *bufio.Reader, v interface{}) error {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return err
+	var line []byte
+	for {
+		frag, err := r.ReadSlice('\n')
+		if len(line)+len(frag) > MaxControlLineBytes {
+			return fmt.Errorf("%w: over %d bytes without a newline", ErrLineTooLong, MaxControlLineBytes)
+		}
+		line = append(line, frag...)
+		if err == nil {
+			return json.Unmarshal(line, v)
+		}
+		if err != bufio.ErrBufferFull {
+			return err
+		}
 	}
-	return json.Unmarshal(line, v)
+}
+
+// Chunk frame header: the tag, then the payload length.
+const (
+	frameTag       = 0xAD
+	frameHeaderLen = 1 + 4
+)
+
+// FrameSize returns the exact number of bytes AppendFrame appends for c, so
+// callers can bring a right-sized (pooled) buffer.
+func FrameSize(c *chunk.Chunk) int {
+	return frameHeaderLen + chunk.EncodedSize(c)
+}
+
+// AppendFrame appends c's chunk frame — header and wire encoding — to dst
+// and returns the extended slice. It is the only producer of chunk frames.
+func AppendFrame(dst []byte, c *chunk.Chunk) ([]byte, error) {
+	n := chunk.EncodedSize(c)
+	if n > rpc.MaxFrameBytes {
+		return dst, fmt.Errorf("frontend: output chunk %d encodes to %d bytes, over the %d-byte frame limit", c.Meta.ID, n, rpc.MaxFrameBytes)
+	}
+	dst = append(dst, frameTag)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	return chunk.AppendTo(c, dst), nil
+}
+
+// ReadFrame reads the next frame of a result stream and returns exactly one
+// of: a whole chunk frame (header included, ready to be written on verbatim
+// or handed to DecodeFrame) or a decoded control line. With pooled set the
+// chunk frame's buffer comes from bufpool and the caller must bufpool.Put it
+// — the relay's case, where the bytes die as soon as they are forwarded;
+// otherwise it is freshly allocated and may be retained — the clients' case,
+// whose decoded chunks alias it. The declared length is checked against
+// rpc.MaxFrameBytes before the buffer is obtained.
+func ReadFrame(r *bufio.Reader, pooled bool) (frame []byte, msg *Message, err error) {
+	first, err := r.Peek(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch first[0] {
+	case '{':
+		msg = new(Message)
+		if err := ReadJSON(r, msg); err != nil {
+			return nil, nil, err
+		}
+		return nil, msg, nil
+	case frameTag:
+		hdr, err := r.Peek(frameHeaderLen)
+		if err == io.EOF {
+			// Only a stream that ends between frames reads as EOF.
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		n := binary.LittleEndian.Uint32(hdr[1:])
+		if n > rpc.MaxFrameBytes {
+			return nil, nil, fmt.Errorf("%w: chunk frame of %d bytes, limit %d", ErrFrame, n, rpc.MaxFrameBytes)
+		}
+		size := frameHeaderLen + int(n)
+		if pooled {
+			frame = bufpool.Get(size)
+		} else {
+			frame = make([]byte, size)
+		}
+		if _, err := io.ReadFull(r, frame); err != nil {
+			if pooled {
+				bufpool.Put(frame)
+			}
+			return nil, nil, err
+		}
+		return frame, nil, nil
+	default:
+		return nil, nil, fmt.Errorf("%w: leading byte %#02x is neither a control line nor a chunk frame", ErrFrame, first[0])
+	}
+}
+
+// DecodeFrame decodes a chunk frame read by ReadFrame into the client
+// representation. Item values alias frame.
+func DecodeFrame(frame []byte) (*ChunkJSON, error) {
+	if len(frame) < frameHeaderLen || frame[0] != frameTag ||
+		int(binary.LittleEndian.Uint32(frame[1:])) != len(frame)-frameHeaderLen {
+		return nil, fmt.Errorf("%w: header does not match %d frame bytes", ErrFrame, len(frame))
+	}
+	c, err := chunk.DecodeAny(frame[frameHeaderLen:])
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFrame, err)
+	}
+	return ToChunkJSON(c), nil
 }

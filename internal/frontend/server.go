@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adr/internal/bufpool"
 	"adr/internal/chunk"
 	"adr/internal/costmodel"
 	"adr/internal/metrics"
@@ -309,26 +310,31 @@ func (s *Server) relayQuery(id int32, spec *QuerySpec, sel *metrics.Selection, w
 				// never answers) surfaces as a timeout error here instead of
 				// hanging the relay — and possibly the client — forever.
 				c.SetReadDeadline(time.Now().Add(DefaultStreamTimeout))
-				var msg Message
-				if err := ReadJSON(br, &msg); err != nil {
+				frame, msg, err := ReadFrame(br, true)
+				if err != nil {
 					outcomes[i].err = fmt.Errorf("frontend: node %d stream: %w", i, err)
 					return
 				}
-				switch msg.Type {
-				case "chunk":
+				if frame != nil {
+					// The relay never looks inside a chunk frame: the bytes the
+					// node encoded are the bytes the client decodes.
 					wmu.Lock()
-					err := WriteJSON(w, &msg)
+					_, err := w.Write(frame)
 					wmu.Unlock()
+					bufpool.Put(frame)
 					if err != nil {
 						outcomes[i].err = err
 						return
 					}
 					outcomes[i].forwarded++
+					continue
+				}
+				switch msg.Type {
 				case "done":
 					outcomes[i].stats = msg.Stats
 					return
 				case "error":
-					outcomes[i].err = queryErrFrom(i, &msg)
+					outcomes[i].err = queryErrFrom(i, msg)
 					return
 				default:
 					outcomes[i].err = fmt.Errorf("node %d: unknown frame %q", i, msg.Type)
@@ -453,25 +459,39 @@ func (c *Client) queryOnce(spec *QuerySpec) ([]*ChunkJSON, *DoneStats, error) {
 	if err := WriteJSON(c.conn, spec); err != nil {
 		return nil, nil, err
 	}
+	return readStream(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout), -1)
+}
+
+// readStream consumes one result stream — the front-end's merged stream or a
+// single node's — up to its closing control line, decoding every chunk frame
+// once. timeout, when positive, bounds each frame read; node labels an error
+// frame that does not locate itself. Chunks received before a failure are
+// returned with the error.
+func readStream(conn net.Conn, r *bufio.Reader, timeout time.Duration, node int) ([]*ChunkJSON, *DoneStats, error) {
 	var chunks []*ChunkJSON
 	for {
-		if t := timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout); t > 0 {
-			c.conn.SetReadDeadline(time.Now().Add(t))
+		if timeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(timeout))
 		}
-		var msg Message
-		if err := ReadJSON(c.r, &msg); err != nil {
+		frame, msg, err := ReadFrame(r, false)
+		if err != nil {
 			return chunks, nil, err
 		}
+		if frame != nil {
+			cj, err := DecodeFrame(frame)
+			if err != nil {
+				return chunks, nil, err
+			}
+			chunks = append(chunks, cj)
+			continue
+		}
 		switch msg.Type {
-		case "chunk":
-			chunks = append(chunks, msg.Chunk)
 		case "done":
 			return chunks, msg.Stats, nil
 		case "error":
-			if msg.ErrInfo != nil {
-				return chunks, nil, &QueryError{Node: msg.ErrInfo.Node, Origin: msg.ErrInfo.Origin, Message: msg.ErrInfo.Message, Retryable: msg.ErrInfo.Retryable}
-			}
-			return chunks, nil, fmt.Errorf("frontend: %s", msg.Error)
+			return chunks, nil, queryErrFrom(node, msg)
+		default:
+			return chunks, nil, fmt.Errorf("frontend: unknown frame %q", msg.Type)
 		}
 	}
 }
