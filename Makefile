@@ -34,7 +34,10 @@ fmt:
 test-failure:
 	$(GO) test -race -timeout 120s -run 'Fail|Fault|Abort|Death|Late|Timeout|Malformed|Race|Admission|Compact|CacheConcurrent|Inflight|SharedBatch|SharedScan|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
-check: build fmt vet test bench-compress
+# The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
+# references exact, `bench-live` notices a change to the surface bench/
+# compiles against (tier-1 does not build it).
+check: build fmt vet test docs bench-compress bench-live
 
 bench: bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select
 	$(GO) run ./cmd/adr-bench -quick

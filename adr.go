@@ -47,6 +47,7 @@ import (
 	"adr/internal/engine"
 	"adr/internal/layout"
 	"adr/internal/plan"
+	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
@@ -57,6 +58,14 @@ type Repository = core.Repository
 
 // Options configures NewRepository.
 type Options = core.Options
+
+// The two knob pairs Options holds by value.
+type (
+	// ScanOptions configures cross-query shared scans (Options.Scan).
+	ScanOptions = engine.ScanOptions
+	// Flow configures forwarding flow control (Options.Flow).
+	Flow = rpc.Flow
+)
 
 // Query is a range query plus its user customization.
 type Query = core.Query

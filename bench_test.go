@@ -746,7 +746,7 @@ func BenchmarkSharedScanOverlap(b *testing.B) {
 
 	openRepo := func(window time.Duration) *adr.Repository {
 		repo, err := adr.NewRepository(adr.Options{
-			Nodes: 4, StoreDir: dir, BatchWindow: window, MaxBatch: 2,
+			Nodes: 4, StoreDir: dir, Scan: adr.ScanOptions{BatchWindow: window, MaxBatch: 2},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -962,12 +962,10 @@ func BenchmarkForwardBackpressure(b *testing.B) {
 		defer fabric.Close()
 		cfg := engine.Config{
 			Plan: p, Workload: w,
-			App:            &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-			InputDataset:   "pts",
-			Workers:        4,
-			FwdWindowBytes: opts.FwdWindowBytes,
-			FwdBudgetBytes: opts.FwdBudgetBytes,
-			OnResult:       func(rpc.NodeID, *adr.Chunk) error { return nil },
+			App:          &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
+			InputDataset: "pts",
+			Workers:      4,
+			OnResult:     func(rpc.NodeID, *adr.Chunk) error { return nil },
 		}
 		start := time.Now()
 		if _, err := engine.Run(context.Background(), cfg, fabric, engine.FarmStorage{Farm: repo.Farm()}); err != nil {
@@ -992,7 +990,7 @@ func BenchmarkForwardBackpressure(b *testing.B) {
 	}
 
 	stalls := metrics.Default.Counter(`adr_rpc_credit_stalls_total{transport="inproc"}`)
-	flowOpts := rpc.InprocOptions{FwdWindowBytes: window, FwdBudgetBytes: budget}
+	flowOpts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: window, BudgetBytes: budget}}
 
 	// Skewed fan-in: every forward converges on one node. The window must
 	// bound the peak in-flight bytes; without it the peak is unbounded (in

@@ -24,6 +24,7 @@ import (
 
 	"adr/internal/backend"
 	"adr/internal/chunk"
+	"adr/internal/engine"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
@@ -113,10 +114,8 @@ func main() {
 		CacheBytes:      *cacheBytes,
 		MaxQueries:      *maxQueries,
 		Workers:         *opt.workers,
-		BatchWindow:     *opt.batchWindow,
-		MaxBatch:        *opt.maxBatch,
-		FwdWindowBytes:  *opt.fwdWindow,
-		FwdBudgetBytes:  *opt.fwdBudget,
+		Scan:            engine.ScanOptions{BatchWindow: *opt.batchWindow, MaxBatch: *opt.maxBatch},
+		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow, BudgetBytes: *opt.fwdBudget},
 		Degraded:        *opt.degraded,
 		Codec:           codec,
 		CalibrationFile: *opt.calibFile,
@@ -129,7 +128,9 @@ func main() {
 	if *cacheBytes > 0 {
 		fmt.Printf("adr-node %d: chunk cache %d MiB, max %d concurrent queries\n", *id, *cacheBytes>>20, *maxQueries)
 	}
-	if *opt.batchWindow > 0 {
+	if *opt.batchWindow > 0 && *opt.degraded {
+		fmt.Printf("adr-node %d: shared scans off: -degraded overrides -batch-window %v (a retry's re-planned reads cannot rejoin a batch)\n", *id, *opt.batchWindow)
+	} else if *opt.batchWindow > 0 {
 		fmt.Printf("adr-node %d: shared scans on: window %v, max batch %d\n", *id, *opt.batchWindow, *opt.maxBatch)
 	}
 	if *opt.fwdWindow > 0 || *opt.fwdBudget > 0 {

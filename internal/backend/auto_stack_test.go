@@ -2,15 +2,23 @@ package backend_test
 
 import (
 	"bufio"
+	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"adr/internal/apps"
 	"adr/internal/backend"
+	"adr/internal/core"
+	"adr/internal/costmodel"
 	"adr/internal/frontend"
+	"adr/internal/layout"
+	"adr/internal/metrics"
+	"adr/internal/plan"
 	"adr/internal/rpc"
 )
 
@@ -100,9 +108,20 @@ func TestAutoStrategyE2E(t *testing.T) {
 	if _, _, err := client.Query(warm); err != nil {
 		t.Fatal(err)
 	}
+	// Each node saves after it has flushed its done line, so the files may
+	// trail the client's return by a moment: poll until each loads with the
+	// warm-up folded in (a missing file loads as zero samples).
 	for i, path := range calibs {
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("node %d calibration not persisted: %v", i, err)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			c, err := costmodel.LoadCalibration(path)
+			if err != nil {
+				t.Errorf("node %d calibration file does not load: %v", i, err)
+			} else if c.Samples() == 0 && time.Now().Before(deadline) {
+				continue
+			} else if c.Samples() == 0 {
+				t.Errorf("node %d calibration not persisted to %s", i, path)
+			}
+			break
 		}
 	}
 
@@ -218,5 +237,105 @@ func TestParallelClientAuto(t *testing.T) {
 	// The caller's spec must not have been mutated by resolution.
 	if spec.Strategy != "AUTO" {
 		t.Errorf("resolution mutated the caller's spec to %q", spec.Strategy)
+	}
+}
+
+// TestAutoSelectionSameOnEveryPath: for one farm and one AUTO spec, the
+// embedded repository, a Client behind the front-end and a ParallelClient
+// all report a selection of the same shape — a fixed-strategy winner that
+// heads the estimates, all four candidates priced, the outcome recorded —
+// and adr_node_auto_selected_total counts the embedded resolution too (it
+// used to count only estimates a daemon served).
+func TestAutoSelectionSameOnEveryPath(t *testing.T) {
+	const nodes = 2
+	dir := t.TempDir()
+	servers, _ := startAutoCluster(t, dir, nodes)
+	ctrl := make([]string, nodes)
+	for i, s := range servers {
+		ctrl[i] = s.ControlAddr()
+	}
+	selected := func() (n int64) {
+		for _, s := range plan.Strategies {
+			n += metrics.Default.Counter(`adr_node_auto_selected_total{strategy="` + s.String() + `"}`).Value()
+		}
+		return n
+	}
+	check := func(path string, sel *metrics.Selection) {
+		t.Helper()
+		if sel == nil {
+			t.Fatalf("%s: no selection", path)
+		}
+		if s, err := plan.ParseStrategy(sel.Strategy); err != nil || s == plan.Auto {
+			t.Errorf("%s: winner %q is not a fixed strategy", path, sel.Strategy)
+		}
+		priced := map[string]bool{}
+		for _, e := range sel.Estimates {
+			priced[e.Strategy] = true
+		}
+		if len(sel.Estimates) != 4 || len(priced) != 4 || sel.Estimates[0].Strategy != sel.Strategy {
+			t.Errorf("%s: estimates %+v, want the four strategies, winner %s first", path, sel.Estimates, sel.Strategy)
+		}
+		if sel.PredictedSec <= 0 || sel.ActualSec <= 0 {
+			t.Errorf("%s: predicted %g s, actual %g s, want both recorded", path, sel.PredictedSec, sel.ActualSec)
+		}
+	}
+
+	repo, err := core.NewRepository(core.Options{Nodes: nodes, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	_, datasets, err := layout.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range datasets {
+		if err := repo.RegisterDataset(ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := selected()
+	res, err := repo.Execute(context.Background(), &core.Query{
+		Input: "sensor", Output: "raster", Strategy: plan.Auto,
+		App: &apps.RasterApp{Op: apps.Count, CellsPerDim: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("embedded", res.Selection)
+	if got := selected() - before; got != 1 {
+		t.Errorf("embedded AUTO moved adr_node_auto_selected_total by %d, want 1", got)
+	}
+
+	spec := &frontend.QuerySpec{
+		Input: "sensor", Output: "raster", Strategy: "AUTO",
+		App: frontend.AppSpec{Kind: "raster", Op: "count", CellsPerDim: 2},
+	}
+	fe, err := frontend.Start("127.0.0.1:0", ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	client, err := frontend.Dial(fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	_, stats, err := client.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("front-end", stats.Selection)
+
+	pc, err := frontend.NewParallelClient(ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := pc.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range streams {
+		check(fmt.Sprintf("parallel client, node %d", s.Node), s.Stats.Selection)
 	}
 }

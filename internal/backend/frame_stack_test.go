@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adr/internal/backend"
 	"adr/internal/bufpool"
 	"adr/internal/chunk"
 	"adr/internal/core"
@@ -98,69 +99,84 @@ func requireBitIdentical(t *testing.T, want []*chunk.Chunk, got []*frontend.Chun
 
 // TestFrameStackMatchesSerial: results streamed as binary chunk frames —
 // through the front-end's relay to a Client, and straight from the nodes to a
-// ParallelClient — are bit-identical to engine.RunSerial for every strategy,
-// over a raw farm and over a columnar-compressed one whose queries also
-// compress their mesh payloads.
+// ParallelClient — are bit-identical to engine.RunSerial for every strategy
+// and for AUTO, over a raw farm and over a columnar-compressed one whose
+// queries also compress their mesh payloads, on nodes configured by default,
+// with a shared-scan batch window, and with a 1 KiB forwarding window.
 func TestFrameStackMatchesSerial(t *testing.T) {
 	const nodes = 3
+	variants := []struct {
+		name string
+		mut  func(i int, cfg *backend.Config)
+	}{
+		{"default", nil},
+		{"batch-window", func(_ int, cfg *backend.Config) { cfg.Scan.BatchWindow = 20 * time.Millisecond }},
+		{"flow-window", func(_ int, cfg *backend.Config) { cfg.Flow.WindowBytes = 1 << 10 }},
+	}
 	for _, codec := range []chunk.Codec{chunk.CodecNone, chunk.CodecColumnar} {
-		// One subtest per farm, so the first stack is torn down before the
-		// second reserves its ports.
-		t.Run(codec.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			buildFarmDirCodec(t, dir, nodes, codec)
-			if _, datasets, err := layout.LoadManifest(dir); err != nil {
-				t.Fatal(err)
-			} else if stored := datasets[0].Chunks[0].StoredBytes; (stored > 0) != (codec != chunk.CodecNone) {
-				t.Fatalf("%s farm: input chunk 0 has stored_bytes %d", codec, stored)
+		dir := t.TempDir()
+		buildFarmDirCodec(t, dir, nodes, codec)
+		if _, datasets, err := layout.LoadManifest(dir); err != nil {
+			t.Fatal(err)
+		} else if stored := datasets[0].Chunks[0].StoredBytes; (stored > 0) != (codec != chunk.CodecNone) {
+			t.Fatalf("%s farm: input chunk 0 has stored_bytes %d", codec, stored)
+		}
+		for _, v := range variants {
+			// One subtest per stack, so each is torn down before the next
+			// reserves its ports. The default stack keeps the codec's bare name.
+			name := codec.String()
+			if v.mut != nil {
+				name += "+" + v.name
 			}
-			_, ctrl := startNodesOver(t, dir, nodes, nil)
-			fe, err := frontend.Start("127.0.0.1:0", ctrl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fe.Close()
-			client, err := frontend.Dial(fe.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			pc, err := frontend.NewParallelClient(ctrl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, strategy := range []string{"FRA", "SRA", "DA", "HYBRID"} {
-				spec := &frontend.QuerySpec{
-					Input: "sensor", Output: "raster", Strategy: strategy,
-					InputBox: []float64{3, 37, 5, 40},
-					App:      frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 16},
+			t.Run(name, func(t *testing.T) {
+				_, ctrl := startNodesOver(t, dir, nodes, v.mut)
+				fe, err := frontend.Start("127.0.0.1:0", ctrl)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if codec != chunk.CodecNone {
-					spec.Codec = codec.String()
+				defer fe.Close()
+				client, err := frontend.Dial(fe.Addr())
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := serialOracle(t, dir, spec)
-				if len(want) == 0 {
-					t.Fatal("oracle produced no output")
+				defer client.Close()
+				pc, err := frontend.NewParallelClient(ctrl)
+				if err != nil {
+					t.Fatal(err)
 				}
-				t.Run(strategy+"/client", func(t *testing.T) {
-					got, stats, err := client.Query(spec)
-					if err != nil {
-						t.Fatal(err)
+				for _, strategy := range []string{"FRA", "SRA", "DA", "HYBRID", "AUTO"} {
+					spec := &frontend.QuerySpec{
+						Input: "sensor", Output: "raster", Strategy: strategy,
+						InputBox: []float64{3, 37, 5, 40},
+						App:      frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 16},
 					}
-					if stats == nil || stats.Chunks != len(got) {
-						t.Fatalf("done line counts %+v chunks, stream carried %d", stats, len(got))
+					if codec != chunk.CodecNone {
+						spec.Codec = codec.String()
 					}
-					requireBitIdentical(t, want, got)
-				})
-				t.Run(strategy+"/parallel", func(t *testing.T) {
-					streams, err := pc.Query(spec)
-					if err != nil {
-						t.Fatal(err)
+					want := serialOracle(t, dir, spec)
+					if len(want) == 0 {
+						t.Fatal("oracle produced no output")
 					}
-					requireBitIdentical(t, want, mergeStreams(streams))
-				})
-			}
-		})
+					t.Run(strategy+"/client", func(t *testing.T) {
+						got, stats, err := client.Query(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if stats == nil || stats.Chunks != len(got) {
+							t.Fatalf("done line counts %+v chunks, stream carried %d", stats, len(got))
+						}
+						requireBitIdentical(t, want, got)
+					})
+					t.Run(strategy+"/parallel", func(t *testing.T) {
+						streams, err := pc.Query(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireBitIdentical(t, want, mergeStreams(streams))
+					})
+				}
+			})
+		}
 	}
 }
 

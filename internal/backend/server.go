@@ -66,14 +66,9 @@ type Config struct {
 	// overloaded nodes — each node running a query its peers never admitted
 	// — cannot pin admission slots forever.
 	MaxQueries int
-	// BatchWindow, when > 0, enables the cross-query shared-scan scheduler
-	// (engine.SharedScan): queries admitted within the window form a batch
-	// whose overlapping chunk reads are issued once per chunk and fanned out
-	// to every member. 0 disables batching (each query reads for itself).
-	BatchWindow time.Duration
-	// MaxBatch caps the queries grouped into one shared-scan batch; <= 0
-	// selects engine.DefaultMaxBatch. Only consulted when BatchWindow > 0.
-	MaxBatch int
+	// Scan configures this node's cross-query shared-scan scheduler (see
+	// engine.ScanOptions). Degraded turns it off: see core.Exec.
+	Scan engine.ScanOptions
 	// RequestTimeout bounds reading the request header off a new control
 	// connection, so a stalled client cannot pin a handler goroutine. 0
 	// selects DefaultRequestTimeout; negative disables the deadline.
@@ -82,15 +77,9 @@ type Config struct {
 	// (engine.Config.Workers); <= 0 lets the engine default to
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// FwdWindowBytes, when > 0, bounds this node's in-flight forwarded bytes
-	// toward any single mesh peer: every chunk payload is charged against
-	// the destination's credit window and the sender blocks until the
-	// receiving engine consumes earlier payloads (credits return over the
-	// wire as the receiver releases them). FwdBudgetBytes likewise bounds
-	// the node's total in-flight bytes across all peers. 0 disables each.
-	// Must be identical on every node, like AccMemBytes.
-	FwdWindowBytes int64
-	FwdBudgetBytes int64
+	// Flow bounds this node's in-flight forwarded bytes on the mesh (see
+	// rpc.Flow). Must be identical on every node, like AccMemBytes.
+	Flow rpc.Flow
 	// Degraded enables degraded-mode query execution: when a mesh peer dies
 	// mid-query, this node re-plans the dead peer's chunks onto surviving
 	// replica holders (datasets loaded with adr-load -replicas >= 2) and
@@ -132,18 +121,8 @@ var (
 	replicaFallbackReads = metrics.Default.Counter("adr_node_replica_fallback_reads_total")
 )
 
-// AUTO-selection instrumentation: how often this node's calibrated cost
-// model picked each strategy when serving estimate requests, and how often
-// persisting the calibration failed.
-var (
-	autoSelected = map[plan.Strategy]*metrics.Counter{
-		plan.FRA:    metrics.Default.Counter(`adr_node_auto_selected_total{strategy="FRA"}`),
-		plan.SRA:    metrics.Default.Counter(`adr_node_auto_selected_total{strategy="SRA"}`),
-		plan.DA:     metrics.Default.Counter(`adr_node_auto_selected_total{strategy="DA"}`),
-		plan.Hybrid: metrics.Default.Counter(`adr_node_auto_selected_total{strategy="HYBRID"}`),
-	}
-	calibSaveErrs = metrics.Default.Counter("adr_node_calibration_save_errors_total")
-)
+// calibSaveErrs counts failures to persist the calibration.
+var calibSaveErrs = metrics.Default.Counter("adr_node_calibration_save_errors_total")
 
 // Server is a running node daemon. Concurrent queries share the mesh
 // through an engine.Dispatcher, which demultiplexes traffic by the
@@ -154,12 +133,11 @@ type Server struct {
 	dispatch *engine.Dispatcher
 	farm     *layout.Farm
 	cache    *layout.ChunkCache
-	scan     *engine.SharedScan
 	datasets map[string]*layout.Dataset
-	machine  plan.Machine
-	calib    *costmodel.Calibration
-	ctrl     net.Listener
-	queries  *metrics.QueryLog
+	// exec is the query path this node shares with the embedded repository.
+	exec    core.Exec
+	ctrl    net.Listener
+	queries *metrics.QueryLog
 	// admit is the admission semaphore (nil when MaxQueries <= 0): a slot
 	// must be acquired before a query runs. done unblocks queued handlers
 	// on shutdown.
@@ -193,11 +171,10 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("backend: control listen: %w", err)
 	}
 	mesh, err := rpc.NewTCPNode(cfg.Node, cfg.MeshAddrs, rpc.TCPOptions{
-		SendTimeout:    cfg.SendTimeout,
-		DialRetry:      cfg.DialRetry,
-		FwdWindowBytes: cfg.FwdWindowBytes,
-		FwdBudgetBytes: cfg.FwdBudgetBytes,
-		Degraded:       cfg.Degraded,
+		SendTimeout: cfg.SendTimeout,
+		DialRetry:   cfg.DialRetry,
+		Flow:        cfg.Flow,
+		Degraded:    cfg.Degraded,
 	})
 	if err != nil {
 		ctrl.Close()
@@ -225,17 +202,25 @@ func Start(cfg Config) (*Server, error) {
 		dispatch: engine.NewDispatcher(mesh),
 		farm:     farm,
 		cache:    cache,
-		machine:  plan.Machine{Procs: m.Nodes, AccMemBytes: cfg.AccMemBytes},
-		calib:    calib,
-		ctrl:     ctrl,
-		queries:  metrics.NewQueryLog(metrics.Default, "adr_node"),
-		done:     make(chan struct{}),
+		exec: core.Exec{
+			Machine:      plan.Machine{Procs: m.Nodes, AccMemBytes: cfg.AccMemBytes},
+			DisksPerNode: farm.DisksPerNode,
+			Node:         cfg.Node,
+			Calib:        calib,
+			Workers:      cfg.Workers,
+			Degraded:     cfg.Degraded,
+		},
+		ctrl:    ctrl,
+		queries: metrics.NewQueryLog(metrics.Default, "adr_node"),
+		done:    make(chan struct{}),
 	}
+	s.exec.Resolve = s.resolve
 	if cfg.MaxQueries > 0 {
 		s.admit = make(chan struct{}, cfg.MaxQueries)
 	}
-	if cfg.BatchWindow > 0 {
-		s.scan = engine.NewSharedScan(cfg.BatchWindow, cfg.MaxBatch)
+	if cfg.Scan.BatchWindow > 0 {
+		s.exec.Scans = make([]*engine.SharedScan, m.Nodes)
+		s.exec.Scans[cfg.Node] = engine.NewSharedScan(cfg.Scan.BatchWindow, cfg.Scan.MaxBatch)
 	}
 	s.datasets = make(map[string]*layout.Dataset, len(datasets))
 	for _, ds := range datasets {
@@ -338,14 +323,21 @@ func (s *Server) handle(conn net.Conn) {
 		w.Flush()
 	}
 
-	// Estimate requests: cost the spec under every fixed strategy with this
-	// node's calibrated model and reply with the selection — no mesh
-	// participation, no execution. Served ahead of admission control:
+	// Estimate requests: an AUTO prepare whose plan is not run. Cost the spec
+	// under every fixed strategy with this node's calibrated model and reply
+	// with the selection — no mesh participation, no execution. The resolver
+	// stamps the winner into the spec it relays, so the whole mesh executes
+	// the one strategy this node chose. Served ahead of admission control:
 	// planning four candidate plans is cheap relative to a query, and an
 	// AUTO resolver blocked behind a saturated admission queue could never
 	// resolve the query that would eventually occupy a slot.
 	if req.Estimate {
-		sel, err := s.estimate(&req.Spec)
+		var sel *metrics.Selection
+		q, err := specQuery(&req.Spec)
+		if err == nil {
+			q.Strategy = plan.Auto
+			_, sel, err = s.exec.Prepare(q, chunk.CodecNone)
+		}
 		if err != nil {
 			sendErr(err, false)
 			return
@@ -411,30 +403,41 @@ func (s *Server) handle(conn net.Conn) {
 		BytesRecv:  trace.Totals.BytesRecv,
 		AggOps:     trace.Totals.AggOps,
 		ElapsedMS:  time.Since(start).Milliseconds(),
-		TotalNodes: s.machine.Procs,
+		TotalNodes: s.exec.Machine.Procs,
 		Trace:      &trace,
 		Degraded:   trace.Degraded,
 		Attempts:   trace.Attempts,
 		Excluded:   trace.Excluded,
 	}})
 	w.Flush()
+	// Persist the calibration only now, with the client already holding its
+	// done line: the file write is off every query's path. A failed save must
+	// not fail anything — it is counted instead.
+	if s.cfg.CalibrationFile != "" {
+		if err := s.exec.Calib.Save(s.cfg.CalibrationFile); err != nil {
+			calibSaveErrs.Inc()
+		}
+	}
 }
 
-// estimate plans the spec under every fixed strategy, prices each plan with
-// this node's calibrated cost model, and returns the selection (winner
-// first). The resolver stamps the winner into the spec it relays, so the
-// whole mesh executes the one strategy this node chose — per-node
-// calibrations differ, and letting each node pick independently would
-// diverge the mesh.
-func (s *Server) estimate(spec *frontend.QuerySpec) (*metrics.Selection, error) {
-	in, ok := s.datasets[spec.Input]
+// resolve is the catalog half of the shared prepare step for this node: the
+// manifest's datasets, mapped by identity.
+func (s *Server) resolve(q *core.Query) (in, out *layout.Dataset, mapper space.RectMapper, err error) {
+	in, ok := s.datasets[q.Input]
 	if !ok {
-		return nil, fmt.Errorf("backend: input dataset %q not in catalog", spec.Input)
+		return nil, nil, nil, fmt.Errorf("backend: input dataset %q not in catalog", q.Input)
 	}
-	out, ok := s.datasets[spec.Output]
+	out, ok = s.datasets[q.Output]
 	if !ok {
-		return nil, fmt.Errorf("backend: output dataset %q not in catalog", spec.Output)
+		return nil, nil, nil, fmt.Errorf("backend: output dataset %q not in catalog", q.Output)
 	}
+	return in, out, space.IdentityMapper{}, nil
+}
+
+// specQuery translates the part of a wire spec that selects data — datasets
+// and boxes, all an estimate needs — into the typed query the shared path
+// plans.
+func specQuery(spec *frontend.QuerySpec) (*core.Query, error) {
 	inBox, err := frontend.ParseBox(spec.InputBox)
 	if err != nil {
 		return nil, err
@@ -443,134 +446,60 @@ func (s *Server) estimate(spec *frontend.QuerySpec) (*metrics.Selection, error) 
 	if err != nil {
 		return nil, err
 	}
-	workload, err := core.BuildWorkload(in, out, inBox, outBox, space.IdentityMapper{})
-	if err != nil {
-		return nil, err
-	}
-	m, costs := s.calib.Model(s.machine.Procs, s.farm.DisksPerNode)
-	_, ests, err := costmodel.Select(workload, s.machine, m, costs, nil)
-	if err != nil {
-		return nil, err
-	}
-	sel := costmodel.NewSelection(int(s.cfg.Node), ests)
-	if sel == nil {
-		return nil, fmt.Errorf("backend: no strategy estimates for %s->%s", spec.Input, spec.Output)
-	}
-	if ctr, ok := autoSelected[ests[0].Strategy]; ok {
-		ctr.Inc()
-	}
-	return sel, nil
+	return &core.Query{Input: spec.Input, Output: spec.Output, InputBox: inBox, OutputBox: outBox}, nil
 }
 
 // runQuery plans and executes the query on this node, streaming owned
-// output chunks to w.
+// output chunks to w: the shared prepare step, this node's shared-scan join,
+// engine.RunNodeTraced on the query's dispatcher endpoint, and the shared
+// observe step (see core.Exec).
 func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
 	spec := &req.Spec
-	in, ok := s.datasets[spec.Input]
-	if !ok {
-		return trace, 0, fmt.Errorf("backend: input dataset %q not in catalog", spec.Input)
-	}
-	out, ok := s.datasets[spec.Output]
-	if !ok {
-		return trace, 0, fmt.Errorf("backend: output dataset %q not in catalog", spec.Output)
-	}
-	inBox, err := frontend.ParseBox(spec.InputBox)
+	q, err := specQuery(spec)
 	if err != nil {
 		return trace, 0, err
 	}
-	outBox, err := frontend.ParseBox(spec.OutputBox)
-	if err != nil {
+	q.ResultDataset = spec.ResultDataset
+	if q.Strategy, err = spec.ParseStrategy(); err != nil {
 		return trace, 0, err
 	}
-	strategy, err := spec.ParseStrategy()
-	if err != nil {
-		return trace, 0, err
-	}
-	if strategy == plan.Auto {
+	if q.Strategy == plan.Auto {
 		// Executing AUTO directly would let each node's own calibration pick
 		// a — possibly different — winner and diverge the mesh. The resolver
 		// (front-end or parallel client) must request estimates and relay
 		// the resolved strategy.
 		return trace, 0, fmt.Errorf("backend: strategy AUTO must be resolved by the client before execution (send an estimate request, then submit the chosen strategy)")
 	}
-	app, err := spec.App.Build()
-	if err != nil {
+	if q.App, err = spec.App.Build(); err != nil {
 		return trace, 0, err
 	}
+	// Codec precedence: the spec's own (stamped by adr-front -compress when
+	// the client named none), else this node's -compress default.
 	codec := s.cfg.Codec
 	if c, set, err := spec.ParseCodec(); err != nil {
 		return trace, 0, err
 	} else if set {
 		codec = c
 	}
-
-	workload, err := core.BuildWorkload(in, out, inBox, outBox, space.IdentityMapper{})
-	if err != nil {
-		return trace, 0, err
-	}
-	planner, err := plan.NewPlanner(s.machine)
-	if err != nil {
-		return trace, 0, err
-	}
-	p, err := planner.Plan(strategy, workload)
+	cfg, _, err := s.exec.Prepare(q, codec)
 	if err != nil {
 		return trace, 0, err
 	}
 
 	var streamMu sync.Mutex
-	cfg := engine.Config{
-		Plan:           p,
-		Workload:       workload,
-		App:            app,
-		InputDataset:   spec.Input,
-		OutputDataset:  spec.Output,
-		ResultDataset:  spec.ResultDataset,
-		Workers:        s.cfg.Workers,
-		FwdWindowBytes: s.cfg.FwdWindowBytes,
-		FwdBudgetBytes: s.cfg.FwdBudgetBytes,
-		Codec:          codec,
-		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
-			// Encode outside the lock, into a pooled buffer: concurrent
-			// emitters serialize only on the socket write.
-			frame, err := frontend.AppendFrame(bufpool.Get(frontend.FrameSize(c))[:0], c)
-			if err == nil {
-				streamMu.Lock()
-				chunks++
-				_, err = w.Write(frame)
-				streamMu.Unlock()
-			}
-			bufpool.Put(frame)
-			return err
-		},
-	}
-	if s.cfg.Degraded {
-		cfg.Degraded = true
-		// Re-plan with dead processors excluded: remap their chunks onto
-		// surviving replica holders, then plan on the reduced machine. Every
-		// node derives the same plan from the shared catalog and the
-		// fence-agreed exclusion set, exactly as the initial plan is derived.
-		cfg.Replan = func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error) {
-			ex := make(map[int32]bool, len(excluded))
-			for _, id := range excluded {
-				ex[int32(id)] = true
-			}
-			dw, err := plan.Degrade(s.machine, workload, ex, s.farm.DisksPerNode)
-			if err != nil {
-				return nil, nil, err
-			}
-			dp, err := plan.NewPlanner(s.machine)
-			if err != nil {
-				return nil, nil, err
-			}
-			dp.Exclude = ex
-			p2, err := dp.Plan(strategy, dw)
-			if err != nil {
-				return nil, nil, err
-			}
-			return p2, dw, nil
+	cfg.OnResult = func(node rpc.NodeID, c *chunk.Chunk) error {
+		// Encode outside the lock, into a pooled buffer: concurrent
+		// emitters serialize only on the socket write.
+		frame, err := frontend.AppendFrame(bufpool.Get(frontend.FrameSize(c))[:0], c)
+		if err == nil {
+			streamMu.Lock()
+			chunks++
+			_, err = w.Write(frame)
+			streamMu.Unlock()
 		}
+		bufpool.Put(frame)
+		return err
 	}
-	st := engine.FarmStorage{Farm: s.farm}
 	ep := s.dispatch.Endpoint(req.QueryID)
 	defer s.dispatch.Release(req.QueryID)
 	ctx := context.Background()
@@ -589,18 +518,8 @@ func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace met
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if s.scan != nil && !cfg.Degraded {
-		// Shared scans: merge this query's read schedule with batch peers
-		// admitted within the window, so overlapping chunk demands hit the
-		// disks once. Leave runs on every exit path — an aborting member must
-		// withdraw its demand so peers' retained payloads are released.
-		// Disabled on degraded runs: a retry's re-planned read schedule no
-		// longer matches the demands registered at join time.
-		member := s.scan.Join(ctx, engine.SharedDemands(&cfg, s.cfg.Node))
-		defer member.Leave()
-		cfg.Shared = func(rpc.NodeID) *engine.ScanMember { return member }
-	}
-	trace, err = engine.RunNodeTraced(ctx, cfg, ep, st)
+	defer s.exec.JoinScans(ctx, &cfg)()
+	trace, err = engine.RunNodeTraced(ctx, cfg, ep, engine.FarmStorage{Farm: s.farm})
 	replicaFallbackReads.Add(trace.Totals.ReplicaFallbackReads)
 	if err != nil {
 		return trace, chunks, err
@@ -608,16 +527,9 @@ func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace met
 	if trace.Degraded {
 		degradedQueries.Inc()
 	}
-	// Fold the measured execution into the calibration so the next estimate
-	// prices plans with live rates, and persist it if configured. A failed
-	// save must not fail the query — it is counted instead.
-	initOps, outOps := costmodel.PlanOps(p, int(s.cfg.Node))
-	s.calib.Observe(costmodel.Sample{Trace: trace, InitOps: initOps, OutputOps: outOps})
-	if s.cfg.CalibrationFile != "" {
-		if err := s.calib.Save(s.cfg.CalibrationFile); err != nil {
-			calibSaveErrs.Inc()
-		}
-	}
+	// Observe before the done line goes out: a client that gets done and at
+	// once asks for an estimate must find this query folded in.
+	s.exec.Observe(cfg.Plan, nil, trace)
 	streamMu.Lock()
 	w.Flush()
 	streamMu.Unlock()

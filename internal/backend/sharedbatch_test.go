@@ -2,6 +2,7 @@ package backend_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"adr/internal/apps"
 	"adr/internal/backend"
 	"adr/internal/core"
+	"adr/internal/engine"
 	"adr/internal/frontend"
 	"adr/internal/layout"
 	"adr/internal/plan"
@@ -31,8 +33,7 @@ func startBatchStack(t *testing.T, nodes int, window time.Duration, maxBatch int
 				MeshAddrs:   meshAddrs,
 				ControlAddr: "127.0.0.1:0",
 				DataDir:     dir,
-				BatchWindow: window,
-				MaxBatch:    maxBatch,
+				Scan:        engine.ScanOptions{BatchWindow: window, MaxBatch: maxBatch},
 			})
 			servers[i] = s
 			startErr <- err
@@ -93,43 +94,57 @@ func mergeStreams(streams []frontend.NodeStream) []*frontend.ChunkJSON {
 
 // TestSharedBatchOverlapMatchesSerial drives two fully-overlapping queries
 // into one shared-scan batch and checks (a) both results equal the serial
-// in-process reference and (b) the traces record deduplicated reads.
+// in-process reference and (b) the traces record deduplicated reads — or,
+// on degraded nodes, none at all: -degraded turns the batch window off
+// (core.Exec), and the results must not change for it.
 func TestSharedBatchOverlapMatchesSerial(t *testing.T) {
 	const nodes = 2
-	dir, ctrlAddrs := startBatchStack(t, nodes, 250*time.Millisecond, 2)
+	for _, degraded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("degraded=%v", degraded), func(t *testing.T) {
+			dir := t.TempDir()
+			buildFarmDir(t, dir, nodes)
+			_, ctrlAddrs := startNodesOver(t, dir, nodes, func(_ int, cfg *backend.Config) {
+				cfg.Scan = engine.ScanOptions{BatchWindow: 250 * time.Millisecond, MaxBatch: 2}
+				cfg.Degraded = degraded
+			})
 
-	want := serialReference(t, dir, nodes, &core.Query{
-		Input: "sensor", Output: "raster", Strategy: plan.FRA,
-		App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4},
-	})
+			want := serialReference(t, dir, nodes, &core.Query{
+				Input: "sensor", Output: "raster", Strategy: plan.FRA,
+				App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4},
+			})
 
-	pc, err := frontend.NewParallelClient(ctrlAddrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &frontend.QuerySpec{
-		Input: "sensor", Output: "raster", Strategy: "FRA",
-		App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
-	}
-	results, errs := pc.QueryAll([]*frontend.QuerySpec{spec, spec})
-	var sharedReads, dedupedBytes int64
-	for qi := range results {
-		if errs[qi] != nil {
-			t.Fatalf("query %d: %v", qi, errs[qi])
-		}
-		if got := canonicalJSON(mergeStreams(results[qi])); got != want {
-			t.Errorf("query %d result differs from serial reference", qi)
-		}
-		for _, st := range results[qi] {
-			if st.Stats == nil || st.Stats.Trace == nil {
-				t.Fatalf("query %d node %d: missing trace", qi, st.Node)
+			pc, err := frontend.NewParallelClient(ctrlAddrs)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sharedReads += st.Stats.Trace.Totals.SharedReads
-			dedupedBytes += st.Stats.Trace.Totals.DedupedBytes
-		}
-	}
-	if sharedReads == 0 || dedupedBytes == 0 {
-		t.Errorf("no shared reads recorded (shared=%d deduped=%d): batch never coalesced", sharedReads, dedupedBytes)
+			spec := &frontend.QuerySpec{
+				Input: "sensor", Output: "raster", Strategy: "FRA",
+				App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
+			}
+			results, errs := pc.QueryAll([]*frontend.QuerySpec{spec, spec})
+			var sharedReads, dedupedBytes int64
+			for qi := range results {
+				if errs[qi] != nil {
+					t.Fatalf("query %d: %v", qi, errs[qi])
+				}
+				if got := canonicalJSON(mergeStreams(results[qi])); got != want {
+					t.Errorf("query %d result differs from serial reference", qi)
+				}
+				for _, st := range results[qi] {
+					if st.Stats == nil || st.Stats.Trace == nil {
+						t.Fatalf("query %d node %d: missing trace", qi, st.Node)
+					}
+					sharedReads += st.Stats.Trace.Totals.SharedReads
+					dedupedBytes += st.Stats.Trace.Totals.DedupedBytes
+				}
+			}
+			if degraded && sharedReads != 0 {
+				t.Errorf("degraded nodes recorded %d shared reads: the batch window must be off", sharedReads)
+			}
+			if !degraded && (sharedReads == 0 || dedupedBytes == 0) {
+				t.Errorf("no shared reads recorded (shared=%d deduped=%d): batch never coalesced", sharedReads, dedupedBytes)
+			}
+		})
 	}
 }
 

@@ -254,6 +254,15 @@ func TestStackErrors(t *testing.T) {
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
 	meshAddrs := freeAddrs(t, nodes)
+	// A flow-control pair the mesh cannot honour fails start-up (it used to
+	// come up and then fail every query).
+	if s, err := backend.Start(backend.Config{
+		Node: 0, MeshAddrs: meshAddrs, ControlAddr: "127.0.0.1:0", DataDir: dir,
+		Flow: rpc.Flow{WindowBytes: 1 << 20, BudgetBytes: 1024},
+	}); err == nil {
+		s.Close()
+		t.Error("budget smaller than one peer window should fail start-up")
+	}
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
@@ -673,6 +682,25 @@ func TestStructuredErrorFrames(t *testing.T) {
 	}
 	if !strings.Contains(qe.Message, "nosuch") {
 		t.Errorf("error lost the cause: %q", qe.Message)
+	}
+
+	// So is a box whose dimensionality is not the dataset's (one pair dropped
+	// from -input-box): a non-retryable error naming the dataset and both
+	// dimensionalities, not a plausible all-zero raster.
+	_, _, err = client.Query(&frontend.QuerySpec{
+		Input: "sensor", Output: "raster", InputBox: []float64{0, 100},
+		App: frontend.AppSpec{Op: "sum", CellsPerDim: 2},
+	})
+	if !errors.As(err, &qe) {
+		t.Fatalf("1-D box error = %v, want *frontend.QueryError", err)
+	}
+	if qe.Retryable || qe.Node < 0 || qe.Node >= nodes {
+		t.Errorf("1-D box error frame: node %d retryable %v, want a back-end node, not retryable", qe.Node, qe.Retryable)
+	}
+	for _, want := range []string{`"sensor"`, "1 dimensions", "has 2"} {
+		if !strings.Contains(qe.Message, want) {
+			t.Errorf("1-D box error lost %s: %q", want, qe.Message)
+		}
 	}
 
 	// A valid query dies on the per-query deadline, still as a typed error.

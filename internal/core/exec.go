@@ -1,0 +1,184 @@
+package core
+
+import (
+	"context"
+	"sync"
+
+	"adr/internal/chunk"
+	"adr/internal/costmodel"
+	"adr/internal/engine"
+	"adr/internal/layout"
+	"adr/internal/metrics"
+	"adr/internal/plan"
+	"adr/internal/rpc"
+	"adr/internal/space"
+)
+
+// Exec is the back-end half of the query path — the paper's query planning
+// service in front of its query execution service (Fig 2, §2.1) — as the
+// steps every executed query takes, in order:
+//
+//	Prepare    catalog lookup → BuildWorkload → the fixed strategy's plan, or
+//	           for AUTO the estimate step's winner (every fixed strategy
+//	           priced with the calibrated cost model) → the engine.Config
+//	JoinScans  merge the query's reads into the nodes' shared-scan batches
+//	(run)      the caller's own: engine.Run over a per-query in-process
+//	           fabric (Repository), engine.RunNodeTraced on one endpoint of
+//	           the long-lived mesh (backend.Server)
+//	Observe    fold the measured traces into the calibration
+//
+// Repository (every node in this process) and backend.Server (one node of a
+// TCP mesh) each hold one Exec and differ only in the run call. Two
+// combinations are excluded on purpose: degraded execution never joins a
+// shared scan (a retry's re-planned read schedule no longer matches the
+// demands registered at join time, so -degraded turns -batch-window off), and
+// the embedded Repository has no degraded mode (its nodes are goroutine
+// groups of one process; none dies alone).
+type Exec struct {
+	// Machine is what plans are built for; identical on every node of a mesh.
+	Machine      plan.Machine
+	DisksPerNode int
+	// Node names the processor whose Calib prices estimates.
+	Node  rpc.NodeID
+	Calib *costmodel.Calibration
+	// Workers is the engine's per-node pipeline width (<= 0: GOMAXPROCS).
+	Workers int
+	// Degraded makes prepared queries survive peer deaths by re-planning onto
+	// replica holders.
+	Degraded bool
+	// Scans holds the shared-scan schedulers of the nodes this process runs,
+	// indexed by node id; nil when batching is off, nil entries for nodes run
+	// elsewhere.
+	Scans []*engine.SharedScan
+	// Resolve looks the query's datasets up in the owner's catalog and picks
+	// its mapping function.
+	Resolve func(q *Query) (in, out *layout.Dataset, mapper space.RectMapper, err error)
+}
+
+// autoSelected counts how often the calibrated cost model picked each
+// strategy, whichever caller asked.
+var autoSelected = map[plan.Strategy]*metrics.Counter{
+	plan.FRA:    metrics.Default.Counter(`adr_node_auto_selected_total{strategy="FRA"}`),
+	plan.SRA:    metrics.Default.Counter(`adr_node_auto_selected_total{strategy="SRA"}`),
+	plan.DA:     metrics.Default.Counter(`adr_node_auto_selected_total{strategy="DA"}`),
+	plan.Hybrid: metrics.Default.Counter(`adr_node_auto_selected_total{strategy="HYBRID"}`),
+}
+
+func (e *Exec) workload(q *Query) (*plan.Workload, error) {
+	in, out, mapper, err := e.Resolve(q)
+	if err != nil {
+		return nil, err
+	}
+	return BuildWorkload(in, out, q.InputBox, q.OutputBox, mapper)
+}
+
+func (e *Exec) plan(s plan.Strategy, w *plan.Workload, exclude map[int32]bool) (*plan.Plan, error) {
+	planner, err := plan.NewPlanner(e.Machine)
+	if err != nil {
+		return nil, err
+	}
+	planner.Exclude = exclude
+	return planner.Plan(s, w)
+}
+
+// Prepare plans q and returns the engine configuration to run it with,
+// lacking only the caller's result sink (OnResult). codec is the query's
+// resolved wire codec. AUTO is resolved here, with this Exec's calibration,
+// and the selection (winner first) returned for Observe to close. A mesh node
+// must not run what it resolved — per-node calibrations differ, so the nodes
+// could pick different winners — and prepares AUTO only to answer an estimate
+// request with the selection.
+func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Selection, error) {
+	w, err := e.workload(q)
+	if err != nil {
+		return engine.Config{}, nil, err
+	}
+	var p *plan.Plan
+	var sel *metrics.Selection
+	if q.Strategy == plan.Auto {
+		m, costs := e.Calib.Model(e.Machine.Procs, e.DisksPerNode)
+		var ests []costmodel.Estimate
+		if p, ests, err = costmodel.Select(w, e.Machine, m, costs, nil); err == nil {
+			autoSelected[p.Strategy].Inc()
+			sel = costmodel.NewSelection(int(e.Node), ests)
+		}
+	} else {
+		p, err = e.plan(q.Strategy, w, nil)
+	}
+	if err != nil {
+		return engine.Config{}, nil, err
+	}
+	cfg := engine.Config{
+		Plan:          p,
+		Workload:      w,
+		App:           q.App,
+		InputDataset:  q.Input,
+		OutputDataset: q.Output,
+		ResultDataset: q.ResultDataset,
+		Workers:       e.Workers,
+		Codec:         codec,
+	}
+	if e.Degraded {
+		cfg.Degraded = true
+		// Re-plan with dead processors excluded: remap their chunks onto
+		// surviving replica holders, then plan on the reduced machine. Every
+		// node derives the same plan from the shared catalog and the
+		// fence-agreed exclusion set, exactly as the initial plan is derived.
+		cfg.Replan = func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error) {
+			ex := make(map[int32]bool, len(excluded))
+			for _, id := range excluded {
+				ex[int32(id)] = true
+			}
+			dw, err := plan.Degrade(e.Machine, w, ex, e.DisksPerNode)
+			if err != nil {
+				return nil, nil, err
+			}
+			dp, err := e.plan(p.Strategy, dw, ex)
+			return dp, dw, err
+		}
+	}
+	return cfg, sel, nil
+}
+
+// JoinScans merges the prepared query's read schedule into the shared-scan
+// batch of every node this process runs, so overlapping chunk demands of
+// queries admitted within the batch window hit the disks once, and points
+// cfg.Shared at the memberships. The joins run concurrently: each gates on
+// its batch window, and sequential joins would serialize the waits. leave
+// must run on every exit path — an aborting member has to withdraw its
+// demand so peers' retained payloads are released.
+func (e *Exec) JoinScans(ctx context.Context, cfg *engine.Config) (leave func()) {
+	if e.Scans == nil || e.Degraded {
+		return func() {}
+	}
+	members := make([]*engine.ScanMember, len(e.Scans))
+	var wg sync.WaitGroup
+	for node, scan := range e.Scans {
+		if scan == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(node int, scan *engine.SharedScan) {
+			defer wg.Done()
+			members[node] = scan.Join(ctx, engine.SharedDemands(cfg, rpc.NodeID(node)))
+		}(node, scan)
+	}
+	wg.Wait()
+	cfg.Shared = func(n rpc.NodeID) *engine.ScanMember { return members[n] }
+	return func() {
+		for _, m := range members {
+			m.Leave()
+		}
+	}
+}
+
+// Observe folds the traces of a successful run of p into the calibration, so
+// the next estimate prices plans with live rates, and — when Prepare resolved
+// AUTO — closes the prediction loop with the slowest node's wall time.
+func (e *Exec) Observe(p *plan.Plan, sel *metrics.Selection, traces ...metrics.NodeTrace) {
+	for _, tr := range traces {
+		initOps, outOps := costmodel.PlanOps(p, tr.Node)
+		e.Calib.Observe(costmodel.Sample{Trace: tr, InitOps: initOps, OutputOps: outOps})
+	}
+	costmodel.RecordOutcome(sel, (&metrics.QueryTrace{Nodes: traces}).MaxWall().Seconds())
+}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"adr/internal/chunk"
 	"adr/internal/costmodel"
@@ -46,14 +45,9 @@ type Options struct {
 	// (engine.Config.Workers); <= 0 lets the engine default to
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// BatchWindow, when > 0, enables per-node cross-query shared scans
-	// (engine.SharedScan): concurrent Execute calls admitted within the
-	// window form a batch whose overlapping chunk reads are issued once per
-	// node and fanned out to every member query. 0 disables batching.
-	BatchWindow time.Duration
-	// MaxBatch caps the queries grouped into one shared-scan batch; <= 0
-	// selects engine.DefaultMaxBatch. Only consulted when BatchWindow > 0.
-	MaxBatch int
+	// Scan configures per-node cross-query shared scans among concurrent
+	// Execute calls (see engine.ScanOptions).
+	Scan engine.ScanOptions
 	// Replicas is the number of copies of each chunk LoadDataset places,
 	// chain-declustered across the farm's disks (layout.Loader.Replicas);
 	// <= 1 loads unreplicated. Degraded-mode execution needs >= 2 to re-plan
@@ -70,14 +64,9 @@ type Options struct {
 	// that does not shrink below this fraction of its raw size stays raw);
 	// 0 selects chunk.DefaultMinRatio.
 	CompressMinRatio float64
-	// FwdWindowBytes, when > 0, bounds each node's in-flight forwarded
-	// bytes toward any single peer: the fabric charges every chunk payload
-	// against the destination's credit window and senders block until the
-	// receiving engine consumes earlier payloads. FwdBudgetBytes likewise
-	// bounds one node's in-flight bytes across all peers. 0 disables each
-	// (the historical unbounded behaviour).
-	FwdWindowBytes int64
-	FwdBudgetBytes int64
+	// Flow bounds each node's in-flight forwarded bytes on the per-query
+	// fabric (see rpc.Flow).
+	Flow rpc.Flow
 }
 
 // DefaultAccMemBytes is the per-processor accumulator memory used when the
@@ -91,23 +80,14 @@ const DefaultAccMemBytes = 8 << 20
 type Repository struct {
 	registry *space.Registry
 	farm     *layout.Farm
-	machine  plan.Machine
-	workers  int
 	replicas int
 	codec    chunk.Codec
 	minRatio float64
-	// fwdWindow/fwdBudget configure the fabric's forwarding flow control
-	// for every query this repository executes (0 = disabled).
-	fwdWindow int64
-	fwdBudget int64
-	// scans, when non-nil, holds one shared-scan scheduler per in-process
-	// node; concurrent Execute calls join them so overlapping reads dedup.
-	scans []*engine.SharedScan
-	// calib learns the cost model's resource rates from every executed
-	// query, so AUTO-strategy queries are priced with live rates. In-process
-	// repositories keep it in memory only.
-	calib        *costmodel.Calibration
-	disksPerNode int
+	flow     rpc.Flow
+	// exec is the shared query path; its calibration lives in memory only,
+	// and the repository is its own AUTO resolver — one calibration, no mesh
+	// to diverge.
+	exec Exec
 
 	mu       sync.RWMutex
 	datasets map[string]*layout.Dataset
@@ -123,6 +103,9 @@ func NewRepository(opts Options) (*Repository, error) {
 	}
 	if opts.AccMemBytes <= 0 {
 		opts.AccMemBytes = DefaultAccMemBytes
+	}
+	if err := opts.Flow.Validate(); err != nil {
+		return nil, err
 	}
 	var farm *layout.Farm
 	var err error
@@ -140,24 +123,25 @@ func NewRepository(opts Options) (*Repository, error) {
 		farm.WithCache(layout.NewChunkCache(opts.CacheBytes))
 	}
 	r := &Repository{
-		registry:  space.NewRegistry(),
-		farm:      farm,
-		machine:   plan.Machine{Procs: opts.Nodes, AccMemBytes: opts.AccMemBytes},
-		workers:   opts.Workers,
-		replicas:  opts.Replicas,
-		codec:     opts.Codec,
-		minRatio:  opts.CompressMinRatio,
-		fwdWindow: opts.FwdWindowBytes,
-		fwdBudget: opts.FwdBudgetBytes,
-		datasets:  make(map[string]*layout.Dataset),
-
-		calib:        &costmodel.Calibration{},
-		disksPerNode: opts.DisksPerNode,
+		registry: space.NewRegistry(),
+		farm:     farm,
+		replicas: opts.Replicas,
+		codec:    opts.Codec,
+		minRatio: opts.CompressMinRatio,
+		flow:     opts.Flow,
+		datasets: make(map[string]*layout.Dataset),
+		exec: Exec{
+			Machine:      plan.Machine{Procs: opts.Nodes, AccMemBytes: opts.AccMemBytes},
+			DisksPerNode: opts.DisksPerNode,
+			Calib:        &costmodel.Calibration{},
+			Workers:      opts.Workers,
+		},
 	}
-	if opts.BatchWindow > 0 {
-		r.scans = make([]*engine.SharedScan, opts.Nodes)
-		for i := range r.scans {
-			r.scans[i] = engine.NewSharedScan(opts.BatchWindow, opts.MaxBatch)
+	r.exec.Resolve = r.resolve
+	if opts.Scan.BatchWindow > 0 {
+		r.exec.Scans = make([]*engine.SharedScan, opts.Nodes)
+		for i := range r.exec.Scans {
+			r.exec.Scans[i] = engine.NewSharedScan(opts.Scan.BatchWindow, opts.Scan.MaxBatch)
 		}
 	}
 	return r, nil
@@ -170,7 +154,7 @@ func (r *Repository) Registry() *space.Registry { return r.registry }
 func (r *Repository) Farm() *layout.Farm { return r.farm }
 
 // Machine returns the planner's machine description.
-func (r *Repository) Machine() plan.Machine { return r.machine }
+func (r *Repository) Machine() plan.Machine { return r.exec.Machine }
 
 // Close releases the farm.
 func (r *Repository) Close() error { return r.farm.Close() }
@@ -271,36 +255,48 @@ type Result struct {
 	Selection *metrics.Selection
 }
 
-// resolveMapper picks the query's mapping function.
-func (r *Repository) resolveMapper(q *Query, in, out *layout.Dataset) (space.RectMapper, error) {
+// resolve looks up the query's datasets and picks its mapping function: the
+// query's own, else one registered for the two spaces, else identity when
+// the spaces coincide.
+func (r *Repository) resolve(q *Query) (in, out *layout.Dataset, mapper space.RectMapper, err error) {
+	in, ok := r.Dataset(q.Input)
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("core: input dataset %q not loaded", q.Input)
+	}
+	out, ok = r.Dataset(q.Output)
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("core: output dataset %q not loaded", q.Output)
+	}
 	if q.Mapper != nil {
-		return q.Mapper, nil
+		return in, out, q.Mapper, nil
 	}
 	if m, ok := r.registry.Mapping(in.Space.Name, out.Space.Name); ok {
-		return m, nil
+		return in, out, m, nil
 	}
 	if in.Space.Name == out.Space.Name || in.Space.Bounds.Dims == out.Space.Bounds.Dims {
-		return space.IdentityMapper{}, nil
+		return in, out, space.IdentityMapper{}, nil
 	}
-	return nil, fmt.Errorf("core: no mapping registered %q -> %q", in.Space.Name, out.Space.Name)
+	return nil, nil, nil, fmt.Errorf("core: no mapping registered %q -> %q", in.Space.Name, out.Space.Name)
 }
 
 // BuildWorkload runs index lookup and chunk-level mapping for a query: the
 // front half of the query planning service.
 func (r *Repository) BuildWorkload(q *Query) (*plan.Workload, error) {
-	in, ok := r.Dataset(q.Input)
-	if !ok {
-		return nil, fmt.Errorf("core: input dataset %q not loaded", q.Input)
+	return r.exec.workload(q)
+}
+
+// boxOrBounds resolves a query box against its dataset: empty selects the
+// whole space. A box of another dimensionality is rejected — it intersects
+// nothing, so it would otherwise read as a valid empty selection.
+func boxOrBounds(role string, box space.Rect, ds *layout.Dataset) (space.Rect, error) {
+	if box.IsEmpty() {
+		return ds.Space.Bounds, nil
 	}
-	out, ok := r.Dataset(q.Output)
-	if !ok {
-		return nil, fmt.Errorf("core: output dataset %q not loaded", q.Output)
+	if box.Dims != ds.Space.Bounds.Dims {
+		return box, fmt.Errorf("core: %s box has %d dimensions, dataset %q has %d",
+			role, box.Dims, ds.Name, ds.Space.Bounds.Dims)
 	}
-	mapper, err := r.resolveMapper(q, in, out)
-	if err != nil {
-		return nil, err
-	}
-	return BuildWorkload(in, out, q.InputBox, q.OutputBox, mapper)
+	return box, nil
 }
 
 // BuildWorkload is the deterministic workload-construction step shared by
@@ -311,11 +307,13 @@ func BuildWorkload(in, out *layout.Dataset, inBox, outBox space.Rect, mapper spa
 	if mapper == nil {
 		mapper = space.IdentityMapper{}
 	}
-	if inBox.IsEmpty() {
-		inBox = in.Space.Bounds
+	inBox, err := boxOrBounds("input", inBox, in)
+	if err != nil {
+		return nil, err
 	}
-	if outBox.IsEmpty() {
-		outBox = out.Space.Bounds
+	outBox, err = boxOrBounds("output", outBox, out)
+	if err != nil {
+		return nil, err
 	}
 
 	inputs := in.Select(inBox)
@@ -379,47 +377,18 @@ func (r *Repository) ExecuteBatch(ctx context.Context, qs []*Query) ([]*Result, 
 	return results, nil
 }
 
-// Execute plans and runs a query on the in-process back-end.
+// Execute plans and runs a query on the in-process back-end: the shared
+// prepare step, every node's shared-scan join, engine.Run over a fabric of
+// its own, and the shared observe step (see Exec).
 func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 	if q.App == nil {
 		return nil, fmt.Errorf("core: query needs an App")
 	}
-	w, err := r.BuildWorkload(q)
+	cfg, sel, err := r.exec.Prepare(q, r.codec)
 	if err != nil {
 		return nil, err
 	}
-	var p *plan.Plan
-	var sel *metrics.Selection
-	if q.Strategy == plan.Auto {
-		// AUTO: price every fixed strategy with the calibrated model and
-		// execute the predicted-fastest plan. The in-process repository is
-		// its own resolver — one calibration, no mesh to diverge.
-		m, costs := r.calib.Model(r.machine.Procs, r.disksPerNode)
-		var ests []costmodel.Estimate
-		p, ests, err = costmodel.Select(w, r.machine, m, costs, nil)
-		if err != nil {
-			return nil, err
-		}
-		sel = costmodel.NewSelection(0, ests)
-	} else {
-		planner, err := plan.NewPlanner(r.machine)
-		if err != nil {
-			return nil, err
-		}
-		p, err = planner.Plan(q.Strategy, w)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	fabric, err := rpc.NewInprocFabricOpts(r.machine.Procs, rpc.InprocOptions{
-		FwdWindowBytes: r.fwdWindow,
-		FwdBudgetBytes: r.fwdBudget,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer fabric.Close()
+	w := cfg.Workload
 
 	var mu sync.Mutex
 	results := make([]*chunk.Chunk, len(w.Outputs))
@@ -427,50 +396,23 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 	for pos, m := range w.Outputs {
 		idToPos[m.ID] = int32(pos)
 	}
-
-	cfg := engine.Config{
-		Plan:           p,
-		Workload:       w,
-		App:            q.App,
-		InputDataset:   q.Input,
-		OutputDataset:  q.Output,
-		ResultDataset:  q.ResultDataset,
-		Workers:        r.workers,
-		Codec:          r.codec,
-		FwdWindowBytes: r.fwdWindow,
-		FwdBudgetBytes: r.fwdBudget,
-		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
-			mu.Lock()
-			defer mu.Unlock()
-			pos, ok := idToPos[c.Meta.ID]
-			if !ok {
-				return fmt.Errorf("core: result for unknown output chunk %d", c.Meta.ID)
-			}
-			results[pos] = c
-			return nil
-		},
-	}
-	if r.scans != nil {
-		// Join every node's shared-scan scheduler concurrently (each Join
-		// gates on its batch window; sequential joins would serialize the
-		// waits) and leave them all when the query ends, on every path.
-		members := make([]*engine.ScanMember, r.machine.Procs)
-		var jg sync.WaitGroup
-		for node := range members {
-			jg.Add(1)
-			go func(node int) {
-				defer jg.Done()
-				members[node] = r.scans[node].Join(ctx, engine.SharedDemands(&cfg, rpc.NodeID(node)))
-			}(node)
+	cfg.OnResult = func(node rpc.NodeID, c *chunk.Chunk) error {
+		mu.Lock()
+		defer mu.Unlock()
+		pos, ok := idToPos[c.Meta.ID]
+		if !ok {
+			return fmt.Errorf("core: result for unknown output chunk %d", c.Meta.ID)
 		}
-		jg.Wait()
-		defer func() {
-			for _, m := range members {
-				m.Leave()
-			}
-		}()
-		cfg.Shared = func(n rpc.NodeID) *engine.ScanMember { return members[n] }
+		results[pos] = c
+		return nil
 	}
+
+	fabric, err := rpc.NewInprocFabricOpts(r.exec.Machine.Procs, rpc.InprocOptions{Flow: r.flow})
+	if err != nil {
+		return nil, err
+	}
+	defer fabric.Close()
+	defer r.exec.JoinScans(ctx, &cfg)()
 	report, err := engine.Run(ctx, cfg, fabric, engine.FarmStorage{Farm: r.farm})
 	if err != nil {
 		return nil, err
@@ -480,16 +422,6 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 			return nil, fmt.Errorf("core: output position %d never emitted", pos)
 		}
 	}
-	// Every executed query calibrates the model; AUTO queries additionally
-	// close the prediction loop with the slowest node's measured wall time.
-	var wall int64
-	for i := range report.Traces {
-		initOps, outOps := costmodel.PlanOps(p, i)
-		r.calib.Observe(costmodel.Sample{Trace: report.Traces[i], InitOps: initOps, OutputOps: outOps})
-		if report.Traces[i].WallNanos > wall {
-			wall = report.Traces[i].WallNanos
-		}
-	}
-	costmodel.RecordOutcome(sel, float64(wall)/1e9)
-	return &Result{Chunks: results, Plan: p, Workload: w, Report: report, Selection: sel}, nil
+	r.exec.Observe(cfg.Plan, sel, report.Traces...)
+	return &Result{Chunks: results, Plan: cfg.Plan, Workload: w, Report: report, Selection: sel}, nil
 }

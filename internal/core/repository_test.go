@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"adr/internal/apps"
 	"adr/internal/chunk"
@@ -14,6 +16,7 @@ import (
 	"adr/internal/engine"
 	"adr/internal/layout"
 	"adr/internal/plan"
+	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
@@ -27,7 +30,15 @@ func corePartition(items []chunk.Item, g *space.Grid) ([]*chunk.Chunk, error) {
 // into a fresh repository.
 func buildEnv(t testing.TB, nodes, nItems int, seed int64) *core.Repository {
 	t.Helper()
-	repo, err := core.NewRepository(core.Options{Nodes: nodes, AccMemBytes: 64 << 10})
+	return buildEnvOpts(t, core.Options{Nodes: nodes}, nItems, seed)
+}
+
+// buildEnvOpts is buildEnv with the repository's other options chosen by the
+// caller (AccMemBytes is always the tests' 64 KiB).
+func buildEnvOpts(t testing.TB, opts core.Options, nItems int, seed int64) *core.Repository {
+	t.Helper()
+	opts.AccMemBytes = 64 << 10
+	repo, err := core.NewRepository(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,30 +146,55 @@ func serialOracle(t *testing.T, repo *core.Repository, q *core.Query) string {
 }
 
 func TestParallelMatchesSerialAllStrategiesAndOps(t *testing.T) {
+	variants := []struct {
+		name string
+		opts core.Options
+	}{
+		{"default", core.Options{}},
+		{"batch-window", core.Options{Scan: engine.ScanOptions{BatchWindow: 20 * time.Millisecond}}},
+		{"flow-window", core.Options{Flow: rpc.Flow{WindowBytes: 1 << 10}}},
+	}
 	for _, nodes := range []int{1, 3, 4} {
-		repo := buildEnv(t, nodes, 3000, 42)
-		for _, op := range []apps.Op{apps.Sum, apps.Max, apps.Mean, apps.Count} {
-			for _, s := range plan.Strategies {
-				name := fmt.Sprintf("nodes=%d/%s/%s", nodes, op, s)
-				t.Run(name, func(t *testing.T) {
-					q := &core.Query{
-						Input: "sensor", Output: "raster",
-						Strategy: s,
-						App:      &apps.RasterApp{Op: op, CellsPerDim: 8},
+		for _, v := range variants {
+			v.opts.Nodes = nodes
+			repo := buildEnvOpts(t, v.opts, 3000, 42)
+			for _, op := range []apps.Op{apps.Sum, apps.Max, apps.Mean, apps.Count} {
+				for _, s := range append(append([]plan.Strategy{}, plan.Strategies...), plan.Auto) {
+					// The default repository keeps the bare "nodes=N" prefix.
+					name := fmt.Sprintf("nodes=%d/%s/%s", nodes, op, s)
+					if v.name != "default" {
+						name = fmt.Sprintf("nodes=%d+%s/%s/%s", nodes, v.name, op, s)
 					}
-					res, err := repo.Execute(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := canonical(res.Chunks)
-					want := serialOracle(t, repo, q)
-					if got != want {
-						t.Errorf("parallel result differs from serial oracle\n got: %.120s...\nwant: %.120s...", got, want)
-					}
-					if res.Plan.Strategy != s {
-						t.Errorf("plan strategy %v, want %v", res.Plan.Strategy, s)
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						q := &core.Query{
+							Input: "sensor", Output: "raster",
+							Strategy: s,
+							App:      &apps.RasterApp{Op: op, CellsPerDim: 8},
+						}
+						res, err := repo.Execute(context.Background(), q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := s
+						if s == plan.Auto {
+							// The oracle needs a plan; any fixed strategy gives
+							// the same serial result.
+							if res.Selection == nil {
+								t.Fatal("AUTO query reports no selection")
+							}
+							want = res.Plan.Strategy
+							oq := *q
+							oq.Strategy = plan.FRA
+							q = &oq
+						}
+						if got, oracle := canonical(res.Chunks), serialOracle(t, repo, q); got != oracle {
+							t.Errorf("parallel result differs from serial oracle\n got: %.120s...\nwant: %.120s...", got, oracle)
+						}
+						if res.Plan.Strategy != want || want == plan.Auto {
+							t.Errorf("plan strategy %v, want %v", res.Plan.Strategy, want)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -339,6 +375,22 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := repo.Execute(ctx, &core.Query{Input: "sensor", Output: "raster"}); err == nil {
 		t.Error("missing app should fail")
 	}
+	// A box of the wrong dimensionality is a malformed query, not an empty
+	// selection (it intersects nothing, so it used to return all-zero output).
+	for _, box := range []space.Rect{space.R(0, 100), space.R(0, 100, 0, 49, 0, 1)} {
+		for _, q := range []*core.Query{
+			{Input: "sensor", Output: "raster", InputBox: box},
+			{Input: "sensor", Output: "raster", OutputBox: box},
+		} {
+			q.App = &apps.RasterApp{Op: apps.Sum, CellsPerDim: 2}
+			_, err := repo.Execute(ctx, q)
+			if err == nil {
+				t.Errorf("%d-D box on a 2-D dataset should fail", box.Dims)
+			} else if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("has %d dimensions", box.Dims)) || !strings.Contains(msg, "has 2") {
+				t.Errorf("%d-D box error does not name both dimensionalities: %v", box.Dims, err)
+			}
+		}
+	}
 }
 
 func TestRepositoryCatalog(t *testing.T) {
@@ -362,6 +414,12 @@ func TestRepositoryCatalog(t *testing.T) {
 func TestNewRepositoryValidation(t *testing.T) {
 	if _, err := core.NewRepository(core.Options{Nodes: 0}); err == nil {
 		t.Error("0 nodes should fail")
+	}
+	// A flow pair no fabric can honour fails here, not on every Execute.
+	for _, f := range []rpc.Flow{{WindowBytes: 1 << 20, BudgetBytes: 1024}, {WindowBytes: -5}} {
+		if _, err := core.NewRepository(core.Options{Nodes: 4, Flow: f}); err == nil {
+			t.Errorf("flow %+v should fail", f)
+		}
 	}
 }
 

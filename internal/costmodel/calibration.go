@@ -29,9 +29,6 @@ import (
 type Calibration struct {
 	mu    sync.Mutex
 	state calibState
-
-	// Alpha is the EWMA weight of a new sample (0 selects DefaultAlpha).
-	Alpha float64
 }
 
 // calibState is the persisted portion of a Calibration. Zero fields mean
@@ -85,44 +82,40 @@ func PlanOps(p *plan.Plan, self int) (initOps, outputOps int64) {
 	return initOps, outputOps
 }
 
-// ewma folds sample into cur with weight alpha; a zero cur adopts the
+// ewma folds sample into cur with weight DefaultAlpha; a zero cur adopts the
 // sample outright (first observation).
-func ewma(cur, sample, alpha float64) float64 {
+func ewma(cur, sample float64) float64 {
 	if cur <= 0 {
 		return sample
 	}
-	return alpha*sample + (1-alpha)*cur
+	return DefaultAlpha*sample + (1-DefaultAlpha)*cur
 }
 
 // Observe folds one node's measured execution into the calibration. Signals
 // whose denominators are zero (no aggregation ran, everything was cached)
 // are skipped, so partial traces never corrupt the rates.
 func (c *Calibration) Observe(s Sample) {
-	alpha := c.Alpha
-	if alpha <= 0 {
-		alpha = DefaultAlpha
-	}
 	t := &s.Trace.Totals
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &c.state
 	if t.DiskReadNanos > 0 && t.DiskReadBytes > 0 {
-		st.DiskBWBytes = ewma(st.DiskBWBytes, float64(t.DiskReadBytes)/(float64(t.DiskReadNanos)/1e9), alpha)
+		st.DiskBWBytes = ewma(st.DiskBWBytes, float64(t.DiskReadBytes)/(float64(t.DiskReadNanos)/1e9))
 	}
 	if t.NetSendNanos > 0 && t.BytesSent > 0 {
-		st.NetBWBytes = ewma(st.NetBWBytes, float64(t.BytesSent)/(float64(t.NetSendNanos)/1e9), alpha)
+		st.NetBWBytes = ewma(st.NetBWBytes, float64(t.BytesSent)/(float64(t.NetSendNanos)/1e9))
 	}
 	if t.AggOps > 0 && t.PhaseNanos[metrics.LocalReduction] > 0 {
-		st.LRSecPerOp = ewma(st.LRSecPerOp, float64(t.PhaseNanos[metrics.LocalReduction])/1e9/float64(t.AggOps), alpha)
+		st.LRSecPerOp = ewma(st.LRSecPerOp, float64(t.PhaseNanos[metrics.LocalReduction])/1e9/float64(t.AggOps))
 	}
 	if t.CombineOps > 0 && t.PhaseNanos[metrics.GlobalCombine] > 0 {
-		st.GCSecPerOp = ewma(st.GCSecPerOp, float64(t.PhaseNanos[metrics.GlobalCombine])/1e9/float64(t.CombineOps), alpha)
+		st.GCSecPerOp = ewma(st.GCSecPerOp, float64(t.PhaseNanos[metrics.GlobalCombine])/1e9/float64(t.CombineOps))
 	}
 	if s.InitOps > 0 && t.PhaseNanos[metrics.Initialization] > 0 {
-		st.InitSecPerOp = ewma(st.InitSecPerOp, float64(t.PhaseNanos[metrics.Initialization])/1e9/float64(s.InitOps), alpha)
+		st.InitSecPerOp = ewma(st.InitSecPerOp, float64(t.PhaseNanos[metrics.Initialization])/1e9/float64(s.InitOps))
 	}
 	if s.OutputOps > 0 && t.PhaseNanos[metrics.OutputHandling] > 0 {
-		st.OHSecPerOp = ewma(st.OHSecPerOp, float64(t.PhaseNanos[metrics.OutputHandling])/1e9/float64(s.OutputOps), alpha)
+		st.OHSecPerOp = ewma(st.OHSecPerOp, float64(t.PhaseNanos[metrics.OutputHandling])/1e9/float64(s.OutputOps))
 	}
 	st.Samples++
 }

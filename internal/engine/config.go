@@ -109,11 +109,6 @@ type Config struct {
 	// different nodes.
 	OnResult func(node rpc.NodeID, c *chunk.Chunk) error
 
-	// ReadAhead is the local-disk prefetch depth per node (the engine's
-	// analogue of ADR's pending asynchronous I/O operations). <= 0 selects
-	// DefaultReadAhead.
-	ReadAhead int
-
 	// Shared, when non-nil, resolves a node's membership in a cross-query
 	// shared-scan batch (see SharedScan): local chunk reads registered in the
 	// member's demand schedule are coalesced with the other member queries'
@@ -122,17 +117,6 @@ type Config struct {
 	// that do not participate. The caller owns the member's lifecycle
 	// (SharedScan.Join before the run, ScanMember.Leave after).
 	Shared func(node rpc.NodeID) *ScanMember
-
-	// FwdWindowBytes and FwdBudgetBytes record the fabric's flow-control
-	// configuration: the per-peer in-flight byte window and the per-node
-	// forwarding budget (0 disables each; see rpc.InprocOptions /
-	// rpc.TCPOptions, where the same values configure the transport). The
-	// engine itself does not gate on them — the transport does — but carries
-	// them so traces and reports can be interpreted against the windows the
-	// query ran under, and Validate rejects inconsistent values before a
-	// node starts.
-	FwdWindowBytes int64
-	FwdBudgetBytes int64
 
 	// Workers is the per-node execution-pipeline width: how many goroutines
 	// decode and aggregate chunks concurrently during local reduction and
@@ -172,16 +156,13 @@ type Config struct {
 	// *plan.NoHolderError return aborts the query mesh-wide.
 	Replan func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error)
 
-	// MaxAttempts caps degraded execution attempts per node, including the
-	// first (<= 0 selects nodes+1 — enough for every peer to die once).
-	MaxAttempts int
-
 	// serialStorage backs RunSerial only; see WithSerialStorage.
 	serialStorage ChunkStorage
 }
 
-// DefaultReadAhead is the per-node prefetch depth: deep enough to keep a
-// disk busy while a chunk is aggregated, shallow enough to bound memory.
+// DefaultReadAhead is the per-node local-disk prefetch depth (the engine's
+// analogue of ADR's pending asynchronous I/O operations): deep enough to keep
+// a disk busy while a chunk is aggregated, shallow enough to bound memory.
 const DefaultReadAhead = 4
 
 // workers resolves the configured pipeline width.
@@ -208,14 +189,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ResultDataset == "" && c.OnResult == nil {
 		return fmt.Errorf("engine: results have nowhere to go: set ResultDataset and/or OnResult")
-	}
-	if c.FwdWindowBytes < 0 || c.FwdBudgetBytes < 0 {
-		return fmt.Errorf("engine: negative flow-control bytes (window %d, budget %d)",
-			c.FwdWindowBytes, c.FwdBudgetBytes)
-	}
-	if c.FwdWindowBytes > 0 && c.FwdBudgetBytes > 0 && c.FwdBudgetBytes < c.FwdWindowBytes {
-		return fmt.Errorf("engine: forwarding budget %d smaller than one peer window %d",
-			c.FwdBudgetBytes, c.FwdWindowBytes)
 	}
 	if c.Degraded && c.Replan == nil {
 		return fmt.Errorf("engine: degraded execution requires a Replan callback")

@@ -129,10 +129,9 @@ func (n *node) runDegraded(ctx context.Context) error {
 		}
 	}
 
-	maxAttempts := n.cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = n.ep.Nodes() + 1
-	}
+	// Attempts are capped, the first included, at enough for every peer to
+	// die once.
+	maxAttempts := n.ep.Nodes() + 1
 	attempt := int32(0)
 	for tries := 1; ; tries++ {
 		n.attempts = tries

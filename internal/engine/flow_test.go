@@ -37,10 +37,8 @@ func runParallelFlow(t *testing.T, repo *core.Repository, p *plan.Plan, w *plan.
 	var mu sync.Mutex
 	cfg := engine.Config{
 		Plan: p, Workload: w, App: app,
-		InputDataset:   "pts",
-		Workers:        workers,
-		FwdWindowBytes: opts.FwdWindowBytes,
-		FwdBudgetBytes: opts.FwdBudgetBytes,
+		InputDataset: "pts",
+		Workers:      workers,
 		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -86,8 +84,7 @@ func TestFlowTinyWindowMatchesSerial(t *testing.T) {
 			}
 			want := serialOracle(t, repo, p, w, &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4})
 			got := runParallelFlow(t, repo, p, w, app, 4, rpc.InprocOptions{
-				FwdWindowBytes: 1 << 10,
-				FwdBudgetBytes: 64 << 10,
+				Flow: rpc.Flow{WindowBytes: 1 << 10, BudgetBytes: 64 << 10},
 			})
 			requireIdenticalChunks(t, want, got)
 		})
@@ -109,7 +106,7 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 	// Both legs run on a flow-controlled fabric so the failure also exercises
 	// credit reclaim: blocked senders must wake and their charged balances
 	// must be returned, not leaked, when the peer dies.
-	opts := rpc.InprocOptions{FwdWindowBytes: 4 << 10, FwdBudgetBytes: 64 << 10}
+	opts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: 4 << 10, BudgetBytes: 64 << 10}}
 
 	t.Run("injected-send-error", func(t *testing.T) {
 		base := bufpool.Outstanding()

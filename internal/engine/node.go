@@ -527,11 +527,6 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	tile := &p.Tiles[t]
 	reads := tile.Reads[n.self]
 
-	depth := n.cfg.ReadAhead
-	if depth <= 0 {
-		depth = DefaultReadAhead
-	}
-
 	pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
 		kind := "input"
 		if !wk.local {
@@ -586,7 +581,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	// the forwarder stalls on credit the channel fills, the prefetchers
 	// block on it, and the disk reads (and the shared-scan leader behind
 	// them) slow to the receivers' consumption rate.
-	fwdCh := make(chan work, depth)
+	fwdCh := make(chan work, DefaultReadAhead)
 	var fwdWg sync.WaitGroup
 	if len(n.fwdByInput[t]) > 0 {
 		fwdWg.Add(1)
@@ -626,7 +621,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 		}
 		byDisk[d] = append(byDisk[d], i)
 	}
-	sem := make(chan struct{}, depth)
+	sem := make(chan struct{}, DefaultReadAhead)
 	for _, d := range diskOrder {
 		producers.Add(1)
 		go func(queue []int32) {

@@ -76,7 +76,8 @@ func newPool(ctx context.Context, workers int, met *metrics.Node, fn func(work) 
 	p := &pool{
 		// 2x workers of buffer: enough that a producer handing over an item
 		// rarely blocks, small enough to bound in-flight chunk memory at a
-		// few chunks per worker (with ReadAhead bounding the readers above).
+		// few chunks per worker (with DefaultReadAhead bounding the readers
+		// above).
 		ch:     make(chan work, 2*workers),
 		met:    met,
 		fn:     fn,

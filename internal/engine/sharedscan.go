@@ -32,6 +32,20 @@ import (
 //   - Deadlines: Join's start gate is bounded by the batching window, and
 //     every subsequent wait is bounded by the waiting query's own context.
 
+// ScanOptions is the shared-scan knob pair, declared here — where the
+// scheduler enforces it — and held by value wherever it is configured
+// (backend.Config, core.Options).
+type ScanOptions struct {
+	// BatchWindow, when > 0, enables the cross-query shared-scan scheduler:
+	// queries admitted within the window form a batch whose overlapping chunk
+	// reads are issued once per chunk and fanned out to every member. 0
+	// disables batching (each query reads for itself).
+	BatchWindow time.Duration
+	// MaxBatch caps the queries grouped into one batch; <= 0 selects
+	// DefaultMaxBatch. Only consulted when BatchWindow > 0.
+	MaxBatch int
+}
+
 // DefaultMaxBatch caps the queries grouped into one shared-scan batch when
 // the caller does not choose a bound.
 const DefaultMaxBatch = 8

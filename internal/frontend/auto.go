@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"adr/internal/costmodel"
 	"adr/internal/metrics"
 	"adr/internal/plan"
 )
@@ -74,26 +75,41 @@ func requestEstimate(addr string, spec *QuerySpec, dialTimeout, readTimeout time
 	}
 }
 
-// resolvedSpec returns a copy of spec with the selection's strategy stamped
-// in, leaving the caller's spec (which may be retried or shared) untouched.
-func resolvedSpec(spec *QuerySpec, sel *metrics.Selection) *QuerySpec {
+// resolveSpec is the AUTO step ahead of a fan-out. A fixed-strategy spec
+// passes through with a nil selection; an AUTO spec is priced by ResolveAuto
+// and comes back as a copy with the winner stamped in, leaving the caller's
+// spec (which may be retried or shared) untouched.
+func resolveSpec(addrs []string, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*QuerySpec, *metrics.Selection, error) {
+	if !spec.IsAuto() {
+		return spec, nil, nil
+	}
+	sel, err := ResolveAuto(addrs, spec, dialTimeout, readTimeout)
+	if err != nil {
+		return nil, nil, err
+	}
 	out := *spec
 	out.Strategy = sel.Strategy
-	return &out
+	return &out, sel, nil
+}
+
+// finishAuto is the AUTO step behind a settled fan-out: it closes the loop on
+// the prediction with how the chosen strategy actually ran and attaches the
+// full selection to the merged stats. A nil sel (fixed strategy) is a no-op.
+func finishAuto(sel *metrics.Selection, total *DoneStats) {
+	if sel == nil {
+		return
+	}
+	costmodel.RecordOutcome(sel, autoActualSec(total))
+	total.Selection = sel
 }
 
 // autoActualSec extracts the measured execution time of a merged query:
 // the slowest node's wall time (the live makespan), falling back to the
 // elapsed-time maximum when no traces came back.
 func autoActualSec(total *DoneStats) float64 {
-	var wall int64
-	for _, tr := range total.Traces {
-		if tr.WallNanos > wall {
-			wall = tr.WallNanos
-		}
-	}
+	wall := total.QueryTrace(0).MaxWall()
 	if wall == 0 {
-		wall = total.ElapsedMS * 1e6
+		wall = time.Duration(total.ElapsedMS) * time.Millisecond
 	}
-	return float64(wall) / 1e9
+	return wall.Seconds()
 }

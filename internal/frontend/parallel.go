@@ -1,17 +1,11 @@
 package frontend
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"adr/internal/costmodel"
-	"adr/internal/metrics"
 )
 
 // ParallelClient is the parallel-client interface of Fig 2 (the role
@@ -99,6 +93,8 @@ type NodeStream struct {
 	// node excluded, re-homing its output onto replica holders. The chunk set
 	// across the other streams is still complete.
 	Excluded bool
+	// frames counts the chunk frames the stream delivered.
+	frames int
 }
 
 // Query submits the spec to every node and returns the per-node streams,
@@ -112,81 +108,38 @@ type NodeStream struct {
 // is retryable — admission "busy", exhausted degraded retries — the whole
 // query is resubmitted under a fresh id up to BusyRetries times with jittered
 // backoff.
-func (c *ParallelClient) Query(spec *QuerySpec) ([]NodeStream, error) {
-	retries := c.BusyRetries
-	if retries == 0 {
-		retries = DefaultBusyRetries
-	}
-	for attempt := 0; ; attempt++ {
-		streams, err := c.queryOnce(spec)
-		if err == nil || attempt >= retries || !retryableErr(err) {
-			return streams, err
-		}
-		time.Sleep(busyBackoff(attempt))
-	}
+func (c *ParallelClient) Query(spec *QuerySpec) (streams []NodeStream, err error) {
+	err = retryBusy(c.BusyRetries, func() error {
+		streams, err = c.queryOnce(spec)
+		return err
+	})
+	return streams, err
 }
 
 func (c *ParallelClient) queryOnce(spec *QuerySpec) ([]NodeStream, error) {
-	// AUTO queries: a parallel client is its own resolver (no front-end in
-	// the path) — ask one node for calibrated estimates, then submit the
-	// resolved spec to every node so the mesh plans identically.
-	var sel *metrics.Selection
-	if spec.IsAuto() {
-		var err error
-		sel, err = ResolveAuto(c.nodeAddrs, spec, c.DialTimeout, c.ReadTimeout)
-		if err != nil {
-			return nil, err
+	// A parallel client is its own AUTO resolver (no front-end in the path).
+	spec, sel, err := resolveSpec(c.nodeAddrs, spec, c.DialTimeout, c.ReadTimeout)
+	if err != nil {
+		return nil, err
+	}
+	req := &NodeRequest{QueryID: c.nextID(), Spec: *spec}
+	streams := fanOut(c.nodeAddrs, req, c.DialTimeout, c.ReadTimeout, false, func(s *NodeStream, frame []byte) error {
+		cj, err := DecodeFrame(frame)
+		if err == nil {
+			s.Chunks = append(s.Chunks, cj)
 		}
-		spec = resolvedSpec(spec, sel)
+		return err
+	})
+	total, err := settle(streams, true)
+	if err != nil {
+		return streams, err
 	}
-	qid := c.nextID()
-	streams := make([]NodeStream, len(c.nodeAddrs))
-	var wg sync.WaitGroup
-	for i, addr := range c.nodeAddrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			streams[i] = c.queryNode(i, addr, qid, spec)
-		}(i, addr)
-	}
-	wg.Wait()
-	allStats := make([]*DoneStats, len(streams))
-	for i := range streams {
-		allStats[i] = streams[i].Stats
-	}
-	var errs []error
-	for i := range streams {
-		if streams[i].Err == nil {
-			continue
-		}
-		if excludedTolerated(i, allStats) {
-			// Drop whatever the dead node streamed before failing: survivors
-			// re-deliver its whole re-homed output, so keeping a partial
-			// stream would double-count. Err stays set for diagnosis.
-			streams[i].Excluded = true
-			streams[i].Chunks = nil
-			continue
-		}
-		errs = append(errs, fmt.Errorf("frontend: node %d: %w", i, streams[i].Err))
-	}
-	if len(errs) > 0 {
-		return streams, errors.Join(errs...)
-	}
-	if sel != nil {
-		// Close the prediction loop and surface the selection on every
-		// node's done stats, so any stream a parallel consumer holds names
-		// the choice.
-		var wall int64
-		for i := range streams {
-			if st := streams[i].Stats; st != nil && st.Trace != nil && st.Trace.WallNanos > wall {
-				wall = st.Trace.WallNanos
-			}
-		}
-		costmodel.RecordOutcome(sel, float64(wall)/1e9)
-		for i := range streams {
-			if streams[i].Stats != nil {
-				streams[i].Stats.Selection = sel
-			}
+	finishAuto(sel, total)
+	// Surface the selection on every node's done stats, so any stream a
+	// parallel consumer holds names the choice.
+	for _, s := range streams {
+		if s.Stats != nil {
+			s.Stats.Selection = sel
 		}
 	}
 	return streams, nil
@@ -213,21 +166,4 @@ func (c *ParallelClient) QueryAll(specs []*QuerySpec) ([][]NodeStream, []error) 
 	}
 	wg.Wait()
 	return results, errs
-}
-
-func (c *ParallelClient) queryNode(i int, addr string, qid int32, spec *QuerySpec) NodeStream {
-	out := NodeStream{Node: i}
-	conn, err := net.DialTimeout("tcp", addr, timeoutOrDefault(c.DialTimeout, DefaultDialTimeout))
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	defer conn.Close()
-	if err := WriteJSON(conn, &NodeRequest{QueryID: qid, Spec: *spec}); err != nil {
-		out.Err = err
-		return out
-	}
-	out.Chunks, out.Stats, out.Err = readStream(conn, bufio.NewReader(conn),
-		timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout), i)
-	return out
 }

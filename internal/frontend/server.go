@@ -12,7 +12,6 @@ import (
 
 	"adr/internal/bufpool"
 	"adr/internal/chunk"
-	"adr/internal/costmodel"
 	"adr/internal/metrics"
 )
 
@@ -67,6 +66,22 @@ func busyBackoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
+// retryBusy runs once, and again after each retryable failure — at most
+// retries more times (0 selects DefaultBusyRetries, negative disables), with
+// jittered backoff in between — and returns the last attempt's error.
+func retryBusy(retries int, once func() error) error {
+	if retries == 0 {
+		retries = DefaultBusyRetries
+	}
+	for attempt := 0; ; attempt++ {
+		err := once()
+		if err == nil || attempt >= retries || !retryableErr(err) {
+			return err
+		}
+		time.Sleep(busyBackoff(attempt))
+	}
+}
+
 // retryableErr reports whether every error in err's tree is a retryable
 // QueryError — the condition under which resubmitting the query stands a
 // chance (a single fatal cause makes retrying pointless).
@@ -85,31 +100,6 @@ func retryableErr(err error) bool {
 	}
 	var qe *QueryError
 	return errors.As(err, &qe) && qe.Retryable
-}
-
-// excludedTolerated reports whether failed node i's missing stream is
-// tolerable: at least one node succeeded, and every successful node's done
-// stats list i as excluded — the mesh agreed node i died and completed the
-// query degraded without it, so i's output was re-homed to survivors.
-func excludedTolerated(i int, stats []*DoneStats) bool {
-	any := false
-	for j, st := range stats {
-		if j == i || st == nil {
-			continue
-		}
-		found := false
-		for _, e := range st.Excluded {
-			if e == i {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-		any = true
-	}
-	return any
 }
 
 // Server is the ADR front-end process: it accepts client connections on a
@@ -226,14 +216,11 @@ func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 		spec.Codec = s.codec
 	}
 	detail := spec.Input + "->" + spec.Output + "/" + spec.Strategy
-	var sel *metrics.Selection
-	if spec.IsAuto() {
-		var err error
-		sel, err = ResolveAuto(s.NodeAddrs, spec, 0, 0)
-		if err != nil {
-			return err
-		}
-		spec = resolvedSpec(spec, sel)
+	spec, sel, err := resolveSpec(s.NodeAddrs, spec, 0, 0)
+	if err != nil {
+		return err
+	}
+	if sel != nil {
 		detail = spec.Input + "->" + spec.Output + "/AUTO=" + spec.Strategy
 	}
 	id := s.queryID.Add(1)
@@ -252,157 +239,30 @@ func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 	return err
 }
 
-// relayQuery is the transport half of runQuery: fan out, merge, return the
-// aggregated stats (which may be partially filled when err != nil). sel,
-// non-nil on resolved AUTO queries, is finalized with the measured
-// execution time and attached to the merged done frame.
+// relayQuery is the transport half of runQuery: fan out, forward every chunk
+// frame to the client as it arrives, settle, and close the stream with the
+// merged done frame. sel, non-nil on resolved AUTO queries, is finished with
+// the measured execution time and attached to it.
 func (s *Server) relayQuery(id int32, spec *QuerySpec, sel *metrics.Selection, w *bufio.Writer) (*DoneStats, error) {
-	// Merge streams: forward chunk frames as they arrive, collect stats.
-	type nodeOutcome struct {
-		stats *DoneStats
-		err   error
-		// forwarded counts chunk frames already relayed to the client from
-		// this node — a failed stream that forwarded anything cannot be
-		// tolerated as excluded, because survivors re-deliver the node's whole
-		// re-homed output and the merged stream would double-count.
-		forwarded int
-	}
-	outcomes := make([]nodeOutcome, len(s.NodeAddrs))
-
-	// Dial and submit per node. A node that cannot be reached is a failed
-	// stream, not a failed query: on a degraded mesh the survivors re-home
-	// its chunks and the tolerance check below accepts the merged result.
-	conns := make([]net.Conn, len(s.NodeAddrs))
-	req := &NodeRequest{QueryID: id, Spec: *spec}
-	for i, addr := range s.NodeAddrs {
-		c, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
-		if err != nil {
-			outcomes[i].err = fmt.Errorf("frontend: dial node %d at %s: %w", i, addr, err)
-			continue
-		}
-		if err := WriteJSON(c, req); err != nil {
-			outcomes[i].err = fmt.Errorf("frontend: submit to node %d: %w", i, err)
-			c.Close()
-			continue
-		}
-		conns[i] = c
-	}
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-
 	var wmu sync.Mutex
-	var wg sync.WaitGroup
-	for i, c := range conns {
-		if c == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c net.Conn) {
-			defer wg.Done()
-			br := bufio.NewReader(c)
-			for {
-				// Per-frame read deadline: a node that dies mid-stream (or
-				// never answers) surfaces as a timeout error here instead of
-				// hanging the relay — and possibly the client — forever.
-				c.SetReadDeadline(time.Now().Add(DefaultStreamTimeout))
-				frame, msg, err := ReadFrame(br, true)
-				if err != nil {
-					outcomes[i].err = fmt.Errorf("frontend: node %d stream: %w", i, err)
-					return
-				}
-				if frame != nil {
-					// The relay never looks inside a chunk frame: the bytes the
-					// node encoded are the bytes the client decodes.
-					wmu.Lock()
-					_, err := w.Write(frame)
-					wmu.Unlock()
-					bufpool.Put(frame)
-					if err != nil {
-						outcomes[i].err = err
-						return
-					}
-					outcomes[i].forwarded++
-					continue
-				}
-				switch msg.Type {
-				case "done":
-					outcomes[i].stats = msg.Stats
-					return
-				case "error":
-					outcomes[i].err = queryErrFrom(i, msg)
-					return
-				default:
-					outcomes[i].err = fmt.Errorf("node %d: unknown frame %q", i, msg.Type)
-					return
-				}
-			}
-		}(i, c)
+	streams := fanOut(s.NodeAddrs, &NodeRequest{QueryID: id, Spec: *spec}, 0, 0, true, func(_ *NodeStream, frame []byte) error {
+		// The relay never looks inside a chunk frame: the bytes the node
+		// encoded are the bytes the client decodes.
+		wmu.Lock()
+		_, err := w.Write(frame)
+		wmu.Unlock()
+		bufpool.Put(frame)
+		return err
+	})
+	// Relayed frames cannot be taken back: a failed node that forwarded any
+	// is fatal even if the survivors excluded it, because they re-deliver its
+	// whole re-homed output and the merged stream would double-count.
+	total, err := settle(streams, false)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	// Collect every node's failure, not just the first: a query that fails on
-	// three nodes at once should tell the operator about all three. A failed
-	// stream is tolerated when the surviving nodes completed degraded and
-	// unanimously list that node as excluded — its chunks were re-homed onto
-	// replica holders, so the merged output is still complete.
-	allStats := make([]*DoneStats, len(outcomes))
-	for i := range outcomes {
-		allStats[i] = outcomes[i].stats
-	}
-	var errs []error
-	for i := range outcomes {
-		if outcomes[i].err != nil && !(outcomes[i].forwarded == 0 && excludedTolerated(i, allStats)) {
-			errs = append(errs, outcomes[i].err)
-		}
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-
-	total := DoneStats{Node: -1, TotalNodes: len(conns)}
-	for i := range outcomes {
-		st := outcomes[i].stats
-		if st == nil {
-			// Tolerated excluded node: no stats to merge.
-			continue
-		}
-		total.Chunks += st.Chunks
-		total.BytesRead += st.BytesRead
-		total.BytesSent += st.BytesSent
-		total.BytesRecv += st.BytesRecv
-		total.AggOps += st.AggOps
-		if st.ElapsedMS > total.ElapsedMS {
-			total.ElapsedMS = st.ElapsedMS
-		}
-		// Assemble the per-node traces into the query's full trace.
-		if st.Trace != nil {
-			total.Traces = append(total.Traces, *st.Trace)
-		}
-		if st.Degraded {
-			total.Degraded = true
-			if len(st.Excluded) > len(total.Excluded) {
-				total.Excluded = st.Excluded
-			}
-		}
-		if st.Attempts > total.Attempts {
-			total.Attempts = st.Attempts
-		}
-	}
-	if sel != nil {
-		// Close the loop on the prediction: record how the chosen strategy
-		// actually ran (slowest node's wall time, the live makespan) and
-		// return the full selection with the merged stats.
-		costmodel.RecordOutcome(sel, autoActualSec(&total))
-		total.Selection = sel
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	return &total, WriteJSON(w, &Message{Type: "done", Stats: &total})
+	finishAuto(sel, total)
+	return total, WriteJSON(w, &Message{Type: "done", Stats: total})
 }
 
 // Client is a minimal front-end client, used by cmd/adr-query and tests.
@@ -441,66 +301,41 @@ func (c *Client) Close() error { return c.conn.Close() }
 // Query submits a query and collects the full result stream, resubmitting
 // retryable failures up to BusyRetries times. Retries only follow a clean
 // error frame — the stream stays in sync, so the same connection is reused.
-func (c *Client) Query(spec *QuerySpec) ([]*ChunkJSON, *DoneStats, error) {
-	retries := c.BusyRetries
-	if retries == 0 {
-		retries = DefaultBusyRetries
-	}
-	for attempt := 0; ; attempt++ {
-		chunks, stats, err := c.queryOnce(spec)
-		if err == nil || attempt >= retries || !retryableErr(err) {
-			return chunks, stats, err
-		}
-		time.Sleep(busyBackoff(attempt))
-	}
+func (c *Client) Query(spec *QuerySpec) (chunks []*ChunkJSON, stats *DoneStats, err error) {
+	err = retryBusy(c.BusyRetries, func() error {
+		chunks, stats, err = c.queryOnce(spec)
+		return err
+	})
+	return chunks, stats, err
 }
 
+// queryOnce submits spec and consumes the front-end's merged stream, decoding
+// every chunk frame once. Chunks received before a failure are returned with
+// the error.
 func (c *Client) queryOnce(spec *QuerySpec) ([]*ChunkJSON, *DoneStats, error) {
 	if err := WriteJSON(c.conn, spec); err != nil {
 		return nil, nil, err
 	}
-	return readStream(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout), -1)
-}
-
-// readStream consumes one result stream — the front-end's merged stream or a
-// single node's — up to its closing control line, decoding every chunk frame
-// once. timeout, when positive, bounds each frame read; node labels an error
-// frame that does not locate itself. Chunks received before a failure are
-// returned with the error.
-func readStream(conn net.Conn, r *bufio.Reader, timeout time.Duration, node int) ([]*ChunkJSON, *DoneStats, error) {
 	var chunks []*ChunkJSON
-	for {
-		if timeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(timeout))
-		}
-		frame, msg, err := ReadFrame(r, false)
-		if err != nil {
-			return chunks, nil, err
-		}
-		if frame != nil {
-			cj, err := DecodeFrame(frame)
-			if err != nil {
-				return chunks, nil, err
-			}
+	stats, _, err := readFrames(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout), false, -1, func(frame []byte) error {
+		cj, err := DecodeFrame(frame)
+		if err == nil {
 			chunks = append(chunks, cj)
-			continue
 		}
-		switch msg.Type {
-		case "done":
-			return chunks, msg.Stats, nil
-		case "error":
-			return chunks, nil, queryErrFrom(node, msg)
-		default:
-			return chunks, nil, fmt.Errorf("frontend: unknown frame %q", msg.Type)
-		}
-	}
+		return err
+	})
+	return chunks, stats, err
 }
 
-// queryErrFrom converts a node's error frame into a typed QueryError,
-// preserving the structured failure location when the node sent one.
+// queryErrFrom converts an error frame into a typed QueryError, preserving
+// the structured failure location when the sender gave one; node, the stream
+// the frame arrived on, stands in for a reporting node it left out.
 func queryErrFrom(node int, msg *Message) error {
-	if msg.ErrInfo != nil {
-		return &QueryError{Node: msg.ErrInfo.Node, Origin: msg.ErrInfo.Origin, Message: msg.ErrInfo.Message, Retryable: msg.ErrInfo.Retryable}
+	if info := msg.ErrInfo; info != nil {
+		if info.Node >= 0 {
+			node = info.Node
+		}
+		return &QueryError{Node: node, Origin: info.Origin, Message: info.Message, Retryable: info.Retryable}
 	}
 	return &QueryError{Node: node, Origin: -1, Message: msg.Error}
 }

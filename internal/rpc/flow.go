@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -20,6 +21,33 @@ import (
 // propagates backpressure up through the engine's forwarding goroutines to
 // its disk prefetchers and the shared-scan leader.
 //
+// Flow is the forwarding flow-control knob pair, declared here — where the
+// transports enforce it — and held by value wherever it is configured
+// (TCPOptions, InprocOptions, backend.Config, core.Options). Every node of a
+// mesh must use the same values.
+type Flow struct {
+	// WindowBytes caps the payload bytes a node may have in flight toward any
+	// single peer: sends beyond it block until the peer's engine releases
+	// consumed payloads and the credit returns. 0 disables the per-peer
+	// window.
+	WindowBytes int64
+	// BudgetBytes caps the payload bytes a node may have in flight across all
+	// peers combined — its total forwarding memory. 0 disables the budget.
+	BudgetBytes int64
+}
+
+// Validate rejects values no transport can honour. Both fabric constructors
+// call it, so a bad pair fails start-up instead of every query.
+func (f Flow) Validate() error {
+	if f.WindowBytes < 0 || f.BudgetBytes < 0 {
+		return fmt.Errorf("rpc: negative flow-control bytes (window %d, budget %d)", f.WindowBytes, f.BudgetBytes)
+	}
+	if f.WindowBytes > 0 && f.BudgetBytes > 0 && f.BudgetBytes < f.WindowBytes {
+		return fmt.Errorf("rpc: forwarding budget %d smaller than one peer window %d", f.BudgetBytes, f.WindowBytes)
+	}
+	return nil
+}
+
 // flowWindow is one such gate: a byte counter with a limit, a condition
 // variable for blocked senders, and a high-water mark for the tests and the
 // backpressure benchmark. A nil window or a limit <= 0 disables the gate

@@ -71,6 +71,28 @@ func TestFlowWindowGate(t *testing.T) {
 	}
 }
 
+// TestFlowValidatedAtConstruction: a window/budget pair no transport can
+// honour fails both fabric constructors. It used to be checked per query by
+// the engine only, so a mesh came up fine and then failed every query — and
+// a negative value silently disabled the gate it was meant to configure.
+func TestFlowValidatedAtConstruction(t *testing.T) {
+	for _, f := range []Flow{{WindowBytes: 1 << 20, BudgetBytes: 1024}, {WindowBytes: -5}, {BudgetBytes: -1}} {
+		if fab, err := NewInprocFabricOpts(2, InprocOptions{Flow: f}); err == nil {
+			fab.Close()
+			t.Errorf("inproc fabric accepted %+v", f)
+		}
+		if mesh, err := NewLoopbackMesh(2, TCPOptions{Flow: f}); err == nil {
+			mesh.Close()
+			t.Errorf("TCP mesh accepted %+v", f)
+		}
+	}
+	if fab, err := NewInprocFabricOpts(2, InprocOptions{Flow: Flow{WindowBytes: 1024, BudgetBytes: 1024}}); err != nil {
+		t.Errorf("budget equal to one window rejected: %v", err)
+	} else {
+		fab.Close()
+	}
+}
+
 // TestInprocFlowBackpressure: with a per-peer window configured, a fast
 // sender's in-flight bytes never exceed the window, sends stall until the
 // receiver releases payloads, and every pooled buffer recycles.
@@ -82,7 +104,7 @@ func TestInprocFlowBackpressure(t *testing.T) {
 	)
 	base := bufpool.Outstanding()
 	stallsBefore := metersStallCount()
-	f, err := NewInprocFabricOpts(2, InprocOptions{FwdWindowBytes: window})
+	f, err := NewInprocFabricOpts(2, InprocOptions{Flow: Flow{WindowBytes: window}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +172,7 @@ func metersStallCount() int64 {
 // TestInprocUrgentBypassesWindow: control traffic marked Urgent (abort
 // propagation) must never queue behind an exhausted data window.
 func TestInprocUrgentBypassesWindow(t *testing.T) {
-	f, err := NewInprocFabricOpts(2, InprocOptions{FwdWindowBytes: 16})
+	f, err := NewInprocFabricOpts(2, InprocOptions{Flow: Flow{WindowBytes: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +208,7 @@ func TestTCPCreditRoundTrip(t *testing.T) {
 		frames = 16
 	)
 	base := bufpool.Outstanding()
-	mesh, err := NewLoopbackMesh(2, TCPOptions{FwdWindowBytes: window})
+	mesh, err := NewLoopbackMesh(2, TCPOptions{Flow: Flow{WindowBytes: window}})
 	if err != nil {
 		t.Fatal(err)
 	}

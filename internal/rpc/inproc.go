@@ -12,7 +12,7 @@ import (
 // channel FIFO semantics because every (src,dst) pair uses a single channel.
 //
 // Flow control mirrors the TCP transport byte for byte: with
-// InprocOptions.FwdWindowBytes / FwdBudgetBytes set, a non-Urgent payload
+// InprocOptions.Flow set, a non-Urgent payload
 // charges the sender's per-destination window and node budget before
 // delivery, and the credit returns when the receiver calls Message.Release
 // — here directly on the sender's windows, where TCP ships a credit frame.
@@ -81,12 +81,8 @@ type InprocOptions struct {
 	// InboxDepth bounds buffered inbound messages per endpoint (<= 0 selects
 	// DefaultInboxDepth).
 	InboxDepth int
-	// FwdWindowBytes caps each sender's in-flight payload bytes toward one
-	// destination; 0 disables the per-peer window.
-	FwdWindowBytes int64
-	// FwdBudgetBytes caps each sender's in-flight payload bytes across all
-	// destinations; 0 disables the budget.
-	FwdBudgetBytes int64
+	// Flow bounds each sender's in-flight payload bytes (see Flow).
+	Flow Flow
 	// Degraded selects the degraded failure model, mirroring
 	// TCPOptions.Degraded: a peer's death no longer fails surviving
 	// endpoints' Recv. Each survivor instead receives a synthetic
@@ -108,6 +104,9 @@ func NewInprocFabricOpts(n int, opts InprocOptions) (*InprocFabric, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rpc: fabric needs at least 1 node, got %d", n)
 	}
+	if err := opts.Flow.Validate(); err != nil {
+		return nil, err
+	}
 	depth := opts.InboxDepth
 	if depth <= 0 {
 		depth = DefaultInboxDepth
@@ -120,14 +119,14 @@ func NewInprocFabricOpts(n int, opts InprocOptions) (*InprocFabric, error) {
 			inbox:    make(chan Message, depth),
 			done:     make(chan struct{}),
 			peerFail: make(chan struct{}),
-			budget:   newFlowWindow(opts.FwdBudgetBytes),
+			budget:   newFlowWindow(opts.Flow.BudgetBytes),
 			wins:     make([]*flowWindow, n),
 			flow:     make([]*pairFlow, n),
 		}
 		for d := 0; d < n; d++ {
 			ep.flow[d] = &pairFlow{}
 			if d != i {
-				ep.wins[d] = newFlowWindow(opts.FwdWindowBytes)
+				ep.wins[d] = newFlowWindow(opts.Flow.WindowBytes)
 			}
 		}
 		f.endpoints = append(f.endpoints, ep)

@@ -195,15 +195,8 @@ type TCPOptions struct {
 	// timeout entirely (sends may block indefinitely, the pre-fault-model
 	// behaviour).
 	SendTimeout time.Duration
-	// FwdWindowBytes caps the payload bytes this node may have in flight
-	// toward each single peer: sends beyond it block until the peer's
-	// engine releases consumed payloads and credit returns. 0 disables the
-	// per-peer window.
-	FwdWindowBytes int64
-	// FwdBudgetBytes caps the payload bytes this node may have in flight
-	// across all peers combined — the node's total forwarding memory. 0
-	// disables the global budget.
-	FwdBudgetBytes int64
+	// Flow bounds this node's in-flight payload bytes (see Flow).
+	Flow Flow
 	// Degraded selects the degraded failure model: a peer's death no longer
 	// fails the whole endpoint. Instead the endpoint keeps receiving from
 	// surviving peers and a synthetic Message{Src: deadPeer, Type:
@@ -252,6 +245,10 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 		ln.Close()
 		return nil, fmt.Errorf("rpc: node %d not in address list of %d", self, len(addrs))
 	}
+	if err := opts.Flow.Validate(); err != nil {
+		ln.Close()
+		return nil, err
+	}
 	n := &TCPNode{
 		self:        self,
 		addrs:       addrs,
@@ -263,8 +260,8 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 		met:         newMeters("tcp", len(addrs)),
 		sendTimeout: opts.SendTimeout,
 		degraded:    opts.Degraded,
-		windowBytes: opts.FwdWindowBytes,
-		budget:      newFlowWindow(opts.FwdBudgetBytes),
+		windowBytes: opts.Flow.WindowBytes,
+		budget:      newFlowWindow(opts.Flow.BudgetBytes),
 	}
 	// A node is trivially up to itself; without this the self slot of
 	// adr_rpc_peer_up reads as dead on every node's own export.

@@ -18,7 +18,7 @@ import (
 func TestSharedScanMatchesSerialAllStrategies(t *testing.T) {
 	serial := buildRepo(t, 4)
 	batched := buildRepoOpts(t, adr.Options{
-		Nodes: 4, BatchWindow: 30 * time.Millisecond, MaxBatch: 4,
+		Nodes: 4, Scan: adr.ScanOptions{BatchWindow: 30 * time.Millisecond, MaxBatch: 4},
 	})
 
 	for _, s := range []adr.Strategy{adr.FRA, adr.SRA, adr.DA, adr.Hybrid} {
@@ -68,7 +68,7 @@ func TestSharedScanMatchesSerialAllStrategies(t *testing.T) {
 func TestSharedScanPartialOverlapMatchesSerial(t *testing.T) {
 	serial := buildRepo(t, 4)
 	batched := buildRepoOpts(t, adr.Options{
-		Nodes: 4, BatchWindow: 30 * time.Millisecond, MaxBatch: 4,
+		Nodes: 4, Scan: adr.ScanOptions{BatchWindow: 30 * time.Millisecond, MaxBatch: 4},
 	})
 
 	boxes := []adr.Rect{
