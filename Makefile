@@ -20,8 +20,10 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Failure-path tests: peer death, send timeouts, abort broadcast, dispatcher
-# late messages, the store fd-lifetime race, cache coherence under
+# Failure-path tests: the transport conformance table (flow control and peer
+# death, verbatim on both transports), peer death, send timeouts, malformed
+# and forged frames, abort broadcast, dispatcher late messages, the store
+# fd-lifetime race, cache coherence under
 # concurrency, admission-control recovery, shared-scan batches surviving a
 # member's abort, the store fd-lifetime race, the flow-control/buffer-
 # ownership sweep (credit windows under failure, pool-balance leak checks,
@@ -32,7 +34,7 @@ fmt:
 # compressed-replica degraded retries, pool-balance checks on compressed
 # failure paths) — race-checked, bounded so a reintroduced hang fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Fail|Fault|Abort|Death|Late|Timeout|Malformed|Race|Admission|Compact|CacheConcurrent|Inflight|SharedBatch|SharedScan|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|SharedBatch|SharedScan|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/

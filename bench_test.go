@@ -890,7 +890,6 @@ func BenchmarkForwardBackpressure(b *testing.B) {
 	const (
 		nodes  = 4
 		window = int64(64 << 10)
-		budget = int64(256 << 10)
 	)
 	region := adr.R(0, 256, 0, 256)
 
@@ -990,7 +989,7 @@ func BenchmarkForwardBackpressure(b *testing.B) {
 	}
 
 	stalls := metrics.Default.Counter(`adr_rpc_credit_stalls_total{transport="inproc"}`)
-	flowOpts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: window, BudgetBytes: budget}}
+	flowOpts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: window}}
 
 	// Skewed fan-in: every forward converges on one node. The window must
 	// bound the peak in-flight bytes; without it the peak is unbounded (in
@@ -1048,7 +1047,6 @@ func BenchmarkForwardBackpressure(b *testing.B) {
 			"benchmark":                "ForwardBackpressure",
 			"nodes":                    nodes,
 			"fwd_window_bytes":         window,
-			"fwd_budget_bytes":         budget,
 			"max_frame_bytes":          maxFrame,
 			"skewed_peak_inflight":     skewPeak,
 			"skewed_peak_unbounded":    skewBarePeak,

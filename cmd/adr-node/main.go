@@ -47,7 +47,6 @@ type options struct {
 	batchWindow  *time.Duration
 	maxBatch     *int
 	fwdWindow    *int64
-	fwdBudget    *int64
 	degraded     *bool
 	compress     *string
 	calibFile    *string
@@ -71,7 +70,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		batchWindow:  fs.Duration("batch-window", 0, "shared-scan batching window: queries admitted within it dedup overlapping reads (0 disables)"),
 		maxBatch:     fs.Int("max-batch", 8, "max queries per shared-scan batch (effective with -batch-window > 0)"),
 		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
-		fwdBudget:    fs.Int64("fwd-budget-bytes", 0, "node-wide in-flight forwarded-byte budget across all peers (0 disables)"),
 		degraded:     fs.Bool("degraded", false, "survive back-end node deaths by re-planning onto replica holders (needs -replicas >= 2 at load time; same value on every node)"),
 		compress:     fs.String("compress", "none", "default codec for engine payloads on the wire: none, flate or columnar (query specs override)"),
 		calibFile:    fs.String("calibration-file", "", "JSON file persisting this node's cost-model calibration across restarts (in-memory only when empty)"),
@@ -115,7 +113,7 @@ func main() {
 		MaxQueries:      *maxQueries,
 		Workers:         *opt.workers,
 		Scan:            engine.ScanOptions{BatchWindow: *opt.batchWindow, MaxBatch: *opt.maxBatch},
-		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow, BudgetBytes: *opt.fwdBudget},
+		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow},
 		Degraded:        *opt.degraded,
 		Codec:           codec,
 		CalibrationFile: *opt.calibFile,
@@ -133,8 +131,8 @@ func main() {
 	} else if *opt.batchWindow > 0 {
 		fmt.Printf("adr-node %d: shared scans on: window %v, max batch %d\n", *id, *opt.batchWindow, *opt.maxBatch)
 	}
-	if *opt.fwdWindow > 0 || *opt.fwdBudget > 0 {
-		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer, budget %d B\n", *id, *opt.fwdWindow, *opt.fwdBudget)
+	if *opt.fwdWindow > 0 {
+		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer\n", *id, *opt.fwdWindow)
 	}
 	if *opt.degraded {
 		fmt.Printf("adr-node %d: degraded-mode execution on: peer deaths re-plan onto replica holders\n", *id)

@@ -254,14 +254,14 @@ func TestStackErrors(t *testing.T) {
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
 	meshAddrs := freeAddrs(t, nodes)
-	// A flow-control pair the mesh cannot honour fails start-up (it used to
+	// A flow-control window the mesh cannot honour fails start-up (it used to
 	// come up and then fail every query).
 	if s, err := backend.Start(backend.Config{
 		Node: 0, MeshAddrs: meshAddrs, ControlAddr: "127.0.0.1:0", DataDir: dir,
-		Flow: rpc.Flow{WindowBytes: 1 << 20, BudgetBytes: 1024},
+		Flow: rpc.Flow{WindowBytes: -5},
 	}); err == nil {
 		s.Close()
-		t.Error("budget smaller than one peer window should fail start-up")
+		t.Error("negative forwarding window should fail start-up")
 	}
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)

@@ -415,11 +415,9 @@ func TestNewRepositoryValidation(t *testing.T) {
 	if _, err := core.NewRepository(core.Options{Nodes: 0}); err == nil {
 		t.Error("0 nodes should fail")
 	}
-	// A flow pair no fabric can honour fails here, not on every Execute.
-	for _, f := range []rpc.Flow{{WindowBytes: 1 << 20, BudgetBytes: 1024}, {WindowBytes: -5}} {
-		if _, err := core.NewRepository(core.Options{Nodes: 4, Flow: f}); err == nil {
-			t.Errorf("flow %+v should fail", f)
-		}
+	// A flow window no fabric can honour fails here, not on every Execute.
+	if _, err := core.NewRepository(core.Options{Nodes: 4, Flow: rpc.Flow{WindowBytes: -5}}); err == nil {
+		t.Error("negative flow window should fail")
 	}
 }
 

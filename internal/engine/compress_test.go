@@ -274,7 +274,7 @@ func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 	repo, _, cfg := planDA(t, nodes)
 	cfg.Codec = chunk.CodecColumnar
 	fabric, err := rpc.NewInprocFabricOpts(nodes, rpc.InprocOptions{
-		Flow: rpc.Flow{WindowBytes: 4 << 10, BudgetBytes: 64 << 10},
+		Flow: rpc.Flow{WindowBytes: 4 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func TestFlowTinyWindowMatchesSerial(t *testing.T) {
 			}
 			want := serialOracle(t, repo, p, w, &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4})
 			got := runParallelFlow(t, repo, p, w, app, 4, rpc.InprocOptions{
-				Flow: rpc.Flow{WindowBytes: 1 << 10, BudgetBytes: 64 << 10},
+				Flow: rpc.Flow{WindowBytes: 1 << 10},
 			})
 			requireIdenticalChunks(t, want, got)
 		})
@@ -106,7 +106,7 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 	// Both legs run on a flow-controlled fabric so the failure also exercises
 	// credit reclaim: blocked senders must wake and their charged balances
 	// must be returned, not leaked, when the peer dies.
-	opts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: 4 << 10, BudgetBytes: 64 << 10}}
+	opts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: 4 << 10}}
 
 	t.Run("injected-send-error", func(t *testing.T) {
 		base := bufpool.Outstanding()

@@ -56,6 +56,17 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec decrements the gauge.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
+// Max raises the gauge to n if n is above the current value — a high-water
+// mark that concurrent callers can only ever ratchet up.
+func (g *Gauge) Max(n int64) {
+	for {
+		cur := g.v.Load()
+		if n <= cur || g.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

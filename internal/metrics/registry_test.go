@@ -69,6 +69,38 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestGaugeMaxConcurrent: Max is a high-water mark. Once Max(v) returns the
+// gauge never reads below v, whatever other goroutines ratchet meanwhile — a
+// check-then-Set loses that race and lets a slower caller lower the mark.
+func TestGaugeMaxConcurrent(t *testing.T) {
+	var g Gauge
+	const workers = 16
+	const perWorker = 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				v := int64(i*workers + w)
+				g.Max(v)
+				if got := g.Value(); got < v {
+					t.Errorf("gauge reads %d after Max(%d)", got, v)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := g.Value(), int64(workers*perWorker-1); got != want {
+		t.Errorf("gauge = %d after concurrent ratchets, want the maximum %d", got, want)
+	}
+	g.Max(5)
+	if got, want := g.Value(), int64(workers*perWorker-1); got != want {
+		t.Errorf("Max below the mark moved it to %d", got)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("adr_lat_seconds", []float64{0.01, 0.1, 1})

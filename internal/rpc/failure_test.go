@@ -150,36 +150,39 @@ func TestTCPMalformedFrameClosesConnection(t *testing.T) {
 	}
 }
 
-// TestInprocPeerDeathMirrorsTCP: closing one inproc endpoint is that node's
-// death — peers' sends and receives fail with the same typed error the TCP
-// transport produces, so engine failure paths are testable in-process.
-func TestInprocPeerDeathMirrorsTCP(t *testing.T) {
-	f, err := NewInprocFabric(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ep0, _ := f.Endpoint(0)
-	ep1, _ := f.Endpoint(1)
-	ep2, _ := f.Endpoint(2)
+// TestTCPForgedSourceFrame: a well-formed header whose src or dst does not
+// name the connection it arrives on is a malformed frame — the connection
+// dies with op "frame". Unchecked, src=9999 indexed the per-peer meters out
+// of range and took the whole node process down.
+func TestTCPForgedSourceFrame(t *testing.T) {
+	for _, forged := range []struct {
+		name     string
+		src, dst NodeID
+	}{{"src", 9999, 1}, {"dst", 0, 0}} {
+		t.Run(forged.name, func(t *testing.T) {
+			mesh, err := NewLoopbackMesh(2, TCPOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mesh.Close()
+			n0 := mesh.nodes[0]
+			n0.mu.Lock()
+			conn := n0.conns[1]
+			n0.mu.Unlock()
+			if err := writeFrame(conn.c, &Message{Src: forged.src, Dst: forged.dst, Type: 1}, false); err != nil {
+				t.Fatal(err)
+			}
 
-	// A message buffered before the death must still be delivered.
-	if err := ep1.Send(Message{Src: 1, Dst: 0, Seq: 7}); err != nil {
-		t.Fatal(err)
-	}
-	ep2.Close() // node 2 dies
-
-	var pe *PeerError
-	if err := ep0.Send(Message{Src: 0, Dst: 2}); !errors.As(err, &pe) || !errors.Is(err, ErrClosed) {
-		t.Errorf("send to dead peer = %v, want *PeerError wrapping ErrClosed", err)
-	}
-	got, err := ep0.Recv(context.Background())
-	if err != nil || got.Seq != 7 {
-		t.Fatalf("buffered message lost after peer death: %+v, %v", got, err)
-	}
-	if _, err := ep0.Recv(context.Background()); !errors.As(err, &pe) {
-		t.Fatalf("recv after peer death = %v, want *PeerError", err)
-	} else if pe.Peer != 2 {
-		t.Errorf("failure names peer %d, want 2", pe.Peer)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			m, rerr := mesh.nodes[1].Recv(ctx)
+			var pe *PeerError
+			if !errors.As(rerr, &pe) {
+				t.Fatalf("recv after forged frame = %+v, %v; want *PeerError", m, rerr)
+			}
+			if pe.Op != "frame" || pe.Peer != 0 {
+				t.Errorf("failure = peer %d op %q, want peer 0 op \"frame\"", pe.Peer, pe.Op)
+			}
+		})
 	}
 }

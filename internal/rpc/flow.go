@@ -10,48 +10,42 @@ import (
 // overlap disk reads with interprocessor chunk forwarding (§2.2, §4), and
 // the crossovers between them are driven by bytes on the wire per link — so
 // the transports bound in-flight traffic in bytes, not messages. A sender
-// charges every flow-controlled payload against two gates before it leaves:
-//
-//   - a per-peer window (the receiver's share of this sender's memory), and
-//   - a per-node budget (the sender's total forwarding memory across peers).
+// charges every flow-controlled payload against one gate before it leaves:
+// the window toward its destination, the receiver's share of this sender's
+// memory. A node's in-flight total is thereby bounded too, by (N−1)·window
+// plus one oversized frame per peer, with no second gate.
 //
 // Credits return when the receiver finishes with the payload and calls
 // Message.Release — on TCP via a credit frame, in-process by releasing the
-// sender's windows directly. A sender with no credit blocks in Send, which
+// sender's window directly. A sender with no credit blocks in Send, which
 // propagates backpressure up through the engine's forwarding goroutines to
 // its disk prefetchers and the shared-scan leader.
 //
-// Flow is the forwarding flow-control knob pair, declared here — where the
+// Flow is the forwarding flow-control knob, declared here — where the
 // transports enforce it — and held by value wherever it is configured
 // (TCPOptions, InprocOptions, backend.Config, core.Options). Every node of a
-// mesh must use the same values.
+// mesh must use the same value.
 type Flow struct {
 	// WindowBytes caps the payload bytes a node may have in flight toward any
 	// single peer: sends beyond it block until the peer's engine releases
-	// consumed payloads and the credit returns. 0 disables the per-peer
-	// window.
+	// consumed payloads and the credit returns. 0 disables flow control.
 	WindowBytes int64
-	// BudgetBytes caps the payload bytes a node may have in flight across all
-	// peers combined — its total forwarding memory. 0 disables the budget.
-	BudgetBytes int64
 }
 
-// Validate rejects values no transport can honour. Both fabric constructors
-// call it, so a bad pair fails start-up instead of every query.
+// Validate rejects a value no transport can honour. Both fabric constructors
+// call it, so a bad window fails start-up instead of every query.
 func (f Flow) Validate() error {
-	if f.WindowBytes < 0 || f.BudgetBytes < 0 {
-		return fmt.Errorf("rpc: negative flow-control bytes (window %d, budget %d)", f.WindowBytes, f.BudgetBytes)
-	}
-	if f.WindowBytes > 0 && f.BudgetBytes > 0 && f.BudgetBytes < f.WindowBytes {
-		return fmt.Errorf("rpc: forwarding budget %d smaller than one peer window %d", f.BudgetBytes, f.WindowBytes)
+	if f.WindowBytes < 0 {
+		return fmt.Errorf("rpc: negative flow-control window %d", f.WindowBytes)
 	}
 	return nil
 }
 
-// flowWindow is one such gate: a byte counter with a limit, a condition
-// variable for blocked senders, and a high-water mark for the tests and the
-// backpressure benchmark. A nil window or a limit <= 0 disables the gate
-// (every call is a no-op), so unconfigured fabrics pay nothing.
+// flowWindow is one such gate, and the (sender, destination) pair's charged
+// balance: a byte counter with a limit, a condition variable for blocked
+// senders, and a high-water mark for the tests and the backpressure
+// benchmark. A nil window disables the gate (every call is a no-op), so
+// unconfigured fabrics pay nothing.
 type flowWindow struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -105,41 +99,42 @@ func (w *flowWindow) acquire(n int64) (stall time.Duration, ok bool) {
 	return stall, true
 }
 
-// release returns n bytes of credit and wakes blocked senders. Releasing on
-// a closed window is harmless (teardown reclaims wholesale).
-func (w *flowWindow) release(n int64) {
+// release returns up to n bytes of credit, wakes blocked senders and reports
+// how many bytes it actually took off the balance: a grant is clamped to
+// what is charged (the count may come off the wire, from a confused peer),
+// and after close it is a no-op — the balance was reclaimed wholesale.
+func (w *flowWindow) release(n int64) int64 {
 	if w == nil || n <= 0 {
-		return
+		return 0
 	}
 	w.mu.Lock()
-	if w.inflight -= n; w.inflight < 0 {
-		w.inflight = 0
+	if w.closed {
+		n = 0
+	} else if n > w.inflight {
+		n = w.inflight
 	}
+	w.inflight -= n
 	w.mu.Unlock()
 	w.cond.Broadcast()
+	return n
 }
 
 // close permanently unblocks every waiter; subsequent acquires fail. Used
 // when the peer behind the window dies or the endpoint shuts down, so no
-// sender waits forever on credit that can never return.
-func (w *flowWindow) close() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
-	w.cond.Broadcast()
-}
-
-// current returns the in-flight byte count.
-func (w *flowWindow) current() int64 {
+// sender waits forever on credit that can never return. It zeroes the
+// balance and returns what it held: this is the reclaim, and because closed
+// flips under the same lock it happens exactly once however late releases
+// and racing acquires interleave.
+func (w *flowWindow) close() (held int64) {
 	if w == nil {
 		return 0
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inflight
+	w.closed = true
+	held, w.inflight = w.inflight, 0
+	w.mu.Unlock()
+	w.cond.Broadcast()
+	return held
 }
 
 // highWater returns the window's peak in-flight byte count — the quantity

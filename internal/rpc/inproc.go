@@ -1,70 +1,34 @@
 package rpc
 
-import (
-	"context"
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // InprocFabric connects n nodes within one process. Each endpoint has one
 // buffered inbox; Send never blocks for longer than the inbox has room,
 // which models a bounded network buffer. Per-pair ordering follows from
 // channel FIFO semantics because every (src,dst) pair uses a single channel.
 //
-// Flow control mirrors the TCP transport byte for byte: with
-// InprocOptions.Flow set, a non-Urgent payload
-// charges the sender's per-destination window and node budget before
-// delivery, and the credit returns when the receiver calls Message.Release
-// — here directly on the sender's windows, where TCP ships a credit frame.
-// The shared semantics are what let the engine's serial-equivalence and
+// Flow control and failure handling are the shared core's (core.go), so they
+// match the TCP transport byte for byte: with InprocOptions.Flow set, a
+// non-Urgent payload charges the sender's per-destination window before
+// delivery, and the credit returns when the receiver calls Message.Release —
+// here directly on the sender's window, where TCP ships a credit frame. The
+// shared semantics are what let the engine's serial-equivalence and
 // backpressure tests run in-process and still exercise the exact blocking
 // behaviour a TCP mesh exhibits.
 //
-// Failure semantics mirror the TCP transport so engine failure paths are
-// testable in-process: closing one endpoint is that node's death. Sends to
-// it fail with a *PeerError, every surviving endpoint's Recv reports the
-// peer failure once its buffered messages are drained, and each surviving
-// sender's outstanding credit toward the dead peer is reclaimed so nobody
-// blocks on credit a dead node can never return. A fabric-wide Close is a
-// shutdown, not a failure, and is not counted in the failure metrics.
+// Closing one endpoint is that node's death: sends to it fail with a
+// *PeerError, and every surviving endpoint takes it through core.peerDown
+// exactly as a TCP node does for a broken connection. A fabric-wide Close is
+// a shutdown, not a failure, and is not counted in the failure metrics.
 type InprocFabric struct {
-	mu        sync.Mutex
 	endpoints []*inprocEndpoint
-	closed    bool
-	degraded  bool
-	met       *meters
 }
 
+// inprocEndpoint is the shared core plus channel delivery: Send puts the
+// message straight into the destination core's inbox.
 type inprocEndpoint struct {
+	*core
 	fabric *InprocFabric
-	id     NodeID
-	inbox  chan Message
-	done   chan struct{}
-	once   sync.Once
-
-	// Flow control: wins[d] is the sender-side credit window toward node d
-	// (nil when per-peer windows are off or d is self), budget the
-	// endpoint's node-wide forwarding cap, flow[d] the charged-byte balance
-	// toward d with its reclaim guard.
-	wins   []*flowWindow
-	budget *flowWindow
-	flow   []*pairFlow
-
-	// peerFail is closed when any peer endpoint dies; failErr records the
-	// first failure.
-	peerFail chan struct{}
-	failOnce sync.Once
-	failMu   sync.Mutex
-	failErr  error
-}
-
-// pairFlow is one (sender, destination) pair's charged-byte balance.
-// reclaimed flips exactly once — when the destination dies — after which
-// late releases are no-ops, so the budget is never double-credited.
-type pairFlow struct {
-	mu        sync.Mutex
-	charged   int64
-	reclaimed bool
 }
 
 // DefaultInboxDepth bounds the number of in-flight messages per receiving
@@ -107,30 +71,14 @@ func NewInprocFabricOpts(n int, opts InprocOptions) (*InprocFabric, error) {
 	if err := opts.Flow.Validate(); err != nil {
 		return nil, err
 	}
-	depth := opts.InboxDepth
-	if depth <= 0 {
-		depth = DefaultInboxDepth
-	}
-	f := &InprocFabric{met: newMeters("inproc", n), degraded: opts.Degraded}
+	f := &InprocFabric{}
+	met := newMeters("inproc", n)
 	for i := 0; i < n; i++ {
-		ep := &inprocEndpoint{
-			fabric:   f,
-			id:       NodeID(i),
-			inbox:    make(chan Message, depth),
-			done:     make(chan struct{}),
-			peerFail: make(chan struct{}),
-			budget:   newFlowWindow(opts.Flow.BudgetBytes),
-			wins:     make([]*flowWindow, n),
-			flow:     make([]*pairFlow, n),
-		}
-		for d := 0; d < n; d++ {
-			ep.flow[d] = &pairFlow{}
-			if d != i {
-				ep.wins[d] = newFlowWindow(opts.Flow.WindowBytes)
-			}
-		}
-		f.endpoints = append(f.endpoints, ep)
-		f.met.up(NodeID(i))
+		f.endpoints = append(f.endpoints, &inprocEndpoint{
+			core:   newCore(NodeID(i), n, opts.InboxDepth, opts.Flow, opts.Degraded, met),
+			fabric: f,
+		})
+		met.up(NodeID(i))
 	}
 	return f, nil
 }
@@ -143,23 +91,19 @@ func (f *InprocFabric) Endpoint(id NodeID) (Endpoint, error) {
 	return f.endpoints[id], nil
 }
 
-// Close closes all endpoints.
+// Close closes all endpoints. Every endpoint shuts before any inbox is
+// drained: no survivor is left to see a peer die, so the shutdown stays out
+// of the failure metrics and delivers no peer-down messages, and with every
+// endpoint closed and all senders returned, anything that raced into an
+// inbox during shutdown — including one an earlier per-endpoint Close
+// already drained — is retired by this pass, so pooled buffers never outlive
+// the fabric.
 func (f *InprocFabric) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	f.closed = true
-	f.mu.Unlock()
 	for _, ep := range f.endpoints {
-		ep.close()
+		ep.shut()
 	}
-	// Second drain pass: with every endpoint closed and all senders
-	// returned, anything that raced into an inbox during shutdown is
-	// retired here, so pooled buffers never outlive the fabric.
 	for _, ep := range f.endpoints {
-		ep.drainInbox()
+		ep.drain()
 	}
 	return nil
 }
@@ -171,8 +115,8 @@ func (f *InprocFabric) Close() error {
 func (f *InprocFabric) FlowHighWater() int64 {
 	var peak int64
 	for _, ep := range f.endpoints {
-		for _, w := range ep.wins {
-			if hw := w.highWater(); hw > peak {
+		for d := range ep.peers {
+			if hw := ep.peers[d].gate.highWater(); hw > peak {
 				peak = hw
 			}
 		}
@@ -180,295 +124,54 @@ func (f *InprocFabric) FlowHighWater() int64 {
 	return peak
 }
 
-// notifyPeerDown marks every surviving endpoint failed because peer id
-// died, and reclaims each survivor's outstanding credit toward it. On a
-// degraded fabric survivors stay up and get a synthetic MsgPeerDown in
-// their inbox instead. During a fabric-wide Close this is a shutdown, not a
-// failure, and stays out of the metrics (and delivers no peer-down
-// messages).
-func (f *InprocFabric) notifyPeerDown(id NodeID) {
-	f.mu.Lock()
-	shutdown := f.closed
-	f.mu.Unlock()
-	if !shutdown {
-		f.met.down(id)
-	}
-	for _, ep := range f.endpoints {
-		if ep.id == id {
-			continue
-		}
-		ep.reclaimFlow(id)
-		if f.degraded {
-			if !shutdown {
-				ep.notifyDown(id)
-			}
-			continue
-		}
-		ep.failPeer(&PeerError{Peer: id, Op: "recv", Err: ErrClosed})
-	}
-}
-
-// notifyDown delivers the degraded-mode synthetic peer-down message into
-// this endpoint's inbox on its own goroutine (a full inbox must not block
-// the dying peer's close path); the endpoint's own shutdown abandons it.
-func (e *inprocEndpoint) notifyDown(peer NodeID) {
-	go func() {
-		select {
-		case e.inbox <- Message{Src: peer, Dst: e.id, Type: MsgPeerDown}:
-		case <-e.done:
-		}
-	}()
-}
-
-// reclaimFlow tears down this sender's flow state toward a dead peer: the
-// window closes (blocked senders wake with the failure) and the charged
-// balance returns to the budget exactly once.
-func (e *inprocEndpoint) reclaimFlow(peer NodeID) {
-	fl := e.flow[peer]
-	fl.mu.Lock()
-	charged := fl.charged
-	fl.charged = 0
-	fl.reclaimed = true
-	fl.mu.Unlock()
-	e.wins[peer].close()
-	if charged > 0 {
-		e.budget.release(charged)
-		e.fabric.met.inflight(peer, -charged)
-	}
-}
-
-// returnCredit hands back credit a receiver released for one delivered
-// payload. After the destination's death the balance was reclaimed
-// wholesale, so late releases are no-ops; grants are clamped to what is
-// actually charged.
-func (e *inprocEndpoint) returnCredit(dst NodeID, n int64) {
-	if n <= 0 {
-		return
-	}
-	fl := e.flow[dst]
-	fl.mu.Lock()
-	if fl.reclaimed {
-		fl.mu.Unlock()
-		return
-	}
-	if n > fl.charged {
-		n = fl.charged
-	}
-	fl.charged -= n
-	fl.mu.Unlock()
-	if n > 0 {
-		e.wins[dst].release(n)
-		e.budget.release(n)
-		e.fabric.met.inflight(dst, -n)
-	}
-}
-
-// failPeer records the first peer failure and wakes blocked receivers.
-func (e *inprocEndpoint) failPeer(err error) {
-	e.failOnce.Do(func() {
-		e.failMu.Lock()
-		e.failErr = err
-		e.failMu.Unlock()
-		close(e.peerFail)
-	})
-}
-
-// failure returns the first peer failure observed, or nil.
-func (e *inprocEndpoint) failure() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.failErr
-}
-
-func (e *inprocEndpoint) Self() NodeID { return e.id }
-func (e *inprocEndpoint) Nodes() int   { return len(e.fabric.endpoints) }
-
 // Send routes m to its destination's inbox, blocking if the inbox is full
 // (backpressure) unless either side closes first. With flow control
-// configured, a non-Urgent payload additionally charges the
-// per-destination window and this node's budget before delivery, blocking
-// until the receiver releases earlier payloads; m.OnStall observes the
-// wait. Sending to a dead peer fails with a *PeerError (which unwraps to
-// ErrClosed). A Pooled payload is owned by the transport on every path out
-// of Send — on failure it is recycled here.
+// configured, a non-Urgent payload first charges the per-destination window,
+// blocking until the receiver releases earlier payloads. Sending to a dead
+// peer fails with a *PeerError (which unwraps to ErrClosed). A Pooled
+// payload is owned by the transport on every path out of Send — on failure
+// it is recycled here.
 func (e *inprocEndpoint) Send(m Message) error {
-	if err := Validate(m, e.Nodes()); err != nil {
-		releasePooled(m)
+	if err := e.admit(m); err != nil {
 		return err
 	}
-	if m.Src != e.id {
-		releasePooled(m)
-		return fmt.Errorf("rpc: endpoint %d sending with src %d", e.id, m.Src)
-	}
 	dst := e.fabric.endpoints[m.Dst]
-	select {
-	case <-e.done:
+	// Fast path: a dead peer fails immediately, before any credit charge.
+	if e.closed() || dst.closed() {
 		releasePooled(m)
-		return ErrClosed
-	default:
+		return e.sendErr(m.Dst)
 	}
-	// Checked before the delivery select: a dead destination's inbox may
-	// still have room, and select would otherwise pick between the two ready
-	// cases at random.
-	select {
-	case <-dst.done:
+	charged, err := e.charge(m.Dst, &m)
+	if err != nil {
 		releasePooled(m)
-		return &PeerError{Peer: m.Dst, Op: "send", Err: ErrClosed}
-	default:
+		return err
 	}
 	// dm is the copy the receiver sees; on flow-controlled sends it carries
 	// the release hook that returns this payload's credit.
 	dm := m
-	var charge int64
-	if !m.Urgent && len(m.Payload) > 0 && m.Dst != e.id &&
-		(e.wins[m.Dst] != nil || e.budget != nil) {
-		charge = int64(len(m.Payload))
-		if err := e.chargeFlow(dst, &m, charge); err != nil {
-			releasePooled(m)
-			return err
-		}
-		dstID, owed := m.Dst, charge
-		dm.release = func() { e.returnCredit(dstID, owed) }
+	if charged > 0 {
+		dm.release = func() { e.credited(dst.self, charged) }
 	}
-	select {
-	case dst.inbox <- dm:
-		e.fabric.met.sent(m.Dst, len(m.Payload))
-		return nil
-	case <-dst.done:
-		e.returnCredit(m.Dst, charge)
+	if !dst.deliver(dm, e.done) {
+		e.credited(m.Dst, charged)
 		releasePooled(m)
-		return &PeerError{Peer: m.Dst, Op: "send", Err: ErrClosed}
-	case <-e.done:
-		e.returnCredit(m.Dst, charge)
-		releasePooled(m)
-		return ErrClosed
+		return e.sendErr(m.Dst)
 	}
-}
-
-// chargeFlow blocks until charge bytes fit the window toward dst and the
-// endpoint's budget, then records them on the pair balance. Windows close
-// on peer death and on this endpoint's own shutdown, so a blocked sender
-// always wakes with the right failure.
-func (e *inprocEndpoint) chargeFlow(dst *inprocEndpoint, m *Message, charge int64) error {
-	win := e.wins[m.Dst]
-	stallW, ok := win.acquire(charge)
-	if !ok {
-		return e.sendFailure(dst, m.Dst)
-	}
-	stallB, ok := e.budget.acquire(charge)
-	if !ok {
-		win.release(charge)
-		return e.sendFailure(dst, m.Dst)
-	}
-	if stall := stallW + stallB; stall > 0 {
-		e.fabric.met.stall()
-		if m.OnStall != nil {
-			m.OnStall(stall)
-		}
-	}
-	fl := e.flow[m.Dst]
-	fl.mu.Lock()
-	if fl.reclaimed {
-		// Destination died between the gate and the charge; its balance was
-		// reclaimed already, so hand the budget credit straight back.
-		fl.mu.Unlock()
-		e.budget.release(charge)
-		return &PeerError{Peer: m.Dst, Op: "send", Err: ErrClosed}
-	}
-	fl.charged += charge
-	fl.mu.Unlock()
-	e.fabric.met.inflight(m.Dst, charge)
-	e.fabric.met.peakInflight(win.highWater())
+	e.met.sent(m.Dst, len(m.Payload))
 	return nil
 }
 
-// sendFailure names the right error for a send interrupted by a closed
-// flow gate: the destination's death if that is what closed it, otherwise
-// this endpoint's own shutdown.
-func (e *inprocEndpoint) sendFailure(dst *inprocEndpoint, id NodeID) error {
-	select {
-	case <-dst.done:
-		return &PeerError{Peer: id, Op: "send", Err: ErrClosed}
-	default:
-		return ErrClosed
-	}
-}
-
-// Recv blocks for the next message. Buffered messages are always drained
-// first; after that, a dead peer anywhere in the fabric surfaces as a
-// *PeerError, exactly as on the TCP transport.
-func (e *inprocEndpoint) Recv(ctx context.Context) (Message, error) {
-	select {
-	case m := <-e.inbox:
-		e.fabric.met.recv(m.Src, len(m.Payload))
-		return m, nil
-	default:
-	}
-	// Own shutdown wins over a concurrent peer-failure notification (a
-	// fabric-wide Close triggers both): a closed endpoint reports ErrClosed,
-	// not a peer failure.
-	select {
-	case <-e.done:
-		return Message{}, ErrClosed
-	default:
-	}
-	select {
-	case m := <-e.inbox:
-		e.fabric.met.recv(m.Src, len(m.Payload))
-		return m, nil
-	case <-e.done:
-		// Drain anything that raced with close so no message is lost.
-		select {
-		case m := <-e.inbox:
-			e.fabric.met.recv(m.Src, len(m.Payload))
-			return m, nil
-		default:
-		}
-		return Message{}, ErrClosed
-	case <-e.peerFail:
-		select {
-		case m := <-e.inbox:
-			e.fabric.met.recv(m.Src, len(m.Payload))
-			return m, nil
-		default:
-		}
-		return Message{}, e.failure()
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
-	}
-}
-
-// drainInbox retires whatever nobody will ever Recv: credits return to the
-// senders (a no-op once their balances were reclaimed) and pooled payloads
-// recycle, keeping the bufpool balance exact through failures.
-func (e *inprocEndpoint) drainInbox() {
-	for {
-		select {
-		case m := <-e.inbox:
-			m.Release()
-		default:
-			return
-		}
-	}
-}
-
-func (e *inprocEndpoint) close() {
-	e.once.Do(func() {
-		close(e.done)
-		// Wake this endpoint's own senders blocked on credit toward any
-		// peer: their credit can still return (we may only be shutting
-		// down), but a dying node must not sit in acquire forever.
-		e.budget.close()
-		for _, w := range e.wins {
-			w.close()
-		}
-		e.fabric.notifyPeerDown(e.id)
-		e.drainInbox()
-	})
-}
-
-// Close closes this endpoint only; the fabric treats it as this node dying.
+// Close closes this endpoint only; the fabric treats it as this node dying:
+// every survivor's core takes the death, reclaiming its outstanding credit
+// toward this node so nobody blocks on credit a dead node can never return.
 func (e *inprocEndpoint) Close() error {
-	e.close()
+	if e.shut() {
+		for _, ep := range e.fabric.endpoints {
+			if ep != e {
+				ep.peerDown(e.self, ErrClosed)
+			}
+		}
+		e.drain()
+	}
 	return nil
 }

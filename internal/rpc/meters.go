@@ -65,14 +65,10 @@ func (m *meters) inflight(peer NodeID, delta int64) {
 	m.peerInflight[peer].Add(delta)
 }
 
-// peakInflight raises the transport's in-flight high-water gauge to v if it
-// is above the current mark. Called with the sender window's own peak, so
-// the gauge only ever ratchets up.
-func (m *meters) peakInflight(v int64) {
-	if v > m.inflightPeak.Value() {
-		m.inflightPeak.Set(v)
-	}
-}
+// peakInflight ratchets the transport's in-flight high-water gauge up to v.
+// inproc shares one meters across every endpoint, so concurrent senders race
+// here; Gauge.Max keeps the mark monotonic.
+func (m *meters) peakInflight(v int64) { m.inflightPeak.Max(v) }
 
 // stall counts one send that blocked waiting for flow-control credit.
 func (m *meters) stall() { m.creditStalls.Inc() }

@@ -4,7 +4,9 @@
 // engine to exchange ghost accumulator chunks, forward input chunks, and run
 // the barriers between query-execution phases.
 //
-// The layer has two transports with identical semantics:
+// The layer has two transports with identical semantics — flow control,
+// peer death and Recv are one shared core (core.go); a transport is only
+// framing and delivery:
 //
 //   - inproc: every node is a goroutine group in one process; messages are
 //     delivered over buffered channels. This is the transport the examples
@@ -187,8 +189,8 @@ type Endpoint interface {
 	// is preserved per (src, dst) pair but Send returns before the receiver
 	// consumes the message. Sending to self is allowed and loops back. On a
 	// flow-controlled fabric, Send blocks while the destination's credit
-	// window or this node's forwarding budget is exhausted, until receivers
-	// Release consumed payloads (Urgent messages are exempt). A Pooled
+	// window is exhausted, until receivers Release consumed payloads (Urgent
+	// messages are exempt; m.OnStall observes the wait). A Pooled
 	// payload is owned by the transport from the moment Send is invoked —
 	// the transport recycles it on success and failure alike.
 	Send(m Message) error

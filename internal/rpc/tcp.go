@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -39,19 +38,21 @@ import (
 // unblock anyone). flags bits 2-3 carry the payload's compression codec
 // (Message.Codec).
 //
+// A frame's src and dst must name the connection it arrives on (src the
+// peer, dst this node); anything else is a malformed header.
+//
 // Failure model: the mesh is static, so a failed peer connection is
 // permanent. When a read, write, frame decode or send timeout fails, the
-// whole connection is closed (never just one half), the peer is marked dead
-// with the reason recorded, and every pending and future Send to it fails
-// fast with a *PeerError. Because every query spans every node, the first
-// peer failure also fails the endpoint's Recv once buffered inbound
-// messages are drained — that is how nodes that are purely waiting on the
-// dead peer learn of the failure. A dead connection's queued frames are
-// drained and their pooled payloads recycled, its blocked senders wake (the
-// credit window closes), and the bytes it held against the node's
-// forwarding budget return. Liveness is exported through the metrics
-// registry as adr_rpc_peer_up{transport="tcp",peer="N"} and
-// adr_rpc_peer_failures_total.
+// whole connection is closed (never just one half) and the peer goes through
+// the shared core's peerDown: it is marked dead with the reason recorded,
+// every pending and future Send to it fails fast with a *PeerError, its
+// blocked senders wake (the credit window closes, reclaiming what it held),
+// and — because every query spans every node — the endpoint's Recv fails
+// once buffered inbound messages are drained, which is how nodes that are
+// purely waiting on the dead peer learn of the failure. A dead connection's
+// queued frames are drained and their pooled payloads recycled. Liveness is
+// exported through the metrics registry as
+// adr_rpc_peer_up{transport="tcp",peer="N"} and adr_rpc_peer_failures_total.
 const tcpHeaderLen = 22
 
 // Frame flag bits (see the frame layout above).
@@ -76,91 +77,30 @@ const MaxFrameBytes = 64 << 20
 // 30 s.
 const DefaultSendTimeout = 30 * time.Second
 
-// TCPNode is a single node's endpoint over the TCP mesh.
+// TCPNode is a single node's endpoint over the TCP mesh: the shared core
+// (gates, inbox, Recv, peer death) plus the connections that frame messages
+// to and from it.
 type TCPNode struct {
-	self  NodeID
-	addrs []string
-	ln    net.Listener
-
-	inbox       chan Message
-	done        chan struct{}
-	once        sync.Once
-	met         *meters
+	*core
+	ln          net.Listener
 	sendTimeout time.Duration
-	degraded    bool
-
-	// Flow control (nil gates when unconfigured): windowBytes is the
-	// per-peer in-flight byte window each connection enforces, budget the
-	// node-wide forwarding cap shared by every connection.
-	windowBytes int64
-	budget      *flowWindow
-
-	// First peer failure fails the whole endpoint (see package comment):
-	// failCh is closed with failErr holding the PeerError.
-	failCh   chan struct{}
-	failOnce sync.Once
-	failMu   sync.Mutex
-	failErr  error
 
 	mu    sync.Mutex
 	conns map[NodeID]*tcpConn
 	wg    sync.WaitGroup
 }
 
+// tcpConn is the one connection to a peer. Whether the peer is dead, and
+// why, is the core's peers[peer] state.
 type tcpConn struct {
 	peer   NodeID
 	c      net.Conn
 	outbox chan Message
-
-	// win is the sender-side credit window toward this peer (nil when
-	// per-peer flow control is off): Send charges it, inbound credit frames
-	// release it, teardown closes it so blocked senders wake.
-	win *flowWindow
 	// pendingCredit accumulates consumed-payload bytes owed to the peer;
 	// writeLoop flushes it as a credit frame ahead of data traffic. kick
 	// wakes an idle writeLoop when credit accrues.
 	pendingCredit atomic.Int64
 	kick          chan struct{}
-	// charged is the byte total this connection currently holds against the
-	// sender's gates (window and node budget); guarded by flowMu. On
-	// teardown the balance is reclaimed exactly once and reclaimed flips, so
-	// late credit frames and racing sends cannot double-release.
-	flowMu    sync.Mutex
-	charged   int64
-	reclaimed bool
-
-	// dead is closed on the first failure; reason records why.
-	dead   chan struct{}
-	once   sync.Once
-	mu     sync.Mutex
-	reason error
-}
-
-// fail marks the connection dead with a reason and closes the underlying
-// socket — both halves, so a failure detected on one side of the duplex
-// never leaves the other half silently accepting traffic. Reports whether
-// this call was the first to fail the connection.
-func (c *tcpConn) fail(err error) bool {
-	first := false
-	c.once.Do(func() {
-		first = true
-		c.mu.Lock()
-		c.reason = err
-		c.mu.Unlock()
-		close(c.dead)
-		c.c.Close()
-	})
-	return first
-}
-
-// failure returns why the connection died.
-func (c *tcpConn) failure() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.reason != nil {
-		return c.reason
-	}
-	return ErrClosed
 }
 
 // grantCredit records consumed-payload bytes owed back to the peer and
@@ -214,9 +154,6 @@ func (o *TCPOptions) defaults() {
 	if o.DialRetry <= 0 {
 		o.DialRetry = 30 * time.Second
 	}
-	if o.InboxDepth <= 0 {
-		o.InboxDepth = DefaultInboxDepth
-	}
 	if o.SendTimeout == 0 {
 		o.SendTimeout = DefaultSendTimeout
 	}
@@ -249,23 +186,16 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 		ln.Close()
 		return nil, err
 	}
+	met := newMeters("tcp", len(addrs))
 	n := &TCPNode{
-		self:        self,
-		addrs:       addrs,
+		core:        newCore(self, len(addrs), opts.InboxDepth, opts.Flow, opts.Degraded, met),
 		ln:          ln,
-		inbox:       make(chan Message, opts.InboxDepth),
-		done:        make(chan struct{}),
-		failCh:      make(chan struct{}),
 		conns:       make(map[NodeID]*tcpConn),
-		met:         newMeters("tcp", len(addrs)),
 		sendTimeout: opts.SendTimeout,
-		degraded:    opts.Degraded,
-		windowBytes: opts.Flow.WindowBytes,
-		budget:      newFlowWindow(opts.Flow.BudgetBytes),
 	}
 	// A node is trivially up to itself; without this the self slot of
 	// adr_rpc_peer_up reads as dead on every node's own export.
-	n.met.up(self)
+	met.up(self)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(addrs))
@@ -349,11 +279,11 @@ func (n *TCPNode) addConn(peer NodeID, c net.Conn) {
 		tc.SetNoDelay(true)
 	}
 	conn := &tcpConn{
-		peer:   peer,
-		c:      c,
+		peer: peer,
+		c:    c,
+		// 64 frames of slack between Send and the socket: enough that a
+		// sender rarely waits on the writer, small next to the inbox.
 		outbox: make(chan Message, 64),
-		dead:   make(chan struct{}),
-		win:    newFlowWindow(n.windowBytes),
 		kick:   make(chan struct{}, 1),
 	}
 	n.mu.Lock()
@@ -366,75 +296,14 @@ func (n *TCPNode) addConn(peer NodeID, c net.Conn) {
 	go n.readLoop(conn)
 }
 
-// flowCharged reports whether a frame's payload is subject to flow-control
-// accounting on this connection. Send uses it to charge the gates,
-// writeLoop to stamp frameFlow so the receiver knows a credit is owed; both
-// must agree, which is why the predicate is shared.
-func (n *TCPNode) flowCharged(conn *tcpConn, m *Message) bool {
-	return !m.Urgent && len(m.Payload) > 0 && (conn.win != nil || n.budget != nil)
-}
-
-// failConn records a connection failure: the peer is marked dead (with
-// metrics), its flow-control state is torn down, and the endpoint enters
-// the failed state so blocked receivers learn of it — or, on a degraded
-// fabric, stays up and delivers a synthetic MsgPeerDown instead. During
-// Close the error is the shutdown, not a peer failure, and is not counted.
+// failConn records a connection failure: the peer goes down through the
+// core (which knows a failure from this node's own shutdown), the socket
+// closes — both halves, so a failure detected on one side of the duplex
+// never leaves the other half silently accepting traffic — and every frame
+// abandoned in the outbox is recycled.
 func (n *TCPNode) failConn(conn *tcpConn, err error) {
-	select {
-	case <-n.done:
-		if conn.fail(ErrClosed) {
-			n.teardownConn(conn)
-		}
-		return
-	default:
-	}
-	if conn.fail(err) {
-		n.met.down(conn.peer)
-		n.teardownConn(conn)
-		if n.degraded {
-			n.notifyDown(conn.peer)
-		}
-	}
-	if n.degraded {
-		return
-	}
-	n.failOnce.Do(func() {
-		n.failMu.Lock()
-		n.failErr = err
-		n.failMu.Unlock()
-		close(n.failCh)
-	})
-}
-
-// notifyDown delivers the degraded-mode synthetic peer-down message for a
-// dead peer into this endpoint's own inbox, exactly once per peer (guarded
-// by the caller's conn.fail). Delivery runs on its own goroutine so failure
-// handling never blocks behind a full inbox; shutdown abandons it.
-func (n *TCPNode) notifyDown(peer NodeID) {
-	go func() {
-		select {
-		case n.inbox <- Message{Src: peer, Dst: n.self, Type: MsgPeerDown}:
-		case <-n.done:
-		}
-	}()
-}
-
-// teardownConn releases a dead connection's resources: the credit window
-// closes so blocked senders wake with the failure, the bytes the connection
-// held against the node budget return exactly once (reclaimed guards the
-// balance against late credit frames), and every frame abandoned in the
-// outbox is drained with its pooled payload recycled.
-func (n *TCPNode) teardownConn(conn *tcpConn) {
-	conn.win.close()
-	conn.flowMu.Lock()
-	charged := conn.charged
-	conn.charged = 0
-	conn.reclaimed = true
-	conn.flowMu.Unlock()
-	if charged > 0 {
-		n.budget.release(charged)
-		n.met.inflight(conn.peer, -charged)
-	}
+	n.peerDown(conn.peer, err)
+	conn.c.Close()
 	n.drainOutbox(conn)
 }
 
@@ -454,123 +323,146 @@ func (n *TCPNode) drainOutbox(conn *tcpConn) {
 	}
 }
 
-// releasePooled recycles an outbound pooled payload that will never reach
-// the wire. The transport owns a Pooled payload from the moment Send is
-// invoked, so every failure path must come through here (or drainOutbox).
-func releasePooled(m Message) {
-	if m.Pooled {
-		bufpool.Put(m.Payload)
+// writeFrame writes m as one data frame; flow stamps frameFlow, telling the
+// receiver a credit is owed for the payload.
+func writeFrame(w io.Writer, m *Message, flow bool) error {
+	var hdr [4 + tcpHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(tcpHeaderLen+len(m.Payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Src))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Dst))
+	hdr[12] = byte(m.Type)
+	hdr[13] = (m.Codec & frameCodecMask) << frameCodecShift
+	if flow {
+		hdr[13] |= frameFlow
 	}
-}
-
-// returnCredits applies a credit grant from the peer: the granted bytes
-// leave the connection's charged balance and re-open the per-peer window
-// and the node budget. Grants racing with (or arriving after) teardown are
-// ignored — the balance was already reclaimed wholesale — and grants are
-// clamped to what was actually charged, so a confused peer cannot overdraw
-// the budget.
-func (n *TCPNode) returnCredits(conn *tcpConn, count int64) {
-	if count <= 0 {
-		return
+	binary.LittleEndian.PutUint32(hdr[14:], uint32(m.Query))
+	binary.LittleEndian.PutUint32(hdr[18:], uint32(m.Tile))
+	binary.LittleEndian.PutUint32(hdr[22:], uint32(m.Seq))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	conn.flowMu.Lock()
-	if conn.reclaimed {
-		conn.flowMu.Unlock()
-		return
-	}
-	if count > conn.charged {
-		count = conn.charged
-	}
-	conn.charged -= count
-	conn.flowMu.Unlock()
-	if count > 0 {
-		conn.win.release(count)
-		n.budget.release(count)
-		n.met.inflight(conn.peer, -count)
-	}
-}
-
-// failure returns the first peer failure observed, or nil.
-func (n *TCPNode) failure() error {
-	n.failMu.Lock()
-	defer n.failMu.Unlock()
-	return n.failErr
-}
-
-// flushCredits ships the connection's accrued credit balance as one credit
-// frame. Called only from writeLoop, ahead of data frames, so grants never
-// queue behind bulk traffic.
-func (n *TCPNode) flushCredits(conn *tcpConn) error {
-	count := conn.pendingCredit.Swap(0)
-	if count <= 0 {
-		return nil
-	}
-	var buf [4 + tcpHeaderLen + 8]byte
-	binary.LittleEndian.PutUint32(buf[0:], uint32(tcpHeaderLen+8))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(n.self))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(conn.peer))
-	buf[13] = frameCredit
-	binary.LittleEndian.PutUint64(buf[4+tcpHeaderLen:], uint64(count))
-	if n.sendTimeout > 0 {
-		conn.c.SetWriteDeadline(time.Now().Add(n.sendTimeout))
-	}
-	if _, err := conn.c.Write(buf[:]); err != nil {
-		return peerErr(conn.peer, "write", err)
+	if len(m.Payload) > 0 {
+		if _, err := w.Write(m.Payload); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
+// writeCredit writes a credit frame granting count bytes from src back to
+// dst.
+func writeCredit(w io.Writer, src, dst NodeID, count int64) error {
+	var buf [4 + tcpHeaderLen + 8]byte
+	binary.LittleEndian.PutUint32(buf[0:], uint32(tcpHeaderLen+8))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(src))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(dst))
+	buf[13] = frameCredit
+	binary.LittleEndian.PutUint64(buf[4+tcpHeaderLen:], uint64(count))
+	_, err := w.Write(buf[:])
+	return err
+}
+
+// readFrame reads the next frame peer sent to self. Exactly one of three
+// things comes back: a data frame's message (owed is the payload bytes the
+// sender charged against its window, 0 if it did not), a credit frame's
+// grant (credit > 0; never delivered to Recv), or an error — a *PeerError
+// with Op "frame" for a header no well-behaved peer writes: a length outside
+// [tcpHeaderLen, MaxFrameBytes], a src or dst that does not name this
+// connection, a credit frame that is not an 8-byte positive count. The
+// header is checked before any body byte is read or allocated.
+func readFrame(r io.Reader, peer, self NodeID) (m Message, owed, credit int64, err error) {
+	malformed := func(format string, args ...any) (Message, int64, int64, error) {
+		return Message{}, 0, 0, peerErr(peer, "frame", fmt.Errorf(format, args...))
+	}
+	var hdr [4 + tcpHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Message{}, 0, 0, peerErr(peer, "read", err)
+	}
+	length := binary.LittleEndian.Uint32(hdr[0:])
+	if length < tcpHeaderLen || length > MaxFrameBytes {
+		return malformed("malformed frame length %d (valid: %d..%d)", length, tcpHeaderLen, MaxFrameBytes)
+	}
+	flags := hdr[13]
+	m = Message{
+		Src:   NodeID(int32(binary.LittleEndian.Uint32(hdr[4:]))),
+		Dst:   NodeID(int32(binary.LittleEndian.Uint32(hdr[8:]))),
+		Type:  MsgType(hdr[12]),
+		Query: int32(binary.LittleEndian.Uint32(hdr[14:])),
+		Tile:  int32(binary.LittleEndian.Uint32(hdr[18:])),
+		Seq:   int32(binary.LittleEndian.Uint32(hdr[22:])),
+		Codec: (flags >> frameCodecShift) & frameCodecMask,
+	}
+	if m.Src != peer || m.Dst != self {
+		return malformed("frame routed %d->%d on the connection %d->%d", m.Src, m.Dst, peer, self)
+	}
+	payloadLen := int(length) - tcpHeaderLen
+	if flags&frameCredit != 0 {
+		if payloadLen != 8 {
+			return malformed("malformed credit frame payload %d bytes (want 8)", payloadLen)
+		}
+		var cbuf [8]byte
+		if _, err := io.ReadFull(r, cbuf[:]); err != nil {
+			return Message{}, 0, 0, peerErr(peer, "read", err)
+		}
+		if credit = int64(binary.LittleEndian.Uint64(cbuf[:])); credit <= 0 {
+			return malformed("credit frame grants %d bytes", credit)
+		}
+		return Message{}, 0, credit, nil
+	}
+	if payloadLen > 0 {
+		// Each frame body is a fresh pooled buffer owned exclusively by the
+		// receiver, which retires it with Message.Release once the payload
+		// has been decoded and consumed.
+		m.Payload = bufpool.Get(payloadLen)
+		m.Pooled = true
+		if _, err := io.ReadFull(r, m.Payload); err != nil {
+			bufpool.Put(m.Payload)
+			return Message{}, 0, 0, peerErr(peer, "read", err)
+		}
+		if flags&frameFlow != 0 {
+			owed = int64(payloadLen)
+		}
+	}
+	return m, owed, 0, nil
+}
+
 func (n *TCPNode) writeLoop(conn *tcpConn) {
 	defer n.wg.Done()
-	var hdr [4 + tcpHeaderLen]byte
+	// A frame that cannot reach the peer within the send timeout means the
+	// peer stopped draining; treat it as dead rather than blocking the whole
+	// outbox behind it.
+	deadline := func() {
+		if n.sendTimeout > 0 {
+			conn.c.SetWriteDeadline(time.Now().Add(n.sendTimeout))
+		}
+	}
 	for {
 		// Credits first: returning consumed-payload credit must never wait
 		// behind queued data frames, or the peer observes stalls far longer
-		// than the engine actually held its buffers.
-		if err := n.flushCredits(conn); err != nil {
-			n.failConn(conn, err)
-			return
-		}
-		select {
-		case m := <-conn.outbox:
-			binary.LittleEndian.PutUint32(hdr[0:], uint32(tcpHeaderLen+len(m.Payload)))
-			binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Src))
-			binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Dst))
-			hdr[12] = byte(m.Type)
-			hdr[13] = (m.Codec & frameCodecMask) << frameCodecShift
-			if n.flowCharged(conn, &m) {
-				hdr[13] |= frameFlow
-			}
-			binary.LittleEndian.PutUint32(hdr[14:], uint32(m.Query))
-			binary.LittleEndian.PutUint32(hdr[18:], uint32(m.Tile))
-			binary.LittleEndian.PutUint32(hdr[22:], uint32(m.Seq))
-			if n.sendTimeout > 0 {
-				// A frame that cannot reach the peer within the send timeout
-				// means the peer stopped draining; treat it as dead rather
-				// than blocking the whole outbox behind it.
-				conn.c.SetWriteDeadline(time.Now().Add(n.sendTimeout))
-			}
-			if _, err := conn.c.Write(hdr[:]); err != nil {
-				releasePooled(m)
+		// than the engine actually held its buffers. One frame carries the
+		// connection's whole accrued balance.
+		if count := conn.pendingCredit.Swap(0); count > 0 {
+			deadline()
+			if err := writeCredit(conn.c, n.self, conn.peer, count); err != nil {
 				n.failConn(conn, peerErr(conn.peer, "write", err))
 				return
 			}
-			if len(m.Payload) > 0 {
-				if _, err := conn.c.Write(m.Payload); err != nil {
-					releasePooled(m)
-					n.failConn(conn, peerErr(conn.peer, "write", err))
-					return
-				}
-			}
-			// A pooled payload is owned by the transport once the frame is
-			// on the wire; recycle it so the forward path reuses buffers.
+		}
+		select {
+		case m := <-conn.outbox:
+			deadline()
+			err := writeFrame(conn.c, &m, n.flowCharged(conn.peer, &m))
+			// A pooled payload is owned by the transport once Send took it;
+			// on the wire or not, it is recycled here so the forward path
+			// reuses buffers.
 			releasePooled(m)
+			if err != nil {
+				n.failConn(conn, peerErr(conn.peer, "write", err))
+				return
+			}
 		case <-conn.kick:
 			// Credit accrued while idle; loop back to flush it.
-		case <-conn.dead:
-			n.drainOutbox(conn)
-			return
-		case <-n.done:
+		case <-n.peers[conn.peer].dead:
 			n.drainOutbox(conn)
 			return
 		}
@@ -579,67 +471,22 @@ func (n *TCPNode) writeLoop(conn *tcpConn) {
 
 func (n *TCPNode) readLoop(conn *tcpConn) {
 	defer n.wg.Done()
-	var hdr [4 + tcpHeaderLen]byte
 	for {
-		if _, err := io.ReadFull(conn.c, hdr[:]); err != nil {
-			n.failConn(conn, peerErr(conn.peer, "read", err))
+		m, owed, credit, err := readFrame(conn.c, conn.peer, n.self)
+		switch {
+		case err != nil:
+			n.failConn(conn, err)
 			return
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:])
-		if length < tcpHeaderLen || length > MaxFrameBytes {
-			n.failConn(conn, peerErr(conn.peer, "frame",
-				fmt.Errorf("malformed frame length %d (valid: %d..%d)", length, tcpHeaderLen, MaxFrameBytes)))
-			return
-		}
-		flags := hdr[13]
-		payloadLen := int(length) - tcpHeaderLen
-		if flags&frameCredit != 0 {
-			// Transport-internal credit grant: apply and move on, never
-			// delivered to Recv.
-			if payloadLen != 8 {
-				n.failConn(conn, peerErr(conn.peer, "frame",
-					fmt.Errorf("malformed credit frame payload %d bytes (want 8)", payloadLen)))
-				return
-			}
-			var cbuf [8]byte
-			if _, err := io.ReadFull(conn.c, cbuf[:]); err != nil {
-				n.failConn(conn, peerErr(conn.peer, "read", err))
-				return
-			}
-			n.returnCredits(conn, int64(binary.LittleEndian.Uint64(cbuf[:])))
+		case credit > 0:
+			// Transport-internal credit grant: apply and move on.
+			n.credited(conn.peer, credit)
 			continue
+		case owed > 0:
+			// The sender charged these bytes against its window; owe the
+			// grant until the engine releases the payload.
+			m.release = func() { conn.grantCredit(owed) }
 		}
-		m := Message{
-			Src:   NodeID(int32(binary.LittleEndian.Uint32(hdr[4:]))),
-			Dst:   NodeID(int32(binary.LittleEndian.Uint32(hdr[8:]))),
-			Type:  MsgType(hdr[12]),
-			Query: int32(binary.LittleEndian.Uint32(hdr[14:])),
-			Tile:  int32(binary.LittleEndian.Uint32(hdr[18:])),
-			Seq:   int32(binary.LittleEndian.Uint32(hdr[22:])),
-			Codec: (flags >> frameCodecShift) & frameCodecMask,
-		}
-		if payloadLen > 0 {
-			// Each frame body is a fresh pooled buffer owned exclusively by
-			// the receiver, which retires it with Message.Release once the
-			// payload has been decoded and consumed.
-			m.Payload = bufpool.Get(payloadLen)
-			m.Pooled = true
-			if _, err := io.ReadFull(conn.c, m.Payload); err != nil {
-				bufpool.Put(m.Payload)
-				n.failConn(conn, peerErr(conn.peer, "read", err))
-				return
-			}
-			if flags&frameFlow != 0 {
-				// The sender charged these bytes against its window; owe the
-				// grant until the engine releases the payload.
-				owed := int64(payloadLen)
-				m.release = func() { conn.grantCredit(owed) }
-			}
-		}
-		select {
-		case n.inbox <- m:
-			n.met.recv(m.Src, len(m.Payload))
-		case <-n.done:
+		if !n.deliver(m, nil) {
 			// Shutdown raced the delivery: retire the frame here so neither
 			// the buffer nor (on the dead peer's side, harmlessly) the
 			// credit is lost.
@@ -649,41 +496,26 @@ func (n *TCPNode) readLoop(conn *tcpConn) {
 	}
 }
 
-// Self returns this node's id.
-func (n *TCPNode) Self() NodeID { return n.self }
-
-// Nodes returns the mesh size.
-func (n *TCPNode) Nodes() int { return len(n.addrs) }
-
 // Send routes m; self-sends loop back through the inbox. Sends to a dead
 // peer fail fast with a *PeerError; sends to a peer that stops draining
 // fail after the configured send timeout (and mark the peer dead). With
 // flow control configured, a non-Urgent payload first charges the per-peer
-// window and the node budget, blocking until credit returns from the
-// receiver's releases; m.OnStall observes the wait. A Pooled payload is
-// owned by the transport on every path out of Send.
+// window, blocking until credit returns from the receiver's releases. A
+// Pooled payload is owned by the transport on every path out of Send.
 func (n *TCPNode) Send(m Message) error {
-	if err := Validate(m, n.Nodes()); err != nil {
-		releasePooled(m)
+	if err := n.admit(m); err != nil {
 		return err
 	}
-	if m.Src != n.self {
-		releasePooled(m)
-		return fmt.Errorf("rpc: node %d sending with src %d", n.self, m.Src)
-	}
 	if m.Dst == n.self {
-		select {
-		case n.inbox <- m:
-			// Loopback traffic never transits readLoop; account both
-			// directions here. Flow control is moot in-process — the engine
-			// consumes its own inbox — so no charge is taken.
-			n.met.sent(m.Dst, len(m.Payload))
-			n.met.recv(m.Src, len(m.Payload))
-			return nil
-		case <-n.done:
+		// Loopback traffic never transits readLoop; deliver counts it
+		// received, here it is counted sent. Its gate is nil — the engine
+		// consumes its own inbox — so no charge is taken.
+		if !n.deliver(m, nil) {
 			releasePooled(m)
 			return ErrClosed
 		}
+		n.met.sent(m.Dst, len(m.Payload))
+		return nil
 	}
 	n.mu.Lock()
 	conn, ok := n.conns[m.Dst]
@@ -693,17 +525,16 @@ func (n *TCPNode) Send(m Message) error {
 		return &PeerError{Peer: m.Dst, Op: "send", Err: fmt.Errorf("no connection")}
 	}
 	// Fast path: a dead peer fails immediately, before any credit charge.
+	dead := n.peers[m.Dst].dead
 	select {
-	case <-conn.dead:
+	case <-dead:
 		releasePooled(m)
-		return peerErr(m.Dst, "send", conn.failure())
+		return n.sendErr(m.Dst)
 	default:
 	}
-	if n.flowCharged(conn, &m) {
-		if err := n.chargeFlow(conn, &m); err != nil {
-			releasePooled(m)
-			return err
-		}
+	if _, err := n.charge(m.Dst, &m); err != nil {
+		releasePooled(m)
+		return err
 	}
 	// Room in the outbox succeeds without a timer allocation.
 	select {
@@ -711,72 +542,25 @@ func (n *TCPNode) Send(m Message) error {
 		return n.finishSend(conn, m)
 	default:
 	}
-	if n.sendTimeout <= 0 {
-		select {
-		case conn.outbox <- m:
-			return n.finishSend(conn, m)
-		case <-conn.dead:
-			releasePooled(m)
-			return peerErr(m.Dst, "send", conn.failure())
-		case <-n.done:
-			releasePooled(m)
-			return ErrClosed
-		}
+	var timeout <-chan time.Time // nil (never fires) when the timeout is off
+	if n.sendTimeout > 0 {
+		timer := time.NewTimer(n.sendTimeout)
+		defer timer.Stop()
+		timeout = timer.C
 	}
-	timer := time.NewTimer(n.sendTimeout)
-	defer timer.Stop()
 	select {
 	case conn.outbox <- m:
 		return n.finishSend(conn, m)
-	case <-conn.dead:
+	case <-dead:
 		releasePooled(m)
-		return peerErr(m.Dst, "send", conn.failure())
-	case <-n.done:
-		releasePooled(m)
-		return ErrClosed
-	case <-timer.C:
+		return n.sendErr(m.Dst)
+	case <-timeout:
 		err := &PeerError{Peer: m.Dst, Op: "send",
 			Err: fmt.Errorf("timed out after %v: peer not draining", n.sendTimeout)}
 		n.failConn(conn, err)
 		releasePooled(m)
 		return err
 	}
-}
-
-// chargeFlow blocks until m's payload fits the per-peer window and the node
-// budget, then records the charge on the connection. The windows close on
-// peer death and endpoint shutdown, so a blocked sender always wakes with
-// the failure instead of waiting on credit that cannot come.
-func (n *TCPNode) chargeFlow(conn *tcpConn, m *Message) error {
-	charge := int64(len(m.Payload))
-	stallW, ok := conn.win.acquire(charge)
-	if !ok {
-		return peerErr(m.Dst, "send", conn.failure())
-	}
-	stallB, ok := n.budget.acquire(charge)
-	if !ok {
-		conn.win.release(charge)
-		return ErrClosed
-	}
-	if stall := stallW + stallB; stall > 0 {
-		n.met.stall()
-		if m.OnStall != nil {
-			m.OnStall(stall)
-		}
-	}
-	conn.flowMu.Lock()
-	if conn.reclaimed {
-		// The connection died between the window check and the charge; its
-		// balance was already reclaimed, so hand the credit straight back.
-		conn.flowMu.Unlock()
-		n.budget.release(charge)
-		return peerErr(m.Dst, "send", conn.failure())
-	}
-	conn.charged += charge
-	conn.flowMu.Unlock()
-	n.met.inflight(m.Dst, charge)
-	n.met.peakInflight(conn.win.highWater())
-	return nil
 }
 
 // finishSend completes a Send whose message reached the outbox: it re-checks
@@ -786,53 +570,19 @@ func (n *TCPNode) chargeFlow(conn *tcpConn, m *Message) error {
 // the abandoned queue.
 func (n *TCPNode) finishSend(conn *tcpConn, m Message) error {
 	select {
-	case <-conn.dead:
+	case <-n.peers[conn.peer].dead:
 		n.drainOutbox(conn)
-		return peerErr(conn.peer, "send", conn.failure())
+		return n.sendErr(conn.peer)
 	default:
 		n.met.sent(m.Dst, len(m.Payload))
 		return nil
 	}
 }
 
-// Recv blocks for the next inbound message. Messages already buffered are
-// always drained first; after that, a failed endpoint (any dead peer)
-// reports the first peer failure as a *PeerError.
-func (n *TCPNode) Recv(ctx context.Context) (Message, error) {
-	select {
-	case m := <-n.inbox:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-n.inbox:
-		return m, nil
-	case <-n.done:
-		select {
-		case m := <-n.inbox:
-			return m, nil
-		default:
-		}
-		return Message{}, ErrClosed
-	case <-n.failCh:
-		// Drain what arrived before the failure so no message is lost.
-		select {
-		case m := <-n.inbox:
-			return m, nil
-		default:
-		}
-		return Message{}, n.failure()
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
-	}
-}
-
 // Close tears the node down: listener, connections, loops, and whatever
 // pooled payloads were still queued in either direction.
 func (n *TCPNode) Close() error {
-	n.once.Do(func() {
-		close(n.done)
-		n.budget.close()
+	if n.shut() {
 		n.ln.Close()
 		n.mu.Lock()
 		conns := make([]*tcpConn, 0, len(n.conns))
@@ -840,24 +590,18 @@ func (n *TCPNode) Close() error {
 			conns = append(conns, c)
 		}
 		n.mu.Unlock()
+		// shut made every peer dead to this node, which wakes senders
+		// blocked on credit or a full outbox and stops the write loops;
+		// closing the sockets stops the read loops. The outbox drain runs
+		// here too, in case a loop exited before a racing Send enqueued.
 		for _, c := range conns {
-			// Fail each connection directly (not just its socket): senders
-			// blocked on credit must wake, and the outbox drain must run
-			// even if both loops exit on n.done without calling failConn.
-			if c.fail(ErrClosed) {
-				n.teardownConn(c)
-			}
+			c.c.Close()
+			n.drainOutbox(c)
 		}
-	})
+	}
 	n.wg.Wait()
 	// Loops are gone; retire anything the receiver never consumed so no
 	// pooled buffer is abandoned in the inbox.
-	for {
-		select {
-		case m := <-n.inbox:
-			m.Release()
-		default:
-			return nil
-		}
-	}
+	n.drain()
+	return nil
 }
