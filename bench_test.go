@@ -1362,7 +1362,7 @@ func BenchmarkDegradedQuery(b *testing.B) {
 			wg.Add(1)
 			go func(q int, ep rpc.Endpoint) {
 				defer wg.Done()
-				_, errs[q] = engine.RunNode(context.Background(), cfg, ep, st)
+				_, errs[q] = engine.RunNodeTraced(context.Background(), cfg, ep, st)
 			}(q, ep)
 		}
 		wg.Wait()

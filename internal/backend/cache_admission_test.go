@@ -177,8 +177,12 @@ func TestAdmissionBound(t *testing.T) {
 	if got := admitted.Value() - before; got < clients {
 		t.Fatalf("admitted %d queries, want >= %d", got, clients)
 	}
-	if v := active.Value(); v != 0 {
-		t.Fatalf("admission active gauge = %d after drain", v)
+	// A node releases its slot just after the done line is on the wire, so the
+	// last client can get here first: give the release a moment.
+	for deadline := time.Now().Add(2 * time.Second); active.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission active gauge = %d after drain", active.Value())
+		}
 	}
 }
 

@@ -529,7 +529,7 @@ func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace met
 	}
 	// Observe before the done line goes out: a client that gets done and at
 	// once asks for an estimate must find this query folded in.
-	s.exec.Observe(cfg.Plan, nil, trace)
+	s.exec.Observe(&cfg, nil, trace)
 	streamMu.Lock()
 	w.Flush()
 	streamMu.Unlock()

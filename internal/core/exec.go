@@ -172,13 +172,20 @@ func (e *Exec) JoinScans(ctx context.Context, cfg *engine.Config) (leave func())
 	}
 }
 
-// Observe folds the traces of a successful run of p into the calibration, so
-// the next estimate prices plans with live rates, and — when Prepare resolved
-// AUTO — closes the prediction loop with the slowest node's wall time.
-func (e *Exec) Observe(p *plan.Plan, sel *metrics.Selection, traces ...metrics.NodeTrace) {
+// Observe folds the traces of a successful run of cfg's plan into the
+// calibration, so the next estimate prices plans with live rates, and — when
+// Prepare resolved AUTO — closes the prediction loop with the slowest node's
+// wall time. The I and OH phase timings are divided by the op counts of the
+// node's share of the plan: the accumulators it initialized, the outputs it
+// finalized.
+func (e *Exec) Observe(cfg *engine.Config, sel *metrics.Selection, traces ...metrics.NodeTrace) {
 	for _, tr := range traces {
-		initOps, outOps := costmodel.PlanOps(p, tr.Node)
-		e.Calib.Observe(costmodel.Sample{Trace: tr, InitOps: initOps, OutputOps: outOps})
+		s := costmodel.Sample{Trace: tr}
+		for _, sh := range plan.ShareOf(cfg.Plan, cfg.Workload, int32(tr.Node)) {
+			s.InitOps += int64(sh.Allocs())
+			s.OutputOps += int64(len(sh.Locals))
+		}
+		e.Calib.Observe(s)
 	}
 	costmodel.RecordOutcome(sel, (&metrics.QueryTrace{Nodes: traces}).MaxWall().Seconds())
 }

@@ -422,6 +422,6 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 			return nil, fmt.Errorf("core: output position %d never emitted", pos)
 		}
 	}
-	r.exec.Observe(cfg.Plan, sel, report.Traces...)
+	r.exec.Observe(&cfg, sel, report.Traces...)
 	return &Result{Chunks: results, Plan: cfg.Plan, Workload: w, Report: report, Selection: sel}, nil
 }

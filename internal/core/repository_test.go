@@ -34,10 +34,12 @@ func buildEnv(t testing.TB, nodes, nItems int, seed int64) *core.Repository {
 }
 
 // buildEnvOpts is buildEnv with the repository's other options chosen by the
-// caller (AccMemBytes is always the tests' 64 KiB).
+// caller (AccMemBytes defaults to the tests' 64 KiB).
 func buildEnvOpts(t testing.TB, opts core.Options, nItems int, seed int64) *core.Repository {
 	t.Helper()
-	opts.AccMemBytes = 64 << 10
+	if opts.AccMemBytes == 0 {
+		opts.AccMemBytes = 64 << 10
+	}
 	repo, err := core.NewRepository(opts)
 	if err != nil {
 		t.Fatal(err)

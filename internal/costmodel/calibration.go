@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"adr/internal/metrics"
-	"adr/internal/plan"
 	"adr/internal/simadr"
 )
 
@@ -20,7 +19,8 @@ import (
 //     hit storage — cache hits and shared-scan waiter reads are excluded)
 //   - link bandwidth:  BytesSent / NetSendNanos (effective, stalls included)
 //   - per-op compute:  PhaseNanos[LR]/AggOps, PhaseNanos[GC]/CombineOps,
-//     and PhaseNanos[I]/PhaseNanos[OH] over the plan's op counts (PlanOps)
+//     and PhaseNanos[I]/PhaseNanos[OH] over the op counts of the node's
+//     plan.Share (allocations / locals)
 //
 // Each rate is tracked as an exponentially weighted moving average, so the
 // model follows the hardware through warm caches, contention and upgrades.
@@ -60,26 +60,13 @@ func SeedCosts() simadr.Costs {
 }
 
 // Sample is one node's measured execution plus the op counts the plan
-// assigned it (PlanOps); zero op counts skip the Init/OH signals.
+// assigned it (summed over its plan.ShareOf); zero op counts skip the
+// Init/OH signals.
 type Sample struct {
 	Trace metrics.NodeTrace
 	// InitOps is the number of accumulator chunks the node initialized,
 	// OutputOps the number of output chunks it finalized.
 	InitOps, OutputOps int64
-}
-
-// PlanOps counts the accumulator initializations and output finalizations
-// plan p assigns to node self — the denominators for the I and OH phase
-// timings when calibrating from an executed plan.
-func PlanOps(p *plan.Plan, self int) (initOps, outputOps int64) {
-	for t := range p.Tiles {
-		tile := &p.Tiles[t]
-		if self >= 0 && self < len(tile.Locals) {
-			initOps += int64(len(tile.Locals[self]) + len(tile.Ghosts[self]))
-			outputOps += int64(len(tile.Locals[self]))
-		}
-	}
-	return initOps, outputOps
 }
 
 // ewma folds sample into cur with weight DefaultAlpha; a zero cur adopts the

@@ -39,7 +39,7 @@ type Estimate struct {
 
 // nodeTileDemand accumulates one node's resource demands within a tile.
 type nodeTileDemand struct {
-	diskSec map[int32]float64 // per local disk
+	diskSec map[int32]float64 // per local disk; nil until the node reads
 	cpuSec  float64
 	outSec  float64
 	inSec   float64
@@ -47,7 +47,9 @@ type nodeTileDemand struct {
 	recv    int64
 }
 
-// Predict estimates the execution time of a plan on the modeled machine.
+// Predict estimates the execution time of a plan on the modeled machine. It
+// prices each processor's per-tile share (plan.Schedule) — the same reading
+// of the plan the engine executes and the simulator replays.
 func Predict(p *plan.Plan, w *plan.Workload, m simadr.Machine, c simadr.Costs) (Estimate, error) {
 	if m.Procs != p.Machine.Procs {
 		return Estimate{}, fmt.Errorf("costmodel: machine has %d procs, plan %d", m.Procs, p.Machine.Procs)
@@ -55,13 +57,22 @@ func Predict(p *plan.Plan, w *plan.Workload, m simadr.Machine, c simadr.Costs) (
 	est := Estimate{Strategy: p.Strategy, Tiles: len(p.Tiles)}
 	procs := m.Procs
 	commPerNode := make([]int64, procs)
+	sched := plan.Schedule(p, w)
 
 	readTime := func(bytes int64) float64 { return m.DiskSeekSec + float64(bytes)/m.DiskBWBytes }
-	xferTime := func(bytes int64) float64 { return float64(bytes) / m.NetBWBytes }
-	msgCPU := func(bytes int64) float64 { return float64(bytes) * m.NetCPUSecPerByte }
+	// send charges one transfer to both ends of stage: link time, messaging
+	// CPU and volume on the sender's outbound and the receiver's inbound side.
+	send := func(stage []nodeTileDemand, src, dst int32, bytes int64) {
+		xfer, cpu := float64(bytes)/m.NetBWBytes, float64(bytes)*m.NetCPUSecPerByte
+		stage[src].outSec += xfer
+		stage[src].cpuSec += cpu
+		stage[src].sent += bytes
+		stage[dst].inSec += xfer
+		stage[dst].cpuSec += cpu
+		stage[dst].recv += bytes
+	}
 
 	for t := range p.Tiles {
-		tile := &p.Tiles[t]
 		// The tile runs in two serialized stages per node: the reduction
 		// stage (initialization, local reads, input forwarding and
 		// aggregation — all overlapped by the operation queues) and the
@@ -70,89 +81,42 @@ func Predict(p *plan.Plan, w *plan.Workload, m simadr.Machine, c simadr.Costs) (
 		// completes.
 		reduce := make([]nodeTileDemand, procs)
 		combine := make([]nodeTileDemand, procs)
-		for q := range reduce {
-			reduce[q].diskSec = make(map[int32]float64)
-			combine[q].diskSec = make(map[int32]float64)
-		}
-
-		// Allocation sets for aggregation-pair counting.
-		alloc := make([]map[int32]bool, procs)
-		for q := 0; q < procs; q++ {
-			alloc[q] = make(map[int32]bool, len(tile.Locals[q])+len(tile.Ghosts[q]))
-			for _, o := range tile.Locals[q] {
-				alloc[q][o] = true
-			}
-			for _, o := range tile.Ghosts[q] {
-				alloc[q][o] = true
-			}
-			reduce[q].cpuSec += float64(len(alloc[q])) * c.Init
-		}
-
-		pairsAt := func(q int, i int32) int {
-			n := 0
-			for _, o := range w.Targets[i] {
-				if p.TileOf[o] == int32(t) && alloc[q][o] {
-					n++
-				}
-			}
-			return n
-		}
 
 		// Pipeline fill: the first chunk must be read before any
 		// aggregation can overlap it.
 		var fill float64
 
-		// Local reads + local aggregation.
-		for q := 0; q < procs; q++ {
-			for k, i := range tile.Reads[q] {
+		for q := range sched {
+			sh, self := &sched[q][t], int32(q)
+			reduce[q].cpuSec += float64(sh.Allocs()) * c.Init
+			// Local reads and aggregation; each forward costs both links and
+			// the aggregation at the receiver.
+			for k, i := range sh.Reads {
 				im := w.Inputs[i]
 				rt := readTime(im.Bytes)
+				if reduce[q].diskSec == nil {
+					reduce[q].diskSec = make(map[int32]float64)
+				}
 				reduce[q].diskSec[im.Disk] += rt
-				reduce[q].cpuSec += float64(pairsAt(q, i)) * c.LR
+				reduce[q].cpuSec += float64(sh.ReadPairs[k]) * c.LR
 				if k == 0 && rt > fill {
 					fill = rt
 				}
+				for _, d := range sh.Dests(k) {
+					send(reduce, self, d.To, im.Bytes)
+					reduce[d.To].cpuSec += float64(d.Pairs) * c.LR
+				}
 			}
-		}
-		// Input forwards: sender link+CPU, receiver link+CPU+aggregation.
-		for q := 0; q < procs; q++ {
-			for _, f := range tile.Forwards[q] {
-				bytes := w.Inputs[f.Input].Bytes
-				d := int(f.Dest)
-				reduce[q].outSec += xferTime(bytes)
-				reduce[q].cpuSec += msgCPU(bytes)
-				reduce[q].sent += bytes
-				reduce[d].inSec += xferTime(bytes)
-				reduce[d].cpuSec += msgCPU(bytes) + float64(pairsAt(d, f.Input))*c.LR
-				reduce[d].recv += bytes
+			// Ghost exchange: each ghost is sent to its home and combined there.
+			for _, o := range sh.Ghosts {
+				send(combine, self, p.Home[o], w.AccSize(o))
+				combine[p.Home[o]].cpuSec += c.GC
 			}
-		}
-		// Ghost exchange: each ghost is sent to its home and combined there.
-		for q := 0; q < procs; q++ {
-			for _, o := range tile.Ghosts[q] {
-				bytes := w.AccSize(o)
-				h := int(p.Home[o])
-				combine[q].outSec += xferTime(bytes)
-				combine[q].cpuSec += msgCPU(bytes)
-				combine[q].sent += bytes
-				combine[h].inSec += xferTime(bytes)
-				combine[h].cpuSec += msgCPU(bytes) + c.GC
-				combine[h].recv += bytes
-			}
-		}
-		// Output handling (+ hybrid shipping to owners).
-		for q := 0; q < procs; q++ {
-			for _, o := range tile.Locals[q] {
+			// Output handling (+ hybrid shipping to owners).
+			for _, o := range sh.Locals {
 				combine[q].cpuSec += c.OH
-				owner := int(w.Outputs[o].Node)
-				if owner != q {
-					bytes := w.Outputs[o].Bytes
-					combine[q].outSec += xferTime(bytes)
-					combine[q].cpuSec += msgCPU(bytes)
-					combine[q].sent += bytes
-					combine[owner].inSec += xferTime(bytes)
-					combine[owner].cpuSec += msgCPU(bytes)
-					combine[owner].recv += bytes
+				if owner := w.Outputs[o].Node; owner != self {
+					send(combine, self, owner, w.Outputs[o].Bytes)
 				}
 			}
 		}
@@ -198,9 +162,7 @@ func Predict(p *plan.Plan, w *plan.Workload, m simadr.Machine, c simadr.Costs) (
 		est.ExecSec += stageSec(reduce) + stageSec(combine) + fill
 	}
 	for _, v := range commPerNode {
-		if v > est.CommBytes {
-			est.CommBytes = v
-		}
+		est.CommBytes = max(est.CommBytes, v)
 	}
 	return est, nil
 }
@@ -218,6 +180,7 @@ func Select(w *plan.Workload, machine plan.Machine, m simadr.Machine, c simadr.C
 	if err != nil {
 		return nil, nil, err
 	}
+	plans := make(map[plan.Strategy]*plan.Plan, len(candidates))
 	var ests []Estimate
 	for _, s := range candidates {
 		p, err := planner.Plan(s, w)
@@ -228,14 +191,9 @@ func Select(w *plan.Workload, machine plan.Machine, m simadr.Machine, c simadr.C
 		if err != nil {
 			return nil, nil, err
 		}
+		plans[s] = p
 		ests = append(ests, e)
 	}
 	sort.Slice(ests, func(i, j int) bool { return ests[i].ExecSec < ests[j].ExecSec })
-	// Re-plan the winner (plans are cheap relative to execution and this
-	// keeps the bookkeeping simple).
-	p, err := planner.Plan(ests[0].Strategy, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, ests, nil
+	return plans[ests[0].Strategy], ests, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // AbortError reports that a peer node aborted the query and why. It is what
-// a healthy node's RunNode returns when another node of the mesh failed
+// a healthy node's RunNodeTraced returns when another node of the mesh failed
 // mid-query (disk error, decode error, dead transport peer, result-sink
 // failure) and broadcast msgAbort: the transport here is fine, the query is
 // not. Callers unwrap it with errors.As to learn which node failed.

@@ -4,7 +4,7 @@
 // Handling — while overlapping disk reads, interprocessor communication and
 // processing.
 //
-// The engine is transport-agnostic: every back-end node runs RunNode against
+// The engine is transport-agnostic: every back-end node runs RunNodeTraced against
 // an rpc.Endpoint, whether the nodes are goroutines sharing a process
 // (rpc.InprocFabric) or daemons on a TCP mesh (cmd/adr-node). Run is the
 // convenience wrapper that drives all nodes of an in-process fabric.

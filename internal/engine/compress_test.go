@@ -293,7 +293,7 @@ func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNode(ctx, cfg, ep, st)
+			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
 		}(q, ep)
 	}
 	ep0, _ := fabric.Endpoint(0)

@@ -201,9 +201,8 @@ func (c *Config) Validate() error {
 
 // Report aggregates the execution's per-node metrics.
 type Report struct {
-	Nodes []metrics.Snapshot
-	// Traces carries the per-phase breakdown of the same counters, one
-	// entry per node (set by Run; empty for code paths that only snapshot).
+	// Traces is each node's per-phase accounting, indexed by node; Totals
+	// carries the node's flat counters.
 	Traces []metrics.NodeTrace
 }
 
@@ -212,20 +211,14 @@ func (r *Report) Trace(queryID int32) *metrics.QueryTrace {
 	return &metrics.QueryTrace{QueryID: queryID, Nodes: r.Traces}
 }
 
-// Total sums all node snapshots.
-func (r *Report) Total() metrics.Snapshot {
-	var t metrics.Snapshot
-	for _, n := range r.Nodes {
-		t.Add(n)
-	}
-	return t
-}
+// Total sums all nodes' counters.
+func (r *Report) Total() metrics.Snapshot { return r.Trace(0).Total() }
 
 // MaxCommBytes returns the largest per-node communication volume.
 func (r *Report) MaxCommBytes() int64 {
 	var max int64
-	for _, n := range r.Nodes {
-		if v := n.CommBytes(); v > max {
+	for _, n := range r.Traces {
+		if v := n.Totals.CommBytes(); v > max {
 			max = v
 		}
 	}

@@ -280,7 +280,7 @@ func TestUnreplicatedDegradedFailsTyped(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNode(ctx, cfg, ep, st)
+			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
 		}(q, ep)
 	}
 	ep0, _ := mesh.Endpoint(0)
@@ -368,7 +368,7 @@ func TestDegradedDeathBeforeQuery(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNode(ctx, cfg, ep, st)
+			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
 		}(q, ep)
 	}
 	wg.Wait()

@@ -118,7 +118,7 @@ func TestNodeDeathUnblocksPeers(t *testing.T) {
 			t.Fatal(err)
 		}
 		go func(ep rpc.Endpoint) {
-			_, err := engine.RunNode(context.Background(), cfg, ep, st)
+			_, err := engine.RunNodeTraced(context.Background(), cfg, ep, st)
 			errs <- err
 		}(ep)
 	}

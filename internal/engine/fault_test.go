@@ -65,7 +65,7 @@ func TestTCPPeerDeathAbortsQuery(t *testing.T) {
 		go func(ep rpc.Endpoint) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, err := engine.RunNode(ctx, cfg, ep, st)
+			_, err := engine.RunNodeTraced(ctx, cfg, ep, st)
 			errs <- err
 		}(ep)
 	}
@@ -151,7 +151,7 @@ func TestStorageFailureBroadcastsAbort(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNode(ctx, cfg, ep, flaky)
+			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, flaky)
 		}(q, ep)
 	}
 	wg.Wait()
@@ -211,7 +211,7 @@ func TestFaultInjectionSendErrorAborts(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNode(ctx, cfg, ep, st)
+			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
 		}(q, ep)
 	}
 	done := make(chan struct{})

@@ -140,7 +140,7 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
-				_, errs[q] = engine.RunNode(ctx, cfg, ep, st)
+				_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
 			}(q, ep)
 		}
 		wg.Wait()
@@ -180,7 +180,7 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
-				_, errs[q] = engine.RunNode(ctx, cfg, ep, st)
+				_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
 			}(q, ep)
 		}
 		// Node 0 joins, then dies shortly into the query.

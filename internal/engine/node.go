@@ -9,6 +9,7 @@ import (
 	"adr/internal/bufpool"
 	"adr/internal/chunk"
 	"adr/internal/metrics"
+	"adr/internal/plan"
 	"adr/internal/rpc"
 )
 
@@ -29,16 +30,9 @@ type node struct {
 	// concurrent queries fetch each chunk once.
 	scan *ScanMember
 
-	// fwdByInput[t][i] lists the destinations input position i must be
-	// forwarded to in tile t (from this node).
-	fwdByInput []map[int32][]rpc.NodeID
-	// holders[t][o] lists every node allocating output o in tile t (home
-	// first), for outputs this node owns. Precomputed so phaseInit does not
-	// rescan every tile's ghost lists per owned output; nil unless the app
-	// requires existing-output initialization.
-	holders []map[int32][]rpc.NodeID
-	// expect[t] is what this node waits for in tile t.
-	expect []tileExpect
+	// share[t] is what the plan makes this node allocate, read, send and
+	// wait for in tile t (plan.ShareOf: this node's share only).
+	share []plan.Share
 
 	// attempts counts degraded-mode execution attempts (0 on non-degraded
 	// runs, >= 1 on degraded ones); excluded is the final exclusion set the
@@ -47,28 +41,11 @@ type node struct {
 	excluded []rpc.NodeID
 }
 
-type tileExpect struct {
-	inputs      int // forwarded input chunks (DA/hybrid local reduction)
-	ghostTotal  int // ghost accumulators to combine (FRA/SRA global combine)
-	outputInits int // existing output chunks for replica initialization
-	finals      int // finished outputs shipped back to this owner (hybrid)
-}
-
-// RunNode executes one node's share of the configured query. It returns the
-// node's metrics snapshot. All nodes of the fabric must run the same
-// Config; the call completes when this node has emitted every output chunk
-// it is responsible for.
-func RunNode(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkStorage) (metrics.Snapshot, error) {
-	n, _, err := runNode(ctx, cfg, ep, st)
-	if n == nil {
-		return metrics.Snapshot{}, err
-	}
-	return n.met.Snapshot(), err
-}
-
-// RunNodeTraced is RunNode returning the full per-phase trace instead of
-// the flat snapshot (NodeTrace.Totals carries the snapshot). The daemons
-// use it to return query traces to the front-end.
+// RunNodeTraced executes one node's share of the configured query and
+// returns its per-phase trace (NodeTrace.Totals carries the flat counters);
+// the daemons return it to the front-end. All nodes of the fabric must run
+// the same Config; the call completes when this node has emitted every
+// output chunk it is responsible for.
 func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkStorage) (metrics.NodeTrace, error) {
 	n, wall, err := runNode(ctx, cfg, ep, st)
 	if n == nil {
@@ -87,8 +64,8 @@ func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkSto
 	return tr, err
 }
 
-// runNode is the shared driver behind RunNode and RunNodeTraced. A nil node
-// in the return means the configuration never started executing.
+// runNode is the driver behind RunNodeTraced. A nil node in the return means
+// the configuration never started executing.
 func runNode(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkStorage) (*node, time.Duration, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, 0, err
@@ -200,85 +177,10 @@ func (n *node) recordTotals() {
 	}
 }
 
-// prepare derives this node's per-tile forwarding map and expected message
-// counts from the plan.
+// prepare derives this node's share of every tile from the plan; degraded
+// retries call it again on the re-planned workload.
 func (n *node) prepare() {
-	p, w := n.cfg.Plan, n.cfg.Workload
-	tiles := len(p.Tiles)
-	n.fwdByInput = make([]map[int32][]rpc.NodeID, tiles)
-	n.expect = make([]tileExpect, tiles)
-	needInit := n.cfg.App.InitRequiresOutput()
-	if needInit {
-		n.holders = make([]map[int32][]rpc.NodeID, tiles)
-	}
-
-	for t := range p.Tiles {
-		tile := &p.Tiles[t]
-		// Forwards from this node.
-		if fs := tile.Forwards[n.self]; len(fs) > 0 {
-			m := make(map[int32][]rpc.NodeID)
-			for _, f := range fs {
-				m[f.Input] = append(m[f.Input], rpc.NodeID(f.Dest))
-			}
-			n.fwdByInput[t] = m
-		}
-		// Forwards into this node.
-		for q := range tile.Forwards {
-			for _, f := range tile.Forwards[q] {
-				if rpc.NodeID(f.Dest) == n.self {
-					n.expect[t].inputs++
-				}
-			}
-		}
-		// Ghosts combining into locals homed here.
-		for q := range tile.Ghosts {
-			for _, o := range tile.Ghosts[q] {
-				if rpc.NodeID(p.Home[o]) == n.self {
-					n.expect[t].ghostTotal++
-				}
-			}
-		}
-		// Existing-output forwarding: each replica holder that is not the
-		// owner receives one msgOutputInit per allocated output. Build the
-		// owned outputs' holder lists here in one pass over the tile's ghost
-		// lists (home first, then each replicating node), instead of
-		// rescanning them per output during phaseInit.
-		if needInit {
-			count := 0
-			for _, o := range tile.Locals[n.self] {
-				if rpc.NodeID(w.Outputs[o].Node) != n.self {
-					count++
-				}
-			}
-			for _, o := range tile.Ghosts[n.self] {
-				if rpc.NodeID(w.Outputs[o].Node) != n.self {
-					count++
-				}
-			}
-			n.expect[t].outputInits = count
-
-			hm := make(map[int32][]rpc.NodeID)
-			for _, o := range tile.Outputs {
-				if rpc.NodeID(w.Outputs[o].Node) == n.self {
-					hm[o] = []rpc.NodeID{rpc.NodeID(p.Home[o])}
-				}
-			}
-			for q := range tile.Ghosts {
-				for _, g := range tile.Ghosts[q] {
-					if hs, ok := hm[g]; ok {
-						hm[g] = append(hs, rpc.NodeID(q))
-					}
-				}
-			}
-			n.holders[t] = hm
-		}
-		// Finished outputs shipped back to this node as owner.
-		for _, o := range tile.Outputs {
-			if rpc.NodeID(w.Outputs[o].Node) == n.self && rpc.NodeID(p.Home[o]) != n.self {
-				n.expect[t].finals++
-			}
-		}
-	}
+	n.share = plan.ShareOf(n.cfg.Plan, n.cfg.Workload, int32(n.self))
 }
 
 // runTile advances this node through the four §2.4 phases for one tile.
@@ -314,8 +216,7 @@ func (n *node) runTile(ctx context.Context, t int32) error {
 // owner sent before anyone received would deadlock the moment the windows
 // are smaller than the tile's init traffic.
 func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, error) {
-	p, w := n.cfg.Plan, n.cfg.Workload
-	tile := &p.Tiles[t]
+	w, sh := n.cfg.Workload, &n.share[t]
 	needInit := n.cfg.App.InitRequiresOutput()
 	existing := make(map[int32]*chunk.Chunk)
 
@@ -336,10 +237,7 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 		sendErr := make(chan error, 1)
 		go func() {
 			sendErr <- func() error {
-				for _, o := range tile.Outputs {
-					if rpc.NodeID(w.Outputs[o].Node) != n.self {
-						continue
-					}
+				for k, o := range sh.Owned {
 					var payload []byte
 					if n.st.HasChunk(n.cfg.OutputDataset, w.Outputs[o]) {
 						data, hit, err := n.readChunk(ctx, n.cfg.OutputDataset, w.Outputs[o])
@@ -357,12 +255,12 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 						}
 						ownerExisting[o] = c
 					}
-					for _, h := range n.holders[t][o] {
-						if h == n.self {
+					for _, h := range sh.InitHolders[k] {
+						if rpc.NodeID(h) == n.self {
 							continue
 						}
 						if err := n.send(metrics.Initialization, rpc.Message{
-							Src: n.self, Dst: h, Type: msgOutputInit, Tile: t, Seq: o,
+							Src: n.self, Dst: rpc.NodeID(h), Type: msgOutputInit, Tile: t, Seq: o,
 							Payload: payload,
 						}); err != nil {
 							return err
@@ -376,7 +274,7 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 		// Replica duties: receive existing chunks for allocations whose
 		// owner is remote, concurrently with the owner sends above.
 		var recvErr error
-		for k := 0; k < n.expect[t].outputInits; k++ {
+		for k := 0; k < sh.ExpectInits; k++ {
 			msg, err := n.mbox.take(ctx, t, msgOutputInit)
 			if err != nil {
 				recvErr = err
@@ -407,14 +305,14 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 
 	accs := make(map[int32]Accumulator)
 	start := time.Now()
-	for _, o := range tile.Locals[n.self] {
+	for _, o := range sh.Locals {
 		acc, err := n.cfg.App.Init(w.Outputs[o], existing[o], false)
 		if err != nil {
 			return nil, fmt.Errorf("init output %d: %w", o, err)
 		}
 		accs[o] = acc
 	}
-	for _, o := range tile.Ghosts[n.self] {
+	for _, o := range sh.Ghosts {
 		acc, err := n.cfg.App.Init(w.Outputs[o], existing[o], true)
 		if err != nil {
 			return nil, fmt.Errorf("init ghost %d: %w", o, err)
@@ -523,9 +421,7 @@ func (n *node) compressForSend(payload []byte, codec chunk.Codec) []byte {
 // for local reads to drain, and Config.Workers chunks are processed
 // concurrently under per-output locks.
 func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]Accumulator, locks map[int32]*sync.Mutex) error {
-	p, w := n.cfg.Plan, n.cfg.Workload
-	tile := &p.Tiles[t]
-	reads := tile.Reads[n.self]
+	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
 
 	pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
 		kind := "input"
@@ -581,21 +477,25 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	// the forwarder stalls on credit the channel fills, the prefetchers
 	// block on it, and the disk reads (and the shared-scan leader behind
 	// them) slow to the receivers' consumption rate.
-	fwdCh := make(chan work, DefaultReadAhead)
+	type forward struct {
+		wk work
+		to []plan.Dest
+	}
+	fwdCh := make(chan forward, DefaultReadAhead)
 	var fwdWg sync.WaitGroup
-	if len(n.fwdByInput[t]) > 0 {
+	if sh.Forward != nil {
 		fwdWg.Add(1)
 		go func() {
 			defer fwdWg.Done()
-			for wk := range fwdCh {
+			for f := range fwdCh {
 				// Compressed storage bytes forward verbatim (zero cost); raw
 				// storage bytes are compressed once here, then fanned out, so
 				// flow-control credits meter the compressed volume and every
 				// peer window holds proportionally more chunks in flight.
-				payload := n.compressForSend(wk.data, n.cfg.Codec)
-				for _, dst := range n.fwdByInput[t][wk.seq] {
+				payload := n.compressForSend(f.wk.data, n.cfg.Codec)
+				for _, dst := range f.to {
 					if err := n.send(metrics.LocalReduction, rpc.Message{
-						Src: n.self, Dst: dst, Type: msgInputChunk, Tile: t, Seq: wk.seq,
+						Src: n.self, Dst: rpc.NodeID(dst.To), Type: msgInputChunk, Tile: t, Seq: f.wk.seq,
 						Payload: payload,
 					}); err != nil {
 						pl.fail(err)
@@ -610,23 +510,25 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	}
 
 	// Producers: one prefetcher per disk (retrieval order preserved within
-	// each disk) plus one feeder draining the tile's forwarded inputs.
+	// each disk; queues hold positions in sh.Reads) plus one feeder draining
+	// the tile's forwarded inputs.
 	var producers sync.WaitGroup
-	byDisk := make(map[int32][]int32)
+	byDisk := make(map[int32][]int)
 	var diskOrder []int32
-	for _, i := range reads {
+	for k, i := range sh.Reads {
 		d := w.Inputs[i].Disk
 		if _, ok := byDisk[d]; !ok {
 			diskOrder = append(diskOrder, d)
 		}
-		byDisk[d] = append(byDisk[d], i)
+		byDisk[d] = append(byDisk[d], k)
 	}
 	sem := make(chan struct{}, DefaultReadAhead)
 	for _, d := range diskOrder {
 		producers.Add(1)
-		go func(queue []int32) {
+		go func(queue []int) {
 			defer producers.Done()
-			for _, i := range queue {
+			for _, k := range queue {
+				i := sh.Reads[k]
 				// The semaphore caps concurrent disk reads at the read-ahead
 				// depth; the bounded pool queue caps the decoded-side backlog
 				// (together they play the role of the old prefetch channel).
@@ -652,9 +554,9 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 				// is shared: storage data is immutable here, the zero-copy
 				// path §2.4 argues for). The forwarder only ever reads the
 				// bytes, so the pool workers can aggregate concurrently.
-				if len(n.fwdByInput[t][i]) > 0 {
+				if to := sh.Dests(k); len(to) > 0 {
 					select {
-					case fwdCh <- wk:
+					case fwdCh <- forward{wk, to}:
 					case <-pl.ctx.Done():
 						pl.fail(pl.ctx.Err())
 						return
@@ -666,11 +568,11 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 			}
 		}(byDisk[d])
 	}
-	if n.expect[t].inputs > 0 {
+	if sh.ExpectInputs > 0 {
 		producers.Add(1)
 		go func() {
 			defer producers.Done()
-			for k := 0; k < n.expect[t].inputs; k++ {
+			for k := 0; k < sh.ExpectInputs; k++ {
 				msg, err := n.mbox.take(pl.ctx, t, msgInputChunk)
 				if err != nil {
 					pl.fail(err)
@@ -696,8 +598,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 // dominates for large accumulators, and ghosts for different outputs never
 // contend (per-output locks serialize only same-output combines).
 func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]Accumulator, locks map[int32]*sync.Mutex) error {
-	p, w := n.cfg.Plan, n.cfg.Workload
-	tile := &p.Tiles[t]
+	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
 
 	// Ghost deletions mutate accs; they complete before the pool's workers
 	// (and the sender goroutine) start reading the map. The encode+send work
@@ -709,8 +610,8 @@ func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]A
 		o   int32
 		acc Accumulator
 	}
-	ghosts := make([]ghostOut, 0, len(tile.Ghosts[n.self]))
-	for _, o := range tile.Ghosts[n.self] {
+	ghosts := make([]ghostOut, 0, len(sh.Ghosts))
+	for _, o := range sh.Ghosts {
 		ghosts = append(ghosts, ghostOut{o: o, acc: accs[o]})
 		delete(accs, o) // ghost memory is released after the send
 	}
@@ -741,7 +642,7 @@ func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]A
 	}()
 
 	var recvErr error
-	if n.expect[t].ghostTotal > 0 {
+	if sh.ExpectGhosts > 0 {
 		pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
 			o := wk.seq
 			dst, ok := accs[o]
@@ -774,7 +675,7 @@ func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]A
 			n.met.AddPhase(metrics.GlobalCombine, time.Since(start))
 			return nil
 		})
-		for k := 0; k < n.expect[t].ghostTotal; k++ {
+		for k := 0; k < sh.ExpectGhosts; k++ {
 			msg, err := n.mbox.take(pl.ctx, t, msgGhostAccum)
 			if err != nil {
 				pl.fail(err)
@@ -802,13 +703,12 @@ func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]A
 // — stay on the phase goroutine, so a result callback sees one node's
 // results serially, as before.
 func (n *node) phaseOutput(ctx context.Context, t int32, accs map[int32]Accumulator) error {
-	p, w := n.cfg.Plan, n.cfg.Workload
-	tile := &p.Tiles[t]
+	w, sh := n.cfg.Workload, &n.share[t]
 
 	// Split the tile's locals by owner up front; accs is only read (never
 	// mutated) until both halves of the phase have finished.
 	var localOwned, remoteOwned []int32
-	for _, o := range tile.Locals[n.self] {
+	for _, o := range sh.Locals {
 		if rpc.NodeID(w.Outputs[o].Node) != n.self {
 			remoteOwned = append(remoteOwned, o)
 		} else {
@@ -864,7 +764,7 @@ func (n *node) phaseOutput(ctx context.Context, t int32, accs map[int32]Accumula
 				return fmt.Errorf("emit output %d: %w", o, err)
 			}
 		}
-		for k := 0; k < n.expect[t].finals; k++ {
+		for k := 0; k < sh.ExpectFinals; k++ {
 			msg, err := n.mbox.take(ctx, t, msgFinalOutput)
 			if err != nil {
 				return err
@@ -895,7 +795,7 @@ func (n *node) phaseOutput(ctx context.Context, t int32, accs map[int32]Accumula
 	}()
 
 	serr := <-sendErr
-	for _, o := range tile.Locals[n.self] {
+	for _, o := range sh.Locals {
 		delete(accs, o)
 	}
 	if recvErr != nil {

@@ -13,16 +13,13 @@ import (
 // Run executes the configured query across all nodes of an in-process
 // fabric, one goroutine group per back-end node, and returns the aggregated
 // report. It is the driver behind the in-process Repository; distributed
-// deployments call RunNode per daemon instead.
+// deployments call RunNodeTraced per daemon instead.
 func Run(ctx context.Context, cfg Config, fabric rpc.Fabric, st ChunkStorage) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	procs := cfg.Plan.Machine.Procs
-	report := &Report{
-		Nodes:  make([]metrics.Snapshot, procs),
-		Traces: make([]metrics.NodeTrace, procs),
-	}
+	report := &Report{Traces: make([]metrics.NodeTrace, procs)}
 
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -37,10 +34,8 @@ func Run(ctx context.Context, cfg Config, fabric rpc.Fabric, st ChunkStorage) (*
 		wg.Add(1)
 		go func(q int, ep rpc.Endpoint) {
 			defer wg.Done()
-			trace, err := RunNodeTraced(rctx, cfg, ep, st)
-			report.Nodes[q] = trace.Totals
-			report.Traces[q] = trace
-			if err != nil {
+			var err error
+			if report.Traces[q], err = RunNodeTraced(rctx, cfg, ep, st); err != nil {
 				errs[q] = err
 				cancel() // unblock peers waiting on this node
 			}

@@ -92,7 +92,7 @@ func RunSerial(cfg Config) ([]*chunk.Chunk, error) {
 }
 
 // WithSerialStorage returns a copy of cfg carrying storage for RunSerial.
-// Run/RunNode receive storage as a parameter instead, so Config carries it
+// Run/RunNodeTraced receive storage as a parameter instead, so Config carries it
 // only for the oracle.
 func (c Config) WithSerialStorage(st ChunkStorage) Config {
 	c.serialStorage = st

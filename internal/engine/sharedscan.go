@@ -7,6 +7,7 @@ import (
 
 	"adr/internal/chunk"
 	"adr/internal/metrics"
+	"adr/internal/plan"
 	"adr/internal/rpc"
 )
 
@@ -348,17 +349,14 @@ func SharedDemands(cfg *Config, self rpc.NodeID) []ReadKey {
 	shareOutputs := cfg.App.InitRequiresOutput() && cfg.ResultDataset != cfg.OutputDataset
 	shareInputs := cfg.ResultDataset != cfg.InputDataset
 	var keys []ReadKey
-	for t := range p.Tiles {
-		tile := &p.Tiles[t]
+	for _, sh := range plan.ShareOf(p, w, int32(self)) {
 		if shareOutputs {
-			for _, o := range tile.Outputs {
-				if rpc.NodeID(w.Outputs[o].Node) == self {
-					keys = append(keys, ReadKey{cfg.OutputDataset, w.Outputs[o].ID})
-				}
+			for _, o := range sh.Owned {
+				keys = append(keys, ReadKey{cfg.OutputDataset, w.Outputs[o].ID})
 			}
 		}
 		if shareInputs {
-			for _, i := range tile.Reads[self] {
+			for _, i := range sh.Reads {
 				keys = append(keys, ReadKey{cfg.InputDataset, w.Inputs[i].ID})
 			}
 		}

@@ -21,7 +21,7 @@ import (
 
 // buildRepo loads a synthetic dataset pair into a repository; the TCP test
 // reuses the repository for planning but executes on a TCP mesh with
-// engine.RunNode per node, exactly as the daemons do.
+// engine.RunNodeTraced per node, exactly as the daemons do.
 func buildRepo(t *testing.T, nodes int) *core.Repository {
 	t.Helper()
 	repo, err := core.NewRepository(core.Options{Nodes: nodes, AccMemBytes: 32 << 10})
@@ -80,7 +80,7 @@ func render(chunks []*chunk.Chunk) string {
 
 // TestTCPExecutionMatchesInproc runs the same plan over both transports:
 // node goroutines in one process versus TCP daem?-style nodes on a loopback
-// mesh, each calling RunNode independently.
+// mesh, each calling RunNodeTraced independently.
 func TestTCPExecutionMatchesInproc(t *testing.T) {
 	const nodes = 3
 	repo := buildRepo(t, nodes)
@@ -128,7 +128,7 @@ func TestTCPExecutionMatchesInproc(t *testing.T) {
 				wg.Add(1)
 				go func(q int, ep rpc.Endpoint) {
 					defer wg.Done()
-					_, errs[q] = engine.RunNode(context.Background(), cfg, ep, st)
+					_, errs[q] = engine.RunNodeTraced(context.Background(), cfg, ep, st)
 				}(q, ep)
 			}
 			wg.Wait()

@@ -132,31 +132,15 @@ func (f *Farm) Close() error {
 	return first
 }
 
-// IndexKind selects the spatial index built in loading step 4.
-type IndexKind int
-
-const (
-	// RTreeIndex is the default: a Hilbert-packed R-tree over chunk MBRs.
-	RTreeIndex IndexKind = iota
-	// GridBucketIndex is the fixed-grid alternative, a better fit for the
-	// dense regular layouts of the WCS/VM classes.
-	GridBucketIndex
-)
-
 // Loader runs the §2.2 loading pipeline: (1) the caller partitions data into
 // chunks, (2) the loader computes placement with a declustering algorithm,
-// (3) moves encoded chunks to their disks, and (4) builds the index.
+// (3) moves encoded chunks to their disks, and (4) builds the index — a
+// Hilbert-packed R-tree over the chunk MBRs, the same one LoadManifest
+// rebuilds at every daemon start.
 type Loader struct {
 	Farm *Farm
 	// Assigner computes placement; nil selects Hilbert declustering.
 	Assigner decluster.Assigner
-	// Fanout overrides the R-tree fanout (0 = default).
-	Fanout int
-	// Index selects the index kind (§2.1: the indexing service manages
-	// various indices, default and user-provided).
-	Index IndexKind
-	// GridSide sizes the grid bucket index (0 = default).
-	GridSide int
 	// Replicas is the number of copies stored per chunk (chained replica
 	// placement; see decluster.Replicate). <= 1 stores a single copy, the
 	// classic ADR layout. With >= 2 copies on a multi-node farm, queries can
@@ -258,22 +242,11 @@ func (l *Loader) Load(name string, sp space.AttrSpace, chunks []*chunk.Chunk) (*
 	default:
 	}
 	// Step 4: index.
-	var idx index.Index
-	switch l.Index {
-	case GridBucketIndex:
-		gi, gerr := index.NewGridIndex(sp.Bounds, entries, l.GridSide)
-		if gerr != nil {
-			return nil, gerr
-		}
-		idx = gi
-	default:
-		idx = index.BulkLoad(entries, l.Fanout)
-	}
 	return &Dataset{
 		Name:   name,
 		Space:  sp,
 		Chunks: metas,
-		Index:  idx,
+		Index:  index.BulkLoad(entries, 0),
 		Codec:  l.Codec,
 	}, nil
 }

@@ -350,46 +350,3 @@ func TestSubsetIndex(t *testing.T) {
 		t.Errorf("Search = %v", got)
 	}
 }
-
-func TestLoaderGridBucketIndex(t *testing.T) {
-	farm, err := NewMemFarm(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer farm.Close()
-	sp := space.AttrSpace{Name: "s", Bounds: space.R(0, 32, 0, 32)}
-	g, _ := space.NewGrid(sp.Bounds, 8, 8)
-	chunks, err := PartitionGrid(makeItems(2000, 13), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtLoader := &Loader{Farm: farm}
-	rtDS, err := rtLoader.Load("rt", sp, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reload the same chunks (fresh copies) under the grid index.
-	chunks2, err := PartitionGrid(makeItems(2000, 13), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridLoader := &Loader{Farm: farm, Index: GridBucketIndex, GridSide: 16}
-	gridDS, err := gridLoader.Load("grid", sp, chunks2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both indices select identical chunk sets for any query.
-	for q := 0; q < 50; q++ {
-		box := space.R(float64(q%16), float64(q%16)+7, float64(q%11), float64(q%11)+9)
-		a := rtDS.Index.Search(box)
-		b := gridDS.Index.Search(box)
-		if len(a) != len(b) {
-			t.Fatalf("query %v: rtree %d chunks, grid %d", box, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("query %v: result mismatch", box)
-			}
-		}
-	}
-}

@@ -102,8 +102,8 @@ type Node struct {
 	DecodeNanos    atomic.Int64
 	QueueWaitNanos atomic.Int64
 	// CreditStalls counts sends that blocked on flow-control credit (the
-	// forwarding window or node budget was exhausted) and CreditStallNanos
-	// the cumulative time they spent blocked. Summed across the node's
+	// per-peer forwarding window was exhausted) and CreditStallNanos the
+	// cumulative time they spent blocked. Summed across the node's
 	// sending goroutines; the ratio CreditStallNanos/phase time says how
 	// hard the receiver's consumption rate throttled this node.
 	CreditStalls     atomic.Int64

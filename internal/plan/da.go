@@ -47,7 +47,7 @@ func (pl *Planner) planDA(w *Workload, order []int32) (*Plan, error) {
 
 	for _, c := range order {
 		owner := int(w.Outputs[c].Node)
-		size := w.accSize(c)
+		size := w.AccSize(c)
 		if tileOf[owner] < 0 || remaining[owner] < size && remaining[owner] < capacity {
 			tileOf[owner]++
 			remaining[owner] = capacity

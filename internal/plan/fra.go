@@ -39,7 +39,7 @@ func (pl *Planner) planFRA(w *Workload, order []int32) (*Plan, error) {
 	}
 
 	for _, c := range order {
-		size := w.accSize(c)
+		size := w.AccSize(c)
 		if cur < 0 || used+size > capacity && used > 0 {
 			openTile()
 		}

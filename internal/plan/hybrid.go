@@ -64,7 +64,7 @@ func (pl *Planner) planHybrid(w *Workload, order []int32) (*Plan, error) {
 			affinity[w.Inputs[i].Node] += w.Inputs[i].Bytes
 		}
 		owner := w.Outputs[c].Node
-		affinity[owner] += w.accSize(c)
+		affinity[owner] += w.AccSize(c)
 		best := int(owner)
 		var bestScore int64
 		for q := 0; q < procs; q++ {
@@ -86,7 +86,7 @@ func (pl *Planner) planHybrid(w *Workload, order []int32) (*Plan, error) {
 			}
 		}
 		home := best
-		size := w.accSize(c)
+		size := w.AccSize(c)
 		if tileOf[home] < 0 || remaining[home] < size && remaining[home] < capacity {
 			tileOf[home]++
 			remaining[home] = capacity

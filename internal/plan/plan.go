@@ -154,9 +154,6 @@ func (w *Workload) AccSize(o int32) int64 {
 	return w.Outputs[o].Bytes
 }
 
-// accSize is the internal alias used by the planners.
-func (w *Workload) accSize(o int32) int64 { return w.AccSize(o) }
-
 // Sources returns the inverse of Targets: for each output position, the
 // input positions projecting to it (ascending). This is the inverse mapping
 // §3.1 calls for ("either an efficient inverse mapping function or an

@@ -73,8 +73,8 @@ func sortInt32(s []int32) {
 func capacityFor(w *Workload) int64 {
 	var total, maxc int64
 	for o := range w.Outputs {
-		total += w.accSize(int32(o))
-		if s := w.accSize(int32(o)); s > maxc {
+		total += w.AccSize(int32(o))
+		if s := w.AccSize(int32(o)); s > maxc {
 			maxc = s
 		}
 	}

@@ -62,7 +62,7 @@ func (pl *Planner) planSRA(w *Workload, order []int32) (*Plan, error) {
 	}
 
 	for _, c := range order {
-		size := w.accSize(c)
+		size := w.AccSize(c)
 		set := allocSet(c)
 		if cur < 0 {
 			openTile()

@@ -32,46 +32,33 @@ type Stats struct {
 	OutputShips int
 }
 
-// ComputeStats derives Stats for a plan over its workload.
+// ComputeStats derives Stats for a plan over its workload by summing the
+// per-processor shares.
 func ComputeStats(p *Plan, w *Workload) Stats {
-	var s Stats
-	s.Tiles = len(p.Tiles)
-	seenRead := make(map[int32]bool)
-	procRead := make([]int64, p.Machine.Procs)
-	for _, t := range p.Tiles {
-		for q := range t.Ghosts {
-			for _, c := range t.Ghosts[q] {
-				s.GhostChunks++
-				s.GhostBytes += w.accSize(c)
+	s := Stats{Tiles: len(p.Tiles)}
+	seenRead := make([]bool, len(w.Inputs))
+	for _, shares := range Schedule(p, w) {
+		var procRead int64
+		for _, sh := range shares {
+			s.GhostChunks += len(sh.Ghosts)
+			for _, c := range sh.Ghosts {
+				s.GhostBytes += w.AccSize(c)
 			}
-		}
-		for q := range t.Reads {
-			for _, i := range t.Reads[q] {
-				s.Reads++
-				s.ReadBytes += w.Inputs[i].Bytes
-				procRead[q] += w.Inputs[i].Bytes
+			s.Reads += len(sh.Reads)
+			for k, i := range sh.Reads {
+				bytes := w.Inputs[i].Bytes
+				procRead += bytes
+				s.Forwards += len(sh.Dests(k))
+				s.ForwardBytes += int64(len(sh.Dests(k))) * bytes
 				if seenRead[i] {
 					s.RereadInputs++
 				}
 				seenRead[i] = true
 			}
+			s.OutputShips += sh.ExpectFinals
 		}
-		for q := range t.Forwards {
-			for _, f := range t.Forwards[q] {
-				s.Forwards++
-				s.ForwardBytes += w.Inputs[f.Input].Bytes
-			}
-		}
-	}
-	for o, home := range p.Home {
-		if home != w.Outputs[o].Node {
-			s.OutputShips++
-		}
-	}
-	for _, b := range procRead {
-		if b > s.MaxProcReadBytes {
-			s.MaxProcReadBytes = b
-		}
+		s.ReadBytes += procRead
+		s.MaxProcReadBytes = max(s.MaxProcReadBytes, procRead)
 	}
 	return s
 }

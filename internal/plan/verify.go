@@ -4,17 +4,18 @@ import "fmt"
 
 // Verify checks that a plan is executable and complete for its workload:
 //
-//  1. every output chunk is assigned to exactly one tile, and Locals lists
-//     match the Home assignment;
+//  1. every output chunk is assigned to exactly one tile, Locals lists
+//     match the Home assignment, and a tile allocates only its own outputs
+//     (Share derivation indexes allocations by their place in the tile);
 //  2. per-tile, per-processor accumulator memory never exceeds the machine
 //     capacity (except for a single chunk that is itself larger than the
 //     capacity, which necessarily overflows under any tiling);
-//  3. every (input chunk, target output chunk) aggregation is covered
+//  3. DA and hybrid allocate no ghosts;
+//  4. every (input chunk, target output chunk) aggregation is covered
 //     exactly once: the input is read by its owning node in the output's
 //     tile, the accumulator is allocated where the aggregation runs, and
 //     replicated strategies aggregate at the reader while distributed
-//     strategies forward to the home;
-//  4. DA allocates no ghosts.
+//     strategies forward to the home.
 //
 // The execution engines call Verify before running a plan; the property
 // tests drive it with randomized workloads.
@@ -45,6 +46,13 @@ func Verify(p *Plan, w *Workload) error {
 		}
 		inLocals := make(map[int32]int32)
 		for q := 0; q < procs; q++ {
+			for _, list := range [2][]int32{t.Locals[q], t.Ghosts[q]} {
+				for _, c := range list {
+					if c < 0 || int(c) >= len(w.Outputs) || p.TileOf[c] != int32(ti) {
+						return fmt.Errorf("plan: tile %d processor %d allocates output %d, not of this tile", ti, q, c)
+					}
+				}
+			}
 			for _, c := range t.Locals[q] {
 				if prev, dup := inLocals[c]; dup {
 					return fmt.Errorf("plan: output %d local on both %d and %d in tile %d", c, prev, q, ti)
@@ -70,7 +78,7 @@ func Verify(p *Plan, w *Workload) error {
 	// 2. Memory bound.
 	var maxChunk int64
 	for o := range w.Outputs {
-		if s := w.accSize(int32(o)); s > maxChunk {
+		if s := w.AccSize(int32(o)); s > maxChunk {
 			maxChunk = s
 		}
 	}
@@ -83,10 +91,10 @@ func Verify(p *Plan, w *Workload) error {
 		for q := 0; q < procs; q++ {
 			var used int64
 			for _, c := range t.Locals[q] {
-				used += w.accSize(c)
+				used += w.AccSize(c)
 			}
 			for _, c := range t.Ghosts[q] {
-				used += w.accSize(c)
+				used += w.AccSize(c)
 			}
 			if used > limit {
 				return fmt.Errorf("plan: tile %d processor %d allocates %d bytes > limit %d", ti, q, used, limit)
@@ -94,7 +102,7 @@ func Verify(p *Plan, w *Workload) error {
 		}
 	}
 
-	// 4. DA allocates no ghosts.
+	// 3. DA and hybrid allocate no ghosts.
 	if p.Strategy == DA || p.Strategy == Hybrid {
 		for ti := range p.Tiles {
 			for q := 0; q < procs; q++ {
@@ -105,7 +113,7 @@ func Verify(p *Plan, w *Workload) error {
 		}
 	}
 
-	// 3. Coverage. Build per-tile lookup sets once.
+	// 4. Coverage. Build per-tile lookup sets once.
 	type tileSets struct {
 		alloc map[[2]int32]bool // (proc, output) allocated (local or ghost)
 		reads map[[2]int32]bool // (proc, input) read
@@ -127,9 +135,16 @@ func Verify(p *Plan, w *Workload) error {
 				s.alloc[[2]int32{int32(q), c}] = true
 			}
 			for _, i := range t.Reads[q] {
+				if i < 0 || int(i) >= len(w.Inputs) || s.reads[[2]int32{int32(q), i}] {
+					return fmt.Errorf("plan: tile %d processor %d reads input %d twice, or out of range", ti, q, i)
+				}
 				s.reads[[2]int32{int32(q), i}] = true
 			}
 			for _, f := range t.Forwards[q] {
+				// (Share derivation files each forward under its read.)
+				if !s.reads[[2]int32{int32(q), f.Input}] || f.Dest < 0 || int(f.Dest) >= procs {
+					return fmt.Errorf("plan: tile %d processor %d forwards input %d to %d without reading it, or out of range", ti, q, f.Input, f.Dest)
+				}
 				s.fwds[[3]int32{int32(q), f.Input, f.Dest}] = true
 			}
 		}

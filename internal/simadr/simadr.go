@@ -89,9 +89,12 @@ type Options struct {
 type NodeStats struct {
 	BytesSent, BytesRecv    int64
 	BytesRead, BytesWritten int64
-	MsgsSent                int64
+	MsgsSent, MsgsRecv      int64
 	ChunksRead              int64
-	AggPairs                int64
+	// AggPairs counts (input chunk, accumulator chunk) aggregations and
+	// Combines ghost accumulators combined — the live engine's AggOps and
+	// CombineOps.
+	AggPairs, Combines int64
 	// PhaseComputeSec is CPU time attributed per §2.4 phase.
 	PhaseComputeSec [4]float64
 	DiskSec         float64

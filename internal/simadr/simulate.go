@@ -16,36 +16,14 @@ const (
 )
 
 type delivery struct {
-	kind int
-	seq  int32
+	kind  int
+	seq   int32
+	pairs int32 // dInput: aggregations the chunk triggers at the receiver
 }
 
 type pendKey struct {
 	node int
 	tile int
-}
-
-// nodeTilePrep is the per-(node, tile) work list derived from the plan once
-// before simulation starts.
-type nodeTilePrep struct {
-	reads     []int32 // input positions read from local disks
-	readPairs []int32 // aggregation pairs per read (parallel to reads)
-	fwd       map[int32][]int32
-	recvPairs map[int32]int32 // aggregation pairs for forwarded inputs
-	ghosts    []int32         // ghost allocations (send side)
-	locals    []int32         // homed allocations
-	allocs    int             // locals+ghosts
-	expInput  int
-	expGhost  int
-	expInit   int
-	expFinal  int
-	ownReads  []int32 // output positions read as owner for init forwarding
-	initSends []initSend
-}
-
-type initSend struct {
-	out  int32
-	dest int32
 }
 
 type simulation struct {
@@ -59,16 +37,17 @@ type simulation struct {
 	nicIn  []*sim.Resource
 	disks  [][]*sim.Resource
 
-	prep     [][]nodeTilePrep // [node][tile]
-	stats    []NodeStats
-	pending  map[pendKey][]delivery
-	started  [][]bool // [node][tile]
-	tileCtr  [][]tileCounters
-	initCtrs map[pendKey]*sim.Counter
+	prep    [][]plan.Share // [node][tile], derived from the plan once
+	stats   []NodeStats
+	pending map[pendKey][]delivery
+	started [][]bool // [node][tile]
+	tileCtr [][]tileCounters
 }
 
+// tileCounters chain one node's phases of one tile; cI exists only under
+// InitFromOutput.
 type tileCounters struct {
-	cLR, cGC, cOH *sim.Counter
+	cI, cLR, cGC, cOH *sim.Counter
 }
 
 // Simulate executes the plan on the modeled machine and returns timing and
@@ -92,7 +71,7 @@ func Simulate(p *plan.Plan, w *plan.Workload, opts Options) (*Result, error) {
 		pending: make(map[pendKey][]delivery),
 	}
 	s.buildResources()
-	s.buildPrep()
+	s.prep = plan.Schedule(p, w)
 
 	procs := opts.Machine.Procs
 	s.stats = make([]NodeStats, procs)
@@ -140,99 +119,6 @@ func (s *simulation) buildResources() {
 	}
 }
 
-// buildPrep derives every node's per-tile work lists from the plan.
-func (s *simulation) buildPrep() {
-	procs := s.opts.Machine.Procs
-	p, w := s.p, s.w
-	s.prep = make([][]nodeTilePrep, procs)
-	for q := range s.prep {
-		s.prep[q] = make([]nodeTilePrep, len(p.Tiles))
-	}
-	needInit := s.opts.InitFromOutput
-
-	for t := range p.Tiles {
-		tile := &p.Tiles[t]
-		// Allocation sets per node for pair counting.
-		alloc := make([]map[int32]bool, procs)
-		for q := 0; q < procs; q++ {
-			alloc[q] = make(map[int32]bool, len(tile.Locals[q])+len(tile.Ghosts[q]))
-			for _, o := range tile.Locals[q] {
-				alloc[q][o] = true
-			}
-			for _, o := range tile.Ghosts[q] {
-				alloc[q][o] = true
-			}
-		}
-		for q := 0; q < procs; q++ {
-			pr := &s.prep[q][t]
-			pr.locals = tile.Locals[q]
-			pr.ghosts = tile.Ghosts[q]
-			pr.allocs = len(pr.locals) + len(pr.ghosts)
-			pr.reads = tile.Reads[q]
-			pr.readPairs = make([]int32, len(pr.reads))
-			for k, i := range pr.reads {
-				var pairs int32
-				for _, o := range w.Targets[i] {
-					if p.TileOf[o] == int32(t) && alloc[q][o] {
-						pairs++
-					}
-				}
-				pr.readPairs[k] = pairs
-			}
-			if fs := tile.Forwards[q]; len(fs) > 0 {
-				pr.fwd = make(map[int32][]int32)
-				for _, f := range fs {
-					pr.fwd[f.Input] = append(pr.fwd[f.Input], f.Dest)
-				}
-			}
-		}
-		// Receive-side bookkeeping.
-		for q := 0; q < procs; q++ {
-			for _, f := range tile.Forwards[q] {
-				dst := &s.prep[f.Dest][t]
-				dst.expInput++
-				if dst.recvPairs == nil {
-					dst.recvPairs = make(map[int32]int32)
-				}
-				if _, ok := dst.recvPairs[f.Input]; !ok {
-					var pairs int32
-					for _, o := range s.w.Targets[f.Input] {
-						if p.TileOf[o] == int32(t) && alloc[f.Dest][o] {
-							pairs++
-						}
-					}
-					dst.recvPairs[f.Input] = pairs
-				}
-			}
-			for _, o := range tile.Ghosts[q] {
-				s.prep[p.Home[o]][t].expGhost++
-			}
-		}
-		for _, o := range tile.Outputs {
-			owner := w.Outputs[o].Node
-			home := p.Home[o]
-			if home != owner {
-				s.prep[owner][t].expFinal++
-			}
-			if needInit {
-				// Owner reads the existing chunk and sends one copy per
-				// remote replica holder.
-				opr := &s.prep[owner][t]
-				opr.ownReads = append(opr.ownReads, o)
-				for q := 0; q < procs; q++ {
-					if int32(q) == owner {
-						continue
-					}
-					if alloc[q][o] {
-						opr.initSends = append(opr.initSends, initSend{out: o, dest: int32(q)})
-						s.prep[q][t].expInit++
-					}
-				}
-			}
-		}
-	}
-}
-
 // diskOf maps a chunk's global disk id to the owning node's local disk.
 func (s *simulation) diskOf(globalDisk int32) *sim.Resource {
 	node := int(globalDisk) / s.opts.Machine.DisksPerNode
@@ -265,6 +151,7 @@ func (s *simulation) transfer(src, dst int, bytes int64, phase int, deliver func
 	s.nicOut[src].Acquire(d, func() {
 		s.eng.After(m.NetLatencySec, func() {
 			s.stats[dst].BytesRecv += bytes
+			s.stats[dst].MsgsRecv++
 			s.stats[dst].NetSec += d
 			s.nicIn[dst].Acquire(d, deliver)
 		})
@@ -304,61 +191,55 @@ func (s *simulation) startTile(q, t int) {
 
 	// Counters chain the §2.4 phases. Each holds one extra token released
 	// by the previous phase's completion.
-	c.cOH = sim.NewCounter(1+len(pr.locals)+pr.expFinal, func() { s.finishTile(q, t) })
-	c.cGC = sim.NewCounter(1+pr.expGhost, func() { s.enterOH(q, t) })
-	c.cLR = sim.NewCounter(1+len(pr.reads)+pr.expInput, func() { s.enterGC(q, t) })
+	c.cOH = sim.NewCounter(1+len(pr.Locals)+pr.ExpectFinals, func() { s.finishTile(q, t) })
+	c.cGC = sim.NewCounter(1+pr.ExpectGhosts, func() { s.enterOH(q, t) })
+	c.cLR = sim.NewCounter(1+len(pr.Reads)+pr.ExpectInputs, func() { s.enterGC(q, t) })
 
 	// Phase I.
 	if s.opts.InitFromOutput {
-		// Owner duties: read existing outputs, forward to replica holders.
-		sendsByOut := make(map[int32][]int32)
-		for _, is := range pr.initSends {
-			sendsByOut[is.out] = append(sendsByOut[is.out], is.dest)
-		}
-		selfAlloc := make(map[int32]bool, pr.allocs)
-		for _, o := range pr.locals {
-			selfAlloc[o] = true
-		}
-		for _, o := range pr.ghosts {
-			selfAlloc[o] = true
-		}
 		// Every allocation initializes once its existing chunk is at hand:
 		// locally owned ones after the owner's read, remotely owned ones on
 		// message arrival (dOutputInit deliveries).
-		cInit := sim.NewCounter(pr.allocs, func() { c.cLR.Done() })
-		s.initCtr(q, t, cInit)
-		for _, o := range pr.ownReads {
-			o := o
+		c.cI = sim.NewCounter(pr.Allocs(), func() { c.cLR.Done() })
+		c.cI.Arm()
+		// Owner duties: read existing outputs, forward to replica holders.
+		for k, o := range pr.Owned {
+			o, holders := o, pr.InitHolders[k]
 			bytes := s.w.Outputs[o].Bytes
 			s.readDisk(q, s.w.Outputs[o].Disk, bytes, func() {
-				for _, dest := range sendsByOut[o] {
+				held := false
+				for _, dest := range holders {
 					dest := int(dest)
+					if dest == q {
+						held = true
+						continue
+					}
 					s.transfer(q, dest, bytes, phaseI, func() {
 						s.deliver(dest, t, delivery{kind: dOutputInit, seq: o})
 					})
 				}
-				if selfAlloc[o] {
-					s.initAlloc(q, t, cInit)
+				if held {
+					s.compute(q, phaseI, s.opts.Costs.Init, c.cI.Done)
 				}
 			})
 		}
 	} else {
 		// Initialize all allocations straight away.
-		s.compute(q, phaseI, float64(pr.allocs)*s.opts.Costs.Init, func() {
+		s.compute(q, phaseI, float64(pr.Allocs())*s.opts.Costs.Init, func() {
 			c.cLR.Done()
 		})
 	}
 
 	// Local reads: issued immediately, overlapping initialization.
-	for k, i := range pr.reads {
+	for k, i := range pr.Reads {
 		i := i
-		pairs := pr.readPairs[k]
+		pairs := pr.ReadPairs[k]
 		im := s.w.Inputs[i]
 		s.readDisk(q, im.Disk, im.Bytes, func() {
-			for _, dest := range pr.fwd[i] {
-				dest := int(dest)
+			for _, d := range pr.Dests(k) {
+				dest, arrival := int(d.To), delivery{kind: dInput, seq: i, pairs: d.Pairs}
 				s.transfer(q, dest, im.Bytes, phaseLR, func() {
-					s.deliver(dest, t, delivery{kind: dInput, seq: i})
+					s.deliver(dest, t, arrival)
 				})
 			}
 			s.stats[q].AggPairs += int64(pairs)
@@ -378,26 +259,6 @@ func (s *simulation) startTile(q, t int) {
 	}
 }
 
-// initCtr stores a phase-I counter for InitFromOutput delivery handling.
-func (s *simulation) initCtr(q, t int, c *sim.Counter) {
-	if s.initCtrs == nil {
-		s.initCtrs = make(map[pendKey]*sim.Counter)
-	}
-	s.initCtrs[pendKey{q, t}] = c
-	c.Arm()
-}
-
-func cInitOf(s *simulation, q, t int) *sim.Counter {
-	return s.initCtrs[pendKey{q, t}]
-}
-
-// initAlloc schedules one accumulator initialization.
-func (s *simulation) initAlloc(q, t int, c *sim.Counter) {
-	s.compute(q, phaseI, s.opts.Costs.Init, func() {
-		c.Done()
-	})
-}
-
 // deliver routes an arrival: processed now if the tile has started here,
 // buffered otherwise.
 func (s *simulation) deliver(q, t int, d delivery) {
@@ -411,24 +272,21 @@ func (s *simulation) deliver(q, t int, d delivery) {
 
 // process handles one arrival on node q in tile t.
 func (s *simulation) process(q, t int, d delivery) {
-	pr := &s.prep[q][t]
 	c := &s.tileCtr[q][t]
 	switch d.kind {
 	case dInput:
-		pairs := pr.recvPairs[d.seq]
-		s.stats[q].AggPairs += int64(pairs)
-		work := float64(pairs)*s.opts.Costs.LR + s.recvCPU(s.w.Inputs[d.seq].Bytes)
+		s.stats[q].AggPairs += int64(d.pairs)
+		work := float64(d.pairs)*s.opts.Costs.LR + s.recvCPU(s.w.Inputs[d.seq].Bytes)
 		s.compute(q, phaseLR, work, func() {
 			c.cLR.Done()
 		})
 	case dGhost:
+		s.stats[q].Combines++
 		s.compute(q, phaseGC, s.opts.Costs.GC+s.recvCPU(s.w.AccSize(d.seq)), func() {
 			c.cGC.Done()
 		})
 	case dOutputInit:
-		s.compute(q, phaseI, s.opts.Costs.Init+s.recvCPU(s.w.Outputs[d.seq].Bytes), func() {
-			cInitOf(s, q, t).Done()
-		})
+		s.compute(q, phaseI, s.opts.Costs.Init+s.recvCPU(s.w.Outputs[d.seq].Bytes), c.cI.Done)
 	case dFinal:
 		s.compute(q, phaseOH, s.recvCPU(s.w.Outputs[d.seq].Bytes), func() {
 			if s.opts.WriteBack {
@@ -447,7 +305,7 @@ func (s *simulation) process(q, t int, d delivery) {
 func (s *simulation) enterGC(q, t int) {
 	pr := &s.prep[q][t]
 	c := &s.tileCtr[q][t]
-	for _, o := range pr.ghosts {
+	for _, o := range pr.Ghosts {
 		o := o
 		home := int(s.p.Home[o])
 		s.transfer(q, home, s.w.AccSize(o), phaseGC, func() {
@@ -462,7 +320,7 @@ func (s *simulation) enterGC(q, t int) {
 func (s *simulation) enterOH(q, t int) {
 	pr := &s.prep[q][t]
 	c := &s.tileCtr[q][t]
-	for _, o := range pr.locals {
+	for _, o := range pr.Locals {
 		o := o
 		om := s.w.Outputs[o]
 		s.compute(q, phaseOH, s.opts.Costs.OH, func() {
