@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lines check test-failure bench bench-live bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select docs clean
+.PHONY: all build test race vet fmt lines lines-pkg check test-failure bench bench-live bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select docs clean
 
 all: check
 
@@ -25,6 +25,12 @@ fmt:
 # reads the -15 % target (<= 15.4 k) off the same count.
 lines:
 	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l
+
+# The same count per package directory, largest first: where a PR's delta in
+# `make lines` sits.
+lines-pkg:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) print n[d], d }' | sort -k1,1nr -k2
 
 # Failure-path tests: the transport conformance table (flow control and peer
 # death, verbatim on both transports), peer death, send timeouts, malformed

@@ -27,7 +27,7 @@ import (
 func startAutoCluster(t *testing.T, dir string, nodes int) ([]*backend.Server, []string) {
 	t.Helper()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	calibs := make([]string, nodes)
 	startErr := make(chan error, nodes)
@@ -35,7 +35,7 @@ func startAutoCluster(t *testing.T, dir string, nodes int) ([]*backend.Server, [
 		calibs[i] = filepath.Join(dir, "calib", "node"+string(rune('0'+i))+".json")
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 				CalibrationFile: calibs[i],
 			})

@@ -28,13 +28,13 @@ func startNodes(t *testing.T, nodes int, mut func(i int, cfg *backend.Config)) (
 // startNodesOver is startNodes over an already loaded farm directory.
 func startNodesOver(t *testing.T, dir string, nodes int, mut func(i int, cfg *backend.Config)) ([]*backend.Server, []string) {
 	t.Helper()
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			cfg := backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 			}
 			if mut != nil {

@@ -69,13 +69,13 @@ func TestBackendDegradedFailover(t *testing.T) {
 	const nodes = 3
 	dir := t.TempDir()
 	buildReplicatedFarmDir(t, dir, nodes, 2)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 				Degraded: true,
 			})
@@ -178,13 +178,13 @@ func TestBackendUnreplicatedDegradedAbortFailover(t *testing.T) {
 	const nodes = 2
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 				Degraded: true,
 			})

@@ -34,6 +34,11 @@ type Config struct {
 	Node rpc.NodeID
 	// MeshAddrs lists every node's mesh listen address, indexed by id.
 	MeshAddrs []string
+	// MeshListener, when set, is this node's mesh listener, already bound to
+	// MeshAddrs[Node] by a caller that reserved every node's port before
+	// starting any. Start owns it from the call on (and closes it if it
+	// fails); nil makes Start bind the address itself.
+	MeshListener net.Listener
 	// ControlAddr is the address this node's control socket listens on
 	// (the front-end connects here).
 	ControlAddr string
@@ -150,7 +155,14 @@ type Server struct {
 
 // Start opens the farm, loads the catalog, joins the mesh and begins
 // serving control connections.
-func Start(cfg Config) (*Server, error) {
+func Start(cfg Config) (_ *Server, err error) {
+	if ln := cfg.MeshListener; ln != nil {
+		defer func() {
+			if err != nil {
+				ln.Close()
+			}
+		}()
+	}
 	if cfg.AccMemBytes <= 0 {
 		cfg.AccMemBytes = core.DefaultAccMemBytes
 	}
@@ -170,12 +182,18 @@ func Start(cfg Config) (*Server, error) {
 		farm.Close()
 		return nil, fmt.Errorf("backend: control listen: %w", err)
 	}
-	mesh, err := rpc.NewTCPNode(cfg.Node, cfg.MeshAddrs, rpc.TCPOptions{
+	meshOpts := rpc.TCPOptions{
 		SendTimeout: cfg.SendTimeout,
 		DialRetry:   cfg.DialRetry,
 		Flow:        cfg.Flow,
 		Degraded:    cfg.Degraded,
-	})
+	}
+	var mesh *rpc.TCPNode
+	if cfg.MeshListener != nil {
+		mesh, err = rpc.NewTCPNodeWithListener(cfg.Node, cfg.MeshAddrs, cfg.MeshListener, meshOpts)
+	} else {
+		mesh, err = rpc.NewTCPNode(cfg.Node, cfg.MeshAddrs, meshOpts)
+	}
 	if err != nil {
 		ctrl.Close()
 		farm.Close()
@@ -238,10 +256,6 @@ func (s *Server) Queries() *metrics.QueryLog { return s.queries }
 
 // Cache returns the node's chunk cache (nil when CacheBytes was 0).
 func (s *Server) Cache() *layout.ChunkCache { return s.cache }
-
-// DispatchStats returns the mesh traffic of the queries currently
-// multiplexed on this node.
-func (s *Server) DispatchStats() []engine.DispatchStats { return s.dispatch.ActiveStats() }
 
 // Close shuts the daemon down.
 func (s *Server) Close() error {

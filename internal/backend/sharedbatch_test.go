@@ -23,17 +23,18 @@ func startBatchStack(t *testing.T, nodes int, window time.Duration, maxBatch int
 	t.Helper()
 	dir = t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node:        rpc.NodeID(i),
-				MeshAddrs:   meshAddrs,
-				ControlAddr: "127.0.0.1:0",
-				DataDir:     dir,
-				Scan:        engine.ScanOptions{BatchWindow: window, MaxBatch: maxBatch},
+				Node:         rpc.NodeID(i),
+				MeshAddrs:    meshAddrs,
+				MeshListener: meshLns[i],
+				ControlAddr:  "127.0.0.1:0",
+				DataDir:      dir,
+				Scan:         engine.ScanOptions{BatchWindow: window, MaxBatch: maxBatch},
 			})
 			servers[i] = s
 			startErr <- err

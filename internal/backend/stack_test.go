@@ -74,8 +74,11 @@ func buildFarmDirCodec(t *testing.T, dir string, nodes int, codec chunk.Codec) {
 	}
 }
 
-// freeAddrs reserves n distinct loopback addresses.
-func freeAddrs(t *testing.T, n int) []string {
+// freeAddrs binds n distinct loopback addresses and returns them with their
+// listeners, still open, for each node's Config.MeshListener: a port given
+// back and re-bound by backend.Start can be lost to another package's test
+// in between. Listeners no node took are closed with the test.
+func freeAddrs(t *testing.T, n int) ([]string, []net.Listener) {
 	t.Helper()
 	addrs := make([]string, n)
 	lns := make([]net.Listener, n)
@@ -84,13 +87,11 @@ func freeAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { ln.Close() })
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
+	return addrs, lns
 }
 
 func canonicalJSON(chunks []*frontend.ChunkJSON) string {
@@ -126,16 +127,17 @@ func TestFullStack(t *testing.T) {
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
 
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node:        rpc.NodeID(i),
-				MeshAddrs:   meshAddrs,
-				ControlAddr: "127.0.0.1:0",
-				DataDir:     dir,
+				Node:         rpc.NodeID(i),
+				MeshAddrs:    meshAddrs,
+				MeshListener: meshLns[i],
+				ControlAddr:  "127.0.0.1:0",
+				DataDir:      dir,
 			})
 			servers[i] = s
 			startErr <- err
@@ -253,22 +255,22 @@ func TestStackErrors(t *testing.T) {
 	const nodes = 2
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
 	// A flow-control window the mesh cannot honour fails start-up (it used to
 	// come up and then fail every query).
 	if s, err := backend.Start(backend.Config{
-		Node: 0, MeshAddrs: meshAddrs, ControlAddr: "127.0.0.1:0", DataDir: dir,
+		Node: 0, MeshAddrs: []string{"127.0.0.1:0", "127.0.0.1:0"}, ControlAddr: "127.0.0.1:0", DataDir: dir,
 		Flow: rpc.Flow{WindowBytes: -5},
 	}); err == nil {
 		s.Close()
 		t.Error("negative forwarding window should fail start-up")
 	}
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 			})
 			servers[i] = s
@@ -347,13 +349,13 @@ func TestConcurrentClients(t *testing.T) {
 	const nodes = 2
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 			})
 			servers[i] = s
@@ -424,13 +426,13 @@ func TestParallelClient(t *testing.T) {
 	const nodes = 3
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 			})
 			servers[i] = s
@@ -513,13 +515,13 @@ func TestUpdateInPlaceOverTCP(t *testing.T) {
 	const nodes = 2
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 			})
 			servers[i] = s
@@ -582,8 +584,9 @@ func TestBackendMalformedControlRequest(t *testing.T) {
 	const nodes = 1
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	srv, err := backend.Start(backend.Config{
-		Node: 0, MeshAddrs: freeAddrs(t, 1), ControlAddr: "127.0.0.1:0", DataDir: dir,
+		Node: 0, MeshAddrs: meshAddrs, MeshListener: meshLns[0], ControlAddr: "127.0.0.1:0", DataDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -633,13 +636,13 @@ func TestStructuredErrorFrames(t *testing.T) {
 	const nodes = 2
 	dir := t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs := freeAddrs(t, nodes)
+	meshAddrs, meshLns := freeAddrs(t, nodes)
 	servers := make([]*backend.Server, nodes)
 	startErr := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
 		go func(i int) {
 			s, err := backend.Start(backend.Config{
-				Node: rpc.NodeID(i), MeshAddrs: meshAddrs,
+				Node: rpc.NodeID(i), MeshAddrs: meshAddrs, MeshListener: meshLns[i],
 				ControlAddr: "127.0.0.1:0", DataDir: dir,
 				QueryTimeout: time.Nanosecond,
 			})

@@ -57,12 +57,13 @@ type Exec struct {
 
 // autoSelected counts how often the calibrated cost model picked each
 // strategy, whichever caller asked.
-var autoSelected = map[plan.Strategy]*metrics.Counter{
-	plan.FRA:    metrics.Default.Counter(`adr_node_auto_selected_total{strategy="FRA"}`),
-	plan.SRA:    metrics.Default.Counter(`adr_node_auto_selected_total{strategy="SRA"}`),
-	plan.DA:     metrics.Default.Counter(`adr_node_auto_selected_total{strategy="DA"}`),
-	plan.Hybrid: metrics.Default.Counter(`adr_node_auto_selected_total{strategy="HYBRID"}`),
-}
+var autoSelected = func() map[plan.Strategy]*metrics.Counter {
+	m := make(map[plan.Strategy]*metrics.Counter)
+	for _, s := range plan.Strategies {
+		m[s] = metrics.Default.Counter(`adr_node_auto_selected_total{strategy="` + s.String() + `"}`)
+	}
+	return m
+}()
 
 func (e *Exec) workload(q *Query) (*plan.Workload, error) {
 	in, out, mapper, err := e.Resolve(q)

@@ -13,7 +13,7 @@
 // attributing every disk read, send and receive to the phase that incurred
 // it, and every run also feeds the process-wide adr_engine_* counters in
 // metrics.Default. Dispatcher multiplexes one mesh across concurrent
-// queries by query id and tracks per-query traffic (DispatchStats).
+// queries by query id.
 package engine
 
 import (

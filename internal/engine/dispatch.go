@@ -2,10 +2,7 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"adr/internal/metrics"
 	"adr/internal/rpc"
@@ -50,24 +47,6 @@ type dispatchQueue struct {
 	pending []rpc.Message
 	closed  bool
 	err     error
-	stats   *queryStats
-}
-
-// queryStats counts one query's share of the node's mesh traffic. Updated
-// with atomics because sends happen outside the dispatcher lock.
-type queryStats struct {
-	msgsIn, msgsOut   atomic.Int64
-	bytesIn, bytesOut atomic.Int64
-}
-
-// DispatchStats is a point-in-time copy of one query's mesh traffic through
-// this node's dispatcher, as exposed on /debug/queries.
-type DispatchStats struct {
-	Query    int32 `json:"query"`
-	MsgsIn   int64 `json:"msgs_in"`
-	MsgsOut  int64 `json:"msgs_out"`
-	BytesIn  int64 `json:"bytes_in"`
-	BytesOut int64 `json:"bytes_out"`
 }
 
 // NewDispatcher wraps an endpoint and starts the routing loop.
@@ -123,8 +102,6 @@ func (d *Dispatcher) run(ctx context.Context) {
 		}
 		q := d.queue(m.Query)
 		q.pending = append(q.pending, m)
-		q.stats.msgsIn.Add(1)
-		q.stats.bytesIn.Add(int64(len(m.Payload)))
 		q.cond.Broadcast()
 		d.mu.Unlock()
 	}
@@ -135,8 +112,7 @@ func (d *Dispatcher) run(ctx context.Context) {
 func (d *Dispatcher) queue(query int32) *dispatchQueue {
 	q, ok := d.queues[query]
 	if !ok {
-		q = &dispatchQueue{stats: &queryStats{}}
-		q.cond = sync.NewCond(&d.mu)
+		q = &dispatchQueue{cond: sync.NewCond(&d.mu)}
 		if d.stopped {
 			q.closed = true
 			q.err = d.err
@@ -155,44 +131,9 @@ func (d *Dispatcher) queue(query int32) *dispatchQueue {
 func (d *Dispatcher) Endpoint(query int32) rpc.Endpoint {
 	d.mu.Lock()
 	delete(d.released, query) // an explicit re-registration reopens the id
-	q := d.queue(query)       // pre-create so early arrivals buffer
+	d.queue(query)            // pre-create so early arrivals buffer
 	d.mu.Unlock()
-	return &queryEndpoint{d: d, query: query, stats: q.stats}
-}
-
-// Stats returns a copy of one active query's traffic counters. The second
-// result is false once the query has been released.
-func (d *Dispatcher) Stats(query int32) (DispatchStats, bool) {
-	d.mu.Lock()
-	q, ok := d.queues[query]
-	d.mu.Unlock()
-	if !ok {
-		return DispatchStats{}, false
-	}
-	return q.stats.snapshot(query), true
-}
-
-// ActiveStats returns the traffic counters of every query currently
-// multiplexed on this node's endpoint, ordered by query id.
-func (d *Dispatcher) ActiveStats() []DispatchStats {
-	d.mu.Lock()
-	out := make([]DispatchStats, 0, len(d.queues))
-	for id, q := range d.queues {
-		out = append(out, q.stats.snapshot(id))
-	}
-	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Query < out[j].Query })
-	return out
-}
-
-func (s *queryStats) snapshot(query int32) DispatchStats {
-	return DispatchStats{
-		Query:    query,
-		MsgsIn:   s.msgsIn.Load(),
-		MsgsOut:  s.msgsOut.Load(),
-		BytesIn:  s.bytesIn.Load(),
-		BytesOut: s.bytesOut.Load(),
-	}
+	return &queryEndpoint{d: d, query: query}
 }
 
 // Release drops a finished query's buffers: messages still pending are
@@ -228,7 +169,6 @@ func (d *Dispatcher) Close() error {
 type queryEndpoint struct {
 	d     *Dispatcher
 	query int32
-	stats *queryStats
 }
 
 func (e *queryEndpoint) Self() rpc.NodeID { return e.d.ep.Self() }
@@ -237,12 +177,7 @@ func (e *queryEndpoint) Nodes() int       { return e.d.ep.Nodes() }
 // Send stamps the query id and forwards to the real endpoint.
 func (e *queryEndpoint) Send(m rpc.Message) error {
 	m.Query = e.query
-	if err := e.d.ep.Send(m); err != nil {
-		return err
-	}
-	e.stats.msgsOut.Add(1)
-	e.stats.bytesOut.Add(int64(len(m.Payload)))
-	return nil
+	return e.d.ep.Send(m)
 }
 
 // Recv blocks for this query's next message. After Release it reports the
@@ -295,10 +230,3 @@ func (e *queryEndpoint) Close() error {
 }
 
 var _ rpc.Endpoint = (*queryEndpoint)(nil)
-
-// String aids debugging.
-func (d *Dispatcher) String() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return fmt.Sprintf("dispatcher(node %d, %d active queries)", d.ep.Self(), len(d.queues))
-}

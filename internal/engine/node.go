@@ -548,7 +548,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 				if hit {
 					n.met.CacheHits.Add(1)
 				}
-				wk := work{seq: i, data: data, hit: hit, local: true}
+				wk := work{seq: i, data: data, local: true}
 				// Hand the chunk to the forwarder before aggregating it so
 				// remote homes overlap their processing with ours (the buffer
 				// is shared: storage data is immutable here, the zero-copy

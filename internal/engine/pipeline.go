@@ -36,9 +36,8 @@ type work struct {
 	// aliasing it. Local-read items leave it nil; their buffers belong to
 	// the storage/cache.
 	rel func()
-	// hit and local describe local-read items (cache hit; read locally and
-	// therefore subject to forwarding) — false for items from the mailbox.
-	hit   bool
+	// local marks local-read items (read locally and therefore subject to
+	// forwarding) — false for items from the mailbox.
 	local bool
 	enq   time.Time
 }

@@ -9,8 +9,9 @@
 // memory set aside for it; output chunks are consumed in Hilbert-curve order
 // of their MBR mid-points to keep tiles spatially compact. In the workload
 // partitioning step, the aggregation work for each tile is split across
-// processors. The three strategies of §3 differ in where aggregation runs
-// and which accumulator chunks are replicated:
+// processors. Both steps are one loop (build) for every strategy; a strategy
+// is a row of the table in build.go — who is home for an accumulator chunk,
+// and who else allocates a ghost of it:
 //
 //   - FRA (fully replicated accumulator): every processor allocates every
 //     accumulator chunk of the tile and aggregates its local input chunks;
@@ -21,9 +22,9 @@
 //   - DA (distributed accumulator): no replication; every input chunk is
 //     forwarded to the owners of the output chunks it projects to, and all
 //     aggregation happens at the owner.
-//
-// The package also implements the hybrid graph-partitioned strategy the
-// paper sketches as future work (§6).
+//   - HYBRID, the graph-partitioned strategy the paper sketches as future
+//     work (§6): DA with each accumulator homed where most of its input
+//     bytes live rather than at its owner.
 package plan
 
 import (
@@ -58,42 +59,34 @@ const (
 
 // String returns the strategy's paper abbreviation.
 func (s Strategy) String() string {
-	switch s {
-	case FRA:
-		return "FRA"
-	case SRA:
-		return "SRA"
-	case DA:
-		return "DA"
-	case Hybrid:
-		return "HYBRID"
-	case Auto:
-		return "AUTO"
-	default:
+	if s < 0 || int(s) >= len(strategies) {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategies[s].name
 }
 
 // ParseStrategy parses a strategy name, case-insensitively ("fra" and "FRA"
 // both select FRA).
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToUpper(s) {
-	case "FRA":
-		return FRA, nil
-	case "SRA":
-		return SRA, nil
-	case "DA":
-		return DA, nil
-	case "HYBRID":
-		return Hybrid, nil
-	case "AUTO":
-		return Auto, nil
+func ParseStrategy(name string) (Strategy, error) {
+	var valid []string
+	for s, row := range strategies {
+		if strings.EqualFold(name, row.name) {
+			return Strategy(s), nil
+		}
+		valid = append(valid, row.name)
 	}
-	return 0, fmt.Errorf("plan: unknown strategy %q (valid: FRA, SRA, DA, HYBRID, AUTO)", s)
+	return 0, fmt.Errorf("plan: unknown strategy %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
-// Strategies lists all implemented strategies in paper order.
-var Strategies = []Strategy{FRA, SRA, DA, Hybrid}
+// Strategies lists all implemented (plannable) strategies in paper order.
+var Strategies = func() (fixed []Strategy) {
+	for s, row := range strategies {
+		if row.home != nil {
+			fixed = append(fixed, Strategy(s))
+		}
+	}
+	return fixed
+}()
 
 // Machine describes the back-end resources the planner partitions work over.
 type Machine struct {
@@ -169,10 +162,10 @@ func (w *Workload) Sources() [][]int32 {
 	return src
 }
 
-// Forward is one interprocessor input-chunk transfer in a DA or hybrid plan:
-// after reading input chunk Input from local disk, the reading processor
-// sends it to processor Dest (which owns at least one of the chunk's target
-// accumulators in the current tile).
+// Forward is one interprocessor input-chunk transfer: after reading input
+// chunk Input from local disk, a processor holding no accumulator for one of
+// the chunk's targets in the current tile sends it to processor Dest, that
+// target's home.
 type Forward struct {
 	Input int32
 	Dest  int32
@@ -184,16 +177,15 @@ type Tile struct {
 	// tiling (Hilbert) order.
 	Outputs []int32
 	// Locals[p] lists the accumulator chunks processor p allocates for
-	// output chunks it owns.
+	// output chunks homed on it.
 	Locals [][]int32
 	// Ghosts[p] lists the accumulator chunks processor p allocates for
-	// output chunks it does not own. Empty for DA.
+	// output chunks homed elsewhere (replicating strategies only).
 	Ghosts [][]int32
 	// Reads[p] lists the input chunk positions p retrieves from its local
 	// disks during this tile, in retrieval order.
 	Reads [][]int32
-	// Forwards[p] lists the input-chunk transfers p performs after reading
-	// (DA and hybrid only).
+	// Forwards[p] lists the input-chunk transfers p performs after reading.
 	Forwards [][]Forward
 }
 
@@ -221,7 +213,7 @@ type Planner struct {
 	Machine Machine
 	// Exclude is the per-query node-exclusion set for degraded-mode planning:
 	// processors known to be dead. Excluded processors are assigned no ghosts
-	// (FRA) and are never chosen as hybrid homes. The workload must already
+	// and are never chosen as homes. The workload must already
 	// have been remapped away from excluded nodes (see Degrade) — Plan rejects
 	// a workload whose chunk metas still reference an excluded processor.
 	Exclude map[int32]bool
@@ -250,21 +242,13 @@ func (pl *Planner) Plan(s Strategy, w *Workload) (*Plan, error) {
 	if err := pl.checkOwners(w); err != nil {
 		return nil, err
 	}
-	order := TilingOrder(w.Outputs)
-	switch s {
-	case FRA:
-		return pl.planFRA(w, order)
-	case SRA:
-		return pl.planSRA(w, order)
-	case DA:
-		return pl.planDA(w, order)
-	case Hybrid:
-		return pl.planHybrid(w, order)
-	case Auto:
-		return nil, fmt.Errorf("plan: AUTO is not a plannable strategy; resolve it to a fixed strategy first (costmodel.Select)")
-	default:
+	if s < 0 || int(s) >= len(strategies) {
 		return nil, fmt.Errorf("plan: unknown strategy %v", s)
 	}
+	if strategies[s].home == nil {
+		return nil, fmt.Errorf("plan: %v is not a plannable strategy; resolve it to a fixed strategy first (costmodel.Select)", s)
+	}
+	return pl.build(s, w), nil
 }
 
 // checkOwners verifies every chunk's owning node is a valid, non-excluded
@@ -332,15 +316,4 @@ func newTile(procs int) Tile {
 		Reads:    make([][]int32, procs),
 		Forwards: make([][]Forward, procs),
 	}
-}
-
-// appendUniqueRead appends input position i to reads if not already present.
-// Read lists are built in output-chunk order so repeats are adjacent only by
-// accident; a per-tile seen-set is maintained by callers for O(1) dedup.
-func appendUniqueRead(reads []int32, seen map[int32]bool, i int32) []int32 {
-	if seen[i] {
-		return reads
-	}
-	seen[i] = true
-	return append(reads, i)
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,93 @@ func mustPlan(t *testing.T, s Strategy, w *Workload, m Machine) *Plan {
 		t.Fatalf("%v: %v", s, err)
 	}
 	return p
+}
+
+// withoutProc moves every chunk stored on processor dead to its ring
+// successor — what Degrade leaves of a workload whose chunks have no replicas
+// — and returns the exclusion set naming it.
+func withoutProc(w *Workload, dead int32, procs int) map[int32]bool {
+	next := (dead + 1) % int32(procs)
+	for i := range w.Inputs {
+		if w.Inputs[i].Node == dead {
+			w.Inputs[i].Node = next
+		}
+	}
+	for o := range w.Outputs {
+		if w.Outputs[o].Node == dead {
+			w.Outputs[o].Node = next
+		}
+	}
+	return map[int32]bool{dead: true}
+}
+
+// rowWords restates each row of the strategy table as what a test can see in
+// a plan: where an output is homed, and which live non-home processors hold a
+// ghost of it.
+var rowWords = map[Strategy]struct {
+	homeIsOwner bool
+	ghost       func(projects bool) bool // projects: the processor stores an input chunk projecting to the output
+}{
+	FRA:    {true, func(bool) bool { return true }},
+	SRA:    {true, func(projects bool) bool { return projects }},
+	DA:     {true, func(bool) bool { return false }},
+	Hybrid: {false, func(bool) bool { return false }},
+}
+
+// checkRow holds plan p to its strategy's row: homes and ghosts as the row
+// says, an input chunk forwarded to a target's home exactly when its reader
+// holds no copy of the target (so never under FRA and SRA, and whenever reader
+// != home under DA and HYBRID), nothing else forwarded, and a finished output
+// shipped exactly when it is homed away from its owner.
+func checkRow(t *testing.T, p *Plan, w *Workload, exclude map[int32]bool) {
+	t.Helper()
+	row := rowWords[p.Strategy]
+	wantFwd := make(map[[3]int32]bool) // (tile, input, dest)
+	ships := 0
+	for o, srcs := range w.Sources() {
+		o, home, tile := int32(o), p.Home[o], &p.Tiles[p.TileOf[o]]
+		if exclude[home] || row.homeIsOwner && home != w.Outputs[o].Node {
+			t.Fatalf("%v: output %d (owner %d) homed on %d", p.Strategy, o, w.Outputs[o].Node, home)
+		}
+		if home != w.Outputs[o].Node {
+			ships++
+		}
+		projects := make(map[int32]bool)
+		for _, i := range srcs {
+			projects[w.Inputs[i].Node] = true
+		}
+		for q := int32(0); int(q) < p.Machine.Procs; q++ {
+			want := q != home && !exclude[q] && row.ghost(projects[q])
+			if slices.Contains(tile.Ghosts[q], o) != want {
+				t.Fatalf("%v: output %d (home %d) ghost on processor %d = %v, row says %v", p.Strategy, o, home, q, !want, want)
+			}
+		}
+		for _, i := range srcs {
+			if reader := w.Inputs[i].Node; reader != home && !slices.Contains(tile.Ghosts[reader], o) {
+				wantFwd[[3]int32{p.TileOf[o], i, home}] = true
+			}
+		}
+	}
+	forwards := 0
+	for ti := range p.Tiles {
+		for q, fwds := range p.Tiles[ti].Forwards {
+			for _, f := range fwds {
+				forwards++
+				if !wantFwd[[3]int32{int32(ti), f.Input, f.Dest}] || w.Inputs[f.Input].Node != int32(q) {
+					t.Fatalf("%v: tile %d processor %d forwards input %d to %d, row says no", p.Strategy, ti, q, f.Input, f.Dest)
+				}
+			}
+		}
+	}
+	if forwards != len(wantFwd) {
+		t.Fatalf("%v: %d forwards, row says %d", p.Strategy, forwards, len(wantFwd))
+	}
+	if row.ghost(true) && forwards != 0 {
+		t.Fatalf("%v forwards %d input chunks", p.Strategy, forwards)
+	}
+	if got := ComputeStats(p, w).OutputShips; got != ships {
+		t.Fatalf("%v: %d finished outputs shipped, %d homed away from their owner", p.Strategy, got, ships)
+	}
 }
 
 func TestNewPlannerValidation(t *testing.T) {
@@ -265,6 +353,7 @@ func TestFRASmall(t *testing.T) {
 	if len(p.Tiles) != 2 {
 		t.Fatalf("tiles = %d, want 2", len(p.Tiles))
 	}
+	checkRow(t, p, w, nil)
 	for ti, tile := range p.Tiles {
 		if len(tile.Outputs) != 2 {
 			t.Errorf("tile %d has %d outputs", ti, len(tile.Outputs))
@@ -328,6 +417,8 @@ func TestDASmall(t *testing.T) {
 	if s.RereadInputs != 0 {
 		t.Errorf("RereadInputs = %d, want 0", s.RereadInputs)
 	}
+	checkRow(t, p, w, nil)
+	checkRow(t, mustPlan(t, Hybrid, w, Machine{Procs: 2, AccMemBytes: 200}), w, nil)
 }
 
 func TestSRAGhostsSubsetOfFRA(t *testing.T) {
@@ -344,30 +435,22 @@ func TestSRAGhostsSubsetOfFRA(t *testing.T) {
 			t.Fatalf("trial %d: SRA ghosts %d > FRA ghosts %d",
 				trial, sraStats.GhostChunks, fraStats.GhostChunks)
 		}
-		// Per-output ghost sets: SRA's allocation must be a subset of all
-		// processors (trivially) and must include exactly the procs with
-		// projecting inputs.
-		sources := w.Sources()
-		for o := range w.Outputs {
-			ti := sra.TileOf[o]
-			procsWith := make(map[int32]bool)
-			for _, i := range sources[o] {
-				procsWith[w.Inputs[i].Node] = true
+		// Every strategy plans what its table row says — SRA's ghosts exactly
+		// the processors with projecting inputs — on the full machine and
+		// with one processor excluded.
+		for _, degraded := range []bool{false, true} {
+			pl, _ := NewPlanner(m)
+			var exclude map[int32]bool
+			if degraded {
+				exclude = withoutProc(w, int32(rng.Intn(procs)), procs)
 			}
-			tile := &sra.Tiles[ti]
-			owner := w.Outputs[o].Node
-			for q := 0; q < procs; q++ {
-				has := false
-				for _, g := range tile.Ghosts[q] {
-					if g == int32(o) {
-						has = true
-					}
+			pl.Exclude = exclude
+			for _, s := range Strategies {
+				p, err := pl.Plan(s, w)
+				if err != nil {
+					t.Fatalf("trial %d %v: %v", trial, s, err)
 				}
-				wantGhost := procsWith[int32(q)] && int32(q) != owner
-				if has != wantGhost {
-					t.Fatalf("trial %d output %d proc %d: ghost=%v want %v",
-						trial, o, q, has, wantGhost)
-				}
+				checkRow(t, p, w, exclude)
 			}
 		}
 	}
@@ -539,6 +622,31 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	p.Tiles[0].Ghosts[0] = []int32{0}
 	if err := Verify(p, w); err == nil {
 		t.Error("DA with ghosts should fail Verify")
+	}
+
+	// The one coverage invariant, from both sides. Input 2 (node 0) projects
+	// to outputs 1 and 3, homed on node 1: DA forwards it there once.
+	p = mustPlan(t, DA, w, m)
+	if got := p.Tiles[0].Forwards[0]; len(got) != 1 || got[0] != (Forward{Input: 2, Dest: 1}) {
+		t.Fatalf("fixture: node 0 forwards %v, want input 2 to node 1", got)
+	}
+	p.Tiles[0].Forwards[0] = nil // the chunk reaches no holder of outputs 1, 3
+	if err := Verify(p, w); err == nil {
+		t.Error("a dropped forward should fail Verify")
+	}
+	// Under FRA node 0 already holds a ghost of output 1 and aggregates input
+	// 2 into it; forwarding the chunk to the home as well counts it twice.
+	p = mustPlan(t, FRA, w, m)
+	ti := p.TileOf[1]
+	p.Tiles[ti].Forwards[0] = []Forward{{Input: 2, Dest: 1}}
+	if err := Verify(p, w); err == nil {
+		t.Error("a forward to a second holder should fail Verify")
+	}
+	// The same forward listed twice delivers the chunk to the home twice.
+	p = mustPlan(t, DA, w, m)
+	p.Tiles[0].Forwards[0] = append(p.Tiles[0].Forwards[0], Forward{Input: 2, Dest: 1})
+	if err := Verify(p, w); err == nil {
+		t.Error("a duplicate forward should fail Verify")
 	}
 }
 
