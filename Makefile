@@ -34,8 +34,9 @@ lines-pkg:
 
 # Failure-path tests: the transport conformance table (flow control and peer
 # death, verbatim on both transports), peer death, send timeouts, malformed
-# and forged frames, abort broadcast, dispatcher late messages, the store
-# fd-lifetime race, cache coherence under concurrency, admission-control
+# and forged frames, abort broadcast, the inbound path (the Dispatcher/mailbox
+# table, the phase exchange primitive, a refused query's early arrivals), the
+# store fd-lifetime race, cache coherence under concurrency, admission-control
 # recovery, shared-scan batches surviving a member's abort, the
 # flow-control/buffer-ownership sweep (credit windows under failure,
 # pool-balance leak checks, payload recycling on dead-peer sends), the
@@ -46,7 +47,7 @@ lines-pkg:
 # compressed-replica degraded retries, pool-balance checks on compressed
 # failure paths) — race-checked, bounded so a reintroduced hang fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|SharedBatch|SharedScan|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|SharedBatch|SharedScan|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/

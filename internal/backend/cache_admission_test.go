@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"adr/internal/apps"
 	"adr/internal/backend"
+	"adr/internal/bufpool"
 	"adr/internal/frontend"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
@@ -191,10 +193,23 @@ func TestAdmissionBound(t *testing.T) {
 // different nodes — each node running a query its peer never admitted.
 // The execution deadline must break the cycle: slots free, and a fresh
 // query succeeds afterwards instead of the mesh staying wedged forever.
+//
+// Afterwards nothing of the storm may be left behind: a query a node refused
+// at admission was still sent chunks by the peers that ran it, and those must
+// have been retired — pooled buffers recycled, and with a forwarding window
+// set, the senders' credit returned.
 func TestAdmissionSkewRecovers(t *testing.T) {
+	for name, window := range map[string]int64{"window off": 0, "window 4KiB": 4 << 10} {
+		t.Run(name, func(t *testing.T) { admissionSkewRecovers(t, window) })
+	}
+}
+
+func admissionSkewRecovers(t *testing.T, window int64) {
+	leakCheck(t)
 	_, ctrl := startNodes(t, 2, func(i int, cfg *backend.Config) {
 		cfg.MaxQueries = 1
 		cfg.QueryTimeout = 750 * time.Millisecond
+		cfg.Flow.WindowBytes = window
 	})
 	fe, err := frontend.Start("127.0.0.1:0", ctrl)
 	if err != nil {
@@ -245,13 +260,153 @@ func TestAdmissionSkewRecovers(t *testing.T) {
 			if total != 1500 {
 				t.Fatalf("recovery query counted %d", total)
 			}
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("mesh never recovered from admission skew: %v", err)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
+	inflightDrains(t)
+}
+
+// leakCheck records the pooled-buffer balance and the goroutine count, and
+// when the test ends polls, bounded, for both to return. Call it first, so
+// its cleanup runs after the servers' shutdown.
+func leakCheck(t *testing.T) {
+	t.Helper()
+	bufs, gos := bufpool.Outstanding(), runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for bufpool.Outstanding() != bufs || runtime.NumGoroutine() > gos {
+			if time.Now().After(deadline) {
+				t.Errorf("leaked: bufpool outstanding %d (was %d), %d goroutines (were %d)",
+					bufpool.Outstanding(), bufs, runtime.NumGoroutine(), gos)
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
+// inflightDrains waits, bounded, for every forwarded byte on the two-node TCP
+// mesh to have been credited back to its sender.
+func inflightDrains(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, peer := range []string{"0", "1"} {
+		g := metrics.Default.Gauge(`adr_rpc_inflight_bytes{transport="tcp",peer="` + peer + `"}`)
+		for g.Value() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d bytes toward node %s are still charged against their sender's window", g.Value(), peer)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestRefusedQueryReleasesInbound: a node that answers "busy" never runs the
+// query, but the peer that admitted it forwards chunks — and later its abort
+// — all the same. The refusal must retire what already arrived (buffers back
+// to the pool, credit back to the peer) and leave the id dead, so what
+// arrives afterwards is dropped as late instead of queueing for nobody.
+func TestRefusedQueryReleasesInbound(t *testing.T) {
+	leakCheck(t)
+	_, ctrl := startNodes(t, 2, func(i int, cfg *backend.Config) {
+		// Wide enough never to block a sender — a blocker's forwards are not
+		// consumed until the end of the test — but on, so the in-flight
+		// gauge shows what a refusal leaves charged.
+		cfg.Flow.WindowBytes = 1 << 20
+		if i == 0 {
+			cfg.MaxQueries = 1
+			cfg.QueryTimeout = 600 * time.Millisecond
+		} else {
+			// Node 1 admits everything and outlives node 0's refusal: its
+			// abort of the refused query arrives after it.
+			cfg.QueryTimeout = 1500 * time.Millisecond
+		}
+	})
+	submit := func(node int, id int32) <-chan *frontend.Message {
+		answer := make(chan *frontend.Message, 1)
+		conn, err := net.Dial("tcp", ctrl[node])
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &frontend.NodeRequest{QueryID: id, Spec: frontend.QuerySpec{
+			Input: "sensor", Output: "raster", Strategy: "DA",
+			App: frontend.AppSpec{Op: "count", CellsPerDim: 2},
+		}}
+		if err := frontend.WriteJSON(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			defer conn.Close()
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			for r := bufio.NewReader(conn); ; {
+				_, msg, err := frontend.ReadFrame(r, false)
+				if err != nil {
+					msg = &frontend.Message{Type: "unreadable", Error: err.Error()}
+				}
+				if msg != nil { // the control line that ends the stream
+					answer <- msg
+					return
+				}
+			}
+		}()
+		return answer
+	}
+	gaugeReaches := func(name string, want int64) {
+		t.Helper()
+		g := metrics.Default.Gauge(name)
+		for deadline := time.Now().Add(5 * time.Second); g.Value() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s = %d, want %d", name, g.Value(), want)
+			}
+		}
+	}
+	late := metrics.Default.Counter("adr_dispatch_late_msgs_total")
+	lateBefore := late.Value()
+
+	// Node 0's one slot goes to a query that waits for node 1, which has not
+	// heard of it yet; a second one queues behind it, and behind that the
+	// query under test, which node 1 starts running at once.
+	holder := submit(0, 9001)
+	gaugeReaches("adr_node_admission_active", 1)
+	blocker := submit(0, 9002)
+	gaugeReaches("adr_node_admission_waiting", 1)
+	refused := submit(0, 9003)
+	gaugeReaches("adr_node_admission_waiting", 2)
+	admitted := submit(1, 9003)
+	// Now let the holder finish: the blocker takes the slot after the refused
+	// query began to wait, so — one timeout bounds both — it still holds it
+	// when that wait runs out.
+	if msg := <-submit(1, 9001); msg.Type != "done" {
+		t.Fatalf("holder on node 1 answered %+v", msg)
+	}
+	if msg := <-holder; msg.Type != "done" {
+		t.Fatalf("holder on node 0 answered %+v", msg)
+	}
+	if msg := <-refused; msg.Type != "error" || msg.ErrInfo == nil || !msg.ErrInfo.Retryable || !strings.Contains(msg.Error, "busy") {
+		t.Fatalf("node 0 answered %+v, want a retryable busy error", msg)
+	}
+	if msg := <-blocker; msg.Type != "error" {
+		t.Fatalf("the blocker answered %+v, want its deadline error", msg)
+	}
+	if msg := <-admitted; msg.Type != "error" {
+		t.Fatalf("node 1 answered %+v, want its deadline error", msg)
+	}
+	for deadline := time.Now().Add(5 * time.Second); late.Value() == lateBefore; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node 1's abort of the refused query was not counted in adr_dispatch_late_msgs_total")
+		}
+	}
+	// What the blocker sent node 1 waits there, unclaimed, for a request that
+	// would only expire with the engine's inbound lifetime: deliver it, late.
+	// Node 0 sent everything before it gave up, so node 1 may even finish.
+	if msg := <-submit(1, 9002); msg.Type == "unreadable" {
+		t.Fatalf("late request on node 1: %s", msg.Error)
+	}
+	inflightDrains(t)
 }
 
 // TestWarmCacheStack: the same query twice against cache-enabled nodes —

@@ -361,6 +361,14 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
+	// From here the request names a query this node is part of: claim its
+	// mailbox — early arrivals wait in it through the admission queue — and
+	// release it on every way out, so what peers sent a query this node
+	// refused is retired, and their stragglers dropped, instead of queueing
+	// for nobody.
+	ep := s.dispatch.Endpoint(req.QueryID)
+	defer s.dispatch.Release(req.QueryID)
+
 	// Admission control: bounded concurrent queries; excess connections
 	// queue (the adr_node_admission_waiting gauge is the queue depth). The
 	// wait is bounded: a query spans every mesh node, so if overloaded
@@ -398,7 +406,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	start := time.Now()
 	rec := s.queries.Begin(req.QueryID, req.Spec.Input+"->"+req.Spec.Output+"/"+req.Spec.Strategy)
-	trace, chunks, err := s.runQuery(&req, w)
+	trace, chunks, err := s.runQuery(&req, ep, w)
 	s.queries.End(rec, err, metrics.EndStats{
 		BytesRead: trace.Totals.BytesRead,
 		BytesSent: trace.Totals.BytesSent,
@@ -465,9 +473,9 @@ func specQuery(spec *frontend.QuerySpec) (*core.Query, error) {
 
 // runQuery plans and executes the query on this node, streaming owned
 // output chunks to w: the shared prepare step, this node's shared-scan join,
-// engine.RunNodeTraced on the query's dispatcher endpoint, and the shared
+// engine.RunNodeTraced on ep, the query's dispatcher endpoint, and the shared
 // observe step (see core.Exec).
-func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
+func (s *Server) runQuery(req *frontend.NodeRequest, ep rpc.Endpoint, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
 	spec := &req.Spec
 	q, err := specQuery(spec)
 	if err != nil {
@@ -514,8 +522,6 @@ func (s *Server) runQuery(req *frontend.NodeRequest, w *bufio.Writer) (trace met
 		bufpool.Put(frame)
 		return err
 	}
-	ep := s.dispatch.Endpoint(req.QueryID)
-	defer s.dispatch.Release(req.QueryID)
 	ctx := context.Background()
 	timeout := s.cfg.QueryTimeout
 	if timeout <= 0 && s.admit != nil {

@@ -22,9 +22,9 @@ import (
 //	           for AUTO the estimate step's winner (every fixed strategy
 //	           priced with the calibrated cost model) → the engine.Config
 //	JoinScans  merge the query's reads into the nodes' shared-scan batches
-//	(run)      the caller's own: engine.Run over a per-query in-process
-//	           fabric (Repository), engine.RunNodeTraced on one endpoint of
-//	           the long-lived mesh (backend.Server)
+//	(run)      the caller's own: engine.Run over a per-query in-process fabric
+//	           (Repository), engine.RunNodeTraced on the query's Dispatcher
+//	           endpoint of the long-lived mesh (backend.Server)
 //	Observe    fold the measured traces into the calibration
 //
 // Repository (every node in this process) and backend.Server (one node of a

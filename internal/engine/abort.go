@@ -33,7 +33,7 @@ var engAborts = metrics.Default.Counter("adr_engine_aborts_sent_total")
 // messages just never come. Aborts received from a peer are not
 // re-broadcast (the failing node already told everyone), and sends are best
 // effort — a peer that is itself dead cannot be told anything.
-func (n *node) abortPeers(t int32, cause error) {
+func (n *node) abortPeers(cause error) {
 	var ae *AbortError
 	if errors.As(cause, &ae) {
 		return
@@ -48,7 +48,7 @@ func (n *node) abortPeers(t int32, cause error) {
 		// window is exhausted — failure propagation cannot be allowed to
 		// stall behind the very backpressure the failing query caused.
 		n.ep.Send(rpc.Message{
-			Src: n.self, Dst: rpc.NodeID(q), Type: msgAbort, Tile: t,
+			Src: n.self, Dst: rpc.NodeID(q), Type: msgAbort, Tile: -1,
 			Payload: payload, Urgent: true,
 		})
 	}

@@ -13,13 +13,14 @@
 // attributing every disk read, send and receive to the phase that incurred
 // it, and every run also feeds the process-wide adr_engine_* counters in
 // metrics.Default. Dispatcher multiplexes one mesh across concurrent
-// queries by query id.
+// queries by query id and owns each query's inbound mailbox.
 package engine
 
 import (
 	"fmt"
 
 	"adr/internal/chunk"
+	"adr/internal/rpc"
 )
 
 // Accumulator holds the intermediate result for one output chunk during
@@ -122,6 +123,12 @@ func msgTypeName(t uint8) string {
 		return "final-output"
 	case msgAbort:
 		return "abort"
+	case msgDegradeDone:
+		return "degrade-done"
+	case msgDegradeFence:
+		return "degrade-fence"
+	case uint8(rpc.MsgPeerDown):
+		return "peer-down"
 	default:
 		return fmt.Sprintf("type-%d", t)
 	}

@@ -158,7 +158,7 @@ func (n *node) runDegraded(ctx context.Context) error {
 			return nil
 		}
 		if !IsRetryable(err) {
-			n.abortPeers(-1, err)
+			n.abortPeers(err)
 			return err
 		}
 		// A send that failed with a PeerError saw the death before the
@@ -170,7 +170,7 @@ func (n *node) runDegraded(ctx context.Context) error {
 		}
 		if tries >= maxAttempts {
 			err = fmt.Errorf("engine: node %d: degraded retries exhausted after %d attempts: %w", n.self, tries, err)
-			n.abortPeers(-1, err)
+			n.abortPeers(err)
 			return err
 		}
 		attempt = n.mbox.beginAttempt(attempt + 1)
@@ -190,13 +190,8 @@ func (n *node) runAttempt(ctx context.Context, attempt int32) error {
 		// its MsgPeerDown. Skip straight to a fenced, re-planned attempt.
 		return &peerDownError{Node: dead[0]}
 	}
-	for t := range n.cfg.Plan.Tiles {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := n.runTile(ctx, int32(t)); err != nil {
-			return fmt.Errorf("engine: node %d tile %d: %w", n.self, t, err)
-		}
+	if err := n.runTiles(ctx); err != nil {
+		return err
 	}
 	return n.doneBarrier(ctx, attempt)
 }
@@ -234,7 +229,7 @@ func (n *node) fenceRound(ctx context.Context, attempt int32) error {
 			return err
 		}
 	}
-	if err := n.mbox.waitFences(ctx, attempt, live); err != nil {
+	if err := n.mbox.waitSeen(ctx, attempt, live, n.mbox.fenceSeen); err != nil {
 		return err
 	}
 	// Every node that completes the wait uninterrupted unions the same fence
@@ -265,5 +260,5 @@ func (n *node) doneBarrier(ctx context.Context, attempt int32) error {
 			return err
 		}
 	}
-	return n.mbox.waitDone(ctx, attempt, live)
+	return n.mbox.waitSeen(ctx, attempt, live, n.mbox.doneSeen)
 }

@@ -2,173 +2,246 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"time"
 
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
 
 // Dispatcher multiplexes one back-end node's mesh endpoint across multiple
-// concurrently executing queries: outbound messages are stamped with their
-// query id, inbound messages are routed to the per-query virtual endpoint.
-// This is the piece of the query execution service that lets ADR "manage
-// all the resources in the system" (§2.1) when the front-end has several
-// client queries in flight — without it, two queries' ghost chunks and
-// forwarded inputs would interleave on the wire and corrupt each other's
-// phase accounting.
+// concurrently executing queries, and is the one owner of their inbound
+// messages: outbound messages are stamped with their query id, and the
+// routing loop puts each inbound message straight into the mailbox of the
+// query it names — the queue a node run takes from. This is the piece of the
+// query execution service that lets ADR "manage all the resources in the
+// system" (§2.1) when the front-end has several client queries in flight —
+// without it, two queries' ghost chunks and forwarded inputs would interleave
+// on the wire and corrupt each other's phase accounting.
+//
+// Its state is bounded. A mailbox lives from its query's first arrival or
+// Endpoint call to Release; one that no Endpoint call claims within
+// inboundLifetime of the arrival that created it (the request never reached
+// this node) is retired and its messages counted late. Release leaves a
+// tombstone, so stragglers are dropped rather than buffered; a tombstone
+// older than inboundLifetime is forgotten. Both are swept lazily from
+// Endpoint and Release, at most once per inboundLifetime/2, so the tombstone
+// set never holds more than the queries released in the last
+// 1.5 × inboundLifetime.
 type Dispatcher struct {
-	ep rpc.Endpoint
+	ep  rpc.Endpoint
+	now func() time.Time // time.Now; tests inject a clock
 
-	mu     sync.Mutex
-	queues map[int32]*dispatchQueue
-	// released remembers query ids whose buffers were dropped, so a message
-	// arriving after Release (an abort straggler, a slow peer's last chunk)
-	// is discarded and counted instead of silently re-creating the queue —
-	// which nothing would ever delete again.
-	released map[int32]bool
+	mu    sync.Mutex
+	boxes map[int32]*mailbox
+	// marks dates the ids that expire: for an id with a box, when an early
+	// arrival created it — no Endpoint call has claimed it yet — and for an
+	// id without one, when it was released (its tombstone). A claimed box
+	// has no mark.
+	marks map[int32]time.Time
+	swept time.Time
 	// deadPeers remembers every rpc.MsgPeerDown the degraded transport has
-	// delivered. The synthetic message arrives once per dead peer, but every
-	// query — including ones registered after the death — needs to see it, so
-	// the run loop replicates it into each active queue and queue() replays
-	// the set into queues created later.
+	// delivered: it arrives once per dead peer, but every query — including
+	// ones registered after the death — needs to see it.
 	deadPeers []rpc.NodeID
-	stopped   bool
-	err       error
-	cancel    context.CancelFunc
-	done      chan struct{}
+	// err is why the routing loop ended; boxes created afterwards are born
+	// failed with it.
+	err    error
+	cancel context.CancelFunc
+	done   chan struct{}
 }
 
-// lateMsgs counts inbound messages for already-released queries, dropped by
-// the dispatcher instead of leaking a resurrected queue.
+// inboundLifetime is how long a tombstone and an unclaimed box live. It only
+// has to outlast a finished query's stragglers, which the peers' own query
+// deadline bounds (backend.DefaultRequestTimeout, 30 s); a request arriving
+// after it merely finds its early messages gone.
+const inboundLifetime = 2 * time.Minute
+
+// lateMsgs counts inbound messages dropped because this node is not running
+// their query: it finished, was refused, or was never submitted here.
 var lateMsgs = metrics.Default.Counter("adr_dispatch_late_msgs_total")
-
-type dispatchQueue struct {
-	cond    *sync.Cond
-	pending []rpc.Message
-	closed  bool
-	err     error
-}
 
 // NewDispatcher wraps an endpoint and starts the routing loop.
 func NewDispatcher(ep rpc.Endpoint) *Dispatcher {
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &Dispatcher{
-		ep:       ep,
-		queues:   make(map[int32]*dispatchQueue),
-		released: make(map[int32]bool),
-		cancel:   cancel,
-		done:     make(chan struct{}),
+		ep:     ep,
+		now:    time.Now,
+		boxes:  make(map[int32]*mailbox),
+		marks:  make(map[int32]time.Time),
+		cancel: cancel,
+		done:   make(chan struct{}),
 	}
 	go d.run(ctx)
 	return d
 }
 
+// run is the one goroutine between the endpoint's Recv and a node's take.
 func (d *Dispatcher) run(ctx context.Context) {
 	defer close(d.done)
 	for {
 		m, err := d.ep.Recv(ctx)
+		d.mu.Lock()
 		if err != nil {
-			d.mu.Lock()
-			d.stopped = true
 			d.err = err
-			for _, q := range d.queues {
-				q.closed = true
-				q.err = err
-				q.cond.Broadcast()
+			for _, b := range d.boxes {
+				b.fail(err)
 			}
 			d.mu.Unlock()
 			return
 		}
 		if m.Type == rpc.MsgPeerDown {
-			// Transport-level event, not query traffic: fan it out to every
-			// active query and remember it for queries not yet registered.
-			d.mu.Lock()
+			// Transport-level event, not query traffic: every query sees it.
 			d.deadPeers = append(d.deadPeers, m.Src)
-			for _, q := range d.queues {
-				q.pending = append(q.pending, rpc.Message{Src: m.Src, Dst: m.Dst, Type: rpc.MsgPeerDown})
-				q.cond.Broadcast()
+			for _, b := range d.boxes {
+				b.put(m)
 			}
 			d.mu.Unlock()
 			continue
 		}
-		d.mu.Lock()
-		if d.released[m.Query] {
-			d.mu.Unlock()
+		b := d.boxes[m.Query]
+		if b == nil {
+			if _, tomb := d.marks[m.Query]; !tomb {
+				b = d.box(m.Query) // an early arrival: it waits to be claimed
+				d.marks[m.Query] = d.now()
+			}
+		}
+		d.mu.Unlock()
+		if b == nil {
 			// Retire the straggler: its sender's flow-control credit returns
 			// and a pooled payload recycles, instead of leaking with the drop.
 			m.Release()
 			lateMsgs.Inc()
 			continue
 		}
-		q := d.queue(m.Query)
-		q.pending = append(q.pending, m)
-		q.cond.Broadcast()
-		d.mu.Unlock()
+		b.put(m) // a box released since the lookup drops and counts it
 	}
 }
 
-// queue returns (creating if needed) the queue for a query id. Callers hold
+// box returns (creating if needed) the mailbox for a query id. Callers hold
 // d.mu.
-func (d *Dispatcher) queue(query int32) *dispatchQueue {
-	q, ok := d.queues[query]
+func (d *Dispatcher) box(query int32) *mailbox {
+	b, ok := d.boxes[query]
 	if !ok {
-		q = &dispatchQueue{cond: sync.NewCond(&d.mu)}
-		if d.stopped {
-			q.closed = true
-			q.err = d.err
+		b = newMailbox()
+		if d.err != nil {
+			b.fail(d.err)
 		}
 		for _, peer := range d.deadPeers {
-			q.pending = append(q.pending, rpc.Message{Src: peer, Dst: d.ep.Self(), Type: rpc.MsgPeerDown})
+			b.put(rpc.Message{Src: peer, Dst: d.ep.Self(), Type: rpc.MsgPeerDown})
 		}
-		d.queues[query] = q
+		d.boxes[query] = b
 	}
-	return q
+	return b
 }
 
-// Endpoint returns the virtual endpoint for one query. Sends stamp the
-// query id; receives see only this query's traffic. Call Release when the
-// query finishes.
+// sweep forgets expired tombstones and returns the unclaimed boxes whose
+// lifetime is over, for the caller to retire once it has dropped d.mu.
+func (d *Dispatcher) sweep(now time.Time) (expired []*mailbox) {
+	if now.Sub(d.swept) < inboundLifetime/2 {
+		return nil
+	}
+	d.swept = now
+	for id, at := range d.marks {
+		if now.Sub(at) > inboundLifetime {
+			if b, ok := d.boxes[id]; ok {
+				expired = append(expired, b)
+				delete(d.boxes, id)
+			}
+			delete(d.marks, id)
+		}
+	}
+	return expired
+}
+
+func retireLate(expired []*mailbox) {
+	for _, b := range expired {
+		lateMsgs.Add(int64(b.retire()))
+	}
+}
+
+// Endpoint returns one query's view of the mesh and claims its mailbox,
+// early arrivals included. Sends stamp the query id; a node run on the view
+// (RunNodeTraced) takes the query's inbound messages from that mailbox. Call
+// Release when the query finishes — or will not run. Registering a released
+// id again (a retry reusing it) reopens it.
 func (d *Dispatcher) Endpoint(query int32) rpc.Endpoint {
 	d.mu.Lock()
-	delete(d.released, query) // an explicit re-registration reopens the id
-	d.queue(query)            // pre-create so early arrivals buffer
+	expired := d.sweep(d.now())
+	delete(d.marks, query)
+	b := d.box(query)
 	d.mu.Unlock()
-	return &queryEndpoint{d: d, query: query}
+	retireLate(expired)
+	return &queryEndpoint{d: d, query: query, mbox: b}
 }
 
-// Release drops a finished query's buffers: messages still pending are
-// retired (credits back to their senders, pooled payloads recycled), and
-// messages for the query that arrive later are dropped and counted in
-// adr_dispatch_late_msgs_total rather than re-creating the queue.
+// Release ends a query on this node: blocked takers fail, messages still
+// pending are retired (credits back to their senders, pooled payloads
+// recycled), and messages for the query that arrive later are dropped and
+// counted in adr_dispatch_late_msgs_total rather than buffered again.
 func (d *Dispatcher) Release(query int32) {
 	d.mu.Lock()
-	var orphans []rpc.Message
-	if q, ok := d.queues[query]; ok {
-		q.closed = true
-		orphans = q.pending
-		q.pending = nil
-		q.cond.Broadcast()
-		delete(d.queues, query)
-	}
-	d.released[query] = true
+	now := d.now()
+	expired := d.sweep(now)
+	b := d.boxes[query]
+	delete(d.boxes, query)
+	d.marks[query] = now
 	d.mu.Unlock()
-	for i := range orphans {
-		orphans[i].Release()
+	if b != nil {
+		b.retire()
+	}
+	retireLate(expired)
+}
+
+// stop ends the routing loop and retires every mailbox; the endpoint stays
+// open. Boxes asked for afterwards are born failed.
+func (d *Dispatcher) stop() {
+	d.cancel()
+	<-d.done
+	d.mu.Lock()
+	boxes := d.boxes
+	d.boxes = make(map[int32]*mailbox)
+	d.mu.Unlock()
+	for _, b := range boxes {
+		b.retire()
 	}
 }
 
 // Close stops routing and closes the underlying endpoint.
 func (d *Dispatcher) Close() error {
-	d.cancel()
 	err := d.ep.Close()
-	<-d.done
+	d.stop()
 	return err
+}
+
+// borrow lends a plain endpoint to one node run through a private one-query
+// Dispatcher, so a run on a bare fabric (Run, the engine tests) receives
+// through the same path as a daemon's. giveBack retires what the run left
+// behind — its mailbox, then whatever is still queued in the transport (Recv
+// hands out buffered messages even on a dead context) — so a peer blocked on
+// this node's window makes progress even when this node aborts mid-query.
+func borrow(ep rpc.Endpoint) (view *queryEndpoint, giveBack func()) {
+	d := NewDispatcher(ep)
+	return d.Endpoint(0).(*queryEndpoint), func() {
+		d.stop()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for {
+			m, err := ep.Recv(ctx)
+			if err != nil {
+				return
+			}
+			m.Release()
+		}
+	}
 }
 
 // queryEndpoint is the per-query view of the node's endpoint.
 type queryEndpoint struct {
 	d     *Dispatcher
 	query int32
+	mbox  *mailbox
 }
 
 func (e *queryEndpoint) Self() rpc.NodeID { return e.d.ep.Self() }
@@ -180,49 +253,13 @@ func (e *queryEndpoint) Send(m rpc.Message) error {
 	return e.d.ep.Send(m)
 }
 
-// Recv blocks for this query's next message. After Release it reports the
-// endpoint closed instead of resurrecting the query's queue.
-func (e *queryEndpoint) Recv(ctx context.Context) (rpc.Message, error) {
-	d := e.d
-	d.mu.Lock()
-	if d.released[e.query] {
-		d.mu.Unlock()
-		return rpc.Message{}, rpc.ErrClosed
-	}
-	q := d.queue(e.query)
-
-	// Wake the waiter if the context dies.
-	stop := context.AfterFunc(ctx, func() {
-		d.mu.Lock()
-		q.cond.Broadcast()
-		d.mu.Unlock()
-	})
-	defer stop()
-
-	for {
-		if len(q.pending) > 0 {
-			m := q.pending[0]
-			q.pending = q.pending[1:]
-			d.mu.Unlock()
-			return m, nil
-		}
-		if q.closed {
-			err := q.err
-			d.mu.Unlock()
-			if err == nil {
-				err = rpc.ErrClosed
-			}
-			return rpc.Message{}, err
-		}
-		if ctx.Err() != nil {
-			d.mu.Unlock()
-			return rpc.Message{}, ctx.Err()
-		}
-		q.cond.Wait()
-	}
+// Recv always fails: the Dispatcher has already delivered the query's
+// messages into its mailbox, which a node run takes from by tile and type.
+func (e *queryEndpoint) Recv(context.Context) (rpc.Message, error) {
+	return rpc.Message{}, errors.New("engine: a query's inbound messages are in its Dispatcher mailbox, not behind Recv")
 }
 
-// Close releases this query's buffers (the underlying endpoint stays open
+// Close releases this query's mailbox (the underlying endpoint stays open
 // for other queries).
 func (e *queryEndpoint) Close() error {
 	e.d.Release(e.query)

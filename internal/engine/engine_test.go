@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,34 +104,6 @@ func TestMailboxDrainableAfterFail(t *testing.T) {
 	}
 }
 
-func TestMailboxRunDrainsEndpoint(t *testing.T) {
-	f, err := rpc.NewInprocFabric(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	a, _ := f.Endpoint(0)
-	b, _ := f.Endpoint(1)
-	m := newMailbox()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go m.run(ctx, b)
-	// Send far more than the inbox depth: the mailbox must drain so the
-	// sender never deadlocks.
-	const total = 100
-	for i := 0; i < total; i++ {
-		if err := a.Send(rpc.Message{Src: 0, Dst: 1, Type: msgInputChunk, Tile: 0, Seq: int32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < total; i++ {
-		got, err := m.take(context.Background(), 0, msgInputChunk)
-		if err != nil || got.Seq != int32(i) {
-			t.Fatalf("take %d = %+v, %v", i, got, err)
-		}
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	w := &plan.Workload{}
 	pl, _ := plan.NewPlanner(plan.Machine{Procs: 1, AccMemBytes: 100})
@@ -203,14 +176,25 @@ func TestFarmStorage(t *testing.T) {
 	}
 }
 
+// TestMsgTypeNames: every declared message type renders by name, so an error
+// like "send degrade-fence to 2" never reads "send type-7 to 2".
 func TestMsgTypeNames(t *testing.T) {
-	for _, typ := range []uint8{msgInputChunk, msgGhostAccum, msgOutputInit, msgFinalOutput} {
-		if msgTypeName(typ) == "" {
-			t.Errorf("type %d has no name", typ)
+	seen := map[string]uint8{}
+	for _, typ := range []uint8{
+		msgInputChunk, msgGhostAccum, msgOutputInit, msgFinalOutput, msgAbort,
+		msgDegradeDone, msgDegradeFence, uint8(rpc.MsgPeerDown),
+	} {
+		name := msgTypeName(typ)
+		if name == "" || strings.HasPrefix(name, "type-") {
+			t.Errorf("type %d renders as %q", typ, name)
 		}
+		if other, dup := seen[name]; dup {
+			t.Errorf("types %d and %d share the name %q", other, typ, name)
+		}
+		seen[name] = typ
 	}
-	if msgTypeName(200) == "" {
-		t.Error("unknown type should still render")
+	if msgTypeName(200) != "type-200" {
+		t.Errorf("unknown type renders as %q", msgTypeName(200))
 	}
 }
 

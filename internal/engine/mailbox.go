@@ -2,18 +2,18 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 
 	"adr/internal/rpc"
 )
 
-// mailbox decouples the fabric from the node's tile-ordered processing: a
-// receiver goroutine drains the endpoint continuously — so a fast node
-// running ahead into the next tile can never exert backpressure that
-// deadlocks the mesh — and the node loop takes messages by (tile, type) in
-// whatever order its current phase needs them.
+// mailbox holds one query's inbound messages on one node, and is the only
+// queue between the endpoint's Recv and a worker: the Dispatcher's routing
+// loop puts into it continuously — so a fast node running ahead into the next
+// tile can never exert backpressure that deadlocks the mesh — and the node
+// loop takes messages by (tile, type) in whatever order its current phase
+// needs them.
 //
 // Failure propagation flows through here: a transport error (dead peer,
 // closed endpoint) or an inbound msgAbort terminates the mailbox, so every
@@ -22,8 +22,12 @@ type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending map[mboxKey][]rpc.Message
-	err     error
-	closed  bool
+	// err is the first failure (non-nil once the mailbox has failed); pending
+	// messages remain takeable after it.
+	err error
+	// gone marks a mailbox its Dispatcher has retired: the query is over on
+	// this node and nothing will take from it again.
+	gone bool
 
 	// Degraded-mode state. The mailbox outlives individual execution attempts
 	// of one degraded query: attempt is the node's current attempt number,
@@ -45,8 +49,6 @@ type mboxKey struct {
 	typ  uint8
 }
 
-var errMailboxClosed = errors.New("engine: mailbox closed")
-
 func newMailbox() *mailbox {
 	m := &mailbox{
 		pending:   make(map[mboxKey][]rpc.Message),
@@ -58,93 +60,70 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// run drains the endpoint until the context is cancelled or the endpoint
-// closes. It always terminates the mailbox so takers unblock.
-func (m *mailbox) run(ctx context.Context, ep rpc.Endpoint) {
-	for {
-		msg, err := ep.Recv(ctx)
-		if err != nil {
-			m.fail(err)
-			return
-		}
-		m.put(msg)
+// put delivers one inbound message: control traffic (abort, peer death,
+// degraded fences and done announcements) is consumed here, data is buffered
+// under its (tile, type) for take. Whatever is not buffered retires at once —
+// credit back to its sender, pooled payload recycled — and a message for a
+// retired mailbox is dropped and counted late.
+func (m *mailbox) put(msg rpc.Message) {
+	m.mu.Lock()
+	kept, purged := m.putLocked(msg)
+	m.mu.Unlock()
+	m.cond.Broadcast()
+	if !kept {
+		msg.Release()
 	}
+	releaseAll(purged)
 }
 
-func (m *mailbox) put(msg rpc.Message) {
+// putLocked reports whether msg was buffered, and which pending messages it
+// displaced. Callers hold m.mu.
+func (m *mailbox) putLocked(msg rpc.Message) (kept bool, purged []rpc.Message) {
+	if m.gone {
+		lateMsgs.Inc()
+		return false, nil
+	}
+	src, seq := msg.Src, msg.Seq
 	switch uint8(msg.Type) {
 	case msgAbort:
 		// A peer failed and is telling the mesh: terminate, carrying who and
-		// why, regardless of which tile either side is in. The reason string
-		// copies the payload, so the message retires here.
-		err := &AbortError{Node: msg.Src, Reason: string(msg.Payload)}
-		msg.Release()
-		m.fail(err)
-		return
+		// why, regardless of which tile either side is in.
+		m.failLocked(&AbortError{Node: src, Reason: string(msg.Payload)})
 	case uint8(rpc.MsgPeerDown):
 		// The transport watched a peer die. Record it and fail the current
 		// attempt; on a degraded run the driver re-plans around the corpse.
-		msg.Release()
-		m.mu.Lock()
-		m.dead[msg.Src] = true
-		m.failLocked(&peerDownError{Node: msg.Src})
-		m.mu.Unlock()
-		m.cond.Broadcast()
-		return
+		m.dead[src] = true
+		m.failLocked(&peerDownError{Node: src})
 	case msgDegradeFence:
-		deadIDs := decodeDeadSet(msg.Payload)
-		src, seq := msg.Src, msg.Seq
-		msg.Release()
-		m.mu.Lock()
-		for _, id := range deadIDs {
+		for _, id := range decodeDeadSet(msg.Payload) {
 			m.dead[id] = true
 		}
-		if seq > m.fenceSeen[src] {
-			m.fenceSeen[src] = seq
-		}
-		if seq > m.maxFence {
-			m.maxFence = seq
-		}
+		m.fenceSeen[src] = max(m.fenceSeen[src], seq)
+		m.maxFence = max(m.maxFence, seq)
 		// Per-pair FIFO means everything from src still pending predates its
 		// fence and belongs to an abandoned attempt — drop it before the new
 		// attempt's same-keyed traffic can interleave with it.
-		purged := m.purgeFromLocked(src)
+		purged = m.purgeFromLocked(src)
 		if seq > m.attempt {
 			m.failLocked(&fenceAheadError{Node: src, Attempt: seq})
 		}
-		m.mu.Unlock()
-		m.cond.Broadcast()
-		for i := range purged {
-			purged[i].Release()
-		}
-		return
 	case msgDegradeDone:
-		src, seq := msg.Src, msg.Seq
-		msg.Release()
-		m.mu.Lock()
-		if seq > m.doneSeen[src] {
-			m.doneSeen[src] = seq
+		m.doneSeen[src] = max(m.doneSeen[src], seq)
+	default:
+		if m.attempt > 0 && src != msg.Dst && m.fenceSeen[src] < m.attempt {
+			// Degraded rollover: the sender has not fenced into this node's
+			// current attempt, so per-pair FIFO makes this message abandoned
+			// earlier-attempt traffic. Release it on arrival — buffering it
+			// would both risk mis-delivery into the new attempt's same-keyed
+			// takes and strand the sender's flow-control credit while it is
+			// still draining toward its own rollover.
+			return false, nil
 		}
-		m.mu.Unlock()
-		m.cond.Broadcast()
-		return
+		k := mboxKey{tile: msg.Tile, typ: uint8(msg.Type)}
+		m.pending[k] = append(m.pending[k], msg)
+		return true, nil
 	}
-	k := mboxKey{tile: msg.Tile, typ: uint8(msg.Type)}
-	m.mu.Lock()
-	if m.attempt > 0 && msg.Src != msg.Dst && m.fenceSeen[msg.Src] < m.attempt {
-		// Degraded rollover: the sender has not fenced into this node's
-		// current attempt, so per-pair FIFO makes this message abandoned
-		// earlier-attempt traffic. Release it on arrival — buffering it would
-		// both risk mis-delivery into the new attempt's same-keyed takes and
-		// strand the sender's flow-control credit while it is still draining
-		// toward its own rollover.
-		m.mu.Unlock()
-		msg.Release()
-		return
-	}
-	m.pending[k] = append(m.pending[k], msg)
-	m.mu.Unlock()
-	m.cond.Broadcast()
+	return false, purged
 }
 
 // purgeFromLocked removes every pending message from one peer and returns
@@ -180,8 +159,7 @@ func (m *mailbox) fail(err error) {
 }
 
 func (m *mailbox) failLocked(err error) {
-	if !m.closed {
-		m.closed = true
+	if m.err == nil {
 		m.err = err
 	}
 }
@@ -204,16 +182,15 @@ func (m *mailbox) beginAttempt(attempt int32) int32 {
 		attempt = m.maxFence
 	}
 	m.attempt = attempt
-	m.closed = false
-	m.err = nil
+	if !m.gone { // a retired mailbox stays failed
+		m.err = nil
+	}
 	pending := m.pending
 	m.pending = make(map[mboxKey][]rpc.Message)
 	m.mu.Unlock()
 	m.cond.Broadcast()
 	for _, q := range pending {
-		for i := range q {
-			q[i].Release()
-		}
+		releaseAll(q)
 	}
 	return attempt
 }
@@ -238,75 +215,71 @@ func (m *mailbox) noteDead(peer rpc.NodeID) {
 	m.mu.Unlock()
 }
 
-// waitFences blocks until every listed peer has announced a fence for the
-// given attempt (or a later one), skipping peers recorded dead. A mailbox
-// failure — a further death, a fence from a yet-later attempt, an abort —
-// wins over fence arrival so the caller joins the newer attempt instead of
-// planning against a stale exclusion set.
-func (m *mailbox) waitFences(ctx context.Context, attempt int32, peers []rpc.NodeID) error {
-	return m.waitSeen(ctx, attempt, peers, m.fenceSeen)
-}
-
-// waitDone blocks until every listed live peer has announced completion of
-// the given attempt, with the same failure-first semantics as waitFences.
-func (m *mailbox) waitDone(ctx context.Context, attempt int32, peers []rpc.NodeID) error {
-	return m.waitSeen(ctx, attempt, peers, m.doneSeen)
-}
-
+// waitSeen blocks until every listed peer has announced — in seen, the
+// mailbox's fenceSeen or doneSeen — the given attempt or a later one, skipping
+// peers recorded dead. A mailbox failure — a further death, a fence from a
+// yet-later attempt, an abort — wins over the announcements' arrival so the
+// caller joins the newer attempt instead of planning against a stale
+// exclusion set.
 func (m *mailbox) waitSeen(ctx context.Context, attempt int32, peers []rpc.NodeID, seen map[rpc.NodeID]int32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.await(ctx, func() bool {
+		for _, p := range peers {
+			if !m.dead[p] && seen[p] < attempt {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	return m.err
+}
 
+// await blocks until ready holds, the mailbox has failed, or ctx is done (the
+// only case it reports an error for). Callers hold m.mu.
+func (m *mailbox) await(ctx context.Context, ready func() bool) error {
+	// Wake this waiter when the context dies.
 	stop := context.AfterFunc(ctx, func() {
 		m.mu.Lock()
 		m.cond.Broadcast()
 		m.mu.Unlock()
 	})
 	defer stop()
-
-	for {
-		// Failure first: a death or newer fence observed while waiting must
-		// roll the attempt even if every awaited announcement is present.
-		if m.closed {
-			if m.err != nil {
-				return m.err
-			}
-			return errMailboxClosed
-		}
+	for m.err == nil && !ready() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ok := true
-		for _, p := range peers {
-			if m.dead[p] {
-				continue
-			}
-			if seen[p] < attempt {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return nil
-		}
 		m.cond.Wait()
 	}
+	return nil
 }
 
-// drain releases every pending message — flow-control credits return to
-// their senders and pooled payloads recycle. Called by the node's teardown
-// after the receiver goroutine has exited; anything still buffered at that
-// point will never be taken (the query is over or aborted), and holding it
-// would leak the senders' credit windows and the bufpool balance.
-func (m *mailbox) drain() {
+// retire ends the mailbox for good: blocked takers fail, every pending
+// message is released — flow-control credits return to their senders and
+// pooled payloads recycle — and later puts are dropped as late. Anything
+// still buffered when the query is over or aborted will never be taken, and
+// holding it would leak the senders' credit windows and the bufpool balance.
+// Returns how many messages it released.
+func (m *mailbox) retire() (released int) {
 	m.mu.Lock()
+	m.gone = true
+	m.failLocked(rpc.ErrClosed)
 	pending := m.pending
 	m.pending = make(map[mboxKey][]rpc.Message)
 	m.mu.Unlock()
+	m.cond.Broadcast()
 	for _, q := range pending {
-		for i := range q {
-			q[i].Release()
-		}
+		released += len(q)
+		releaseAll(q)
+	}
+	return released
+}
+
+func releaseAll(msgs []rpc.Message) {
+	for i := range msgs {
+		msgs[i].Release()
 	}
 }
 
@@ -317,34 +290,17 @@ func (m *mailbox) take(ctx context.Context, tile int32, typ uint8) (rpc.Message,
 	k := mboxKey{tile: tile, typ: typ}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	// Wake this waiter when the context dies.
-	stop := context.AfterFunc(ctx, func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer stop()
-
-	for {
-		if q := m.pending[k]; len(q) > 0 {
-			msg := q[0]
-			if len(q) == 1 {
-				delete(m.pending, k)
-			} else {
-				m.pending[k] = q[1:]
-			}
-			return msg, nil
-		}
-		if m.closed {
-			if m.err != nil {
-				return rpc.Message{}, m.err
-			}
-			return rpc.Message{}, errMailboxClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return rpc.Message{}, err
-		}
-		m.cond.Wait()
+	if err := m.await(ctx, func() bool { return len(m.pending[k]) > 0 }); err != nil {
+		return rpc.Message{}, err
 	}
+	q := m.pending[k]
+	if len(q) == 0 {
+		return rpc.Message{}, m.err
+	}
+	if len(q) == 1 {
+		delete(m.pending, k)
+	} else {
+		m.pending[k] = q[1:]
+	}
+	return q[0], nil
 }

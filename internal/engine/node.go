@@ -17,10 +17,12 @@ import (
 type node struct {
 	cfg  *Config
 	self rpc.NodeID
+	// ep is the query's view of the mesh, for sending; what the mesh sends
+	// this node arrives in mbox, put there by the view's Dispatcher.
 	ep   rpc.Endpoint
+	mbox *mailbox
 	st   ChunkStorage
 	met  *metrics.Node
-	mbox *mailbox
 	// onStall attributes flow-control credit stalls to this node's trace;
 	// installed on every outbound message (one shared closure, so the send
 	// hot path does not allocate one per message).
@@ -46,12 +48,50 @@ type node struct {
 // the daemons return it to the front-end. All nodes of the fabric must run
 // the same Config; the call completes when this node has emitted every
 // output chunk it is responsible for.
+//
+// The node always receives from a Dispatcher-owned mailbox: a daemon passes
+// its long-lived Dispatcher's Endpoint for the query and releases it
+// afterwards; a plain endpoint is borrowed through a private Dispatcher for
+// the length of the run.
 func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkStorage) (metrics.NodeTrace, error) {
-	n, wall, err := runNode(ctx, cfg, ep, st)
-	if n == nil {
+	if err := cfg.Validate(); err != nil {
 		return metrics.NodeTrace{}, err
 	}
-	tr := n.met.Trace(int(ep.Self()), len(n.cfg.Plan.Tiles), wall)
+	start := time.Now()
+	view, ok := ep.(*queryEndpoint)
+	if !ok {
+		var giveBack func()
+		view, giveBack = borrow(ep)
+		defer giveBack()
+	}
+	n := &node{
+		cfg:  &cfg,
+		self: ep.Self(),
+		ep:   view,
+		mbox: view.mbox,
+		st:   st,
+		met:  &metrics.Node{},
+	}
+	if cfg.Shared != nil {
+		n.scan = cfg.Shared(n.self)
+	}
+	n.onStall = func(d time.Duration) {
+		n.met.CreditStalls.Add(1)
+		n.met.CreditStallNanos.Add(d.Nanoseconds())
+	}
+	n.prepare()
+
+	var err error
+	if cfg.Degraded {
+		err = n.runDegraded(ctx)
+	} else if err = n.runTiles(ctx); err != nil {
+		// Tell the mesh before returning: peers blocked on this node's
+		// messages must fail within their deadline, not hang.
+		n.abortPeers(err)
+	}
+	n.recordTotals()
+
+	tr := n.met.Trace(int(n.self), len(n.cfg.Plan.Tiles), time.Since(start))
 	tr.Workers = n.cfg.workers()
 	tr.Attempts = n.attempts
 	if len(n.excluded) > 0 {
@@ -64,75 +104,17 @@ func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkSto
 	return tr, err
 }
 
-// runNode is the driver behind RunNodeTraced. A nil node in the return means
-// the configuration never started executing.
-func runNode(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkStorage) (*node, time.Duration, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	n := &node{
-		cfg:  &cfg,
-		self: ep.Self(),
-		ep:   ep,
-		st:   st,
-		met:  &metrics.Node{},
-		mbox: newMailbox(),
-	}
-	if cfg.Shared != nil {
-		n.scan = cfg.Shared(n.self)
-	}
-	n.onStall = func(d time.Duration) {
-		n.met.CreditStalls.Add(1)
-		n.met.CreditStallNanos.Add(d.Nanoseconds())
-	}
-	n.prepare()
-	defer n.recordTotals()
-
-	rctx, cancel := context.WithCancel(ctx)
-	mboxDone := make(chan struct{})
-	go func() {
-		defer close(mboxDone)
-		n.mbox.run(rctx, ep)
-	}()
-	defer func() {
-		// Teardown drain: stop the receiver, then retire everything this node
-		// received but never consumed — mailbox buffers first, then whatever
-		// is still queued in the transport (Recv hands out buffered messages
-		// even on a dead context). Each release returns the sender's
-		// flow-control credit, so a peer blocked on this node's window makes
-		// progress even when this node aborts mid-query, and recycles pooled
-		// payloads so the bufpool balance stays exact through failures.
-		cancel()
-		<-mboxDone
-		n.mbox.drain()
-		for {
-			m, err := ep.Recv(rctx)
-			if err != nil {
-				break
-			}
-			m.Release()
-		}
-	}()
-
-	if cfg.Degraded {
-		err := n.runDegraded(ctx)
-		return n, time.Since(start), err
-	}
-
-	for t := range cfg.Plan.Tiles {
+// runTiles advances this node through every tile of its current plan.
+func (n *node) runTiles(ctx context.Context) error {
+	for t := range n.cfg.Plan.Tiles {
 		if err := ctx.Err(); err != nil {
-			n.abortPeers(int32(t), err)
-			return n, time.Since(start), err
+			return err
 		}
 		if err := n.runTile(ctx, int32(t)); err != nil {
-			// Tell the mesh before returning: peers blocked on this node's
-			// messages must fail within their deadline, not hang.
-			n.abortPeers(int32(t), err)
-			return n, time.Since(start), fmt.Errorf("engine: node %d tile %d: %w", n.self, t, err)
+			return fmt.Errorf("engine: node %d tile %d: %w", n.self, t, err)
 		}
 	}
-	return n, time.Since(start), nil
+	return nil
 }
 
 // Process-wide engine counters, rolled up from each node run's snapshot so
@@ -208,96 +190,104 @@ func (n *node) runTile(ctx context.Context, t int32) error {
 	return nil
 }
 
+// exchange is the one shape of a phase's communication: send issues the
+// phase's sends on its own goroutine while the calling goroutine consumes
+// exactly expect messages of type typ for tile t, handing each to recv; the
+// two halves are joined, and whichever fails first is the failure l records
+// (it also cancels l.ctx, which stops the other half's waits). Keeping the
+// halves apart is §12's deadlock-freedom invariant: on a flow-controlled
+// fabric a send can block on credit, and consuming inbound traffic is exactly
+// what returns credit to the peers — a node that sent before it received
+// would deadlock against a peer doing the same the moment the windows are
+// smaller than the phase's traffic. recv owns the message it is handed.
+func (n *node) exchange(l *latch, p metrics.Phase, t int32, typ uint8, expect int, send func() error, recv func(rpc.Message) error) {
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		l.fail(send())
+	}()
+	for k := 0; k < expect; k++ {
+		msg, err := n.mbox.take(l.ctx, t, typ)
+		if err == nil {
+			n.met.AddRecv(p, int64(len(msg.Payload)))
+			err = recv(msg)
+		}
+		if err != nil {
+			l.fail(err)
+			break
+		}
+	}
+	<-sent
+}
+
 // phaseInit allocates and initializes the accumulator chunks this node
 // holds for the tile (locals it homes plus ghosts), retrieving and
-// forwarding existing output chunks when the app requires them. Owner sends
-// run on their own goroutine, overlapped with the replica receives: on a
-// flow-controlled fabric a send can block on credit, and a mesh where every
-// owner sent before anyone received would deadlock the moment the windows
-// are smaller than the tile's init traffic.
+// forwarding existing output chunks when the app requires them.
 func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, error) {
 	w, sh := n.cfg.Workload, &n.share[t]
-	needInit := n.cfg.App.InitRequiresOutput()
 	existing := make(map[int32]*chunk.Chunk)
 
 	// initMsgs holds received init messages alive while the decoded chunks
 	// alias their payloads; they are released the moment the App.Init loop
 	// has copied what it needs (and on every error path out of the phase).
 	var initMsgs []rpc.Message
-	defer func() {
-		for i := range initMsgs {
-			initMsgs[i].Release()
-		}
-	}()
+	defer func() { releaseAll(initMsgs) }()
 
-	if needInit {
-		// Owner duties: read each owned output chunk in the tile from local
-		// disk and forward it to every other holder of a replica.
+	if n.cfg.App.InitRequiresOutput() {
+		l := newLatch(ctx)
+		defer l.cancel()
 		ownerExisting := make(map[int32]*chunk.Chunk)
-		sendErr := make(chan error, 1)
-		go func() {
-			sendErr <- func() error {
-				for k, o := range sh.Owned {
-					var payload []byte
-					if n.st.HasChunk(n.cfg.OutputDataset, w.Outputs[o]) {
-						data, hit, err := n.readChunk(ctx, n.cfg.OutputDataset, w.Outputs[o])
-						if err != nil {
-							return fmt.Errorf("read existing output %d: %w", o, err)
-						}
-						n.met.AddRead(metrics.Initialization, int64(len(data)))
-						if hit {
-							n.met.CacheHits.Add(1)
-						}
-						payload = data
-						c, err := n.decodeWhole(data)
-						if err != nil {
-							return fmt.Errorf("decode existing output %d: %w", o, err)
-						}
-						ownerExisting[o] = c
+		n.exchange(l, metrics.Initialization, t, msgOutputInit, sh.ExpectInits, func() error {
+			// Owner duties: read each owned output chunk in the tile from local
+			// disk and forward it to every other holder of a replica.
+			for k, o := range sh.Owned {
+				var payload []byte
+				if n.st.HasChunk(n.cfg.OutputDataset, w.Outputs[o]) {
+					data, hit, err := n.readChunk(l.ctx, n.cfg.OutputDataset, w.Outputs[o])
+					if err != nil {
+						return fmt.Errorf("read existing output %d: %w", o, err)
 					}
-					for _, h := range sh.InitHolders[k] {
-						if rpc.NodeID(h) == n.self {
-							continue
-						}
-						if err := n.send(metrics.Initialization, rpc.Message{
-							Src: n.self, Dst: rpc.NodeID(h), Type: msgOutputInit, Tile: t, Seq: o,
-							Payload: payload,
-						}); err != nil {
-							return err
-						}
+					n.met.AddRead(metrics.Initialization, int64(len(data)))
+					if hit {
+						n.met.CacheHits.Add(1)
+					}
+					payload = data
+					c, err := n.decodeWhole(data)
+					if err != nil {
+						return fmt.Errorf("decode existing output %d: %w", o, err)
+					}
+					ownerExisting[o] = c
+				}
+				for _, h := range sh.InitHolders[k] {
+					if rpc.NodeID(h) == n.self {
+						continue
+					}
+					if err := n.send(metrics.Initialization, rpc.Message{
+						Src: n.self, Dst: rpc.NodeID(h), Type: msgOutputInit, Tile: t, Seq: o,
+						Payload: payload,
+					}); err != nil {
+						return err
 					}
 				}
-				return nil
-			}()
-		}()
-
-		// Replica duties: receive existing chunks for allocations whose
-		// owner is remote, concurrently with the owner sends above.
-		var recvErr error
-		for k := 0; k < sh.ExpectInits; k++ {
-			msg, err := n.mbox.take(ctx, t, msgOutputInit)
-			if err != nil {
-				recvErr = err
-				break
 			}
-			n.noteRecv(metrics.Initialization, msg)
+			return nil
+		}, func(msg rpc.Message) error {
+			// Replica duties: existing chunks for allocations whose owner is
+			// remote.
 			initMsgs = append(initMsgs, msg)
 			if len(msg.Payload) > 0 {
 				c, err := n.decodeWhole(msg.Payload)
 				if err != nil {
-					recvErr = fmt.Errorf("decode output-init %d: %w", msg.Seq, err)
-					break
+					return fmt.Errorf("decode output-init %d: %w", msg.Seq, err)
 				}
 				existing[msg.Seq] = c
 			}
+			return nil
+		})
+		if l.err != nil {
+			return nil, l.err
 		}
-		if err := <-sendErr; err != nil {
-			return nil, err
-		}
-		if recvErr != nil {
-			return nil, recvErr
-		}
-		// The sender goroutine has exited; merging its reads is race-free.
+		// The send half has been joined; merging its reads is race-free.
 		for o, c := range ownerExisting {
 			existing[o] = c
 		}
@@ -365,25 +355,31 @@ func (n *node) readChunk(ctx context.Context, dataset string, m chunk.Meta) (dat
 	return data, hit, err
 }
 
-// decompressPooled resolves a possibly-compressed payload to its raw bytes.
-// Compressed payloads inflate into a bufpool scratch buffer, returned as
-// scratch for the caller to Put after its last read of raw (nil for raw
-// payloads, which pass through unchanged). Runs on pool workers, so
-// decompression overlaps aggregation exactly like decoding does; callers
-// time it into DecodeNanos, and the compressed volume lands in
-// CompressedBytes.
-func (n *node) decompressPooled(data []byte) (raw, scratch []byte, err error) {
-	if !chunk.IsCompressed(data) {
-		return data, nil, nil
+// decodePooled decodes a possibly-compressed payload on a pool worker, so
+// decompression overlaps aggregation exactly like decoding does; both are
+// timed into DecodeNanos, and the compressed volume lands in
+// CompressedBytes. A compressed payload inflates into a bufpool scratch
+// buffer, returned for the caller to Put after its last use of v, which may
+// alias it (nil for raw payloads, and on error).
+func decodePooled[T any](n *node, data []byte, decode func(raw []byte) (T, error)) (v T, scratch []byte, err error) {
+	start := time.Now()
+	raw := data
+	if chunk.IsCompressed(data) {
+		n.met.CompressedBytes.Add(int64(len(data)))
+		scratch = bufpool.Get(chunk.RawLen(data))[:0]
+		if raw, err = chunk.DecompressTo(scratch, data); err == nil {
+			scratch = raw
+		}
 	}
-	n.met.CompressedBytes.Add(int64(len(data)))
-	buf := bufpool.Get(chunk.RawLen(data))[:0]
-	out, err := chunk.DecompressTo(buf, data)
+	if err == nil {
+		v, err = decode(raw)
+	}
 	if err != nil {
-		bufpool.Put(buf)
-		return nil, nil, err
+		bufpool.Put(scratch)
+		scratch = nil
 	}
-	return out, out, nil
+	n.met.DecodeNanos.Add(time.Since(start).Nanoseconds())
+	return v, scratch, err
 }
 
 // decodeWhole decodes a possibly-compressed payload on a cold path (init
@@ -397,15 +393,15 @@ func (n *node) decodeWhole(data []byte) (*chunk.Chunk, error) {
 	return chunk.DecodeAny(data)
 }
 
-// compressForSend applies the configured codec to an outbound payload.
-// Payloads that arrived compressed (storage bytes forwarded verbatim) and
-// payloads that do not shrink go out as they are.
-func (n *node) compressForSend(payload []byte, codec chunk.Codec) []byte {
+// compress applies codec to an engine-originated payload and reports whether
+// the envelope is what came back: a payload that arrived compressed (storage
+// bytes forwarded verbatim) or does not shrink is returned as it is.
+func compress(payload []byte, codec chunk.Codec) (out []byte, shrunk bool) {
 	if codec == chunk.CodecNone || chunk.IsCompressed(payload) {
-		return payload
+		return payload, false
 	}
-	env, _ := chunk.Compress(payload, codec, chunk.DefaultMinRatio)
-	return env
+	env, used := chunk.Compress(payload, codec, chunk.DefaultMinRatio)
+	return env, used != chunk.CodecNone
 }
 
 // phaseLocalReduction retrieves this node's local input chunks (with
@@ -424,28 +420,18 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
 
 	pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
-		kind := "input"
-		if !wk.local {
-			kind = "forwarded input"
-		}
 		// Decompress (when the payload is a storage or wire envelope) and
-		// decode on the worker, so both overlap aggregation; the scratch
-		// buffer recycles once the aggregation loop below is done with the
-		// decoded items that alias it.
-		ds := time.Now()
-		raw, scratch, err := n.decompressPooled(wk.data)
+		// decode on the worker; the scratch buffer recycles once the
+		// aggregation loop below is done with the decoded items aliasing it.
+		c, scratch, err := decodePooled(n, wk.data, chunk.Decode)
 		if err != nil {
-			n.met.DecodeNanos.Add(time.Since(ds).Nanoseconds())
+			kind := "input"
+			if wk.rel != nil {
+				kind = "forwarded input"
+			}
 			return fmt.Errorf("decode %s %d: %w", kind, wk.seq, err)
 		}
-		if scratch != nil {
-			defer bufpool.Put(scratch)
-		}
-		c, err := chunk.Decode(raw)
-		n.met.DecodeNanos.Add(time.Since(ds).Nanoseconds())
-		if err != nil {
-			return fmt.Errorf("decode %s %d: %w", kind, wk.seq, err)
-		}
+		defer bufpool.Put(scratch)
 		for _, o := range w.Targets[wk.seq] {
 			if p.TileOf[o] != t {
 				continue
@@ -468,51 +454,20 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 		return nil
 	})
 
-	// Forwarder: one goroutine issuing every msgInputChunk send of the
-	// phase. Sends moved off the pool workers when flow control arrived —
-	// a worker blocked on credit would stop draining inbound chunks, and
-	// consuming inbound traffic is exactly what returns credit to the
-	// peers; two nodes forwarding to each other would deadlock. The
-	// bounded channel propagates backpressure the rest of the way: when
-	// the forwarder stalls on credit the channel fills, the prefetchers
-	// block on it, and the disk reads (and the shared-scan leader behind
-	// them) slow to the receivers' consumption rate.
+	// The send half's queue: the prefetchers hand every chunk with remote
+	// homes to the one forwarding goroutine. Its bound propagates backpressure
+	// the rest of the way: when the forwarder stalls on credit the channel
+	// fills, the prefetchers block on it, and the disk reads (and the
+	// shared-scan leader behind them) slow to the receivers' consumption rate.
 	type forward struct {
 		wk work
 		to []plan.Dest
 	}
 	fwdCh := make(chan forward, DefaultReadAhead)
-	var fwdWg sync.WaitGroup
-	if sh.Forward != nil {
-		fwdWg.Add(1)
-		go func() {
-			defer fwdWg.Done()
-			for f := range fwdCh {
-				// Compressed storage bytes forward verbatim (zero cost); raw
-				// storage bytes are compressed once here, then fanned out, so
-				// flow-control credits meter the compressed volume and every
-				// peer window holds proportionally more chunks in flight.
-				payload := n.compressForSend(f.wk.data, n.cfg.Codec)
-				for _, dst := range f.to {
-					if err := n.send(metrics.LocalReduction, rpc.Message{
-						Src: n.self, Dst: rpc.NodeID(dst.To), Type: msgInputChunk, Tile: t, Seq: f.wk.seq,
-						Payload: payload,
-					}); err != nil {
-						pl.fail(err)
-						// Keep draining so blocked prefetchers unstick.
-						for range fwdCh {
-						}
-						return
-					}
-				}
-			}
-		}()
-	}
 
-	// Producers: one prefetcher per disk (retrieval order preserved within
-	// each disk; queues hold positions in sh.Reads) plus one feeder draining
-	// the tile's forwarded inputs.
-	var producers sync.WaitGroup
+	// One prefetcher per disk (retrieval order preserved within each disk;
+	// queues hold positions in sh.Reads).
+	var readers sync.WaitGroup
 	byDisk := make(map[int32][]int)
 	var diskOrder []int32
 	for k, i := range sh.Reads {
@@ -524,9 +479,9 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	}
 	sem := make(chan struct{}, DefaultReadAhead)
 	for _, d := range diskOrder {
-		producers.Add(1)
+		readers.Add(1)
 		go func(queue []int) {
-			defer producers.Done()
+			defer readers.Done()
 			for _, k := range queue {
 				i := sh.Reads[k]
 				// The semaphore caps concurrent disk reads at the read-ahead
@@ -548,7 +503,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 				if hit {
 					n.met.CacheHits.Add(1)
 				}
-				wk := work{seq: i, data: data, local: true}
+				wk := work{seq: i, data: data}
 				// Hand the chunk to the forwarder before aggregating it so
 				// remote homes overlap their processing with ours (the buffer
 				// is shared: storage data is immutable here, the zero-copy
@@ -568,27 +523,32 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 			}
 		}(byDisk[d])
 	}
-	if sh.ExpectInputs > 0 {
-		producers.Add(1)
-		go func() {
-			defer producers.Done()
-			for k := 0; k < sh.ExpectInputs; k++ {
-				msg, err := n.mbox.take(pl.ctx, t, msgInputChunk)
-				if err != nil {
-					pl.fail(err)
-					return
-				}
-				n.noteRecv(metrics.LocalReduction, msg)
-				m := msg
-				if !pl.submit(work{seq: m.Seq, data: m.Payload, rel: m.Release}) {
-					return
+	go func() {
+		readers.Wait()
+		close(fwdCh)
+	}()
+
+	n.exchange(pl.latch, metrics.LocalReduction, t, msgInputChunk, sh.ExpectInputs, func() error {
+		for f := range fwdCh {
+			// Compressed storage bytes forward verbatim (zero cost); raw
+			// storage bytes are compressed once here, then fanned out, so
+			// flow-control credits meter the compressed volume and every
+			// peer window holds proportionally more chunks in flight.
+			payload, _ := compress(f.wk.data, n.cfg.Codec)
+			for _, dst := range f.to {
+				if err := n.send(metrics.LocalReduction, rpc.Message{
+					Src: n.self, Dst: rpc.NodeID(dst.To), Type: msgInputChunk, Tile: t, Seq: f.wk.seq,
+					Payload: payload,
+				}); err != nil {
+					// Recording it cancels pl.ctx, which unsticks a prefetcher
+					// blocked on the queue nobody reads any more.
+					return err
 				}
 			}
-		}()
-	}
-	producers.Wait()
-	close(fwdCh)
-	fwdWg.Wait()
+		}
+		return nil
+	}, pl.deliver)
+	readers.Wait()
 	return pl.wait()
 }
 
@@ -599,209 +559,157 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 // contend (per-output locks serialize only same-output combines).
 func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]Accumulator, locks map[int32]*sync.Mutex) error {
 	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
+	if len(sh.Ghosts) == 0 && sh.ExpectGhosts == 0 {
+		return nil // a tile without replicas (DA, HYBRID) has nothing to combine
+	}
 
 	// Ghost deletions mutate accs; they complete before the pool's workers
-	// (and the sender goroutine) start reading the map. The encode+send work
-	// itself then runs on its own goroutine, overlapped with the inbound
-	// combines below: a credit-blocked ghost send must not keep this node
-	// from consuming the ghosts its peers are sending it — consuming them is
-	// what returns the peers' credit.
-	type ghostOut struct {
-		o   int32
-		acc Accumulator
-	}
-	ghosts := make([]ghostOut, 0, len(sh.Ghosts))
-	for _, o := range sh.Ghosts {
-		ghosts = append(ghosts, ghostOut{o: o, acc: accs[o]})
+	// (and the send half) start reading the map.
+	ghosts := make([]Accumulator, len(sh.Ghosts))
+	for k, o := range sh.Ghosts {
+		ghosts[k] = accs[o]
 		delete(accs, o) // ghost memory is released after the send
 	}
-	sendErr := make(chan error, 1)
-	go func() {
-		sendErr <- func() error {
-			for _, g := range ghosts {
-				start := time.Now()
-				data, err := n.cfg.App.EncodeAccum(g.acc, w.Outputs[g.o])
-				if err != nil {
-					return fmt.Errorf("encode ghost %d: %w", g.o, err)
-				}
-				if n.cfg.Codec != chunk.CodecNone {
-					// Accumulator payloads are app-defined encodings the
-					// chunk-aware transform cannot parse; flate covers them.
-					data = n.compressForSend(data, chunk.CodecFlate)
-				}
-				n.met.AddPhase(metrics.GlobalCombine, time.Since(start))
-				if err := n.send(metrics.GlobalCombine, rpc.Message{
-					Src: n.self, Dst: rpc.NodeID(p.Home[g.o]), Type: msgGhostAccum, Tile: t, Seq: g.o,
-					Payload: data,
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-	}()
 
-	var recvErr error
-	if sh.ExpectGhosts > 0 {
-		pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
-			o := wk.seq
-			dst, ok := accs[o]
-			if !ok {
-				return fmt.Errorf("ghost for output %d arrived but no local accumulator", o)
-			}
-			ds := time.Now()
-			raw, scratch, err := n.decompressPooled(wk.data)
-			if err != nil {
-				n.met.DecodeNanos.Add(time.Since(ds).Nanoseconds())
-				return fmt.Errorf("decode ghost %d: %w", o, err)
-			}
-			if scratch != nil {
-				defer bufpool.Put(scratch)
-			}
-			src, err := n.cfg.App.DecodeAccum(raw, w.Outputs[o])
-			n.met.DecodeNanos.Add(time.Since(ds).Nanoseconds())
-			if err != nil {
-				return fmt.Errorf("decode ghost %d: %w", o, err)
-			}
-			start := time.Now()
-			mu := locks[o]
-			mu.Lock()
-			err = n.cfg.App.Combine(dst, src, w.Outputs[o])
-			mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("combine ghost %d: %w", o, err)
-			}
-			n.met.CombineOps.Add(1)
-			n.met.AddPhase(metrics.GlobalCombine, time.Since(start))
-			return nil
+	pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
+		o := wk.seq
+		dst, ok := accs[o]
+		if !ok {
+			return fmt.Errorf("ghost for output %d arrived but no local accumulator", o)
+		}
+		src, scratch, err := decodePooled(n, wk.data, func(raw []byte) (Accumulator, error) {
+			return n.cfg.App.DecodeAccum(raw, w.Outputs[o])
 		})
-		for k := 0; k < sh.ExpectGhosts; k++ {
-			msg, err := n.mbox.take(pl.ctx, t, msgGhostAccum)
+		if err != nil {
+			return fmt.Errorf("decode ghost %d: %w", o, err)
+		}
+		defer bufpool.Put(scratch)
+		start := time.Now()
+		mu := locks[o]
+		mu.Lock()
+		err = n.cfg.App.Combine(dst, src, w.Outputs[o])
+		mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("combine ghost %d: %w", o, err)
+		}
+		n.met.CombineOps.Add(1)
+		n.met.AddPhase(metrics.GlobalCombine, time.Since(start))
+		return nil
+	})
+	n.exchange(pl.latch, metrics.GlobalCombine, t, msgGhostAccum, sh.ExpectGhosts, func() error {
+		for k, o := range sh.Ghosts {
+			start := time.Now()
+			data, err := n.cfg.App.EncodeAccum(ghosts[k], w.Outputs[o])
 			if err != nil {
-				pl.fail(err)
-				break
+				return fmt.Errorf("encode ghost %d: %w", o, err)
 			}
-			n.noteRecv(metrics.GlobalCombine, msg)
-			m := msg
-			if !pl.submit(work{seq: m.Seq, data: m.Payload, rel: m.Release}) {
-				break
+			if n.cfg.Codec != chunk.CodecNone {
+				// Accumulator payloads are app-defined encodings the
+				// chunk-aware transform cannot parse; flate covers them.
+				data, _ = compress(data, chunk.CodecFlate)
+			}
+			n.met.AddPhase(metrics.GlobalCombine, time.Since(start))
+			if err := n.send(metrics.GlobalCombine, rpc.Message{
+				Src: n.self, Dst: rpc.NodeID(p.Home[o]), Type: msgGhostAccum, Tile: t, Seq: o,
+				Payload: data,
+			}); err != nil {
+				return err
 			}
 		}
-		recvErr = pl.wait()
-	}
-	if err := <-sendErr; err != nil {
-		return err
-	}
-	return recvErr
+		return nil
+	}, pl.deliver)
+	return pl.wait()
 }
 
 // phaseOutput finalizes this node's homed accumulators into output chunks,
 // ships homed-away chunks to their owners, and emits everything this node
-// owns. Shipping runs on its own goroutine so a credit-blocked final-output
-// send never keeps this node from receiving (and releasing) the finals its
-// peers ship here; all emit calls — local outputs and shipped finals alike
-// — stay on the phase goroutine, so a result callback sees one node's
-// results serially, as before.
+// owns. All emit calls — local outputs and shipped finals alike — stay on
+// the phase goroutine, so a result callback sees one node's results
+// serially.
 func (n *node) phaseOutput(ctx context.Context, t int32, accs map[int32]Accumulator) error {
 	w, sh := n.cfg.Workload, &n.share[t]
 
-	// Split the tile's locals by owner up front; accs is only read (never
+	// output finalizes one homed accumulator; accs is only read (never
 	// mutated) until both halves of the phase have finished.
-	var localOwned, remoteOwned []int32
+	output := func(o int32) (*chunk.Chunk, error) {
+		start := time.Now()
+		out, err := n.cfg.App.Output(accs[o], w.Outputs[o])
+		if err != nil {
+			return nil, fmt.Errorf("output %d: %w", o, err)
+		}
+		n.finalizeMeta(out, o)
+		n.met.AddPhase(metrics.OutputHandling, time.Since(start))
+		return out, nil
+	}
+	var remoteOwned []int32
 	for _, o := range sh.Locals {
 		if rpc.NodeID(w.Outputs[o].Node) != n.self {
 			remoteOwned = append(remoteOwned, o)
-		} else {
-			localOwned = append(localOwned, o)
+			continue
+		}
+		out, err := output(o)
+		if err != nil {
+			return err
+		}
+		if err := n.emit(out); err != nil {
+			return fmt.Errorf("emit output %d: %w", o, err)
 		}
 	}
 
-	sendErr := make(chan error, 1)
-	go func() {
-		sendErr <- func() error {
-			for _, o := range remoteOwned {
-				start := time.Now()
-				out, err := n.cfg.App.Output(accs[o], w.Outputs[o])
-				if err != nil {
-					return fmt.Errorf("output %d: %w", o, err)
-				}
-				n.finalizeMeta(out, o)
-				n.met.AddPhase(metrics.OutputHandling, time.Since(start))
-				// Encode into a pooled buffer: the transport owns and recycles
-				// it — once the frame is on the wire for TCP, when the receiver
-				// releases it in-process. Under a codec the envelope ships
-				// instead and the raw buffer recycles here; the envelope is a
-				// fresh unpooled allocation, so Pooled stays off for it.
-				payload := chunk.AppendTo(out, bufpool.Get(chunk.EncodedSize(out))[:0])
-				pooled := true
-				if n.cfg.Codec != chunk.CodecNone {
-					if env, used := chunk.Compress(payload, n.cfg.Codec, chunk.DefaultMinRatio); used != chunk.CodecNone {
-						bufpool.Put(payload)
-						payload, pooled = env, false
-					}
-				}
-				if err := n.send(metrics.OutputHandling, rpc.Message{
-					Src: n.self, Dst: rpc.NodeID(w.Outputs[o].Node), Type: msgFinalOutput, Tile: t, Seq: o,
-					Payload: payload, Pooled: pooled,
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-	}()
-
-	recvErr := func() error {
-		for _, o := range localOwned {
-			start := time.Now()
-			out, err := n.cfg.App.Output(accs[o], w.Outputs[o])
-			if err != nil {
-				return fmt.Errorf("output %d: %w", o, err)
-			}
-			n.finalizeMeta(out, o)
-			n.met.AddPhase(metrics.OutputHandling, time.Since(start))
-			if err := n.emit(out); err != nil {
-				return fmt.Errorf("emit output %d: %w", o, err)
-			}
-		}
-		for k := 0; k < sh.ExpectFinals; k++ {
-			msg, err := n.mbox.take(ctx, t, msgFinalOutput)
+	l := newLatch(ctx)
+	defer l.cancel()
+	n.exchange(l, metrics.OutputHandling, t, msgFinalOutput, sh.ExpectFinals, func() error {
+		for _, o := range remoteOwned {
+			out, err := output(o)
 			if err != nil {
 				return err
 			}
-			n.noteRecv(metrics.OutputHandling, msg)
-			compressed := chunk.IsCompressed(msg.Payload)
-			out, err := n.decodeWhole(msg.Payload)
-			if err != nil {
-				msg.Release()
-				return fmt.Errorf("decode final output %d: %w", msg.Seq, err)
+			// Encode into a pooled buffer: the transport owns and recycles
+			// it — once the frame is on the wire for TCP, when the receiver
+			// releases it in-process. Under a codec the envelope ships
+			// instead and the raw buffer recycles here; the envelope is a
+			// fresh unpooled allocation, so Pooled stays off for it.
+			payload := chunk.AppendTo(out, bufpool.Get(chunk.EncodedSize(out))[:0])
+			pooled := true
+			if env, ok := compress(payload, n.cfg.Codec); ok {
+				bufpool.Put(payload)
+				payload, pooled = env, false
 			}
-			err = n.emit(out)
-			if n.cfg.OnResult != nil && !compressed {
-				// The result callback may retain the decoded chunk, whose
-				// items alias the payload: return the credit but hand the
-				// bytes over to the retainer (and the GC). A compressed
-				// payload was fully consumed by decompression — the decoded
-				// chunk aliases the inflated copy — so it releases normally.
-				msg.ReleaseKeep()
-			} else {
-				msg.Release()
-			}
-			if err != nil {
-				return fmt.Errorf("emit shipped output %d: %w", msg.Seq, err)
+			if err := n.send(metrics.OutputHandling, rpc.Message{
+				Src: n.self, Dst: rpc.NodeID(w.Outputs[o].Node), Type: msgFinalOutput, Tile: t, Seq: o,
+				Payload: payload, Pooled: pooled,
+			}); err != nil {
+				return err
 			}
 		}
 		return nil
-	}()
-
-	serr := <-sendErr
+	}, func(msg rpc.Message) error {
+		compressed := chunk.IsCompressed(msg.Payload)
+		out, err := n.decodeWhole(msg.Payload)
+		if err != nil {
+			msg.Release()
+			return fmt.Errorf("decode final output %d: %w", msg.Seq, err)
+		}
+		err = n.emit(out)
+		if n.cfg.OnResult != nil && !compressed {
+			// The result callback may retain the decoded chunk, whose
+			// items alias the payload: return the credit but hand the
+			// bytes over to the retainer (and the GC). A compressed
+			// payload was fully consumed by decompression — the decoded
+			// chunk aliases the inflated copy — so it releases normally.
+			msg.ReleaseKeep()
+		} else {
+			msg.Release()
+		}
+		if err != nil {
+			return fmt.Errorf("emit shipped output %d: %w", msg.Seq, err)
+		}
+		return nil
+	})
 	for _, o := range sh.Locals {
 		delete(accs, o)
 	}
-	if recvErr != nil {
-		return recvErr
-	}
-	return serr
+	return l.err
 }
 
 // finalizeMeta stamps engine-owned metadata onto a finished chunk.
@@ -829,11 +737,9 @@ func (n *node) emit(out *chunk.Chunk) error {
 		data := chunk.Encode(out)
 		out.Meta.Bytes = int64(len(data))
 		out.Meta.StoredBytes = 0
-		if n.cfg.Codec != chunk.CodecNone {
-			if env, used := chunk.Compress(data, n.cfg.Codec, chunk.DefaultMinRatio); used != chunk.CodecNone {
-				data = env
-				out.Meta.StoredBytes = int64(len(env))
-			}
+		if env, ok := compress(data, n.cfg.Codec); ok {
+			data = env
+			out.Meta.StoredBytes = int64(len(env))
 		}
 		if err := n.st.WriteChunk(n.cfg.ResultDataset, out.Meta, data); err != nil {
 			return err
@@ -860,9 +766,4 @@ func (n *node) send(p metrics.Phase, m rpc.Message) error {
 	n.met.NetSendNanos.Add(time.Since(start).Nanoseconds())
 	n.met.AddSent(p, bytes)
 	return nil
-}
-
-// noteRecv attributes a consumed message to the phase that waited for it.
-func (n *node) noteRecv(p metrics.Phase, m rpc.Message) {
-	n.met.AddRecv(p, int64(len(m.Payload)))
 }

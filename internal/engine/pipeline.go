@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adr/internal/metrics"
+	"adr/internal/rpc"
 )
 
 // The execution pipeline parallelizes the CPU side of a phase. The paper's
@@ -36,10 +37,41 @@ type work struct {
 	// aliasing it. Local-read items leave it nil; their buffers belong to
 	// the storage/cache.
 	rel func()
-	// local marks local-read items (read locally and therefore subject to
-	// forwarding) — false for items from the mailbox.
-	local bool
-	enq   time.Time
+	enq time.Time
+}
+
+// latch holds a phase's first failure. fail records it and cancels ctx, which
+// every blocking wait of the phase — take, submit, a shared read — watches,
+// so one half failing stops the others. A cancellation of the parent context
+// is not a failure until a waiter reports being interrupted by it: a phase
+// whose work all completed before the context died still succeeds, exactly
+// as the serial loop behaved.
+type latch struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	once   sync.Once
+	failed atomic.Bool
+	err    error
+}
+
+func newLatch(ctx context.Context) *latch {
+	l := &latch{}
+	l.ctx, l.cancel = context.WithCancel(ctx)
+	return l
+}
+
+// fail records the phase's first error (nil is ignored) and cancels its
+// context. Safe from any goroutine of the phase; err may be read once they
+// have all been joined.
+func (l *latch) fail(err error) {
+	if err == nil {
+		return
+	}
+	l.once.Do(func() {
+		l.err = err
+		l.failed.Store(true)
+		l.cancel()
+	})
 }
 
 // pool runs a phase's decode+aggregate callback on a fixed set of workers.
@@ -50,20 +82,11 @@ type work struct {
 // buffers. Use: submit from any number of goroutines, join the producers,
 // then call wait exactly once.
 type pool struct {
+	*latch
 	ch  chan work
 	met *metrics.Node
 	fn  func(work) error
-
-	// ctx is the pool's cancellation scope: derived from the phase context,
-	// cancelled on first failure. Producers blocked in submit (or in their
-	// own waits, e.g. mbox.take) must watch it.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	wg     sync.WaitGroup
-	once   sync.Once
-	failed atomic.Bool
-	err    error
+	wg  sync.WaitGroup
 }
 
 // newPool starts workers goroutines consuming the queue.
@@ -71,17 +94,15 @@ func newPool(ctx context.Context, workers int, met *metrics.Node, fn func(work) 
 	if workers < 1 {
 		workers = 1
 	}
-	pctx, cancel := context.WithCancel(ctx)
 	p := &pool{
+		latch: newLatch(ctx),
 		// 2x workers of buffer: enough that a producer handing over an item
 		// rarely blocks, small enough to bound in-flight chunk memory at a
 		// few chunks per worker (with DefaultReadAhead bounding the readers
 		// above).
-		ch:     make(chan work, 2*workers),
-		met:    met,
-		fn:     fn,
-		ctx:    pctx,
-		cancel: cancel,
+		ch:  make(chan work, 2*workers),
+		met: met,
+		fn:  fn,
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -123,9 +144,7 @@ func (w *work) release() {
 // once the pool is cancelled; the item's buffer is recycled and the
 // producer should stop. A cancellation that interrupts a submission is
 // recorded as the pool's failure (unless an earlier error already was), so
-// a phase cut short by its context never reports success — while a phase
-// whose work all completed before the context died still does, exactly as
-// the serial loop behaved.
+// a phase cut short by its context never reports success.
 func (p *pool) submit(w work) bool {
 	w.enq = time.Now()
 	select {
@@ -138,16 +157,13 @@ func (p *pool) submit(w work) bool {
 	}
 }
 
-// fail records the pool's first error and cancels its context. Safe from
-// workers and producers alike; producers that stop early on pool
-// cancellation must call it (with ctx.Err()) so the phase reports the
-// interruption.
-func (p *pool) fail(err error) {
-	p.once.Do(func() {
-		p.err = err
-		p.failed.Store(true)
-		p.cancel()
-	})
+// deliver submits an inbound message; the item retires it when its worker
+// callback returns (work.rel). It is the receive half of a pooled phase.
+func (p *pool) deliver(m rpc.Message) error {
+	if !p.submit(work{seq: m.Seq, data: m.Payload, rel: m.Release}) {
+		return p.ctx.Err()
+	}
+	return nil
 }
 
 // wait closes the queue, joins the workers and returns the first failure.
