@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lines lines-pkg check test-failure bench bench-live bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select docs clean
+.PHONY: all build test race vet fmt lines lines-pkg check test-failure bench bench-live bench-engine bench-flow bench-failover bench-compress bench-select docs clean
 
 all: check
 
@@ -36,8 +36,9 @@ lines-pkg:
 # death, verbatim on both transports), peer death, send timeouts, malformed
 # and forged frames, abort broadcast, the inbound path (the Dispatcher/mailbox
 # table, the phase exchange primitive, a refused query's early arrivals), the
-# store fd-lifetime race, cache coherence under concurrency, admission-control
-# recovery, shared-scan batches surviving a member's abort, the
+# store fd-lifetime race, cache coherence under concurrency (a stale in-flight
+# load takes no new waiters), admission-control recovery, an overlapping query
+# surviving the abort of the peer whose in-flight loads it shares, the
 # flow-control/buffer-ownership sweep (credit windows under failure,
 # pool-balance leak checks, payload recycling on dead-peer sends), the
 # degraded-mode failover suite
@@ -47,32 +48,21 @@ lines-pkg:
 # compressed-replica degraded retries, pool-balance checks on compressed
 # failure paths) — race-checked, bounded so a reintroduced hang fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|SharedBatch|SharedScan|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/
 # compiles against (tier-1 does not build it).
 check: build fmt vet test docs bench-compress bench-live
 
-bench: bench-cache bench-engine bench-sharedscan bench-flow bench-failover bench-compress bench-select
+bench: bench-engine bench-flow bench-failover bench-compress bench-select
 	$(GO) run ./cmd/adr-bench -quick
-
-# Cache benchmark: cold vs warm disk reads for a repeated range-query sweep,
-# summarized into BENCH_3.json.
-bench-cache:
-	BENCH_JSON=BENCH_3.json $(GO) test -run '^$$' -bench RepeatedRangeQuery -benchtime 1x .
 
 # Execution-pipeline benchmark: compute-bound local reduction with one vs
 # four decode+aggregate workers, summarized into BENCH_4.json. Fails if the
 # pipeline delivers less than a 1.5x speedup.
 bench-engine:
 	BENCH_JSON=BENCH_4.json $(GO) test -run '^$$' -bench LocalReductionWorkers -benchtime 1x .
-
-# Shared-scan benchmark: disk reads for two concurrent queries at 100/50/0%
-# input overlap, batched vs serial, summarized into BENCH_6.json. Fails if
-# full overlap dedups less than 30% of the reads.
-bench-sharedscan:
-	BENCH_JSON=BENCH_6.json $(GO) test -run '^$$' -bench SharedScanOverlap -benchtime 1x .
 
 # Flow-control benchmark: skewed fan-in under a 64 KiB forwarding window,
 # summarized into BENCH_7.json. Fails if the peak in-flight bytes exceed the
@@ -110,9 +100,9 @@ bench-select:
 bench-live:
 	$(GO) test -C bench -race ./...
 
-# Documentation checks: README flag tables vs registered flags, markdown
-# links and DESIGN.md section cross-references, and the godoc package-
-# comment lint.
+# Documentation checks: README flag tables vs registered flags, README's
+# metric families vs the ones the code registers, markdown links and DESIGN.md
+# section cross-references, and the godoc package-comment lint.
 docs:
 	$(GO) test -run 'TestDocs|TestGodoc' .
 	$(GO) test -run TestFlagTable ./cmd/...

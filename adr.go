@@ -59,13 +59,8 @@ type Repository = core.Repository
 // Options configures NewRepository.
 type Options = core.Options
 
-// The two knob pairs Options holds by value.
-type (
-	// ScanOptions configures cross-query shared scans (Options.Scan).
-	ScanOptions = engine.ScanOptions
-	// Flow configures forwarding flow control (Options.Flow).
-	Flow = rpc.Flow
-)
+// Flow configures forwarding flow control (Options.Flow).
+type Flow = rpc.Flow
 
 // Query is a range query plus its user customization.
 type Query = core.Query

@@ -16,8 +16,8 @@ func buildRepo(t testing.TB, nodes int) *adr.Repository {
 	return buildRepoOpts(t, adr.Options{Nodes: nodes})
 }
 
-// buildRepoOpts is buildRepo with full repository options (the shared-scan
-// tests need BatchWindow).
+// buildRepoOpts is buildRepo with full repository options (the overlapping-
+// query tests need a cache).
 func buildRepoOpts(t testing.TB, opts adr.Options) *adr.Repository {
 	t.Helper()
 	repo, err := adr.NewRepository(opts)

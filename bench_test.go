@@ -569,314 +569,6 @@ func adrNewCostRepo(workers int) (*adr.Repository, error) {
 	return repo, nil
 }
 
-// BenchmarkRepeatedRangeQuery measures the chunk cache on the workload it
-// exists for: a sliding window of overlapping range queries over a
-// file-backed farm. The first (cold) sweep pulls every chunk it touches off
-// disk; the warm sweeps are served from the node caches. Reported metrics:
-// disk reads per cold and per warm sweep. With BENCH_JSON set, a JSON
-// summary (cold vs warm disk reads and wall time) is written to that path.
-func BenchmarkRepeatedRangeQuery(b *testing.B) {
-	dir := b.TempDir()
-	region := adr.R(0, 256, 0, 256)
-
-	// Load through an uncached repository so the cold sweep genuinely
-	// starts cold (write-through loading would leave the chunks resident).
-	loader, err := adr.NewRepository(adr.Options{Nodes: 4, StoreDir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	items := make([]adr.Item, 65536)
-	for i := range items {
-		items[i] = adr.Item{
-			Coord: adr.Pt(rng.Float64()*256, rng.Float64()*256),
-			Value: adr.EncodeValue(int64(i)),
-		}
-	}
-	grid, err := adr.NewGrid(region, 16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chunks, err := adr.PartitionGrid(items, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsIn, err := loader.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, chunks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	outGrid, err := adr.NewGrid(region, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsOut, err := loader.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := loader.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	repo, err := adr.NewRepository(adr.Options{
-		Nodes: 4, StoreDir: dir, CacheBytes: 256 << 20,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer repo.Close()
-	if err := repo.RegisterDataset(dsIn); err != nil {
-		b.Fatal(err)
-	}
-	if err := repo.RegisterDataset(dsOut); err != nil {
-		b.Fatal(err)
-	}
-
-	// Eight overlapping 96x96 windows sliding across the space: adjacent
-	// windows share chunks, and a repeated sweep re-reads everything.
-	var windows []adr.Rect
-	for i := 0; i < 8; i++ {
-		lo := float64(i) * 20
-		windows = append(windows, adr.R(lo, lo+96, lo, lo+96))
-	}
-	diskReads := metrics.Default.Counter("adr_disk_reads_total")
-	sweep := func() {
-		for _, w := range windows {
-			res, err := repo.Execute(context.Background(), &adr.Query{
-				Input: "pts", Output: "img", InputBox: w, Strategy: adr.FRA,
-				App: &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Chunks) == 0 {
-				b.Fatal("no results")
-			}
-		}
-	}
-
-	coldStart := time.Now()
-	before := diskReads.Value()
-	sweep()
-	coldReads := diskReads.Value() - before
-	coldWall := time.Since(coldStart)
-
-	b.ResetTimer()
-	warmStart := time.Now()
-	before = diskReads.Value()
-	for i := 0; i < b.N; i++ {
-		sweep()
-	}
-	warmWall := time.Since(warmStart)
-	warmReads := (diskReads.Value() - before) / int64(b.N)
-	b.ReportMetric(float64(coldReads), "cold-reads")
-	b.ReportMetric(float64(warmReads), "warm-reads/op")
-
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":       "RepeatedRangeQuery",
-			"cold_disk_reads": coldReads,
-			"warm_disk_reads": warmReads,
-			"cold_wall_ns":    coldWall.Nanoseconds(),
-			"warm_wall_ns":    warmWall.Nanoseconds() / int64(b.N),
-			"warm_sweeps":     b.N,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if warmReads*2 > coldReads {
-		b.Fatalf("cache ineffective: %d warm disk reads vs %d cold", warmReads, coldReads)
-	}
-}
-
-// BenchmarkSharedScanOverlap measures the cross-query shared-scan scheduler
-// on the workload it exists for: overlapping queries admitted concurrently.
-// For each overlap fraction it runs a pair of range queries twice over an
-// uncached file-backed farm — back-to-back on a repository without batching
-// (serial), then concurrently through a shared-scan batch — and compares
-// per-node disk reads. With BENCH_JSON set, a JSON summary (per-overlap
-// disk reads and dedup ratio, plus the trace's shared-read totals) is
-// written to that path. Fails unless the fully-overlapping pair saves at
-// least 30% of the serial pair's disk reads.
-func BenchmarkSharedScanOverlap(b *testing.B) {
-	dir := b.TempDir()
-	region := adr.R(0, 256, 0, 256)
-
-	// Load through a throwaway repository; both measured repositories run
-	// uncached so every read the scheduler does not dedup hits the disk.
-	loader, err := adr.NewRepository(adr.Options{Nodes: 4, StoreDir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
-	items := make([]adr.Item, 65536)
-	for i := range items {
-		items[i] = adr.Item{
-			Coord: adr.Pt(rng.Float64()*256, rng.Float64()*256),
-			Value: adr.EncodeValue(int64(i)),
-		}
-	}
-	grid, err := adr.NewGrid(region, 16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chunks, err := adr.PartitionGrid(items, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsIn, err := loader.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, chunks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	outGrid, err := adr.NewGrid(region, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dsOut, err := loader.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := loader.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	openRepo := func(window time.Duration) *adr.Repository {
-		repo, err := adr.NewRepository(adr.Options{
-			Nodes: 4, StoreDir: dir, Scan: adr.ScanOptions{BatchWindow: window, MaxBatch: 2},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := repo.RegisterDataset(dsIn); err != nil {
-			b.Fatal(err)
-		}
-		if err := repo.RegisterDataset(dsOut); err != nil {
-			b.Fatal(err)
-		}
-		return repo
-	}
-	query := func(box adr.Rect) *adr.Query {
-		return &adr.Query{
-			Input: "pts", Output: "img", InputBox: box, Strategy: adr.FRA,
-			App: &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-		}
-	}
-	// Query pairs: A fixed at the left 128-wide window, B slid right so the
-	// pair overlaps by the given fraction of each box.
-	const w = 128.0
-	overlaps := []struct {
-		pct int
-		off float64
-	}{{100, 0}, {50, w / 2}, {0, w}}
-	boxA := adr.R(0, w, 0, 256)
-	boxB := func(off float64) adr.Rect { return adr.R(off, off+w, 0, 256) }
-
-	diskReads := metrics.Default.Counter("adr_disk_reads_total")
-
-	type overlapRow struct {
-		OverlapPct       int     `json:"overlap_pct"`
-		SerialDiskReads  int64   `json:"serial_disk_reads"`
-		BatchedDiskReads int64   `json:"batched_disk_reads"`
-		DedupPct         float64 `json:"dedup_pct"`
-		SharedReads      int64   `json:"shared_reads"`
-		DedupedBytes     int64   `json:"deduped_bytes"`
-	}
-	rows := make([]overlapRow, 0, len(overlaps))
-
-	serial := openRepo(0)
-	for _, ov := range overlaps {
-		before := diskReads.Value()
-		for _, box := range []adr.Rect{boxA, boxB(ov.off)} {
-			if _, err := serial.Execute(context.Background(), query(box)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		rows = append(rows, overlapRow{OverlapPct: ov.pct, SerialDiskReads: diskReads.Value() - before})
-	}
-	if err := serial.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	batched := openRepo(250 * time.Millisecond)
-	defer batched.Close()
-	runPair := func(off float64) (reads, shared, deduped int64) {
-		before := diskReads.Value()
-		boxes := []adr.Rect{boxA, boxB(off)}
-		results := make([]*adr.Result, len(boxes))
-		errs := make([]error, len(boxes))
-		var wg sync.WaitGroup
-		for i, box := range boxes {
-			wg.Add(1)
-			go func(i int, box adr.Rect) {
-				defer wg.Done()
-				results[i], errs[i] = batched.Execute(context.Background(), query(box))
-			}(i, box)
-		}
-		wg.Wait()
-		for i := range errs {
-			if errs[i] != nil {
-				b.Fatal(errs[i])
-			}
-			total := results[i].Report.Total()
-			shared += total.SharedReads
-			deduped += total.DedupedBytes
-		}
-		return diskReads.Value() - before, shared, deduped
-	}
-	var batchedWall time.Duration
-	for i, ov := range overlaps {
-		start := time.Now()
-		reads, shared, deduped := runPair(ov.off)
-		if ov.pct == 100 {
-			batchedWall = time.Since(start)
-		}
-		rows[i].BatchedDiskReads = reads
-		rows[i].SharedReads = shared
-		rows[i].DedupedBytes = deduped
-		if rows[i].SerialDiskReads > 0 {
-			rows[i].DedupPct = 100 * float64(rows[i].SerialDiskReads-reads) / float64(rows[i].SerialDiskReads)
-		}
-	}
-
-	// The timed section re-runs the fully-overlapping concurrent pair.
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runPair(0)
-	}
-	b.StopTimer()
-	full := rows[0]
-	b.ReportMetric(float64(full.SerialDiskReads), "serial-reads")
-	b.ReportMetric(float64(full.BatchedDiskReads), "batched-reads")
-	b.ReportMetric(full.DedupPct, "dedup-%")
-
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":              "SharedScanOverlap",
-			"nodes":                  4,
-			"queries_per_batch":      2,
-			"batch_window_ms":        250,
-			"overlaps":               rows,
-			"full_overlap_dedup_pct": full.DedupPct,
-			"batched_pair_wall_ns":   batchedWall.Nanoseconds(),
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if full.DedupPct < 30 {
-		b.Fatalf("shared scan ineffective: %d batched disk reads vs %d serial (%.1f%% dedup, want >= 30%%)",
-			full.BatchedDiskReads, full.SerialDiskReads, full.DedupPct)
-	}
-}
-
 // BenchmarkForwardBackpressure measures the credit-based flow control on the
 // workload it exists for: skewed fan-in, where DA forwards every node's
 // input chunks to a single output home. Without a window the fast senders

@@ -24,7 +24,6 @@ import (
 
 	"adr/internal/backend"
 	"adr/internal/chunk"
-	"adr/internal/engine"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
@@ -44,8 +43,6 @@ type options struct {
 	cacheBytes   *int64
 	maxQueries   *int
 	workers      *int
-	batchWindow  *time.Duration
-	maxBatch     *int
 	fwdWindow    *int64
 	degraded     *bool
 	compress     *string
@@ -67,8 +64,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		cacheBytes:   fs.Int64("cache-bytes", 256<<20, "chunk cache budget in bytes (0 disables caching)"),
 		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; excess queue (0 = unbounded)"),
 		workers:      fs.Int("workers", 0, "decode+aggregate workers per query (0 = GOMAXPROCS)"),
-		batchWindow:  fs.Duration("batch-window", 0, "shared-scan batching window: queries admitted within it dedup overlapping reads (0 disables)"),
-		maxBatch:     fs.Int("max-batch", 8, "max queries per shared-scan batch (effective with -batch-window > 0)"),
 		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
 		degraded:     fs.Bool("degraded", false, "survive back-end node deaths by re-planning onto replica holders (needs -replicas >= 2 at load time; same value on every node)"),
 		compress:     fs.String("compress", "none", "default codec for engine payloads on the wire: none, flate or columnar (query specs override)"),
@@ -112,7 +107,6 @@ func main() {
 		CacheBytes:      *cacheBytes,
 		MaxQueries:      *maxQueries,
 		Workers:         *opt.workers,
-		Scan:            engine.ScanOptions{BatchWindow: *opt.batchWindow, MaxBatch: *opt.maxBatch},
 		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow},
 		Degraded:        *opt.degraded,
 		Codec:           codec,
@@ -125,11 +119,6 @@ func main() {
 	fmt.Printf("adr-node %d: mesh up (%d nodes), control on %s\n", *id, len(addrs), srv.ControlAddr())
 	if *cacheBytes > 0 {
 		fmt.Printf("adr-node %d: chunk cache %d MiB, max %d concurrent queries\n", *id, *cacheBytes>>20, *maxQueries)
-	}
-	if *opt.batchWindow > 0 && *opt.degraded {
-		fmt.Printf("adr-node %d: shared scans off: -degraded overrides -batch-window %v (a retry's re-planned reads cannot rejoin a batch)\n", *id, *opt.batchWindow)
-	} else if *opt.batchWindow > 0 {
-		fmt.Printf("adr-node %d: shared scans on: window %v, max batch %d\n", *id, *opt.batchWindow, *opt.maxBatch)
 	}
 	if *opt.fwdWindow > 0 {
 		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer\n", *id, *opt.fwdWindow)

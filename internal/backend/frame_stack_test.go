@@ -102,7 +102,7 @@ func requireBitIdentical(t *testing.T, want []*chunk.Chunk, got []*frontend.Chun
 // ParallelClient — are bit-identical to engine.RunSerial for every strategy
 // and for AUTO, over a raw farm and over a columnar-compressed one whose
 // queries also compress their mesh payloads, on nodes configured by default,
-// with a shared-scan batch window, and with a 1 KiB forwarding window.
+// with a chunk cache, and with a 1 KiB forwarding window.
 func TestFrameStackMatchesSerial(t *testing.T) {
 	const nodes = 3
 	variants := []struct {
@@ -110,7 +110,9 @@ func TestFrameStackMatchesSerial(t *testing.T) {
 		mut  func(i int, cfg *backend.Config)
 	}{
 		{"default", nil},
-		{"batch-window", func(_ int, cfg *backend.Config) { cfg.Scan.BatchWindow = 20 * time.Millisecond }},
+		// The cached stack. Its label is the shared-scan variant's, which it
+		// replaced: printed subtest names are kept stable.
+		{"batch-window", func(_ int, cfg *backend.Config) { cfg.CacheBytes = 1 << 20 }},
 		{"flow-window", func(_ int, cfg *backend.Config) { cfg.Flow.WindowBytes = 1 << 10 }},
 	}
 	for _, codec := range []chunk.Codec{chunk.CodecNone, chunk.CodecColumnar} {

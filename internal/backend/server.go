@@ -71,9 +71,6 @@ type Config struct {
 	// overloaded nodes — each node running a query its peers never admitted
 	// — cannot pin admission slots forever.
 	MaxQueries int
-	// Scan configures this node's cross-query shared-scan scheduler (see
-	// engine.ScanOptions). Degraded turns it off: see core.Exec.
-	Scan engine.ScanOptions
 	// RequestTimeout bounds reading the request header off a new control
 	// connection, so a stalled client cannot pin a handler goroutine. 0
 	// selects DefaultRequestTimeout; negative disables the deadline.
@@ -235,10 +232,6 @@ func Start(cfg Config) (_ *Server, err error) {
 	s.exec.Resolve = s.resolve
 	if cfg.MaxQueries > 0 {
 		s.admit = make(chan struct{}, cfg.MaxQueries)
-	}
-	if cfg.Scan.BatchWindow > 0 {
-		s.exec.Scans = make([]*engine.SharedScan, m.Nodes)
-		s.exec.Scans[cfg.Node] = engine.NewSharedScan(cfg.Scan.BatchWindow, cfg.Scan.MaxBatch)
 	}
 	s.datasets = make(map[string]*layout.Dataset, len(datasets))
 	for _, ds := range datasets {
@@ -472,9 +465,9 @@ func specQuery(spec *frontend.QuerySpec) (*core.Query, error) {
 }
 
 // runQuery plans and executes the query on this node, streaming owned
-// output chunks to w: the shared prepare step, this node's shared-scan join,
-// engine.RunNodeTraced on ep, the query's dispatcher endpoint, and the shared
-// observe step (see core.Exec).
+// output chunks to w: the shared prepare step, engine.RunNodeTraced on ep,
+// the query's dispatcher endpoint, and the shared observe step (see
+// core.Exec).
 func (s *Server) runQuery(req *frontend.NodeRequest, ep rpc.Endpoint, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
 	spec := &req.Spec
 	q, err := specQuery(spec)
@@ -538,7 +531,6 @@ func (s *Server) runQuery(req *frontend.NodeRequest, ep rpc.Endpoint, w *bufio.W
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	defer s.exec.JoinScans(ctx, &cfg)()
 	trace, err = engine.RunNodeTraced(ctx, cfg, ep, engine.FarmStorage{Farm: s.farm})
 	replicaFallbackReads.Add(trace.Totals.ReplicaFallbackReads)
 	if err != nil {

@@ -4,59 +4,53 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"adr/internal/apps"
 	"adr/internal/backend"
 	"adr/internal/core"
-	"adr/internal/engine"
 	"adr/internal/frontend"
 	"adr/internal/layout"
 	"adr/internal/plan"
-	"adr/internal/rpc"
 )
 
-// startBatchStack brings up a mesh of node daemons with the shared-scan
-// scheduler enabled (window/maxBatch) over a fresh file-backed farm.
-func startBatchStack(t *testing.T, nodes int, window time.Duration, maxBatch int) (dir string, ctrlAddrs []string) {
+// startCachedStack brings up a mesh of node daemons, each with a chunk cache
+// large enough never to evict, over a fresh file-backed farm: the stack on
+// which concurrent overlapping queries share reads.
+func startCachedStack(t *testing.T, nodes int, degraded bool) (dir string, ctrlAddrs []string) {
 	t.Helper()
 	dir = t.TempDir()
 	buildFarmDir(t, dir, nodes)
-	meshAddrs, meshLns := freeAddrs(t, nodes)
-	servers := make([]*backend.Server, nodes)
-	startErr := make(chan error, nodes)
-	for i := 0; i < nodes; i++ {
-		go func(i int) {
-			s, err := backend.Start(backend.Config{
-				Node:         rpc.NodeID(i),
-				MeshAddrs:    meshAddrs,
-				MeshListener: meshLns[i],
-				ControlAddr:  "127.0.0.1:0",
-				DataDir:      dir,
-				Scan:         engine.ScanOptions{BatchWindow: window, MaxBatch: maxBatch},
-			})
-			servers[i] = s
-			startErr <- err
-		}(i)
-	}
-	for i := 0; i < nodes; i++ {
-		if err := <-startErr; err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			if s != nil {
-				s.Close()
-			}
-		}
+	_, ctrlAddrs = startNodesOver(t, dir, nodes, func(_ int, cfg *backend.Config) {
+		cfg.CacheBytes = 64 << 20
+		cfg.Degraded = degraded
 	})
-	ctrlAddrs = make([]string, nodes)
-	for i, s := range servers {
-		ctrlAddrs[i] = s.ControlAddr()
-	}
 	return dir, ctrlAddrs
+}
+
+// queryConcurrently submits every spec from its own goroutine, so the queries
+// are in flight together, and returns the per-spec streams in input order.
+func queryConcurrently(t *testing.T, pc *frontend.ParallelClient, specs ...*frontend.QuerySpec) [][]frontend.NodeStream {
+	t.Helper()
+	results := make([][]frontend.NodeStream, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for qi, spec := range specs {
+		wg.Add(1)
+		go func(qi int, spec *frontend.QuerySpec) {
+			defer wg.Done()
+			results[qi], errs[qi] = pc.Query(spec)
+		}(qi, spec)
+	}
+	wg.Wait()
+	for qi, err := range errs {
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+	}
+	return results
 }
 
 // serialReference executes the query on an in-process repository over the
@@ -93,68 +87,62 @@ func mergeStreams(streams []frontend.NodeStream) []*frontend.ChunkJSON {
 	return all
 }
 
-// TestSharedBatchOverlapMatchesSerial drives two fully-overlapping queries
-// into one shared-scan batch and checks (a) both results equal the serial
-// in-process reference and (b) the traces record deduplicated reads — or,
-// on degraded nodes, none at all: -degraded turns the batch window off
-// (core.Exec), and the results must not change for it.
+// TestSharedBatchOverlapMatchesSerial runs two fully-overlapping queries
+// concurrently on a cached stack, for every strategy, on plain and on
+// degraded nodes, and checks (a) both results equal the serial in-process
+// reference and (b) the traces account for the sharing exactly: the cache
+// never evicts here, so across the stack's life each chunk is read from disk
+// once and every other read of it — by the concurrent peer, through its
+// in-flight load or after it, and by the later strategies — is a cache hit.
 func TestSharedBatchOverlapMatchesSerial(t *testing.T) {
 	const nodes = 2
 	for _, degraded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("degraded=%v", degraded), func(t *testing.T) {
-			dir := t.TempDir()
-			buildFarmDir(t, dir, nodes)
-			_, ctrlAddrs := startNodesOver(t, dir, nodes, func(_ int, cfg *backend.Config) {
-				cfg.Scan = engine.ScanOptions{BatchWindow: 250 * time.Millisecond, MaxBatch: 2}
-				cfg.Degraded = degraded
-			})
-
-			want := serialReference(t, dir, nodes, &core.Query{
-				Input: "sensor", Output: "raster", Strategy: plan.FRA,
-				App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4},
-			})
-
+			dir, ctrlAddrs := startCachedStack(t, nodes, degraded)
 			pc, err := frontend.NewParallelClient(ctrlAddrs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec := &frontend.QuerySpec{
-				Input: "sensor", Output: "raster", Strategy: "FRA",
-				App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
-			}
-			results, errs := pc.QueryAll([]*frontend.QuerySpec{spec, spec})
-			var sharedReads, dedupedBytes int64
-			for qi := range results {
-				if errs[qi] != nil {
-					t.Fatalf("query %d: %v", qi, errs[qi])
+			var queries, chunksRead, cacheHits int64
+			for _, strategy := range plan.Strategies {
+				want := serialReference(t, dir, nodes, &core.Query{
+					Input: "sensor", Output: "raster", Strategy: strategy,
+					App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4},
+				})
+				spec := &frontend.QuerySpec{
+					Input: "sensor", Output: "raster", Strategy: strategy.String(),
+					App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
 				}
-				if got := canonicalJSON(mergeStreams(results[qi])); got != want {
-					t.Errorf("query %d result differs from serial reference", qi)
-				}
-				for _, st := range results[qi] {
-					if st.Stats == nil || st.Stats.Trace == nil {
-						t.Fatalf("query %d node %d: missing trace", qi, st.Node)
+				for qi, streams := range queryConcurrently(t, pc, spec, spec) {
+					if got := canonicalJSON(mergeStreams(streams)); got != want {
+						t.Errorf("%v query %d result differs from serial reference", strategy, qi)
 					}
-					sharedReads += st.Stats.Trace.Totals.SharedReads
-					dedupedBytes += st.Stats.Trace.Totals.DedupedBytes
+					queries++
+					for _, st := range streams {
+						if st.Stats == nil || st.Stats.Trace == nil {
+							t.Fatalf("%v query %d node %d: missing trace", strategy, qi, st.Node)
+						}
+						chunksRead += st.Stats.Trace.Totals.ChunksRead
+						cacheHits += st.Stats.Trace.Totals.CacheHits
+					}
 				}
 			}
-			if degraded && sharedReads != 0 {
-				t.Errorf("degraded nodes recorded %d shared reads: the batch window must be off", sharedReads)
-			}
-			if !degraded && (sharedReads == 0 || dedupedBytes == 0) {
-				t.Errorf("no shared reads recorded (shared=%d deduped=%d): batch never coalesced", sharedReads, dedupedBytes)
+			// Every query reads the same chunks; all but one read of each was
+			// served by the cache.
+			if perQuery := chunksRead / queries; perQuery == 0 || cacheHits != chunksRead-perQuery {
+				t.Errorf("%d queries read %d chunks with %d cache hits, want %d hits (%d chunks read from disk once)",
+					queries, chunksRead, cacheHits, chunksRead-perQuery, perQuery)
 			}
 		})
 	}
 }
 
-// TestSharedBatchZeroResult runs a zero-result query inside a shared batch
-// alongside a full query: the empty member must complete cleanly (no items,
-// no error) without disturbing its peer.
+// TestSharedBatchZeroResult runs a zero-result query concurrently with a
+// full query on a cached stack: the empty one must complete cleanly (no
+// items, no error) without disturbing its peer.
 func TestSharedBatchZeroResult(t *testing.T) {
 	const nodes = 2
-	dir, ctrlAddrs := startBatchStack(t, nodes, 250*time.Millisecond, 2)
+	dir, ctrlAddrs := startCachedStack(t, nodes, false)
 
 	full := &frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "DA",
@@ -173,12 +161,7 @@ func TestSharedBatchZeroResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, errs := pc.QueryAll([]*frontend.QuerySpec{full, empty})
-	for qi, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-	}
+	results := queryConcurrently(t, pc, full, empty)
 
 	var counted int64
 	for _, c := range mergeStreams(results[0]) {
@@ -200,10 +183,10 @@ func TestSharedBatchZeroResult(t *testing.T) {
 		cells += len(c.Items)
 	}
 	if cells != 0 {
-		t.Errorf("zero-result batch member produced %d cells", cells)
+		t.Errorf("zero-result query produced %d cells", cells)
 	}
 	if len(emptyChunks) == 0 {
-		t.Error("zero-result member emitted no chunks at all (owner must still emit its empty output)")
+		t.Error("zero-result query emitted no chunks at all (owner must still emit its empty output)")
 	}
 
 	want := serialReference(t, dir, nodes, &core.Query{
@@ -211,23 +194,25 @@ func TestSharedBatchZeroResult(t *testing.T) {
 		App: &apps.RasterApp{Op: apps.Count, CellsPerDim: 4},
 	})
 	if got := canonicalJSON(mergeStreams(results[0])); got != want {
-		t.Error("full query inside shared batch differs from serial reference")
+		t.Error("full query beside the zero-result one differs from serial reference")
 	}
 }
 
-// TestSharedBatchAbortPeersComplete kills one batch member mid-query — the
-// client submits to every node, then drops its connections — and checks the
-// surviving member still completes with the correct result.
+// TestSharedBatchAbortPeersComplete kills one of two overlapping queries
+// mid-run on a cached stack — its client submits to every node, then drops
+// its connections, so its result sink fails — and checks the other, which
+// shares the doomed query's in-flight loads, still completes with the correct
+// result: a load's leader finishes it whatever becomes of its own query.
 func TestSharedBatchAbortPeersComplete(t *testing.T) {
 	const nodes = 2
-	dir, ctrlAddrs := startBatchStack(t, nodes, 250*time.Millisecond, 2)
+	dir, ctrlAddrs := startCachedStack(t, nodes, false)
 
 	want := serialReference(t, dir, nodes, &core.Query{
 		Input: "sensor", Output: "raster", Strategy: plan.FRA,
 		App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4},
 	})
 
-	// The doomed member: submit the same query under a hand-picked id on
+	// The doomed query: submit the same query under a hand-picked id on
 	// every node, then slam the connections shut. The nodes fail when they
 	// stream output to the dead client and abort that query mesh-wide.
 	doomed := make([]net.Conn, 0, nodes)
@@ -252,8 +237,7 @@ func TestSharedBatchAbortPeersComplete(t *testing.T) {
 		}
 	}()
 
-	// The survivor joins the same batch window and must be untouched by its
-	// peer's death.
+	// The survivor runs beside it and must be untouched by its peer's death.
 	pc, err := frontend.NewParallelClient(ctrlAddrs)
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +247,9 @@ func TestSharedBatchAbortPeersComplete(t *testing.T) {
 		App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
 	})
 	if err != nil {
-		t.Fatalf("surviving batch member failed: %v", err)
+		t.Fatalf("surviving query failed: %v", err)
 	}
 	if got := canonicalJSON(mergeStreams(streams)); got != want {
-		t.Error("surviving batch member's result differs from serial reference")
+		t.Error("surviving query's result differs from serial reference")
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"context"
-	"sync"
-
 	"adr/internal/chunk"
 	"adr/internal/costmodel"
 	"adr/internal/engine"
@@ -21,19 +18,15 @@ import (
 //	Prepare    catalog lookup → BuildWorkload → the fixed strategy's plan, or
 //	           for AUTO the estimate step's winner (every fixed strategy
 //	           priced with the calibrated cost model) → the engine.Config
-//	JoinScans  merge the query's reads into the nodes' shared-scan batches
 //	(run)      the caller's own: engine.Run over a per-query in-process fabric
 //	           (Repository), engine.RunNodeTraced on the query's Dispatcher
 //	           endpoint of the long-lived mesh (backend.Server)
 //	Observe    fold the measured traces into the calibration
 //
 // Repository (every node in this process) and backend.Server (one node of a
-// TCP mesh) each hold one Exec and differ only in the run call. Two
-// combinations are excluded on purpose: degraded execution never joins a
-// shared scan (a retry's re-planned read schedule no longer matches the
-// demands registered at join time, so -degraded turns -batch-window off), and
-// the embedded Repository has no degraded mode (its nodes are goroutine
-// groups of one process; none dies alone).
+// TCP mesh) each hold one Exec and differ only in the run call. One
+// combination is excluded on purpose: the embedded Repository has no degraded
+// mode (its nodes are goroutine groups of one process; none dies alone).
 type Exec struct {
 	// Machine is what plans are built for; identical on every node of a mesh.
 	Machine      plan.Machine
@@ -46,10 +39,6 @@ type Exec struct {
 	// Degraded makes prepared queries survive peer deaths by re-planning onto
 	// replica holders.
 	Degraded bool
-	// Scans holds the shared-scan schedulers of the nodes this process runs,
-	// indexed by node id; nil when batching is off, nil entries for nodes run
-	// elsewhere.
-	Scans []*engine.SharedScan
 	// Resolve looks the query's datasets up in the owner's catalog and picks
 	// its mapping function.
 	Resolve func(q *Query) (in, out *layout.Dataset, mapper space.RectMapper, err error)
@@ -139,38 +128,6 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Sel
 		}
 	}
 	return cfg, sel, nil
-}
-
-// JoinScans merges the prepared query's read schedule into the shared-scan
-// batch of every node this process runs, so overlapping chunk demands of
-// queries admitted within the batch window hit the disks once, and points
-// cfg.Shared at the memberships. The joins run concurrently: each gates on
-// its batch window, and sequential joins would serialize the waits. leave
-// must run on every exit path — an aborting member has to withdraw its
-// demand so peers' retained payloads are released.
-func (e *Exec) JoinScans(ctx context.Context, cfg *engine.Config) (leave func()) {
-	if e.Scans == nil || e.Degraded {
-		return func() {}
-	}
-	members := make([]*engine.ScanMember, len(e.Scans))
-	var wg sync.WaitGroup
-	for node, scan := range e.Scans {
-		if scan == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(node int, scan *engine.SharedScan) {
-			defer wg.Done()
-			members[node] = scan.Join(ctx, engine.SharedDemands(cfg, rpc.NodeID(node)))
-		}(node, scan)
-	}
-	wg.Wait()
-	cfg.Shared = func(n rpc.NodeID) *engine.ScanMember { return members[n] }
-	return func() {
-		for _, m := range members {
-			m.Leave()
-		}
-	}
 }
 
 // Observe folds the traces of a successful run of cfg's plan into the

@@ -45,9 +45,6 @@ type Options struct {
 	// (engine.Config.Workers); <= 0 lets the engine default to
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Scan configures per-node cross-query shared scans among concurrent
-	// Execute calls (see engine.ScanOptions).
-	Scan engine.ScanOptions
 	// Replicas is the number of copies of each chunk LoadDataset places,
 	// chain-declustered across the farm's disks (layout.Loader.Replicas);
 	// <= 1 loads unreplicated. Degraded-mode execution needs >= 2 to re-plan
@@ -138,12 +135,6 @@ func NewRepository(opts Options) (*Repository, error) {
 		},
 	}
 	r.exec.Resolve = r.resolve
-	if opts.Scan.BatchWindow > 0 {
-		r.exec.Scans = make([]*engine.SharedScan, opts.Nodes)
-		for i := range r.exec.Scans {
-			r.exec.Scans[i] = engine.NewSharedScan(opts.Scan.BatchWindow, opts.Scan.MaxBatch)
-		}
-	}
 	return r, nil
 }
 
@@ -378,8 +369,8 @@ func (r *Repository) ExecuteBatch(ctx context.Context, qs []*Query) ([]*Result, 
 }
 
 // Execute plans and runs a query on the in-process back-end: the shared
-// prepare step, every node's shared-scan join, engine.Run over a fabric of
-// its own, and the shared observe step (see Exec).
+// prepare step, engine.Run over a fabric of its own, and the shared observe
+// step (see Exec).
 func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 	if q.App == nil {
 		return nil, fmt.Errorf("core: query needs an App")
@@ -412,7 +403,6 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 		return nil, err
 	}
 	defer fabric.Close()
-	defer r.exec.JoinScans(ctx, &cfg)()
 	report, err := engine.Run(ctx, cfg, fabric, engine.FarmStorage{Farm: r.farm})
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"adr/internal/apps"
 	"adr/internal/chunk"
@@ -153,7 +152,9 @@ func TestParallelMatchesSerialAllStrategiesAndOps(t *testing.T) {
 		opts core.Options
 	}{
 		{"default", core.Options{}},
-		{"batch-window", core.Options{Scan: engine.ScanOptions{BatchWindow: 20 * time.Millisecond}}},
+		// The cached repository. Its label is the shared-scan variant's,
+		// which it replaced: printed subtest names are kept stable.
+		{"batch-window", core.Options{CacheBytes: 1 << 20}},
 		{"flow-window", core.Options{Flow: rpc.Flow{WindowBytes: 1 << 10}}},
 	}
 	for _, nodes := range []int{1, 3, 4} {

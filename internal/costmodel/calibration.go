@@ -16,7 +16,7 @@ import (
 // era-constants. Every executed query's NodeTrace carries the signals:
 //
 //   - disk bandwidth:  DiskReadBytes / DiskReadNanos (reads that actually
-//     hit storage — cache hits and shared-scan waiter reads are excluded)
+//     hit storage — cache hits are excluded)
 //   - link bandwidth:  BytesSent / NetSendNanos (effective, stalls included)
 //   - per-op compute:  PhaseNanos[LR]/AggOps, PhaseNanos[GC]/CombineOps,
 //     and PhaseNanos[I]/PhaseNanos[OH] over the op counts of the node's

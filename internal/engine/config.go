@@ -109,15 +109,6 @@ type Config struct {
 	// different nodes.
 	OnResult func(node rpc.NodeID, c *chunk.Chunk) error
 
-	// Shared, when non-nil, resolves a node's membership in a cross-query
-	// shared-scan batch (see SharedScan): local chunk reads registered in the
-	// member's demand schedule are coalesced with the other member queries'
-	// reads of the same chunks. It is a per-node resolver — engine.Run shares
-	// one Config across every in-process node — and may return nil for nodes
-	// that do not participate. The caller owns the member's lifecycle
-	// (SharedScan.Join before the run, ScanMember.Leave after).
-	Shared func(node rpc.NodeID) *ScanMember
-
 	// Workers is the per-node execution-pipeline width: how many goroutines
 	// decode and aggregate chunks concurrently during local reduction and
 	// global combine. <= 0 selects runtime.GOMAXPROCS(0). Any width produces

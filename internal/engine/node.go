@@ -27,11 +27,6 @@ type node struct {
 	// installed on every outbound message (one shared closure, so the send
 	// hot path does not allocate one per message).
 	onStall func(time.Duration)
-	// scan is this node's shared-scan membership (nil outside a batch):
-	// readChunk routes demand-registered reads through it so overlapping
-	// concurrent queries fetch each chunk once.
-	scan *ScanMember
-
 	// share[t] is what the plan makes this node allocate, read, send and
 	// wait for in tile t (plan.ShareOf: this node's share only).
 	share []plan.Share
@@ -71,9 +66,6 @@ func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkSto
 		mbox: view.mbox,
 		st:   st,
 		met:  &metrics.Node{},
-	}
-	if cfg.Shared != nil {
-		n.scan = cfg.Shared(n.self)
 	}
 	n.onStall = func(d time.Duration) {
 		n.met.CreditStalls.Add(1)
@@ -243,7 +235,7 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 			for k, o := range sh.Owned {
 				var payload []byte
 				if n.st.HasChunk(n.cfg.OutputDataset, w.Outputs[o]) {
-					data, hit, err := n.readChunk(l.ctx, n.cfg.OutputDataset, w.Outputs[o])
+					data, hit, err := n.readChunk(n.cfg.OutputDataset, w.Outputs[o])
 					if err != nil {
 						return fmt.Errorf("read existing output %d: %w", o, err)
 					}
@@ -316,41 +308,24 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 }
 
 // readChunk reads a local chunk through the storage, reporting cache hits
-// when the storage can (CachedReader). Inside a shared-scan batch the read
-// is routed through the node's membership so overlapping concurrent queries
-// fetch each chunk once; ctx bounds the wait on a batch peer's in-flight
-// read (one query's abort never stalls another's).
-func (n *node) readChunk(ctx context.Context, dataset string, m chunk.Meta) (data []byte, hit bool, err error) {
+// when the storage can (CachedReader).
+func (n *node) readChunk(dataset string, m chunk.Meta) (data []byte, hit bool, err error) {
 	if len(m.Holders) > 0 && m.Disk != m.Holders[0] {
 		// The meta was remapped off its primary copy by plan.Degrade: this
 		// read is being served by a surviving replica holder.
 		n.met.ReplicaFallbackReads.Add(1)
 	}
-	load := func() ([]byte, bool, error) {
-		start := time.Now()
-		var d []byte
-		var hit bool
-		var err error
-		if cr, ok := n.st.(CachedReader); ok {
-			d, hit, err = cr.ReadChunkCached(dataset, m)
-		} else {
-			d, err = n.st.ReadChunk(dataset, m)
-		}
-		if err == nil && !hit {
-			// Time only the reads that actually hit storage: this ratio is
-			// the node's observed disk bandwidth (costmodel.Calibration).
-			n.met.DiskReadNanos.Add(time.Since(start).Nanoseconds())
-			n.met.DiskReadBytes.Add(int64(len(d)))
-		}
-		return d, hit, err
+	start := time.Now()
+	if cr, ok := n.st.(CachedReader); ok {
+		data, hit, err = cr.ReadChunkCached(dataset, m)
+	} else {
+		data, err = n.st.ReadChunk(dataset, m)
 	}
-	if n.scan == nil {
-		return load()
-	}
-	data, hit, shared, err := n.scan.Read(ctx, ReadKey{Dataset: dataset, ID: m.ID}, load)
-	if shared {
-		n.met.SharedReads.Add(1)
-		n.met.DedupedBytes.Add(int64(len(data)))
+	if err == nil && !hit {
+		// Time only the reads that actually hit storage: this ratio is
+		// the node's observed disk bandwidth (costmodel.Calibration).
+		n.met.DiskReadNanos.Add(time.Since(start).Nanoseconds())
+		n.met.DiskReadBytes.Add(int64(len(data)))
 	}
 	return data, hit, err
 }
@@ -457,8 +432,8 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	// The send half's queue: the prefetchers hand every chunk with remote
 	// homes to the one forwarding goroutine. Its bound propagates backpressure
 	// the rest of the way: when the forwarder stalls on credit the channel
-	// fills, the prefetchers block on it, and the disk reads (and the
-	// shared-scan leader behind them) slow to the receivers' consumption rate.
+	// fills, the prefetchers block on it, and the disk reads slow to the
+	// receivers' consumption rate.
 	type forward struct {
 		wk work
 		to []plan.Dest
@@ -493,7 +468,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 					pl.fail(pl.ctx.Err())
 					return
 				}
-				data, hit, err := n.readChunk(pl.ctx, n.cfg.InputDataset, w.Inputs[i])
+				data, hit, err := n.readChunk(n.cfg.InputDataset, w.Inputs[i])
 				<-sem
 				if err != nil {
 					pl.fail(fmt.Errorf("read input %d: %w", i, err))

@@ -3,7 +3,6 @@ package frontend
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -143,27 +142,4 @@ func (c *ParallelClient) queryOnce(spec *QuerySpec) ([]NodeStream, error) {
 		}
 	}
 	return streams, nil
-}
-
-// QueryAll submits every spec at once — each under its own query id, all
-// in flight simultaneously — and returns the per-spec streams in input
-// order. This is how overlapping queries are driven into one shared-scan
-// batch (backend -batch-window): Query serializes at the caller, so two
-// Query calls from one goroutine never coincide, while QueryAll guarantees
-// the specs are admitted concurrently. Errors are reported per spec in the
-// returned slice (entry i corresponds to specs[i]); the call itself only
-// fails on an empty spec list.
-func (c *ParallelClient) QueryAll(specs []*QuerySpec) ([][]NodeStream, []error) {
-	results := make([][]NodeStream, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for qi, spec := range specs {
-		wg.Add(1)
-		go func(qi int, spec *QuerySpec) {
-			defer wg.Done()
-			results[qi], errs[qi] = c.Query(spec)
-		}(qi, spec)
-	}
-	wg.Wait()
-	return results, errs
 }

@@ -67,7 +67,8 @@ type cacheEntry struct {
 // flight is one in-progress load; waiters block on done. stale is set
 // (under the cache mutex) when a Put or Invalidate races the load: the
 // flight's bytes may predate the write, so they must not populate the
-// cache.
+// cache, and a reader arriving after the write must not be handed them — it
+// starts a flight of its own, which takes over the key's inflight slot.
 type flight struct {
 	done  chan struct{}
 	data  []byte
@@ -129,7 +130,7 @@ func (c *ChunkCache) GetThrough(dataset string, id chunk.ID, load func() ([]byte
 		cacheHits.Inc()
 		return data, true, nil
 	}
-	if fl, ok := c.inflight[key]; ok {
+	if fl, ok := c.inflight[key]; ok && !fl.stale {
 		c.mu.Unlock()
 		<-fl.done
 		if fl.err != nil {
@@ -149,7 +150,9 @@ func (c *ChunkCache) GetThrough(dataset string, id chunk.ID, load func() ([]byte
 	close(fl.done)
 
 	c.mu.Lock()
-	delete(c.inflight, key)
+	if c.inflight[key] == fl {
+		delete(c.inflight, key)
+	}
 	if fl.err == nil && !fl.stale {
 		c.insertLocked(key, fl.data)
 	}

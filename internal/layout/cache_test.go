@@ -178,6 +178,67 @@ func TestCacheInflightInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheStaleFlightTakesNoNewWaiters: a reader that starts after a
+// completed Put or Invalidate must not join the older in-flight load and be
+// served its pre-write bytes. The written payload is not resident afterwards
+// (a Put above the budget/8 admission bound, or an Invalidate), so the late
+// reader has to load for itself — and sees the store's new bytes.
+func TestCacheStaleFlightTakesNoNewWaiters(t *testing.T) {
+	old, written := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32)
+	writes := []struct {
+		name  string
+		write func(*ChunkCache)
+	}{
+		{"put above admission bound", func(c *ChunkCache) { c.Put("d", 1, written) }},
+		{"invalidate", func(c *ChunkCache) { c.Invalidate("d", 1) }},
+		{"invalidate dataset", func(c *ChunkCache) { c.InvalidateDataset("d") }},
+	}
+	for _, w := range writes {
+		t.Run(w.name, func(t *testing.T) {
+			cache := NewChunkCache(64) // admits entries up to 8 bytes
+			loadStarted := make(chan struct{})
+			finishLoad := make(chan struct{})
+			leaderDone := make(chan struct{})
+			go func() {
+				defer close(leaderDone)
+				cache.GetThrough("d", 1, func() ([]byte, error) {
+					close(loadStarted)
+					<-finishLoad
+					return old, nil
+				})
+			}()
+			<-loadStarted
+			w.write(cache) // the store now holds written; the flight predates it
+
+			lateDone := make(chan struct{})
+			var got []byte
+			var hit bool
+			go func() {
+				defer close(lateDone)
+				got, hit, _ = cache.GetThrough("d", 1, func() ([]byte, error) { return written, nil })
+			}()
+			// On the parent the late reader blocks on the old flight, so let
+			// that flight finish once the reader is done or has had time to
+			// join it; the assertions do not depend on which.
+			select {
+			case <-lateDone:
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(finishLoad)
+			<-lateDone
+			<-leaderDone
+			if hit || !bytes.Equal(got, written) {
+				t.Fatalf("reader arriving after the write got %v (hit=%v), want its own load of %v", got[:1], hit, written[:1])
+			}
+			// The finished stale leader must not have removed the late
+			// reader's flight slot or left its own behind.
+			if _, hit, _ := cache.GetThrough("d", 1, func() ([]byte, error) { return written, nil }); hit {
+				t.Fatal("read after both flights finished joined a leftover flight")
+			}
+		})
+	}
+}
+
 // TestCacheEviction: inserting past the byte budget evicts from the LRU
 // tail and the budget holds.
 func TestCacheEviction(t *testing.T) {

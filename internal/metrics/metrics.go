@@ -78,12 +78,6 @@ type Node struct {
 	// of a disk read (ChunksRead still counts them; BytesRead too, since the
 	// engine consumed the bytes either way).
 	CacheHits atomic.Int64
-	// SharedReads counts chunk reads served by a shared-scan batch peer's
-	// read instead of this query's own storage access, and DedupedBytes the
-	// bytes those reads did not re-fetch. Like cache hits, ChunksRead and
-	// BytesRead still count them — the query consumed the data either way.
-	SharedReads  atomic.Int64
-	DedupedBytes atomic.Int64
 	// ReplicaFallbackReads counts chunk reads served from a non-primary
 	// replica holder because the primary's node was excluded from the query
 	// (degraded-mode execution).
@@ -109,10 +103,9 @@ type Node struct {
 	CreditStalls     atomic.Int64
 	CreditStallNanos atomic.Int64
 	// DiskReadNanos/DiskReadBytes time the chunk reads that actually hit
-	// this node's storage — cache hits and shared-scan waiter reads are
-	// excluded, unlike BytesRead, which counts every byte the engine
-	// consumed. Their ratio is the node's observed disk bandwidth, the
-	// signal costmodel.Calibration learns from.
+	// this node's storage — cache hits are excluded, unlike BytesRead, which
+	// counts every byte the engine consumed. Their ratio is the node's
+	// observed disk bandwidth, the signal costmodel.Calibration learns from.
 	DiskReadNanos atomic.Int64
 	DiskReadBytes atomic.Int64
 	// NetSendNanos times the engine's outbound mesh sends (including any
@@ -163,8 +156,6 @@ type Snapshot struct {
 	AggOps               int64
 	CombineOps           int64
 	CacheHits            int64
-	SharedReads          int64
-	DedupedBytes         int64
 	ReplicaFallbackReads int64
 	CompressedBytes      int64
 	DecodeNanos          int64
@@ -190,8 +181,6 @@ func (n *Node) Snapshot() Snapshot {
 	s.AggOps = n.AggOps.Load()
 	s.CombineOps = n.CombineOps.Load()
 	s.CacheHits = n.CacheHits.Load()
-	s.SharedReads = n.SharedReads.Load()
-	s.DedupedBytes = n.DedupedBytes.Load()
 	s.ReplicaFallbackReads = n.ReplicaFallbackReads.Load()
 	s.CompressedBytes = n.CompressedBytes.Load()
 	s.DecodeNanos = n.DecodeNanos.Load()
@@ -219,8 +208,6 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.AggOps += o.AggOps
 	s.CombineOps += o.CombineOps
 	s.CacheHits += o.CacheHits
-	s.SharedReads += o.SharedReads
-	s.DedupedBytes += o.DedupedBytes
 	s.ReplicaFallbackReads += o.ReplicaFallbackReads
 	s.CompressedBytes += o.CompressedBytes
 	s.DecodeNanos += o.DecodeNanos

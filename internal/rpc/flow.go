@@ -19,7 +19,7 @@ import (
 // Message.Release — on TCP via a credit frame, in-process by releasing the
 // sender's window directly. A sender with no credit blocks in Send, which
 // propagates backpressure up through the engine's forwarding goroutines to
-// its disk prefetchers and the shared-scan leader.
+// its disk prefetchers.
 //
 // Flow is the forwarding flow-control knob, declared here — where the
 // transports enforce it — and held by value wherever it is configured

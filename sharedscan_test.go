@@ -4,22 +4,27 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"adr"
 )
 
+// cachedRepo is buildRepo over a file-backed farm behind a chunk cache that
+// holds about half the input dataset, so concurrent overlapping queries meet
+// every way the cache can serve them: a resident payload, a join on another
+// query's in-flight load, and a re-read after an eviction.
+func cachedRepo(t *testing.T) *adr.Repository {
+	return buildRepoOpts(t, adr.Options{Nodes: 4, StoreDir: t.TempDir(), CacheBytes: 64 << 10})
+}
+
 // TestSharedScanMatchesSerialAllStrategies is the serial-equivalence check
-// for the cross-query shared-scan scheduler: for every planning strategy,
-// three identical queries executed concurrently through one batch must each
-// produce exactly the serial (unbatched) result. Run under -race this also
-// exercises the fan-out of one read's payload into several queries' decode
-// workers.
+// for cross-query read sharing (the test keeps the name it had when a scan
+// scheduler did the sharing; the chunk cache does it now): for every planning
+// strategy, three identical queries executed concurrently over one cache must
+// each produce exactly the serial result. Run under -race this also exercises
+// the fan-out of one load's payload into several queries' decode workers.
 func TestSharedScanMatchesSerialAllStrategies(t *testing.T) {
 	serial := buildRepo(t, 4)
-	batched := buildRepoOpts(t, adr.Options{
-		Nodes: 4, Scan: adr.ScanOptions{BatchWindow: 30 * time.Millisecond, MaxBatch: 4},
-	})
+	cached := cachedRepo(t)
 
 	for _, s := range []adr.Strategy{adr.FRA, adr.SRA, adr.DA, adr.Hybrid} {
 		q := func() *adr.Query {
@@ -42,7 +47,7 @@ func TestSharedScanMatchesSerialAllStrategies(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				res, err := batched.Execute(context.Background(), q())
+				res, err := cached.Execute(context.Background(), q())
 				if err != nil {
 					errs[i] = err
 					return
@@ -53,23 +58,21 @@ func TestSharedScanMatchesSerialAllStrategies(t *testing.T) {
 		wg.Wait()
 		for i := 0; i < concurrent; i++ {
 			if errs[i] != nil {
-				t.Fatalf("%v batched query %d: %v", s, i, errs[i])
+				t.Fatalf("%v concurrent query %d: %v", s, i, errs[i])
 			}
 			if got[i] != want {
-				t.Errorf("%v batched query %d differs from serial result", s, i)
+				t.Errorf("%v concurrent query %d differs from serial result", s, i)
 			}
 		}
 	}
 }
 
-// TestSharedScanPartialOverlapMatchesSerial batches queries whose input
-// boxes only partly overlap: each must still match its own serial result
-// (the batch dedups the shared region and reads the rest per query).
+// TestSharedScanPartialOverlapMatchesSerial runs concurrent queries whose
+// input boxes only partly overlap: each must still match its own serial
+// result (the cache serves the shared region once and the rest per query).
 func TestSharedScanPartialOverlapMatchesSerial(t *testing.T) {
 	serial := buildRepo(t, 4)
-	batched := buildRepoOpts(t, adr.Options{
-		Nodes: 4, Scan: adr.ScanOptions{BatchWindow: 30 * time.Millisecond, MaxBatch: 4},
-	})
+	cached := cachedRepo(t)
 
 	boxes := []adr.Rect{
 		adr.R(0, 48, 0, 64),  // left three quarters
@@ -98,7 +101,7 @@ func TestSharedScanPartialOverlapMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func(i int, box adr.Rect) {
 			defer wg.Done()
-			res, err := batched.Execute(context.Background(), q(box))
+			res, err := cached.Execute(context.Background(), q(box))
 			if err != nil {
 				errs[i] = err
 				return
@@ -109,10 +112,10 @@ func TestSharedScanPartialOverlapMatchesSerial(t *testing.T) {
 	wg.Wait()
 	for i := range boxes {
 		if errs[i] != nil {
-			t.Fatalf("batched box %d: %v", i, errs[i])
+			t.Fatalf("concurrent box %d: %v", i, errs[i])
 		}
 		if got[i] != want[i] {
-			t.Errorf("batched box %d differs from its serial result", i)
+			t.Errorf("concurrent box %d differs from its serial result", i)
 		}
 	}
 }
