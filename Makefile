@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lines lines-pkg check test-failure bench bench-live bench-engine bench-flow bench-failover bench-compress bench-select docs clean
+.PHONY: all build test race vet fmt lines lines-pkg check test-failure bench bench-live docs clean
 
 all: check
 
@@ -43,54 +43,24 @@ lines-pkg:
 # pool-balance leak checks, payload recycling on dead-peer sends), the
 # degraded-mode failover suite
 # (kill-a-node-mid-query on both transports, client busy-retry/timeout/
-# excluded-tolerance), and the compression sweep (serial equivalence with
-# compressed farms on both transports, mixed compressing/raw fleets,
-# compressed-replica degraded retries, pool-balance checks on compressed
-# failure paths) — race-checked, bounded so a reintroduced hang fails fast.
+# excluded-tolerance), the compression sweep (serial equivalence with
+# compressed farms on both transports and the read/wire byte reduction, mixed
+# compressing/raw fleets, compressed-replica degraded retries, pool-balance
+# checks on compressed failure paths), and the worker-pool suite (serial
+# equivalence at every width, the width actually in flight) — race-checked,
+# bounded so a reintroduced hang fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress|Workers' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/
 # compiles against (tier-1 does not build it).
-check: build fmt vet test docs bench-compress bench-live
+check: build fmt vet test docs bench-live
 
-bench: bench-engine bench-flow bench-failover bench-compress bench-select
+# The simulator's Table 1 / Fig 8 / Fig 9 tables at reduced size. Numbers
+# from the live stack come from bench/ (`bash bench/run.sh`).
+bench:
 	$(GO) run ./cmd/adr-bench -quick
-
-# Execution-pipeline benchmark: compute-bound local reduction with one vs
-# four decode+aggregate workers, summarized into BENCH_4.json. Fails if the
-# pipeline delivers less than a 1.5x speedup.
-bench-engine:
-	BENCH_JSON=BENCH_4.json $(GO) test -run '^$$' -bench LocalReductionWorkers -benchtime 1x .
-
-# Flow-control benchmark: skewed fan-in under a 64 KiB forwarding window,
-# summarized into BENCH_7.json. Fails if the peak in-flight bytes exceed the
-# window plus one frame, or if the window costs the balanced workload more
-# than 1.5x wall time.
-bench-flow:
-	BENCH_JSON=BENCH_7.json $(GO) test -run '^$$' -bench ForwardBackpressure -benchtime 1x .
-
-# Failover benchmark: the same replicated query on the healthy 4-node mesh vs
-# degraded to 3-of-4 after a node death, summarized into BENCH_8.json. Fails
-# if the degraded result diverges from the healthy one or no degraded retry
-# actually ran.
-bench-failover:
-	BENCH_JSON=BENCH_8.json $(GO) test -run '^$$' -bench DegradedQuery -benchtime 1x .
-
-# Compression benchmark: the same grid-quantized query on a raw vs a
-# columnar-compressed farm for every strategy, summarized into BENCH_9.json.
-# Fails if results diverge or the forward-heavy DA run reduces disk-read or
-# wire bytes by less than 1.5x.
-bench-compress:
-	BENCH_JSON=BENCH_9.json $(GO) test -run '^$$' -bench CompressedScan -benchtime 1x .
-
-# Strategy-selection benchmark: AUTO vs every fixed strategy on the same
-# repository (the fixed legs calibrate the cost model; the AUTO leg executes
-# its choice), summarized into BENCH_10.json. Fails if AUTO runs more than
-# 2x the best fixed strategy.
-bench-select:
-	BENCH_JSON=BENCH_10.json $(GO) test -run '^$$' -bench AutoSelect -benchtime 1x .
 
 # Live-stack benchmark smoke test. bench/ is its own Go module, so `go build
 # ./... && go test ./...` neither compiles nor runs it: this is the gate that

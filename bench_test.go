@@ -12,28 +12,14 @@
 package adr_test
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
-	"sort"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"adr"
-
-	"adr/internal/chunk"
 	"adr/internal/decluster"
 	"adr/internal/emulator"
-	"adr/internal/engine"
 	"adr/internal/experiments"
 	"adr/internal/index"
-	"adr/internal/metrics"
 	"adr/internal/plan"
-	"adr/internal/rpc"
 	"adr/internal/simadr"
 	"adr/internal/space"
 )
@@ -397,830 +383,5 @@ func BenchmarkAblationAccumulatorMemory(b *testing.B) {
 			b.ReportMetric(float64(tiles), "tiles")
 			b.ReportMetric(float64(rereads), "rereads")
 		})
-	}
-}
-
-// BenchmarkRealEngine measures the actual (not simulated) execution engine:
-// end-to-end query throughput over the in-process fabric, per strategy.
-func BenchmarkRealEngine(b *testing.B) {
-	repo, err := adrNewBenchRepo()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer repo.Close()
-	for _, s := range []adr.Strategy{adr.FRA, adr.SRA, adr.DA} {
-		b.Run(s.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := repo.Execute(context.Background(), &adr.Query{
-					Input: "pts", Output: "img", Strategy: s,
-					App: &adr.RasterApp{Op: adr.Sum, CellsPerDim: 8},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Chunks) == 0 {
-					b.Fatal("no results")
-				}
-			}
-		})
-	}
-}
-
-// adrNewBenchRepo loads a 4-node repository with ~64K items for the real
-// engine benchmark.
-func adrNewBenchRepo() (*adr.Repository, error) {
-	repo, err := adr.NewRepository(adr.Options{Nodes: 4})
-	if err != nil {
-		return nil, err
-	}
-	region := adr.R(0, 256, 0, 256)
-	rng := rand.New(rand.NewSource(17))
-	items := make([]adr.Item, 65536)
-	for i := range items {
-		items[i] = adr.Item{
-			Coord: adr.Pt(rng.Float64()*256, rng.Float64()*256),
-			Value: adr.EncodeValue(int64(i)),
-		}
-	}
-	grid, err := adr.NewGrid(region, 16, 16)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := adr.PartitionGrid(items, grid)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := repo.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, chunks); err != nil {
-		return nil, err
-	}
-	outGrid, err := adr.NewGrid(region, 4, 4)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := repo.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid)); err != nil {
-		return nil, err
-	}
-	return repo, nil
-}
-
-// BenchmarkLocalReductionWorkers measures the execution pipeline on the
-// workload it exists for: compute-bound local reduction. The query wraps the
-// raster app in emulator.CostApp, which charges a fixed latency per
-// Aggregate call (the live analogue of the simulator's per-class costs, and
-// of the paper's Table 1 where SAT spends 40ms per aggregation). With one
-// worker the node pays every charge serially; with four, charges overlap
-// exactly as compute would overlap on four cores — so the speedup is
-// meaningful even on a single-CPU host. With BENCH_JSON set, a JSON summary
-// (per-width wall time and the speedup ratio) is written to that path.
-func BenchmarkLocalReductionWorkers(b *testing.B) {
-	const aggDelay = 5 * time.Millisecond
-	walls := make(map[int]time.Duration)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			repo, err := adrNewCostRepo(workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer repo.Close()
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				res, err := repo.Execute(context.Background(), &adr.Query{
-					Input: "pts", Output: "img", Strategy: adr.FRA,
-					App: &emulator.CostApp{
-						Inner:    &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-						AggDelay: aggDelay,
-					},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Chunks) == 0 {
-					b.Fatal("no results")
-				}
-				wall += time.Since(start)
-			}
-			walls[workers] = wall / time.Duration(b.N)
-			b.ReportMetric(float64(walls[workers].Nanoseconds())/1e6, "wall-ms")
-		})
-	}
-	w1, w4 := walls[1], walls[4]
-	if w1 == 0 || w4 == 0 {
-		return // a -bench filter selected only one width
-	}
-	speedup := float64(w1) / float64(w4)
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":        "LocalReductionWorkers",
-			"agg_delay_ns":     aggDelay.Nanoseconds(),
-			"workers1_wall_ns": w1.Nanoseconds(),
-			"workers4_wall_ns": w4.Nanoseconds(),
-			"speedup_4_over_1": speedup,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if speedup < 1.5 {
-		b.Fatalf("pipeline ineffective: workers=4 only %.2fx faster than workers=1 (%v vs %v)",
-			speedup, w4, w1)
-	}
-}
-
-// adrNewCostRepo loads a 4-node repository sized for the pipeline benchmark:
-// enough input chunks per node that per-chunk compute latency dominates.
-func adrNewCostRepo(workers int) (*adr.Repository, error) {
-	repo, err := adr.NewRepository(adr.Options{Nodes: 4, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	region := adr.R(0, 256, 0, 256)
-	rng := rand.New(rand.NewSource(23))
-	items := make([]adr.Item, 16384)
-	for i := range items {
-		items[i] = adr.Item{
-			Coord: adr.Pt(rng.Float64()*256, rng.Float64()*256),
-			Value: adr.EncodeValue(int64(i)),
-		}
-	}
-	grid, err := adr.NewGrid(region, 16, 16)
-	if err != nil {
-		return nil, err
-	}
-	chunks, err := adr.PartitionGrid(items, grid)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := repo.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, chunks); err != nil {
-		return nil, err
-	}
-	outGrid, err := adr.NewGrid(region, 4, 4)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := repo.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid)); err != nil {
-		return nil, err
-	}
-	return repo, nil
-}
-
-// BenchmarkForwardBackpressure measures the credit-based flow control on the
-// workload it exists for: skewed fan-in, where DA forwards every node's
-// input chunks to a single output home. Without a window the fast senders
-// park the whole dataset in the receiver's queues; with one, the peak
-// in-flight bytes on any (sender, receiver) link must stay within the
-// configured window plus at most one oversized frame. The balanced leg then
-// runs an evenly spread workload with and without flow control and fails if
-// the window costs more than 1.5x wall time when it should never bind. With
-// BENCH_JSON set, a JSON summary is written to that path.
-func BenchmarkForwardBackpressure(b *testing.B) {
-	const (
-		nodes  = 4
-		window = int64(64 << 10)
-	)
-	region := adr.R(0, 256, 0, 256)
-
-	// loadRepo builds a 4-node farm with 16x16 input chunks and an output
-	// grid of outCells x outCells chunks: 1 concentrates every forward on the
-	// single output's home node (skewed fan-in), 4 spreads them evenly.
-	loadRepo := func(outCells int) (*adr.Repository, *plan.Plan, *plan.Workload, int64) {
-		repo, err := adr.NewRepository(adr.Options{Nodes: nodes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(29))
-		items := make([]adr.Item, 65536)
-		for i := range items {
-			items[i] = adr.Item{
-				Coord: adr.Pt(rng.Float64()*256, rng.Float64()*256),
-				Value: adr.EncodeValue(int64(i)),
-			}
-		}
-		grid, err := adr.NewGrid(region, 16, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		chunks, err := adr.PartitionGrid(items, grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := repo.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, chunks); err != nil {
-			b.Fatal(err)
-		}
-		outGrid, err := adr.NewGrid(region, outCells, outCells)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := repo.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid)); err != nil {
-			b.Fatal(err)
-		}
-		w, err := repo.BuildWorkload(&adr.Query{
-			Input: "pts", Output: "img", Strategy: adr.DA,
-			App: &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		planner, err := plan.NewPlanner(repo.Machine())
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := planner.Plan(plan.DA, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var maxFrame int64
-		for _, m := range w.Inputs {
-			if m.Bytes > maxFrame {
-				maxFrame = m.Bytes
-			}
-		}
-		return repo, p, w, maxFrame
-	}
-
-	// runOnce executes the plan over a fresh fabric and reports the wall time
-	// and the fabric's flow high-water mark.
-	runOnce := func(repo *adr.Repository, p *plan.Plan, w *plan.Workload, opts rpc.InprocOptions) (time.Duration, int64) {
-		fabric, err := rpc.NewInprocFabricOpts(p.Machine.Procs, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer fabric.Close()
-		cfg := engine.Config{
-			Plan: p, Workload: w,
-			App:          &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-			InputDataset: "pts",
-			Workers:      4,
-			OnResult:     func(rpc.NodeID, *adr.Chunk) error { return nil },
-		}
-		start := time.Now()
-		if _, err := engine.Run(context.Background(), cfg, fabric, engine.FarmStorage{Farm: repo.Farm()}); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start), fabric.FlowHighWater()
-	}
-	// best runs a cell three times and keeps the fastest wall, the stablest
-	// point estimate for a millisecond-scale query.
-	best := func(repo *adr.Repository, p *plan.Plan, w *plan.Workload, opts rpc.InprocOptions) (time.Duration, int64) {
-		bestWall, peak := time.Duration(0), int64(0)
-		for i := 0; i < 3; i++ {
-			wall, hw := runOnce(repo, p, w, opts)
-			if bestWall == 0 || wall < bestWall {
-				bestWall = wall
-			}
-			if hw > peak {
-				peak = hw
-			}
-		}
-		return bestWall, peak
-	}
-
-	stalls := metrics.Default.Counter(`adr_rpc_credit_stalls_total{transport="inproc"}`)
-	flowOpts := rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: window}}
-
-	// Skewed fan-in: every forward converges on one node. The window must
-	// bound the peak in-flight bytes; without it the peak is unbounded (in
-	// practice the whole per-sender share of the dataset).
-	skewRepo, skewPlan, skewW, maxFrame := loadRepo(1)
-	defer skewRepo.Close()
-	stallsBefore := stalls.Value()
-	var skewFlowWall, skewBareWall time.Duration
-	var skewPeak, skewBarePeak int64
-	b.Run("skewed/window=64KiB", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			skewFlowWall, skewPeak = best(skewRepo, skewPlan, skewW, flowOpts)
-		}
-		b.ReportMetric(float64(skewPeak), "peak-inflight-B")
-		b.ReportMetric(float64(window+maxFrame), "bound-B")
-		if skewPeak == 0 {
-			b.Fatal("flow control never engaged: zero in-flight high water")
-		}
-		if skewPeak > window+maxFrame {
-			b.Fatalf("peak in-flight %d B exceeds window %d B + max frame %d B",
-				skewPeak, window, maxFrame)
-		}
-	})
-	skewStalls := stalls.Value() - stallsBefore
-	b.Run("skewed/unbounded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			skewBareWall, skewBarePeak = best(skewRepo, skewPlan, skewW, rpc.InprocOptions{})
-		}
-	})
-
-	// Balanced workload: forwards spread across all peers, so a 64 KiB window
-	// should rarely bind and must not cost real throughput.
-	balRepo, balPlan, balW, _ := loadRepo(4)
-	defer balRepo.Close()
-	var balFlowWall, balBareWall time.Duration
-	b.Run("balanced/window=64KiB", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			balFlowWall, _ = best(balRepo, balPlan, balW, flowOpts)
-		}
-		b.ReportMetric(float64(balFlowWall.Nanoseconds())/1e6, "wall-ms")
-	})
-	b.Run("balanced/unbounded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			balBareWall, _ = best(balRepo, balPlan, balW, rpc.InprocOptions{})
-		}
-		b.ReportMetric(float64(balBareWall.Nanoseconds())/1e6, "wall-ms")
-	})
-
-	if balFlowWall == 0 || balBareWall == 0 || skewFlowWall == 0 {
-		return // a -bench filter selected a subset; nothing to compare
-	}
-	ratio := float64(balFlowWall) / float64(balBareWall)
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":                "ForwardBackpressure",
-			"nodes":                    nodes,
-			"fwd_window_bytes":         window,
-			"max_frame_bytes":          maxFrame,
-			"skewed_peak_inflight":     skewPeak,
-			"skewed_peak_unbounded":    skewBarePeak,
-			"skewed_credit_stalls":     skewStalls,
-			"skewed_wall_ns":           skewFlowWall.Nanoseconds(),
-			"skewed_wall_unbounded_ns": skewBareWall.Nanoseconds(),
-			"balanced_wall_ns":         balFlowWall.Nanoseconds(),
-			"balanced_wall_unbound_ns": balBareWall.Nanoseconds(),
-			"balanced_overhead_ratio":  ratio,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if ratio > 1.5 {
-		b.Fatalf("flow control regressed the balanced workload: %.2fx wall time (%v vs %v)",
-			ratio, balFlowWall, balBareWall)
-	}
-}
-
-// BenchmarkCompressedScan measures end-to-end chunk compression on the
-// workload it exists for: grid-quantized sensor readings, whose coordinates
-// sit on a regular lattice so the columnar XOR-delta codec collapses them.
-// The same query runs on a raw farm and a columnar-compressed farm for every
-// strategy; results must be byte-identical, and on the forward-heavy DA run
-// the compressed farm must read at least 1.5x fewer bytes from disk and put
-// at least 1.5x fewer bytes on the wire. With BENCH_JSON set, a JSON summary
-// (per-strategy byte totals and reduction ratios) is written to that path.
-func BenchmarkCompressedScan(b *testing.B) {
-	const nodes = 4
-	region := adr.R(0, 256, 0, 256)
-	// Quantized coordinates: 1024 lattice steps per axis, exactly
-	// representable in float64, the shape real instrument grids have.
-	rng := rand.New(rand.NewSource(31))
-	items := make([]adr.Item, 65536)
-	for i := range items {
-		items[i] = adr.Item{
-			Coord: adr.Pt(float64(rng.Intn(1024))/4, float64(rng.Intn(1024))/4),
-			Value: adr.EncodeValue(int64(i % 512)),
-		}
-	}
-	grid, err := adr.NewGrid(region, 16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inChunks, err := adr.PartitionGrid(items, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	outGrid, err := adr.NewGrid(region, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	openRepo := func(codec chunk.Codec) *adr.Repository {
-		repo, err := adr.NewRepository(adr.Options{Nodes: nodes, StoreDir: b.TempDir(), Codec: codec})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := repo.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, inChunks); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := repo.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid)); err != nil {
-			b.Fatal(err)
-		}
-		return repo
-	}
-	raw := openRepo(chunk.CodecNone)
-	defer raw.Close()
-	comp := openRepo(chunk.CodecColumnar)
-	defer comp.Close()
-
-	canon := func(chunks []*adr.Chunk) string {
-		var lines []string
-		for _, c := range chunks {
-			for _, it := range c.Items {
-				v, _ := adr.DecodeValue(it.Value)
-				lines = append(lines, fmt.Sprintf("%g,%g=%d", it.Coord.Coords[0], it.Coord.Coords[1], v))
-			}
-		}
-		sort.Strings(lines)
-		return strings.Join(lines, "\n")
-	}
-	runQ := func(repo *adr.Repository, s adr.Strategy) (string, metrics.Snapshot) {
-		res, err := repo.Execute(context.Background(), &adr.Query{
-			Input: "pts", Output: "img", Strategy: s,
-			App: &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Chunks) == 0 {
-			b.Fatal("no results")
-		}
-		return canon(res.Chunks), res.Report.Total()
-	}
-	ratio := func(raw, comp int64) float64 {
-		if comp == 0 {
-			return 0
-		}
-		return float64(raw) / float64(comp)
-	}
-
-	type stratRow struct {
-		Strategy        string  `json:"strategy"`
-		RawReadBytes    int64   `json:"raw_read_bytes"`
-		CompReadBytes   int64   `json:"compressed_read_bytes"`
-		RawSentBytes    int64   `json:"raw_sent_bytes"`
-		CompSentBytes   int64   `json:"compressed_sent_bytes"`
-		ReadReduction   float64 `json:"read_reduction_x"`
-		SentReduction   float64 `json:"sent_reduction_x"`
-		ResultIdentical bool    `json:"result_identical"`
-	}
-	var rows []stratRow
-	var daRead, daSent float64
-	for _, s := range []adr.Strategy{adr.FRA, adr.SRA, adr.DA, adr.Hybrid} {
-		b.Run(s.String(), func(b *testing.B) {
-			var rawOut, compOut string
-			var rawT, compT metrics.Snapshot
-			for i := 0; i < b.N; i++ {
-				rawOut, rawT = runQ(raw, s)
-				compOut, compT = runQ(comp, s)
-			}
-			if rawOut != compOut {
-				b.Fatalf("%s: compressed result diverges from raw result", s)
-			}
-			if compT.CompressedBytes == 0 {
-				b.Fatalf("%s: compressed run consumed no compressed payloads", s)
-			}
-			row := stratRow{
-				Strategy:        s.String(),
-				RawReadBytes:    rawT.BytesRead,
-				CompReadBytes:   compT.BytesRead,
-				RawSentBytes:    rawT.BytesSent,
-				CompSentBytes:   compT.BytesSent,
-				ReadReduction:   ratio(rawT.BytesRead, compT.BytesRead),
-				SentReduction:   ratio(rawT.BytesSent, compT.BytesSent),
-				ResultIdentical: true,
-			}
-			rows = append(rows, row)
-			b.ReportMetric(row.ReadReduction, "read-x")
-			b.ReportMetric(row.SentReduction, "sent-x")
-			if s == adr.DA {
-				daRead, daSent = row.ReadReduction, row.SentReduction
-			}
-		})
-	}
-
-	if daRead == 0 && daSent == 0 {
-		return // a -bench filter skipped the DA leg; nothing to gate on
-	}
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":           "CompressedScan",
-			"nodes":               nodes,
-			"codec":               chunk.CodecColumnar.String(),
-			"items":               len(items),
-			"strategies":          rows,
-			"da_read_reduction_x": daRead,
-			"da_sent_reduction_x": daSent,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if daRead < 1.5 {
-		b.Fatalf("compression ineffective on disk: DA read reduction %.2fx, want >= 1.5x", daRead)
-	}
-	if daSent < 1.5 {
-		b.Fatalf("compression ineffective on the wire: DA sent reduction %.2fx, want >= 1.5x", daSent)
-	}
-}
-
-// BenchmarkDegradedQuery measures the cost of surviving a node death: a
-// 4-node, 2-replica farm runs the same DA query on the full mesh and then
-// degraded, with one node dead before the query starts (the steady-state
-// daemon-fleet shape: the death is on the fabric's record, the first
-// attempt fails instantly, the survivors fence, re-plan onto replica
-// holders, and execute 3-wide). Reports the degraded-over-healthy wall
-// ratio and the replica-fallback read count, and fails if the degraded
-// result diverges from the fault-free one. With BENCH_JSON set, a JSON
-// summary is written to that path.
-func BenchmarkDegradedQuery(b *testing.B) {
-	const nodes = 4
-	region := adr.R(0, 256, 0, 256)
-	repo, err := adr.NewRepository(adr.Options{Nodes: nodes, Replicas: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer repo.Close()
-	rng := rand.New(rand.NewSource(41))
-	items := make([]adr.Item, 65536)
-	for i := range items {
-		items[i] = adr.Item{
-			Coord: adr.Pt(rng.Float64()*256, rng.Float64()*256),
-			Value: adr.EncodeValue(int64(i)),
-		}
-	}
-	grid, err := adr.NewGrid(region, 16, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	chunks, err := adr.PartitionGrid(items, grid)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := repo.LoadDataset("pts", adr.AttrSpace{Name: "in", Bounds: region}, chunks); err != nil {
-		b.Fatal(err)
-	}
-	outGrid, err := adr.NewGrid(region, 4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := repo.LoadDataset("img", adr.AttrSpace{Name: "out", Bounds: region}, adr.GridChunks(outGrid)); err != nil {
-		b.Fatal(err)
-	}
-	w, err := repo.BuildWorkload(&adr.Query{
-		Input: "pts", Output: "img", Strategy: adr.DA,
-		App: &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	planner, err := plan.NewPlanner(repo.Machine())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := planner.Plan(plan.DA, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	replan := func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error) {
-		ex := make(map[int32]bool, len(excluded))
-		for _, id := range excluded {
-			ex[int32(id)] = true
-		}
-		dw, err := plan.Degrade(repo.Machine(), w, ex, repo.Farm().DisksPerNode)
-		if err != nil {
-			return nil, nil, err
-		}
-		dp, err := plan.NewPlanner(repo.Machine())
-		if err != nil {
-			return nil, nil, err
-		}
-		dp.Exclude = ex
-		p2, err := dp.Plan(plan.DA, dw)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p2, dw, nil
-	}
-	canon := func(chunks []*adr.Chunk) string {
-		var lines []string
-		for _, c := range chunks {
-			for _, it := range c.Items {
-				v, _ := adr.DecodeValue(it.Value)
-				lines = append(lines, fmt.Sprintf("%.3f,%.3f=%d", it.Coord.Coords[0], it.Coord.Coords[1], v))
-			}
-		}
-		sort.Strings(lines)
-		return strings.Join(lines, "\n")
-	}
-
-	// run executes the query once: on the full mesh when dead < 0, else with
-	// node dead killed before the survivors start.
-	run := func(dead int) (time.Duration, string) {
-		fabric, err := rpc.NewInprocFabricOpts(nodes, rpc.InprocOptions{Degraded: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer fabric.Close()
-		var mu sync.Mutex
-		var got []*adr.Chunk
-		cfg := engine.Config{
-			Plan: p, Workload: w,
-			App:          &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-			InputDataset: "pts",
-			Degraded:     true,
-			Replan:       replan,
-			OnResult: func(node rpc.NodeID, c *adr.Chunk) error {
-				mu.Lock()
-				got = append(got, c)
-				mu.Unlock()
-				return nil
-			},
-		}
-		st := engine.FarmStorage{Farm: repo.Farm()}
-		if dead >= 0 {
-			ep, err := fabric.Endpoint(rpc.NodeID(dead))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ep.Close()
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, nodes)
-		for q := 0; q < nodes; q++ {
-			if q == dead {
-				continue
-			}
-			ep, err := fabric.Endpoint(rpc.NodeID(q))
-			if err != nil {
-				b.Fatal(err)
-			}
-			wg.Add(1)
-			go func(q int, ep rpc.Endpoint) {
-				defer wg.Done()
-				_, errs[q] = engine.RunNodeTraced(context.Background(), cfg, ep, st)
-			}(q, ep)
-		}
-		wg.Wait()
-		for q, err := range errs {
-			if err != nil {
-				b.Fatalf("node %d: %v", q, err)
-			}
-		}
-		return time.Since(start), canon(got)
-	}
-	best := func(dead int) (time.Duration, string) {
-		bestWall, result := time.Duration(0), ""
-		for i := 0; i < 3; i++ {
-			wall, r := run(dead)
-			if bestWall == 0 || wall < bestWall {
-				bestWall = wall
-			}
-			result = r
-		}
-		return bestWall, result
-	}
-
-	fallbackReads := metrics.Default.Counter("adr_engine_degraded_runs_total")
-	var healthyWall, degradedWall time.Duration
-	var want, got string
-	b.Run("healthy/p=4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			healthyWall, want = best(-1)
-		}
-		b.ReportMetric(float64(healthyWall.Nanoseconds())/1e6, "wall-ms")
-	})
-	runsBefore := fallbackReads.Value()
-	b.Run("degraded/p=3of4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			degradedWall, got = best(0)
-		}
-		b.ReportMetric(float64(degradedWall.Nanoseconds())/1e6, "wall-ms")
-	})
-	degradedRuns := fallbackReads.Value() - runsBefore
-
-	if healthyWall == 0 || degradedWall == 0 {
-		return // a -bench filter selected a subset; nothing to compare
-	}
-	if got != want {
-		b.Fatal("degraded query result diverges from the fault-free run")
-	}
-	if degradedRuns == 0 {
-		b.Fatal("degraded leg never exercised a degraded run")
-	}
-	ratio := float64(degradedWall) / float64(healthyWall)
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":        "DegradedQuery",
-			"nodes":            nodes,
-			"replicas":         2,
-			"healthy_wall_ns":  healthyWall.Nanoseconds(),
-			"degraded_wall_ns": degradedWall.Nanoseconds(),
-			"overhead_ratio":   ratio,
-			"degraded_runs":    degradedRuns,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAutoSelect races AUTO strategy selection against every fixed
-// strategy on the same repository: the fixed legs run first (calibrating the
-// repository's cost model from their traces), then the AUTO leg executes
-// under whatever the calibrated model picks. Reported metric: per-leg wall
-// time. The benchmark fails if the strategy AUTO chose is much slower than
-// the best fixed strategy — the selection-accuracy acceptance check. With
-// BENCH_JSON set, a JSON summary (per-strategy wall, AUTO's choice and
-// overhead ratio) is written to that path.
-func BenchmarkAutoSelect(b *testing.B) {
-	const aggDelay = 500 * time.Microsecond
-	repo, err := adrNewCostRepo(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer repo.Close()
-
-	app := func() adr.App {
-		return &emulator.CostApp{
-			Inner:    &adr.RasterApp{Op: adr.Sum, CellsPerDim: 4},
-			AggDelay: aggDelay,
-		}
-	}
-	walls := make(map[string]time.Duration)
-	var chosen string
-	legs := []struct {
-		name  string
-		strat adr.Strategy
-	}{
-		{"FRA", adr.FRA}, {"SRA", adr.SRA}, {"DA", adr.DA}, {"HYBRID", adr.Hybrid},
-		{"AUTO", adr.Auto},
-	}
-	for _, leg := range legs {
-		b.Run(leg.name, func(b *testing.B) {
-			var wall time.Duration
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				res, err := repo.Execute(context.Background(), &adr.Query{
-					Input: "pts", Output: "img", Strategy: leg.strat,
-					App: app(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				wall += time.Since(start)
-				if len(res.Chunks) == 0 {
-					b.Fatal("no results")
-				}
-				if leg.strat == adr.Auto {
-					if res.Selection == nil {
-						b.Fatal("AUTO leg reported no selection")
-					}
-					chosen = res.Selection.Strategy
-				}
-			}
-			walls[leg.name] = wall / time.Duration(b.N)
-			b.ReportMetric(float64(walls[leg.name].Nanoseconds())/1e6, "wall-ms")
-		})
-	}
-
-	auto := walls["AUTO"]
-	best := time.Duration(0)
-	for _, leg := range legs[:4] {
-		w := walls[leg.name]
-		if w > 0 && (best == 0 || w < best) {
-			best = w
-		}
-	}
-	if auto == 0 || best == 0 {
-		return // a -bench filter selected a subset; nothing to compare
-	}
-	ratio := float64(auto) / float64(best)
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":       "AutoSelect",
-			"agg_delay_ns":    aggDelay.Nanoseconds(),
-			"chosen_strategy": chosen,
-			"fra_wall_ns":     walls["FRA"].Nanoseconds(),
-			"sra_wall_ns":     walls["SRA"].Nanoseconds(),
-			"da_wall_ns":      walls["DA"].Nanoseconds(),
-			"hybrid_wall_ns":  walls["HYBRID"].Nanoseconds(),
-			"auto_wall_ns":    auto.Nanoseconds(),
-			"auto_over_best":  ratio,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// AUTO includes the selection itself (four plans costed) on top of the
-	// chosen execution, so allow generous headroom over the best fixed leg;
-	// a mis-selection on this workload costs far more than 2x.
-	if ratio > 2.0 {
-		b.Fatalf("AUTO (%v, chose %s) is %.2fx the best fixed strategy (%v)",
-			auto, chosen, ratio, best)
 	}
 }

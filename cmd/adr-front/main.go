@@ -32,7 +32,6 @@ type options struct {
 	nodes       *string
 	metricsAddr *string
 	slowQuery   *time.Duration
-	compress    *string
 }
 
 // registerFlags declares the front-end's full flag set on fs.
@@ -42,7 +41,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		nodes:       fs.String("nodes", "", "comma-separated back-end control addresses (required)"),
 		metricsAddr: fs.String("metrics-addr", "", "HTTP listen address for /metrics and /debug/queries (disabled when empty)"),
 		slowQuery:   fs.Duration("slow-query", time.Second, "log queries slower than this (0 disables)"),
-		compress:    fs.String("compress", "", "stamp this codec (none, flate or columnar) onto queries that don't set their own (empty defers to each node's -compress)"),
 	}
 }
 
@@ -61,7 +59,6 @@ func main() {
 	}
 	srv, err := frontend.StartOptions(*listen, addrs, frontend.Options{
 		SlowQueryThreshold: *slowQuery,
-		Codec:              *opt.compress,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adr-front:", err)
@@ -69,9 +66,6 @@ func main() {
 	}
 	srv.Queries().Logger = log.New(os.Stderr, "adr-front: ", log.LstdFlags)
 	fmt.Printf("adr-front: serving clients on %s, %d back-end nodes\n", srv.Addr(), len(addrs))
-	if *opt.compress != "" {
-		fmt.Printf("adr-front: stamping codec %q onto queries without one\n", *opt.compress)
-	}
 
 	if *metricsAddr != "" {
 		ms, err := metrics.Serve(*metricsAddr, metrics.Default, srv.Queries())

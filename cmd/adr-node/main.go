@@ -42,7 +42,6 @@ type options struct {
 	queryTimeout *time.Duration
 	cacheBytes   *int64
 	maxQueries   *int
-	workers      *int
 	fwdWindow    *int64
 	degraded     *bool
 	compress     *string
@@ -63,7 +62,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		queryTimeout: fs.Duration("query-timeout", 0, "per-query execution deadline on this node; 0 disables"),
 		cacheBytes:   fs.Int64("cache-bytes", 256<<20, "chunk cache budget in bytes (0 disables caching)"),
 		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; excess queue (0 = unbounded)"),
-		workers:      fs.Int("workers", 0, "decode+aggregate workers per query (0 = GOMAXPROCS)"),
 		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
 		degraded:     fs.Bool("degraded", false, "survive back-end node deaths by re-planning onto replica holders (needs -replicas >= 2 at load time; same value on every node)"),
 		compress:     fs.String("compress", "none", "default codec for engine payloads on the wire: none, flate or columnar (query specs override)"),
@@ -106,7 +104,6 @@ func main() {
 		QueryTimeout:    *opt.queryTimeout,
 		CacheBytes:      *cacheBytes,
 		MaxQueries:      *maxQueries,
-		Workers:         *opt.workers,
 		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow},
 		Degraded:        *opt.degraded,
 		Codec:           codec,
@@ -118,7 +115,10 @@ func main() {
 	}
 	fmt.Printf("adr-node %d: mesh up (%d nodes), control on %s\n", *id, len(addrs), srv.ControlAddr())
 	if *cacheBytes > 0 {
-		fmt.Printf("adr-node %d: chunk cache %d MiB, max %d concurrent queries\n", *id, *cacheBytes>>20, *maxQueries)
+		fmt.Printf("adr-node %d: chunk cache %d MiB\n", *id, *cacheBytes>>20)
+	}
+	if *maxQueries > 0 {
+		fmt.Printf("adr-node %d: admission control on: max %d concurrent queries, excess queue\n", *id, *maxQueries)
 	}
 	if *opt.fwdWindow > 0 {
 		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer\n", *id, *opt.fwdWindow)

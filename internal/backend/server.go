@@ -75,10 +75,6 @@ type Config struct {
 	// connection, so a stalled client cannot pin a handler goroutine. 0
 	// selects DefaultRequestTimeout; negative disables the deadline.
 	RequestTimeout time.Duration
-	// Workers is the execution-pipeline width per query on this node
-	// (engine.Config.Workers); <= 0 lets the engine default to
-	// runtime.GOMAXPROCS(0).
-	Workers int
 	// Flow bounds this node's in-flight forwarded bytes on the mesh (see
 	// rpc.Flow). Must be identical on every node, like AccMemBytes.
 	Flow rpc.Flow
@@ -222,7 +218,6 @@ func Start(cfg Config) (_ *Server, err error) {
 			DisksPerNode: farm.DisksPerNode,
 			Node:         cfg.Node,
 			Calib:        calib,
-			Workers:      cfg.Workers,
 			Degraded:     cfg.Degraded,
 		},
 		ctrl:    ctrl,

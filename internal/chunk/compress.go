@@ -160,15 +160,6 @@ func IsCompressed(buf []byte) bool {
 	return len(buf) >= envHeaderLen && binary.LittleEndian.Uint32(buf) == compMagic
 }
 
-// PayloadCodec returns the codec a payload was produced with: CodecNone for
-// a raw encoding, the envelope's codec byte otherwise.
-func PayloadCodec(buf []byte) Codec {
-	if !IsCompressed(buf) {
-		return CodecNone
-	}
-	return Codec(buf[5])
-}
-
 // RawLen returns the length of the raw Encode payload a buffer decompresses
 // to: len(buf) for a raw payload, the envelope's recorded size otherwise.
 // Callers size scratch buffers (bufpool.Get) with it before DecompressTo.

@@ -67,8 +67,8 @@ func TestCompressRoundTrip(t *testing.T) {
 		if len(env) >= len(raw) {
 			t.Fatalf("%v: envelope %d bytes >= raw %d", codec, len(env), len(raw))
 		}
-		if !IsCompressed(env) || PayloadCodec(env) != codec {
-			t.Fatalf("%v: envelope not recognised (codec %v)", codec, PayloadCodec(env))
+		if !IsCompressed(env) || Codec(env[5]) != codec {
+			t.Fatalf("%v: envelope not recognised (codec byte %d)", codec, env[5])
 		}
 		if RawLen(env) != len(raw) {
 			t.Fatalf("%v: RawLen = %d, want %d", codec, RawLen(env), len(raw))
@@ -102,7 +102,7 @@ func TestCompressPassthrough(t *testing.T) {
 	if out, used := Compress(raw, CodecNone, 0); used != CodecNone || &out[0] != &raw[0] {
 		t.Error("CodecNone must return the raw payload unmodified")
 	}
-	if IsCompressed(raw) || PayloadCodec(raw) != CodecNone || RawLen(raw) != len(raw) {
+	if IsCompressed(raw) || RawLen(raw) != len(raw) {
 		t.Error("raw payload misidentified as compressed")
 	}
 	back, err := Decompress(raw)

@@ -34,8 +34,6 @@ type Exec struct {
 	// Node names the processor whose Calib prices estimates.
 	Node  rpc.NodeID
 	Calib *costmodel.Calibration
-	// Workers is the engine's per-node pipeline width (<= 0: GOMAXPROCS).
-	Workers int
 	// Degraded makes prepared queries survive peer deaths by re-planning onto
 	// replica holders.
 	Degraded bool
@@ -105,7 +103,6 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Sel
 		InputDataset:  q.Input,
 		OutputDataset: q.Output,
 		ResultDataset: q.ResultDataset,
-		Workers:       e.Workers,
 		Codec:         codec,
 	}
 	if e.Degraded {

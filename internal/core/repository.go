@@ -41,10 +41,6 @@ type Options struct {
 	// hot region read each chunk from disk once. Most useful with StoreDir;
 	// legal (if pointless) over in-memory disks.
 	CacheBytes int64
-	// Workers is the per-node execution-pipeline width handed to the engine
-	// (engine.Config.Workers); <= 0 lets the engine default to
-	// runtime.GOMAXPROCS(0).
-	Workers int
 	// Replicas is the number of copies of each chunk LoadDataset places,
 	// chain-declustered across the farm's disks (layout.Loader.Replicas);
 	// <= 1 loads unreplicated. Degraded-mode execution needs >= 2 to re-plan
@@ -57,10 +53,6 @@ type Options struct {
 	// self-describing payloads regardless of this setting. The zero value
 	// (chunk.CodecNone) keeps the classic raw layout.
 	Codec chunk.Codec
-	// CompressMinRatio is the adaptive-skip threshold for Codec (a chunk
-	// that does not shrink below this fraction of its raw size stays raw);
-	// 0 selects chunk.DefaultMinRatio.
-	CompressMinRatio float64
 	// Flow bounds each node's in-flight forwarded bytes on the per-query
 	// fabric (see rpc.Flow).
 	Flow rpc.Flow
@@ -79,7 +71,6 @@ type Repository struct {
 	farm     *layout.Farm
 	replicas int
 	codec    chunk.Codec
-	minRatio float64
 	flow     rpc.Flow
 	// exec is the shared query path; its calibration lives in memory only,
 	// and the repository is its own AUTO resolver — one calibration, no mesh
@@ -124,14 +115,12 @@ func NewRepository(opts Options) (*Repository, error) {
 		farm:     farm,
 		replicas: opts.Replicas,
 		codec:    opts.Codec,
-		minRatio: opts.CompressMinRatio,
 		flow:     opts.Flow,
 		datasets: make(map[string]*layout.Dataset),
 		exec: Exec{
 			Machine:      plan.Machine{Procs: opts.Nodes, AccMemBytes: opts.AccMemBytes},
 			DisksPerNode: opts.DisksPerNode,
 			Calib:        &costmodel.Calibration{},
-			Workers:      opts.Workers,
 		},
 	}
 	r.exec.Resolve = r.resolve
@@ -163,7 +152,7 @@ func (r *Repository) LoadDataset(name string, sp space.AttrSpace, chunks []*chun
 			return nil, err
 		}
 	}
-	loader := &layout.Loader{Farm: r.farm, Replicas: r.replicas, Codec: r.codec, MinRatio: r.minRatio}
+	loader := &layout.Loader{Farm: r.farm, Replicas: r.replicas, Codec: r.codec}
 	ds, err := loader.Load(name, sp, chunks)
 	if err != nil {
 		return nil, err

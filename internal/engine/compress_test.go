@@ -102,6 +102,7 @@ func TestCompressedMatchSerial(t *testing.T) {
 	const nodes = 3
 	base := bufpool.Outstanding()
 	repo := buildCompressedRepo(t, nodes)
+	rawRepo := buildRepo(t, nodes) // the same items, stored raw
 	for _, transport := range []string{"inproc", "tcp"} {
 		for _, s := range []plan.Strategy{plan.FRA, plan.SRA, plan.DA, plan.Hybrid} {
 			t.Run(transport+"/"+s.String(), func(t *testing.T) {
@@ -145,12 +146,25 @@ func TestCompressedMatchSerial(t *testing.T) {
 				}
 				got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, endpoint, nil)
 				requireIdenticalChunks(t, want, got)
-				var compBytes int64
-				for _, tr := range traces {
-					compBytes += tr.Totals.CompressedBytes
-				}
-				if compBytes == 0 {
+				comp := (&metrics.QueryTrace{Nodes: traces}).Total()
+				if comp.CompressedBytes == 0 {
 					t.Error("no compressed payloads consumed: the compressed path never engaged")
+				}
+				if transport != "inproc" || s != plan.DA {
+					return
+				}
+				// The forward-heavy row also runs on a raw copy of the farm:
+				// the same plan (a plan holds positions, not bytes) must read
+				// and send at least 1.5x the bytes. Both counts are sums of
+				// stored chunk sizes, so the ratio is exact, not timed.
+				cfg.Codec = chunk.CodecNone
+				_, traces = runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: rawRepo.Farm()}, endpoint, nil)
+				raw := (&metrics.QueryTrace{Nodes: traces}).Total()
+				if 2*raw.BytesRead < 3*comp.BytesRead {
+					t.Errorf("compressed farm read %d B, raw farm %d B: want >= 1.5x fewer", comp.BytesRead, raw.BytesRead)
+				}
+				if 2*raw.BytesSent < 3*comp.BytesSent {
+					t.Errorf("compressed run sent %d B, raw run %d B: want >= 1.5x fewer", comp.BytesSent, raw.BytesSent)
 				}
 			})
 		}

@@ -33,7 +33,10 @@ func buildReplicatedRepo(t *testing.T, nodes, replicas int) *core.Repository {
 	return repo
 }
 
-// loadTestDatasets loads the same synthetic "pts"/"img" pair buildRepo uses.
+// loadTestDatasets loads the engine tests' synthetic pair: "pts", 1200 points
+// on a quarter-unit lattice (instrument-grid coordinates, which the columnar
+// codec collapses) in an 8x8 grid of input chunks, and "img", a 4x4 grid of
+// empty output chunks.
 func loadTestDatasets(t *testing.T, repo *core.Repository) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -41,7 +44,7 @@ func loadTestDatasets(t *testing.T, repo *core.Repository) {
 	var items []chunk.Item
 	for i := 0; i < 1200; i++ {
 		items = append(items, chunk.Item{
-			Coord: space.Pt(rng.Float64()*64, rng.Float64()*64),
+			Coord: space.Pt(float64(rng.Intn(256))/4, float64(rng.Intn(256))/4),
 			Value: apps.EncodeValue(int64(rng.Intn(1000))),
 		})
 	}

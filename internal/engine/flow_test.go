@@ -18,10 +18,12 @@ import (
 	"adr/internal/rpc/faultep"
 )
 
-// runParallelFlow is runParallel on a flow-controlled fabric: every
-// forwarded payload charges a credit window before delivery, so the engine's
-// senders block and resume throughout the query.
-func runParallelFlow(t *testing.T, repo *core.Repository, p *plan.Plan, w *plan.Workload, app engine.App, workers int, opts rpc.InprocOptions) []*chunk.Chunk {
+// runParallelFlow executes the plan across an in-process fabric built with
+// opts and returns the finished output chunks in output-position order and
+// the largest in-flight byte total any one link reached. With a flow window
+// in opts every forwarded payload charges it before delivery, so the
+// engine's senders block and resume throughout the query.
+func runParallelFlow(t *testing.T, repo *core.Repository, p *plan.Plan, w *plan.Workload, app engine.App, workers int, opts rpc.InprocOptions) ([]*chunk.Chunk, int64) {
 	t.Helper()
 	fabric, err := rpc.NewInprocFabricOpts(p.Machine.Procs, opts)
 	if err != nil {
@@ -53,17 +55,23 @@ func runParallelFlow(t *testing.T, repo *core.Repository, p *plan.Plan, w *plan.
 	if _, err := engine.Run(context.Background(), cfg, fabric, engine.FarmStorage{Farm: repo.Farm()}); err != nil {
 		t.Fatal(err)
 	}
-	return results
+	return results, fabric.FlowHighWater()
 }
 
 // TestFlowTinyWindowMatchesSerial is the acceptance test for flow-control
-// correctness: with a 1 KiB window — smaller than a single encoded chunk, so
-// every forward is an oversized frame admitted one at a time — every
+// correctness: with a 1 KiB window — room for one encoded chunk (the
+// fixture's largest is just under it), so forwards go out one at a time — every
 // strategy must still produce output byte-identical to the serial oracle,
 // and every pooled buffer must return. Backpressure may reorder and stall
 // the pipeline arbitrarily; it must never change results or lose credits.
+// The engine's payloads must really pass through the window: the peak
+// in-flight bytes on any link are above zero and within the window plus one
+// frame (the transport's bound: rpc's TestConformance).
 func TestFlowTinyWindowMatchesSerial(t *testing.T) {
-	const nodes = 3
+	const (
+		nodes  = 3
+		window = 1 << 10
+	)
 	base := bufpool.Outstanding()
 	repo := buildRepo(t, nodes)
 	for _, s := range []plan.Strategy{plan.FRA, plan.SRA, plan.DA, plan.Hybrid} {
@@ -83,10 +91,18 @@ func TestFlowTinyWindowMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := serialOracle(t, repo, p, w, &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4})
-			got := runParallelFlow(t, repo, p, w, app, 4, rpc.InprocOptions{
-				Flow: rpc.Flow{WindowBytes: 1 << 10},
+			got, peak := runParallelFlow(t, repo, p, w, app, 4, rpc.InprocOptions{
+				Flow: rpc.Flow{WindowBytes: window},
 			})
 			requireIdenticalChunks(t, want, got)
+			var maxChunk int64
+			for _, m := range w.Inputs {
+				maxChunk = max(maxChunk, m.Bytes)
+			}
+			if peak <= 0 || peak > window+maxChunk {
+				t.Errorf("peak in-flight bytes on a link = %d, want within (0, %d] (window %d + largest input chunk %d)",
+					peak, window+maxChunk, window, maxChunk)
+			}
 		})
 	}
 	if got := bufpool.Outstanding(); got != base {

@@ -727,12 +727,9 @@ func (n *node) emit(out *chunk.Chunk) error {
 	return nil
 }
 
-// send transmits m, attributing the traffic to the phase issuing it and
-// stamping the payload's codec into the frame header (payloads are
-// self-describing; the stamp is frame metadata for tooling).
+// send transmits m, attributing the traffic to the phase issuing it.
 func (n *node) send(p metrics.Phase, m rpc.Message) error {
 	m.OnStall = n.onStall
-	m.Codec = byte(chunk.PayloadCodec(m.Payload))
 	bytes := int64(len(m.Payload))
 	start := time.Now()
 	if err := n.ep.Send(m); err != nil {

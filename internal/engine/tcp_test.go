@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -13,10 +12,8 @@ import (
 	"adr/internal/chunk"
 	"adr/internal/core"
 	"adr/internal/engine"
-	"adr/internal/layout"
 	"adr/internal/plan"
 	"adr/internal/rpc"
-	"adr/internal/space"
 )
 
 // buildRepo loads a synthetic dataset pair into a repository; the TCP test
@@ -29,32 +26,7 @@ func buildRepo(t *testing.T, nodes int) *core.Repository {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { repo.Close() })
-	rng := rand.New(rand.NewSource(99))
-	inSpace := space.AttrSpace{Name: "pts", Bounds: space.R(0, 64, 0, 64)}
-	var items []chunk.Item
-	for i := 0; i < 1200; i++ {
-		items = append(items, chunk.Item{
-			Coord: space.Pt(rng.Float64()*64, rng.Float64()*64),
-			Value: apps.EncodeValue(int64(rng.Intn(1000))),
-		})
-	}
-	grid, _ := space.NewGrid(inSpace.Bounds, 8, 8)
-	chunks, err := layout.PartitionGrid(items, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := repo.LoadDataset("pts", inSpace, chunks); err != nil {
-		t.Fatal(err)
-	}
-	outSpace := space.AttrSpace{Name: "img", Bounds: space.R(0, 64, 0, 64)}
-	og, _ := space.NewGrid(outSpace.Bounds, 4, 4)
-	var outChunks []*chunk.Chunk
-	for c := 0; c < og.NumCells(); c++ {
-		outChunks = append(outChunks, &chunk.Chunk{Meta: chunk.Meta{MBR: og.CellRect(c)}})
-	}
-	if _, err := repo.LoadDataset("img", outSpace, outChunks); err != nil {
-		t.Fatal(err)
-	}
+	loadTestDatasets(t, repo)
 	return repo
 }
 

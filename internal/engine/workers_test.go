@@ -2,11 +2,12 @@ package engine_test
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"adr/internal/apps"
 	"adr/internal/chunk"
@@ -26,41 +27,12 @@ import (
 // lock sharding: two chunks aggregating into different outputs run
 // concurrently, two into the same output never do.
 
-// runParallel executes cfg across an in-process fabric and returns the
-// finished output chunks in output-position order.
+// runParallel executes the plan across an in-process fabric without flow
+// control and returns the finished output chunks in output-position order.
 func runParallel(t *testing.T, repo *core.Repository, p *plan.Plan, w *plan.Workload, app engine.App, workers int) []*chunk.Chunk {
 	t.Helper()
-	fabric, err := rpc.NewInprocFabric(p.Machine.Procs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fabric.Close()
-
-	idToPos := make(map[chunk.ID]int32, len(w.Outputs))
-	for pos, m := range w.Outputs {
-		idToPos[m.ID] = int32(pos)
-	}
-	results := make([]*chunk.Chunk, len(w.Outputs))
-	var mu sync.Mutex
-	cfg := engine.Config{
-		Plan: p, Workload: w, App: app,
-		InputDataset: "pts",
-		Workers:      workers,
-		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
-			mu.Lock()
-			defer mu.Unlock()
-			pos, ok := idToPos[c.Meta.ID]
-			if !ok {
-				return fmt.Errorf("result for unknown output chunk %d", c.Meta.ID)
-			}
-			results[pos] = c
-			return nil
-		},
-	}
-	if _, err := engine.Run(context.Background(), cfg, fabric, engine.FarmStorage{Farm: repo.Farm()}); err != nil {
-		t.Fatal(err)
-	}
-	return results
+	got, _ := runParallelFlow(t, repo, p, w, app, workers, rpc.InprocOptions{})
+	return got
 }
 
 // serialOracle runs the Fig 1 loop over the same workload.
@@ -188,5 +160,89 @@ func TestWorkersSameAccumulator(t *testing.T) {
 			got := runParallel(t, repo, p, w, app, 8)
 			requireIdenticalChunks(t, want, got)
 		})
+	}
+}
+
+// inflightApp wraps an App and records whether two Aggregate calls ever ran
+// at once. With wait set, an Aggregate that finds itself alone waits that
+// long for a second to arrive (once; the rendezvous is over as soon as it is
+// met or missed), so a pool wider than one shows as such whatever the
+// scheduler does, with no wall-clock comparison.
+type inflightApp struct {
+	engine.App
+	wait    time.Duration
+	cur     atomic.Int32
+	overlap atomic.Bool
+	once    sync.Once
+	over    chan struct{}
+}
+
+func (a *inflightApp) Aggregate(acc engine.Accumulator, out chunk.Meta, in *chunk.Chunk) error {
+	defer a.cur.Add(-1)
+	if a.cur.Add(1) > 1 {
+		a.overlap.Store(true)
+		a.once.Do(func() { close(a.over) })
+	} else if a.wait > 0 {
+		select {
+		case <-a.over:
+		case <-time.After(a.wait):
+			a.once.Do(func() { close(a.over) })
+		}
+	}
+	return a.App.Aggregate(acc, out, in)
+}
+
+// TestWorkersWidthInFlight pins Config.Workers to the pool's real width on
+// one node whose 16 input chunks each target their own output chunk, so no
+// two contend for an accumulator lock: one worker never has two Aggregate
+// calls in flight, four workers do.
+func TestWorkersWidthInFlight(t *testing.T) {
+	repo, err := core.NewRepository(core.Options{Nodes: 1, AccMemBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	bounds := space.R(0, 64, 0, 64)
+	grid, _ := space.NewGrid(bounds, 4, 4)
+	var items []chunk.Item
+	var outs []*chunk.Chunk
+	for c := 0; c < grid.NumCells(); c++ {
+		cell := grid.CellRect(c)
+		items = append(items, chunk.Item{Coord: cell.Center(), Value: apps.EncodeValue(int64(c))})
+		outs = append(outs, &chunk.Chunk{Meta: chunk.Meta{MBR: cell}})
+	}
+	chunks, err := layout.PartitionGrid(items, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.LoadDataset("pts", space.AttrSpace{Name: "pts", Bounds: bounds}, chunks); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.LoadDataset("img", space.AttrSpace{Name: "img", Bounds: bounds}, outs); err != nil {
+		t.Fatal(err)
+	}
+	raster := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 2}
+	w, err := repo.BuildWorkload(&core.Query{Input: "pts", Output: "img", Strategy: plan.FRA, App: raster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := plan.NewPlanner(repo.Machine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planner.Plan(plan.FRA, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	one := &inflightApp{App: raster, over: make(chan struct{})}
+	runParallel(t, repo, p, w, one, 1)
+	if one.overlap.Load() {
+		t.Error("Workers: 1 ran two Aggregate calls at once")
+	}
+	four := &inflightApp{App: raster, wait: 5 * time.Second, over: make(chan struct{})}
+	runParallel(t, repo, p, w, four, 4)
+	if !four.overlap.Load() {
+		t.Error("Workers: 4 never had two Aggregate calls in flight: the pool is one worker wide")
 	}
 }

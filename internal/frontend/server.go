@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adr/internal/bufpool"
-	"adr/internal/chunk"
 	"adr/internal/metrics"
 )
 
@@ -117,18 +116,12 @@ type Server struct {
 	closed  bool
 	queryID atomic.Int32
 	queries *metrics.QueryLog
-	codec   string
 }
 
 // Options tunes the front-end's observability behaviour.
 type Options struct {
 	// SlowQueryThreshold, when > 0, logs every query slower than it.
 	SlowQueryThreshold time.Duration
-	// Codec, when non-empty, is stamped onto relayed queries that do not
-	// name their own codec (adr-front -compress): every query through this
-	// front-end then compresses its engine payloads with the named codec.
-	// Specs that set Codec themselves win.
-	Codec string
 }
 
 // Start listens for clients on addr.
@@ -145,15 +138,9 @@ func StartOptions(addr string, nodeAddrs []string, opts Options) (*Server, error
 	if err != nil {
 		return nil, fmt.Errorf("frontend: listen: %w", err)
 	}
-	if opts.Codec != "" {
-		if _, err := chunk.ParseCodec(opts.Codec); err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("frontend: %w", err)
-		}
-	}
 	ql := metrics.NewQueryLog(metrics.Default, "adr_frontend")
 	ql.SlowThreshold = opts.SlowQueryThreshold
-	s := &Server{NodeAddrs: nodeAddrs, ln: ln, queries: ql, codec: opts.Codec}
+	s := &Server{NodeAddrs: nodeAddrs, ln: ln, queries: ql}
 	go s.acceptLoop()
 	return s, nil
 }
@@ -212,9 +199,6 @@ func (s *Server) handleClient(conn net.Conn) {
 // strategy — so the spec every node receives names a fixed strategy and the
 // query-log detail names the choice (e.g. "sensor->composite/AUTO=DA").
 func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
-	if s.codec != "" && spec.Codec == "" {
-		spec.Codec = s.codec
-	}
 	detail := spec.Input + "->" + spec.Output + "/" + spec.Strategy
 	spec, sel, err := resolveSpec(s.NodeAddrs, spec, 0, 0)
 	if err != nil {

@@ -138,8 +138,7 @@ func (w *flowWindow) close() (held int64) {
 }
 
 // highWater returns the window's peak in-flight byte count — the quantity
-// BenchmarkForwardBackpressure asserts stays within the configured window
-// (± one frame).
+// TestConformance asserts stays within the configured window plus one frame.
 func (w *flowWindow) highWater() int64 {
 	if w == nil {
 		return 0

@@ -25,8 +25,11 @@ func FuzzTCPReadFrame(f *testing.F) {
 	if err := writeCredit(&credit, 0, 1, 4096); err != nil {
 		f.Fatal(err)
 	}
-	data := frame(Message{Src: 0, Dst: 1, Type: 3, Query: 7, Tile: 2, Seq: 42, Codec: 2, Payload: []byte("ghost chunk")}, true)
+	data := frame(Message{Src: 0, Dst: 1, Type: 3, Query: 7, Tile: 2, Seq: 42, Payload: []byte("ghost chunk")}, true)
 	f.Add(data)
+	retired := append([]byte(nil), data...)
+	retired[13] |= 2 << 2 // flag bits 2-3 once carried a codec tag; such a frame still parses
+	f.Add(retired)
 	f.Add(credit.Bytes())
 	f.Add(frame(Message{Src: 9999, Dst: 1, Type: 1}, false)) // forged src
 	f.Add(data[:10])                                         // short header

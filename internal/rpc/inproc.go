@@ -110,8 +110,8 @@ func (f *InprocFabric) Close() error {
 
 // FlowHighWater returns the largest in-flight byte total any single
 // (sender, destination) credit window reached over the fabric's lifetime —
-// the quantity the backpressure benchmark asserts stays within the
-// configured window (± one oversized frame). Zero without flow control.
+// the quantity the engine's flow test asserts stays within the configured
+// window plus one frame. Zero without flow control.
 func (f *InprocFabric) FlowHighWater() int64 {
 	var peak int64
 	for _, ep := range f.endpoints {

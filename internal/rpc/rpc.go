@@ -68,15 +68,6 @@ type Message struct {
 	// Payload is the message body (e.g. an encoded chunk). The transport
 	// does not copy it; senders must not mutate it after Send.
 	Payload []byte
-	// Codec tags the payload's compression codec (a chunk.Codec value,
-	// carried as a raw byte so rpc stays free of chunk imports). The TCP
-	// transport serializes it in the frame header's flag bits; inproc
-	// carries it on the struct. Compressed payloads are self-describing, so
-	// the tag is advisory header metadata — receivers decompress by
-	// sniffing the envelope — but it lets frame-level tooling attribute
-	// compressed traffic without parsing bodies. Values above 3 do not fit
-	// the header and are truncated; chunk codecs stay within that range.
-	Codec byte
 	// Pooled marks Payload as recyclable through bufpool: whoever finishes
 	// with the bytes may return them for reuse. It is never serialized; each
 	// hop sets it only for buffers it allocated from the pool and owns

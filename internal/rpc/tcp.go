@@ -35,8 +35,8 @@ import (
 // grant itself — a transport-internal frame whose 8-byte payload is the
 // byte count being returned; it is never delivered to Recv and is itself
 // exempt from flow control (a grant that needed credit to send could never
-// unblock anyone). flags bits 2-3 carry the payload's compression codec
-// (Message.Codec).
+// unblock anyone). The other six bits are unused: writers leave them zero
+// and readers ignore them.
 //
 // A frame's src and dst must name the connection it arrives on (src the
 // peer, dst this node); anything else is a malformed header.
@@ -59,11 +59,6 @@ const tcpHeaderLen = 22
 const (
 	frameFlow   = 1 << 0 // payload charged against the sender's credit window
 	frameCredit = 1 << 1 // transport-internal credit grant, never delivered
-	// Bits 2-3 carry the payload's compression codec (Message.Codec, a
-	// chunk.Codec value): 0 raw, 1 flate, 2 columnar. Compressed payloads
-	// are self-describing, so the bits are advisory frame metadata.
-	frameCodecShift = 2
-	frameCodecMask  = 0x3
 )
 
 // MaxFrameBytes bounds a single message payload (64 MiB): far above any
@@ -331,9 +326,8 @@ func writeFrame(w io.Writer, m *Message, flow bool) error {
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Src))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Dst))
 	hdr[12] = byte(m.Type)
-	hdr[13] = (m.Codec & frameCodecMask) << frameCodecShift
 	if flow {
-		hdr[13] |= frameFlow
+		hdr[13] = frameFlow
 	}
 	binary.LittleEndian.PutUint32(hdr[14:], uint32(m.Query))
 	binary.LittleEndian.PutUint32(hdr[18:], uint32(m.Tile))
@@ -390,7 +384,6 @@ func readFrame(r io.Reader, peer, self NodeID) (m Message, owed, credit int64, e
 		Query: int32(binary.LittleEndian.Uint32(hdr[14:])),
 		Tile:  int32(binary.LittleEndian.Uint32(hdr[18:])),
 		Seq:   int32(binary.LittleEndian.Uint32(hdr[22:])),
-		Codec: (flags >> frameCodecShift) & frameCodecMask,
 	}
 	if m.Src != peer || m.Dst != self {
 		return malformed("frame routed %d->%d on the connection %d->%d", m.Src, m.Dst, peer, self)
