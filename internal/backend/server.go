@@ -483,8 +483,8 @@ func (s *Server) runQuery(req *frontend.NodeRequest, ep rpc.Endpoint, w *bufio.W
 	if q.App, err = spec.App.Build(); err != nil {
 		return trace, 0, err
 	}
-	// Codec precedence: the spec's own (stamped by adr-front -compress when
-	// the client named none), else this node's -compress default.
+	// Codec precedence: the spec's own (the client's choice), else this
+	// node's -compress default.
 	codec := s.cfg.Codec
 	if c, set, err := spec.ParseCodec(); err != nil {
 		return trace, 0, err

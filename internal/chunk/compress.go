@@ -1,13 +1,15 @@
 package chunk
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"adr/internal/metrics"
 )
@@ -242,18 +244,70 @@ func flateCompress(raw []byte) ([]byte, error) {
 
 // flateDecompress inflates body, which must yield exactly rawLen bytes.
 func flateDecompress(dst, body []byte, rawLen int) ([]byte, error) {
-	base := len(dst)
-	dst = append(dst, make([]byte, rawLen)...)
-	fr := flate.NewReader(bytes.NewReader(body))
-	if _, err := io.ReadFull(fr, dst[base:]); err != nil {
-		return dst[:base], fmt.Errorf("%w: flate body: %v", ErrCorrupt, err)
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	raw, err := f.inflate(body, rawLen)
+	if errors.Is(err, errStreamTooLong) {
+		return dst, fmt.Errorf("%w: flate body longer than raw size", ErrCorrupt)
 	}
-	// One extra readable byte means the body holds more than rawSize claimed.
-	var one [1]byte
-	if n, _ := fr.Read(one[:]); n != 0 {
-		return dst[:base], fmt.Errorf("%w: flate body longer than raw size", ErrCorrupt)
+	if err != nil {
+		return dst, fmt.Errorf("%w: flate body: %v", ErrCorrupt, err)
 	}
-	return dst, nil
+	if len(raw) != rawLen {
+		return dst, fmt.Errorf("%w: flate body inflates to %d of %d raw bytes", ErrCorrupt, len(raw), rawLen)
+	}
+	return append(dst, raw...), nil
+}
+
+// inflater is one pooled decompression context: a flate reader reset onto
+// each body (building a fresh one costs tens of kilobytes per chunk) and the
+// scratch a whole inflated stream lands in.
+type inflater struct {
+	body bytes.Reader
+	fr   io.ReadCloser // a flate.Resetter once made
+	buf  []byte
+	prev []uint64 // columnar XOR-delta chain heads, one per dimension
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// errStreamTooLong reports a deflate stream that inflates past its limit.
+var errStreamTooLong = errors.New("stream longer than its limit")
+
+// inflate inflates the whole deflate stream body into the inflater's
+// scratch, valid until the inflater is next used or returned to the pool. A
+// stream of more than limit bytes fails with errStreamTooLong; a malformed
+// or truncated one (flate's io.ErrUnexpectedEOF included) with flate's
+// error. Only a clean end of stream succeeds.
+func (f *inflater) inflate(body []byte, limit int) ([]byte, error) {
+	f.body.Reset(body)
+	if f.fr == nil {
+		f.fr = flate.NewReader(&f.body)
+	} else if err := f.fr.(flate.Resetter).Reset(&f.body, nil); err != nil {
+		return nil, err
+	}
+	buf := f.buf[:0]
+	defer func() {
+		f.buf = buf[:0]
+		f.body.Reset(nil) // a pooled inflater keeps no caller's bytes alive
+	}()
+	for {
+		if len(buf) == cap(buf) {
+			// Double from 4 KiB, up to the one byte past limit that proves
+			// a stream too long.
+			buf = slices.Grow(buf, min(limit+1-len(buf), max(len(buf), 4<<10)))
+		}
+		n, err := f.fr.Read(buf[len(buf):min(cap(buf), limit+1)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case len(buf) > limit:
+			return nil, errStreamTooLong
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return nil, err
+		}
+	}
 }
 
 // rawHeader is the light parse of a raw Encode payload's fixed prefix that
@@ -366,7 +420,8 @@ func columnarCompress(raw []byte) ([]byte, error) {
 }
 
 // columnarDecompress reverses columnarCompress, reconstructing the raw
-// encoding bit-for-bit into dst.
+// encoding bit-for-bit onto dst. The transformed stream is inflated whole
+// first; the transform is then undone from memory in one pass over the items.
 func columnarDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	h, err := parseRawHeader(body)
 	if err != nil {
@@ -379,57 +434,59 @@ func columnarDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	if h.length > rawLen || h.nitems > (rawLen-h.length)/fixed {
 		return dst, fmt.Errorf("%w: item count %d exceeds raw size %d", ErrCorrupt, h.nitems, rawLen)
 	}
-	base := len(dst)
-	dst = append(dst, make([]byte, rawLen)...)
-	out := dst[base:]
-	fail := func(err error) ([]byte, error) { return dst[:base], err }
-	copy(out, body[:h.length])
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	// The stream is the item records with each 4-byte value length traded
+	// for a uvarint of at most 5 bytes: a longer stream is corrupt.
+	s, err := f.inflate(body[h.length:], rawLen-h.length+h.nitems)
+	if errors.Is(err, errStreamTooLong) {
+		return dst, fmt.Errorf("%w: transformed body longer than items need", ErrCorrupt)
+	}
+	if err != nil {
+		return dst, fmt.Errorf("%w: transformed body: %v", ErrCorrupt, err)
+	}
 
-	br := bufio.NewReader(flate.NewReader(bytes.NewReader(body[h.length:])))
-
-	// Value lengths first: they fix every item record's offset.
-	offs := make([]int, h.nitems)
-	off := h.length
+	// Value lengths first: they fix every item record's size.
+	pos, off := 0, h.length
 	for i := 0; i < h.nitems; i++ {
-		vlen, err := binary.ReadUvarint(br)
-		if err != nil || vlen > math.MaxUint32 {
-			return fail(fmt.Errorf("%w: bad value length for item %d: %v", ErrCorrupt, i, err))
+		vlen, n := binary.Uvarint(s[pos:])
+		if n <= 0 || vlen > math.MaxUint32 {
+			return dst, fmt.Errorf("%w: bad value length for item %d", ErrCorrupt, i)
 		}
-		offs[i] = off
-		next := off + fixed + int(vlen)
-		if next > rawLen {
-			return fail(fmt.Errorf("%w: items overflow raw size at item %d", ErrCorrupt, i))
+		pos += n
+		if off += fixed + int(vlen); off > rawLen {
+			return dst, fmt.Errorf("%w: items overflow raw size at item %d", ErrCorrupt, i)
 		}
-		binary.LittleEndian.PutUint32(out[off+8*h.dims:], uint32(vlen))
-		off = next
 	}
 	if off != rawLen {
-		return fail(fmt.Errorf("%w: items cover %d of %d raw bytes", ErrCorrupt, off, rawLen))
+		return dst, fmt.Errorf("%w: items cover %d of %d raw bytes", ErrCorrupt, off, rawLen)
 	}
+	// What follows is exactly the coordinate columns and the value bytes.
+	if rest, want := len(s)-pos, rawLen-h.length-4*h.nitems; rest != want {
+		return dst, fmt.Errorf("%w: transformed body has %d bytes after the value lengths, items need %d", ErrCorrupt, rest, want)
+	}
+	coords, values := s[pos:], s[pos+8*h.dims*h.nitems:]
 
-	// Coordinate columns: XOR-delta chains seeded from the MBR low corner.
-	var word [8]byte
+	// Item records in order: coordinates from the XOR-delta columns (chains
+	// seeded from the MBR low corner), the value length, the value bytes.
+	prev := f.prev[:0]
 	for d := 0; d < h.dims; d++ {
-		prev := binary.LittleEndian.Uint64(body[h.mbrOff+8*d:])
-		for i := 0; i < h.nitems; i++ {
-			if _, err := io.ReadFull(br, word[:]); err != nil {
-				return fail(fmt.Errorf("%w: coord column %d item %d: %v", ErrCorrupt, d, i, err))
-			}
-			prev ^= binary.LittleEndian.Uint64(word[:])
-			binary.LittleEndian.PutUint64(out[offs[i]+8*d:], prev)
-		}
+		prev = append(prev, binary.LittleEndian.Uint64(body[h.mbrOff+8*d:]))
 	}
-
-	// Value bytes, scattered back per item.
+	f.prev = prev
+	dst = slices.Grow(dst, rawLen)
+	dst = append(dst, body[:h.length]...)
+	pos = 0
 	for i := 0; i < h.nitems; i++ {
-		vo := offs[i] + fixed
-		vlen := int(binary.LittleEndian.Uint32(out[offs[i]+8*h.dims:]))
-		if _, err := io.ReadFull(br, out[vo:vo+vlen]); err != nil {
-			return fail(fmt.Errorf("%w: value block: %v", ErrCorrupt, err))
+		vlen, n := binary.Uvarint(s[pos:])
+		pos += n
+		for d := range prev {
+			prev[d] ^= binary.LittleEndian.Uint64(coords[8*(d*h.nitems+i):])
+			dst = binary.LittleEndian.AppendUint64(dst, prev[d])
 		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return fail(fmt.Errorf("%w: transformed body longer than items need", ErrCorrupt))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(vlen))
+		dst = append(dst, values[:vlen]...)
+		values = values[vlen:]
 	}
 	return dst, nil
 }

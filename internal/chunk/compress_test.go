@@ -2,7 +2,10 @@ package chunk
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +201,69 @@ func TestDecompressCorrupt(t *testing.T) {
 	// reader sees a clean error, not a misparse).
 	if _, err := Decode(env); err == nil {
 		t.Error("Decode accepted a compressed envelope")
+	}
+}
+
+// TestDecompressPoolReuse: decompression contexts are pooled, so
+// concurrent decompressions of large, small and corrupt envelopes in any
+// interleaving must each see a clean inflater — every good envelope comes
+// back bit-identical and a corrupt one never poisons the next. Run it under
+// -race.
+func TestDecompressPoolReuse(t *testing.T) {
+	type envelope struct {
+		name     string
+		env, raw []byte // raw nil: the envelope is corrupt
+	}
+	var cases []envelope
+	for _, n := range []int{1024, 3} {
+		raw := Encode(compressibleChunk(n))
+		for _, codec := range []Codec{CodecFlate, CodecColumnar} {
+			env, used := Compress(raw, codec, 2)
+			if used != codec {
+				t.Fatalf("setup: %v skipped a %d-item chunk", codec, n)
+			}
+			short := append([]byte(nil), env...)
+			binary.LittleEndian.PutUint32(short[6:], uint32(len(raw)-1))
+			long := append([]byte(nil), env...)
+			binary.LittleEndian.PutUint32(long[6:], uint32(len(raw)+1))
+			name := fmt.Sprintf("%v/%d", codec, n)
+			cases = append(cases,
+				envelope{name, env, raw},
+				envelope{name + "/truncated", env[:len(env)-5], nil},
+				envelope{name + "/raw size short", short, nil},
+				envelope{name + "/raw size long", long, nil},
+			)
+		}
+	}
+	const goroutines, rounds = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := make([]byte, 0, 64<<10)
+			for r := 0; r < rounds; r++ {
+				c := cases[(g+r*(g+1))%len(cases)]
+				out, err := DecompressTo(dst[:0], c.env)
+				switch {
+				case c.raw == nil && err == nil:
+					errs <- fmt.Errorf("%s: corrupt envelope accepted", c.name)
+					return
+				case c.raw != nil && err != nil:
+					errs <- fmt.Errorf("%s: %v", c.name, err)
+					return
+				case c.raw != nil && !bytes.Equal(out, c.raw):
+					errs <- fmt.Errorf("%s: not bit-identical", c.name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

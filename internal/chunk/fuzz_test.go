@@ -64,12 +64,29 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecompress covers the envelope path end to end: arbitrary input must
 // never panic, a successful decompression must be decodable or fail cleanly,
-// and raw (non-envelope) input must pass through untouched.
+// and raw (non-envelope) input must pass through untouched. Input that
+// decodes as a raw chunk must also survive each codec: compressed, it
+// decompresses back bit-identical, twice in a row, so state a pooled
+// inflater carries from one use to the next shows up as a mismatch.
 func FuzzDecompress(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := Decode(data); err == nil {
+			for _, codec := range []Codec{CodecFlate, CodecColumnar} {
+				env, _ := Compress(data, codec, 2)
+				for pass := 0; pass < 2; pass++ {
+					back, err := Decompress(env)
+					if err != nil {
+						t.Fatalf("%v pass %d: %v", codec, pass, err)
+					}
+					if !bytes.Equal(back, data) {
+						t.Fatalf("%v pass %d: round trip is not bit-identical", codec, pass)
+					}
+				}
+			}
+		}
 		raw, err := Decompress(data)
 		if err != nil {
 			return

@@ -174,6 +174,68 @@ func TestCompressedMatchSerial(t *testing.T) {
 	}
 }
 
+// TestCompressedDADecodesOnlyAggregatedReads counts the compressed bytes
+// each node inflates under DA: a reader decompresses a read only when it
+// aggregates it here (ReadPairs > 0), and every forward is decompressed
+// once at each destination. The engine compresses nothing of its own
+// (CodecNone), so compressed stored chunks forward verbatim, raw ones stay
+// raw, and every inflated byte is some input's StoredBytes — the count is
+// exact, from plan.Schedule alone.
+func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
+	const nodes = 3
+	repo := buildCompressedRepo(t, nodes)
+	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
+	w, err := repo.BuildWorkload(&core.Query{Input: "pts", Output: "img", Strategy: plan.DA, App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := plan.NewPlanner(repo.Machine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planner.Plan(plan.DA, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := make([]int64, nodes)
+	var forwardOnly int64 // stored bytes a reader reads only to forward
+	for q, shares := range plan.Schedule(p, w) {
+		for ti := range shares {
+			sh := &shares[ti]
+			for k, i := range sh.Reads {
+				stored := w.Inputs[i].StoredBytes
+				if sh.ReadPairs[k] > 0 {
+					want[q] += stored
+				} else {
+					forwardOnly += stored
+				}
+				for _, d := range sh.Dests(k) {
+					want[d.To] += stored
+				}
+			}
+		}
+	}
+	if forwardOnly == 0 {
+		t.Fatal("setup: no compressed read is forward-only, so the count cannot tell")
+	}
+
+	fabric, err := rpc.NewInprocFabric(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fabric.Close()
+	cfg := engine.Config{Plan: p, Workload: w, App: app, InputDataset: "pts", Workers: 4}
+	got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, fabric.Endpoint, nil)
+	requireIdenticalChunks(t, serialOracle(t, repo, p, w, app), got)
+	for q, tr := range traces {
+		if tr.Totals.CompressedBytes != want[q] {
+			t.Errorf("node %d inflated %d compressed bytes, want %d (reads it aggregates + forwards it receives)",
+				q, tr.Totals.CompressedBytes, want[q])
+		}
+	}
+}
+
 // TestCompressedMixedFleetMatchSerial pins mixed-fleet interoperability: one
 // node compresses its engine payloads, its peers run with compression off
 // (and a raw farm, so nothing they read or send is compressed on their

@@ -382,15 +382,17 @@ func compress(payload []byte, codec chunk.Codec) (out []byte, shrunk bool) {
 // phaseLocalReduction retrieves this node's local input chunks (with
 // read-ahead, overlapping disk and processing), aggregates them into every
 // allocated target accumulator of the tile, forwards them to remote homes,
-// and folds in the input chunks other nodes forward here.
+// and folds in the input chunks other nodes forward here. A read with no
+// target allocated here (ReadPairs 0: DA and HYBRID) is only forwarded,
+// never decoded.
 //
 // Retrieval runs one prefetcher per local disk (§2.2: nodes have multiple
 // disks attached; chunks on different disks are read in parallel), each
-// bounded by the shared read-ahead depth. Both sources — local reads and
-// forwarded chunks from the mailbox — feed one worker pool, so a remote
-// chunk is decoded and aggregated the moment it arrives instead of waiting
-// for local reads to drain, and Config.Workers chunks are processed
-// concurrently under per-output locks.
+// bounded by the shared read-ahead depth. Both sources — the local reads it
+// aggregates and forwarded chunks from the mailbox — feed one worker pool,
+// so a remote chunk is decoded and aggregated the moment it arrives instead
+// of waiting for local reads to drain, and Config.Workers chunks are
+// processed concurrently under per-output locks.
 func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]Accumulator, locks map[int32]*sync.Mutex) error {
 	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
 
@@ -492,7 +494,9 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 						return
 					}
 				}
-				if !pl.submit(wk) {
+				// A chunk none of whose targets is allocated here in this
+				// tile is only forwarded: decoding it would be wasted work.
+				if sh.ReadPairs[k] > 0 && !pl.submit(wk) {
 					return
 				}
 			}

@@ -82,10 +82,11 @@ type Node struct {
 	// replica holder because the primary's node was excluded from the query
 	// (degraded-mode execution).
 	ReplicaFallbackReads atomic.Int64
-	// CompressedBytes counts compressed payload bytes this node decompressed
-	// on its read and receive paths (disk, cache or wire). The difference
-	// against the BytesRead/BytesRecv those payloads contributed is the
-	// volume compression saved; zero means every payload arrived raw.
+	// CompressedBytes counts compressed payload bytes this node decompressed:
+	// the local reads it aggregates (disk or cache; a read it only forwards
+	// is never decompressed here) and the payloads it receives (forwarded
+	// inputs, ghosts, existing and shipped outputs). Zero means every payload
+	// it consumed arrived raw.
 	CompressedBytes atomic.Int64
 	// DecodeNanos is the cumulative wall time workers spent in chunk.Decode
 	// (including decompression when payloads arrive compressed), and

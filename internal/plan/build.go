@@ -92,7 +92,7 @@ func affinityHome(pl *Planner, w *Workload, sources [][]int32) func(int32) int32
 		// Home = argmax over live processors of (local contribution − load
 		// beyond the mean), ties to the lower index.
 		//
-		// Known bias, kept so plans stay what they were (ROADMAP item 2,
+		// Known bias, kept so plans stay what they were (ROADMAP item 8,
 		// HYBRID): bestScore starts at 0, not at the owner's score, so a
 		// processor numbered below the owner is held to a phantom 0 until
 		// the scan reaches the owner. When the owner is overloaded (score

@@ -32,7 +32,8 @@ type Share struct {
 	// ReadPairs[k] is the number of (input chunk, accumulator chunk)
 	// aggregations reading Reads[k] triggers here — the unit the LR compute
 	// cost is defined over; Dest.Pairs is the same at a forward's receiver.
-	// Set by Schedule only; the engine counts its aggregations as it runs them.
+	// ShareOf and Schedule both set ReadPairs (a reader decodes only the
+	// chunks it aggregates); Dest.Pairs is set by Schedule only.
 	ReadPairs []int32
 }
 
@@ -51,9 +52,10 @@ func (s *Share) Dests(k int) []Dest {
 	return s.Forward[k]
 }
 
-// ShareOf derives processor q's share of every tile of the plan, without
-// aggregation-pair counts. It is the per-query form: every node of a mesh
-// derives only its own. The plan must have passed Verify.
+// ShareOf derives processor q's share of every tile of the plan, with its
+// own ReadPairs but without the forwards' Dest.Pairs. It is the per-query
+// form: every node of a mesh derives only its own. The plan must have passed
+// Verify.
 func ShareOf(p *Plan, w *Workload, q int32) []Share {
 	if q < 0 || int(q) >= p.Machine.Procs {
 		return nil
@@ -69,7 +71,8 @@ func Schedule(p *Plan, w *Workload) [][]Share {
 }
 
 // derive builds the shares of processor only, or of every processor (with
-// pair counts) when only is negative; rows not asked for stay nil.
+// the forwards' pair counts too) when only is negative; rows not asked for
+// stay nil.
 func derive(p *Plan, w *Workload, only int32) [][]Share {
 	procs, nOut := p.Machine.Procs, len(w.Outputs)
 	out := make([][]Share, procs)
@@ -78,20 +81,22 @@ func derive(p *Plan, w *Workload, only int32) [][]Share {
 			out[q] = make([]Share, len(p.Tiles))
 		}
 	}
-	// ownedAt[o] is o's index in its owner's Owned list, and held[q*nOut+o]
-	// says q allocates o; an output belongs to exactly one tile, so neither
-	// is reset between tiles.
+	// ownedAt[o] is o's index in its owner's Owned list, and held[q][o]
+	// says q allocates o (rows only for the processors asked for); an output
+	// belongs to exactly one tile, so neither is reset between tiles.
 	ownedAt := make([]int32, nOut)
 	var at []int32 // per-input scratch, made on the first forward
-	var held []bool
-	if only < 0 {
-		held = make([]bool, procs*nOut)
+	held := make([][]bool, procs)
+	for q := range out {
+		if out[q] != nil {
+			held[q] = make([]bool, nOut)
+		}
 	}
 	// pairs counts the aggregations input i triggers on q in tile t: one per
 	// target of that tile that q allocates.
 	pairs := func(t int, q, i int32) (n int32) {
 		for _, o := range w.Targets[i] {
-			if p.TileOf[o] == int32(t) && held[int(q)*nOut+int(o)] {
+			if p.TileOf[o] == int32(t) && held[q][o] {
 				n++
 			}
 		}
@@ -157,24 +162,28 @@ func derive(p *Plan, w *Workload, only int32) [][]Share {
 				sh.Forward[at[f.Input]] = append(sh.Forward[at[f.Input]], Dest{To: f.Dest})
 			}
 		}
-		if only >= 0 {
-			continue
-		}
-		for q := range out {
+		for q, sh := range row {
+			if sh == nil {
+				continue
+			}
 			for _, o := range tile.Locals[q] {
-				held[q*nOut+int(o)] = true
+				held[q][o] = true
 			}
 			for _, o := range tile.Ghosts[q] {
-				held[q*nOut+int(o)] = true
+				held[q][o] = true
 			}
 		}
-		for q := range out {
-			sh := &out[q][t]
+		for q, sh := range row {
+			if sh == nil {
+				continue
+			}
 			sh.ReadPairs = make([]int32, len(sh.Reads))
 			for k, i := range sh.Reads {
 				sh.ReadPairs[k] = pairs(t, int32(q), i)
-				for j, d := range sh.Dests(k) {
-					sh.Forward[k][j].Pairs = pairs(t, d.To, i)
+				if only < 0 {
+					for j, d := range sh.Dests(k) {
+						sh.Forward[k][j].Pairs = pairs(t, d.To, i)
+					}
 				}
 			}
 		}

@@ -9,8 +9,9 @@ import (
 // TestSharesMatchTileLists holds the one derivation to a brute-force reading
 // of the tile lists it replaces: for random workloads under every strategy,
 // each processor's share — own-share (ShareOf) and scheduled alike — lists
-// exactly the sends the tile prescribes and expects exactly the arrivals the
-// other processors' sends add up to.
+// exactly the sends the tile prescribes, counts exactly the aggregations its
+// reads trigger here, and expects exactly the arrivals the other processors'
+// sends add up to.
 func TestSharesMatchTileLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(1717))
 	for trial := 0; trial < 40; trial++ {
@@ -85,12 +86,16 @@ func TestSharesMatchTileLists(t *testing.T) {
 							}
 						}
 					}
-					if got := own[ti]; !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d %v proc %d tile %d: ShareOf\n got %+v\nwant %+v", trial, s, q, ti, got, want)
-					}
 					want.ReadPairs = make([]int32, len(want.Reads))
 					for k, i := range want.Reads {
 						want.ReadPairs[k] = pairsAt(q, i)
+					}
+					// ShareOf counts its own pairs but leaves the forwards'
+					// Dest.Pairs at 0: only Schedule prices a receiver.
+					if got := own[ti]; !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d %v proc %d tile %d: ShareOf\n got %+v\nwant %+v", trial, s, q, ti, got, want)
+					}
+					for k, i := range want.Reads {
 						pairs += int(want.ReadPairs[k])
 						for j, d := range want.Dests(k) {
 							want.Forward[k][j].Pairs = pairsAt(d.To, i)
