@@ -58,7 +58,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 		accmem:       fs.Int64("accmem", 0, "per-node accumulator memory bytes (default 8 MiB)"),
 		metricsAddr:  fs.String("metrics-addr", "", "HTTP listen address for /metrics and /debug/queries (disabled when empty)"),
 		sendTimeout:  fs.Duration("send-timeout", 0, "mesh send timeout per peer; 0 uses the 30s default, negative disables"),
-		dialRetry:    fs.Duration("dial-retry", 0, "how long mesh establishment retries unreachable peers (default 30s)"),
+		dialRetry:    fs.Duration("dial-retry", 0, "bound on mesh establishment: retrying unreachable peers and waiting for peers to dial in (default 30s)"),
 		queryTimeout: fs.Duration("query-timeout", 0, "per-query execution deadline on this node; 0 disables"),
 		cacheBytes:   fs.Int64("cache-bytes", 256<<20, "chunk cache budget in bytes (0 disables caching)"),
 		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; excess queue (0 = unbounded)"),

@@ -51,8 +51,8 @@ type Config struct {
 	// expiry the peer is marked dead and the query aborts. 0 selects
 	// rpc.DefaultSendTimeout, negative disables the timeout.
 	SendTimeout time.Duration
-	// DialRetry is how long mesh establishment keeps retrying unreachable
-	// peers (default 30s).
+	// DialRetry bounds mesh establishment: retrying unreachable peers and
+	// waiting for peers to dial in (default 30s).
 	DialRetry time.Duration
 	// QueryTimeout, when > 0, bounds each query's execution on this node;
 	// on expiry the node aborts the query mesh-wide and reports a deadline

@@ -106,7 +106,6 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Sel
 		Codec:         codec,
 	}
 	if e.Degraded {
-		cfg.Degraded = true
 		// Re-plan with dead processors excluded: remap their chunks onto
 		// surviving replica holders, then plan on the reduced machine. Every
 		// node derives the same plan from the shared catalog and the

@@ -16,8 +16,11 @@ import (
 // chunk "is read and/or written during query processing only by the local
 // processor to which the disk is attached").
 type ChunkStorage interface {
-	// ReadChunk returns the encoded payload of a local chunk.
-	ReadChunk(dataset string, m chunk.Meta) ([]byte, error)
+	// ReadChunkCached returns the encoded payload of a local chunk and
+	// whether a chunk cache served it without a disk read by this caller;
+	// the engine counts hits on the query's trace and times only misses as
+	// disk reads. A storage without a cache reports false.
+	ReadChunkCached(dataset string, m chunk.Meta) (data []byte, hit bool, err error)
 	// WriteChunk stores an encoded output chunk on the disk named by m.
 	WriteChunk(dataset string, m chunk.Meta, data []byte) error
 	// HasChunk reports whether the chunk exists (used for optional
@@ -25,17 +28,8 @@ type ChunkStorage interface {
 	HasChunk(dataset string, m chunk.Meta) bool
 }
 
-// CachedReader is the optional extension of ChunkStorage for storages whose
-// reads may be served by a chunk cache: hit reports that the caller was
-// served without issuing a disk read itself, which the engine attributes to
-// the query's NodeTrace.
-type CachedReader interface {
-	ReadChunkCached(dataset string, m chunk.Meta) (data []byte, hit bool, err error)
-}
-
 // FarmStorage adapts a layout.Farm to ChunkStorage. When the farm's stores
-// are cache-wrapped (layout.Farm.WithCache), FarmStorage also satisfies
-// CachedReader and reports per-read hits.
+// are cache-wrapped (layout.Farm.WithCache), its reads report cache hits.
 type FarmStorage struct {
 	Farm *layout.Farm
 }
@@ -130,31 +124,21 @@ type Config struct {
 	// CodecNone (the zero value) leaves every engine-originated payload raw.
 	Codec chunk.Codec
 
-	// Degraded enables degraded-mode execution: a peer's death no longer
-	// aborts the query mesh-wide. Instead the node re-plans the dead peer's
-	// chunks onto surviving replica holders (Replan) and retries, falling
-	// back to the abort protocol only when a chunk has no surviving copy or
-	// retries are exhausted. Requires the endpoint to run on a degraded
-	// fabric (rpc.TCPOptions.Degraded / rpc.InprocOptions.Degraded) so peer
-	// deaths arrive as rpc.MsgPeerDown instead of failing the endpoint, and
-	// requires Replan.
-	Degraded bool
-
-	// Replan rebuilds the plan and workload with the given processors
-	// excluded (plan.Degrade over replica holders, then a re-plan with
-	// plan.Planner.Exclude set). Every node of a query must use the same
-	// deterministic Replan so the mesh re-converges on one plan. A
-	// *plan.NoHolderError return aborts the query mesh-wide.
+	// Replan, when non-nil, enables degraded-mode execution: a peer's death
+	// no longer aborts the query mesh-wide. Instead the node re-plans with
+	// the dead processors excluded (plan.Degrade over replica holders, then
+	// a re-plan with plan.Planner.Exclude set) and retries, falling back to
+	// the abort protocol only when a chunk has no surviving copy (Replan
+	// returns a *plan.NoHolderError) or retries are exhausted. It needs a
+	// degraded fabric (rpc.TCPOptions.Degraded / rpc.InprocOptions.Degraded),
+	// so peer deaths arrive as rpc.MsgPeerDown instead of failing the
+	// endpoint. Every node of a query must use the same deterministic Replan
+	// so the mesh re-converges on one plan.
 	Replan func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error)
 
 	// serialStorage backs RunSerial only; see WithSerialStorage.
 	serialStorage ChunkStorage
 }
-
-// DefaultReadAhead is the per-node local-disk prefetch depth (the engine's
-// analogue of ADR's pending asynchronous I/O operations): deep enough to keep
-// a disk busy while a chunk is aggregated, shallow enough to bound memory.
-const DefaultReadAhead = 4
 
 // workers resolves the configured pipeline width.
 func (c *Config) workers() int {
@@ -180,9 +164,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ResultDataset == "" && c.OnResult == nil {
 		return fmt.Errorf("engine: results have nowhere to go: set ResultDataset and/or OnResult")
-	}
-	if c.Degraded && c.Replan == nil {
-		return fmt.Errorf("engine: degraded execution requires a Replan callback")
 	}
 	if !c.Codec.Valid() {
 		return fmt.Errorf("engine: unknown compression codec %d", c.Codec)

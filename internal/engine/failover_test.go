@@ -114,7 +114,6 @@ func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, e
 		Plan: res.Plan, Workload: res.Workload,
 		App:          app,
 		InputDataset: "pts",
-		Degraded:     true,
 		Replan:       replanFor(repo, res.Workload, s),
 		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
 			mu.Lock()
@@ -265,7 +264,6 @@ func TestUnreplicatedDegradedFailsTyped(t *testing.T) {
 		Plan: res.Plan, Workload: res.Workload,
 		App:          app,
 		InputDataset: "pts",
-		Degraded:     true,
 		Replan:       replanFor(repo, res.Workload, plan.DA),
 		OnResult:     func(rpc.NodeID, *chunk.Chunk) error { return nil },
 	}
@@ -349,7 +347,6 @@ func TestDegradedDeathBeforeQuery(t *testing.T) {
 		Plan: res.Plan, Workload: res.Workload,
 		App:          app,
 		InputDataset: "pts",
-		Degraded:     true,
 		Replan:       replanFor(repo, res.Workload, plan.SRA),
 		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
 			mu.Lock()

@@ -24,7 +24,7 @@ type flakyStorage struct {
 	failures int
 }
 
-func (f *flakyStorage) ReadChunk(dataset string, m chunk.Meta) ([]byte, error) {
+func (f *flakyStorage) ReadChunkCached(dataset string, m chunk.Meta) ([]byte, bool, error) {
 	f.mu.Lock()
 	shouldFail := f.failOn[m.ID] && dataset != "img"
 	if shouldFail {
@@ -32,9 +32,9 @@ func (f *flakyStorage) ReadChunk(dataset string, m chunk.Meta) ([]byte, error) {
 	}
 	f.mu.Unlock()
 	if shouldFail {
-		return nil, fmt.Errorf("injected disk failure on chunk %d", m.ID)
+		return nil, false, fmt.Errorf("injected disk failure on chunk %d", m.ID)
 	}
-	return f.ChunkStorage.ReadChunk(dataset, m)
+	return f.ChunkStorage.ReadChunkCached(dataset, m)
 }
 
 // TestStorageFailurePropagates: a disk read error on one node must abort

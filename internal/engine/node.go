@@ -74,7 +74,7 @@ func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkSto
 	n.prepare()
 
 	var err error
-	if cfg.Degraded {
+	if cfg.Replan != nil {
 		err = n.runDegraded(ctx)
 	} else if err = n.runTiles(ctx); err != nil {
 		// Tell the mesh before returning: peers blocked on this node's
@@ -235,13 +235,9 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 			for k, o := range sh.Owned {
 				var payload []byte
 				if n.st.HasChunk(n.cfg.OutputDataset, w.Outputs[o]) {
-					data, hit, err := n.readChunk(n.cfg.OutputDataset, w.Outputs[o])
+					data, err := n.readChunk(metrics.Initialization, n.cfg.OutputDataset, w.Outputs[o])
 					if err != nil {
 						return fmt.Errorf("read existing output %d: %w", o, err)
-					}
-					n.met.AddRead(metrics.Initialization, int64(len(data)))
-					if hit {
-						n.met.CacheHits.Add(1)
 					}
 					payload = data
 					c, err := n.decodeWhole(data)
@@ -307,27 +303,30 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 	return accs, nil
 }
 
-// readChunk reads a local chunk through the storage, reporting cache hits
-// when the storage can (CachedReader).
-func (n *node) readChunk(dataset string, m chunk.Meta) (data []byte, hit bool, err error) {
+// readChunk reads a local chunk through the storage and does all of a
+// read's accounting: its bytes go to phase p, a cache hit is counted, and a
+// miss is timed as a disk read.
+func (n *node) readChunk(p metrics.Phase, dataset string, m chunk.Meta) ([]byte, error) {
 	if len(m.Holders) > 0 && m.Disk != m.Holders[0] {
 		// The meta was remapped off its primary copy by plan.Degrade: this
 		// read is being served by a surviving replica holder.
 		n.met.ReplicaFallbackReads.Add(1)
 	}
 	start := time.Now()
-	if cr, ok := n.st.(CachedReader); ok {
-		data, hit, err = cr.ReadChunkCached(dataset, m)
-	} else {
-		data, err = n.st.ReadChunk(dataset, m)
+	data, hit, err := n.st.ReadChunkCached(dataset, m)
+	if err != nil {
+		return nil, err
 	}
-	if err == nil && !hit {
+	n.met.AddRead(p, int64(len(data)))
+	if hit {
+		n.met.CacheHits.Add(1)
+	} else {
 		// Time only the reads that actually hit storage: this ratio is
 		// the node's observed disk bandwidth (costmodel.Calibration).
 		n.met.DiskReadNanos.Add(time.Since(start).Nanoseconds())
 		n.met.DiskReadBytes.Add(int64(len(data)))
 	}
-	return data, hit, err
+	return data, nil
 }
 
 // decodePooled decodes a possibly-compressed payload on a pool worker, so
@@ -379,20 +378,19 @@ func compress(payload []byte, codec chunk.Codec) (out []byte, shrunk bool) {
 	return env, used != chunk.CodecNone
 }
 
-// phaseLocalReduction retrieves this node's local input chunks (with
-// read-ahead, overlapping disk and processing), aggregates them into every
-// allocated target accumulator of the tile, forwards them to remote homes,
-// and folds in the input chunks other nodes forward here. A read with no
-// target allocated here (ReadPairs 0: DA and HYBRID) is only forwarded,
-// never decoded.
+// phaseLocalReduction retrieves this node's local input chunks, forwards
+// each to its remote homes, aggregates it into every allocated target
+// accumulator of the tile, and folds in the input chunks other nodes forward
+// here. A read with no target allocated here (ReadPairs 0: DA and HYBRID) is
+// only forwarded, never decoded.
 //
-// Retrieval runs one prefetcher per local disk (§2.2: nodes have multiple
-// disks attached; chunks on different disks are read in parallel), each
-// bounded by the shared read-ahead depth. Both sources — the local reads it
-// aggregates and forwarded chunks from the mailbox — feed one worker pool,
-// so a remote chunk is decoded and aggregated the moment it arrives instead
-// of waiting for local reads to drain, and Config.Workers chunks are
-// processed concurrently under per-output locks.
+// The phase is one exchange. Its send half runs one reader per local disk
+// (§2.2: nodes have multiple disks attached; chunks on different disks are
+// read in parallel), each reading its disk's chunks in plan order. Both
+// sources — the local reads and forwarded chunks from the mailbox — feed one
+// worker pool, so a remote chunk is decoded and aggregated the moment it
+// arrives instead of waiting for local reads to drain, and Config.Workers
+// chunks are processed concurrently under per-output locks.
 func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]Accumulator, locks map[int32]*sync.Mutex) error {
 	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
 
@@ -431,104 +429,68 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 		return nil
 	})
 
-	// The send half's queue: the prefetchers hand every chunk with remote
-	// homes to the one forwarding goroutine. Its bound propagates backpressure
-	// the rest of the way: when the forwarder stalls on credit the channel
-	// fills, the prefetchers block on it, and the disk reads slow to the
-	// receivers' consumption rate.
-	type forward struct {
-		wk work
-		to []plan.Dest
-	}
-	fwdCh := make(chan forward, DefaultReadAhead)
-
-	// One prefetcher per disk (retrieval order preserved within each disk;
-	// queues hold positions in sh.Reads).
-	var readers sync.WaitGroup
+	// One queue per disk: positions in sh.Reads, in retrieval order.
 	byDisk := make(map[int32][]int)
-	var diskOrder []int32
 	for k, i := range sh.Reads {
 		d := w.Inputs[i].Disk
-		if _, ok := byDisk[d]; !ok {
-			diskOrder = append(diskOrder, d)
-		}
 		byDisk[d] = append(byDisk[d], k)
 	}
-	sem := make(chan struct{}, DefaultReadAhead)
-	for _, d := range diskOrder {
-		readers.Add(1)
-		go func(queue []int) {
-			defer readers.Done()
-			for _, k := range queue {
-				i := sh.Reads[k]
-				// The semaphore caps concurrent disk reads at the read-ahead
-				// depth; the bounded pool queue caps the decoded-side backlog
-				// (together they play the role of the old prefetch channel).
-				select {
-				case sem <- struct{}{}:
-				case <-pl.ctx.Done():
-					pl.fail(pl.ctx.Err())
-					return
-				}
-				data, hit, err := n.readChunk(n.cfg.InputDataset, w.Inputs[i])
-				<-sem
-				if err != nil {
-					pl.fail(fmt.Errorf("read input %d: %w", i, err))
-					return
-				}
-				n.met.AddRead(metrics.LocalReduction, int64(len(data)))
-				if hit {
-					n.met.CacheHits.Add(1)
-				}
-				wk := work{seq: i, data: data}
-				// Hand the chunk to the forwarder before aggregating it so
-				// remote homes overlap their processing with ours (the buffer
-				// is shared: storage data is immutable here, the zero-copy
-				// path §2.4 argues for). The forwarder only ever reads the
-				// bytes, so the pool workers can aggregate concurrently.
-				if to := sh.Dests(k); len(to) > 0 {
-					select {
-					case fwdCh <- forward{wk, to}:
-					case <-pl.ctx.Done():
-						pl.fail(pl.ctx.Err())
-						return
-					}
-				}
-				// A chunk none of whose targets is allocated here in this
-				// tile is only forwarded: decoding it would be wasted work.
-				if sh.ReadPairs[k] > 0 && !pl.submit(wk) {
-					return
-				}
-			}
-		}(byDisk[d])
-	}
-	go func() {
-		readers.Wait()
-		close(fwdCh)
-	}()
-
 	n.exchange(pl.latch, metrics.LocalReduction, t, msgInputChunk, sh.ExpectInputs, func() error {
-		for f := range fwdCh {
+		var readers sync.WaitGroup
+		for _, queue := range byDisk {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				pl.fail(n.readDisk(pl, t, queue))
+			}()
+		}
+		readers.Wait()
+		return nil
+	}, pl.deliver)
+	return pl.wait()
+}
+
+// readDisk is one disk's reader in local reduction: it reads the chunks at
+// queue's positions in sh.Reads in order, sends each to its remote homes and
+// then submits it to the pool if it has targets allocated here. Sending
+// before aggregating lets remote homes overlap their processing with ours;
+// the buffer is shared (storage data is immutable here, the zero-copy path
+// §2.4 argues for), and the send only reads it. A send blocked on credit
+// stops this disk alone while the receive half and the pool keep consuming,
+// which is what returns the credit.
+func (n *node) readDisk(pl *pool, t int32, queue []int) error {
+	w, sh := n.cfg.Workload, &n.share[t]
+	for _, k := range queue {
+		if err := pl.ctx.Err(); err != nil {
+			return err
+		}
+		i := sh.Reads[k]
+		data, err := n.readChunk(metrics.LocalReduction, n.cfg.InputDataset, w.Inputs[i])
+		if err != nil {
+			return fmt.Errorf("read input %d: %w", i, err)
+		}
+		if to := sh.Dests(k); len(to) > 0 {
 			// Compressed storage bytes forward verbatim (zero cost); raw
 			// storage bytes are compressed once here, then fanned out, so
 			// flow-control credits meter the compressed volume and every
 			// peer window holds proportionally more chunks in flight.
-			payload, _ := compress(f.wk.data, n.cfg.Codec)
-			for _, dst := range f.to {
+			payload, _ := compress(data, n.cfg.Codec)
+			for _, dst := range to {
 				if err := n.send(metrics.LocalReduction, rpc.Message{
-					Src: n.self, Dst: rpc.NodeID(dst.To), Type: msgInputChunk, Tile: t, Seq: f.wk.seq,
+					Src: n.self, Dst: rpc.NodeID(dst.To), Type: msgInputChunk, Tile: t, Seq: i,
 					Payload: payload,
 				}); err != nil {
-					// Recording it cancels pl.ctx, which unsticks a prefetcher
-					// blocked on the queue nobody reads any more.
 					return err
 				}
 			}
 		}
-		return nil
-	}, pl.deliver)
-	readers.Wait()
-	return pl.wait()
+		// A chunk none of whose targets is allocated here in this tile is
+		// only forwarded: decoding it would be wasted work.
+		if sh.ReadPairs[k] > 0 && !pl.submit(work{seq: i, data: data}) {
+			return nil // the pool has failed; submit recorded why
+		}
+	}
+	return nil
 }
 
 // phaseGlobalCombine sends this node's ghost accumulators to their homes

@@ -14,14 +14,14 @@ import (
 // engine overlaps disk, communication and computation but spends exactly one
 // processor on the computation itself (one CPU per SP node, §3); on a
 // multi-core host that leaves every chunk's decode+aggregate serialized on
-// the tile loop while prefetched reads and forwarded chunks queue behind it.
-// A pool runs that work on Config.Workers goroutines instead: producers
-// (disk prefetchers, the mailbox feeder) submit encoded chunks, workers
-// decode and fold them into accumulators under per-output locks. Correctness
-// does not depend on ordering — ADR aggregation functions are commutative
-// and associative (§1), so any interleaving yields the same accumulator
-// values — which is also why remote inputs can be consumed the moment they
-// arrive instead of after local reads drain.
+// the tile loop while local reads and forwarded chunks queue behind it. A
+// pool runs that work on Config.Workers goroutines instead: producers (the
+// per-disk readers, the receive half of the exchange) submit encoded chunks,
+// workers decode and fold them into accumulators under per-output locks.
+// Correctness does not depend on ordering — ADR aggregation functions are
+// commutative and associative (§1), so any interleaving yields the same
+// accumulator values — which is also why remote inputs can be consumed the
+// moment they arrive instead of after local reads drain.
 
 // work is one queued pipeline item: an encoded chunk (or ghost accumulator)
 // with its routing position.
@@ -98,8 +98,7 @@ func newPool(ctx context.Context, workers int, met *metrics.Node, fn func(work) 
 		latch: newLatch(ctx),
 		// 2x workers of buffer: enough that a producer handing over an item
 		// rarely blocks, small enough to bound in-flight chunk memory at a
-		// few chunks per worker (with DefaultReadAhead bounding the readers
-		// above).
+		// few chunks per worker (each disk reader holds at most one more).
 		ch:  make(chan work, 2*workers),
 		met: met,
 		fn:  fn,

@@ -28,7 +28,7 @@ func RunSerial(cfg Config) ([]*chunk.Chunk, error) {
 		if app.InitRequiresOutput() {
 			// The serial oracle reads directly; absence means nil.
 			if storage, ok := cfg.storageForSerial(); ok && storage.HasChunk(cfg.OutputDataset, m) {
-				data, err := storage.ReadChunk(cfg.OutputDataset, m)
+				data, _, err := storage.ReadChunkCached(cfg.OutputDataset, m)
 				if err != nil {
 					return nil, fmt.Errorf("read existing output %d: %w", o, err)
 				}
@@ -52,7 +52,7 @@ func RunSerial(cfg Config) ([]*chunk.Chunk, error) {
 		return nil, fmt.Errorf("engine: serial run needs storage (set SerialStorage)")
 	}
 	for i, m := range w.Inputs {
-		data, err := storage.ReadChunk(cfg.InputDataset, m)
+		data, _, err := storage.ReadChunkCached(cfg.InputDataset, m)
 		if err != nil {
 			return nil, fmt.Errorf("read input %d: %w", i, err)
 		}

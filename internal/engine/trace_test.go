@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"adr/internal/apps"
+	"adr/internal/chunk"
 	"adr/internal/core"
+	"adr/internal/engine"
 	"adr/internal/metrics"
 	"adr/internal/plan"
+	"adr/internal/rpc"
 )
 
 // TestTraceAssembly runs a multi-node in-process query and checks that the
@@ -128,5 +131,49 @@ func TestTraceLocalReductionReads(t *testing.T) {
 	}
 	if gcBytes == 0 {
 		t.Error("FRA ghost exchange not attributed to Global Combine")
+	}
+}
+
+// TestWrappedStorageKeepsCacheHits: a ChunkStorage wrapper that only passes
+// calls through keeps the chunk cache's accounting. A repeated query over a
+// cached farm reports every input read as a cache hit and times none of them
+// as disk reads, the timings costmodel.Calibration learns disk bandwidth
+// from.
+func TestWrappedStorageKeepsCacheHits(t *testing.T) {
+	const nodes = 3
+	repo, err := core.NewRepository(core.Options{Nodes: nodes, AccMemBytes: 32 << 10, CacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { repo.Close() })
+	loadTestDatasets(t, repo)
+	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
+	res, err := repo.Execute(context.Background(), &core.Query{Input: "pts", Output: "img", Strategy: plan.FRA, App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{
+		Plan: res.Plan, Workload: res.Workload, App: app,
+		InputDataset: "pts",
+		OnResult:     func(rpc.NodeID, *chunk.Chunk) error { return nil },
+	}
+	wrapped := struct{ engine.ChunkStorage }{engine.FarmStorage{Farm: repo.Farm()}}
+	var total metrics.Snapshot
+	for run := 0; run < 2; run++ {
+		fabric, err := rpc.NewInprocFabric(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := engine.Run(context.Background(), cfg, fabric, wrapped)
+		fabric.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total = rep.Total()
+	}
+	inputs := int64(len(res.Workload.Inputs))
+	if total.ChunksRead != inputs || total.CacheHits != inputs || total.DiskReadBytes != 0 {
+		t.Errorf("second run: %d chunks read, %d cache hits, %d disk-read bytes; want %d hits, 0 bytes",
+			total.ChunksRead, total.CacheHits, total.DiskReadBytes, inputs)
 	}
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -244,5 +245,83 @@ func TestWorkersWidthInFlight(t *testing.T) {
 	runParallel(t, repo, p, w, four, 4)
 	if !four.overlap.Load() {
 		t.Error("Workers: 4 never had two Aggregate calls in flight: the pool is one worker wide")
+	}
+}
+
+// gatedStorage holds every read until want reads are in flight at once,
+// recording the peak. The hold ends for good when the gate fills or its
+// deadline passes, so a narrower reader fails in one deadline, not one per
+// read.
+type gatedStorage struct {
+	engine.FarmStorage
+	want      int
+	deadline  <-chan struct{}
+	full      chan struct{}
+	mu        sync.Mutex
+	cur, peak int
+}
+
+func (g *gatedStorage) ReadChunkCached(dataset string, m chunk.Meta) ([]byte, bool, error) {
+	g.mu.Lock()
+	if g.cur++; g.cur > g.peak {
+		if g.peak = g.cur; g.peak == g.want {
+			close(g.full)
+		}
+	}
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.cur--
+		g.mu.Unlock()
+	}()
+	select {
+	case <-g.full:
+	case <-g.deadline:
+	}
+	return g.FarmStorage.ReadChunkCached(dataset, m)
+}
+
+// TestEveryDiskReadsConcurrently: local reduction reads every local disk at
+// once (§2.2). A node with eight disks has eight reads in flight, not a cap
+// below its disk count.
+func TestEveryDiskReadsConcurrently(t *testing.T) {
+	const disks = 8
+	repo, err := core.NewRepository(core.Options{Nodes: 1, DisksPerNode: disks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	loadTestDatasets(t, repo)
+	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
+	res, err := repo.Execute(context.Background(), &core.Query{Input: "pts", Output: "img", Strategy: plan.FRA, App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Plan.Tiles); n != 1 {
+		t.Fatalf("plan has %d tiles, want 1", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	st := &gatedStorage{
+		FarmStorage: engine.FarmStorage{Farm: repo.Farm()},
+		want:        disks,
+		deadline:    ctx.Done(),
+		full:        make(chan struct{}),
+	}
+	fabric, err := rpc.NewInprocFabric(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fabric.Close()
+	cfg := engine.Config{
+		Plan: res.Plan, Workload: res.Workload, App: app,
+		InputDataset: "pts",
+		OnResult:     func(rpc.NodeID, *chunk.Chunk) error { return nil },
+	}
+	if _, err := engine.Run(context.Background(), cfg, fabric, st); err != nil {
+		t.Fatal(err)
+	}
+	if st.peak != disks {
+		t.Errorf("peak reads in flight = %d, want %d (one per disk)", st.peak, disks)
 	}
 }

@@ -4,9 +4,38 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestTCPMeshStartFailsWhenPeerNeverDials: mesh establishment is bounded by
+// DialRetry on the accepting side too. Node 1 of 2 waits for node 0 to dial
+// in; node 0 never starts, so joining fails with an error naming it instead
+// of waiting forever.
+func TestTCPMeshStartFailsWhenPeerNeverDials(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		n, err := NewTCPNodeWithListener(1, []string{"127.0.0.1:1", ln.Addr().String()}, ln, TCPOptions{DialRetry: 200 * time.Millisecond})
+		if n != nil {
+			n.Close()
+		}
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "nodes [0] never connected") {
+			t.Errorf("join error = %v, want one naming node 0", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("mesh start still waiting for node 0 after 3s")
+	}
+}
 
 // TestTCPPeerDeathFailsSurvivors: killing one node of an established mesh
 // must surface as a *PeerError naming the dead node on every survivor, for

@@ -17,9 +17,8 @@ import (
 //
 // Credits return when the receiver finishes with the payload and calls
 // Message.Release — on TCP via a credit frame, in-process by releasing the
-// sender's window directly. A sender with no credit blocks in Send, which
-// propagates backpressure up through the engine's forwarding goroutines to
-// its disk prefetchers.
+// sender's window directly. A sender with no credit blocks in Send; in the
+// engine the sender is a disk reader, so backpressure stops that disk.
 //
 // Flow is the forwarding flow-control knob, declared here — where the
 // transports enforce it — and held by value wherever it is configured

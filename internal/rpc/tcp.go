@@ -116,8 +116,9 @@ func (c *tcpConn) grantCredit(n int64) {
 type TCPOptions struct {
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
-	// DialRetry is how long to keep retrying dials while the mesh comes up
-	// (default 30s). Peers start in arbitrary order; attempts back off
+	// DialRetry bounds mesh establishment (default 30s): how long to keep
+	// retrying dials, and how long to wait for lower-numbered peers to dial
+	// in. Peers start in arbitrary order; dial attempts back off
 	// exponentially from 50ms to 1s between retries.
 	DialRetry time.Duration
 	// InboxDepth bounds buffered inbound messages (default
@@ -195,23 +196,39 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 	var wg sync.WaitGroup
 	errs := make(chan error, len(addrs))
 
-	// Accept connections from lower-numbered peers.
-	expectAccepts := int(self)
+	// Accept connections from lower-numbered peers, bounded by DialRetry like
+	// the dials: a peer that never dials in is a startup error naming it,
+	// not a hang.
+	deadline := time.Now().Add(opts.DialRetry)
+	if dl, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
+		dl.SetDeadline(deadline)
+		defer dl.SetDeadline(time.Time{})
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < expectAccepts; i++ {
+		for i := 0; i < int(self); i++ {
 			c, err := ln.Accept()
 			if err != nil {
-				errs <- fmt.Errorf("rpc: accept: %w", err)
+				var missing []NodeID
+				n.mu.Lock()
+				for p := NodeID(0); p < self; p++ {
+					if n.conns[p] == nil {
+						missing = append(missing, p)
+					}
+				}
+				n.mu.Unlock()
+				errs <- fmt.Errorf("rpc: node %d: nodes %v never connected within %v: %w", self, missing, opts.DialRetry, err)
 				return
 			}
+			c.SetReadDeadline(deadline)
 			var hdr [4]byte
 			if _, err := io.ReadFull(c, hdr[:]); err != nil {
 				errs <- fmt.Errorf("rpc: handshake read: %w", err)
 				c.Close()
 				return
 			}
+			c.SetReadDeadline(time.Time{})
 			peer := NodeID(int32(binary.LittleEndian.Uint32(hdr[:])))
 			if peer < 0 || int(peer) >= len(addrs) || peer >= self {
 				errs <- fmt.Errorf("rpc: unexpected handshake from node %d", peer)
