@@ -6,7 +6,6 @@ import (
 
 	"adr/internal/chunk"
 	"adr/internal/engine"
-	"adr/internal/space"
 )
 
 // HistogramApp is a second reference customization: instead of one reduced
@@ -86,16 +85,23 @@ func (h *HistogramApp) Aggregate(acc engine.Accumulator, out chunk.Meta, in *chu
 	if !ok {
 		return fmt.Errorf("apps: accumulator is %T, want *histAccum", acc)
 	}
-	for _, it := range in.Items {
-		p := space.Pt(it.Coord.Coords[0], it.Coord.Coords[1])
-		if !out.MBR.Contains(p) {
+	// An item's first two coordinates locate it, read in place against
+	// bounds read once; a region that is not planar holds none of them.
+	m := &out.MBR
+	if m.Dims != 2 {
+		return nil
+	}
+	lo0, hi0, lo1, hi1 := m.Lo[0], m.Hi[0], m.Lo[1], m.Hi[1]
+	for i := range in.Items {
+		it := &in.Items[i]
+		if x, y := it.Coord.Coords[0], it.Coord.Coords[1]; x < lo0 || x > hi0 || y < lo1 || y > hi1 {
 			continue
 		}
-		v, err := DecodeValue(it.Value)
-		if err != nil {
+		if len(it.Value) != 8 {
+			_, err := DecodeValue(it.Value)
 			return err
 		}
-		a.counts[h.bucketOf(v)]++
+		a.counts[h.bucketOf(int64(binary.LittleEndian.Uint64(it.Value)))]++
 	}
 	return nil
 }

@@ -98,26 +98,6 @@ type rasterAccum struct {
 	counts []int64
 }
 
-func (a *rasterAccum) cellAt(p space.Point) (int, bool) {
-	if !a.mbr.Contains(p) {
-		return 0, false
-	}
-	w := a.mbr.Hi[0] - a.mbr.Lo[0]
-	h := a.mbr.Hi[1] - a.mbr.Lo[1]
-	if w <= 0 || h <= 0 {
-		return 0, false
-	}
-	cx := int((p.Coords[0] - a.mbr.Lo[0]) / w * float64(a.nx))
-	cy := int((p.Coords[1] - a.mbr.Lo[1]) / h * float64(a.ny))
-	if cx >= a.nx {
-		cx = a.nx - 1
-	}
-	if cy >= a.ny {
-		cy = a.ny - 1
-	}
-	return cy*a.nx + cx, true
-}
-
 func (a *rasterAccum) cellCenter(idx int) space.Point {
 	cx, cy := idx%a.nx, idx/a.nx
 	w := (a.mbr.Hi[0] - a.mbr.Lo[0]) / float64(a.nx)
@@ -161,21 +141,17 @@ func (r *RasterApp) Init(out chunk.Meta, existing *chunk.Chunk, ghost bool) (eng
 		counts: make([]int64, r.CellsPerDim*r.CellsPerDim),
 	}
 	if r.UseExisting && existing != nil && !ghost {
+		// Every seed value must decode, inside the raster or not.
 		for _, it := range existing.Items {
-			v, err := DecodeValue(it.Value)
-			if err != nil {
+			if _, err := DecodeValue(it.Value); err != nil {
 				return nil, err
 			}
-			if cell, ok := a.cellAt(projectTo2D(it.Coord)); ok {
-				r.apply(a, cell, v)
-			}
+		}
+		if err := r.fold(a, existing.Items, nil); err != nil {
+			return nil, err
 		}
 	}
 	return a, nil
-}
-
-func projectTo2D(p space.Point) space.Point {
-	return space.Pt(p.Coords[0], p.Coords[1])
 }
 
 // Aggregate folds every item of the input chunk that projects into the
@@ -185,22 +161,49 @@ func (r *RasterApp) Aggregate(acc engine.Accumulator, out chunk.Meta, in *chunk.
 	if !ok {
 		return fmt.Errorf("apps: accumulator is %T, want *rasterAccum", acc)
 	}
-	for _, it := range in.Items {
-		p := it.Coord
-		if r.MapPoint != nil {
-			p = r.MapPoint(p)
-		} else {
-			p = projectTo2D(p)
-		}
-		cell, ok := a.cellAt(p)
-		if !ok {
+	return r.fold(a, in.Items, r.MapPoint)
+}
+
+// fold aggregates the items that land in a's raster, in place: mapPoint,
+// when set, projects each item into the output space (else its first two
+// coordinates are the projection), the point must lie in a.mbr (a closed
+// box of the projected point's dimensionality), and only then must its
+// value decode. The raster's bounds and extents are read once; an item's
+// coordinates are read where they sit, and a Point is built only for
+// mapPoint.
+func (r *RasterApp) fold(a *rasterAccum, items []chunk.Item, mapPoint func(space.Point) space.Point) error {
+	m := &a.mbr
+	w, h := m.Hi[0]-m.Lo[0], m.Hi[1]-m.Lo[1]
+	if w <= 0 || h <= 0 || (mapPoint == nil && m.Dims != 2) {
+		return nil // no point lands in a degenerate or non-planar raster
+	}
+	lo0, hi0, lo1, hi1 := m.Lo[0], m.Hi[0], m.Lo[1], m.Hi[1]
+	fnx, fny := float64(a.nx), float64(a.ny)
+	for i := range items {
+		it := &items[i]
+		x, y := it.Coord.Coords[0], it.Coord.Coords[1]
+		if mapPoint != nil {
+			p := mapPoint(it.Coord)
+			if !m.Contains(p) {
+				continue
+			}
+			x, y = p.Coords[0], p.Coords[1]
+		} else if x < lo0 || x > hi0 || y < lo1 || y > hi1 {
 			continue
 		}
-		v, err := DecodeValue(it.Value)
-		if err != nil {
+		if len(it.Value) != 8 {
+			_, err := DecodeValue(it.Value)
 			return err
 		}
-		r.apply(a, cell, v)
+		cx := int((x - lo0) / w * fnx)
+		cy := int((y - lo1) / h * fny)
+		if cx >= a.nx {
+			cx = a.nx - 1
+		}
+		if cy >= a.ny {
+			cy = a.ny - 1
+		}
+		r.apply(a, cy*a.nx+cx, int64(binary.LittleEndian.Uint64(it.Value)))
 	}
 	return nil
 }
@@ -212,8 +215,8 @@ func (r *RasterApp) Combine(dst, src engine.Accumulator, out chunk.Meta) error {
 	if !ok1 || !ok2 {
 		return fmt.Errorf("apps: combine on %T/%T", dst, src)
 	}
-	if len(d.sums) != len(s.sums) {
-		return fmt.Errorf("apps: combine rasters of %d and %d cells", len(d.sums), len(s.sums))
+	if d.nx != s.nx || d.ny != s.ny {
+		return fmt.Errorf("apps: combine a %dx%d raster into a %dx%d one", s.nx, s.ny, d.nx, d.ny)
 	}
 	for c := range d.sums {
 		if s.counts[c] == 0 {
@@ -237,28 +240,41 @@ func (r *RasterApp) Combine(dst, src engine.Accumulator, out chunk.Meta) error {
 }
 
 // Output emits one item per populated cell: the cell's center coordinate
-// and its reduced value.
+// and its reduced value. It sizes the chunk exactly: one Items slice and one
+// value slab that every item's 8-byte value slices, whatever the number of
+// populated cells.
 func (r *RasterApp) Output(acc engine.Accumulator, out chunk.Meta) (*chunk.Chunk, error) {
 	a, ok := acc.(*rasterAccum)
 	if !ok {
 		return nil, fmt.Errorf("apps: accumulator is %T, want *rasterAccum", acc)
 	}
 	c := &chunk.Chunk{Meta: chunk.Meta{MBR: out.MBR}}
-	for cell := range a.sums {
-		if a.counts[cell] == 0 {
+	n := 0
+	for _, k := range a.counts {
+		if k != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return c, nil
+	}
+	c.Items = make([]chunk.Item, 0, n)
+	vals := make([]byte, 8*n)
+	for cell, k := range a.counts {
+		if k == 0 {
 			continue
 		}
 		v := a.sums[cell]
 		switch r.Op {
 		case Mean:
-			v = a.sums[cell] / a.counts[cell]
+			v = a.sums[cell] / k
 		case Count:
-			v = a.counts[cell]
+			v = k
 		}
-		c.Items = append(c.Items, chunk.Item{
-			Coord: a.cellCenter(cell),
-			Value: EncodeValue(v),
-		})
+		val := vals[:8:8]
+		vals = vals[8:]
+		binary.LittleEndian.PutUint64(val, uint64(v))
+		c.Items = append(c.Items, chunk.Item{Coord: a.cellCenter(cell), Value: val})
 	}
 	return c, nil
 }
@@ -291,6 +307,9 @@ func (r *RasterApp) DecodeAccum(data []byte, out chunk.Meta) (engine.Accumulator
 	ny := int(binary.LittleEndian.Uint32(data[4:]))
 	if nx <= 0 || ny <= 0 || nx > 1<<20 || ny > 1<<20 {
 		return nil, fmt.Errorf("apps: bad raster dims %dx%d", nx, ny)
+	}
+	if nx != r.CellsPerDim || ny != r.CellsPerDim {
+		return nil, fmt.Errorf("apps: accumulator raster is %dx%d cells, RasterApp.CellsPerDim is %d", nx, ny, r.CellsPerDim)
 	}
 	n := nx * ny
 	if len(data) != 8+16*n {

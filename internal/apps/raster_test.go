@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -289,5 +291,58 @@ func TestTypeMismatchErrors(t *testing.T) {
 	}
 	if _, err := app.EncodeAccum(struct{}{}, outMeta()); err == nil {
 		t.Error("wrong accumulator type should fail EncodeAccum")
+	}
+}
+
+// TestAccumShapeMismatchRejected: a ghost raster of the right cell count but
+// the wrong shape (8 x 32 against a 16 x 16 app) must fail DecodeAccum by
+// naming the setting, and Combine must refuse to fold one raster into
+// another of a different shape.
+func TestAccumShapeMismatchRejected(t *testing.T) {
+	app := &RasterApp{Op: Sum, CellsPerDim: 16}
+	data := binary.LittleEndian.AppendUint32(nil, 8)
+	data = binary.LittleEndian.AppendUint32(data, 32)
+	data = append(data, make([]byte, 16*8*32)...)
+	if _, err := app.DecodeAccum(data, outMeta()); err == nil || !strings.Contains(err.Error(), "CellsPerDim") {
+		t.Errorf("8x32 raster into a 16x16 app: err = %v, want one naming CellsPerDim", err)
+	}
+	home, _ := app.Init(outMeta(), nil, false)
+	ghost := &rasterAccum{mbr: outMeta().MBR, nx: 8, ny: 32, sums: make([]int64, 256), counts: make([]int64, 256)}
+	if err := app.Combine(home, ghost, outMeta()); err == nil {
+		t.Error("Combine folded an 8x32 raster into a 16x16 one")
+	}
+}
+
+// TestOutputAllocsConstant: Output makes the same few allocations whether
+// one cell or every cell is populated — one chunk, one Items slice, one
+// value slab — and its values read back as the cells' reductions.
+func TestOutputAllocsConstant(t *testing.T) {
+	app := &RasterApp{Op: Mean, CellsPerDim: 32}
+	allocs := func(populated int) float64 {
+		acc, _ := app.Init(outMeta(), nil, false)
+		a := acc.(*rasterAccum)
+		for c := 0; c < populated; c++ {
+			a.sums[c], a.counts[c] = int64(10*c), 2
+		}
+		out, err := app.Output(acc, outMeta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Items) != populated {
+			t.Fatalf("%d populated cells gave %d items", populated, len(out.Items))
+		}
+		for c, it := range out.Items {
+			if v, err := DecodeValue(it.Value); err != nil || v != int64(5*c) || cap(it.Value) != 8 {
+				t.Fatalf("item %d: value %d (cap %d), %v; want %d", c, v, cap(it.Value), err, 5*c)
+			}
+		}
+		return testing.AllocsPerRun(20, func() { app.Output(acc, outMeta()) })
+	}
+	one, some, all := allocs(1), allocs(100), allocs(32*32)
+	if one != 3 || some != 3 || all != 3 {
+		t.Errorf("Output allocations for 1 / 100 / 1024 populated cells = %v / %v / %v, want 3 each", one, some, all)
+	}
+	if empty := allocs(0); empty != 1 {
+		t.Errorf("Output allocations with no populated cell = %v, want 1", empty)
 	}
 }

@@ -184,6 +184,29 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeInto decodes a sat_scan-sized chunk (980 2-D items)
+// fresh and into a recycled chunk, the local-reduction workers' path.
+func BenchmarkDecodeInto(b *testing.B) {
+	buf := Encode(compressibleChunk(980))
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Decode(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		b.ReportAllocs()
+		c := new(Chunk)
+		for i := 0; i < b.N; i++ {
+			if err := DecodeInto(c, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestQuickDecodeSurvivesCorruption: random byte flips must never panic and
 // must either fail cleanly or yield a chunk that passes its own validation.
 func TestQuickDecodeSurvivesCorruption(t *testing.T) {

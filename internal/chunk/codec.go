@@ -144,91 +144,109 @@ func (r *reader) bytes(n int) ([]byte, error) {
 // Decode parses a chunk encoded by Encode. Item values alias the input
 // buffer; callers that mutate payloads must copy first.
 func Decode(buf []byte) (*Chunk, error) {
+	c := new(Chunk)
+	if err := DecodeInto(c, buf); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DecodeInto parses a chunk encoded by Encode into c, reusing c's Items
+// backing array when it is large enough (and c.Meta.Dataset's string when
+// the name is unchanged), so a caller that decodes chunk after chunk into
+// one recycled Chunk allocates nothing. It makes exactly Decode's checks,
+// and on success c equals what Decode returns field for field: every Meta
+// field is reset, and every item is rewritten whole, including the
+// coordinate slots beyond the chunk's dimensionality. Item values alias buf,
+// as with Decode. On error c's contents are unspecified.
+func DecodeInto(c *Chunk, buf []byte) error {
 	r := &reader{buf: buf}
 	m, err := r.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
+		return fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
 	}
 	ver, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ver != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
+		return fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	dims8, err := r.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dims := int(dims8)
 	if dims == 0 || dims > space.MaxDims {
-		return nil, fmt.Errorf("%w: dims %d out of range", ErrCorrupt, dims)
+		return fmt.Errorf("%w: dims %d out of range", ErrCorrupt, dims)
 	}
-	var c Chunk
-	id, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	c.Meta.ID = ID(int32(id))
-	disk, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	c.Meta.Disk = int32(disk)
-	node, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	c.Meta.Node = int32(node)
-	nitems, err := r.u32()
-	if err != nil {
-		return nil, err
+	var hdr [4]uint32 // id, disk, node, items
+	for k := range hdr {
+		if hdr[k], err = r.u32(); err != nil {
+			return err
+		}
 	}
 	dsLen, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ds, err := r.bytes(int(dsLen))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c.Meta.Dataset = string(ds)
-	c.Meta.MBR.Dims = dims
+	name := c.Meta.Dataset
+	if string(ds) != name {
+		name = string(ds)
+	}
+	c.Meta = Meta{
+		ID:      ID(int32(hdr[0])),
+		Dataset: name,
+		MBR:     space.Rect{Dims: dims},
+		Disk:    int32(hdr[1]),
+		Node:    int32(hdr[2]),
+	}
 	for d := 0; d < dims; d++ {
 		if c.Meta.MBR.Lo[d], err = r.f64(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for d := 0; d < dims; d++ {
 		if c.Meta.MBR.Hi[d], err = r.f64(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if nitems > uint32(len(buf)) {
-		return nil, fmt.Errorf("%w: item count %d exceeds buffer", ErrCorrupt, nitems)
+	// Every item takes at least its coordinates and its value length, so a
+	// count the rest of the buffer cannot hold is corrupt before anything
+	// is sized by it.
+	nitems, itemHdr := hdr[3], 8*dims+4
+	if uint64(nitems)*uint64(itemHdr) > uint64(len(buf)-r.off) {
+		return fmt.Errorf("%w: item count %d exceeds buffer", ErrCorrupt, nitems)
 	}
-	c.Items = make([]Item, 0, nitems)
-	for i := uint32(0); i < nitems; i++ {
-		var it Item
-		it.Coord.Dims = dims
+	if cap(c.Items) >= int(nitems) {
+		c.Items = c.Items[:nitems]
+	} else {
+		c.Items = make([]Item, nitems)
+	}
+	for i := range c.Items {
+		if err := r.need(itemHdr); err != nil {
+			return err
+		}
+		it := &c.Items[i]
+		it.Coord = space.Point{Dims: dims}
+		b := buf[r.off : r.off+itemHdr]
 		for d := 0; d < dims; d++ {
-			if it.Coord.Coords[d], err = r.f64(); err != nil {
-				return nil, err
-			}
+			it.Coord.Coords[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*d:]))
 		}
-		vlen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+		r.off += itemHdr
+		vlen := binary.LittleEndian.Uint32(b[8*dims:])
 		if it.Value, err = r.bytes(int(vlen)); err != nil {
-			return nil, err
+			return err
 		}
-		c.Items = append(c.Items, it)
 	}
 	c.Meta.Items = int32(nitems)
 	c.Meta.Bytes = int64(r.off)
-	return &c, nil
+	return nil
 }

@@ -47,9 +47,10 @@ type App interface {
 	// chunk. The engine guarantees in.Meta's targets include out; the app
 	// maps items (Map) and aggregates those landing in out's region. Must
 	// be commutative and associative across calls, as §1 requires of ADR
-	// aggregation functions. Must not retain in or anything aliasing it
-	// (item values alias the transport buffer, which the engine recycles
-	// when Aggregate returns); copy what the accumulator keeps. The engine
+	// aggregation functions. Must not retain in or anything aliasing it:
+	// the engine recycles in itself and its Items slice (the next chunk is
+	// decoded into them) and the transport buffer item values alias, all
+	// once Aggregate returns; copy what the accumulator keeps. The engine
 	// serializes Aggregate calls per accumulator but runs calls on
 	// different accumulators concurrently (Config.Workers), so apps must
 	// not share mutable state across accumulators without their own

@@ -356,6 +356,16 @@ func decodePooled[T any](n *node, data []byte, decode func(raw []byte) (T, error
 	return v, scratch, err
 }
 
+// lrChunks recycles the chunks local-reduction workers decode into: a
+// worker decodes each input with chunk.DecodeInto into one taken from here
+// and puts it back once every Aggregate call on it has returned, so the hot
+// path stops allocating and zeroing a fresh []chunk.Item per chunk. Only
+// that path uses it; a chunk that may escape (init chunks, shipped finals,
+// RunSerial) is decoded fresh. A chunk in the pool still points at the
+// payload it last aliased, which stays reachable until the chunk is reused
+// or the pool is emptied at a collection.
+var lrChunks = sync.Pool{New: func() any { return new(chunk.Chunk) }}
+
 // decodeWhole decodes a possibly-compressed payload on a cold path (init
 // chunks, shipped finals) where the decoded chunk may outlive the call:
 // decompression allocates a garbage-collected buffer instead of pooled
@@ -396,9 +406,15 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 
 	pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
 		// Decompress (when the payload is a storage or wire envelope) and
-		// decode on the worker; the scratch buffer recycles once the
-		// aggregation loop below is done with the decoded items aliasing it.
-		c, scratch, err := decodePooled(n, wk.data, chunk.Decode)
+		// decode on the worker, into a recycled chunk; the chunk and the
+		// scratch buffer both recycle once the aggregation loop below is
+		// done with the decoded items aliasing them (App.Aggregate retains
+		// neither).
+		c := lrChunks.Get().(*chunk.Chunk)
+		defer lrChunks.Put(c)
+		_, scratch, err := decodePooled(n, wk.data, func(raw []byte) (*chunk.Chunk, error) {
+			return c, chunk.DecodeInto(c, raw)
+		})
 		if err != nil {
 			kind := "input"
 			if wk.rel != nil {

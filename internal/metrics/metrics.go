@@ -88,8 +88,10 @@ type Node struct {
 	// inputs, ghosts, existing and shipped outputs). Zero means every payload
 	// it consumed arrived raw.
 	CompressedBytes atomic.Int64
-	// DecodeNanos is the cumulative wall time workers spent in chunk.Decode
-	// (including decompression when payloads arrive compressed), and
+	// DecodeNanos is the cumulative wall time workers spent decoding
+	// payloads — input chunks (chunk.DecodeInto, into a recycled chunk) in
+	// local reduction, ghost accumulators (App.DecodeAccum) in global
+	// combine — including decompression when payloads arrive compressed, and
 	// QueueWaitNanos the cumulative time work items waited in the
 	// pipeline queue before a worker picked them up. Both are summed across
 	// workers, so with W workers they may exceed the phase wall time — the
