@@ -71,8 +71,10 @@ bench-live:
 	$(GO) test -C bench -race ./...
 
 # Documentation checks: README flag tables vs registered flags, README's
-# metric families vs the ones the code registers, markdown links and DESIGN.md
-# section cross-references, and the godoc package-comment lint.
+# metric families vs the ones the code registers (both directions), markdown
+# links and DESIGN.md section cross-references, the godoc package-comment
+# lint, and TestDocsExportedSurface: every export under internal/ has a
+# caller or an allowlist entry with a reason.
 docs:
 	$(GO) test -run 'TestDocs|TestGodoc' .
 	$(GO) test -run TestFlagTable ./cmd/...

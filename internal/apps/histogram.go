@@ -29,12 +29,12 @@ type histAccum struct {
 	counts []int64
 }
 
-// PackBucket encodes a bucket index and count into an item value.
-func PackBucket(bucket int, count int64) int64 {
+// packBucket encodes a bucket index and count into an item value.
+func packBucket(bucket int, count int64) int64 {
 	return int64(bucket)<<48 | (count & ((1 << 48) - 1))
 }
 
-// UnpackBucket inverts PackBucket. The shift is unsigned so bucket indices
+// UnpackBucket inverts packBucket. The shift is unsigned so bucket indices
 // with the top bit set (>= 32768) round-trip.
 func UnpackBucket(v int64) (bucket int, count int64) {
 	return int(uint64(v) >> 48), v & ((1 << 48) - 1)
@@ -136,7 +136,7 @@ func (h *HistogramApp) Output(acc engine.Accumulator, out chunk.Meta) (*chunk.Ch
 		}
 		c.Items = append(c.Items, chunk.Item{
 			Coord: center,
-			Value: EncodeValue(PackBucket(b, count)),
+			Value: EncodeValue(packBucket(b, count)),
 		})
 	}
 	return c, nil

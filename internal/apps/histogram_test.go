@@ -19,7 +19,7 @@ func TestPackUnpackBucket(t *testing.T) {
 	}{
 		{0, 0}, {5, 123}, {9, 1 << 40}, {65535, 7},
 	} {
-		b, c := UnpackBucket(PackBucket(tc.bucket, tc.count))
+		b, c := UnpackBucket(packBucket(tc.bucket, tc.count))
 		if b != tc.bucket || c != tc.count {
 			t.Errorf("roundtrip (%d,%d) = (%d,%d)", tc.bucket, tc.count, b, c)
 		}
@@ -125,7 +125,7 @@ func TestHistogramAccumCodec(t *testing.T) {
 func TestHistogramInitSeeding(t *testing.T) {
 	h := histApp()
 	seed := &chunk.Chunk{Items: []chunk.Item{
-		{Coord: outMeta().MBR.Center(), Value: EncodeValue(PackBucket(3, 41))},
+		{Coord: outMeta().MBR.Center(), Value: EncodeValue(packBucket(3, 41))},
 	}}
 	acc, err := h.Init(outMeta(), seed, false)
 	if err != nil {

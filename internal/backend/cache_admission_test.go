@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,8 +11,8 @@ import (
 
 	"adr/internal/apps"
 	"adr/internal/backend"
-	"adr/internal/bufpool"
 	"adr/internal/frontend"
+	"adr/internal/leakcheck"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
@@ -205,7 +204,7 @@ func TestAdmissionSkewRecovers(t *testing.T) {
 }
 
 func admissionSkewRecovers(t *testing.T, window int64) {
-	leakCheck(t)
+	leakcheck.Check(t)
 	_, ctrl := startNodes(t, 2, func(i int, cfg *backend.Config) {
 		cfg.MaxQueries = 1
 		cfg.QueryTimeout = 750 * time.Millisecond
@@ -270,25 +269,6 @@ func admissionSkewRecovers(t *testing.T, window int64) {
 	inflightDrains(t)
 }
 
-// leakCheck records the pooled-buffer balance and the goroutine count, and
-// when the test ends polls, bounded, for both to return. Call it first, so
-// its cleanup runs after the servers' shutdown.
-func leakCheck(t *testing.T) {
-	t.Helper()
-	bufs, gos := bufpool.Outstanding(), runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for bufpool.Outstanding() != bufs || runtime.NumGoroutine() > gos {
-			if time.Now().After(deadline) {
-				t.Errorf("leaked: bufpool outstanding %d (was %d), %d goroutines (were %d)",
-					bufpool.Outstanding(), bufs, runtime.NumGoroutine(), gos)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	})
-}
-
 // inflightDrains waits, bounded, for every forwarded byte on the two-node TCP
 // mesh to have been credited back to its sender.
 func inflightDrains(t *testing.T) {
@@ -311,7 +291,7 @@ func inflightDrains(t *testing.T) {
 // to the pool, credit back to the peer) and leave the id dead, so what
 // arrives afterwards is dropped as late instead of queueing for nobody.
 func TestRefusedQueryReleasesInbound(t *testing.T) {
-	leakCheck(t)
+	leakcheck.Check(t)
 	_, ctrl := startNodes(t, 2, func(i int, cfg *backend.Config) {
 		// Wide enough never to block a sender — a blocker's forwards are not
 		// consumed until the end of the test — but on, so the in-flight

@@ -49,7 +49,7 @@ type Config struct {
 	AccMemBytes int64
 	// SendTimeout bounds each mesh send to a peer that stops draining; on
 	// expiry the peer is marked dead and the query aborts. 0 selects
-	// rpc.DefaultSendTimeout, negative disables the timeout.
+	// rpc's 30 s default, negative disables the timeout.
 	SendTimeout time.Duration
 	// DialRetry bounds mesh establishment: retrying unreachable peers and
 	// waiting for peers to dial in (default 30s).
@@ -66,14 +66,13 @@ type Config struct {
 	// this node; excess control connections queue (visible as the
 	// adr_node_admission_waiting gauge) instead of spawning unbounded query
 	// goroutines. 0 disables admission control. Enabling admission also
-	// enforces an execution deadline (QueryTimeout, or
-	// DefaultRequestTimeout when unset) so that admission skew across
-	// overloaded nodes — each node running a query its peers never admitted
-	// — cannot pin admission slots forever.
+	// enforces an execution deadline (QueryTimeout, or 30 s when unset) so
+	// that admission skew across overloaded nodes — each node running a
+	// query its peers never admitted — cannot pin admission slots forever.
 	MaxQueries int
 	// RequestTimeout bounds reading the request header off a new control
 	// connection, so a stalled client cannot pin a handler goroutine. 0
-	// selects DefaultRequestTimeout; negative disables the deadline.
+	// selects 30 s; negative disables the deadline.
 	RequestTimeout time.Duration
 	// Flow bounds this node's in-flight forwarded bytes on the mesh (see
 	// rpc.Flow). Must be identical on every node, like AccMemBytes.
@@ -99,9 +98,9 @@ type Config struct {
 	CalibrationFile string
 }
 
-// DefaultRequestTimeout is how long a fresh control connection may take to
+// defaultRequestTimeout is how long a fresh control connection may take to
 // deliver its NodeRequest header before the node gives up on it.
-const DefaultRequestTimeout = 30 * time.Second
+const defaultRequestTimeout = 30 * time.Second
 
 // Admission-control instrumentation: how many queries are executing, how
 // many are queued behind the -max-queries bound, and how many were admitted
@@ -283,7 +282,7 @@ func (s *Server) handle(conn net.Conn) {
 	// goroutine (or, with admission control, an admission slot) forever.
 	reqTimeout := s.cfg.RequestTimeout
 	if reqTimeout == 0 {
-		reqTimeout = DefaultRequestTimeout
+		reqTimeout = defaultRequestTimeout
 	}
 	if reqTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(reqTimeout))
@@ -366,7 +365,7 @@ func (s *Server) handle(conn net.Conn) {
 	if s.admit != nil {
 		wait := s.cfg.QueryTimeout
 		if wait <= 0 {
-			wait = DefaultRequestTimeout
+			wait = defaultRequestTimeout
 		}
 		timer := time.NewTimer(wait)
 		admWaiting.Inc()
@@ -519,7 +518,7 @@ func (s *Server) runQuery(req *frontend.NodeRequest, ep rpc.Endpoint, w *bufio.W
 		// may never get to this one (admission skew). Without a deadline the
 		// two nodes pin their slots forever; with one, both queries abort,
 		// the slots free, and the clients retry against a live mesh.
-		timeout = DefaultRequestTimeout
+		timeout = defaultRequestTimeout
 	}
 	if timeout > 0 {
 		var cancel context.CancelFunc

@@ -123,12 +123,6 @@ func Disown(b []byte) {
 	}
 }
 
-// Stats returns the cumulative hit and miss counts, for tests and
-// diagnostics; the same values are exported on /metrics.
-func Stats() (h, m int64) {
-	return hits.Value(), misses.Value()
-}
-
 // Outstanding returns the number of class-sized buffers currently checked
 // out (Get minus Put minus Disown) — the balance the buffer-leak tests
 // compare before and after a run. Exported on /metrics as

@@ -6,7 +6,7 @@ import (
 )
 
 func TestGetPutRoundTrip(t *testing.T) {
-	h0, m0 := Stats()
+	h0, m0 := hits.Value(), misses.Value()
 	b := Get(1500)
 	if len(b) != 1500 {
 		t.Fatalf("Get(1500) len = %d", len(b))
@@ -16,7 +16,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 	// On a fresh pool this Get is a miss; with -count>1 a buffer left over
 	// from an earlier run can make it a hit. Either way it must be counted.
-	if h, m := Stats(); m == m0 && h == h0 {
+	if h, m := hits.Value(), misses.Value(); m == m0 && h == h0 {
 		t.Error("first Get counted neither a hit nor a miss")
 	}
 	for i := range b {
@@ -28,7 +28,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 		t.Fatalf("Get(2048) cap = %d", cap(b2))
 	}
 	for i := 0; i < 64; i++ {
-		if h, _ := Stats(); h != h0 {
+		if hits.Value() != h0 {
 			return
 		}
 		// The sync.Pool may drop the buffer between Put and Get (it does so

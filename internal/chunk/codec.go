@@ -31,8 +31,8 @@ const (
 	version = 1
 )
 
-// ErrCorrupt is wrapped by decode errors caused by malformed input.
-var ErrCorrupt = fmt.Errorf("chunk: corrupt encoding")
+// errCorrupt is wrapped by decode errors caused by malformed input.
+var errCorrupt = fmt.Errorf("chunk: corrupt encoding")
 
 // EncodedSize returns the exact number of bytes Encode/AppendTo produce for
 // c, so callers can obtain a right-sized buffer (e.g. from bufpool) before
@@ -91,7 +91,7 @@ type reader struct {
 
 func (r *reader) need(n int) error {
 	if r.off+n > len(r.buf) {
-		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrCorrupt, n, r.off, len(r.buf))
+		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", errCorrupt, n, r.off, len(r.buf))
 	}
 	return nil
 }
@@ -166,14 +166,14 @@ func DecodeInto(c *Chunk, buf []byte) error {
 		return err
 	}
 	if m != magic {
-		return fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
+		return fmt.Errorf("%w: bad magic %#x", errCorrupt, m)
 	}
 	ver, err := r.u8()
 	if err != nil {
 		return err
 	}
 	if ver != version {
-		return fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
+		return fmt.Errorf("%w: unsupported version %d", errCorrupt, ver)
 	}
 	dims8, err := r.u8()
 	if err != nil {
@@ -181,7 +181,7 @@ func DecodeInto(c *Chunk, buf []byte) error {
 	}
 	dims := int(dims8)
 	if dims == 0 || dims > space.MaxDims {
-		return fmt.Errorf("%w: dims %d out of range", ErrCorrupt, dims)
+		return fmt.Errorf("%w: dims %d out of range", errCorrupt, dims)
 	}
 	var hdr [4]uint32 // id, disk, node, items
 	for k := range hdr {
@@ -223,7 +223,7 @@ func DecodeInto(c *Chunk, buf []byte) error {
 	// is sized by it.
 	nitems, itemHdr := hdr[3], 8*dims+4
 	if uint64(nitems)*uint64(itemHdr) > uint64(len(buf)-r.off) {
-		return fmt.Errorf("%w: item count %d exceeds buffer", ErrCorrupt, nitems)
+		return fmt.Errorf("%w: item count %d exceeds buffer", errCorrupt, nitems)
 	}
 	if cap(c.Items) >= int(nitems) {
 		c.Items = c.Items[:nitems]

@@ -183,7 +183,7 @@ func Decompress(buf []byte) ([]byte, error) {
 	// envelope cannot force a giant allocation just to be rejected.
 	n := RawLen(buf)
 	if n > maxRawLen {
-		return nil, fmt.Errorf("%w: envelope claims %d raw bytes", ErrCorrupt, n)
+		return nil, fmt.Errorf("%w: envelope claims %d raw bytes", errCorrupt, n)
 	}
 	return DecompressTo(make([]byte, 0, n), buf)
 }
@@ -191,18 +191,18 @@ func Decompress(buf []byte) ([]byte, error) {
 // DecompressTo appends buf's raw Encode payload to dst and returns the
 // extended slice; dst typically comes from bufpool sized by RawLen. A raw
 // (non-enveloped) buf is appended verbatim. Malformed envelopes return
-// errors wrapping ErrCorrupt.
+// errors wrapping errCorrupt.
 func DecompressTo(dst, buf []byte) ([]byte, error) {
 	if !IsCompressed(buf) {
 		return append(dst, buf...), nil
 	}
 	if buf[4] != compVersion {
-		return dst, fmt.Errorf("%w: unsupported envelope version %d", ErrCorrupt, buf[4])
+		return dst, fmt.Errorf("%w: unsupported envelope version %d", errCorrupt, buf[4])
 	}
 	codec := Codec(buf[5])
 	rawLen := int(binary.LittleEndian.Uint32(buf[6:]))
 	if rawLen > maxRawLen {
-		return dst, fmt.Errorf("%w: envelope claims %d raw bytes", ErrCorrupt, rawLen)
+		return dst, fmt.Errorf("%w: envelope claims %d raw bytes", errCorrupt, rawLen)
 	}
 	body := buf[envHeaderLen:]
 	switch codec {
@@ -211,7 +211,7 @@ func DecompressTo(dst, buf []byte) ([]byte, error) {
 	case CodecColumnar:
 		return columnarDecompress(dst, body, rawLen)
 	}
-	return dst, fmt.Errorf("%w: unknown envelope codec %d", ErrCorrupt, codec)
+	return dst, fmt.Errorf("%w: unknown envelope codec %d", errCorrupt, codec)
 }
 
 // DecodeAny decodes a chunk from either a raw encoding or a compressed
@@ -248,13 +248,13 @@ func flateDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	defer inflaters.Put(f)
 	raw, err := f.inflate(body, rawLen)
 	if errors.Is(err, errStreamTooLong) {
-		return dst, fmt.Errorf("%w: flate body longer than raw size", ErrCorrupt)
+		return dst, fmt.Errorf("%w: flate body longer than raw size", errCorrupt)
 	}
 	if err != nil {
-		return dst, fmt.Errorf("%w: flate body: %v", ErrCorrupt, err)
+		return dst, fmt.Errorf("%w: flate body: %v", errCorrupt, err)
 	}
 	if len(raw) != rawLen {
-		return dst, fmt.Errorf("%w: flate body inflates to %d of %d raw bytes", ErrCorrupt, len(raw), rawLen)
+		return dst, fmt.Errorf("%w: flate body inflates to %d of %d raw bytes", errCorrupt, len(raw), rawLen)
 	}
 	return append(dst, raw...), nil
 }
@@ -323,21 +323,21 @@ type rawHeader struct {
 func parseRawHeader(raw []byte) (rawHeader, error) {
 	var h rawHeader
 	if len(raw) < 24 {
-		return h, fmt.Errorf("%w: %d bytes is shorter than a chunk header", ErrCorrupt, len(raw))
+		return h, fmt.Errorf("%w: %d bytes is shorter than a chunk header", errCorrupt, len(raw))
 	}
 	if binary.LittleEndian.Uint32(raw) != magic || raw[4] != version {
-		return h, fmt.Errorf("%w: not a raw chunk encoding", ErrCorrupt)
+		return h, fmt.Errorf("%w: not a raw chunk encoding", errCorrupt)
 	}
 	h.dims = int(raw[5])
 	if h.dims == 0 {
-		return h, fmt.Errorf("%w: dims 0 out of range", ErrCorrupt)
+		return h, fmt.Errorf("%w: dims 0 out of range", errCorrupt)
 	}
 	h.nitems = int(binary.LittleEndian.Uint32(raw[18:]))
 	dsLen := int(binary.LittleEndian.Uint16(raw[22:]))
 	h.mbrOff = 24 + dsLen
 	h.length = h.mbrOff + 16*h.dims
 	if h.length > len(raw) {
-		return h, fmt.Errorf("%w: header %d bytes exceeds payload %d", ErrCorrupt, h.length, len(raw))
+		return h, fmt.Errorf("%w: header %d bytes exceeds payload %d", errCorrupt, h.length, len(raw))
 	}
 	return h, nil
 }
@@ -369,17 +369,17 @@ func columnarCompress(raw []byte) ([]byte, error) {
 	off := h.length
 	for i := 0; i < h.nitems; i++ {
 		if off+fixed > len(raw) {
-			return nil, fmt.Errorf("%w: item %d truncated", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: item %d truncated", errCorrupt, i)
 		}
 		offs[i] = off
 		vlen := int(binary.LittleEndian.Uint32(raw[off+8*h.dims:]))
 		off += fixed + vlen
 		if off > len(raw) {
-			return nil, fmt.Errorf("%w: item %d value truncated", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: item %d value truncated", errCorrupt, i)
 		}
 	}
 	if off != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after items", ErrCorrupt, len(raw)-off)
+		return nil, fmt.Errorf("%w: %d trailing bytes after items", errCorrupt, len(raw)-off)
 	}
 
 	var out bytes.Buffer
@@ -432,7 +432,7 @@ func columnarDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	// nitems so a corrupt count cannot force a huge allocation.
 	fixed := 8*h.dims + 4
 	if h.length > rawLen || h.nitems > (rawLen-h.length)/fixed {
-		return dst, fmt.Errorf("%w: item count %d exceeds raw size %d", ErrCorrupt, h.nitems, rawLen)
+		return dst, fmt.Errorf("%w: item count %d exceeds raw size %d", errCorrupt, h.nitems, rawLen)
 	}
 	f := inflaters.Get().(*inflater)
 	defer inflaters.Put(f)
@@ -440,10 +440,10 @@ func columnarDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	// for a uvarint of at most 5 bytes: a longer stream is corrupt.
 	s, err := f.inflate(body[h.length:], rawLen-h.length+h.nitems)
 	if errors.Is(err, errStreamTooLong) {
-		return dst, fmt.Errorf("%w: transformed body longer than items need", ErrCorrupt)
+		return dst, fmt.Errorf("%w: transformed body longer than items need", errCorrupt)
 	}
 	if err != nil {
-		return dst, fmt.Errorf("%w: transformed body: %v", ErrCorrupt, err)
+		return dst, fmt.Errorf("%w: transformed body: %v", errCorrupt, err)
 	}
 
 	// Value lengths first: they fix every item record's size.
@@ -451,19 +451,19 @@ func columnarDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	for i := 0; i < h.nitems; i++ {
 		vlen, n := binary.Uvarint(s[pos:])
 		if n <= 0 || vlen > math.MaxUint32 {
-			return dst, fmt.Errorf("%w: bad value length for item %d", ErrCorrupt, i)
+			return dst, fmt.Errorf("%w: bad value length for item %d", errCorrupt, i)
 		}
 		pos += n
 		if off += fixed + int(vlen); off > rawLen {
-			return dst, fmt.Errorf("%w: items overflow raw size at item %d", ErrCorrupt, i)
+			return dst, fmt.Errorf("%w: items overflow raw size at item %d", errCorrupt, i)
 		}
 	}
 	if off != rawLen {
-		return dst, fmt.Errorf("%w: items cover %d of %d raw bytes", ErrCorrupt, off, rawLen)
+		return dst, fmt.Errorf("%w: items cover %d of %d raw bytes", errCorrupt, off, rawLen)
 	}
 	// What follows is exactly the coordinate columns and the value bytes.
 	if rest, want := len(s)-pos, rawLen-h.length-4*h.nitems; rest != want {
-		return dst, fmt.Errorf("%w: transformed body has %d bytes after the value lengths, items need %d", ErrCorrupt, rest, want)
+		return dst, fmt.Errorf("%w: transformed body has %d bytes after the value lengths, items need %d", errCorrupt, rest, want)
 	}
 	coords, values := s[pos:], s[pos+8*h.dims*h.nitems:]
 

@@ -155,7 +155,7 @@ func TestCompressEmptyChunk(t *testing.T) {
 	}
 }
 
-// TestDecompressCorrupt: malformed envelopes must fail with ErrCorrupt and
+// TestDecompressCorrupt: malformed envelopes must fail with errCorrupt and
 // never panic or over-allocate.
 func TestDecompressCorrupt(t *testing.T) {
 	raw := Encode(compressibleChunk(64))

@@ -32,9 +32,8 @@ type Options struct {
 	// the DESIGN.md machine model).
 	AccMemBytes int64
 	// StoreDir, when non-empty, backs each disk with a FileStore under
-	// StoreDir/disk<N>; otherwise disks are in-memory. Callers needing a
-	// custom declustering algorithm drive layout.Loader directly and
-	// RegisterDataset the result.
+	// StoreDir/disk<N>; otherwise disks are in-memory. A farm another
+	// process loaded is cataloged with RegisterDataset.
 	StoreDir string
 	// CacheBytes, when > 0, layers a shared memory-bounded chunk cache
 	// (layout.ChunkCache) over the farm's disks, so repeated queries over a
@@ -162,8 +161,9 @@ func (r *Repository) LoadDataset(name string, sp space.AttrSpace, chunks []*chun
 }
 
 // RegisterDataset catalogs a dataset whose chunks are already resident on
-// the farm (used by the back-end daemon, which loads from a shared
-// manifest).
+// the farm: one a manifest describes (layout.LoadManifest over StoreDir) or
+// one loaded by driving layout.Loader directly. The back-end daemon keeps
+// its own catalog and does not use it.
 func (r *Repository) RegisterDataset(ds *layout.Dataset) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -46,10 +46,10 @@ type calibState struct {
 	Samples int64 `json:"samples"`
 }
 
-// DefaultAlpha is the EWMA weight of the newest sample: heavy enough that a
+// defaultAlpha is the EWMA weight of the newest sample: heavy enough that a
 // dozen queries dominate the estimate, light enough that one outlier (a
 // cold cache, a GC pause) does not.
-const DefaultAlpha = 0.3
+const defaultAlpha = 0.3
 
 // SeedCosts are the per-op compute costs assumed before any observation:
 // microsecond-scale, the order of the live raster apps' per-chunk work (the
@@ -69,13 +69,13 @@ type Sample struct {
 	InitOps, OutputOps int64
 }
 
-// ewma folds sample into cur with weight DefaultAlpha; a zero cur adopts the
+// ewma folds sample into cur with weight defaultAlpha; a zero cur adopts the
 // sample outright (first observation).
 func ewma(cur, sample float64) float64 {
 	if cur <= 0 {
 		return sample
 	}
-	return DefaultAlpha*sample + (1-DefaultAlpha)*cur
+	return defaultAlpha*sample + (1-defaultAlpha)*cur
 }
 
 // Observe folds one node's measured execution into the calibration. Signals

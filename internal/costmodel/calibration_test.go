@@ -71,12 +71,12 @@ func TestObserveCalibratesRates(t *testing.T) {
 		t.Errorf("OH cost = %g", costs.OH)
 	}
 
-	// Second observation at double the disk rate: EWMA with DefaultAlpha.
+	// Second observation at double the disk rate: EWMA with defaultAlpha.
 	s2 := sampleTrace()
 	s2.Trace.Totals.DiskReadNanos = 50e6 // 200 MB/s
 	c.Observe(s2)
 	m2, _ := c.Model(4, 2)
-	want := DefaultAlpha*200e6 + (1-DefaultAlpha)*100e6
+	want := defaultAlpha*200e6 + (1-defaultAlpha)*100e6
 	if !near(m2.DiskBWBytes, want) {
 		t.Errorf("EWMA disk BW = %g, want %g", m2.DiskBWBytes, want)
 	}

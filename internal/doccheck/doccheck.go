@@ -19,20 +19,20 @@ import (
 	"strings"
 )
 
-// TableFlag is one row of a README flag table: the flag's name (without the
+// tableFlag is one row of a README flag table: the flag's name (without the
 // leading dash) and its documented default value, exactly as flag.DefValue
 // renders it.
-type TableFlag struct {
+type tableFlag struct {
 	Name    string
 	Default string
 	Line    int
 }
 
-// FlagTable extracts the flag table documented for the given binary: the
+// parseFlagTable extracts the flag table documented for the given binary: the
 // first markdown table after a heading whose text contains `binary` in
 // backticks. The first column is the flag name, the second its default; an
 // empty default is written as `""` in the table.
-func FlagTable(md []byte, binary string) ([]TableFlag, error) {
+func parseFlagTable(md []byte, binary string) ([]tableFlag, error) {
 	lines := strings.Split(string(md), "\n")
 	marker := "`" + binary + "`"
 	section := -1
@@ -45,7 +45,7 @@ func FlagTable(md []byte, binary string) ([]TableFlag, error) {
 	if section < 0 {
 		return nil, fmt.Errorf("no heading mentioning %s", marker)
 	}
-	var rows []TableFlag
+	var rows []tableFlag
 	inTable := false
 	for i := section + 1; i < len(lines); i++ {
 		ln := strings.TrimSpace(lines[i])
@@ -63,7 +63,7 @@ func FlagTable(md []byte, binary string) ([]TableFlag, error) {
 		if len(cells) < 2 || isSeparator(cells) || isHeader(cells) {
 			continue
 		}
-		rows = append(rows, TableFlag{
+		rows = append(rows, tableFlag{
 			Name:    strings.TrimPrefix(stripCode(cells[0]), "-"),
 			Default: defaultValue(cells[1]),
 			Line:    i + 1,
@@ -124,7 +124,7 @@ func CheckFlagTable(t Errorf, readmePath, binary string, register func(*flag.Fla
 		t.Errorf("read %s: %v", readmePath, err)
 		return
 	}
-	rows, err := FlagTable(md, binary)
+	rows, err := parseFlagTable(md, binary)
 	if err != nil {
 		t.Errorf("%s: %v", readmePath, err)
 		return
@@ -157,28 +157,28 @@ func CheckFlagTable(t Errorf, readmePath, binary string, register func(*flag.Fla
 	}
 }
 
-// Link is one inline markdown link: [text](target).
-type Link struct {
+// mdLink is one inline markdown link: [text](target).
+type mdLink struct {
 	Target string
 	Line   int
 }
 
 var linkRE = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
-// Links returns every inline link target in the document with its line.
-func Links(md []byte) []Link {
-	var out []Link
+// inlineLinks returns every inline link target in the document with its line.
+func inlineLinks(md []byte) []mdLink {
+	var out []mdLink
 	for i, ln := range strings.Split(string(md), "\n") {
 		for _, m := range linkRE.FindAllStringSubmatch(ln, -1) {
-			out = append(out, Link{Target: m[1], Line: i + 1})
+			out = append(out, mdLink{Target: m[1], Line: i + 1})
 		}
 	}
 	return out
 }
 
-// Anchors returns the set of GitHub-style heading anchors in the document:
-// lowercase, punctuation dropped, spaces as dashes.
-func Anchors(md []byte) map[string]bool {
+// headingAnchors returns the set of GitHub-style heading anchors in the
+// document: lowercase, punctuation dropped, spaces as dashes.
+func headingAnchors(md []byte) map[string]bool {
 	anchors := map[string]bool{}
 	inFence := false
 	for _, ln := range strings.Split(string(md), "\n") {
@@ -219,7 +219,7 @@ func CheckLinks(t Errorf, docPath string) {
 		return
 	}
 	dir := filepath.Dir(docPath)
-	for _, l := range Links(md) {
+	for _, l := range inlineLinks(md) {
 		if strings.Contains(l.Target, "://") || strings.HasPrefix(l.Target, "mailto:") {
 			continue
 		}
@@ -235,7 +235,7 @@ func CheckLinks(t Errorf, docPath string) {
 			target = data
 		}
 		if frag != "" && strings.HasSuffix(strings.ToLower(file), ".md") || frag != "" && file == "" {
-			if !Anchors(target)[frag] {
+			if !headingAnchors(target)[frag] {
 				t.Errorf("%s:%d: link %q: no heading with anchor %q", docPath, l.Line, l.Target, frag)
 			}
 		}

@@ -18,11 +18,11 @@ const sample = "# Tool\n\n### `mytool` flags\n\n" +
 	"## Next section\n"
 
 func TestFlagTableParsesRows(t *testing.T) {
-	rows, err := FlagTable([]byte(sample), "mytool")
+	rows, err := parseFlagTable([]byte(sample), "mytool")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []TableFlag{
+	want := []tableFlag{
 		{Name: "count", Default: "8", Line: 7},
 		{Name: "name", Default: "", Line: 8},
 		{Name: "wait", Default: "1s", Line: 9},
@@ -38,7 +38,7 @@ func TestFlagTableParsesRows(t *testing.T) {
 }
 
 func TestFlagTableMissingBinary(t *testing.T) {
-	if _, err := FlagTable([]byte(sample), "othertool"); err == nil {
+	if _, err := parseFlagTable([]byte(sample), "othertool"); err == nil {
 		t.Error("unknown binary should fail")
 	}
 }
@@ -138,7 +138,7 @@ func TestCheckDesignSectionRefs(t *testing.T) {
 
 func TestAnchorsSlugging(t *testing.T) {
 	md := []byte("## Install & test\n\n### `adr-node` flags\n\n```\n# not a heading\n```\n")
-	a := Anchors(md)
+	a := headingAnchors(md)
 	for _, want := range []string{"install--test", "adr-node-flags"} {
 		if !a[want] {
 			t.Errorf("anchor %q missing from %v", want, a)

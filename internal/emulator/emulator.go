@@ -65,19 +65,6 @@ func (a App) String() string {
 	}
 }
 
-// ParseApp parses a class name.
-func ParseApp(s string) (App, error) {
-	switch s {
-	case "SAT":
-		return SAT, nil
-	case "WCS":
-		return WCS, nil
-	case "VM":
-		return VM, nil
-	}
-	return 0, fmt.Errorf("emulator: unknown application %q", s)
-}
-
 // Params configures a scenario.
 type Params struct {
 	App   App

@@ -221,15 +221,6 @@ func TestGenerateValidation(t *testing.T) {
 	if _, err := Generate(Params{App: SAT, Procs: 0}); err == nil {
 		t.Error("0 procs should fail")
 	}
-	if _, err := ParseApp("bogus"); err == nil {
-		t.Error("bogus app should fail to parse")
-	}
-	for _, a := range Apps {
-		got, err := ParseApp(a.String())
-		if err != nil || got != a {
-			t.Errorf("ParseApp(%v) = %v, %v", a, got, err)
-		}
-	}
 }
 
 func TestScaledKeepsPerProcConstant(t *testing.T) {

@@ -54,7 +54,7 @@ type Dispatcher struct {
 
 // inboundLifetime is how long a tombstone and an unclaimed box live. It only
 // has to outlast a finished query's stragglers, which the peers' own query
-// deadline bounds (backend.DefaultRequestTimeout, 30 s); a request arriving
+// deadline bounds (30 s on the back-end); a request arriving
 // after it merely finds its early messages gone.
 const inboundLifetime = 2 * time.Minute
 

@@ -3,34 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"adr/internal/bufpool"
+	"adr/internal/leakcheck"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
-
-// leakCheck records the pooled-buffer balance and the goroutine count, and
-// when the test ends polls, bounded, for both to return. Call it first, so
-// its cleanup runs after everything the test registers later.
-func leakCheck(t *testing.T) {
-	t.Helper()
-	bufs, gos := bufpool.Outstanding(), runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for bufpool.Outstanding() != bufs || runtime.NumGoroutine() > gos {
-			if time.Now().After(deadline) {
-				t.Errorf("leaked: bufpool outstanding %d (was %d), %d goroutines (were %d)",
-					bufpool.Outstanding(), bufs, runtime.NumGoroutine(), gos)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	})
-}
 
 // eventually polls cond, bounded.
 func eventually(t *testing.T, what string, cond func() bool) {
@@ -264,7 +244,7 @@ func runInboundCase(t *testing.T, name string) {
 		if c.name != name {
 			continue
 		}
-		leakCheck(t)
+		leakcheck.Check(t)
 		f, err := rpc.NewInprocFabricOpts(3, c.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +287,7 @@ func TestDispatcherKeepsQueriesApart(t *testing.T) {
 // so neither a daemon's stream of finished queries nor early arrivals for a
 // query whose request never reaches this node grow the Dispatcher forever.
 func TestDispatcherStateBounded(t *testing.T) {
-	leakCheck(t)
+	leakcheck.Check(t)
 	f, err := rpc.NewInprocFabricOpts(2, rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: 100}})
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +391,7 @@ func exchangeNode(t *testing.T, ep rpc.Endpoint) *node {
 // first is the failure reported.
 func TestExchange(t *testing.T) {
 	pair := func(t *testing.T) (a, b *node) {
-		leakCheck(t)
+		leakcheck.Check(t)
 		f, err := rpc.NewInprocFabricOpts(2, rpc.InprocOptions{Flow: rpc.Flow{WindowBytes: 64}})
 		if err != nil {
 			t.Fatal(err)

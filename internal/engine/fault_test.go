@@ -196,7 +196,7 @@ func TestFaultInjectionSendErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1.OnSend(faultep.All, faultep.Action{Err: boom})
+	n1.OnSend(func(rpc.Message) bool { return true }, faultep.Action{Err: boom})
 
 	st := engine.FarmStorage{Farm: repo.Farm()}
 	errs := make([]error, nodes)
@@ -257,7 +257,7 @@ func TestFaultInjectionDelayTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep.OnRecv(faultep.All, faultep.Action{Delay: time.Millisecond})
+		ep.OnRecv(func(rpc.Message) bool { return true }, faultep.Action{Delay: time.Millisecond})
 	}
 
 	var mu sync.Mutex

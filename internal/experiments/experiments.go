@@ -40,17 +40,6 @@ func (s Scaling) String() string {
 	return "fixed"
 }
 
-// ParseScaling parses "fixed" or "scaled".
-func ParseScaling(s string) (Scaling, error) {
-	switch s {
-	case "fixed":
-		return Fixed, nil
-	case "scaled":
-		return Scaled, nil
-	}
-	return 0, fmt.Errorf("experiments: unknown scaling %q", s)
-}
-
 // Config parameterizes a sweep.
 type Config struct {
 	// Procs lists the processor counts (paper: 8, 16, 32, 64, 128).

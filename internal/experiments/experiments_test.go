@@ -16,18 +16,6 @@ func quickCfg() Config {
 	return c
 }
 
-func TestParseScaling(t *testing.T) {
-	for _, s := range []Scaling{Fixed, Scaled} {
-		got, err := ParseScaling(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseScaling(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParseScaling("sideways"); err == nil {
-		t.Error("bad scaling should fail")
-	}
-}
-
 func TestRunCellPopulatesMetrics(t *testing.T) {
 	cfg := quickCfg()
 	pt, err := cfg.RunCell(emulator.SAT, plan.FRA, 8, Fixed)

@@ -47,7 +47,7 @@ func ResolveAuto(addrs []string, spec *QuerySpec, dialTimeout, readTimeout time.
 
 // requestEstimate performs one estimate round-trip with a node.
 func requestEstimate(addr string, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeoutOrDefault(dialTimeout, DefaultDialTimeout))
+	conn, err := net.DialTimeout("tcp", addr, timeoutOrDefault(dialTimeout, defaultDialTimeout))
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func requestEstimate(addr string, spec *QuerySpec, dialTimeout, readTimeout time
 	if err := WriteJSON(conn, &NodeRequest{Spec: *spec, Estimate: true}); err != nil {
 		return nil, err
 	}
-	if t := timeoutOrDefault(readTimeout, DefaultStreamTimeout); t > 0 {
+	if t := timeoutOrDefault(readTimeout, defaultStreamTimeout); t > 0 {
 		conn.SetReadDeadline(time.Now().Add(t))
 	}
 	var msg Message

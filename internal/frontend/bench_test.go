@@ -57,7 +57,7 @@ func BenchmarkResultFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cj, err := DecodeFrame(buf)
+		cj, err := decodeFrame(buf)
 		if err != nil || len(cj.Items) != items {
 			b.Fatal(err)
 		}

@@ -56,8 +56,8 @@ func readFrames(conn net.Conn, r *bufio.Reader, timeout time.Duration, pooled bo
 // degraded mesh the survivors re-home its chunks and settle accepts the
 // merged result.
 func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) []NodeStream {
-	dialTimeout = timeoutOrDefault(dialTimeout, DefaultDialTimeout)
-	readTimeout = timeoutOrDefault(readTimeout, DefaultStreamTimeout)
+	dialTimeout = timeoutOrDefault(dialTimeout, defaultDialTimeout)
+	readTimeout = timeoutOrDefault(readTimeout, defaultStreamTimeout)
 	streams := make([]NodeStream, len(addrs))
 	var wg sync.WaitGroup
 	for i, addr := range addrs {

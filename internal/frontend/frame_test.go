@@ -67,7 +67,7 @@ func sameChunkJSON(a, b *ChunkJSON) bool {
 }
 
 // TestFrameRoundTrip: every generated chunk survives AppendFrame ->
-// ReadFrame -> DecodeFrame bit for bit, on both buffer sources, with control
+// ReadFrame -> decodeFrame bit for bit, on both buffer sources, with control
 // lines interleaved in the stream; FrameSize is exact.
 func TestFrameRoundTrip(t *testing.T) {
 	cases := frameCases(rand.New(rand.NewSource(13)))
@@ -96,7 +96,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			if err != nil || msg != nil {
 				t.Fatalf("pooled=%v case %d: frame read = %v, %v", pooled, i, msg, err)
 			}
-			got, err := DecodeFrame(frame)
+			got, err := decodeFrame(frame)
 			if err != nil {
 				t.Fatalf("pooled=%v case %d: %v", pooled, i, err)
 			}
@@ -131,8 +131,8 @@ func TestFrameOversize(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[1:], rpc.MaxFrameBytes+1)
 	base := bufpool.Outstanding()
 	_, _, err := ReadFrame(bufio.NewReader(io.MultiReader(bytes.NewReader(hdr), neverEnding('x'))), true)
-	if !errors.Is(err, ErrFrame) {
-		t.Errorf("oversize frame = %v, want ErrFrame", err)
+	if !errors.Is(err, errFrame) {
+		t.Errorf("oversize frame = %v, want errFrame", err)
 	}
 	if got := bufpool.Outstanding(); got != base {
 		t.Errorf("oversize frame left %d buffers outstanding", got-base)
@@ -150,26 +150,26 @@ func (b neverEnding) Read(p []byte) (int, error) {
 }
 
 // TestReadJSONLineCap: a peer that never sends a newline is cut off at
-// MaxControlLineBytes with a typed error instead of growing the line without
+// maxControlLineBytes with a typed error instead of growing the line without
 // bound; a line of exactly the cap still parses.
 func TestReadJSONLineCap(t *testing.T) {
 	src := &countingReader{r: io.MultiReader(strings.NewReader(`{"input":"`), neverEnding('a'))}
 	var spec QuerySpec
 	err := ReadJSON(bufio.NewReader(src), &spec)
-	if !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("newline-less stream = %v, want ErrLineTooLong", err)
+	if !errors.Is(err, errLineTooLong) {
+		t.Fatalf("newline-less stream = %v, want errLineTooLong", err)
 	}
-	if src.n > MaxControlLineBytes+1<<16 {
-		t.Fatalf("reader consumed %d bytes before giving up, cap is %d", src.n, MaxControlLineBytes)
+	if src.n > maxControlLineBytes+1<<16 {
+		t.Fatalf("reader consumed %d bytes before giving up, cap is %d", src.n, maxControlLineBytes)
 	}
 	// The same through ReadFrame, where a node's or front-end's stream lands.
-	if _, _, err := ReadFrame(bufio.NewReader(io.MultiReader(strings.NewReader(`{"type":"`), neverEnding('a'))), false); !errors.Is(err, ErrLineTooLong) {
-		t.Fatalf("newline-less control line = %v, want ErrLineTooLong", err)
+	if _, _, err := ReadFrame(bufio.NewReader(io.MultiReader(strings.NewReader(`{"type":"`), neverEnding('a'))), false); !errors.Is(err, errLineTooLong) {
+		t.Fatalf("newline-less control line = %v, want errLineTooLong", err)
 	}
 
-	pad := MaxControlLineBytes - len(`{"input":""}`) - 1
+	pad := maxControlLineBytes - len(`{"input":""}`) - 1
 	line := `{"input":"` + strings.Repeat("a", pad) + `"}` + "\n"
-	if len(line) != MaxControlLineBytes {
+	if len(line) != maxControlLineBytes {
 		t.Fatalf("test line is %d bytes", len(line))
 	}
 	if err := ReadJSON(bufio.NewReader(strings.NewReader(line)), &spec); err != nil || len(spec.Input) != pad {
@@ -228,8 +228,8 @@ func FuzzReadFrame(f *testing.F) {
 				if consumed += len(frame); consumed > len(data) {
 					t.Fatalf("frames total %d bytes out of a %d-byte stream", consumed, len(data))
 				}
-				if cj, err := DecodeFrame(frame); err == nil && cj == nil {
-					t.Fatal("DecodeFrame returned neither a chunk nor an error")
+				if cj, err := decodeFrame(frame); err == nil && cj == nil {
+					t.Fatal("decodeFrame returned neither a chunk nor an error")
 				}
 				bufpool.Put(frame)
 			}

@@ -30,15 +30,15 @@ type ParallelClient struct {
 	// first (hi, hi-1, ..., lo, hi, ...).
 	lo, hi int32
 
-	// DialTimeout bounds each per-node connect (0 selects DefaultDialTimeout,
-	// negative disables); ReadTimeout bounds each frame read on a node stream
-	// (0 selects DefaultStreamTimeout, negative disables). A dead node's
+	// DialTimeout bounds each per-node connect (0 selects 10 s, negative
+	// disables); ReadTimeout bounds each frame read on a node stream (0
+	// selects 2 min, negative disables). A dead node's
 	// stream fails within the timeout instead of hanging the whole query.
 	DialTimeout time.Duration
 	ReadTimeout time.Duration
 	// BusyRetries is how many times Query resubmits the whole query — under a
 	// fresh id, with jittered backoff — when every node failure is retryable
-	// (0 selects DefaultBusyRetries, negative disables).
+	// (0 selects 3, negative disables).
 	BusyRetries int
 }
 
@@ -123,7 +123,7 @@ func (c *ParallelClient) queryOnce(spec *QuerySpec) ([]NodeStream, error) {
 	}
 	req := &NodeRequest{QueryID: c.nextID(), Spec: *spec}
 	streams := fanOut(c.nodeAddrs, req, c.DialTimeout, c.ReadTimeout, false, func(s *NodeStream, frame []byte) error {
-		cj, err := DecodeFrame(frame)
+		cj, err := decodeFrame(frame)
 		if err == nil {
 			s.Chunks = append(s.Chunks, cj)
 		}

@@ -10,7 +10,7 @@
 // stream interleaves two kinds of frame, told apart by their first byte:
 //
 //	'{'   control line: one JSON Message ("done" | "error" | "estimate")
-//	      terminated by '\n', at most MaxControlLineBytes long.
+//	      terminated by '\n', at most maxControlLineBytes long.
 //	0xAD  chunk frame: the tag, a little-endian uint32 payload length (at
 //	      most rpc.MaxFrameBytes, checked before anything is allocated),
 //	      then the payload — the output chunk exactly as chunk.AppendTo
@@ -19,7 +19,7 @@
 // Any other first byte is a protocol error. A node encodes each output chunk
 // once (AppendFrame), the front-end relays the frame's bytes without looking
 // inside (ReadFrame, then a plain Write), and the client decodes it once
-// (DecodeFrame) — output buffers cross the system without being re-encoded,
+// (decodeFrame) — output buffers cross the system without being re-encoded,
 // as §2.4 asks of every buffer. Chunk frames are never compressed: no
 // deployment has a result link slower than loopback to pay for it.
 package frontend
@@ -319,22 +319,22 @@ func FromChunkJSON(cj *ChunkJSON) (*chunk.Chunk, error) {
 	return c, nil
 }
 
-// MaxControlLineBytes caps one control line. With chunks out of JSON the
+// maxControlLineBytes caps one control line. With chunks out of JSON the
 // largest line is the front-end's merged done frame, which carries every
 // node's trace at 1-2 KiB each, so 4 MiB leaves room for a mesh of two
 // thousand nodes while bounding what a peer that never sends a newline
 // — including an unauthenticated socket on a node's control port — can make
 // the reader buffer.
-const MaxControlLineBytes = 4 << 20
+const maxControlLineBytes = 4 << 20
 
-// ErrLineTooLong is returned (wrapped) by ReadJSON and ReadFrame when a
-// control line exceeds MaxControlLineBytes.
-var ErrLineTooLong = errors.New("frontend: control line too long")
+// errLineTooLong is returned (wrapped) by ReadJSON and ReadFrame when a
+// control line exceeds maxControlLineBytes.
+var errLineTooLong = errors.New("frontend: control line too long")
 
-// ErrFrame is returned (wrapped) by ReadFrame and DecodeFrame for a stream
+// errFrame is returned (wrapped) by ReadFrame and decodeFrame for a stream
 // that breaks the framing: an unknown leading byte, a chunk frame longer than
 // rpc.MaxFrameBytes, a frame that does not hold what its header declares.
-var ErrFrame = errors.New("frontend: malformed frame")
+var errFrame = errors.New("frontend: malformed frame")
 
 // WriteJSON writes one control line: v as JSON, newline-terminated.
 func WriteJSON(w io.Writer, v interface{}) error {
@@ -347,13 +347,13 @@ func WriteJSON(w io.Writer, v interface{}) error {
 	return err
 }
 
-// ReadJSON reads one control line of at most MaxControlLineBytes into v.
+// ReadJSON reads one control line of at most maxControlLineBytes into v.
 func ReadJSON(r *bufio.Reader, v interface{}) error {
 	var line []byte
 	for {
 		frag, err := r.ReadSlice('\n')
-		if len(line)+len(frag) > MaxControlLineBytes {
-			return fmt.Errorf("%w: over %d bytes without a newline", ErrLineTooLong, MaxControlLineBytes)
+		if len(line)+len(frag) > maxControlLineBytes {
+			return fmt.Errorf("%w: over %d bytes without a newline", errLineTooLong, maxControlLineBytes)
 		}
 		line = append(line, frag...)
 		if err == nil {
@@ -391,7 +391,7 @@ func AppendFrame(dst []byte, c *chunk.Chunk) ([]byte, error) {
 
 // ReadFrame reads the next frame of a result stream and returns exactly one
 // of: a whole chunk frame (header included, ready to be written on verbatim
-// or handed to DecodeFrame) or a decoded control line. With pooled set the
+// or handed to decodeFrame) or a decoded control line. With pooled set the
 // chunk frame's buffer comes from bufpool and the caller must bufpool.Put it
 // — the relay's case, where the bytes die as soon as they are forwarded;
 // otherwise it is freshly allocated and may be retained — the clients' case,
@@ -420,7 +420,7 @@ func ReadFrame(r *bufio.Reader, pooled bool) (frame []byte, msg *Message, err er
 		}
 		n := binary.LittleEndian.Uint32(hdr[1:])
 		if n > rpc.MaxFrameBytes {
-			return nil, nil, fmt.Errorf("%w: chunk frame of %d bytes, limit %d", ErrFrame, n, rpc.MaxFrameBytes)
+			return nil, nil, fmt.Errorf("%w: chunk frame of %d bytes, limit %d", errFrame, n, rpc.MaxFrameBytes)
 		}
 		size := frameHeaderLen + int(n)
 		if pooled {
@@ -436,20 +436,20 @@ func ReadFrame(r *bufio.Reader, pooled bool) (frame []byte, msg *Message, err er
 		}
 		return frame, nil, nil
 	default:
-		return nil, nil, fmt.Errorf("%w: leading byte %#02x is neither a control line nor a chunk frame", ErrFrame, first[0])
+		return nil, nil, fmt.Errorf("%w: leading byte %#02x is neither a control line nor a chunk frame", errFrame, first[0])
 	}
 }
 
-// DecodeFrame decodes a chunk frame read by ReadFrame into the client
+// decodeFrame decodes a chunk frame read by ReadFrame into the client
 // representation. Item values alias frame.
-func DecodeFrame(frame []byte) (*ChunkJSON, error) {
+func decodeFrame(frame []byte) (*ChunkJSON, error) {
 	if len(frame) < frameHeaderLen || frame[0] != frameTag ||
 		int(binary.LittleEndian.Uint32(frame[1:])) != len(frame)-frameHeaderLen {
-		return nil, fmt.Errorf("%w: header does not match %d frame bytes", ErrFrame, len(frame))
+		return nil, fmt.Errorf("%w: header does not match %d frame bytes", errFrame, len(frame))
 	}
 	c, err := chunk.DecodeAny(frame[frameHeaderLen:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrFrame, err)
+		return nil, fmt.Errorf("%w: %w", errFrame, err)
 	}
 	return ToChunkJSON(c), nil
 }

@@ -22,16 +22,16 @@ import (
 // Everywhere a timeout or retry count is configurable, 0 selects the default
 // and a negative value disables the mechanism.
 const (
-	// DefaultDialTimeout bounds connection establishment to a node or
+	// defaultDialTimeout bounds connection establishment to a node or
 	// front-end.
-	DefaultDialTimeout = 10 * time.Second
-	// DefaultStreamTimeout bounds each frame read on a result stream. It
+	defaultDialTimeout = 10 * time.Second
+	// defaultStreamTimeout bounds each frame read on a result stream. It
 	// must comfortably exceed the back-end's query execution time: the first
 	// frame only arrives once the node starts producing output.
-	DefaultStreamTimeout = 2 * time.Minute
-	// DefaultBusyRetries is how many times a query is resubmitted after a
+	defaultStreamTimeout = 2 * time.Minute
+	// defaultBusyRetries is how many times a query is resubmitted after a
 	// retryable failure before the error is returned.
-	DefaultBusyRetries = 3
+	defaultBusyRetries = 3
 	// busyRetryBase seeds the exponential backoff between retries.
 	busyRetryBase = 50 * time.Millisecond
 )
@@ -66,11 +66,11 @@ func busyBackoff(attempt int) time.Duration {
 }
 
 // retryBusy runs once, and again after each retryable failure — at most
-// retries more times (0 selects DefaultBusyRetries, negative disables), with
+// retries more times (0 selects defaultBusyRetries, negative disables), with
 // jittered backoff in between — and returns the last attempt's error.
 func retryBusy(retries int, once func() error) error {
 	if retries == 0 {
-		retries = DefaultBusyRetries
+		retries = defaultBusyRetries
 	}
 	for attempt := 0; ; attempt++ {
 		err := once()
@@ -255,24 +255,17 @@ type Client struct {
 	r    *bufio.Reader
 
 	// ReadTimeout bounds each frame read on the result stream (0 selects
-	// DefaultStreamTimeout, negative disables).
+	// 2 min, negative disables).
 	ReadTimeout time.Duration
 	// BusyRetries is how many times Query resubmits after a retryable error
 	// frame — admission "busy", exhausted degraded retries — with jittered
-	// backoff between attempts (0 selects DefaultBusyRetries, negative
-	// disables).
+	// backoff between attempts (0 selects 3, negative disables).
 	BusyRetries int
 }
 
-// Dial connects to a front-end with the default connect timeout.
+// Dial connects to a front-end, bounding the connect by 10 s.
 func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 0)
-}
-
-// DialTimeout is Dial with an explicit connect timeout (0 selects
-// DefaultDialTimeout, negative disables).
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeoutOrDefault(timeout, DefaultDialTimeout))
+	conn, err := net.DialTimeout("tcp", addr, defaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -301,8 +294,8 @@ func (c *Client) queryOnce(spec *QuerySpec) ([]*ChunkJSON, *DoneStats, error) {
 		return nil, nil, err
 	}
 	var chunks []*ChunkJSON
-	stats, _, err := readFrames(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, DefaultStreamTimeout), false, -1, func(frame []byte) error {
-		cj, err := DecodeFrame(frame)
+	stats, _, err := readFrames(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, defaultStreamTimeout), false, -1, func(frame []byte) error {
+		cj, err := decodeFrame(frame)
 		if err == nil {
 			chunks = append(chunks, cj)
 		}

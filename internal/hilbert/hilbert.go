@@ -16,16 +16,16 @@ package hilbert
 
 import "fmt"
 
-// Curve maps between points on an n-dimensional lattice with 2^Order cells
+// curve maps between points on an n-dimensional lattice with 2^order cells
 // per side and positions along the Hilbert curve that visits every cell.
-type Curve struct {
+type curve struct {
 	dims  int
 	order int
 }
 
-// New returns a Hilbert curve over dims dimensions with 2^order cells per
+// newCurve returns a Hilbert curve over dims dimensions with 2^order cells per
 // dimension. dims*order must fit in 64 bits so indices fit in a uint64.
-func New(dims, order int) (*Curve, error) {
+func newCurve(dims, order int) (*curve, error) {
 	if dims < 1 {
 		return nil, fmt.Errorf("hilbert: dims %d < 1", dims)
 	}
@@ -35,20 +35,14 @@ func New(dims, order int) (*Curve, error) {
 	if dims*order > 64 {
 		return nil, fmt.Errorf("hilbert: dims*order = %d exceeds 64 bits", dims*order)
 	}
-	return &Curve{dims: dims, order: order}, nil
+	return &curve{dims: dims, order: order}, nil
 }
 
-// Dims returns the curve's dimensionality.
-func (c *Curve) Dims() int { return c.dims }
-
-// Order returns the number of bits per dimension.
-func (c *Curve) Order() int { return c.order }
-
 // Side returns the number of lattice cells per dimension, 2^order.
-func (c *Curve) Side() uint64 { return 1 << uint(c.order) }
+func (c *curve) Side() uint64 { return 1 << uint(c.order) }
 
 // MaxIndex returns the largest valid curve index, Side^dims - 1.
-func (c *Curve) MaxIndex() uint64 {
+func (c *curve) MaxIndex() uint64 {
 	bits := uint(c.dims * c.order)
 	if bits == 64 {
 		return ^uint64(0)
@@ -59,7 +53,7 @@ func (c *Curve) MaxIndex() uint64 {
 // Index returns the Hilbert curve index of the lattice point coords. Each
 // coordinate must be < Side(). The mapping is a bijection between lattice
 // points and [0, MaxIndex()].
-func (c *Curve) Index(coords []uint64) (uint64, error) {
+func (c *curve) Index(coords []uint64) (uint64, error) {
 	if len(coords) != c.dims {
 		return 0, fmt.Errorf("hilbert: got %d coordinates, curve has %d dims", len(coords), c.dims)
 	}
@@ -76,7 +70,7 @@ func (c *Curve) Index(coords []uint64) (uint64, error) {
 }
 
 // Coords inverts Index: it returns the lattice point at curve position idx.
-func (c *Curve) Coords(idx uint64) ([]uint64, error) {
+func (c *curve) Coords(idx uint64) ([]uint64, error) {
 	if idx > c.MaxIndex() {
 		return nil, errRange(idx, c.MaxIndex())
 	}
@@ -91,7 +85,7 @@ func errRange(idx, max uint64) error {
 
 // axesToTranspose converts axis coordinates into the transposed Hilbert
 // index in place (Skilling's AxestoTranspose).
-func (c *Curve) axesToTranspose(x []uint64) {
+func (c *curve) axesToTranspose(x []uint64) {
 	n := c.dims
 	b := uint(c.order)
 	m := uint64(1) << (b - 1)
@@ -126,7 +120,7 @@ func (c *Curve) axesToTranspose(x []uint64) {
 
 // transposeToAxes converts a transposed Hilbert index into axis coordinates
 // in place (Skilling's TransposetoAxes).
-func (c *Curve) transposeToAxes(x []uint64) {
+func (c *curve) transposeToAxes(x []uint64) {
 	n := c.dims
 	b := uint(c.order)
 	m := uint64(2) << (b - 1)
@@ -155,7 +149,7 @@ func (c *Curve) transposeToAxes(x []uint64) {
 // interleave packs the transposed form into a single index: bit (b-1-j) of
 // x[i] becomes bit ((b-1-j)*n + (n-1-i)) of the result, i.e. one bit from
 // each dimension per level, most significant level first.
-func (c *Curve) interleave(x []uint64) uint64 {
+func (c *curve) interleave(x []uint64) uint64 {
 	var out uint64
 	b := c.order
 	n := c.dims
@@ -168,7 +162,7 @@ func (c *Curve) interleave(x []uint64) uint64 {
 }
 
 // deinterleave unpacks a single index into the transposed form.
-func (c *Curve) deinterleave(idx uint64) []uint64 {
+func (c *curve) deinterleave(idx uint64) []uint64 {
 	b := c.order
 	n := c.dims
 	x := make([]uint64, n)

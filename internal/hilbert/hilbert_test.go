@@ -8,11 +8,11 @@ import (
 	"adr/internal/space"
 )
 
-func mustCurve(t *testing.T, dims, order int) *Curve {
+func mustCurve(t *testing.T, dims, order int) *curve {
 	t.Helper()
-	c, err := New(dims, order)
+	c, err := newCurve(dims, order)
 	if err != nil {
-		t.Fatalf("New(%d,%d): %v", dims, order, err)
+		t.Fatalf("newCurve(%d,%d): %v", dims, order, err)
 	}
 	return c
 }
@@ -21,12 +21,12 @@ func TestNewValidation(t *testing.T) {
 	for _, tc := range []struct{ dims, order int }{
 		{0, 4}, {-1, 4}, {2, 0}, {2, 33}, {9, 8},
 	} {
-		if _, err := New(tc.dims, tc.order); err == nil {
-			t.Errorf("New(%d,%d) should fail", tc.dims, tc.order)
+		if _, err := newCurve(tc.dims, tc.order); err == nil {
+			t.Errorf("newCurve(%d,%d) should fail", tc.dims, tc.order)
 		}
 	}
-	if _, err := New(2, 32); err != nil {
-		t.Errorf("New(2,32) should work: %v", err)
+	if _, err := newCurve(2, 32); err != nil {
+		t.Errorf("newCurve(2,32) should work: %v", err)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestQuantizerErrors(t *testing.T) {
 
 func TestOrderFor(t *testing.T) {
 	cases := []struct{ dims, want int }{
-		{1, 16}, {2, 16}, {3, 16}, {4, 16}, {5, 12}, {8, 8}, {0, DefaultOrder},
+		{1, 16}, {2, 16}, {3, 16}, {4, 16}, {5, 12}, {8, 8}, {0, defaultOrder},
 	}
 	for _, c := range cases {
 		if got := OrderFor(c.dims); got != c.want {
@@ -238,7 +238,7 @@ func TestOrderFor(t *testing.T) {
 }
 
 func BenchmarkIndex2D(b *testing.B) {
-	c, _ := New(2, 16)
+	c, _ := newCurve(2, 16)
 	coords := []uint64{12345, 54321}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -249,7 +249,7 @@ func BenchmarkIndex2D(b *testing.B) {
 }
 
 func BenchmarkCoords3D(b *testing.B) {
-	c, _ := New(3, 16)
+	c, _ := newCurve(3, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Coords(uint64(i) & c.MaxIndex()); err != nil {

@@ -12,24 +12,24 @@ import (
 // mid-point of the bounding box of each output chunk is used to generate a
 // Hilbert curve index") and to decluster chunks across disks (§2.2).
 type Quantizer struct {
-	curve  *Curve
+	curve  *curve
 	bounds space.Rect
 }
 
-// DefaultOrder is the lattice resolution used when callers have no reason to
+// defaultOrder is the lattice resolution used when callers have no reason to
 // pick another: 16 bits per dimension resolves 65536 positions per axis,
 // far finer than any chunk layout in the paper's applications.
-const DefaultOrder = 16
+const defaultOrder = 16
 
 // OrderFor returns the largest per-dimension order not exceeding
-// DefaultOrder that still fits a dims-dimensional index in 64 bits.
+// defaultOrder that still fits a dims-dimensional index in 64 bits.
 func OrderFor(dims int) int {
 	if dims < 1 {
-		return DefaultOrder
+		return defaultOrder
 	}
 	o := 64 / dims
-	if o > DefaultOrder {
-		o = DefaultOrder
+	if o > defaultOrder {
+		o = defaultOrder
 	}
 	if o < 1 {
 		o = 1
@@ -44,15 +44,12 @@ func NewQuantizer(bounds space.Rect, order int) (*Quantizer, error) {
 	if bounds.IsEmpty() {
 		return nil, fmt.Errorf("hilbert: quantizer over empty bounds")
 	}
-	c, err := New(bounds.Dims, order)
+	c, err := newCurve(bounds.Dims, order)
 	if err != nil {
 		return nil, err
 	}
 	return &Quantizer{curve: c, bounds: bounds}, nil
 }
-
-// Curve exposes the underlying curve.
-func (q *Quantizer) Curve() *Curve { return q.curve }
 
 // Index returns the Hilbert index of point p. Points outside the bounds are
 // clamped onto the boundary lattice cells so that slightly-out-of-range

@@ -2,8 +2,7 @@
 // over chunk MBRs. An index returns the set of chunks containing data items
 // that fall inside a multi-dimensional range query (paper §2.1). The default
 // index is an R-tree built over chunk MBRs after loading (§2.2 step 4); a
-// linear index serves as the reference implementation and as the index of
-// last resort for tiny datasets.
+// linear index is the reference implementation the R-tree is tested against.
 package index
 
 import (

@@ -63,10 +63,49 @@ func TestLinearSearch(t *testing.T) {
 	}
 }
 
+// height returns the number of levels in the tree (0 for an empty tree).
+func (t *RTree) height() int {
+	h := 0
+	for n := t.root; n != nil; {
+		h++
+		if n.leaf {
+			break
+		}
+		n = n.children[0]
+	}
+	return h
+}
+
+// validate checks the structural invariants of a bulk-loaded tree: every
+// node's MBR contains its children's, and no node exceeds the fanout.
+func (t *RTree) validate() bool {
+	if t.root == nil {
+		return true
+	}
+	var walk func(n *rnode) bool
+	walk = func(n *rnode) bool {
+		if n.leaf {
+			for _, e := range n.entries {
+				if !n.mbr.ContainsRect(e.MBR) {
+					return false
+				}
+			}
+			return len(n.entries) <= t.fanout
+		}
+		for _, c := range n.children {
+			if !n.mbr.ContainsRect(c.mbr) || !walk(c) {
+				return false
+			}
+		}
+		return len(n.children) <= t.fanout
+	}
+	return walk(t.root)
+}
+
 func TestBulkLoadEmpty(t *testing.T) {
 	tr := BulkLoad(nil, 0)
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Errorf("empty tree Len=%d Height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || tr.height() != 0 {
+		t.Errorf("empty tree Len=%d Height=%d", tr.Len(), tr.height())
 	}
 	if got := tr.Search(space.R(0, 1)); got != nil {
 		t.Errorf("empty tree Search = %v", got)
@@ -80,11 +119,11 @@ func TestBulkLoadStructure(t *testing.T) {
 	if tr.Len() != 1000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if !tr.Validate() {
+	if !tr.validate() {
 		t.Fatal("tree invariants violated after bulk load")
 	}
 	// 1000 entries at fanout 8: leaves=125, level2=16, level3=2, root -> 4 levels.
-	if h := tr.Height(); h != 4 {
+	if h := tr.height(); h != 4 {
 		t.Errorf("Height = %d, want 4", h)
 	}
 }
@@ -119,53 +158,6 @@ func TestQuickRTreeMatchesLinear(t *testing.T) {
 	}
 }
 
-func TestInsertMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	entries := randEntries(rng, 400, 2)
-	tr := &RTree{fanout: 8}
-	for _, e := range entries {
-		tr.Insert(e)
-	}
-	if tr.Len() != 400 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if !tr.Validate() {
-		t.Fatal("tree invariants violated after inserts")
-	}
-	lin := NewLinear(entries)
-	for q := 0; q < 100; q++ {
-		query := randQuery(rng, 2)
-		if !sameIDs(tr.Search(query), lin.Search(query)) {
-			t.Fatalf("query %v mismatch after inserts", query)
-		}
-	}
-}
-
-func TestInsertIntoBulkLoaded(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	base := randEntries(rng, 200, 2)
-	tr := BulkLoad(base, 8)
-	extra := randEntries(rng, 200, 2)
-	for i := range extra {
-		extra[i].ID += 1000
-		tr.Insert(extra[i])
-	}
-	all := append(append([]Entry(nil), base...), extra...)
-	lin := NewLinear(all)
-	if tr.Len() != 400 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	for q := 0; q < 100; q++ {
-		query := randQuery(rng, 2)
-		if !sameIDs(tr.Search(query), lin.Search(query)) {
-			t.Fatalf("query %v mismatch after mixed load", query)
-		}
-	}
-	if !tr.Validate() {
-		t.Fatal("invariants violated")
-	}
-}
-
 func TestSearchCoversWholeSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	entries := randEntries(rng, 250, 2)
@@ -184,7 +176,7 @@ func TestSearchCoversWholeSpace(t *testing.T) {
 func BenchmarkRTreeSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	entries := randEntries(rng, 100000, 2)
-	tr := BulkLoad(entries, DefaultFanout)
+	tr := BulkLoad(entries, defaultFanout)
 	queries := make([]space.Rect, 64)
 	for i := range queries {
 		queries[i] = randQuery(rng, 2)
@@ -201,6 +193,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 	entries := randEntries(rng, 50000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BulkLoad(entries, DefaultFanout)
+		BulkLoad(entries, defaultFanout)
 	}
 }

@@ -12,13 +12,12 @@ import (
 // entries by the Hilbert index of their MBR mid-points and packs them into
 // nodes bottom-up, which yields well-clustered leaves for the spatially
 // declustered chunk layouts ADR produces (the same locality argument the
-// paper makes for Hilbert-ordered tiling, §3). Dynamic Insert is supported
-// for datasets that grow after loading (query outputs stored back into ADR).
+// paper makes for Hilbert-ordered tiling, §3). A dataset's tree is built
+// once, when its catalog is loaded.
 type RTree struct {
-	root    *rnode
-	fanout  int
-	count   int
-	maxDims int
+	root   *rnode
+	fanout int
+	count  int
 }
 
 type rnode struct {
@@ -28,22 +27,21 @@ type rnode struct {
 	children []*rnode // internal payload
 }
 
-// DefaultFanout is the node capacity used when callers pass fanout <= 0. 16
+// defaultFanout is the node capacity used when callers pass fanout <= 0. 16
 // keeps trees shallow for the catalog sizes in the paper (up to ~144K
 // chunks: 4 levels) while keeping per-node scans cheap.
-const DefaultFanout = 16
+const defaultFanout = 16
 
 // BulkLoad builds an R-tree over entries. All MBRs must share a
 // dimensionality. The input slice is not retained.
 func BulkLoad(entries []Entry, fanout int) *RTree {
 	if fanout <= 0 {
-		fanout = DefaultFanout
+		fanout = defaultFanout
 	}
 	t := &RTree{fanout: fanout}
 	if len(entries) == 0 {
 		return t
 	}
-	t.maxDims = entries[0].MBR.Dims
 	t.count = len(entries)
 
 	sorted := make([]Entry, len(entries))
@@ -152,129 +150,3 @@ func (t *RTree) Search(query space.Rect) []chunk.ID {
 
 // Len returns the number of indexed entries.
 func (t *RTree) Len() int { return t.count }
-
-// Height returns the number of levels in the tree (0 for an empty tree).
-func (t *RTree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
-}
-
-// Insert adds one entry, growing the tree with a classic
-// smallest-enlargement descent and splitting overfull nodes by Hilbert
-// order of their contents.
-func (t *RTree) Insert(e Entry) {
-	t.count++
-	if t.root == nil {
-		t.maxDims = e.MBR.Dims
-		t.root = &rnode{leaf: true, entries: []Entry{e}, mbr: e.MBR}
-		return
-	}
-	split := t.insert(t.root, e)
-	if split != nil {
-		old := t.root
-		t.root = &rnode{children: []*rnode{old, split}, mbr: old.mbr.Union(split.mbr)}
-	}
-}
-
-// insert adds e under n and returns a new sibling if n split.
-func (t *RTree) insert(n *rnode, e Entry) *rnode {
-	n.mbr = n.mbr.Union(e.MBR)
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.fanout {
-			return t.splitLeaf(n)
-		}
-		return nil
-	}
-	// Choose the child whose MBR needs least enlargement, breaking ties by
-	// smaller volume.
-	best, bestGrow, bestVol := -1, 0.0, 0.0
-	for i, c := range n.children {
-		grow := c.mbr.Union(e.MBR).Volume() - c.mbr.Volume()
-		vol := c.mbr.Volume()
-		if best < 0 || grow < bestGrow || (grow == bestGrow && vol < bestVol) {
-			best, bestGrow, bestVol = i, grow, vol
-		}
-	}
-	split := t.insert(n.children[best], e)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.fanout {
-			return t.splitInternal(n)
-		}
-	}
-	return nil
-}
-
-func (t *RTree) splitLeaf(n *rnode) *rnode {
-	sortByHilbert(n.entries)
-	mid := len(n.entries) / 2
-	sib := &rnode{leaf: true, entries: append([]Entry(nil), n.entries[mid:]...)}
-	n.entries = n.entries[:mid]
-	n.mbr, sib.mbr = space.Rect{}, space.Rect{}
-	for _, e := range n.entries {
-		n.mbr = n.mbr.Union(e.MBR)
-	}
-	for _, e := range sib.entries {
-		sib.mbr = sib.mbr.Union(e.MBR)
-	}
-	return sib
-}
-
-func (t *RTree) splitInternal(n *rnode) *rnode {
-	sort.Slice(n.children, func(i, j int) bool {
-		a, b := n.children[i].mbr.Center(), n.children[j].mbr.Center()
-		for d := 0; d < a.Dims; d++ {
-			if a.Coords[d] != b.Coords[d] {
-				return a.Coords[d] < b.Coords[d]
-			}
-		}
-		return false
-	})
-	mid := len(n.children) / 2
-	sib := &rnode{children: append([]*rnode(nil), n.children[mid:]...)}
-	n.children = n.children[:mid]
-	n.mbr, sib.mbr = space.Rect{}, space.Rect{}
-	for _, c := range n.children {
-		n.mbr = n.mbr.Union(c.mbr)
-	}
-	for _, c := range sib.children {
-		sib.mbr = sib.mbr.Union(c.mbr)
-	}
-	return sib
-}
-
-// checkInvariants verifies structural invariants: every node MBR contains
-// its children's MBRs, leaves at uniform depth for bulk-loaded trees is NOT
-// guaranteed after Insert, so only containment and fanout are checked.
-// Exposed for tests via Validate.
-func (t *RTree) Validate() bool {
-	if t.root == nil {
-		return true
-	}
-	var walk func(n *rnode) bool
-	walk = func(n *rnode) bool {
-		if n.leaf {
-			for _, e := range n.entries {
-				if !n.mbr.ContainsRect(e.MBR) {
-					return false
-				}
-			}
-			return len(n.entries) <= t.fanout
-		}
-		for _, c := range n.children {
-			if !n.mbr.ContainsRect(c.mbr) || !walk(c) {
-				return false
-			}
-		}
-		return len(n.children) <= t.fanout
-	}
-	return walk(t.root)
-}

@@ -41,7 +41,7 @@ const admissionDivisor = 8
 //     (one giant chunk must not flush the hot set).
 //
 // Cached payloads are shared, not copied, on the read path — the same
-// immutability contract MemStore.Get already imposes on engine code.
+// immutability contract memStore.Get already imposes on engine code.
 // All methods are safe for concurrent use.
 type ChunkCache struct {
 	budget   int64

@@ -30,7 +30,7 @@ func (s *countingStore) Get(dataset string, id chunk.ID) ([]byte, error) {
 
 func newCountedCache(t *testing.T, budget int64, delay time.Duration) (*CachedStore, *countingStore, *ChunkCache) {
 	t.Helper()
-	base := &countingStore{Store: NewMemStore(), delay: delay}
+	base := &countingStore{Store: newMemStore(), delay: delay}
 	cache := NewChunkCache(budget)
 	return NewCachedStore(base, cache), base, cache
 }

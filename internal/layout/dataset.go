@@ -87,7 +87,7 @@ func NewFarm(nodes, disksPerNode int, newStore func(disk int) (Store, error)) (*
 
 // NewMemFarm builds a farm of in-memory disks.
 func NewMemFarm(nodes, disksPerNode int) (*Farm, error) {
-	return NewFarm(nodes, disksPerNode, func(int) (Store, error) { return NewMemStore(), nil })
+	return NewFarm(nodes, disksPerNode, func(int) (Store, error) { return newMemStore(), nil })
 }
 
 // WithCache wraps every disk store of the farm so reads are served through
@@ -139,8 +139,6 @@ func (f *Farm) Close() error {
 // rebuilds at every daemon start.
 type Loader struct {
 	Farm *Farm
-	// Assigner computes placement; nil selects Hilbert declustering.
-	Assigner decluster.Assigner
 	// Replicas is the number of copies stored per chunk (chained replica
 	// placement; see decluster.Replicate). <= 1 stores a single copy, the
 	// classic ADR layout. With >= 2 copies on a multi-node farm, queries can
@@ -183,12 +181,8 @@ func (l *Loader) Load(name string, sp space.AttrSpace, chunks []*chunk.Chunk) (*
 		}
 		entries[i] = index.Entry{MBR: c.Meta.MBR, ID: c.Meta.ID}
 	}
-	// Step 2: placement.
-	assigner := l.Assigner
-	if assigner == nil {
-		assigner = decluster.Hilbert{Bounds: sp.Bounds}
-	}
-	disks := assigner.Assign(entries, l.Farm.NumDisks())
+	// Step 2: placement, by Hilbert declustering.
+	disks := decluster.Hilbert{Bounds: sp.Bounds}.Assign(entries, l.Farm.NumDisks())
 	holders := decluster.Replicate(disks, l.Farm.NumDisks(), l.Farm.DisksPerNode, l.Replicas)
 	// Step 3: move chunks to disks (parallel across disks, as the utility
 	// functions of the dataset service would drive the real farm). With

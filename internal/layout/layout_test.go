@@ -14,7 +14,7 @@ import (
 )
 
 func TestMemStoreRoundTrip(t *testing.T) {
-	s := NewMemStore()
+	s := newMemStore()
 	defer s.Close()
 	if s.Has("d", 0) {
 		t.Error("empty store claims chunk")
@@ -152,7 +152,7 @@ func TestQuickStoresAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	ms := NewMemStore()
+	ms := newMemStore()
 	rng := rand.New(rand.NewSource(8))
 	f := func() bool {
 		id := chunk.ID(rng.Intn(20))

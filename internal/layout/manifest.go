@@ -77,8 +77,8 @@ func rectFromJSON(lo, hi []float64) (space.Rect, error) {
 	return space.R(bounds...), nil
 }
 
-// ManifestPath returns the manifest location within a farm directory.
-func ManifestPath(dataDir string) string {
+// manifestPath returns the manifest location within a farm directory.
+func manifestPath(dataDir string) string {
 	return filepath.Join(dataDir, "manifest.json")
 }
 
@@ -114,17 +114,17 @@ func SaveManifest(dataDir string, nodes, disksPerNode int, datasets []*Dataset) 
 	if err != nil {
 		return err
 	}
-	tmp := ManifestPath(dataDir) + ".tmp"
+	tmp := manifestPath(dataDir) + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, ManifestPath(dataDir))
+	return os.Rename(tmp, manifestPath(dataDir))
 }
 
 // LoadManifest reads a farm's catalog and reconstructs the datasets
 // (rebuilding the R-tree indices from chunk MBRs, §2.2 step 4).
 func LoadManifest(dataDir string) (*Manifest, []*Dataset, error) {
-	data, err := os.ReadFile(ManifestPath(dataDir))
+	data, err := os.ReadFile(manifestPath(dataDir))
 	if err != nil {
 		return nil, nil, fmt.Errorf("layout: read manifest: %w", err)
 	}

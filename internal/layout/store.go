@@ -50,19 +50,19 @@ type storeKey struct {
 	id      chunk.ID
 }
 
-// MemStore is an in-memory Store, used by the in-process engine and tests.
-type MemStore struct {
+// memStore is an in-memory Store, used by the in-process engine and tests.
+type memStore struct {
 	mu   sync.RWMutex
 	data map[storeKey][]byte
 }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{data: make(map[storeKey][]byte)}
+// newMemStore returns an empty in-memory store.
+func newMemStore() *memStore {
+	return &memStore{data: make(map[storeKey][]byte)}
 }
 
 // Put stores a copy of data.
-func (s *MemStore) Put(dataset string, id chunk.ID, data []byte) error {
+func (s *memStore) Put(dataset string, id chunk.ID, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.data[storeKey{dataset, id}] = append([]byte(nil), data...)
@@ -70,7 +70,7 @@ func (s *MemStore) Put(dataset string, id chunk.ID, data []byte) error {
 }
 
 // Get retrieves the stored payload (not a copy; callers must not mutate).
-func (s *MemStore) Get(dataset string, id chunk.ID) ([]byte, error) {
+func (s *memStore) Get(dataset string, id chunk.ID) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	d, ok := s.data[storeKey{dataset, id}]
@@ -81,7 +81,7 @@ func (s *MemStore) Get(dataset string, id chunk.ID) ([]byte, error) {
 }
 
 // Has reports presence.
-func (s *MemStore) Has(dataset string, id chunk.ID) bool {
+func (s *memStore) Has(dataset string, id chunk.ID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	_, ok := s.data[storeKey{dataset, id}]
@@ -89,10 +89,10 @@ func (s *MemStore) Has(dataset string, id chunk.ID) bool {
 }
 
 // Close is a no-op.
-func (s *MemStore) Close() error { return nil }
+func (s *memStore) Close() error { return nil }
 
 // Len returns the number of stored chunks.
-func (s *MemStore) Len() int {
+func (s *memStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.data)

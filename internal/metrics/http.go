@@ -150,10 +150,10 @@ func (l *QueryLog) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(page)
 }
 
-// Handler returns the /metrics endpoint for a registry: Prometheus text by
+// handler returns the /metrics endpoint for a registry: Prometheus text by
 // default, expvar-style JSON with ?format=json or an Accept header
 // preferring application/json.
-func Handler(r *Registry) http.Handler {
+func handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		wantJSON := req.URL.Query().Get("format") == "json" ||
 			strings.Contains(req.Header.Get("Accept"), "application/json")
@@ -189,7 +189,7 @@ func Serve(addr string, reg *Registry, ql *QueryLog) (*Server, error) {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(reg))
+	mux.Handle("/metrics", handler(reg))
 	if ql != nil {
 		mux.Handle("/debug/queries", ql)
 	}

@@ -13,7 +13,7 @@ import (
 // populated registry and query log.
 func startTestServer(t *testing.T) (*Server, *Registry, *QueryLog) {
 	t.Helper()
-	reg := NewRegistry()
+	reg := newRegistry()
 	reg.Counter("adr_disk_reads_total").Add(7)
 	reg.Gauge("adr_node_queries_inflight").Set(1)
 	reg.Histogram("adr_disk_read_seconds", nil).Observe(0.002)
@@ -136,7 +136,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestQueryLogRing(t *testing.T) {
-	ql := NewQueryLog(NewRegistry(), "adr_test")
+	ql := NewQueryLog(newRegistry(), "adr_test")
 	for i := 0; i < recentKeep+10; i++ {
 		rec := ql.Begin(int32(i), "q")
 		ql.End(rec, nil, EndStats{})
@@ -154,7 +154,7 @@ func TestQueryLogRing(t *testing.T) {
 }
 
 func TestQueryLogError(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	ql := NewQueryLog(reg, "adr_test")
 	rec := ql.Begin(7, "bad")
 	ql.End(rec, errors.New("no such dataset"), EndStats{})

@@ -127,25 +127,6 @@ func (n *Node) AddPhase(p Phase, d time.Duration) {
 	n.phaseNanos[p].Add(int64(d))
 }
 
-// PhaseTime returns the accumulated time for a phase.
-func (n *Node) PhaseTime(p Phase) time.Duration {
-	return time.Duration(n.phaseNanos[p].Load())
-}
-
-// ComputeTime returns the total time across all phases.
-func (n *Node) ComputeTime() time.Duration {
-	var total time.Duration
-	for p := Phase(0); p < numPhases; p++ {
-		total += n.PhaseTime(p)
-	}
-	return total
-}
-
-// CommBytes returns send+receive volume.
-func (n *Node) CommBytes() int64 {
-	return n.BytesSent.Load() + n.BytesRecv.Load()
-}
-
 // Snapshot is an immutable copy of a Node's counters, safe to aggregate and
 // serialize.
 type Snapshot struct {

@@ -28,11 +28,11 @@ func TestPhaseAccumulation(t *testing.T) {
 	n.AddPhase(LocalReduction, 2*time.Second)
 	n.AddPhase(LocalReduction, 3*time.Second)
 	n.AddPhase(GlobalCombine, time.Second)
-	if got := n.PhaseTime(LocalReduction); got != 5*time.Second {
+	if got := time.Duration(n.phaseNanos[LocalReduction].Load()); got != 5*time.Second {
 		t.Errorf("LR time = %v", got)
 	}
-	if got := n.ComputeTime(); got != 6*time.Second {
-		t.Errorf("total = %v", got)
+	if got := time.Duration(n.phaseNanos[GlobalCombine].Load()); got != time.Second {
+		t.Errorf("GC time = %v", got)
 	}
 }
 
@@ -42,8 +42,8 @@ func TestCounters(t *testing.T) {
 	n.BytesSent.Add(10)
 	n.BytesRecv.Add(20)
 	n.AggOps.Add(7)
-	if n.CommBytes() != 30 {
-		t.Errorf("CommBytes = %d", n.CommBytes())
+	if (n.BytesSent.Load() + n.BytesRecv.Load()) != 30 {
+		t.Errorf("CommBytes = %d", (n.BytesSent.Load() + n.BytesRecv.Load()))
 	}
 	s := n.Snapshot()
 	if s.BytesRead != 100 || s.AggOps != 7 || s.CommBytes() != 30 {
@@ -78,7 +78,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if n.AggOps.Load() != 8000 {
 		t.Errorf("AggOps = %d", n.AggOps.Load())
 	}
-	if n.PhaseTime(LocalReduction) != 8000*time.Nanosecond {
-		t.Errorf("LR = %v", n.PhaseTime(LocalReduction))
+	if time.Duration(n.phaseNanos[LocalReduction].Load()) != 8000*time.Nanosecond {
+		t.Errorf("LR = %v", time.Duration(n.phaseNanos[LocalReduction].Load()))
 	}
 }

@@ -80,9 +80,9 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// DefBuckets suits sub-millisecond to multi-second latencies in seconds —
+// defBuckets suits sub-millisecond to multi-second latencies in seconds —
 // the range spanning an in-memory chunk read to a slow distributed query.
-var DefBuckets = []float64{
+var defBuckets = []float64{
 	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
 }
 
@@ -99,9 +99,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -125,8 +122,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry is a named collection of metrics. The zero value is not usable;
-// call NewRegistry. Most code uses the process-wide Default.
+// Registry is a named collection of metrics. The zero value is not usable:
+// code records into the process-wide Default, and this package's tests
+// build private ones.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -137,11 +135,10 @@ type Registry struct {
 // Default is the process-wide registry that the instrumented subsystems
 // (rpc transports, disk stores, engine, daemons) record into and that the
 // /metrics HTTP surface exports.
-var Default = NewRegistry()
+var Default = newRegistry()
 
-// NewRegistry returns an empty registry. Tests use private registries so
-// assertions do not see traffic from unrelated goroutines.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
@@ -186,7 +183,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
-// upper bounds on first use (nil selects DefBuckets). Later calls ignore
+// upper bounds on first use (nil selects defBuckets). Later calls ignore
 // buckets and return the existing histogram.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	r.mu.RLock()
@@ -201,7 +198,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 		return h
 	}
 	if len(buckets) == 0 {
-		buckets = DefBuckets
+		buckets = defBuckets
 	}
 	bounds := append([]float64(nil), buckets...)
 	sort.Float64s(bounds)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c1 := r.Counter("adr_test_total")
 	c2 := r.Counter("adr_test_total")
 	if c1 != c2 {
@@ -33,7 +33,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 // many goroutines; run under -race this is the registry's thread-safety
 // proof.
 func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const workers = 16
 	const perWorker = 1000
 	var wg sync.WaitGroup
@@ -60,8 +60,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Errorf("gauge = %d, want %d", got, workers*perWorker)
 	}
 	h := r.Histogram("adr_shared_seconds", nil)
-	if h.Count() != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)
+	if h.count.Load() != workers*perWorker {
+		t.Errorf("histogram count = %d, want %d", h.count.Load(), workers*perWorker)
 	}
 	wantSum := float64(workers*perWorker) * 0.001
 	if diff := h.Sum() - wantSum; diff > 1e-6 || diff < -1e-6 {
@@ -102,7 +102,7 @@ func TestGaugeMaxConcurrent(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("adr_lat_seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.005) // bucket le=0.01
 	h.Observe(0.05)  // bucket le=0.1
@@ -121,7 +121,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter(`adr_rpc_sent_bytes_total{peer="0"}`).Add(10)
 	r.Counter(`adr_rpc_sent_bytes_total{peer="1"}`).Add(20)
 	r.Gauge("adr_queries_inflight").Set(3)
@@ -156,7 +156,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("adr_chunks_total").Add(42)
 	r.Gauge("adr_inflight").Set(2)
 	r.Histogram("adr_lat_seconds", []float64{1}).Observe(0.5)

@@ -165,7 +165,7 @@ func (pl *Planner) build(s Strategy, w *Workload) *Plan {
 	read := make(map[[2]int32]struct{}, len(w.Inputs)) // (tile, input) already in a read list
 	forward := make(map[[3]int32]struct{})             // (tile, input, dest) already in a forward list
 
-	for _, c := range TilingOrder(w.Outputs) {
+	for _, c := range tilingOrder(w.Outputs) {
 		h := home(c)
 		holders, holds[h] = append(holders[:0], h), true
 		if lockstep {

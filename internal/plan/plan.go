@@ -273,12 +273,12 @@ func (pl *Planner) checkOwners(w *Workload) error {
 	return nil
 }
 
-// TilingOrder returns output chunk positions sorted by the Hilbert index of
+// tilingOrder returns output chunk positions sorted by the Hilbert index of
 // their MBR mid-points (§3: "the mid-point of the bounding box of each
 // output chunk is used to generate a Hilbert curve index. The chunks are
 // sorted with respect to this index, and selected in this order for
 // tiling"). Ties and quantization failures fall back to position order.
-func TilingOrder(outputs []chunk.Meta) []int32 {
+func tilingOrder(outputs []chunk.Meta) []int32 {
 	order := make([]int32, len(outputs))
 	for i := range order {
 		order[i] = int32(i)

@@ -534,7 +534,7 @@ func TestTilingOrderIsHilbertSorted(t *testing.T) {
 			ID: chunk.ID(9 - o), MBR: space.R(float64(o), float64(o)+0.5),
 		})
 	}
-	order := TilingOrder(outputs)
+	order := tilingOrder(outputs)
 	for k := 1; k < len(order); k++ {
 		if outputs[order[k]].MBR.Lo[0] < outputs[order[k-1]].MBR.Lo[0] {
 			t.Fatalf("1-D tiling order not monotone: %v", order)
@@ -543,8 +543,8 @@ func TestTilingOrderIsHilbertSorted(t *testing.T) {
 }
 
 func TestTilingOrderEmpty(t *testing.T) {
-	if got := TilingOrder(nil); len(got) != 0 {
-		t.Errorf("TilingOrder(nil) = %v", got)
+	if got := tilingOrder(nil); len(got) != 0 {
+		t.Errorf("tilingOrder(nil) = %v", got)
 	}
 }
 

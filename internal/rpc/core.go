@@ -52,7 +52,7 @@ type peerState struct {
 
 func newCore(self NodeID, nodes, inboxDepth int, flow Flow, degraded bool, met *meters) *core {
 	if inboxDepth <= 0 {
-		inboxDepth = DefaultInboxDepth
+		inboxDepth = defaultInboxDepth
 	}
 	c := &core{
 		self:     self,
@@ -92,7 +92,7 @@ func (c *core) closed() bool {
 // payload from the moment Send is invoked, so a refused message is recycled
 // here.
 func (c *core) admit(m Message) error {
-	err := Validate(m, c.Nodes())
+	err := validate(m, c.Nodes())
 	if err == nil && m.Src != c.self {
 		err = fmt.Errorf("rpc: node %d sending with src %d", c.self, m.Src)
 	}

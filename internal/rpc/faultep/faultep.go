@@ -34,24 +34,6 @@ type Action struct {
 // Predicate selects messages a rule applies to.
 type Predicate func(rpc.Message) bool
 
-// All matches every message.
-func All(rpc.Message) bool { return true }
-
-// MatchType matches messages of one engine message type.
-func MatchType(t uint8) Predicate {
-	return func(m rpc.Message) bool { return uint8(m.Type) == t }
-}
-
-// MatchDst matches messages addressed to one node.
-func MatchDst(id rpc.NodeID) Predicate {
-	return func(m rpc.Message) bool { return m.Dst == id }
-}
-
-// MatchSrc matches messages originating from one node.
-func MatchSrc(id rpc.NodeID) Predicate {
-	return func(m rpc.Message) bool { return m.Src == id }
-}
-
 type rule struct {
 	match Predicate
 	act   Action
@@ -68,9 +50,9 @@ type Endpoint struct {
 	recv []rule
 }
 
-// Wrap builds a transparent wrapper around inner; it behaves identically
+// wrap builds a transparent wrapper around inner; it behaves identically
 // until rules are added.
-func Wrap(inner rpc.Endpoint) *Endpoint {
+func wrap(inner rpc.Endpoint) *Endpoint {
 	return &Endpoint{inner: inner}
 }
 
@@ -213,7 +195,7 @@ func (f *Fabric) Node(id rpc.NodeID) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := Wrap(inner)
+	ep := wrap(inner)
 	f.eps[id] = ep
 	return ep, nil
 }

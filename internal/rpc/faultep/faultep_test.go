@@ -9,6 +9,19 @@ import (
 	"adr/internal/rpc"
 )
 
+// all matches every message.
+func all(rpc.Message) bool { return true }
+
+// matchType matches messages of one engine message type.
+func matchType(t uint8) Predicate {
+	return func(m rpc.Message) bool { return uint8(m.Type) == t }
+}
+
+// matchDst matches messages addressed to one node.
+func matchDst(id rpc.NodeID) Predicate {
+	return func(m rpc.Message) bool { return m.Dst == id }
+}
+
 func pair(t *testing.T) (a, b rpc.Endpoint, cleanup func()) {
 	t.Helper()
 	f, err := rpc.NewInprocFabric(2, 0)
@@ -23,7 +36,7 @@ func pair(t *testing.T) (a, b rpc.Endpoint, cleanup func()) {
 func TestTransparentWithoutRules(t *testing.T) {
 	a, b, cleanup := pair(t)
 	defer cleanup()
-	w := Wrap(a)
+	w := wrap(a)
 	if w.Self() != 0 || w.Nodes() != 2 {
 		t.Errorf("identity not forwarded: self %d nodes %d", w.Self(), w.Nodes())
 	}
@@ -39,8 +52,8 @@ func TestTransparentWithoutRules(t *testing.T) {
 func TestSendDrop(t *testing.T) {
 	a, b, cleanup := pair(t)
 	defer cleanup()
-	w := Wrap(a)
-	w.OnSend(MatchType(3), Action{Drop: true})
+	w := wrap(a)
+	w.OnSend(matchType(3), Action{Drop: true})
 	// The dropped send reports success; the other type passes.
 	if err := w.Send(rpc.Message{Src: 0, Dst: 1, Type: 3, Seq: 1}); err != nil {
 		t.Fatalf("dropped send errored: %v", err)
@@ -57,9 +70,9 @@ func TestSendDrop(t *testing.T) {
 func TestSendErr(t *testing.T) {
 	a, _, cleanup := pair(t)
 	defer cleanup()
-	w := Wrap(a)
+	w := wrap(a)
 	boom := errors.New("injected link failure")
-	w.OnSend(MatchDst(1), Action{Err: boom})
+	w.OnSend(matchDst(1), Action{Err: boom})
 	if err := w.Send(rpc.Message{Src: 0, Dst: 1}); !errors.Is(err, boom) {
 		t.Errorf("send = %v, want injected error", err)
 	}
@@ -72,7 +85,7 @@ func TestSendErr(t *testing.T) {
 func TestRecvDropSkips(t *testing.T) {
 	a, b, cleanup := pair(t)
 	defer cleanup()
-	w := Wrap(b)
+	w := wrap(b)
 	w.OnRecv(func(m rpc.Message) bool { return m.Seq == 1 }, Action{Drop: true})
 	for seq := int32(1); seq <= 2; seq++ {
 		if err := a.Send(rpc.Message{Src: 0, Dst: 1, Seq: seq}); err != nil {
@@ -88,8 +101,8 @@ func TestRecvDropSkips(t *testing.T) {
 func TestRecvDelayHonoursContext(t *testing.T) {
 	a, b, cleanup := pair(t)
 	defer cleanup()
-	w := Wrap(b)
-	w.OnRecv(All, Action{Delay: 10 * time.Second})
+	w := wrap(b)
+	w.OnRecv(all, Action{Delay: 10 * time.Second})
 	if err := a.Send(rpc.Message{Src: 0, Dst: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +116,10 @@ func TestRecvDelayHonoursContext(t *testing.T) {
 func TestFirstMatchWinsAndReset(t *testing.T) {
 	a, _, cleanup := pair(t)
 	defer cleanup()
-	w := Wrap(a)
+	w := wrap(a)
 	first := errors.New("first rule")
-	w.OnSend(All, Action{Err: first})
-	w.OnSend(All, Action{Drop: true})
+	w.OnSend(all, Action{Err: first})
+	w.OnSend(all, Action{Drop: true})
 	if err := w.Send(rpc.Message{Src: 0, Dst: 1}); !errors.Is(err, first) {
 		t.Errorf("send = %v, want first rule's error", err)
 	}
@@ -128,7 +141,7 @@ func TestFabricMemoizesWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("programmed fault")
-	n0.OnSend(All, Action{Err: boom})
+	n0.OnSend(all, Action{Err: boom})
 	// The generic Endpoint accessor must hand back the same wrapper, rules
 	// included — that is what lets tests program faults and then give the
 	// fabric to the engine.

@@ -31,19 +31,19 @@ type inprocEndpoint struct {
 	fabric *InprocFabric
 }
 
-// DefaultInboxDepth bounds the number of in-flight messages per receiving
+// defaultInboxDepth bounds the number of in-flight messages per receiving
 // node. Deep enough that a tile's ghost exchange never deadlocks the
 // pipelined engine, small enough to exert backpressure on runaway senders.
 // (This is a message-count bound; the byte bound is the flow-control
 // window.)
-const DefaultInboxDepth = 1024
+const defaultInboxDepth = 1024
 
 // InprocOptions tunes an in-process fabric. The zero value matches the
 // historical NewInprocFabric behaviour: default inbox depth, no flow
 // control.
 type InprocOptions struct {
 	// InboxDepth bounds buffered inbound messages per endpoint (<= 0 selects
-	// DefaultInboxDepth).
+	// 1024).
 	InboxDepth int
 	// Flow bounds each sender's in-flight payload bytes (see Flow).
 	Flow Flow
@@ -57,7 +57,7 @@ type InprocOptions struct {
 }
 
 // NewInprocFabric builds a fabric of n in-process nodes. depth <= 0 selects
-// DefaultInboxDepth.
+// 1024.
 func NewInprocFabric(n, depth int) (*InprocFabric, error) {
 	return NewInprocFabricOpts(n, InprocOptions{InboxDepth: depth})
 }

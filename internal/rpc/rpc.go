@@ -199,8 +199,8 @@ type Fabric interface {
 	Close() error
 }
 
-// Validate checks a message's routing fields against a fabric size.
-func Validate(m Message, nodes int) error {
+// validate checks a message's routing fields against a fabric size.
+func validate(m Message, nodes int) error {
 	if m.Dst < 0 || int(m.Dst) >= nodes {
 		return fmt.Errorf("rpc: destination %d out of range [0,%d)", m.Dst, nodes)
 	}

@@ -321,7 +321,7 @@ func TestTCPGarbageConnection(t *testing.T) {
 	// Attack both nodes' mesh ports with garbage.
 	for id := 0; id < 2; id++ {
 		n := mesh.nodes[id]
-		conn, err := net.Dial("tcp", n.Addr())
+		conn, err := net.Dial("tcp", n.ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,11 +66,14 @@ const (
 // from a confused peer.
 const MaxFrameBytes = 64 << 20
 
-// DefaultSendTimeout bounds how long a Send may wait for a peer to drain
+// defaultSendTimeout bounds how long a Send may wait for a peer to drain
 // its connection before the peer is declared dead. Generous: a healthy peer
 // drains a frame in microseconds; only a wedged or partitioned one takes
 // 30 s.
-const DefaultSendTimeout = 30 * time.Second
+const defaultSendTimeout = 30 * time.Second
+
+// dialTimeout bounds each connection attempt while the mesh comes up.
+const dialTimeout = 5 * time.Second
 
 // TCPNode is a single node's endpoint over the TCP mesh: the shared core
 // (gates, inbox, Recv, peer death) plus the connections that frame messages
@@ -114,20 +117,17 @@ func (c *tcpConn) grantCredit(n int64) {
 // TCPOptions tunes fabric establishment, failure detection and flow
 // control.
 type TCPOptions struct {
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 	// DialRetry bounds mesh establishment (default 30s): how long to keep
 	// retrying dials, and how long to wait for lower-numbered peers to dial
 	// in. Peers start in arbitrary order; dial attempts back off
 	// exponentially from 50ms to 1s between retries.
 	DialRetry time.Duration
-	// InboxDepth bounds buffered inbound messages (default
-	// DefaultInboxDepth).
+	// InboxDepth bounds buffered inbound messages (default 1024).
 	InboxDepth int
 	// SendTimeout bounds how long a Send may block on a peer that is not
 	// draining its connection, and how long a single frame write may take on
 	// the wire. On expiry the peer is marked dead and the Send fails with a
-	// *PeerError. 0 selects DefaultSendTimeout; negative disables the
+	// *PeerError. 0 selects 30 s; negative disables the
 	// timeout entirely (sends may block indefinitely, the pre-fault-model
 	// behaviour).
 	SendTimeout time.Duration
@@ -144,14 +144,11 @@ type TCPOptions struct {
 }
 
 func (o *TCPOptions) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.DialRetry <= 0 {
 		o.DialRetry = 30 * time.Second
 	}
 	if o.SendTimeout == 0 {
-		o.SendTimeout = DefaultSendTimeout
+		o.SendTimeout = defaultSendTimeout
 	}
 }
 
@@ -248,7 +245,7 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 			deadline := time.Now().Add(opts.DialRetry)
 			backoff := 50 * time.Millisecond
 			for {
-				c, err := net.DialTimeout("tcp", addrs[peer], opts.DialTimeout)
+				c, err := net.DialTimeout("tcp", addrs[peer], dialTimeout)
 				if err == nil {
 					var hdr [4]byte
 					binary.LittleEndian.PutUint32(hdr[:], uint32(self))
@@ -282,9 +279,6 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 	}
 	return n, nil
 }
-
-// Addr returns the node's bound listen address.
-func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 
 func (n *TCPNode) addConn(peer NodeID, c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {

@@ -106,15 +106,6 @@ func NewResource(e *Engine, name string) *Resource {
 	return &Resource{e: e, name: name}
 }
 
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
-// Busy returns accumulated service time.
-func (r *Resource) Busy() Time { return r.busy }
-
-// Ops returns the number of operations served.
-func (r *Resource) Ops() int64 { return r.ops }
-
 // Acquire enqueues an operation with service demand d; done (may be nil)
 // fires at completion.
 func (r *Resource) Acquire(d Time, done func()) {
@@ -136,15 +127,6 @@ func (r *Resource) Acquire(d Time, done func()) {
 	// engine's clock runs until every resource drains and Run() returns the
 	// true makespan.
 	r.e.At(end, done)
-}
-
-// FreeAt returns the time the resource next falls idle given work queued so
-// far.
-func (r *Resource) FreeAt() Time {
-	if r.free < r.e.now {
-		return r.e.now
-	}
-	return r.free
 }
 
 // Counter fires a callback when a known number of completions have been
@@ -187,6 +169,3 @@ func (c *Counter) Done() {
 		c.fire()
 	}
 }
-
-// Pending returns outstanding completions.
-func (c *Counter) Pending() int { return c.remaining }

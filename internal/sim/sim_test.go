@@ -84,8 +84,8 @@ func TestResourceFIFOSerialization(t *testing.T) {
 	if len(done) != 3 || done[0] != 2 || done[1] != 4 || done[2] != 6 {
 		t.Errorf("completions = %v", done)
 	}
-	if r.Busy() != 6 || r.Ops() != 3 {
-		t.Errorf("busy=%g ops=%d", r.Busy(), r.Ops())
+	if r.busy != 6 || r.ops != 3 {
+		t.Errorf("busy=%g ops=%d", r.busy, r.ops)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestResourceIdleGap(t *testing.T) {
 	if second != 7 {
 		t.Errorf("second completion at %g, want 7", second)
 	}
-	if r.Busy() != 2 {
-		t.Errorf("busy = %g, want 2", r.Busy())
+	if r.busy != 2 {
+		t.Errorf("busy = %g, want 2", r.busy)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestQuickResourceBusyConservation(t *testing.T) {
 			e.At(rng.Float64()*5, func() { r.Acquire(d, nil) })
 		}
 		end := e.Run()
-		return almostEq(r.Busy(), total) && end+1e-9 >= r.Busy() && r.Ops() == int64(n)
+		return almostEq(r.busy, total) && end+1e-9 >= r.busy && r.ops == int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
