@@ -462,7 +462,7 @@ func specQuery(spec *frontend.QuerySpec) (*core.Query, error) {
 // output chunks to w: the shared prepare step, engine.RunNodeTraced on ep,
 // the query's dispatcher endpoint, and the shared observe step (see
 // core.Exec).
-func (s *Server) runQuery(req *frontend.NodeRequest, ep rpc.Endpoint, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
+func (s *Server) runQuery(req *frontend.NodeRequest, ep *engine.QueryEndpoint, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
 	spec := &req.Spec
 	q, err := specQuery(spec)
 	if err != nil {

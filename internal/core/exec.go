@@ -18,15 +18,15 @@ import (
 //	Prepare    catalog lookup → BuildWorkload → the fixed strategy's plan, or
 //	           for AUTO the estimate step's winner (every fixed strategy
 //	           priced with the calibrated cost model) → the engine.Config
-//	(run)      the caller's own: engine.Run over a per-query in-process fabric
-//	           (Repository), engine.RunNodeTraced on the query's Dispatcher
-//	           endpoint of the long-lived mesh (backend.Server)
+//	(run)      engine.RunNodeTraced on each node's Dispatcher view of a fresh
+//	           query id, over the long-lived in-process mesh (Repository: every
+//	           node, through engine.Mesh) or TCP mesh (backend.Server: one node)
 //	Observe    fold the measured traces into the calibration
 //
 // Repository (every node in this process) and backend.Server (one node of a
-// TCP mesh) each hold one Exec and differ only in the run call. One
-// combination is excluded on purpose: the embedded Repository has no degraded
-// mode (its nodes are goroutine groups of one process; none dies alone).
+// TCP mesh) each hold one Exec and run a query the same way. One combination
+// is excluded on purpose: the embedded Repository has no degraded mode (its
+// nodes are goroutine groups of one process; none dies alone to need it).
 type Exec struct {
 	// Machine is what plans are built for; identical on every node of a mesh.
 	Machine      plan.Machine

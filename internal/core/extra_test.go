@@ -1,16 +1,23 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"adr/internal/apps"
 	"adr/internal/chunk"
 	"adr/internal/core"
+	"adr/internal/engine"
 	"adr/internal/layout"
+	"adr/internal/leakcheck"
+	"adr/internal/metrics"
 	"adr/internal/plan"
+	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
@@ -173,39 +180,134 @@ func TestDisjointQuerySelectsNothing(t *testing.T) {
 }
 
 // TestConcurrentQueries: independent queries on one repository may run
-// concurrently (each gets its own fabric).
+// concurrently. They share the repository's mesh, and under a flow window
+// each link's credit too, as a daemon's concurrent queries do.
 func TestConcurrentQueries(t *testing.T) {
-	repo := buildEnv(t, 3, 1500, 41)
-	errs := make(chan error, 4)
-	for k := 0; k < 4; k++ {
-		go func(k int) {
-			s := plan.Strategies[k%len(plan.Strategies)]
-			res, err := repo.Execute(context.Background(), &core.Query{
-				Input: "sensor", Output: "raster", Strategy: s,
-				App: &apps.RasterApp{Op: apps.Count, CellsPerDim: 4},
-			})
-			if err == nil {
-				var n int64
-				for _, c := range res.Chunks {
-					for _, it := range c.Items {
-						v, derr := apps.DecodeValue(it.Value)
-						if derr != nil {
-							err = derr
-							break
+	for _, flow := range []rpc.Flow{{}, {WindowBytes: 4 << 10}} {
+		repo := buildEnvOpts(t, core.Options{Nodes: 3, Flow: flow}, 1500, 41)
+		errs := make(chan error, 4)
+		for k := 0; k < 4; k++ {
+			go func(k int) {
+				s := plan.Strategies[k%len(plan.Strategies)]
+				res, err := repo.Execute(context.Background(), &core.Query{
+					Input: "sensor", Output: "raster", Strategy: s,
+					App: &apps.RasterApp{Op: apps.Count, CellsPerDim: 4},
+				})
+				if err == nil {
+					var n int64
+					for _, c := range res.Chunks {
+						for _, it := range c.Items {
+							v, derr := apps.DecodeValue(it.Value)
+							if derr != nil {
+								err = derr
+								break
+							}
+							n += v
 						}
-						n += v
+					}
+					if err == nil && n != 1500 {
+						err = fmt.Errorf("query %d counted %d", k, n)
 					}
 				}
-				if err == nil && n != 1500 {
-					err = fmt.Errorf("query %d counted %d", k, n)
-				}
+				errs <- err
+			}(k)
+		}
+		for k := 0; k < 4; k++ {
+			if err := <-errs; err != nil {
+				t.Errorf("window %d: %v", flow.WindowBytes, err)
 			}
-			errs <- err
-		}(k)
+		}
 	}
-	for k := 0; k < 4; k++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
+}
+
+// failOnChunk is a RasterApp whose Aggregate fails on one input chunk.
+type failOnChunk struct {
+	apps.RasterApp
+	bad chunk.ID
+}
+
+var errInjected = errors.New("injected aggregation failure")
+
+func (f *failOnChunk) Aggregate(acc engine.Accumulator, out chunk.Meta, in *chunk.Chunk) error {
+	if in.Meta.ID == f.bad {
+		return errInjected
+	}
+	return f.RasterApp.Aggregate(acc, out, in)
+}
+
+// TestRepositorySurvivesFailedQuery: the repository's mesh outlives its
+// queries. A query that fails on one node fails fast with its cause; the
+// next query on the same repository is bit-identical to the serial oracle;
+// a thousand more drop no message as late and, once the repository is
+// closed, leave no pooled buffer or goroutine behind; and Execute after
+// Close fails instead of hanging.
+func TestRepositorySurvivesFailedQuery(t *testing.T) {
+	leakcheck.Check(t)
+	repo := buildEnvOpts(t, core.Options{Nodes: 4, Flow: rpc.Flow{WindowBytes: 4 << 10}}, 2000, 47)
+	ctx := context.Background()
+
+	in, _ := repo.Dataset("sensor")
+	bad := &failOnChunk{RasterApp: apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}, bad: in.Chunks[0].ID}
+	start := time.Now()
+	_, err := repo.Execute(ctx, &core.Query{Input: "sensor", Output: "raster", Strategy: plan.DA, App: bad})
+	if err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Fatalf("failing query = %v, want the injected failure", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("failing query took %v to fail", d)
+	}
+
+	// FRA: every node receives ghosts, so once this query is done every
+	// node's inbox has moved past what the failed query left in it.
+	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
+	res, err := repo.Execute(ctx, &core.Query{Input: "sensor", Output: "raster", Strategy: plan.FRA, App: app})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.RunSerial(engine.Config{
+		Plan: res.Plan, Workload: res.Workload, App: app,
+		InputDataset: "sensor", OutputDataset: "raster",
+	}.WithSerialStorage(engine.FarmStorage{Farm: repo.Farm()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o := range want {
+		if !bytes.Equal(chunk.Encode(want[o]), chunk.Encode(res.Chunks[o])) {
+			t.Errorf("output %d after a failed query differs from the serial oracle", o)
+		}
+	}
+
+	late := metrics.Default.Counter("adr_dispatch_late_msgs_total")
+	before := late.Value()
+	for i := 0; i < 1000; i++ {
+		if _, err := repo.Execute(ctx, &core.Query{
+			Input: "sensor", Output: "raster", OutputBox: space.R(0, 50, 0, 50),
+			Strategy: plan.Strategies[i%len(plan.Strategies)],
+			App:      &apps.RasterApp{Op: apps.Count, CellsPerDim: 2},
+		}); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if got := late.Value() - before; got != 0 {
+		t.Errorf("%d messages of healthy queries dropped as late", got)
+	}
+
+	// A one-node repository too: no message crosses its mesh, so nothing
+	// but the closed mesh itself can refuse the query.
+	for _, r := range []*core.Repository{repo, buildEnvOpts(t, core.Options{Nodes: 1}, 500, 3)} {
+		r.Close()
+		done := make(chan error, 1)
+		go func() {
+			_, err := r.Execute(ctx, &core.Query{Input: "sensor", Output: "raster", Strategy: plan.DA, App: app})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Error("Execute after Close succeeded")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Execute after Close hung")
 		}
 	}
 }

@@ -52,8 +52,8 @@ type Options struct {
 	// self-describing payloads regardless of this setting. The zero value
 	// (chunk.CodecNone) keeps the classic raw layout.
 	Codec chunk.Codec
-	// Flow bounds each node's in-flight forwarded bytes on the per-query
-	// fabric (see rpc.Flow).
+	// Flow bounds each link's in-flight forwarded bytes on the repository's
+	// fabric (see rpc.Flow); concurrent queries share the window.
 	Flow rpc.Flow
 }
 
@@ -64,13 +64,15 @@ type Options struct {
 const DefaultAccMemBytes = 8 << 20
 
 // Repository is an in-process ADR instance: a parallel back-end of Nodes
-// goroutine groups connected by the inproc RPC fabric.
+// goroutine groups on one inproc RPC fabric, serving queries until Close.
 type Repository struct {
 	registry *space.Registry
 	farm     *layout.Farm
 	replicas int
 	codec    chunk.Codec
-	flow     rpc.Flow
+	// fabric and mesh are the back-end every query runs on, for its lifetime.
+	fabric *rpc.InprocFabric
+	mesh   *engine.Mesh
 	// exec is the shared query path; its calibration lives in memory only,
 	// and the repository is its own AUTO resolver — one calibration, no mesh
 	// to diverge.
@@ -91,11 +93,11 @@ func NewRepository(opts Options) (*Repository, error) {
 	if opts.AccMemBytes <= 0 {
 		opts.AccMemBytes = DefaultAccMemBytes
 	}
-	if err := opts.Flow.Validate(); err != nil {
+	fabric, err := rpc.NewInprocFabricOpts(opts.Nodes, rpc.InprocOptions{Flow: opts.Flow})
+	if err != nil {
 		return nil, err
 	}
 	var farm *layout.Farm
-	var err error
 	if opts.StoreDir != "" {
 		farm, err = layout.NewFarm(opts.Nodes, opts.DisksPerNode, func(disk int) (layout.Store, error) {
 			return layout.NewFileStore(fmt.Sprintf("%s/disk%03d", opts.StoreDir, disk))
@@ -104,6 +106,7 @@ func NewRepository(opts Options) (*Repository, error) {
 		farm, err = layout.NewMemFarm(opts.Nodes, opts.DisksPerNode)
 	}
 	if err != nil {
+		fabric.Close()
 		return nil, err
 	}
 	if opts.CacheBytes > 0 {
@@ -114,7 +117,7 @@ func NewRepository(opts Options) (*Repository, error) {
 		farm:     farm,
 		replicas: opts.Replicas,
 		codec:    opts.Codec,
-		flow:     opts.Flow,
+		fabric:   fabric,
 		datasets: make(map[string]*layout.Dataset),
 		exec: Exec{
 			Machine:      plan.Machine{Procs: opts.Nodes, AccMemBytes: opts.AccMemBytes},
@@ -123,6 +126,11 @@ func NewRepository(opts Options) (*Repository, error) {
 		},
 	}
 	r.exec.Resolve = r.resolve
+	if r.mesh, err = engine.NewMesh(fabric, opts.Nodes); err != nil {
+		fabric.Close()
+		farm.Close()
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -135,8 +143,12 @@ func (r *Repository) Farm() *layout.Farm { return r.farm }
 // Machine returns the planner's machine description.
 func (r *Repository) Machine() plan.Machine { return r.exec.Machine }
 
-// Close releases the farm.
-func (r *Repository) Close() error { return r.farm.Close() }
+// Close shuts the back-end and the farm down; queries still running fail.
+func (r *Repository) Close() error {
+	r.mesh.Close()
+	r.fabric.Close()
+	return r.farm.Close()
+}
 
 // LoadDataset runs the §2.2 loading pipeline and catalogs the dataset. The
 // attribute space is registered on first use.
@@ -358,8 +370,8 @@ func (r *Repository) ExecuteBatch(ctx context.Context, qs []*Query) ([]*Result, 
 }
 
 // Execute plans and runs a query on the in-process back-end: the shared
-// prepare step, engine.Run over a fabric of its own, and the shared observe
-// step (see Exec).
+// prepare step, a run on the repository's long-lived mesh (concurrent calls
+// share it), and the shared observe step (see Exec).
 func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 	if q.App == nil {
 		return nil, fmt.Errorf("core: query needs an App")
@@ -387,12 +399,7 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 		return nil
 	}
 
-	fabric, err := rpc.NewInprocFabricOpts(r.exec.Machine.Procs, rpc.InprocOptions{Flow: r.flow})
-	if err != nil {
-		return nil, err
-	}
-	defer fabric.Close()
-	report, err := engine.Run(ctx, cfg, fabric, engine.FarmStorage{Farm: r.farm})
+	report, err := r.mesh.Run(ctx, cfg, engine.FarmStorage{Farm: r.farm})
 	if err != nil {
 		return nil, err
 	}

@@ -117,10 +117,12 @@ func runOverTCP(t *testing.T, repo *core.Repository, q *core.Query, p *plan.Plan
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := engine.NewDispatcher(ep)
+		defer d.Close()
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			traces[n], errs[n] = engine.RunNodeTraced(ctx, cfg, ep, engine.FarmStorage{Farm: repo.Farm()})
+			traces[n], errs[n] = engine.RunNodeTraced(ctx, cfg, d.Endpoint(1), engine.FarmStorage{Farm: repo.Farm()})
 		}(n)
 	}
 	wg.Wait()

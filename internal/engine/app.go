@@ -4,10 +4,10 @@
 // Handling — while overlapping disk reads, interprocessor communication and
 // processing.
 //
-// The engine is transport-agnostic: every back-end node runs RunNodeTraced against
-// an rpc.Endpoint, whether the nodes are goroutines sharing a process
-// (rpc.InprocFabric) or daemons on a TCP mesh (cmd/adr-node). Run is the
-// convenience wrapper that drives all nodes of an in-process fabric.
+// The engine is transport-agnostic: every back-end node runs RunNodeTraced on
+// its Dispatcher's view of the query, whether the nodes are goroutines
+// sharing a process (rpc.InprocFabric, under a Mesh) or daemons on a TCP mesh
+// (cmd/adr-node). Run drives one query on all nodes of a caller's fabric.
 //
 // Execution is fully accounted: RunNodeTraced returns a metrics.NodeTrace
 // attributing every disk read, send and receive to the phase that incurred

@@ -41,11 +41,11 @@ func buildCompressedRepo(t *testing.T, nodes int) *core.Repository {
 	return repo
 }
 
-// runCompressedNodes executes cfg once per node over the given endpoints and
+// runCompressedNodes executes cfg once per node on the given views and
 // returns the finished outputs in output-position order plus each node's
 // trace. perNode, when set, overrides the config for one node id — the
 // mixed-fleet tests use it to give nodes different codecs.
-func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Workload, st engine.ChunkStorage, endpoint func(rpc.NodeID) (rpc.Endpoint, error), perNode func(rpc.NodeID, *engine.Config)) ([]*chunk.Chunk, []metrics.NodeTrace) {
+func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Workload, st engine.ChunkStorage, v *views, perNode func(rpc.NodeID, *engine.Config)) ([]*chunk.Chunk, []metrics.NodeTrace) {
 	t.Helper()
 	idToPos := make(map[chunk.ID]int32, len(w.Outputs))
 	for pos, m := range w.Outputs {
@@ -67,22 +67,19 @@ func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Work
 	traces := make([]metrics.NodeTrace, nodes)
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
+	id := v.query()
 	for q := 0; q < nodes; q++ {
-		ep, err := endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		nodeCfg := cfg
 		if perNode != nil {
 			perNode(rpc.NodeID(q), &nodeCfg)
 		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint, nodeCfg engine.Config) {
+		go func(q int, nodeCfg engine.Config) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			traces[q], errs[q] = engine.RunNodeTraced(ctx, nodeCfg, ep, st)
-		}(q, ep, nodeCfg)
+			traces[q], errs[q] = v.run(ctx, id, rpc.NodeID(q), nodeCfg, st)
+		}(q, nodeCfg)
 	}
 	wg.Wait()
 	for q, err := range errs {
@@ -122,21 +119,21 @@ func TestCompressedMatchSerial(t *testing.T) {
 				}
 				want := serialOracle(t, repo, p, w, &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4})
 
-				var endpoint func(rpc.NodeID) (rpc.Endpoint, error)
+				var v *views
 				if transport == "tcp" {
 					mesh, err := rpc.NewLoopbackMesh(nodes, rpc.TCPOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer mesh.Close()
-					endpoint = mesh.Endpoint
+					v = newViews(t, mesh.Endpoint)
 				} else {
 					fabric, err := rpc.NewInprocFabric(nodes, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer fabric.Close()
-					endpoint = fabric.Endpoint
+					v = newViews(t, fabric.Endpoint)
 				}
 				cfg := engine.Config{
 					Plan: p, Workload: w, App: app,
@@ -144,7 +141,7 @@ func TestCompressedMatchSerial(t *testing.T) {
 					Workers:      4,
 					Codec:        chunk.CodecColumnar,
 				}
-				got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, endpoint, nil)
+				got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, v, nil)
 				requireIdenticalChunks(t, want, got)
 				comp := (&metrics.QueryTrace{Nodes: traces}).Total()
 				if comp.CompressedBytes == 0 {
@@ -158,7 +155,7 @@ func TestCompressedMatchSerial(t *testing.T) {
 				// and send at least 1.5x the bytes. Both counts are sums of
 				// stored chunk sizes, so the ratio is exact, not timed.
 				cfg.Codec = chunk.CodecNone
-				_, traces = runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: rawRepo.Farm()}, endpoint, nil)
+				_, traces = runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: rawRepo.Farm()}, v, nil)
 				raw := (&metrics.QueryTrace{Nodes: traces}).Total()
 				if 2*raw.BytesRead < 3*comp.BytesRead {
 					t.Errorf("compressed farm read %d B, raw farm %d B: want >= 1.5x fewer", comp.BytesRead, raw.BytesRead)
@@ -226,7 +223,7 @@ func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
 	}
 	defer fabric.Close()
 	cfg := engine.Config{Plan: p, Workload: w, App: app, InputDataset: "pts", Workers: 4}
-	got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, fabric.Endpoint, nil)
+	got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, newViews(t, fabric.Endpoint), nil)
 	requireIdenticalChunks(t, serialOracle(t, repo, p, w, app), got)
 	for q, tr := range traces {
 		if tr.Totals.CompressedBytes != want[q] {
@@ -274,7 +271,7 @@ func TestCompressedMixedFleetMatchSerial(t *testing.T) {
 				InputDataset: "pts",
 				Workers:      4,
 			}
-			got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, fabric.Endpoint,
+			got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, newViews(t, fabric.Endpoint),
 				func(id rpc.NodeID, c *engine.Config) {
 					if id == 0 {
 						c.Codec = chunk.CodecColumnar
@@ -321,7 +318,7 @@ func TestDegradedCompressedFailover(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer fabric.Close()
-				traces := runDegradedFailover(t, repo, s, fabric.Endpoint, compress)
+				traces := runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint), compress)
 				checkDegradedTraces(t, traces)
 			})
 		}
@@ -332,7 +329,7 @@ func TestDegradedCompressedFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mesh.Close()
-		traces := runDegradedFailover(t, repo, plan.DA, mesh.Endpoint, compress)
+		traces := runDegradedFailover(t, repo, plan.DA, newViews(t, mesh.Endpoint), compress)
 		checkDegradedTraces(t, traces)
 	})
 	if got := bufpool.Outstanding(); got != base {
@@ -356,21 +353,19 @@ func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := engine.FarmStorage{Farm: repo.Farm()}
+	v := newViews(t, fabric.Endpoint)
 
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
+	id := v.query()
 	for q := 1; q < nodes; q++ {
-		ep, err := fabric.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
-		}(q, ep)
+			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+		}(q)
 	}
 	ep0, _ := fabric.Endpoint(0)
 	time.Sleep(50 * time.Millisecond)
@@ -383,6 +378,7 @@ func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 		}
 	}
 	fabric.Close()
+	v.close()
 	if got := bufpool.Outstanding(); got != base {
 		t.Errorf("outstanding buffers after compressed peer death: %d, want %d", got, base)
 	}

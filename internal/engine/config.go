@@ -185,14 +185,3 @@ func (r *Report) Trace(queryID int32) *metrics.QueryTrace {
 
 // Total sums all nodes' counters.
 func (r *Report) Total() metrics.Snapshot { return r.Trace(0).Total() }
-
-// MaxCommBytes returns the largest per-node communication volume.
-func (r *Report) MaxCommBytes() int64 {
-	var max int64
-	for _, n := range r.Traces {
-		if v := n.Totals.CommBytes(); v > max {
-			max = v
-		}
-	}
-	return max
-}

@@ -166,14 +166,14 @@ func (n *node) runDegraded(ctx context.Context) error {
 		// fence carries it.
 		var pe *rpc.PeerError
 		if errors.As(err, &pe) {
-			n.mbox.noteDead(pe.Peer)
+			n.ep.mbox.noteDead(pe.Peer)
 		}
 		if tries >= maxAttempts {
 			err = fmt.Errorf("engine: node %d: degraded retries exhausted after %d attempts: %w", n.self, tries, err)
 			n.abortPeers(err)
 			return err
 		}
-		attempt = n.mbox.beginAttempt(attempt + 1)
+		attempt = n.ep.mbox.beginAttempt(attempt + 1)
 	}
 }
 
@@ -184,7 +184,7 @@ func (n *node) runAttempt(ctx context.Context, attempt int32) error {
 		if err := n.fenceRound(ctx, attempt); err != nil {
 			return err
 		}
-	} else if dead := n.mbox.deadSet(); len(dead) > 0 {
+	} else if dead := n.ep.mbox.deadSet(); len(dead) > 0 {
 		// Deaths already on record before the first tile — the peer died
 		// during an earlier query on this fabric and the dispatcher replayed
 		// its MsgPeerDown. Skip straight to a fenced, re-planned attempt.
@@ -199,7 +199,7 @@ func (n *node) runAttempt(ctx context.Context, attempt int32) error {
 // livePeers returns every peer not recorded dead, plus the dead set it was
 // computed against.
 func (n *node) livePeers() (live []rpc.NodeID, dead []rpc.NodeID) {
-	dead = n.mbox.deadSet()
+	dead = n.ep.mbox.deadSet()
 	deadMap := make(map[rpc.NodeID]bool, len(dead))
 	for _, id := range dead {
 		deadMap[id] = true
@@ -229,14 +229,14 @@ func (n *node) fenceRound(ctx context.Context, attempt int32) error {
 			return err
 		}
 	}
-	if err := n.mbox.waitSeen(ctx, attempt, live, n.mbox.fenceSeen); err != nil {
+	if err := n.ep.mbox.waitSeen(ctx, attempt, live, n.ep.mbox.fenceSeen); err != nil {
 		return err
 	}
 	// Every node that completes the wait uninterrupted unions the same fence
 	// payloads, so the exclusion set — and the plan derived from it — agrees
 	// across the mesh. Any death learned after a node's own fence went out
 	// fails its attempt instead, forcing a fresh round.
-	excluded := n.mbox.deadSet()
+	excluded := n.ep.mbox.deadSet()
 	p, w, err := n.cfg.Replan(excluded)
 	if err != nil {
 		return err
@@ -260,5 +260,5 @@ func (n *node) doneBarrier(ctx context.Context, attempt int32) error {
 			return err
 		}
 	}
-	return n.mbox.waitSeen(ctx, attempt, live, n.mbox.doneSeen)
+	return n.ep.mbox.waitSeen(ctx, attempt, live, n.ep.mbox.doneSeen)
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -166,14 +165,14 @@ func retireLate(expired []*mailbox) {
 // (RunNodeTraced) takes the query's inbound messages from that mailbox. Call
 // Release when the query finishes — or will not run. Registering a released
 // id again (a retry reusing it) reopens it.
-func (d *Dispatcher) Endpoint(query int32) rpc.Endpoint {
+func (d *Dispatcher) Endpoint(query int32) *QueryEndpoint {
 	d.mu.Lock()
 	expired := d.sweep(d.now())
 	delete(d.marks, query)
 	b := d.box(query)
 	d.mu.Unlock()
 	retireLate(expired)
-	return &queryEndpoint{d: d, query: query, mbox: b}
+	return &QueryEndpoint{d: d, query: query, mbox: b}
 }
 
 // Release ends a query on this node: blocked takers fail, messages still
@@ -215,55 +214,21 @@ func (d *Dispatcher) Close() error {
 	return err
 }
 
-// borrow lends a plain endpoint to one node run through a private one-query
-// Dispatcher, so a run on a bare fabric (Run, the engine tests) receives
-// through the same path as a daemon's. giveBack retires what the run left
-// behind — its mailbox, then whatever is still queued in the transport (Recv
-// hands out buffered messages even on a dead context) — so a peer blocked on
-// this node's window makes progress even when this node aborts mid-query.
-func borrow(ep rpc.Endpoint) (view *queryEndpoint, giveBack func()) {
-	d := NewDispatcher(ep)
-	return d.Endpoint(0).(*queryEndpoint), func() {
-		d.stop()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		for {
-			m, err := ep.Recv(ctx)
-			if err != nil {
-				return
-			}
-			m.Release()
-		}
-	}
-}
-
-// queryEndpoint is the per-query view of the node's endpoint.
-type queryEndpoint struct {
+// QueryEndpoint is one query's view of a node's mesh endpoint, from
+// Dispatcher.Endpoint: what it sends carries the query id, and what the mesh
+// sends the query waits in its mailbox.
+type QueryEndpoint struct {
 	d     *Dispatcher
 	query int32
 	mbox  *mailbox
 }
 
-func (e *queryEndpoint) Self() rpc.NodeID { return e.d.ep.Self() }
-func (e *queryEndpoint) Nodes() int       { return e.d.ep.Nodes() }
+// Self and Nodes describe the node's endpoint.
+func (e *QueryEndpoint) Self() rpc.NodeID { return e.d.ep.Self() }
+func (e *QueryEndpoint) Nodes() int       { return e.d.ep.Nodes() }
 
 // Send stamps the query id and forwards to the real endpoint.
-func (e *queryEndpoint) Send(m rpc.Message) error {
+func (e *QueryEndpoint) Send(m rpc.Message) error {
 	m.Query = e.query
 	return e.d.ep.Send(m)
 }
-
-// Recv always fails: the Dispatcher has already delivered the query's
-// messages into its mailbox, which a node run takes from by tile and type.
-func (e *queryEndpoint) Recv(context.Context) (rpc.Message, error) {
-	return rpc.Message{}, errors.New("engine: a query's inbound messages are in its Dispatcher mailbox, not behind Recv")
-}
-
-// Close releases this query's mailbox (the underlying endpoint stays open
-// for other queries).
-func (e *queryEndpoint) Close() error {
-	e.d.Release(e.query)
-	return nil
-}
-
-var _ rpc.Endpoint = (*queryEndpoint)(nil)

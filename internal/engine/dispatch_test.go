@@ -33,7 +33,7 @@ type inbound struct {
 
 // box claims a query on the Dispatcher and returns the mailbox a node run on
 // it would take from.
-func (h *inbound) box(query int32) *mailbox { return h.d.Endpoint(query).(*queryEndpoint).mbox }
+func (h *inbound) box(query int32) *mailbox { return h.d.Endpoint(query).mbox }
 
 // send delivers one data message from node 0 to the query on node 1.
 func (h *inbound) send(t *testing.T, query, seq int32) {
@@ -379,11 +379,13 @@ func TestDispatcherStateBounded(t *testing.T) {
 	}
 }
 
-// exchangeNode is a node with just enough wiring to exchange messages.
+// exchangeNode is a node with just enough wiring to exchange messages: a
+// view of query 1 on a Dispatcher of its own, closed when the test ends.
 func exchangeNode(t *testing.T, ep rpc.Endpoint) *node {
-	view, giveBack := borrow(ep)
-	t.Cleanup(giveBack)
-	return &node{self: ep.Self(), ep: view, mbox: view.mbox, met: &metrics.Node{}}
+	d := NewDispatcher(ep)
+	t.Cleanup(func() { d.Close() })
+	view := d.Endpoint(1)
+	return &node{self: ep.Self(), ep: view, met: &metrics.Node{}}
 }
 
 // TestExchange pins the phase primitive: the send half never keeps the

@@ -97,7 +97,7 @@ func replanFor(repo *core.Repository, w *plan.Workload, s plan.Strategy) func([]
 // degraded fabric: node 0 joins the mesh but dies shortly after the
 // survivors start, and the survivors must complete the query with results
 // identical to the fault-free reference. Returns the survivors' traces.
-func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, endpoint func(rpc.NodeID) (rpc.Endpoint, error), mutate ...func(*engine.Config)) []engineTrace {
+func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v *views, mutate ...func(*engine.Config)) []engineTrace {
 	t.Helper()
 	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
 	res, err := repo.Execute(context.Background(), &core.Query{
@@ -130,25 +130,22 @@ func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, e
 	const nodes = 3
 	traces := make([]engineTrace, nodes)
 	var wg sync.WaitGroup
+	id := v.query()
 	for q := 1; q < nodes; q++ {
-		ep, err := endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			tr, err := engine.RunNodeTraced(ctx, cfg, ep, st)
+			tr, err := v.run(ctx, id, rpc.NodeID(q), cfg, st)
 			traces[q] = engineTrace{degraded: tr.Degraded, attempts: tr.Attempts, excluded: tr.Excluded, err: err}
-		}(q, ep)
+		}(q)
 	}
 
 	// Node 0 joins the mesh but dies shortly after the query starts; the
 	// degraded fabric reports its death instead of failing the survivors'
 	// endpoints.
-	ep0, err := endpoint(0)
+	ep0, err := v.endpoint(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestDegradedFailoverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mesh.Close()
-			traces := runDegradedFailover(t, repo, s, mesh.Endpoint)
+			traces := runDegradedFailover(t, repo, s, newViews(t, mesh.Endpoint))
 			checkDegradedTraces(t, traces)
 		})
 	}
@@ -211,7 +208,7 @@ func TestDegradedFailoverInproc(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fabric.Close()
-			traces := runDegradedFailover(t, repo, s, fabric.Endpoint)
+			traces := runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint))
 			checkDegradedTraces(t, traces)
 		})
 	}
@@ -271,18 +268,16 @@ func TestUnreplicatedDegradedFailsTyped(t *testing.T) {
 
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
+	v := newViews(t, mesh.Endpoint)
+	id := v.query()
 	for q := 1; q < 3; q++ {
-		ep, err := mesh.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
-		}(q, ep)
+			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+		}(q)
 	}
 	ep0, _ := mesh.Endpoint(0)
 	time.Sleep(100 * time.Millisecond)
@@ -358,18 +353,16 @@ func TestDegradedDeathBeforeQuery(t *testing.T) {
 	st := engine.FarmStorage{Farm: repo.Farm()}
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
+	v := newViews(t, mesh.Endpoint)
+	id := v.query()
 	for q := 1; q < 3; q++ {
-		ep, err := mesh.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
-		}(q, ep)
+			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+		}(q)
 	}
 	wg.Wait()
 	for q := 1; q < 3; q++ {

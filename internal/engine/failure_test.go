@@ -112,15 +112,13 @@ func TestNodeDeathUnblocksPeers(t *testing.T) {
 	}
 
 	errs := make(chan error, 2)
+	v := newViews(t, fabric.Endpoint)
+	id := v.query()
 	for q := 1; q < 3; q++ {
-		ep, err := fabric.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func(ep rpc.Endpoint) {
-			_, err := engine.RunNodeTraced(context.Background(), cfg, ep, st)
+		go func(q int) {
+			_, err := v.run(context.Background(), id, rpc.NodeID(q), cfg, st)
 			errs <- err
-		}(ep)
+		}(q)
 	}
 	// Node 0 never runs; kill its endpoint so peers' sends/waits fail.
 	ep0, _ := fabric.Endpoint(0)

@@ -57,17 +57,15 @@ func TestTCPPeerDeathAbortsQuery(t *testing.T) {
 	st := engine.FarmStorage{Farm: repo.Farm()}
 
 	errs := make(chan error, nodes-1)
+	v := newViews(t, mesh.Endpoint)
+	id := v.query()
 	for q := 1; q < nodes; q++ {
-		ep, err := mesh.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func(ep rpc.Endpoint) {
+		go func(q int) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, err := engine.RunNodeTraced(ctx, cfg, ep, st)
+			_, err := v.run(ctx, id, rpc.NodeID(q), cfg, st)
 			errs <- err
-		}(ep)
+		}(q)
 	}
 
 	// Node 0 joins the mesh but dies shortly after the query starts.
@@ -141,18 +139,16 @@ func TestStorageFailureBroadcastsAbort(t *testing.T) {
 
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
+	v := newViews(t, fabric.Endpoint)
+	id := v.query()
 	for q := 0; q < nodes; q++ {
-		ep, err := fabric.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, flaky)
-		}(q, ep)
+			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, flaky)
+		}(q)
 	}
 	wg.Wait()
 
@@ -201,18 +197,16 @@ func TestFaultInjectionSendErrorAborts(t *testing.T) {
 	st := engine.FarmStorage{Farm: repo.Farm()}
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
+	v := newViews(t, fabric.Endpoint)
+	id := v.query()
 	for q := 0; q < nodes; q++ {
-		ep, err := fabric.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 			defer cancel()
-			_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
-		}(q, ep)
+			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+		}(q)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()

@@ -144,20 +144,18 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 		}, faultep.Action{Err: boom})
 
 		st := engine.FarmStorage{Farm: repo.Farm()}
+		v := newViews(t, fabric.Endpoint)
 		errs := make([]error, nodes)
 		var wg sync.WaitGroup
+		id := v.query()
 		for q := 0; q < nodes; q++ {
-			ep, err := fabric.Endpoint(rpc.NodeID(q))
-			if err != nil {
-				t.Fatal(err)
-			}
 			wg.Add(1)
-			go func(q int, ep rpc.Endpoint) {
+			go func(q int) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
-				_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
-			}(q, ep)
+				_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+			}(q)
 		}
 		wg.Wait()
 
@@ -170,6 +168,7 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 			}
 		}
 		fabric.Close()
+		v.close()
 		if got := bufpool.Outstanding(); got != base {
 			t.Errorf("outstanding buffers after injected failure: %d, want %d", got, base)
 		}
@@ -183,21 +182,19 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := engine.FarmStorage{Farm: repo.Farm()}
+		v := newViews(t, fabric.Endpoint)
 
 		errs := make([]error, nodes)
 		var wg sync.WaitGroup
+		id := v.query()
 		for q := 1; q < nodes; q++ {
-			ep, err := fabric.Endpoint(rpc.NodeID(q))
-			if err != nil {
-				t.Fatal(err)
-			}
 			wg.Add(1)
-			go func(q int, ep rpc.Endpoint) {
+			go func(q int) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
-				_, errs[q] = engine.RunNodeTraced(ctx, cfg, ep, st)
-			}(q, ep)
+				_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+			}(q)
 		}
 		// Node 0 joins, then dies shortly into the query.
 		ep0, _ := fabric.Endpoint(0)
@@ -211,6 +208,7 @@ func TestFlowPeerFailureLeaksNoBuffers(t *testing.T) {
 			}
 		}
 		fabric.Close()
+		v.close()
 		if got := bufpool.Outstanding(); got != base {
 			t.Errorf("outstanding buffers after peer death: %d, want %d", got, base)
 		}

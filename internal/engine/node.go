@@ -17,12 +17,11 @@ import (
 type node struct {
 	cfg  *Config
 	self rpc.NodeID
-	// ep is the query's view of the mesh, for sending; what the mesh sends
-	// this node arrives in mbox, put there by the view's Dispatcher.
-	ep   rpc.Endpoint
-	mbox *mailbox
-	st   ChunkStorage
-	met  *metrics.Node
+	// ep is the query's view of the mesh: it sends, and what the mesh sends
+	// this node arrives in ep.mbox, put there by the view's Dispatcher.
+	ep  *QueryEndpoint
+	st  ChunkStorage
+	met *metrics.Node
 	// onStall attributes flow-control credit stalls to this node's trace;
 	// installed on every outbound message (one shared closure, so the send
 	// hot path does not allocate one per message).
@@ -44,26 +43,18 @@ type node struct {
 // the same Config; the call completes when this node has emitted every
 // output chunk it is responsible for.
 //
-// The node always receives from a Dispatcher-owned mailbox: a daemon passes
-// its long-lived Dispatcher's Endpoint for the query and releases it
-// afterwards; a plain endpoint is borrowed through a private Dispatcher for
-// the length of the run.
-func RunNodeTraced(ctx context.Context, cfg Config, ep rpc.Endpoint, st ChunkStorage) (metrics.NodeTrace, error) {
+// The node receives from the Dispatcher-owned mailbox behind ep: the
+// caller claims the query's view with Dispatcher.Endpoint and releases it
+// afterwards.
+func RunNodeTraced(ctx context.Context, cfg Config, ep *QueryEndpoint, st ChunkStorage) (metrics.NodeTrace, error) {
 	if err := cfg.Validate(); err != nil {
 		return metrics.NodeTrace{}, err
 	}
 	start := time.Now()
-	view, ok := ep.(*queryEndpoint)
-	if !ok {
-		var giveBack func()
-		view, giveBack = borrow(ep)
-		defer giveBack()
-	}
 	n := &node{
 		cfg:  &cfg,
 		self: ep.Self(),
-		ep:   view,
-		mbox: view.mbox,
+		ep:   ep,
 		st:   st,
 		met:  &metrics.Node{},
 	}
@@ -199,7 +190,7 @@ func (n *node) exchange(l *latch, p metrics.Phase, t int32, typ uint8, expect in
 		l.fail(send())
 	}()
 	for k := 0; k < expect; k++ {
-		msg, err := n.mbox.take(l.ctx, t, typ)
+		msg, err := n.ep.mbox.take(l.ctx, t, typ)
 		if err == nil {
 			n.met.AddRecv(p, int64(len(msg.Payload)))
 			err = recv(msg)

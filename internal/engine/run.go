@@ -5,41 +5,63 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
 
-// Run executes the configured query across all nodes of an in-process
-// fabric, one goroutine group per back-end node, and returns the aggregated
-// report. It is the driver behind the in-process Repository; distributed
-// deployments call RunNodeTraced per daemon instead.
-func Run(ctx context.Context, cfg Config, fabric rpc.Fabric, st ChunkStorage) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// Mesh is the query execution service of an in-process back-end (§2.1): a
+// long-lived Dispatcher on each node of a fabric. Each Run claims a fresh
+// query id and runs every node on its Dispatcher's view of it, as each
+// daemon of a TCP mesh runs its own node, so concurrent queries share the
+// fabric and its credit windows.
+type Mesh struct {
+	nodes  []*Dispatcher
+	ids    atomic.Int32
+	closed atomic.Bool
+}
+
+// NewMesh starts a Dispatcher on each of the fabric's first nodes endpoints.
+func NewMesh(fabric rpc.Fabric, nodes int) (*Mesh, error) {
+	m := &Mesh{}
+	for q := 0; q < nodes; q++ {
+		ep, err := fabric.Endpoint(rpc.NodeID(q))
+		if err != nil {
+			m.Close()
+			return nil, err
+		}
+		m.nodes = append(m.nodes, NewDispatcher(ep))
 	}
-	procs := cfg.Plan.Machine.Procs
-	report := &Report{Traces: make([]metrics.NodeTrace, procs)}
+	return m, nil
+}
+
+// Run executes the configured query, planned for the mesh's node count, on
+// every node, one goroutine group each, and returns the aggregated report.
+func (m *Mesh) Run(ctx context.Context, cfg Config, st ChunkStorage) (*Report, error) {
+	if m.closed.Load() {
+		return nil, errors.New("engine: mesh closed")
+	}
+	id := m.ids.Add(1)
+	report := &Report{Traces: make([]metrics.NodeTrace, len(m.nodes))}
 
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	for q := 0; q < procs; q++ {
-		ep, err := fabric.Endpoint(rpc.NodeID(q))
-		if err != nil {
-			return nil, err
-		}
+	errs := make([]error, len(m.nodes))
+	for q, d := range m.nodes {
+		ep := d.Endpoint(id)
 		wg.Add(1)
-		go func(q int, ep rpc.Endpoint) {
+		go func() {
 			defer wg.Done()
+			defer d.Release(id)
 			var err error
 			if report.Traces[q], err = RunNodeTraced(rctx, cfg, ep, st); err != nil {
 				errs[q] = err
 				cancel() // unblock peers waiting on this node
 			}
-		}(q, ep)
+		}()
 	}
 	wg.Wait()
 	// Prefer the root-cause failure over the cancellations it induced: the
@@ -63,4 +85,28 @@ func Run(ctx context.Context, cfg Config, fabric rpc.Fabric, st ChunkStorage) (*
 		return report, canceled
 	}
 	return report, nil
+}
+
+// Close stops the Dispatchers, and Run fails from then on. The fabric stays
+// open: its owner closes it, as a whole, so the shutdown stays out of the
+// transport's peer-failure metrics.
+func (m *Mesh) Close() {
+	m.closed.Store(true)
+	for _, d := range m.nodes {
+		d.stop()
+	}
+}
+
+// Run executes one query on all nodes of a caller's fabric, through a Mesh
+// that lives for the run.
+func Run(ctx context.Context, cfg Config, fabric rpc.Fabric, st ChunkStorage) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m, err := NewMesh(fabric, cfg.Plan.Machine.Procs)
+	if err != nil {
+		return nil, err
+	}
+	defer m.Close()
+	return m.Run(ctx, cfg, st)
 }

@@ -90,18 +90,16 @@ func TestTCPExecutionMatchesInproc(t *testing.T) {
 				},
 			}
 			st := engine.FarmStorage{Farm: repo.Farm()}
+			v := newViews(t, mesh.Endpoint)
 			var wg sync.WaitGroup
 			errs := make([]error, nodes)
+			id := v.query()
 			for q := 0; q < nodes; q++ {
-				ep, err := mesh.Endpoint(rpc.NodeID(q))
-				if err != nil {
-					t.Fatal(err)
-				}
 				wg.Add(1)
-				go func(q int, ep rpc.Endpoint) {
+				go func(q int) {
 					defer wg.Done()
-					_, errs[q] = engine.RunNodeTraced(context.Background(), cfg, ep, st)
-				}(q, ep)
+					_, errs[q] = v.run(context.Background(), id, rpc.NodeID(q), cfg, st)
+				}(q)
 			}
 			wg.Wait()
 			for q, err := range errs {
@@ -180,7 +178,7 @@ func TestReportMetricsPopulated(t *testing.T) {
 	if total.MsgsSent == 0 || total.CombineOps == 0 {
 		t.Error("no ghost exchange recorded under FRA")
 	}
-	if res.Report.MaxCommBytes() == 0 {
-		t.Error("MaxCommBytes = 0")
+	if total.CommBytes() == 0 {
+		t.Error("no communication volume recorded")
 	}
 }

@@ -90,8 +90,8 @@ func NewChunkCache(budget int64) *ChunkCache {
 	}
 }
 
-// CacheStats is a point-in-time view of a cache's counters.
-type CacheStats struct {
+// cacheStats is a point-in-time view of a cache's counters.
+type cacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
@@ -99,12 +99,12 @@ type CacheStats struct {
 	Entries   int
 }
 
-// Stats returns this cache's counters (the registry counters aggregate all
+// stats returns this cache's counters (the registry counters aggregate all
 // caches in the process; tests want per-cache numbers).
-func (c *ChunkCache) Stats() CacheStats {
+func (c *ChunkCache) stats() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	return cacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
@@ -203,20 +203,6 @@ func (c *ChunkCache) InvalidateDataset(dataset string) {
 		el = next
 	}
 	c.mu.Unlock()
-}
-
-// Bytes returns the resident payload volume.
-func (c *ChunkCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Len returns the resident entry count.
-func (c *ChunkCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // insertLocked admits data under the budget, evicting from the LRU tail.

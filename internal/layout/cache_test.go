@@ -53,7 +53,7 @@ func TestCacheHitPath(t *testing.T) {
 	if n := base.gets.Load(); n != 1 {
 		t.Fatalf("underlying reads = %d, want 1", n)
 	}
-	st := cache.Stats()
+	st := cache.stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Bytes != 1000 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -252,11 +252,11 @@ func TestCacheEviction(t *testing.T) {
 		if _, err := cs.Get("d", chunk.ID(i)); err != nil {
 			t.Fatal(err)
 		}
-		if cache.Bytes() > budget {
-			t.Fatalf("cache at %d bytes, budget %d", cache.Bytes(), budget)
+		if b := cache.stats().Bytes; b > budget {
+			t.Fatalf("cache at %d bytes, budget %d", b, budget)
 		}
 	}
-	st := cache.Stats()
+	st := cache.stats()
 	if st.Evictions == 0 {
 		t.Fatal("no evictions past the budget")
 	}
@@ -305,8 +305,8 @@ func TestCacheAdmission(t *testing.T) {
 	if _, hit, _ := cs.GetCached("d", 1); !hit {
 		t.Fatal("small hot entry displaced by oversized payload")
 	}
-	if cache.Bytes() != 500 {
-		t.Fatalf("cache holds %d bytes; oversized entry admitted", cache.Bytes())
+	if b := cache.stats().Bytes; b != 500 {
+		t.Fatalf("cache holds %d bytes; oversized entry admitted", b)
 	}
 	if base.gets.Load() != 3 { // 1 + huge twice (never cached)
 		t.Fatalf("underlying reads = %d, want 3", base.gets.Load())
@@ -349,8 +349,8 @@ func TestCachedStoreCompact(t *testing.T) {
 	if err := cs.Compact("d"); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("%d entries survive Compact", cache.Len())
+	if n := cache.stats().Entries; n != 0 {
+		t.Fatalf("%d entries survive Compact", n)
 	}
 	got, err := cs.Get("d", 2)
 	if err != nil || !bytes.Equal(got, data) {
@@ -408,7 +408,7 @@ func TestCacheConcurrentMix(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if cache.Bytes() > 64<<10 {
-		t.Fatalf("budget breached: %d", cache.Bytes())
+	if b := cache.stats().Bytes; b > 64<<10 {
+		t.Fatalf("budget breached: %d", b)
 	}
 }

@@ -70,13 +70,6 @@ func (e *Endpoint) OnRecv(match Predicate, act Action) {
 	e.mu.Unlock()
 }
 
-// Reset removes every rule.
-func (e *Endpoint) Reset() {
-	e.mu.Lock()
-	e.send, e.recv = nil, nil
-	e.mu.Unlock()
-}
-
 func match(rules []rule, m rpc.Message) (Action, bool) {
 	for _, r := range rules {
 		if r.match(m) {
