@@ -40,17 +40,20 @@ lines-pkg:
 # load takes no new waiters), admission-control recovery, an overlapping query
 # surviving the abort of the peer whose in-flight loads it shares, the
 # flow-control/buffer-ownership sweep (credit windows under failure,
-# pool-balance leak checks, payload recycling on dead-peer sends), the
-# degraded-mode failover suite
-# (kill-a-node-mid-query on both transports, client busy-retry/timeout/
-# excluded-tolerance), the compression sweep (serial equivalence with
-# compressed farms on both transports and the read/wire byte reduction, mixed
-# compressing/raw fleets, compressed-replica degraded retries, pool-balance
-# checks on compressed failure paths), and the worker-pool suite (serial
-# equivalence at every width, the width actually in flight) — race-checked,
-# bounded so a reintroduced hang fails fast.
+# pool-balance leak checks, payload recycling on dead-peer sends), the kill
+# tests of the failover suite (a node killed before the query, mid-query and
+# after a survivor's done, on both transports and on the daemon stack, each
+# resubmitted by the resolver without the dead node: the TestDegraded* and
+# Test*Failover names, TestKillAtCompletionFailover among them), the
+# resolver's side (dead set, busy-retry, timeouts, AUTO skipping dead nodes),
+# the compression sweep (serial equivalence with compressed farms on both
+# transports and the read/wire byte reduction, mixed compressing/raw fleets,
+# compressed-replica failover, pool-balance checks on compressed failure
+# paths), and the worker-pool suite (serial equivalence at every width, the
+# width actually in flight) — race-checked, bounded so a reintroduced hang
+# fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Compress|Workers' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Kill|Compress|Workers' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/

@@ -43,7 +43,6 @@ type options struct {
 	cacheBytes   *int64
 	maxQueries   *int
 	fwdWindow    *int64
-	degraded     *bool
 	compress     *string
 	calibFile    *string
 }
@@ -63,7 +62,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		cacheBytes:   fs.Int64("cache-bytes", 256<<20, "chunk cache budget in bytes (0 disables caching)"),
 		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; excess queue (0 = unbounded)"),
 		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
-		degraded:     fs.Bool("degraded", false, "survive back-end node deaths by re-planning onto replica holders (needs -replicas >= 2 at load time; same value on every node)"),
 		compress:     fs.String("compress", "none", "default codec for engine payloads on the wire: none, flate or columnar (query specs override)"),
 		calibFile:    fs.String("calibration-file", "", "JSON file persisting this node's cost-model calibration across restarts (in-memory only when empty)"),
 	}
@@ -105,7 +103,6 @@ func main() {
 		CacheBytes:      *cacheBytes,
 		MaxQueries:      *maxQueries,
 		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow},
-		Degraded:        *opt.degraded,
 		Codec:           codec,
 		CalibrationFile: *opt.calibFile,
 	})
@@ -122,9 +119,6 @@ func main() {
 	}
 	if *opt.fwdWindow > 0 {
 		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer\n", *id, *opt.fwdWindow)
-	}
-	if *opt.degraded {
-		fmt.Printf("adr-node %d: degraded-mode execution on: peer deaths re-plan onto replica holders\n", *id)
 	}
 	if codec != chunk.CodecNone {
 		fmt.Printf("adr-node %d: wire compression on: %s\n", *id, codec)

@@ -29,7 +29,7 @@ func main() {
 	outBox := flag.String("output-box", "", "output range query: lox,hix,loy,hiy")
 	result := flag.String("result", "", "also store results back as this dataset")
 	useExisting := flag.Bool("use-existing", false, "seed accumulators from the existing output dataset")
-	busyRetries := flag.Int("busy-retries", 0, "resubmissions after a retryable failure (busy node, exhausted degraded retries); 0 uses the default 3, negative disables")
+	busyRetries := flag.Int("busy-retries", 0, "resubmissions after a retryable failure (busy node, a back-end node's death); 0 uses the default 3, negative disables")
 	flag.Parse()
 
 	if *input == "" || *output == "" {

@@ -77,13 +77,6 @@ type Config struct {
 	// Flow bounds this node's in-flight forwarded bytes on the mesh (see
 	// rpc.Flow). Must be identical on every node, like AccMemBytes.
 	Flow rpc.Flow
-	// Degraded enables degraded-mode query execution: when a mesh peer dies
-	// mid-query, this node re-plans the dead peer's chunks onto surviving
-	// replica holders (datasets loaded with adr-load -replicas >= 2) and
-	// retries, instead of aborting the query. Must be identical on every
-	// node. Queries over unreplicated datasets still abort mesh-wide when a
-	// chunk has no surviving copy.
-	Degraded bool
 	// Codec is this node's default compression codec for engine payloads —
 	// forwarded chunks, ghost accumulators, shipped finals, result
 	// write-backs (set by adr-node -compress). A query spec naming its own
@@ -111,8 +104,9 @@ var (
 	admAdmitted = metrics.Default.Counter("adr_node_admission_admitted_total")
 )
 
-// Degraded-mode instrumentation: queries this node completed with processors
-// excluded, and chunk reads served from non-primary replica holders.
+// Degraded-query instrumentation: queries this node completed planned
+// without dead processors (NodeRequest.Exclude), and chunk reads served from
+// non-primary replica holders.
 var (
 	degradedQueries      = metrics.Default.Counter("adr_node_degraded_queries_total")
 	replicaFallbackReads = metrics.Default.Counter("adr_node_replica_fallback_reads_total")
@@ -178,7 +172,6 @@ func Start(cfg Config) (_ *Server, err error) {
 		SendTimeout: cfg.SendTimeout,
 		DialRetry:   cfg.DialRetry,
 		Flow:        cfg.Flow,
-		Degraded:    cfg.Degraded,
 	}
 	var mesh *rpc.TCPNode
 	if cfg.MeshListener != nil {
@@ -217,7 +210,6 @@ func Start(cfg Config) (_ *Server, err error) {
 			DisksPerNode: farm.DisksPerNode,
 			Node:         cfg.Node,
 			Calib:        calib,
-			Degraded:     cfg.Degraded,
 		},
 		ctrl:    ctrl,
 		queries: metrics.NewQueryLog(metrics.Default, "adr_node"),
@@ -310,8 +302,9 @@ func (s *Server) handle(conn net.Conn) {
 		// the error chain identifies the node that caused it (a dead mesh
 		// peer, a peer-broadcast abort), name that node too. Retryable marks
 		// failures a fresh submission stands a chance against (admission
-		// busy, degraded retries exhausted) so clients know to back off and
-		// resubmit rather than give up.
+		// busy, a peer's death) so clients know to back off and resubmit
+		// rather than give up; Dead names the dead peer, for the resolver to
+		// plan the resubmission without.
 		info := &frontend.ErrorInfo{Node: int(s.cfg.Node), Origin: -1, Message: err.Error(), Retryable: retryable}
 		var abort *engine.AbortError
 		var peer *rpc.PeerError
@@ -319,6 +312,9 @@ func (s *Server) handle(conn net.Conn) {
 			info.Origin = int(abort.Node)
 		} else if errors.As(err, &peer) {
 			info.Origin = int(peer.Peer)
+		}
+		if dead, ok := engine.DeadPeer(err); ok {
+			info.Dead = []int{int(dead)}
 		}
 		frontend.WriteJSON(w, &frontend.Message{Type: "error", Error: err.Error(), ErrInfo: info})
 		w.Flush()
@@ -337,7 +333,7 @@ func (s *Server) handle(conn net.Conn) {
 		q, err := specQuery(&req.Spec)
 		if err == nil {
 			q.Strategy = plan.Auto
-			_, sel, err = s.exec.Prepare(q, chunk.CodecNone)
+			_, sel, err = s.exec.Prepare(q, chunk.CodecNone, nil)
 		}
 		if err != nil {
 			sendErr(err, false)
@@ -415,7 +411,6 @@ func (s *Server) handle(conn net.Conn) {
 		TotalNodes: s.exec.Machine.Procs,
 		Trace:      &trace,
 		Degraded:   trace.Degraded,
-		Attempts:   trace.Attempts,
 		Excluded:   trace.Excluded,
 	}})
 	w.Flush()
@@ -490,7 +485,14 @@ func (s *Server) runQuery(req *frontend.NodeRequest, ep *engine.QueryEndpoint, w
 	} else if set {
 		codec = c
 	}
-	cfg, _, err := s.exec.Prepare(q, codec)
+	exclude := make([]rpc.NodeID, len(req.Exclude))
+	for i, id := range req.Exclude {
+		if id < 0 || id >= s.exec.Machine.Procs {
+			return trace, 0, fmt.Errorf("backend: excluded node %d outside the %d-node mesh", id, s.exec.Machine.Procs)
+		}
+		exclude[i] = rpc.NodeID(id)
+	}
+	cfg, _, err := s.exec.Prepare(q, codec, exclude)
 	if err != nil {
 		return trace, 0, err
 	}

@@ -19,15 +19,54 @@ import (
 // startCachedStack brings up a mesh of node daemons, each with a chunk cache
 // large enough never to evict, over a fresh file-backed farm: the stack on
 // which concurrent overlapping queries share reads.
-func startCachedStack(t *testing.T, nodes int, degraded bool) (dir string, ctrlAddrs []string) {
+func startCachedStack(t *testing.T, nodes int) (dir string, ctrlAddrs []string) {
 	t.Helper()
 	dir = t.TempDir()
 	buildFarmDir(t, dir, nodes)
 	_, ctrlAddrs = startNodesOver(t, dir, nodes, func(_ int, cfg *backend.Config) {
 		cfg.CacheBytes = 64 << 20
-		cfg.Degraded = degraded
 	})
 	return dir, ctrlAddrs
+}
+
+// degradedVictim is the node startDegradedCachedStack kills.
+const degradedVictim = 2
+
+// startDegradedCachedStack is startCachedStack over a three-node farm loaded
+// with 2-way replication, with node degradedVictim dead. The parallel client
+// it returns has already learned the death from one query, so every query it
+// sends is planned without that node onto the survivors' replica copies;
+// the survivors' caches are emptied of what that query read.
+func startDegradedCachedStack(t *testing.T) (dir string, pc *frontend.ParallelClient) {
+	t.Helper()
+	const nodes = 3
+	dir = t.TempDir()
+	buildReplicatedFarmDir(t, dir, nodes, 2)
+	servers, ctrlAddrs := startNodesOver(t, dir, nodes, func(_ int, cfg *backend.Config) {
+		cfg.CacheBytes = 64 << 20
+	})
+	servers[degradedVictim].Close()
+	pc, err := frontend.NewParallelClient(ctrlAddrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, err := pc.Query(&frontend.QuerySpec{
+		Input: "sensor", Output: "raster", Strategy: "DA",
+		App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
+	})
+	if err != nil {
+		t.Fatalf("query that learns node %d dead: %v", degradedVictim, err)
+	}
+	if !streams[degradedVictim].Excluded {
+		t.Fatalf("query after node %d died was not planned without it", degradedVictim)
+	}
+	for i, s := range servers {
+		if i != degradedVictim {
+			s.Cache().InvalidateDataset("sensor")
+			s.Cache().InvalidateDataset("raster")
+		}
+	}
+	return dir, pc
 }
 
 // queryConcurrently submits every spec from its own goroutine, so the queries
@@ -88,20 +127,29 @@ func mergeStreams(streams []frontend.NodeStream) []*frontend.ChunkJSON {
 }
 
 // TestSharedBatchOverlapMatchesSerial runs two fully-overlapping queries
-// concurrently on a cached stack, for every strategy, on plain and on
-// degraded nodes, and checks (a) both results equal the serial in-process
-// reference and (b) the traces account for the sharing exactly: the cache
-// never evicts here, so across the stack's life each chunk is read from disk
-// once and every other read of it — by the concurrent peer, through its
-// in-flight load or after it, and by the later strategies — is a cache hit.
+// concurrently on a cached stack, for every strategy, on a whole mesh and on
+// a degraded one (a dead node every query is planned without), and checks
+// (a) both results equal the serial in-process reference and (b) the traces
+// account for the sharing exactly: the cache never evicts here, so across
+// the stack's life each chunk is read from disk once and every other read of
+// it — by the concurrent peer, through its in-flight load or after it, and
+// by the later strategies — is a cache hit.
 func TestSharedBatchOverlapMatchesSerial(t *testing.T) {
-	const nodes = 2
 	for _, degraded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("degraded=%v", degraded), func(t *testing.T) {
-			dir, ctrlAddrs := startCachedStack(t, nodes, degraded)
-			pc, err := frontend.NewParallelClient(ctrlAddrs)
-			if err != nil {
-				t.Fatal(err)
+			nodes := 2
+			var dir string
+			var pc *frontend.ParallelClient
+			if degraded {
+				nodes = 3
+				dir, pc = startDegradedCachedStack(t)
+			} else {
+				var ctrlAddrs []string
+				dir, ctrlAddrs = startCachedStack(t, nodes)
+				var err error
+				if pc, err = frontend.NewParallelClient(ctrlAddrs); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var queries, chunksRead, cacheHits int64
 			for _, strategy := range plan.Strategies {
@@ -119,8 +167,17 @@ func TestSharedBatchOverlapMatchesSerial(t *testing.T) {
 					}
 					queries++
 					for _, st := range streams {
+						if excluded := degraded && st.Node == degradedVictim; st.Excluded != excluded {
+							t.Fatalf("%v query %d node %d: Excluded = %v, want %v", strategy, qi, st.Node, st.Excluded, excluded)
+						}
+						if st.Excluded {
+							continue
+						}
 						if st.Stats == nil || st.Stats.Trace == nil {
 							t.Fatalf("%v query %d node %d: missing trace", strategy, qi, st.Node)
+						}
+						if st.Stats.Trace.Degraded != degraded {
+							t.Errorf("%v query %d node %d: trace Degraded = %v", strategy, qi, st.Node, st.Stats.Trace.Degraded)
 						}
 						chunksRead += st.Stats.Trace.Totals.ChunksRead
 						cacheHits += st.Stats.Trace.Totals.CacheHits
@@ -142,7 +199,7 @@ func TestSharedBatchOverlapMatchesSerial(t *testing.T) {
 // items, no error) without disturbing its peer.
 func TestSharedBatchZeroResult(t *testing.T) {
 	const nodes = 2
-	dir, ctrlAddrs := startCachedStack(t, nodes, false)
+	dir, ctrlAddrs := startCachedStack(t, nodes)
 
 	full := &frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "DA",
@@ -205,7 +262,7 @@ func TestSharedBatchZeroResult(t *testing.T) {
 // result: a load's leader finishes it whatever becomes of its own query.
 func TestSharedBatchAbortPeersComplete(t *testing.T) {
 	const nodes = 2
-	dir, ctrlAddrs := startCachedStack(t, nodes, false)
+	dir, ctrlAddrs := startCachedStack(t, nodes)
 
 	want := serialReference(t, dir, nodes, &core.Query{
 		Input: "sensor", Output: "raster", Strategy: plan.FRA,

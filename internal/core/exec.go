@@ -24,9 +24,10 @@ import (
 //	Observe    fold the measured traces into the calibration
 //
 // Repository (every node in this process) and backend.Server (one node of a
-// TCP mesh) each hold one Exec and run a query the same way. One combination
-// is excluded on purpose: the embedded Repository has no degraded mode (its
-// nodes are goroutine groups of one process; none dies alone to need it).
+// TCP mesh) each hold one Exec and run a query the same way. Only the daemon
+// path ever prepares with a non-empty exclusion set: the embedded
+// Repository's nodes are goroutine groups of one process, and none dies
+// alone.
 type Exec struct {
 	// Machine is what plans are built for; identical on every node of a mesh.
 	Machine      plan.Machine
@@ -34,9 +35,6 @@ type Exec struct {
 	// Node names the processor whose Calib prices estimates.
 	Node  rpc.NodeID
 	Calib *costmodel.Calibration
-	// Degraded makes prepared queries survive peer deaths by re-planning onto
-	// replica holders.
-	Degraded bool
 	// Resolve looks the query's datasets up in the owner's catalog and picks
 	// its mapping function.
 	Resolve func(q *Query) (in, out *layout.Dataset, mapper space.RectMapper, err error)
@@ -71,15 +69,30 @@ func (e *Exec) plan(s plan.Strategy, w *plan.Workload, exclude map[int32]bool) (
 
 // Prepare plans q and returns the engine configuration to run it with,
 // lacking only the caller's result sink (OnResult). codec is the query's
-// resolved wire codec. AUTO is resolved here, with this Exec's calibration,
-// and the selection (winner first) returned for Observe to close. A mesh node
-// must not run what it resolved — per-node calibrations differ, so the nodes
-// could pick different winners — and prepares AUTO only to answer an estimate
-// request with the selection.
-func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Selection, error) {
+// resolved wire codec. exclude lists the processors the resolver knows dead:
+// the workload is remapped onto their chunks' surviving replica holders
+// (plan.Degrade, which fails with a *plan.NoHolderError when a chunk has
+// none) and planned without them (plan.Planner.Exclude). Every node derives
+// the same plan from the shared catalog and the same set, exactly as the
+// fault-free plan is derived. AUTO is resolved here, with this Exec's
+// calibration, and the selection (winner first) returned for Observe to
+// close. A mesh node must not run what it resolved — per-node calibrations
+// differ, so the nodes could pick different winners — and prepares AUTO only
+// to answer an estimate request with the selection.
+func (e *Exec) Prepare(q *Query, codec chunk.Codec, exclude []rpc.NodeID) (engine.Config, *metrics.Selection, error) {
 	w, err := e.workload(q)
 	if err != nil {
 		return engine.Config{}, nil, err
+	}
+	var ex map[int32]bool
+	if len(exclude) > 0 {
+		ex = make(map[int32]bool, len(exclude))
+		for _, id := range exclude {
+			ex[int32(id)] = true
+		}
+		if w, err = plan.Degrade(e.Machine, w, ex, e.DisksPerNode); err != nil {
+			return engine.Config{}, nil, err
+		}
 	}
 	var p *plan.Plan
 	var sel *metrics.Selection
@@ -91,7 +104,7 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Sel
 			sel = costmodel.NewSelection(int(e.Node), ests)
 		}
 	} else {
-		p, err = e.plan(q.Strategy, w, nil)
+		p, err = e.plan(q.Strategy, w, ex)
 	}
 	if err != nil {
 		return engine.Config{}, nil, err
@@ -104,24 +117,7 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec) (engine.Config, *metrics.Sel
 		OutputDataset: q.Output,
 		ResultDataset: q.ResultDataset,
 		Codec:         codec,
-	}
-	if e.Degraded {
-		// Re-plan with dead processors excluded: remap their chunks onto
-		// surviving replica holders, then plan on the reduced machine. Every
-		// node derives the same plan from the shared catalog and the
-		// fence-agreed exclusion set, exactly as the initial plan is derived.
-		cfg.Replan = func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error) {
-			ex := make(map[int32]bool, len(excluded))
-			for _, id := range excluded {
-				ex[int32(id)] = true
-			}
-			dw, err := plan.Degrade(e.Machine, w, ex, e.DisksPerNode)
-			if err != nil {
-				return nil, nil, err
-			}
-			dp, err := e.plan(p.Strategy, dw, ex)
-			return dp, dw, err
-		}
+		Exclude:       exclude,
 	}
 	return cfg, sel, nil
 }

@@ -376,7 +376,7 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 	if q.App == nil {
 		return nil, fmt.Errorf("core: query needs an App")
 	}
-	cfg, sel, err := r.exec.Prepare(q, r.codec)
+	cfg, sel, err := r.exec.Prepare(q, r.codec, nil)
 	if err != nil {
 		return nil, err
 	}

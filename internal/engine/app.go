@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"adr/internal/chunk"
-	"adr/internal/rpc"
 )
 
 // Accumulator holds the intermediate result for one output chunk during
@@ -96,20 +95,9 @@ const (
 	msgFinalOutput = 4
 	// msgAbort broadcasts a query-level abort: the sending node failed and
 	// every peer must stop waiting for its messages. Payload = reason
-	// string. The mailbox honours it regardless of tile or phase.
+	// string, Seq = 1 + the dead peer the failure traces back to (0 for
+	// none). The mailbox honours it regardless of tile or phase.
 	msgAbort = 5
-	// msgDegradeDone announces that the sender finished all tiles of a
-	// degraded-mode execution attempt. Seq = attempt number. Nodes hold their
-	// results until every live peer reports done for the attempt, so a late
-	// failure can still roll the whole mesh onto a new attempt.
-	msgDegradeDone = 6
-	// msgDegradeFence opens a degraded-mode retry attempt: the sender has
-	// observed peer deaths and is re-planning. Seq = attempt number, Payload =
-	// the sender's dead set (encodeDeadSet). Receipt purges the sender's
-	// still-pending earlier-attempt messages (per-pair FIFO makes everything
-	// before the fence stale); a fence ahead of the receiver's own attempt
-	// fails that attempt so the mesh converges on one attempt number.
-	msgDegradeFence = 7
 )
 
 func msgTypeName(t uint8) string {
@@ -124,12 +112,6 @@ func msgTypeName(t uint8) string {
 		return "final-output"
 	case msgAbort:
 		return "abort"
-	case msgDegradeDone:
-		return "degrade-done"
-	case msgDegradeFence:
-		return "degrade-fence"
-	case uint8(rpc.MsgPeerDown):
-		return "peer-down"
 	default:
 		return fmt.Sprintf("type-%d", t)
 	}

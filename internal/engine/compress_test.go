@@ -12,6 +12,7 @@ import (
 	"adr/internal/chunk"
 	"adr/internal/core"
 	"adr/internal/engine"
+	"adr/internal/leakcheck"
 	"adr/internal/metrics"
 	"adr/internal/plan"
 	"adr/internal/rpc"
@@ -295,10 +296,11 @@ func TestCompressedMixedFleetMatchSerial(t *testing.T) {
 // TestDegradedCompressedFailover runs the kill-a-node-mid-query failover
 // with compression on everywhere it can be: a 2-way replicated farm whose
 // replicas are stored as columnar envelopes, and survivors that compress
-// their retry traffic. The degraded retry reads the dead node's chunks from
+// their traffic. The resubmission reads the dead node's chunks from
 // compressed replica holders; the result must match the fault-free
 // reference.
 func TestDegradedCompressedFailover(t *testing.T) {
+	leakcheck.Check(t)
 	repo, err := core.NewRepository(core.Options{
 		Nodes: 3, AccMemBytes: 32 << 10, Replicas: 2, Codec: chunk.CodecColumnar,
 	})
@@ -309,32 +311,26 @@ func TestDegradedCompressedFailover(t *testing.T) {
 	loadTestDatasets(t, repo)
 
 	compress := func(c *engine.Config) { c.Codec = chunk.CodecColumnar }
-	base := bufpool.Outstanding()
 	t.Run("inproc", func(t *testing.T) {
 		for _, s := range []plan.Strategy{plan.FRA, plan.DA} {
 			t.Run(s.String(), func(t *testing.T) {
-				fabric, err := rpc.NewInprocFabricOpts(3, rpc.InprocOptions{Degraded: true})
+				fabric, err := rpc.NewInprocFabric(3, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer fabric.Close()
-				traces := runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint), compress)
-				checkDegradedTraces(t, traces)
+				checkDegradedTraces(t, runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint), compress))
 			})
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {
-		mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{Degraded: true})
+		mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mesh.Close()
-		traces := runDegradedFailover(t, repo, plan.DA, newViews(t, mesh.Endpoint), compress)
-		checkDegradedTraces(t, traces)
+		checkDegradedTraces(t, runDegradedFailover(t, repo, plan.DA, newViews(t, mesh.Endpoint), compress))
 	})
-	if got := bufpool.Outstanding(); got != base {
-		t.Errorf("outstanding buffers after compressed failovers: %d, want %d", got, base)
-	}
 }
 
 // TestCompressedPeerDeathLeaksNoBuffers kills a peer in the middle of a

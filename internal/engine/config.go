@@ -124,17 +124,13 @@ type Config struct {
 	// CodecNone (the zero value) leaves every engine-originated payload raw.
 	Codec chunk.Codec
 
-	// Replan, when non-nil, enables degraded-mode execution: a peer's death
-	// no longer aborts the query mesh-wide. Instead the node re-plans with
-	// the dead processors excluded (plan.Degrade over replica holders, then
-	// a re-plan with plan.Planner.Exclude set) and retries, falling back to
-	// the abort protocol only when a chunk has no surviving copy (Replan
-	// returns a *plan.NoHolderError) or retries are exhausted. It needs a
-	// degraded fabric (rpc.TCPOptions.Degraded / rpc.InprocOptions.Degraded),
-	// so peer deaths arrive as rpc.MsgPeerDown instead of failing the
-	// endpoint. Every node of a query must use the same deterministic Replan
-	// so the mesh re-converges on one plan.
-	Replan func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error)
+	// Exclude lists the dead processors the plan was made without
+	// (plan.Degrade onto surviving replica holders, then
+	// plan.Planner.Exclude): their deaths, before or during the run, do not
+	// fail the query, and the node trace reports the run degraded. Any other
+	// peer's death fails it retryably. Every node of a query must run with
+	// the same set: the resolver that submitted the query chose it.
+	Exclude []rpc.NodeID
 
 	// serialStorage backs RunSerial only; see WithSerialStorage.
 	serialStorage ChunkStorage

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,10 +41,13 @@ type Dispatcher struct {
 	// has no mark.
 	marks map[int32]time.Time
 	swept time.Time
-	// deadPeers remembers every rpc.MsgPeerDown the degraded transport has
-	// delivered: it arrives once per dead peer, but every query — including
-	// ones registered after the death — needs to see it.
-	deadPeers []rpc.NodeID
+	// dead remembers every peer the transport reported dead (rpc.MsgPeerDown
+	// arrives once per peer, but every later query needs to know), and runs
+	// holds, for each query whose node run has begun (watch), the peers its
+	// plan excludes: a death fails a running query unless its plan excludes
+	// the peer.
+	dead []rpc.NodeID
+	runs map[int32][]rpc.NodeID
 	// err is why the routing loop ended; boxes created afterwards are born
 	// failed with it.
 	err    error
@@ -69,6 +73,7 @@ func NewDispatcher(ep rpc.Endpoint) *Dispatcher {
 		now:    time.Now,
 		boxes:  make(map[int32]*mailbox),
 		marks:  make(map[int32]time.Time),
+		runs:   make(map[int32][]rpc.NodeID),
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
@@ -91,10 +96,13 @@ func (d *Dispatcher) run(ctx context.Context) {
 			return
 		}
 		if m.Type == rpc.MsgPeerDown {
-			// Transport-level event, not query traffic: every query sees it.
-			d.deadPeers = append(d.deadPeers, m.Src)
-			for _, b := range d.boxes {
-				b.put(m)
+			// Transport-level event, not query traffic: it fails every running
+			// query that needs the peer, and watch checks later ones.
+			d.dead = append(d.dead, m.Src)
+			for id, excluded := range d.runs {
+				if b := d.boxes[id]; b != nil && !slices.Contains(excluded, m.Src) {
+					b.fail(&peerDownError{Node: m.Src})
+				}
 			}
 			d.mu.Unlock()
 			continue
@@ -126,9 +134,6 @@ func (d *Dispatcher) box(query int32) *mailbox {
 		b = newMailbox()
 		if d.err != nil {
 			b.fail(d.err)
-		}
-		for _, peer := range d.deadPeers {
-			b.put(rpc.Message{Src: peer, Dst: d.ep.Self(), Type: rpc.MsgPeerDown})
 		}
 		d.boxes[query] = b
 	}
@@ -185,6 +190,7 @@ func (d *Dispatcher) Release(query int32) {
 	expired := d.sweep(now)
 	b := d.boxes[query]
 	delete(d.boxes, query)
+	delete(d.runs, query)
 	d.marks[query] = now
 	d.mu.Unlock()
 	if b != nil {
@@ -226,6 +232,24 @@ type QueryEndpoint struct {
 // Self and Nodes describe the node's endpoint.
 func (e *QueryEndpoint) Self() rpc.NodeID { return e.d.ep.Self() }
 func (e *QueryEndpoint) Nodes() int       { return e.d.ep.Nodes() }
+
+// watch begins the query's node run on this view: from here on a peer's
+// death fails it unless excluded lists the peer, and a peer already dead
+// that excluded leaves out is that failure now.
+func (e *QueryEndpoint) watch(excluded []rpc.NodeID) error {
+	d := e.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.boxes[e.query]; ok {
+		d.runs[e.query] = excluded
+	}
+	for _, peer := range d.dead {
+		if !slices.Contains(excluded, peer) {
+			return &peerDownError{Node: peer}
+		}
+	}
+	return nil
+}
 
 // Send stamps the query id and forwards to the real endpoint.
 func (e *QueryEndpoint) Send(m rpc.Message) error {

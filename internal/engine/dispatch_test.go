@@ -179,36 +179,51 @@ var inboundCases = []struct {
 			}
 		}
 	}},
-	{name: "peer-down replayed into a later box", opts: rpc.InprocOptions{Degraded: true}, run: func(t *testing.T, h *inbound) {
-		early := h.box(1)
+	{name: "peer-down replayed into a later box", run: func(t *testing.T, h *inbound) {
+		running, spared := h.d.Endpoint(1), h.d.Endpoint(3)
+		if err := running.watch(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := spared.watch([]rpc.NodeID{2}); err != nil {
+			t.Fatal(err)
+		}
+		early := h.box(4) // claimed, but its node run has not begun
 		victim, _ := h.fabric.Endpoint(2)
 		victim.Close()
-		// The synthetic message arrives once; the running query sees it ...
-		_, err := take(context.Background(), early)
+		// The death notice arrives once; the running query that needs the
+		// peer fails with it ...
+		_, err := take(context.Background(), running.mbox)
 		var down *peerDownError
-		if !errors.As(err, &down) || down.Node != 2 {
-			t.Fatalf("running query's take = %v, want peer 2 down", err)
+		if !errors.As(err, &down) || down.Node != 2 || !IsRetryable(err) {
+			t.Fatalf("running query's take = %v, want a retryable peer 2 down", err)
 		}
-		// ... and so does one registered after the death.
-		late := h.box(2)
-		if dead := late.deadSet(); len(dead) != 1 || dead[0] != 2 {
-			t.Errorf("later box's dead set = %v, want [2]", dead)
+		// ... one planned without the peer keeps running ...
+		h.send(t, 3, 5)
+		if m, err := take(context.Background(), spared.mbox); err != nil || m.Seq != 5 {
+			t.Fatalf("query planned without the dead peer: take = %+v, %v", m, err)
 		}
-		if _, err := take(context.Background(), late); !errors.As(err, &down) {
-			t.Errorf("later box's take = %v, want peer down", err)
+		// ... and a query whose run begins after the death learns of it then,
+		// unless its plan excludes the peer too.
+		h.send(t, 4, 6)
+		if m, err := take(context.Background(), early); err != nil || m.Seq != 6 {
+			t.Fatalf("claimed, not yet running query: take = %+v, %v", m, err)
+		}
+		if err := h.d.Endpoint(4).watch(nil); !errors.As(err, &down) || down.Node != 2 {
+			t.Errorf("watch after the death = %v, want peer 2 down", err)
+		}
+		if err := h.d.Endpoint(5).watch([]rpc.NodeID{2}); err != nil {
+			t.Errorf("watch excluding the dead peer = %v, want nil", err)
 		}
 	}},
 	{name: "born failed after the endpoint failed", run: func(t *testing.T, h *inbound) {
 		running := h.box(1)
-		victim, _ := h.fabric.Endpoint(2)
-		victim.Close() // fail-stop fabric: the first dead peer fails the endpoint
-		_, want := take(context.Background(), running)
-		var pe *rpc.PeerError
-		if !errors.As(want, &pe) || pe.Peer != 2 {
-			t.Fatalf("running query's take = %v, want a PeerError for 2", want)
+		ep, _ := h.fabric.Endpoint(1)
+		ep.Close() // the node's own endpoint: the routing loop ends
+		if _, err := take(context.Background(), running); err != rpc.ErrClosed {
+			t.Fatalf("running query's take = %v, want rpc.ErrClosed", err)
 		}
-		if _, err := take(context.Background(), h.box(9)); err != want {
-			t.Errorf("box created after the failure: take = %v, want %v", err, want)
+		if _, err := take(context.Background(), h.box(9)); err != rpc.ErrClosed {
+			t.Errorf("box created after the failure: take = %v, want rpc.ErrClosed", err)
 		}
 	}},
 	{name: "one query's messages never reach another's taker", run: func(t *testing.T, h *inbound) {

@@ -177,12 +177,11 @@ func TestFarmStorage(t *testing.T) {
 }
 
 // TestMsgTypeNames: every declared message type renders by name, so an error
-// like "send degrade-fence to 2" never reads "send type-7 to 2".
+// like "send ghost-accum to 2" never reads "send type-2 to 2".
 func TestMsgTypeNames(t *testing.T) {
 	seen := map[string]uint8{}
 	for _, typ := range []uint8{
 		msgInputChunk, msgGhostAccum, msgOutputInit, msgFinalOutput, msgAbort,
-		msgDegradeDone, msgDegradeFence, uint8(rpc.MsgPeerDown),
 	} {
 		name := msgTypeName(typ)
 		if name == "" || strings.HasPrefix(name, "type-") {
@@ -199,7 +198,9 @@ func TestMsgTypeNames(t *testing.T) {
 }
 
 // TestMailboxAbortMessage: an inbound abort terminates the mailbox with a
-// typed AbortError naming the sender, regardless of tile or phase.
+// typed AbortError naming the sender, regardless of tile or phase. An abort
+// for the sender's own failure is fatal; one that names a dead peer is
+// retryable and carries it.
 func TestMailboxAbortMessage(t *testing.T) {
 	m := newMailbox()
 	m.put(rpc.Message{Src: 2, Tile: 99, Type: msgAbort, Payload: []byte("node 2: disk on fire")})
@@ -208,8 +209,18 @@ func TestMailboxAbortMessage(t *testing.T) {
 	if !errors.As(err, &abort) {
 		t.Fatalf("take after abort = %v, want *AbortError", err)
 	}
-	if abort.Node != 2 || abort.Reason != "node 2: disk on fire" {
+	if abort.Node != 2 || abort.Dead != -1 || abort.Reason != "node 2: disk on fire" {
 		t.Errorf("abort = %+v", abort)
+	}
+	if IsRetryable(err) {
+		t.Errorf("abort for the sender's own failure classified retryable: %v", err)
+	}
+
+	m = newMailbox()
+	m.put(rpc.Message{Src: 2, Tile: -1, Type: msgAbort, Seq: 0 + 1, Payload: []byte("node 2: engine: peer 0 down")})
+	_, err = m.take(context.Background(), 0, msgInputChunk)
+	if dead, ok := DeadPeer(err); !ok || dead != 0 || !IsRetryable(err) {
+		t.Errorf("abort naming dead peer 0: DeadPeer = %d, %v; IsRetryable = %v", dead, ok, IsRetryable(err))
 	}
 }
 

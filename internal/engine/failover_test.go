@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,13 +14,14 @@ import (
 	"adr/internal/core"
 	"adr/internal/engine"
 	"adr/internal/layout"
+	"adr/internal/leakcheck"
 	"adr/internal/plan"
 	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
 // buildReplicatedRepo is buildRepo with r-way chained replication, so a dead
-// node's chunks have surviving holders for degraded-mode re-planning.
+// node's chunks have surviving holders to be planned onto.
 func buildReplicatedRepo(t *testing.T, nodes, replicas int) *core.Repository {
 	t.Helper()
 	repo, err := core.NewRepository(core.Options{
@@ -67,102 +69,108 @@ func loadTestDatasets(t *testing.T, repo *core.Repository) {
 	}
 }
 
-// replanFor builds the Replan callback a daemon would install: degrade the
-// workload onto surviving replica holders and re-plan with the dead nodes
-// excluded. Deterministic in the exclusion set, as Config.Replan requires.
-func replanFor(repo *core.Repository, w *plan.Workload, s plan.Strategy) func([]rpc.NodeID) (*plan.Plan, *plan.Workload, error) {
-	return func(excluded []rpc.NodeID) (*plan.Plan, *plan.Workload, error) {
-		ex := make(map[int32]bool, len(excluded))
-		for _, id := range excluded {
-			ex[int32(id)] = true
-		}
-		dw, err := plan.Degrade(repo.Machine(), w, ex, repo.Farm().DisksPerNode)
-		if err != nil {
-			return nil, nil, err
-		}
-		planner, err := plan.NewPlanner(repo.Machine())
-		if err != nil {
-			return nil, nil, err
-		}
-		planner.Exclude = ex
-		p, err := planner.Plan(s, dw)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p, dw, nil
-	}
+// failoverQuery is the query every failover test runs: a sum raster of pts
+// onto img.
+func failoverQuery(s plan.Strategy) *core.Query {
+	return &core.Query{Input: "pts", Output: "img", Strategy: s, App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}}
 }
 
-// runDegradedFailover executes one kill-mid-query failover on the given
-// degraded fabric: node 0 joins the mesh but dies shortly after the
-// survivors start, and the survivors must complete the query with results
-// identical to the fault-free reference. Returns the survivors' traces.
-func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v *views, mutate ...func(*engine.Config)) []engineTrace {
-	t.Helper()
-	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
-	res, err := repo.Execute(context.Background(), &core.Query{
-		Input: "pts", Output: "img", Strategy: s, App: app,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := render(res.Chunks)
-
-	var mu sync.Mutex
-	var got []*chunk.Chunk
-	cfg := engine.Config{
-		Plan: res.Plan, Workload: res.Workload,
-		App:          app,
-		InputDataset: "pts",
-		Replan:       replanFor(repo, res.Workload, s),
-		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
-			mu.Lock()
-			got = append(got, c)
-			mu.Unlock()
-			return nil
+// prepare plans q over repo's catalog as a back-end daemon does, without the
+// excluded nodes: core.Exec.Prepare, the one place a plan is made without
+// the dead.
+func prepare(repo *core.Repository, q *core.Query, exclude ...rpc.NodeID) (engine.Config, error) {
+	e := core.Exec{
+		Machine:      repo.Machine(),
+		DisksPerNode: repo.Farm().DisksPerNode,
+		Resolve: func(q *core.Query) (in, out *layout.Dataset, mapper space.RectMapper, err error) {
+			in, _ = repo.Dataset(q.Input)
+			out, _ = repo.Dataset(q.Output)
+			return in, out, space.IdentityMapper{}, nil
 		},
 	}
-	for _, m := range mutate {
-		m(&cfg)
-	}
-	st := engine.FarmStorage{Farm: repo.Farm()}
+	cfg, _, err := e.Prepare(q, chunk.CodecNone, exclude)
+	return cfg, err
+}
 
+// runSurvivors runs nodes 1 and 2 of one query on v, collecting their
+// results, and returns their traces and errors (index 0 unused). Node 0 is
+// not run: die, when non-nil, is called once the survivors are under way
+// and is expected to kill it.
+func runSurvivors(t *testing.T, v *views, cfg engine.Config, st engine.ChunkStorage, die func()) (got []*chunk.Chunk, traces []engineTrace) {
+	t.Helper()
+	var mu sync.Mutex
+	cfg.OnResult = func(node rpc.NodeID, c *chunk.Chunk) error {
+		mu.Lock()
+		got = append(got, c)
+		mu.Unlock()
+		return nil
+	}
 	const nodes = 3
-	traces := make([]engineTrace, nodes)
+	traces = make([]engineTrace, nodes)
 	var wg sync.WaitGroup
 	id := v.query()
 	for q := 1; q < nodes; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			tr, err := v.run(ctx, id, rpc.NodeID(q), cfg, st)
-			traces[q] = engineTrace{degraded: tr.Degraded, attempts: tr.Attempts, excluded: tr.Excluded, err: err}
+			traces[q] = engineTrace{degraded: tr.Degraded, excluded: tr.Excluded, err: err}
 		}(q)
 	}
-
-	// Node 0 joins the mesh but dies shortly after the query starts; the
-	// degraded fabric reports its death instead of failing the survivors'
-	// endpoints.
-	ep0, err := v.endpoint(0)
-	if err != nil {
-		t.Fatal(err)
+	if die != nil {
+		time.Sleep(100 * time.Millisecond)
+		die()
 	}
-	time.Sleep(100 * time.Millisecond)
-	ep0.Close()
-
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(90 * time.Second):
-		t.Fatal("survivors hung after peer death")
+	case <-time.After(60 * time.Second):
+		t.Fatal("survivors hung after a peer death")
+	}
+	return got, traces
+}
+
+// runDegradedFailover executes one kill-mid-query failover on the given
+// fabric, the way the resolver drives it: node 0 joins the mesh but dies
+// shortly after the survivors start, so each survivor fails retryably, naming
+// node 0; the query resubmitted under a fresh id and planned without node 0
+// then completes on the survivors with results identical to the fault-free
+// reference. Returns the resubmission's survivor traces.
+func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v *views, mutate ...func(*engine.Config)) []engineTrace {
+	t.Helper()
+	res, err := repo.Execute(context.Background(), failoverQuery(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(res.Chunks)
+	st := engine.FarmStorage{Farm: repo.Farm()}
+	config := func(exclude ...rpc.NodeID) engine.Config {
+		cfg, err := prepare(repo, failoverQuery(s), exclude...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mutate {
+			m(&cfg)
+		}
+		return cfg
 	}
 
-	for q := 1; q < nodes; q++ {
+	ep0, err := v.endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first := runSurvivors(t, v, config(), st, func() { ep0.Close() })
+	for q := 1; q < 3; q++ {
+		checkDiesOf(t, q, first[q].err, 0)
+	}
+
+	got, traces := runSurvivors(t, v, config(0), st, nil)
+	for q := 1; q < 3; q++ {
 		if traces[q].err != nil {
-			t.Fatalf("survivor %d failed: %v", q, traces[q].err)
+			t.Fatalf("survivor %d failed the resubmission: %v", q, traces[q].err)
 		}
 	}
 	if render(got) != want {
@@ -171,206 +179,154 @@ func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v
 	return traces[1:]
 }
 
+// checkDiesOf: survivor q's run failed retryably, naming dead as the node
+// whose death caused it.
+func checkDiesOf(t *testing.T, q int, err error, dead rpc.NodeID) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("survivor %d completed a query whose plan needs dead node %d", q, dead)
+	}
+	if got, ok := engine.DeadPeer(err); !ok || got != dead || !engine.IsRetryable(err) {
+		t.Errorf("survivor %d error = %v: DeadPeer %d, %v, retryable %v; want node %d, retryable", q, err, got, ok, engine.IsRetryable(err), dead)
+	}
+}
+
 type engineTrace struct {
 	degraded bool
-	attempts int
 	excluded []int
 	err      error
 }
 
-// TestDegradedFailoverTCP is the tentpole acceptance test on the TCP
-// transport: with 2-way replication, killing one node mid-query completes
-// the query on the survivors with serial-equivalent results, for every
-// strategy.
+// TestDegradedFailoverTCP is the failover acceptance test on the TCP
+// transport: with 2-way replication, killing one node mid-query fails the
+// survivors retryably, and the resubmission planned without it completes
+// with serial-equivalent results, for every strategy.
 func TestDegradedFailoverTCP(t *testing.T) {
+	leakcheck.Check(t)
 	repo := buildReplicatedRepo(t, 3, 2)
 	for _, s := range []plan.Strategy{plan.FRA, plan.SRA, plan.DA, plan.Hybrid} {
 		t.Run(s.String(), func(t *testing.T) {
-			mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{Degraded: true})
+			mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mesh.Close()
-			traces := runDegradedFailover(t, repo, s, newViews(t, mesh.Endpoint))
-			checkDegradedTraces(t, traces)
+			checkDegradedTraces(t, runDegradedFailover(t, repo, s, newViews(t, mesh.Endpoint)))
 		})
 	}
 }
 
 // TestDegradedFailoverInproc runs the same failover on the in-process
-// fabric, which daemon-free embedders use.
+// fabric.
 func TestDegradedFailoverInproc(t *testing.T) {
+	leakcheck.Check(t)
 	repo := buildReplicatedRepo(t, 3, 2)
 	for _, s := range []plan.Strategy{plan.FRA, plan.DA} {
 		t.Run(s.String(), func(t *testing.T) {
-			fabric, err := rpc.NewInprocFabricOpts(3, rpc.InprocOptions{Degraded: true})
+			fabric, err := rpc.NewInprocFabric(3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer fabric.Close()
-			traces := runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint))
-			checkDegradedTraces(t, traces)
+			checkDegradedTraces(t, runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint)))
 		})
 	}
 }
 
-// checkDegradedTraces: every survivor must have completed degraded, with
-// node 0 excluded and more than one attempt on record.
+// checkDegradedTraces: every survivor of the resubmission ran degraded, with
+// node 0 excluded.
 func checkDegradedTraces(t *testing.T, traces []engineTrace) {
 	t.Helper()
 	for i, tr := range traces {
-		if !tr.degraded {
-			t.Errorf("survivor %d trace not marked degraded", i+1)
-		}
-		if tr.attempts < 2 {
-			t.Errorf("survivor %d recorded %d attempts, want >= 2", i+1, tr.attempts)
-		}
-		found := false
-		for _, ex := range tr.excluded {
-			if ex == 0 {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("survivor %d exclusion set %v does not name node 0", i+1, tr.excluded)
+		if !tr.degraded || !slices.Equal(tr.excluded, []int{0}) {
+			t.Errorf("survivor %d trace: degraded %v, excluded %v; want degraded without node 0", i+1, tr.degraded, tr.excluded)
 		}
 	}
 }
 
-// TestUnreplicatedDegradedFailsTyped: degraded mode on an unreplicated
-// layout cannot re-plan around a death — some chunk's only copy is gone —
-// so the engine must fall back to the PR 2 failure model: a typed error on
-// every survivor within the deadline, never a hang and never a wrong
-// result.
+// TestUnreplicatedDegradedFailsTyped: on an unreplicated layout a death
+// still fails the survivors retryably — they cannot know the layout — but
+// the resubmission cannot be planned: some chunk's only copy is gone, so
+// Prepare fails with a *plan.NoHolderError naming it, which is fatal.
 func TestUnreplicatedDegradedFailsTyped(t *testing.T) {
+	leakcheck.Check(t)
 	repo := buildRepo(t, 3) // replicas = 1
-	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
-	res, err := repo.Execute(context.Background(), &core.Query{
-		Input: "pts", Output: "img", Strategy: plan.DA, App: app,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{Degraded: true})
+	mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mesh.Close()
-
-	cfg := engine.Config{
-		Plan: res.Plan, Workload: res.Workload,
-		App:          app,
-		InputDataset: "pts",
-		Replan:       replanFor(repo, res.Workload, plan.DA),
-		OnResult:     func(rpc.NodeID, *chunk.Chunk) error { return nil },
-	}
-	st := engine.FarmStorage{Farm: repo.Farm()}
-
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
 	v := newViews(t, mesh.Endpoint)
-	id := v.query()
-	for q := 1; q < 3; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
-		}(q)
+	cfg, err := prepare(repo, failoverQuery(plan.DA))
+	if err != nil {
+		t.Fatal(err)
 	}
 	ep0, _ := mesh.Endpoint(0)
-	time.Sleep(100 * time.Millisecond)
-	ep0.Close()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("survivors hung after unreplicated peer death")
+	_, first := runSurvivors(t, v, cfg, engine.FarmStorage{Farm: repo.Farm()}, func() { ep0.Close() })
+	for q := 1; q < 3; q++ {
+		checkDiesOf(t, q, first[q].err, 0)
 	}
 
-	for q := 1; q < 3; q++ {
-		err := errs[q]
-		if err == nil {
-			t.Fatalf("survivor %d completed against a dead peer on an unreplicated layout", q)
-		}
-		var nh *plan.NoHolderError
-		var abort *engine.AbortError
-		if !errors.As(err, &nh) && !errors.As(err, &abort) {
-			t.Errorf("survivor %d error = %v, want *plan.NoHolderError or *engine.AbortError", q, err)
-		}
-		if engine.IsRetryable(err) {
-			t.Errorf("survivor %d error classified retryable, want fatal: %v", q, err)
-		}
+	_, err = prepare(repo, failoverQuery(plan.DA), 0)
+	var nh *plan.NoHolderError
+	if !errors.As(err, &nh) || nh.Dataset != "pts" || nh.Node != 0 {
+		t.Fatalf("prepare without node 0 = %v, want a *plan.NoHolderError for a pts chunk on node 0", err)
+	}
+	if engine.IsRetryable(err) {
+		t.Errorf("no-holder error classified retryable: %v", err)
 	}
 }
 
 // TestDegradedDeathBeforeQuery: a peer that died before the query was
-// submitted (its death is on the fabric's record, replayed to new query
-// queues) is excluded on the first fence round — the steady-state "node
-// crashed, traffic keeps flowing" shape a daemon fleet sees.
+// submitted — the steady state of a daemon fleet after a crash. A query
+// whose plan still needs it fails at once, retryably, from the Dispatcher's
+// record of the death; one planned without it is not failed by that record
+// and completes with the fault-free result.
 func TestDegradedDeathBeforeQuery(t *testing.T) {
+	leakcheck.Check(t)
 	repo := buildReplicatedRepo(t, 3, 2)
-	app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
-	res, err := repo.Execute(context.Background(), &core.Query{
-		Input: "pts", Output: "img", Strategy: plan.SRA, App: app,
-	})
+	res, err := repo.Execute(context.Background(), failoverQuery(plan.SRA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := render(res.Chunks)
-
-	mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{Degraded: true})
+	mesh, err := rpc.NewLoopbackMesh(3, rpc.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mesh.Close()
+	v := newViews(t, mesh.Endpoint)
+	st := engine.FarmStorage{Farm: repo.Farm()}
 
-	// Node 0 dies before anyone runs the query.
 	ep0, err := mesh.Endpoint(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ep0.Close()
-	time.Sleep(50 * time.Millisecond)
 
-	var mu sync.Mutex
-	var got []*chunk.Chunk
-	cfg := engine.Config{
-		Plan: res.Plan, Workload: res.Workload,
-		App:          app,
-		InputDataset: "pts",
-		Replan:       replanFor(repo, res.Workload, plan.SRA),
-		OnResult: func(node rpc.NodeID, c *chunk.Chunk) error {
-			mu.Lock()
-			got = append(got, c)
-			mu.Unlock()
-			return nil
-		},
+	cfg, err := prepare(repo, failoverQuery(plan.SRA))
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := engine.FarmStorage{Farm: repo.Farm()}
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	v := newViews(t, mesh.Endpoint)
-	id := v.query()
+	start := time.Now()
+	_, first := runSurvivors(t, v, cfg, st, nil)
 	for q := 1; q < 3; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			_, errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
-		}(q)
+		checkDiesOf(t, q, first[q].err, 0)
 	}
-	wg.Wait()
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("a query needing a long-dead peer took %v to fail", elapsed)
+	}
+
+	if cfg, err = prepare(repo, failoverQuery(plan.SRA), 0); err != nil {
+		t.Fatal(err)
+	}
+	got, traces := runSurvivors(t, v, cfg, st, nil)
 	for q := 1; q < 3; q++ {
-		if errs[q] != nil {
-			t.Fatalf("survivor %d failed: %v", q, errs[q])
+		if traces[q].err != nil {
+			t.Fatalf("survivor %d failed a query planned without the dead node: %v", q, traces[q].err)
 		}
 	}
-	if render(got) != want {
-		t.Error("pre-dead-node degraded result differs from the fault-free reference")
+	if render(got) != render(res.Chunks) {
+		t.Error("degraded result differs from the fault-free reference")
 	}
+	checkDegradedTraces(t, traces[1:])
 }

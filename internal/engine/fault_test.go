@@ -13,6 +13,7 @@ import (
 	"adr/internal/chunk"
 	"adr/internal/core"
 	"adr/internal/engine"
+	"adr/internal/leakcheck"
 	"adr/internal/plan"
 	"adr/internal/rpc"
 	"adr/internal/rpc/faultep"
@@ -41,10 +42,12 @@ func planDA(t *testing.T, nodes int) (*core.Repository, *core.Result, engine.Con
 }
 
 // TestTCPPeerDeathAbortsQuery is the acceptance test for the failure model:
-// kill one TCP node mid-query and every survivor must return a typed error
-// rooted in the peer failure — within the deadline, never a hang. At least
-// one survivor sees the raw *rpc.PeerError naming node 0; the others may
-// instead receive the abort that the first detector broadcast.
+// kill one TCP node mid-query and every survivor must return a retryable
+// error rooted in the peer failure — within the deadline, never a hang.
+// Each survivor learns of the death from the transport (a MsgPeerDown, or a
+// send that fails with a *rpc.PeerError) or from the abort the first
+// detector broadcast, and whichever it was, the error names node 0
+// (engine.DeadPeer).
 func TestTCPPeerDeathAbortsQuery(t *testing.T) {
 	const nodes = 3
 	repo, _, cfg := planDA(t, nodes)
@@ -73,37 +76,50 @@ func TestTCPPeerDeathAbortsQuery(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	ep0.Close()
 
-	sawPeerError := false
 	for i := 0; i < nodes-1; i++ {
 		select {
 		case err := <-errs:
 			if err == nil {
 				t.Fatal("survivor completed against a dead peer")
 			}
-			var pe *rpc.PeerError
-			var abort *engine.AbortError
-			switch {
-			case errors.As(err, &pe):
-				sawPeerError = true
-				if pe.Peer != 0 {
-					t.Errorf("PeerError names peer %d, want 0: %v", pe.Peer, err)
-				}
-			case errors.As(err, &abort):
-				// A peer that learned of the death via a survivor's abort
-				// broadcast: the reason must still trace back to node 0.
-				if !strings.Contains(abort.Reason, "peer 0") {
-					t.Errorf("abort reason does not trace to node 0: %v", err)
-				}
-			default:
-				t.Errorf("survivor error is neither PeerError nor AbortError: %v", err)
+			if dead, ok := engine.DeadPeer(err); !ok || dead != 0 || !engine.IsRetryable(err) {
+				t.Errorf("survivor error %v: DeadPeer %d, %v; want node 0, retryable", err, dead, ok)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("survivor hung after TCP peer death")
 		}
 	}
-	if !sawPeerError {
-		t.Error("no survivor returned the transport-level *rpc.PeerError")
+}
+
+// TestAbortNamesDeadPeerRetryable: a survivor that learns of a death only
+// through a peer's abort — its own death notice and its sends toward the
+// dead node are eaten — must still fail retryably, naming the dead node: the
+// abort carries the death it was caused by.
+func TestAbortNamesDeadPeerRetryable(t *testing.T) {
+	leakcheck.Check(t)
+	const nodes = 3
+	repo, _, cfg := planDA(t, nodes)
+	inner, err := rpc.NewInprocFabric(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer inner.Close()
+	fabric := faultep.WrapFabric(inner)
+	n1, _ := fabric.Node(1)
+	n1.OnRecv(func(m rpc.Message) bool { return m.Type == rpc.MsgPeerDown }, faultep.Action{Drop: true})
+	n1.OnSend(func(m rpc.Message) bool { return m.Dst == 0 }, faultep.Action{Drop: true})
+
+	v := newViews(t, fabric.Endpoint)
+	_, traces := runSurvivors(t, v, cfg, engine.FarmStorage{Farm: repo.Farm()}, func() {
+		ep0, _ := inner.Endpoint(0)
+		ep0.Close()
+	})
+	var abort *engine.AbortError
+	if err := traces[1].err; !errors.As(err, &abort) || abort.Node != 2 {
+		t.Fatalf("node 1 error = %v, want node 2's abort", err)
+	}
+	checkDiesOf(t, 1, traces[1].err, 0)
+	checkDiesOf(t, 2, traces[2].err, 0)
 }
 
 // TestStorageFailureBroadcastsAbort: a node failing on its own disk tells

@@ -29,12 +29,6 @@ type node struct {
 	// share[t] is what the plan makes this node allocate, read, send and
 	// wait for in tile t (plan.ShareOf: this node's share only).
 	share []plan.Share
-
-	// attempts counts degraded-mode execution attempts (0 on non-degraded
-	// runs, >= 1 on degraded ones); excluded is the final exclusion set the
-	// node completed with. Both surface on the NodeTrace.
-	attempts int
-	excluded []rpc.NodeID
 }
 
 // RunNodeTraced executes one node's share of the configured query and
@@ -45,7 +39,9 @@ type node struct {
 //
 // The node receives from the Dispatcher-owned mailbox behind ep: the
 // caller claims the query's view with Dispatcher.Endpoint and releases it
-// afterwards.
+// afterwards. A failure — this node's own, a peer's abort, or the death of a
+// peer that cfg.Exclude does not list — is broadcast to the mesh as an abort
+// and returned; one that traces back to a death is retryable (IsRetryable).
 func RunNodeTraced(ctx context.Context, cfg Config, ep *QueryEndpoint, st ChunkStorage) (metrics.NodeTrace, error) {
 	if err := cfg.Validate(); err != nil {
 		return metrics.NodeTrace{}, err
@@ -62,32 +58,32 @@ func RunNodeTraced(ctx context.Context, cfg Config, ep *QueryEndpoint, st ChunkS
 		n.met.CreditStalls.Add(1)
 		n.met.CreditStallNanos.Add(d.Nanoseconds())
 	}
-	n.prepare()
+	n.share = plan.ShareOf(cfg.Plan, cfg.Workload, int32(n.self))
 
-	var err error
-	if cfg.Replan != nil {
-		err = n.runDegraded(ctx)
-	} else if err = n.runTiles(ctx); err != nil {
+	err := ep.watch(cfg.Exclude)
+	if err == nil {
+		err = n.runTiles(ctx)
+	}
+	if err != nil {
 		// Tell the mesh before returning: peers blocked on this node's
 		// messages must fail within their deadline, not hang.
 		n.abortPeers(err)
 	}
 	n.recordTotals()
 
-	tr := n.met.Trace(int(n.self), len(n.cfg.Plan.Tiles), time.Since(start))
-	tr.Workers = n.cfg.workers()
-	tr.Attempts = n.attempts
-	if len(n.excluded) > 0 {
+	tr := n.met.Trace(int(n.self), len(cfg.Plan.Tiles), time.Since(start))
+	tr.Workers = cfg.workers()
+	if len(cfg.Exclude) > 0 {
 		tr.Degraded = true
-		tr.Excluded = make([]int, len(n.excluded))
-		for i, id := range n.excluded {
+		tr.Excluded = make([]int, len(cfg.Exclude))
+		for i, id := range cfg.Exclude {
 			tr.Excluded[i] = int(id)
 		}
 	}
 	return tr, err
 }
 
-// runTiles advances this node through every tile of its current plan.
+// runTiles advances this node through every tile of the plan.
 func (n *node) runTiles(ctx context.Context) error {
 	for t := range n.cfg.Plan.Tiles {
 		if err := ctx.Err(); err != nil {
@@ -140,12 +136,6 @@ func (n *node) recordTotals() {
 	for p, ns := range s.PhaseNanos {
 		engPhaseNS[p].Add(ns)
 	}
-}
-
-// prepare derives this node's share of every tile from the plan; degraded
-// retries call it again on the re-planned workload.
-func (n *node) prepare() {
-	n.share = plan.ShareOf(n.cfg.Plan, n.cfg.Workload, int32(n.self))
 }
 
 // runTile advances this node through the four §2.4 phases for one tile.

@@ -9,8 +9,9 @@ import (
 	"adr/internal/space"
 )
 
-// BenchmarkPrepare times the per-query fixed cost node.prepare adds on every
-// node: deriving the node's own share of the plan. Four processors, one
+// BenchmarkPrepare times the per-query fixed cost RunNodeTraced adds on every
+// node before its first tile: deriving the node's own share of the plan
+// (plan.ShareOf). Four processors, one
 // output per eight inputs, every input projecting to two outputs.
 func BenchmarkPrepare(b *testing.B) {
 	const procs = 4
@@ -36,15 +37,12 @@ func BenchmarkPrepare(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, needsOutput := range []bool{false, true} {
-				n := &node{cfg: &Config{Plan: p, Workload: w, App: &nopApp{needsOutput: needsOutput}}, self: 1}
-				b.Run(fmt.Sprintf("%v/inputs=%d/init=%v", s, inputs, needsOutput), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						n.prepare()
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%v/inputs=%d", s, inputs), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					plan.ShareOf(p, w, 1)
+				}
+			})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"adr/internal/costmodel"
@@ -33,14 +34,26 @@ func (q *QuerySpec) IsAuto() bool {
 // Selection.Strategy into the spec it executes. Timeouts follow the usual
 // convention (0 selects the default, negative disables).
 func ResolveAuto(addrs []string, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
+	return resolveAuto(addrs, nil, spec, dialTimeout, readTimeout)
+}
+
+// resolveAuto is ResolveAuto for a resolver that knows the nodes in dead
+// are gone: it asks none of them.
+func resolveAuto(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
 	var errs []error
 	for i, addr := range addrs {
+		if slices.Contains(dead, i) {
+			continue
+		}
 		sel, err := requestEstimate(addr, spec, dialTimeout, readTimeout)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("frontend: estimates from node %d at %s: %w", i, addr, err))
 			continue
 		}
 		return sel, nil
+	}
+	if len(errs) == 0 {
+		return nil, fmt.Errorf("frontend: all %d back-end nodes are dead", len(addrs))
 	}
 	return nil, errors.Join(errs...)
 }
@@ -76,14 +89,14 @@ func requestEstimate(addr string, spec *QuerySpec, dialTimeout, readTimeout time
 }
 
 // resolveSpec is the AUTO step ahead of a fan-out. A fixed-strategy spec
-// passes through with a nil selection; an AUTO spec is priced by ResolveAuto
-// and comes back as a copy with the winner stamped in, leaving the caller's
-// spec (which may be retried or shared) untouched.
-func resolveSpec(addrs []string, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*QuerySpec, *metrics.Selection, error) {
+// passes through with a nil selection; an AUTO spec is priced by a node not
+// in dead and comes back as a copy with the winner stamped in, leaving the
+// caller's spec (which may be retried or shared) untouched.
+func resolveSpec(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*QuerySpec, *metrics.Selection, error) {
 	if !spec.IsAuto() {
 		return spec, nil, nil
 	}
-	sel, err := ResolveAuto(addrs, spec, dialTimeout, readTimeout)
+	sel, err := resolveAuto(addrs, dead, spec, dialTimeout, readTimeout)
 	if err != nil {
 		return nil, nil, err
 	}

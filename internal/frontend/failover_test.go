@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"adr/internal/chunk"
+	"adr/internal/leakcheck"
+	"adr/internal/metrics"
 	"adr/internal/space"
 )
 
@@ -24,7 +28,19 @@ type fakeNode struct {
 	// chunkFrame build well-formed frames, and a test may script anything
 	// else a node could send. A nil element hangs up mid-stream.
 	respond func(n int) [][]byte
-	reqs    atomic.Int64
+	// conns counts connections accepted, reqs requests served.
+	conns atomic.Int64
+	reqs  atomic.Int64
+	// log holds every request served, in arrival order.
+	mu  sync.Mutex
+	log []NodeRequest
+}
+
+// requests returns the requests served so far.
+func (f *fakeNode) requests() []NodeRequest {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.log)
 }
 
 func startFakeNode(t *testing.T, respond func(n int) [][]byte) *fakeNode {
@@ -41,6 +57,7 @@ func startFakeNode(t *testing.T, respond func(n int) [][]byte) *fakeNode {
 			if err != nil {
 				return
 			}
+			f.conns.Add(1)
 			go f.serve(conn)
 		}
 	}()
@@ -55,6 +72,9 @@ func (f *fakeNode) serve(conn net.Conn) {
 		if err := ReadJSON(r, &req); err != nil {
 			return
 		}
+		f.mu.Lock()
+		f.log = append(f.log, req)
+		f.mu.Unlock()
 		n := int(f.reqs.Add(1)) - 1
 		for _, b := range f.respond(n) {
 			if b == nil {
@@ -106,6 +126,39 @@ func doneFrame(node int) [][]byte {
 	return [][]byte{
 		chunkFrame(fakeChunk(node)),
 		ctl(&Message{Type: "done", Stats: &DoneStats{Node: node, Chunks: 1}}),
+	}
+}
+
+// deadFrame is the error frame a survivor sends when its query failed
+// because node dead died.
+func deadFrame(node, dead int) []byte {
+	return ctl(&Message{Type: "error", Error: "peer down", ErrInfo: &ErrorInfo{
+		Node: node, Origin: dead, Message: "engine: peer down", Retryable: true, Dead: []int{dead},
+	}})
+}
+
+// degradedSurvivor is node 1 of a two-node mesh whose node 0 died: the first
+// request fails on node 0's death, after streaming one chunk; every later
+// one completes, planned without node 0, with chunk id.
+func degradedSurvivor(t *testing.T, id int) *fakeNode {
+	return startFakeNode(t, func(n int) [][]byte {
+		if n == 0 {
+			return [][]byte{chunkFrame(itemsChunk(id, 5)), deadFrame(1, 0)}
+		}
+		return [][]byte{
+			chunkFrame(itemsChunk(id, 5)),
+			ctl(&Message{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Excluded: []int{0}}}),
+		}
+	})
+}
+
+// checkResubmitted: the survivor was asked twice — first with the full mesh,
+// then without node 0.
+func checkResubmitted(t *testing.T, survivor *fakeNode) {
+	t.Helper()
+	reqs := survivor.requests()
+	if len(reqs) != 2 || len(reqs[0].Exclude) != 0 || !slices.Equal(reqs[1].Exclude, []int{0}) || reqs[0].QueryID == reqs[1].QueryID {
+		t.Errorf("survivor requests = %+v, want the query, then a fresh id excluding node 0", reqs)
 	}
 }
 
@@ -167,24 +220,20 @@ func TestParallelClientBusyRetryFailover(t *testing.T) {
 	}
 }
 
-// TestParallelClientExcludedToleranceFailover: a dead node's failed stream
-// is tolerated exactly when every surviving stream's done stats list it as
-// excluded — and is fatal when they do not.
+// TestParallelClientExcludedToleranceFailover: a dead node (connection
+// refused) fails the first attempt retryably; the survivor's error frame
+// names it dead, so the resubmission runs without it — the dead node's
+// stream comes back Excluded, unasked — and the query succeeds. A dead node
+// no survivor reports dead is never excluded: the retries run out.
 func TestParallelClientExcludedToleranceFailover(t *testing.T) {
-	// Node 0 is dead (connection refused); node 1 completed degraded with
-	// node 0 excluded.
+	leakcheck.Check(t)
 	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
-	survivor := startFakeNode(t, func(int) [][]byte {
-		return [][]byte{
-			chunkFrame(fakeChunk(1)),
-			ctl(&Message{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}}),
-		}
-	})
+	survivor := degradedSurvivor(t, 1)
 	pc, err := NewParallelClient([]string{deadAddr, survivor.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -192,24 +241,32 @@ func TestParallelClientExcludedToleranceFailover(t *testing.T) {
 	pc.DialTimeout = 2 * time.Second
 	streams, err := pc.Query(&QuerySpec{Input: "pts", Output: "img"})
 	if err != nil {
-		t.Fatalf("tolerated failover query failed: %v", err)
+		t.Fatalf("failover query failed: %v", err)
 	}
-	if !streams[0].Excluded || streams[0].Err == nil || len(streams[0].Chunks) != 0 {
-		t.Errorf("dead stream = %+v, want Excluded with an error and no chunks", streams[0])
+	if !streams[0].Excluded || streams[0].Err != nil || len(streams[0].Chunks) != 0 {
+		t.Errorf("dead stream = %+v, want Excluded, unasked, with no chunks", streams[0])
 	}
-	if streams[1].Excluded || len(streams[1].Chunks) != 1 {
-		t.Errorf("survivor stream = %+v, want one chunk, not excluded", streams[1])
+	if streams[1].Excluded || len(streams[1].Chunks) != 1 || !streams[1].Stats.Degraded {
+		t.Errorf("survivor stream = %+v, want one chunk, degraded, not excluded", streams[1])
 	}
+	checkResubmitted(t, survivor)
 
-	// Same dead node, but the survivor did NOT exclude it: the query fails.
+	// Same dead node, but the survivor never reports it dead: it is never
+	// excluded, and the query fails retryably once the retries are spent.
 	strict := startFakeNode(t, func(int) [][]byte { return doneFrame(1) })
 	pc2, err := NewParallelClient([]string{deadAddr, strict.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pc2.DialTimeout = 2 * time.Second
-	if _, err := pc2.Query(&QuerySpec{Input: "pts", Output: "img"}); err == nil {
-		t.Fatal("unexcluded dead stream tolerated")
+	pc2.BusyRetries = 1
+	_, err = pc2.Query(&QuerySpec{Input: "pts", Output: "img"})
+	var qe *QueryError
+	if !errors.As(err, &qe) || !qe.Retryable || !strings.Contains(err.Error(), "dial node 0") {
+		t.Fatalf("unreported dead node: err = %v, want node 0's retryable dial failure", err)
+	}
+	if got := strict.reqs.Load(); got != 2 {
+		t.Errorf("survivor asked %d times, want 2 (the query and its one retry)", got)
 	}
 }
 
@@ -278,23 +335,19 @@ func TestParallelClientReadTimeoutFailover(t *testing.T) {
 }
 
 // TestRelayToleratesDeadNodeFailover: a node the front-end relay cannot
-// even dial is a failed stream, not a failed query — when the survivors'
-// done stats unanimously exclude it, the merged result goes through. The
-// PR 8 bugfix: relayQuery used to abort on the first dial error before
-// ever consulting the survivors.
+// even dial fails the attempt retryably; the survivor's error frame names it
+// dead, and the client's resubmission, relayed without it, returns the
+// survivor's chunk, degraded — the failed attempt's relayed chunk dropped.
+// Without the survivor's report, the dial failure is what the client gets.
 func TestRelayToleratesDeadNodeFailover(t *testing.T) {
+	leakcheck.Check(t)
 	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
-	survivor := startFakeNode(t, func(int) [][]byte {
-		return [][]byte{
-			chunkFrame(fakeChunk(3)),
-			ctl(&Message{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}}),
-		}
-	})
+	survivor := degradedSurvivor(t, 3)
 	fe, err := Start("127.0.0.1:0", []string{deadAddr, survivor.ln.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -310,13 +363,14 @@ func TestRelayToleratesDeadNodeFailover(t *testing.T) {
 		t.Fatalf("query with a dead relayed node failed: %v", err)
 	}
 	if len(chunks) != 1 || chunks[0].ID != 3 {
-		t.Fatalf("chunks = %+v, want the survivor's chunk", chunks)
+		t.Fatalf("chunks = %+v, want the survivor's chunk once", chunks)
 	}
-	if stats == nil || !stats.Degraded || len(stats.Excluded) != 1 || stats.Excluded[0] != 0 {
+	if stats == nil || !stats.Degraded || !slices.Equal(stats.Excluded, []int{0}) {
 		t.Errorf("merged stats = %+v, want Degraded with node 0 excluded", stats)
 	}
+	checkResubmitted(t, survivor)
 
-	// Without the survivors' exclusion, the dial failure stays fatal.
+	// Without the survivor's report, the dial failure stays the answer.
 	strict := startFakeNode(t, func(int) [][]byte { return doneFrame(1) })
 	fe2, err := Start("127.0.0.1:0", []string{deadAddr, strict.ln.Addr().String()})
 	if err != nil {
@@ -329,8 +383,8 @@ func TestRelayToleratesDeadNodeFailover(t *testing.T) {
 	}
 	defer client2.Close()
 	client2.BusyRetries = -1
-	if _, _, err := client2.Query(&QuerySpec{Input: "pts", Output: "img"}); err == nil {
-		t.Fatal("undialable node tolerated without survivor exclusion")
+	if _, _, err := client2.Query(&QuerySpec{Input: "pts", Output: "img"}); err == nil || !strings.Contains(err.Error(), "dial node 0") {
+		t.Fatalf("undialable node without a survivor's report: err = %v, want the dial failure", err)
 	}
 }
 
@@ -371,5 +425,59 @@ func TestClientBusyRetryFailover(t *testing.T) {
 	}
 	if got := node.reqs.Load(); got != 2 {
 		t.Errorf("node served %d requests, want 2", got)
+	}
+}
+
+// TestAutoSkipsDeadNodeFailover: a resolver that knows node 0 dead neither
+// asks it for AUTO's estimates nor sends it the query — on a real network
+// each such dial could cost the whole dial timeout — and plans the query
+// without it.
+func TestAutoSkipsDeadNodeFailover(t *testing.T) {
+	leakcheck.Check(t)
+	dead := startFakeNode(t, func(int) [][]byte { return doneFrame(0) })
+	var live *fakeNode
+	live = startFakeNode(t, func(n int) [][]byte {
+		if live.requests()[n].Estimate {
+			return [][]byte{ctl(&Message{Type: "estimate", Selection: &metrics.Selection{Strategy: "DA"}})}
+		}
+		return doneFrame(1)
+	})
+	addrs := []string{dead.ln.Addr().String(), live.ln.Addr().String()}
+	spec := &QuerySpec{Input: "pts", Output: "img", Strategy: "AUTO"}
+
+	pc, err := NewParallelClient(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.dead.nodes = []int{0}
+	if _, err := pc.Query(spec); err != nil {
+		t.Fatalf("parallel AUTO query without node 0: %v", err)
+	}
+	fe, err := Start("127.0.0.1:0", addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	fe.dead.nodes = []int{0}
+	client, err := Dial(fe.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, _, err := client.Query(spec); err != nil {
+		t.Fatalf("relayed AUTO query without node 0: %v", err)
+	}
+
+	if got := dead.conns.Load(); got != 0 {
+		t.Errorf("the dead node was dialled %d times", got)
+	}
+	reqs := live.requests()
+	if len(reqs) != 4 {
+		t.Fatalf("live node served %d requests, want 4 (estimate and query, twice)", len(reqs))
+	}
+	for _, r := range reqs {
+		if !r.Estimate && (r.Spec.Strategy != "DA" || !slices.Equal(r.Exclude, []int{0})) {
+			t.Errorf("query request = %+v, want strategy DA planned without node 0", r)
+		}
 	}
 }

@@ -4,57 +4,59 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
+	"syscall"
 	"time"
 )
 
 // The front half of the query path. The front-end's relay and a parallel
-// client run a query the same way — fanOut to every node, then settle — and
-// differ only in what they do with a chunk frame (relay its bytes; decode it)
-// and in whether a failed node's frames can still be dropped afterwards.
+// client run a query the same way — fanOut to every live node, then settle —
+// and differ only in what they do with a chunk frame (relay its bytes; decode
+// it).
 
 // readFrames consumes one result stream — the front-end's merged stream or a
 // single node's — up to its closing control line, handing every chunk frame
-// to onFrame and counting those it accepted. timeout, when positive, bounds
-// each frame read, so a peer that dies mid-stream surfaces as a timeout, not
-// a hang. With pooled set, onFrame must bufpool.Put every frame. node labels
-// an error frame that does not locate itself.
-func readFrames(conn net.Conn, r *bufio.Reader, timeout time.Duration, pooled bool, node int, onFrame func(frame []byte) error) (stats *DoneStats, frames int, err error) {
+// to onFrame. timeout, when positive, bounds each frame read, so a peer that
+// dies mid-stream surfaces as a timeout, not a hang. With pooled set, onFrame
+// must bufpool.Put every frame. node labels an error frame that does not
+// locate itself.
+func readFrames(conn net.Conn, r *bufio.Reader, timeout time.Duration, pooled bool, node int, onFrame func(frame []byte) error) (*DoneStats, error) {
 	for {
 		if timeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(timeout))
 		}
 		frame, msg, err := ReadFrame(r, pooled)
 		if err != nil {
-			return nil, frames, err
+			return nil, err
 		}
 		if frame != nil {
 			if err := onFrame(frame); err != nil {
-				return nil, frames, err
+				return nil, err
 			}
-			frames++
 			continue
 		}
 		switch msg.Type {
 		case "done":
-			return msg.Stats, frames, nil
+			return msg.Stats, nil
 		case "error":
-			return nil, frames, queryErrFrom(node, msg)
+			return nil, queryErrFrom(node, msg)
 		default:
-			return nil, frames, fmt.Errorf("frontend: unknown frame %q", msg.Type)
+			return nil, fmt.Errorf("frontend: unknown frame %q", msg.Type)
 		}
 	}
 }
 
-// fanOut submits req to every node's control port and consumes the node
-// streams concurrently, handing each chunk frame, with its node's stream, to
-// onFrame (from several goroutines at once, one per stream; see readFrames
-// for pooled). Timeouts: 0 selects the default, negative disables. A node
-// that cannot be reached is a failed stream, not a failed query: on a
-// degraded mesh the survivors re-home its chunks and settle accepts the
-// merged result.
+// fanOut submits req to every node's control port — save the nodes
+// req.Exclude names dead, whose streams come back Excluded and unasked — and
+// consumes the node streams concurrently, handing each chunk frame, with its
+// node's stream, to onFrame (from several goroutines at once, one per
+// stream; see readFrames for pooled). Timeouts: 0 selects the default,
+// negative disables. A node whose connection is refused, reset or cut
+// mid-stream may have died: its stream fails retryably, and the resubmission
+// learns from the survivors whether it did.
 func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) []NodeStream {
 	dialTimeout = timeoutOrDefault(dialTimeout, defaultDialTimeout)
 	readTimeout = timeoutOrDefault(readTimeout, defaultStreamTimeout)
@@ -62,24 +64,17 @@ func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Dura
 	var wg sync.WaitGroup
 	for i, addr := range addrs {
 		streams[i].Node = i
+		if slices.Contains(req.Exclude, i) {
+			streams[i].Excluded = true
+			continue
+		}
 		wg.Add(1)
 		go func(s *NodeStream, addr string) {
 			defer wg.Done()
-			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-			if err != nil {
-				s.Err = fmt.Errorf("frontend: dial node %d at %s: %w", s.Node, addr, err)
-				return
-			}
-			defer conn.Close()
-			if err := WriteJSON(conn, req); err != nil {
-				s.Err = fmt.Errorf("frontend: submit to node %d: %w", s.Node, err)
-				return
-			}
-			s.Stats, s.frames, s.Err = readFrames(conn, bufio.NewReader(conn), readTimeout, pooled, s.Node,
-				func(frame []byte) error { return onFrame(s, frame) })
+			s.Err = s.run(addr, req, dialTimeout, readTimeout, pooled, onFrame)
 			var qe *QueryError
-			if s.Err != nil && !errors.As(s.Err, &qe) {
-				s.Err = fmt.Errorf("frontend: node %d stream: %w", s.Node, s.Err)
+			if s.Err != nil && !errors.As(s.Err, &qe) && connLost(s.Err) {
+				s.Err = &QueryError{Node: s.Node, Origin: s.Node, Message: s.Err.Error(), Retryable: true}
 			}
 		}(&streams[i], addr)
 	}
@@ -87,45 +82,51 @@ func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Dura
 	return streams
 }
 
-// excludedTolerated reports whether failed node i's missing stream is
-// tolerable: at least one node succeeded, and every successful node's done
-// stats list i as excluded — the mesh agreed node i died and completed the
-// query degraded without it, so i's output was re-homed to survivors.
-func excludedTolerated(i int, streams []NodeStream) bool {
-	any := false
-	for j, s := range streams {
-		if j == i || s.Stats == nil {
-			continue
-		}
-		if !slices.Contains(s.Stats.Excluded, i) {
-			return false
-		}
-		any = true
+// run submits req to the node at addr and consumes its stream into s.
+func (s *NodeStream) run(addr string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) error {
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return fmt.Errorf("frontend: dial node %d at %s: %w", s.Node, addr, err)
 	}
-	return any
+	defer conn.Close()
+	if err := WriteJSON(conn, req); err != nil {
+		return fmt.Errorf("frontend: submit to node %d: %w", s.Node, err)
+	}
+	s.Stats, err = readFrames(conn, bufio.NewReader(conn), readTimeout, pooled, s.Node,
+		func(frame []byte) error { return onFrame(s, frame) })
+	var qe *QueryError
+	if err != nil && !errors.As(err, &qe) {
+		err = fmt.Errorf("frontend: node %d stream: %w", s.Node, err)
+	}
+	return err
 }
 
-// settle decides a fanned-out query. A failed stream is tolerated — marked
-// Excluded, its error kept for diagnosis — when the surviving nodes completed
-// degraded and unanimously list its node as excluded: its chunks were
-// re-homed onto replica holders, so the other streams are complete. Whatever
-// it delivered before failing must go, or the survivors' re-delivery would
-// double-count: its Chunks are dropped, and when the frames have left the
-// caller's hands (retractable false) a stream that delivered any is not
-// tolerated. Every other failure is reported, not just the first. On success
-// the nodes' done stats are merged into the query's.
-func settle(streams []NodeStream, retractable bool) (*DoneStats, error) {
+// connLost reports whether err is a node's connection going away — refused,
+// reset or cut mid-stream — rather than an answer or a timeout.
+func connLost(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE)
+}
+
+// settle decides a fanned-out query: it succeeds when every node asked did,
+// and a failure reports every failed node, not just the first. (One that
+// traces back to a node's death is retryable: the resolver learns the dead
+// node from it and resubmits without it.) On success the nodes' done stats
+// are merged into the query's.
+func settle(streams []NodeStream) (*DoneStats, error) {
 	var errs []error
-	for i := range streams {
-		s := &streams[i]
-		if s.Err == nil {
-			continue
+	asked := 0
+	for _, s := range streams {
+		if !s.Excluded {
+			asked++
 		}
-		if (retractable || s.frames == 0) && excludedTolerated(i, streams) {
-			s.Excluded, s.Chunks = true, nil
-		} else {
+		if s.Err != nil {
 			errs = append(errs, s.Err)
 		}
+	}
+	if asked == 0 {
+		return nil, fmt.Errorf("frontend: all %d back-end nodes are dead", len(streams))
 	}
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
@@ -134,7 +135,7 @@ func settle(streams []NodeStream, retractable bool) (*DoneStats, error) {
 	for _, s := range streams {
 		st := s.Stats
 		if st == nil {
-			// Tolerated excluded node: no stats to merge.
+			// An excluded node: no stats to merge.
 			continue
 		}
 		total.Chunks += st.Chunks
@@ -150,13 +151,7 @@ func settle(streams []NodeStream, retractable bool) (*DoneStats, error) {
 			total.Traces = append(total.Traces, *st.Trace)
 		}
 		if st.Degraded {
-			total.Degraded = true
-			if len(st.Excluded) > len(total.Excluded) {
-				total.Excluded = st.Excluded
-			}
-		}
-		if st.Attempts > total.Attempts {
-			total.Attempts = st.Attempts
+			total.Degraded, total.Excluded = true, st.Excluded
 		}
 	}
 	return total, nil

@@ -29,6 +29,9 @@ type ParallelClient struct {
 	// lo <= hi <= -1: the id range this client cycles through, newest ids
 	// first (hi, hi-1, ..., lo, hi, ...).
 	lo, hi int32
+	// dead is the set of nodes every query runs without: a parallel client
+	// is its own resolver.
+	dead deadSet
 
 	// DialTimeout bounds each per-node connect (0 selects 10 s, negative
 	// disables); ReadTimeout bounds each frame read on a node stream (0
@@ -37,8 +40,8 @@ type ParallelClient struct {
 	DialTimeout time.Duration
 	ReadTimeout time.Duration
 	// BusyRetries is how many times Query resubmits the whole query — under a
-	// fresh id, with jittered backoff — when every node failure is retryable
-	// (0 selects 3, negative disables).
+	// fresh id, with jittered backoff, without the nodes learned dead — when
+	// every node failure is retryable (0 selects 3, negative disables).
 	BusyRetries int
 }
 
@@ -87,26 +90,22 @@ type NodeStream struct {
 	Chunks []*ChunkJSON
 	Stats  *DoneStats
 	Err    error
-	// Excluded marks a node whose stream failed but whose absence the
-	// surviving nodes tolerated: they completed the query degraded with this
-	// node excluded, re-homing its output onto replica holders. The chunk set
-	// across the other streams is still complete.
+	// Excluded marks a node the resolver knows dead: it was not asked, and
+	// the query was planned without it (NodeRequest.Exclude), its output
+	// re-homed onto the other streams, whose chunk set is complete.
 	Excluded bool
-	// frames counts the chunk frames the stream delivered.
-	frames int
 }
 
 // Query submits the spec to every node and returns the per-node streams,
 // consumed concurrently. The caller sees the output partitioned by owning
 // node — the layout a parallel consumer wants.
 //
-// A node stream that fails is tolerated when the surviving nodes' done stats
-// unanimously list that node as excluded (degraded execution re-homed its
-// output); its entry comes back with Excluded set and no chunks. Any other
-// failure fails the query with every node's error joined. When every failure
-// is retryable — admission "busy", exhausted degraded retries — the whole
-// query is resubmitted under a fresh id up to BusyRetries times with jittered
-// backoff.
+// A node the client has learned dead is not asked: its entry comes back
+// Excluded, with no chunks. Any failure fails the query with every node's
+// error joined. When every failure is retryable — admission "busy", a node's
+// death — the whole query is resubmitted under a fresh id up to BusyRetries
+// times with jittered backoff, without the nodes the failure reported dead:
+// a mid-query death still returns the complete result.
 func (c *ParallelClient) Query(spec *QuerySpec) (streams []NodeStream, err error) {
 	err = retryBusy(c.BusyRetries, func() error {
 		streams, err = c.queryOnce(spec)
@@ -116,12 +115,14 @@ func (c *ParallelClient) Query(spec *QuerySpec) (streams []NodeStream, err error
 }
 
 func (c *ParallelClient) queryOnce(spec *QuerySpec) ([]NodeStream, error) {
-	// A parallel client is its own AUTO resolver (no front-end in the path).
-	spec, sel, err := resolveSpec(c.nodeAddrs, spec, c.DialTimeout, c.ReadTimeout)
+	// A parallel client is its own resolver (no front-end in the path): of
+	// AUTO and of the dead set.
+	exclude := c.dead.list()
+	spec, sel, err := resolveSpec(c.nodeAddrs, exclude, spec, c.DialTimeout, c.ReadTimeout)
 	if err != nil {
 		return nil, err
 	}
-	req := &NodeRequest{QueryID: c.nextID(), Spec: *spec}
+	req := &NodeRequest{QueryID: c.nextID(), Spec: *spec, Exclude: exclude}
 	streams := fanOut(c.nodeAddrs, req, c.DialTimeout, c.ReadTimeout, false, func(s *NodeStream, frame []byte) error {
 		cj, err := decodeFrame(frame)
 		if err == nil {
@@ -129,8 +130,9 @@ func (c *ParallelClient) queryOnce(spec *QuerySpec) ([]NodeStream, error) {
 		}
 		return err
 	})
-	total, err := settle(streams, true)
+	total, err := settle(streams)
 	if err != nil {
+		c.dead.learn(err, len(c.nodeAddrs))
 		return streams, err
 	}
 	finishAuto(sel, total)

@@ -149,6 +149,12 @@ type NodeRequest struct {
 	// resolver stamps the winning strategy into the spec it relays, so all
 	// executing nodes still plan identically from the shared catalog.
 	Estimate bool `json:"estimate,omitempty"`
+	// Exclude lists the back-end nodes the resolver knows dead, learned from
+	// survivors' error frames (ErrorInfo.Dead). Every node plans the query
+	// without them — their chunks read from surviving replica holders, their
+	// outputs re-homed (core.Exec.Prepare) — and the resolver does not ask
+	// them. Set by the resolver, never by a client.
+	Exclude []int `json:"exclude,omitempty"`
 }
 
 // Message is one control line of the result stream (back-end -> front-end
@@ -186,11 +192,16 @@ type ErrorInfo struct {
 	// Message is the full error text.
 	Message string `json:"message"`
 	// Retryable marks failures a fresh submission stands a chance against —
-	// an admission-queue timeout ("busy") or exhausted degraded-mode retries
-	// — as opposed to bad queries, missing datasets or fatal aborts. Clients
+	// an admission-queue timeout ("busy") or a back-end node's death — as
+	// opposed to bad queries, missing datasets or fatal aborts. Clients
 	// honour it with bounded backed-off retries (Client.BusyRetries /
 	// ParallelClient.BusyRetries).
 	Retryable bool `json:"retryable,omitempty"`
+	// Dead names the back-end node whose death the failure traces back to:
+	// a mesh peer the reporting node saw die, or that an aborting peer did.
+	// The resolver adds it to its dead set and resubmits without it
+	// (NodeRequest.Exclude).
+	Dead []int `json:"dead,omitempty"`
 }
 
 // QueryError is a failed query as seen through the client protocol,
@@ -202,8 +213,9 @@ type QueryError struct {
 	Origin int
 	// Message is the error text.
 	Message string
-	// Retryable mirrors ErrorInfo.Retryable.
+	// Retryable and Dead mirror ErrorInfo's.
 	Retryable bool
+	Dead      []int
 }
 
 // Error names the failing node when one is known.
@@ -250,13 +262,11 @@ type DoneStats struct {
 	// Traces, on the front-end's merged done frame, assembles every node's
 	// trace — the query's full per-node, per-phase accounting.
 	Traces []metrics.NodeTrace `json:"traces,omitempty"`
-	// Degraded reports that the node completed the query with processors
-	// excluded; Excluded lists them and Attempts counts execution attempts.
-	// Clients use Excluded to tolerate the dead nodes' missing streams — a
-	// failed stream is fatal unless the surviving nodes agree its node was
-	// excluded.
+	// Degraded reports that the query ran planned without the dead nodes
+	// Excluded lists (NodeRequest.Exclude): their chunks were read from
+	// surviving replica holders and their outputs re-homed onto the other
+	// streams.
 	Degraded bool  `json:"degraded,omitempty"`
-	Attempts int   `json:"attempts,omitempty"`
 	Excluded []int `json:"excluded,omitempty"`
 	// Selection, on the merged done frame of an AUTO query, records the
 	// cost-model strategy choice: which node priced the candidates, every

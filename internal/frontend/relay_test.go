@@ -12,6 +12,7 @@ import (
 	"adr/internal/apps"
 	"adr/internal/bufpool"
 	"adr/internal/chunk"
+	"adr/internal/leakcheck"
 	"adr/internal/metrics"
 	"adr/internal/space"
 )
@@ -172,51 +173,43 @@ func TestRelayForwardsFramesVerbatim(t *testing.T) {
 	waitRelayIdle(t, base)
 }
 
-// TestRelayNodeDeathMidStreamFailover: a node that dies inside a frame
-// leaves no pooled buffer behind, and the excluded-stream tolerance still
-// turns on what was forwarded — a stream that died before relaying anything
-// is tolerated when the survivor excluded its node; one that had already
-// relayed a frame is not, because the survivor re-delivers that output.
+// TestRelayNodeDeathMidStreamFailover: a node that dies inside a frame —
+// before it relayed anything, or after it already had — leaves no pooled
+// buffer behind and fails the attempt retryably. The survivor names it dead,
+// so the client's resubmission runs without it and returns exactly the
+// survivor's chunk: whatever the failed attempt relayed is dropped with it.
 func TestRelayNodeDeathMidStreamFailover(t *testing.T) {
-	survivor := func() *fakeNode {
-		return startFakeNode(t, func(int) [][]byte {
-			return [][]byte{
-				chunkFrame(itemsChunk(7, 5)),
-				ctl(&Message{Type: "done", Stats: &DoneStats{Node: 1, Chunks: 1, Degraded: true, Attempts: 2, Excluded: []int{0}}}),
-			}
-		})
-	}
 	big := chunkFrame(itemsChunk(1, 2000))
 	for _, tc := range []struct {
-		name      string
-		script    [][]byte
-		tolerated bool
+		name   string
+		script [][]byte
 	}{
-		{"mid-first-frame", [][]byte{big[:len(big)/2], nil}, true},
-		{"mid-header", [][]byte{big[:3], nil}, true},
-		{"after-a-forwarded-frame", [][]byte{chunkFrame(itemsChunk(1, 5)), big[:len(big)/2], nil}, false},
+		{"mid-first-frame", [][]byte{big[:len(big)/2], nil}},
+		{"mid-header", [][]byte{big[:3], nil}},
+		{"after-a-forwarded-frame", [][]byte{chunkFrame(itemsChunk(1, 5)), big[:len(big)/2], nil}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
 			dying := startFakeNode(t, func(int) [][]byte { return tc.script })
-			fe := startRelay(t, dying, survivor())
+			survivor := degradedSurvivor(t, 7)
+			fe := startRelay(t, dying, survivor)
 			base := bufpool.Outstanding()
 			client, err := Dial(fe.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer client.Close()
-			client.BusyRetries = -1
 			chunks, stats, err := client.Query(&QuerySpec{Input: "pts", Output: "img"})
-			if tc.tolerated {
-				if err != nil {
-					t.Fatalf("stream that forwarded nothing was not tolerated: %v", err)
-				}
-				if len(chunks) != 1 || chunks[0].ID != 7 || len(chunks[0].Items) != 5 || !stats.Degraded {
-					t.Fatalf("chunks = %+v, stats = %+v, want the survivor's chunk, degraded", chunks, stats)
-				}
-			} else if err == nil || !strings.Contains(err.Error(), "node 0 stream") {
-				t.Fatalf("err = %v, want node 0's stream failure: it had forwarded a frame", err)
+			if err != nil {
+				t.Fatalf("query across a node's death mid-stream: %v", err)
 			}
+			if len(chunks) != 1 || chunks[0].ID != 7 || len(chunks[0].Items) != 5 || !stats.Degraded {
+				t.Fatalf("chunks = %+v, stats = %+v, want the survivor's chunk once, degraded", chunks, stats)
+			}
+			if got := dying.reqs.Load(); got != 1 {
+				t.Errorf("the dead node was asked %d times, want once", got)
+			}
+			checkResubmitted(t, survivor)
 			waitRelayIdle(t, base)
 		})
 	}

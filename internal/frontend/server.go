@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +18,7 @@ import (
 // Client-resilience defaults. Dials and per-frame stream reads are bounded
 // by default — an unresponsive or dead node must surface as a typed error
 // within the timeout, not hang the caller forever — and retryable failures
-// (ErrorInfo.Retryable: admission "busy", exhausted degraded retries) are
+// (ErrorInfo.Retryable: admission "busy", a back-end node's death) are
 // retried a bounded number of times with jittered exponential backoff.
 // Everywhere a timeout or retry count is configurable, 0 selects the default
 // and a negative value disables the mechanism.
@@ -81,6 +82,21 @@ func retryBusy(retries int, once func() error) error {
 	}
 }
 
+// queryErrs returns the QueryError at each leaf of err's joined tree, nil
+// for a leaf that carries none.
+func queryErrs(err error) []*QueryError {
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		var out []*QueryError
+		for _, e := range j.Unwrap() {
+			out = append(out, queryErrs(e)...)
+		}
+		return out
+	}
+	var qe *QueryError
+	errors.As(err, &qe)
+	return []*QueryError{qe}
+}
+
 // retryableErr reports whether every error in err's tree is a retryable
 // QueryError — the condition under which resubmitting the query stands a
 // chance (a single fatal cause makes retrying pointless).
@@ -88,17 +104,56 @@ func retryableErr(err error) bool {
 	if err == nil {
 		return false
 	}
-	type joined interface{ Unwrap() []error }
-	if j, ok := err.(joined); ok {
-		for _, e := range j.Unwrap() {
-			if !retryableErr(e) {
-				return false
-			}
+	for _, qe := range queryErrs(err) {
+		if qe == nil || !qe.Retryable {
+			return false
 		}
-		return true
 	}
-	var qe *QueryError
-	return errors.As(err, &qe) && qe.Retryable
+	return true
+}
+
+// deadIn returns every node a QueryError in err's tree names dead,
+// ascending.
+func deadIn(err error) []int {
+	var dead []int
+	for _, qe := range queryErrs(err) {
+		if qe != nil {
+			dead = append(dead, qe.Dead...)
+		}
+	}
+	slices.Sort(dead)
+	return slices.Compact(dead)
+}
+
+// deadSet is a resolver's record of the back-end nodes the mesh has declared
+// dead, learned from survivors' error frames (ErrorInfo.Dead). It only
+// grows: the TCP mesh never re-admits a dead peer. The resolver asks no dead
+// node anything and plans every query without them (NodeRequest.Exclude).
+type deadSet struct {
+	mu    sync.Mutex
+	nodes []int // ascending
+}
+
+// list returns the dead nodes, ascending.
+func (d *deadSet) list() []int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return slices.Clone(d.nodes)
+}
+
+// learn adds the nodes of a mesh of n that err reports dead.
+func (d *deadSet) learn(err error, n int) {
+	dead := deadIn(err)
+	if len(dead) == 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, node := range dead {
+		if i, ok := slices.BinarySearch(d.nodes, node); !ok && node >= 0 && node < n {
+			d.nodes = slices.Insert(d.nodes, i, node)
+		}
+	}
 }
 
 // Server is the ADR front-end process: it accepts client connections on a
@@ -106,11 +161,14 @@ func retryableErr(err error) bool {
 // the per-node output streams, and returns the combined stream to the
 // client together with aggregate statistics and the per-node, per-phase
 // query trace. Queries from concurrent clients run concurrently: each gets
-// a unique query id that the back-end nodes use to multiplex the mesh.
+// a unique query id that the back-end nodes use to multiplex the mesh. The
+// front-end is the resolver: it picks AUTO's strategy and keeps the dead set
+// every query is planned without.
 type Server struct {
 	// NodeAddrs lists the back-end nodes' control addresses.
 	NodeAddrs []string
 
+	dead    deadSet
 	ln      net.Listener
 	mu      sync.Mutex
 	closed  bool
@@ -193,14 +251,17 @@ func (s *Server) handleClient(conn net.Conn) {
 	}
 }
 
-// runQuery fans the query out to every back-end node and merges the result
-// streams into w, recording the query in the front-end's query log. AUTO
-// queries are resolved first — one node's calibrated cost model picks the
-// strategy — so the spec every node receives names a fixed strategy and the
-// query-log detail names the choice (e.g. "sensor->composite/AUTO=DA").
+// runQuery fans the query out to every live back-end node and merges the
+// result streams into w, recording the query in the front-end's query log.
+// AUTO queries are resolved first — one live node's calibrated cost model
+// picks the strategy — so the spec every node receives names a fixed strategy
+// and the query-log detail names the choice (e.g.
+// "sensor->composite/AUTO=DA"). The nodes a failure reports dead join the
+// dead set, so the client's resubmission runs without them.
 func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 	detail := spec.Input + "->" + spec.Output + "/" + spec.Strategy
-	spec, sel, err := resolveSpec(s.NodeAddrs, spec, 0, 0)
+	exclude := s.dead.list()
+	spec, sel, err := resolveSpec(s.NodeAddrs, exclude, spec, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -209,7 +270,10 @@ func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 	}
 	id := s.queryID.Add(1)
 	rec := s.queries.Begin(id, detail)
-	total, err := s.relayQuery(id, spec, sel, w)
+	total, err := s.relayQuery(&NodeRequest{QueryID: id, Spec: *spec, Exclude: exclude}, sel, w)
+	if err != nil {
+		s.dead.learn(err, len(s.NodeAddrs))
+	}
 	var end metrics.EndStats
 	if total != nil {
 		end = metrics.EndStats{
@@ -225,11 +289,13 @@ func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 
 // relayQuery is the transport half of runQuery: fan out, forward every chunk
 // frame to the client as it arrives, settle, and close the stream with the
-// merged done frame. sel, non-nil on resolved AUTO queries, is finished with
-// the measured execution time and attached to it.
-func (s *Server) relayQuery(id int32, spec *QuerySpec, sel *metrics.Selection, w *bufio.Writer) (*DoneStats, error) {
+// merged done frame. A failed query's frames are already with the client,
+// which drops them with the error frame that follows. sel, non-nil on
+// resolved AUTO queries, is finished with the measured execution time and
+// attached to it.
+func (s *Server) relayQuery(req *NodeRequest, sel *metrics.Selection, w *bufio.Writer) (*DoneStats, error) {
 	var wmu sync.Mutex
-	streams := fanOut(s.NodeAddrs, &NodeRequest{QueryID: id, Spec: *spec}, 0, 0, true, func(_ *NodeStream, frame []byte) error {
+	streams := fanOut(s.NodeAddrs, req, 0, 0, true, func(_ *NodeStream, frame []byte) error {
 		// The relay never looks inside a chunk frame: the bytes the node
 		// encoded are the bytes the client decodes.
 		wmu.Lock()
@@ -238,10 +304,7 @@ func (s *Server) relayQuery(id int32, spec *QuerySpec, sel *metrics.Selection, w
 		bufpool.Put(frame)
 		return err
 	})
-	// Relayed frames cannot be taken back: a failed node that forwarded any
-	// is fatal even if the survivors excluded it, because they re-deliver its
-	// whole re-homed output and the merged stream would double-count.
-	total, err := settle(streams, false)
+	total, err := settle(streams)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +321,7 @@ type Client struct {
 	// 2 min, negative disables).
 	ReadTimeout time.Duration
 	// BusyRetries is how many times Query resubmits after a retryable error
-	// frame — admission "busy", exhausted degraded retries — with jittered
+	// frame — admission "busy", a back-end node's death — with jittered
 	// backoff between attempts (0 selects 3, negative disables).
 	BusyRetries int
 }
@@ -294,7 +357,7 @@ func (c *Client) queryOnce(spec *QuerySpec) ([]*ChunkJSON, *DoneStats, error) {
 		return nil, nil, err
 	}
 	var chunks []*ChunkJSON
-	stats, _, err := readFrames(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, defaultStreamTimeout), false, -1, func(frame []byte) error {
+	stats, err := readFrames(c.conn, c.r, timeoutOrDefault(c.ReadTimeout, defaultStreamTimeout), false, -1, func(frame []byte) error {
 		cj, err := decodeFrame(frame)
 		if err == nil {
 			chunks = append(chunks, cj)
@@ -312,7 +375,7 @@ func queryErrFrom(node int, msg *Message) error {
 		if info.Node >= 0 {
 			node = info.Node
 		}
-		return &QueryError{Node: node, Origin: info.Origin, Message: info.Message, Retryable: info.Retryable}
+		return &QueryError{Node: node, Origin: info.Origin, Message: info.Message, Retryable: info.Retryable, Dead: info.Dead}
 	}
 	return &QueryError{Node: node, Origin: -1, Message: msg.Error}
 }
@@ -322,13 +385,15 @@ func queryErrFrom(node int, msg *Message) error {
 func errInfoFrom(err error) *ErrorInfo {
 	var qe *QueryError
 	if errors.As(err, &qe) {
-		info := &ErrorInfo{Node: qe.Node, Origin: qe.Origin, Message: qe.Message, Retryable: qe.Retryable}
+		info := &ErrorInfo{Node: qe.Node, Origin: qe.Origin, Message: qe.Message, Retryable: qe.Retryable, Dead: qe.Dead}
 		// A joined multi-node failure keeps the first branch's location but
-		// the full combined message, and is retryable only when every branch
-		// is — one fatal node makes resubmission pointless.
+		// the full combined message and every branch's dead nodes, and is
+		// retryable only when every branch is — one fatal node makes
+		// resubmission pointless.
 		if j, ok := err.(interface{ Unwrap() []error }); ok && len(j.Unwrap()) > 1 {
 			info.Message = err.Error()
 			info.Retryable = retryableErr(err)
+			info.Dead = deadIn(err)
 		}
 		return info
 	}

@@ -36,12 +36,10 @@ type NodeTrace struct {
 	Workers int         `json:"workers,omitempty"`
 	Phases  []PhaseSpan `json:"phases"` // always the four §2.4 phases, in order
 	Totals  Snapshot    `json:"totals"`
-	// Degraded reports that the node completed the query with one or more
-	// processors excluded (degraded-mode execution over replicated chunks);
-	// Excluded lists them and Attempts counts the execution attempts the node
-	// made (1 = no retry).
+	// Degraded reports that the node ran a plan made with one or more dead
+	// processors excluded (engine.Config.Exclude: their chunks read from
+	// surviving replica holders); Excluded lists them.
 	Degraded bool  `json:"degraded,omitempty"`
-	Attempts int   `json:"attempts,omitempty"`
 	Excluded []int `json:"excluded,omitempty"`
 }
 

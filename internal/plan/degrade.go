@@ -6,10 +6,9 @@ import (
 	"adr/internal/chunk"
 )
 
-// NoHolderError reports that degraded-mode re-planning is impossible: a
-// selected chunk's only surviving copies all live on excluded (dead) nodes.
-// The engine falls back to the mesh-wide abort of the unreplicated failure
-// model when it sees this error.
+// NoHolderError reports that planning without the dead nodes is impossible:
+// a selected chunk's only copies all live on excluded nodes. It fails the
+// query non-retryably: no resubmission can read the chunk.
 type NoHolderError struct {
 	Dataset string
 	Chunk   chunk.ID

@@ -211,11 +211,11 @@ func (p *Plan) NumTiles() int { return len(p.Tiles) }
 // Planner builds plans for workloads on a machine.
 type Planner struct {
 	Machine Machine
-	// Exclude is the per-query node-exclusion set for degraded-mode planning:
-	// processors known to be dead. Excluded processors are assigned no ghosts
-	// and are never chosen as homes. The workload must already
-	// have been remapped away from excluded nodes (see Degrade) — Plan rejects
-	// a workload whose chunk metas still reference an excluded processor.
+	// Exclude is the per-query node-exclusion set: processors the resolver
+	// knows dead (core.Exec.Prepare). Excluded processors are assigned no
+	// ghosts and are never chosen as homes. The workload must already have
+	// been remapped away from excluded nodes (see Degrade) — Plan rejects a
+	// workload whose chunk metas still reference an excluded processor.
 	Exclude map[int32]bool
 }
 

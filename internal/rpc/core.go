@@ -13,12 +13,11 @@ import (
 // drain-first Recv, and the one peer-death path. A transport adds only
 // framing and delivery — how a charged message reaches the destination's
 // inbox, and how a consumed payload's credit travels back — so the exactly-
-// once reclaim racing peer death, the endpoint fail-state and the degraded
-// MsgPeerDown delivery exist here and nowhere else.
+// once reclaim racing peer death and the MsgPeerDown delivery exist here and
+// nowhere else.
 type core struct {
-	self     NodeID
-	met      *meters
-	degraded bool
+	self NodeID
+	met  *meters
 
 	// inbox buffers delivered messages; done closes when the endpoint shuts.
 	inbox    chan Message
@@ -27,13 +26,6 @@ type core struct {
 
 	// peers[d] is this endpoint's view of node d (its own slot has no gate).
 	peers []peerState
-
-	// First peer failure fails the whole endpoint unless degraded: failCh is
-	// closed after failErr is written, so a reader that saw it closed may
-	// read failErr without a lock.
-	failCh   chan struct{}
-	failOnce sync.Once
-	failErr  error
 }
 
 // peerState is one endpoint's view of one peer. dead is closed on the peer's
@@ -50,18 +42,16 @@ type peerState struct {
 	cause error
 }
 
-func newCore(self NodeID, nodes, inboxDepth int, flow Flow, degraded bool, met *meters) *core {
+func newCore(self NodeID, nodes, inboxDepth int, flow Flow, met *meters) *core {
 	if inboxDepth <= 0 {
 		inboxDepth = defaultInboxDepth
 	}
 	c := &core{
-		self:     self,
-		met:      met,
-		degraded: degraded,
-		inbox:    make(chan Message, inboxDepth),
-		done:     make(chan struct{}),
-		failCh:   make(chan struct{}),
-		peers:    make([]peerState, nodes),
+		self:  self,
+		met:   met,
+		inbox: make(chan Message, inboxDepth),
+		done:  make(chan struct{}),
+		peers: make([]peerState, nodes),
 	}
 	for d := range c.peers {
 		c.peers[d].dead = make(chan struct{})
@@ -191,31 +181,23 @@ func (c *core) markDown(peer NodeID, cause error) (first bool) {
 }
 
 // peerDown is the one peer-death path. Beyond markDown it counts the failure
-// and then either fails the endpoint, so receivers purely waiting on the dead
-// peer learn of it (every query spans every node), or — on a degraded fabric
-// — leaves it up and delivers a synthetic MsgPeerDown, exactly once per dead
-// peer. A death noticed after this endpoint shut is the shutdown, not a
-// failure: it is not counted and nothing is delivered.
+// and delivers a synthetic MsgPeerDown, exactly once per dead peer; the
+// endpoint stays up for the survivors. A death noticed after this endpoint
+// shut is the shutdown, not a failure: it is not counted and nothing is
+// delivered.
 func (c *core) peerDown(peer NodeID, cause error) {
 	if c.closed() || !c.markDown(peer, cause) {
 		return
 	}
 	c.met.down(peer)
-	if c.degraded {
-		// On its own goroutine: failure handling must never block behind a
-		// full inbox. The endpoint's shutdown abandons the delivery.
-		go func() {
-			select {
-			case c.inbox <- Message{Src: peer, Dst: c.self, Type: MsgPeerDown}:
-			case <-c.done:
-			}
-		}()
-		return
-	}
-	c.failOnce.Do(func() {
-		c.failErr = peerErr(peer, "recv", cause)
-		close(c.failCh)
-	})
+	// On its own goroutine: failure handling must never block behind a full
+	// inbox. The endpoint's shutdown abandons the delivery.
+	go func() {
+		select {
+		case c.inbox <- Message{Src: peer, Dst: c.self, Type: MsgPeerDown}:
+		case <-c.done:
+		}
+	}()
 }
 
 // deliver puts m into this endpoint's inbox, blocking while it is full
@@ -240,11 +222,9 @@ func (c *core) deliver(m Message, stop <-chan struct{}) bool {
 }
 
 // Recv blocks for the next inbound message. Buffered messages are always
-// drained first, so nothing that arrived before a failure is lost; after
-// that, this endpoint's own shutdown reports ErrClosed — it wins over a
-// concurrent peer failure, which a fabric-wide close also triggers — and a
-// failed endpoint (any dead peer, unless degraded) reports the first peer
-// failure as a *PeerError.
+// drained first, so nothing that arrived before this endpoint's own shutdown
+// is lost; after that it reports ErrClosed. A peer's death is one of the
+// messages (MsgPeerDown), never a Recv error.
 func (c *core) Recv(ctx context.Context) (Message, error) {
 	select {
 	case m := <-c.inbox:
@@ -255,7 +235,6 @@ func (c *core) Recv(ctx context.Context) (Message, error) {
 	case m := <-c.inbox:
 		return m, nil
 	case <-c.done:
-	case <-c.failCh:
 	case <-ctx.Done():
 		return Message{}, ctx.Err()
 	}
@@ -264,10 +243,7 @@ func (c *core) Recv(ctx context.Context) (Message, error) {
 		return m, nil
 	default:
 	}
-	if c.closed() {
-		return Message{}, ErrClosed
-	}
-	return Message{}, c.failErr
+	return Message{}, ErrClosed
 }
 
 // shut closes the endpoint, once: Recv reports ErrClosed, and every peer is

@@ -38,8 +38,9 @@ func TestTCPMeshStartFailsWhenPeerNeverDials(t *testing.T) {
 }
 
 // TestTCPPeerDeathFailsSurvivors: killing one node of an established mesh
-// must surface as a *PeerError naming the dead node on every survivor, for
-// both blocked receives and subsequent sends — never a silent hang.
+// must surface on every survivor — as a MsgPeerDown from the dead node to a
+// blocked receive and a *PeerError naming it to a subsequent send — never a
+// silent hang.
 func TestTCPPeerDeathFailsSurvivors(t *testing.T) {
 	mesh, err := NewLoopbackMesh(3, TCPOptions{})
 	if err != nil {
@@ -50,6 +51,7 @@ func TestTCPPeerDeathFailsSurvivors(t *testing.T) {
 	// Survivors block in Recv before the victim dies.
 	type outcome struct {
 		node NodeID
+		m    Message
 		err  error
 	}
 	results := make(chan outcome, 2)
@@ -58,8 +60,8 @@ func TestTCPPeerDeathFailsSurvivors(t *testing.T) {
 		go func(ep Endpoint) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			_, err := ep.Recv(ctx)
-			results <- outcome{ep.Self(), err}
+			m, err := ep.Recv(ctx)
+			results <- outcome{ep.Self(), m, err}
 		}(ep)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -68,12 +70,8 @@ func TestTCPPeerDeathFailsSurvivors(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		select {
 		case res := <-results:
-			var pe *PeerError
-			if !errors.As(res.err, &pe) {
-				t.Fatalf("node %d: recv error %v is not a *PeerError", res.node, res.err)
-			}
-			if pe.Peer != 0 {
-				t.Errorf("node %d: failure names peer %d, want 0", res.node, pe.Peer)
+			if res.err != nil || res.m.Type != MsgPeerDown || res.m.Src != 0 {
+				t.Fatalf("node %d: recv = %+v, %v; want node 0's MsgPeerDown", res.node, res.m, res.err)
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("survivor hung after peer death")
@@ -159,23 +157,17 @@ func TestTCPMalformedFrameClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Node 1 detects the malformed frame: its Recv fails with a *PeerError
-	// whose op names the frame decode.
+	// Node 1 detects the malformed frame: node 0 is dead to it, and the
+	// recorded cause names the frame decode. The write half died with the
+	// read half: sends to node 0 fail with that cause.
 	n1 := mesh.nodes[1]
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, rerr := n1.Recv(ctx)
+	awaitDeath(t, n1, 0)
 	var pe *PeerError
-	if !errors.As(rerr, &pe) {
-		t.Fatalf("recv after malformed frame = %v, want *PeerError", rerr)
+	if err := n1.Send(Message{Src: 1, Dst: 0}); !errors.As(err, &pe) {
+		t.Fatalf("send on poisoned connection = %v, want *PeerError", err)
 	}
 	if pe.Op != "frame" || pe.Peer != 0 {
 		t.Errorf("failure = peer %d op %q, want peer 0 op \"frame\"", pe.Peer, pe.Op)
-	}
-
-	// The write half died with the read half: sends to node 0 fail too.
-	if err := n1.Send(Message{Src: 1, Dst: 0}); !errors.As(err, &pe) {
-		t.Errorf("send on poisoned connection = %v, want *PeerError", err)
 	}
 }
 
@@ -202,12 +194,10 @@ func TestTCPForgedSourceFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			m, rerr := mesh.nodes[1].Recv(ctx)
+			awaitDeath(t, mesh.nodes[1], 0)
 			var pe *PeerError
-			if !errors.As(rerr, &pe) {
-				t.Fatalf("recv after forged frame = %+v, %v; want *PeerError", m, rerr)
+			if err := mesh.nodes[1].Send(Message{Src: 1, Dst: 0}); !errors.As(err, &pe) {
+				t.Fatalf("send after forged frame = %v; want *PeerError", err)
 			}
 			if pe.Op != "frame" || pe.Peer != 0 {
 				t.Errorf("failure = peer %d op %q, want peer 0 op \"frame\"", pe.Peer, pe.Op)

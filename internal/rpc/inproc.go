@@ -47,13 +47,6 @@ type InprocOptions struct {
 	InboxDepth int
 	// Flow bounds each sender's in-flight payload bytes (see Flow).
 	Flow Flow
-	// Degraded selects the degraded failure model, mirroring
-	// TCPOptions.Degraded: a peer's death no longer fails surviving
-	// endpoints' Recv. Each survivor instead receives a synthetic
-	// Message{Src: deadPeer, Type: MsgPeerDown}, once per dead peer, and
-	// keeps exchanging traffic with the rest of the fabric. Sends to the
-	// dead peer still fail fast with a *PeerError.
-	Degraded bool
 }
 
 // NewInprocFabric builds a fabric of n in-process nodes. depth <= 0 selects
@@ -75,7 +68,7 @@ func NewInprocFabricOpts(n int, opts InprocOptions) (*InprocFabric, error) {
 	met := newMeters("inproc", n)
 	for i := 0; i < n; i++ {
 		f.endpoints = append(f.endpoints, &inprocEndpoint{
-			core:   newCore(NodeID(i), n, opts.InboxDepth, opts.Flow, opts.Degraded, met),
+			core:   newCore(NodeID(i), n, opts.InboxDepth, opts.Flow, met),
 			fabric: f,
 		})
 		met.up(NodeID(i))

@@ -62,8 +62,15 @@ func (m *TCPMesh) Endpoint(id NodeID) (Endpoint, error) {
 	return m.nodes[id], nil
 }
 
-// Close closes every node.
+// Close closes every node. Every node shuts before any connection closes:
+// no node is left to see a peer die, so the shutdown stays out of the
+// failure metrics and delivers no peer-down notices, as InprocFabric.Close.
 func (m *TCPMesh) Close() error {
+	for _, n := range m.nodes {
+		if n != nil {
+			n.shut()
+		}
+	}
 	for _, n := range m.nodes {
 		if n != nil {
 			n.Close()

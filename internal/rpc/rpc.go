@@ -42,12 +42,12 @@ type NodeID int32
 // values; the transport only routes on Dst.
 type MsgType uint8
 
-// MsgPeerDown is the one MsgType the transport itself originates: on a
-// degraded fabric (TCPOptions.Degraded / InprocOptions.Degraded), a peer's
-// death is delivered to each surviving endpoint as a synthetic inbound
-// Message{Src: deadPeer, Type: MsgPeerDown} instead of failing the whole
-// endpoint. Engines must treat the value as reserved; it is never put on the
-// wire.
+// MsgPeerDown is the one MsgType the transport itself originates: a peer's
+// death is delivered to each surviving endpoint, exactly once, as a
+// synthetic inbound Message{Src: deadPeer, Type: MsgPeerDown}, and the
+// endpoint stays up for the survivors. Sends to the dead peer fail fast with
+// a *PeerError. Engines must treat the value as reserved; it is never put on
+// the wire.
 const MsgPeerDown MsgType = 0xFF
 
 // Message is one unit of interprocessor communication: an opaque payload

@@ -360,13 +360,17 @@ func TestTCPOversizedFrameDropsPeer(t *testing.T) {
 	if _, err := conn.c.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	// Node 1's read loop must exit; subsequent receives unblock with close
-	// or never deliver the poisoned frame. Give it a moment, then confirm
-	// no phantom message is delivered.
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	// Node 1's read loop must exit: node 0 is dead to it, and the poisoned
+	// frame is never delivered — the death notice is all that arrives.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	b, _ := mesh.Endpoint(1)
-	if m, err := b.Recv(ctx); err == nil {
+	if m, err := b.Recv(ctx); err != nil || m.Type != MsgPeerDown || m.Src != 0 {
+		t.Fatalf("recv after a poisoned frame = %+v, %v; want node 0's MsgPeerDown", m, err)
+	}
+	short, cancelShort := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancelShort()
+	if m, err := b.Recv(short); err == nil {
 		t.Fatalf("poisoned frame delivered: %+v", m)
 	}
 }

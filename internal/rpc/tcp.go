@@ -47,9 +47,9 @@ import (
 // the shared core's peerDown: it is marked dead with the reason recorded,
 // every pending and future Send to it fails fast with a *PeerError, its
 // blocked senders wake (the credit window closes, reclaiming what it held),
-// and — because every query spans every node — the endpoint's Recv fails
-// once buffered inbound messages are drained, which is how nodes that are
-// purely waiting on the dead peer learn of the failure. A dead connection's
+// and Recv delivers one MsgPeerDown after the messages buffered ahead of it,
+// which is how nodes that are purely waiting on the dead peer learn of the
+// failure. The endpoint stays up for the survivors. A dead connection's
 // queued frames are drained and their pooled payloads recycled. Liveness is
 // exported through the metrics registry as
 // adr_rpc_peer_up{transport="tcp",peer="N"} and adr_rpc_peer_failures_total.
@@ -133,14 +133,6 @@ type TCPOptions struct {
 	SendTimeout time.Duration
 	// Flow bounds this node's in-flight payload bytes (see Flow).
 	Flow Flow
-	// Degraded selects the degraded failure model: a peer's death no longer
-	// fails the whole endpoint. Instead the endpoint keeps receiving from
-	// surviving peers and a synthetic Message{Src: deadPeer, Type:
-	// MsgPeerDown} is delivered through Recv, once per dead peer, so the
-	// engine can re-plan around the loss. Sends to a dead peer still fail
-	// fast with a *PeerError. Mesh establishment remains strict — a node
-	// that never joins is a startup error, not a degraded peer.
-	Degraded bool
 }
 
 func (o *TCPOptions) defaults() {
@@ -181,7 +173,7 @@ func NewTCPNodeWithListener(self NodeID, addrs []string, ln net.Listener, opts T
 	}
 	met := newMeters("tcp", len(addrs))
 	n := &TCPNode{
-		core:        newCore(self, len(addrs), opts.InboxDepth, opts.Flow, opts.Degraded, met),
+		core:        newCore(self, len(addrs), opts.InboxDepth, opts.Flow, met),
 		ln:          ln,
 		conns:       make(map[NodeID]*tcpConn),
 		sendTimeout: opts.SendTimeout,
@@ -584,24 +576,24 @@ func (n *TCPNode) finishSend(conn *tcpConn, m Message) error {
 }
 
 // Close tears the node down: listener, connections, loops, and whatever
-// pooled payloads were still queued in either direction.
+// pooled payloads were still queued in either direction. It is safe to call
+// again, and after TCPMesh.Close has shut the node.
 func (n *TCPNode) Close() error {
-	if n.shut() {
-		n.ln.Close()
-		n.mu.Lock()
-		conns := make([]*tcpConn, 0, len(n.conns))
-		for _, c := range n.conns {
-			conns = append(conns, c)
-		}
-		n.mu.Unlock()
-		// shut made every peer dead to this node, which wakes senders
-		// blocked on credit or a full outbox and stops the write loops;
-		// closing the sockets stops the read loops. The outbox drain runs
-		// here too, in case a loop exited before a racing Send enqueued.
-		for _, c := range conns {
-			c.c.Close()
-			n.drainOutbox(c)
-		}
+	n.shut()
+	n.ln.Close()
+	n.mu.Lock()
+	conns := make([]*tcpConn, 0, len(n.conns))
+	for _, c := range n.conns {
+		conns = append(conns, c)
+	}
+	n.mu.Unlock()
+	// shut made every peer dead to this node, which wakes senders blocked on
+	// credit or a full outbox and stops the write loops; closing the sockets
+	// stops the read loops. The outbox drain runs here too, in case a loop
+	// exited before a racing Send enqueued.
+	for _, c := range conns {
+		c.c.Close()
+		n.drainOutbox(c)
 	}
 	n.wg.Wait()
 	// Loops are gone; retire anything the receiver never consumed so no
