@@ -45,11 +45,12 @@ lines-pkg:
 # after a survivor's done, on both transports and on the daemon stack, each
 # resubmitted by the resolver without the dead node: the TestDegraded* and
 # Test*Failover names, TestKillAtCompletionFailover among them), the
-# resolver's side (dead set, busy-retry, timeouts, AUTO skipping dead nodes),
-# the compression sweep (serial equivalence with compressed farms on both
-# transports and the read/wire byte reduction, mixed compressing/raw fleets,
-# compressed-replica failover, pool-balance checks on compressed failure
-# paths), and the worker-pool suite (serial equivalence at every width, the
+# resolver's side (dead set, busy-retry, timeouts, AUTO skipping and pricing
+# without dead nodes), the compression sweep (serial equivalence with
+# compressed farms on both transports and the read/wire byte reduction, the
+# per-node wire counts of a compressed farm — forwards at their stored size,
+# ghosts and finals raw — compressed-replica failover, pool-balance checks on
+# compressed failure paths), and the worker-pool suite (serial equivalence at every width, the
 # width actually in flight) — race-checked, bounded so a reintroduced hang
 # fails fast.
 test-failure:

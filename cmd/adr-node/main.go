@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"adr/internal/backend"
-	"adr/internal/chunk"
 	"adr/internal/metrics"
 	"adr/internal/rpc"
 )
@@ -43,7 +42,6 @@ type options struct {
 	cacheBytes   *int64
 	maxQueries   *int
 	fwdWindow    *int64
-	compress     *string
 	calibFile    *string
 }
 
@@ -62,7 +60,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		cacheBytes:   fs.Int64("cache-bytes", 256<<20, "chunk cache budget in bytes (0 disables caching)"),
 		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; excess queue (0 = unbounded)"),
 		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
-		compress:     fs.String("compress", "none", "default codec for engine payloads on the wire: none, flate or columnar (query specs override)"),
 		calibFile:    fs.String("calibration-file", "", "JSON file persisting this node's cost-model calibration across restarts (in-memory only when empty)"),
 	}
 }
@@ -85,12 +82,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "adr-node: id %d outside mesh of %d nodes\n", *id, len(addrs))
 		os.Exit(2)
 	}
-	codec, err := chunk.ParseCodec(*opt.compress)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adr-node:", err)
-		os.Exit(2)
-	}
-
 	srv, err := backend.Start(backend.Config{
 		Node:            rpc.NodeID(*id),
 		MeshAddrs:       addrs,
@@ -103,7 +94,6 @@ func main() {
 		CacheBytes:      *cacheBytes,
 		MaxQueries:      *maxQueries,
 		Flow:            rpc.Flow{WindowBytes: *opt.fwdWindow},
-		Codec:           codec,
 		CalibrationFile: *opt.calibFile,
 	})
 	if err != nil {
@@ -119,9 +109,6 @@ func main() {
 	}
 	if *opt.fwdWindow > 0 {
 		fmt.Printf("adr-node %d: forwarding flow control: window %d B/peer\n", *id, *opt.fwdWindow)
-	}
-	if codec != chunk.CodecNone {
-		fmt.Printf("adr-node %d: wire compression on: %s\n", *id, codec)
 	}
 	if *opt.calibFile != "" {
 		fmt.Printf("adr-node %d: cost-model calibration persisted to %s\n", *id, *opt.calibFile)

@@ -100,9 +100,9 @@ func requireBitIdentical(t *testing.T, want []*chunk.Chunk, got []*frontend.Chun
 // TestFrameStackMatchesSerial: results streamed as binary chunk frames —
 // through the front-end's relay to a Client, and straight from the nodes to a
 // ParallelClient — are bit-identical to engine.RunSerial for every strategy
-// and for AUTO, over a raw farm and over a columnar-compressed one whose
-// queries also compress their mesh payloads, on nodes configured by default,
-// with a chunk cache, and with a 1 KiB forwarding window.
+// and for AUTO, over a raw farm and over a columnar-compressed one, on nodes
+// configured by default, with a chunk cache, and with a 1 KiB forwarding
+// window.
 func TestFrameStackMatchesSerial(t *testing.T) {
 	const nodes = 3
 	variants := []struct {
@@ -151,9 +151,6 @@ func TestFrameStackMatchesSerial(t *testing.T) {
 						Input: "sensor", Output: "raster", Strategy: strategy,
 						InputBox: []float64{3, 37, 5, 40},
 						App:      frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 16},
-					}
-					if codec != chunk.CodecNone {
-						spec.Codec = codec.String()
 					}
 					want := serialOracle(t, dir, spec)
 					if len(want) == 0 {

@@ -77,12 +77,6 @@ type Config struct {
 	// Flow bounds this node's in-flight forwarded bytes on the mesh (see
 	// rpc.Flow). Must be identical on every node, like AccMemBytes.
 	Flow rpc.Flow
-	// Codec is this node's default compression codec for engine payloads —
-	// forwarded chunks, ghost accumulators, shipped finals, result
-	// write-backs (set by adr-node -compress). A query spec naming its own
-	// codec overrides it. Receivers decompress self-describing payloads
-	// regardless of their own setting, so mixed fleets interoperate.
-	Codec chunk.Codec
 	// CalibrationFile, when non-empty, persists the node's cost-model
 	// calibration (learned disk/link bandwidth and per-op compute rates,
 	// costmodel.Calibration) as JSON: loaded at startup, saved after every
@@ -330,10 +324,10 @@ func (s *Server) handle(conn net.Conn) {
 	// resolve the query that would eventually occupy a slot.
 	if req.Estimate {
 		var sel *metrics.Selection
-		q, err := specQuery(&req.Spec)
+		q, exclude, err := parseRequest(&req, s.exec.Machine.Procs)
 		if err == nil {
 			q.Strategy = plan.Auto
-			_, sel, err = s.exec.Prepare(q, chunk.CodecNone, nil)
+			_, sel, err = s.exec.Prepare(q, exclude)
 		}
 		if err != nil {
 			sendErr(err, false)
@@ -438,19 +432,40 @@ func (s *Server) resolve(q *core.Query) (in, out *layout.Dataset, mapper space.R
 	return in, out, space.IdentityMapper{}, nil
 }
 
-// specQuery translates the part of a wire spec that selects data — datasets
-// and boxes, all an estimate needs — into the typed query the shared path
-// plans.
-func specQuery(spec *frontend.QuerySpec) (*core.Query, error) {
+// parseRequest turns a control request into what the node plans: the typed
+// query (datasets, boxes, strategy, result dataset, App) and the exclusion
+// set, each node id checked against the procs-node mesh. Estimates and
+// executions both parse through it, so the two refuse the same requests.
+func parseRequest(req *frontend.NodeRequest, procs int) (*core.Query, []rpc.NodeID, error) {
+	spec := &req.Spec
 	inBox, err := frontend.ParseBox(spec.InputBox)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	outBox, err := frontend.ParseBox(spec.OutputBox)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &core.Query{Input: spec.Input, Output: spec.Output, InputBox: inBox, OutputBox: outBox}, nil
+	q := &core.Query{Input: spec.Input, Output: spec.Output, InputBox: inBox, OutputBox: outBox, ResultDataset: spec.ResultDataset}
+	if q.Strategy, err = spec.ParseStrategy(); err != nil {
+		return nil, nil, err
+	}
+	if q.App, err = spec.App.Build(); err != nil {
+		return nil, nil, err
+	}
+	// The codec is ignored (QuerySpec.Codec), but a name no codec has is
+	// still refused.
+	if _, err := chunk.ParseCodec(spec.Codec); err != nil {
+		return nil, nil, err
+	}
+	exclude := make([]rpc.NodeID, len(req.Exclude))
+	for i, id := range req.Exclude {
+		if id < 0 || id >= procs {
+			return nil, nil, fmt.Errorf("backend: excluded node %d outside the %d-node mesh", id, procs)
+		}
+		exclude[i] = rpc.NodeID(id)
+	}
+	return q, exclude, nil
 }
 
 // runQuery plans and executes the query on this node, streaming owned
@@ -458,13 +473,8 @@ func specQuery(spec *frontend.QuerySpec) (*core.Query, error) {
 // the query's dispatcher endpoint, and the shared observe step (see
 // core.Exec).
 func (s *Server) runQuery(req *frontend.NodeRequest, ep *engine.QueryEndpoint, w *bufio.Writer) (trace metrics.NodeTrace, chunks int, err error) {
-	spec := &req.Spec
-	q, err := specQuery(spec)
+	q, exclude, err := parseRequest(req, s.exec.Machine.Procs)
 	if err != nil {
-		return trace, 0, err
-	}
-	q.ResultDataset = spec.ResultDataset
-	if q.Strategy, err = spec.ParseStrategy(); err != nil {
 		return trace, 0, err
 	}
 	if q.Strategy == plan.Auto {
@@ -474,25 +484,7 @@ func (s *Server) runQuery(req *frontend.NodeRequest, ep *engine.QueryEndpoint, w
 		// the resolved strategy.
 		return trace, 0, fmt.Errorf("backend: strategy AUTO must be resolved by the client before execution (send an estimate request, then submit the chosen strategy)")
 	}
-	if q.App, err = spec.App.Build(); err != nil {
-		return trace, 0, err
-	}
-	// Codec precedence: the spec's own (the client's choice), else this
-	// node's -compress default.
-	codec := s.cfg.Codec
-	if c, set, err := spec.ParseCodec(); err != nil {
-		return trace, 0, err
-	} else if set {
-		codec = c
-	}
-	exclude := make([]rpc.NodeID, len(req.Exclude))
-	for i, id := range req.Exclude {
-		if id < 0 || id >= s.exec.Machine.Procs {
-			return trace, 0, fmt.Errorf("backend: excluded node %d outside the %d-node mesh", id, s.exec.Machine.Procs)
-		}
-		exclude[i] = rpc.NodeID(id)
-	}
-	cfg, _, err := s.exec.Prepare(q, codec, exclude)
+	cfg, _, err := s.exec.Prepare(q, exclude)
 	if err != nil {
 		return trace, 0, err
 	}

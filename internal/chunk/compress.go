@@ -64,8 +64,6 @@ const (
 	// coordinate float-XOR deltas and value lengths as uvarints, value bytes
 	// deflated as one block.
 	CodecColumnar Codec = 2
-
-	numCodecs = 3
 )
 
 // String returns the flag spelling of the codec.
@@ -80,9 +78,6 @@ func (c Codec) String() string {
 	}
 	return fmt.Sprintf("codec(%d)", byte(c))
 }
-
-// Valid reports whether c names a known codec.
-func (c Codec) Valid() bool { return c < numCodecs }
 
 // ParseCodec maps a -compress flag value to a Codec. The empty string and
 // "none" select CodecNone.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"adr/internal/chunk"
 	"adr/internal/costmodel"
 	"adr/internal/engine"
 	"adr/internal/layout"
@@ -68,18 +67,18 @@ func (e *Exec) plan(s plan.Strategy, w *plan.Workload, exclude map[int32]bool) (
 }
 
 // Prepare plans q and returns the engine configuration to run it with,
-// lacking only the caller's result sink (OnResult). codec is the query's
-// resolved wire codec. exclude lists the processors the resolver knows dead:
-// the workload is remapped onto their chunks' surviving replica holders
-// (plan.Degrade, which fails with a *plan.NoHolderError when a chunk has
-// none) and planned without them (plan.Planner.Exclude). Every node derives
-// the same plan from the shared catalog and the same set, exactly as the
-// fault-free plan is derived. AUTO is resolved here, with this Exec's
-// calibration, and the selection (winner first) returned for Observe to
-// close. A mesh node must not run what it resolved — per-node calibrations
-// differ, so the nodes could pick different winners — and prepares AUTO only
-// to answer an estimate request with the selection.
-func (e *Exec) Prepare(q *Query, codec chunk.Codec, exclude []rpc.NodeID) (engine.Config, *metrics.Selection, error) {
+// lacking only the caller's result sink (OnResult). exclude lists the
+// processors the resolver knows dead: the workload is remapped onto their
+// chunks' surviving replica holders (plan.Degrade, which fails with a
+// *plan.NoHolderError when a chunk has none) and planned without them
+// (plan.Planner.Exclude). Every node derives the same plan from the shared
+// catalog and the same set, exactly as the fault-free plan is derived. AUTO
+// is resolved here, with this Exec's calibration, every candidate planned
+// without the same set, and the selection (winner first) returned for
+// Observe to close. A mesh node must not run what it resolved — per-node
+// calibrations differ, so the nodes could pick different winners — and
+// prepares AUTO only to answer an estimate request with the selection.
+func (e *Exec) Prepare(q *Query, exclude []rpc.NodeID) (engine.Config, *metrics.Selection, error) {
 	w, err := e.workload(q)
 	if err != nil {
 		return engine.Config{}, nil, err
@@ -99,7 +98,7 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec, exclude []rpc.NodeID) (engin
 	if q.Strategy == plan.Auto {
 		m, costs := e.Calib.Model(e.Machine.Procs, e.DisksPerNode)
 		var ests []costmodel.Estimate
-		if p, ests, err = costmodel.Select(w, e.Machine, m, costs, nil); err == nil {
+		if p, ests, err = costmodel.Select(w, e.Machine, m, costs, ex); err == nil {
 			autoSelected[p.Strategy].Inc()
 			sel = costmodel.NewSelection(int(e.Node), ests)
 		}
@@ -116,7 +115,6 @@ func (e *Exec) Prepare(q *Query, codec chunk.Codec, exclude []rpc.NodeID) (engin
 		InputDataset:  q.Input,
 		OutputDataset: q.Output,
 		ResultDataset: q.ResultDataset,
-		Codec:         codec,
 		Exclude:       exclude,
 	}
 	return cfg, sel, nil

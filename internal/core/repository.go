@@ -45,11 +45,9 @@ type Options struct {
 	// <= 1 loads unreplicated. Degraded-mode execution needs >= 2 to re-plan
 	// around a dead node.
 	Replicas int
-	// Codec compresses chunk payloads end to end: LoadDataset stores
-	// compressed segments (layout.Loader.Codec), and every query executes
-	// with engine.Config.Codec set so forwarded chunks, ghost accumulators
-	// and result write-backs go out compressed too. Readers decompress
-	// self-describing payloads regardless of this setting. The zero value
+	// Codec is the codec LoadDataset stores chunk payloads with
+	// (layout.Loader.Codec). Queries forward stored chunks in the form they
+	// are stored and send what the engine originates raw. The zero value
 	// (chunk.CodecNone) keeps the classic raw layout.
 	Codec chunk.Codec
 	// Flow bounds each link's in-flight forwarded bytes on the repository's
@@ -376,7 +374,7 @@ func (r *Repository) Execute(ctx context.Context, q *Query) (*Result, error) {
 	if q.App == nil {
 		return nil, fmt.Errorf("core: query needs an App")
 	}
-	cfg, sel, err := r.exec.Prepare(q, r.codec, nil)
+	cfg, sel, err := r.exec.Prepare(q, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -167,22 +167,20 @@ func Predict(p *plan.Plan, w *plan.Workload, m simadr.Machine, c simadr.Costs) (
 	return est, nil
 }
 
-// Select plans a workload under every candidate strategy, predicts each,
-// and returns the predicted-fastest plan together with all estimates
-// (sorted fastest first). A nil candidate list considers every fixed
-// strategy (plan.Strategies) — the live AUTO resolution path.
+// Select plans a workload under every fixed strategy (plan.Strategies)
+// without the processors in exclude (plan.Planner.Exclude; nil plans on
+// every processor), predicts each, and returns the predicted-fastest plan
+// together with all estimates (sorted fastest first).
 func Select(w *plan.Workload, machine plan.Machine, m simadr.Machine, c simadr.Costs,
-	candidates []plan.Strategy) (*plan.Plan, []Estimate, error) {
-	if len(candidates) == 0 {
-		candidates = plan.Strategies
-	}
+	exclude map[int32]bool) (*plan.Plan, []Estimate, error) {
 	planner, err := plan.NewPlanner(machine)
 	if err != nil {
 		return nil, nil, err
 	}
-	plans := make(map[plan.Strategy]*plan.Plan, len(candidates))
+	planner.Exclude = exclude
+	plans := make(map[plan.Strategy]*plan.Plan, len(plan.Strategies))
 	var ests []Estimate
-	for _, s := range candidates {
+	for _, s := range plan.Strategies {
 		p, err := planner.Plan(s, w)
 		if err != nil {
 			return nil, nil, fmt.Errorf("costmodel: plan %v: %w", s, err)

@@ -18,17 +18,15 @@ import (
 	"adr/internal/rpc"
 )
 
-// Serial-equivalence tests for end-to-end chunk compression: with the farm
-// stored compressed and every engine payload compressed on the wire, each
-// strategy on each transport must produce output byte-identical to the
-// serial oracle, and every pooled decompression scratch buffer must return.
-// A mixed fleet — one node compressing, its peers configured raw — must
-// interoperate, because compressed payloads are self-describing and
-// receivers decompress by sniffing the envelope, not by configuration.
+// Serial-equivalence tests for stored chunk compression: with the farm
+// stored compressed, each strategy on each transport must produce output
+// byte-identical to the serial oracle, and every pooled decompression
+// scratch buffer must return. A stored chunk travels in the form it is
+// stored in, and receivers decompress by sniffing the envelope; what the
+// engine originates — ghosts, shipped finals, write-backs — travels raw.
 
 // buildCompressedRepo is buildRepo on a columnar-compressed farm: the loader
-// stores every chunk as an ADRZ envelope and queries through the repository
-// compress their engine payloads too.
+// stores every chunk that shrinks as an ADRZ envelope.
 func buildCompressedRepo(t *testing.T, nodes int) *core.Repository {
 	t.Helper()
 	repo, err := core.NewRepository(core.Options{
@@ -44,9 +42,8 @@ func buildCompressedRepo(t *testing.T, nodes int) *core.Repository {
 
 // runCompressedNodes executes cfg once per node on the given views and
 // returns the finished outputs in output-position order plus each node's
-// trace. perNode, when set, overrides the config for one node id — the
-// mixed-fleet tests use it to give nodes different codecs.
-func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Workload, st engine.ChunkStorage, v *views, perNode func(rpc.NodeID, *engine.Config)) ([]*chunk.Chunk, []metrics.NodeTrace) {
+// trace.
+func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Workload, st engine.ChunkStorage, v *views) ([]*chunk.Chunk, []metrics.NodeTrace) {
 	t.Helper()
 	idToPos := make(map[chunk.ID]int32, len(w.Outputs))
 	for pos, m := range w.Outputs {
@@ -70,17 +67,13 @@ func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Work
 	var wg sync.WaitGroup
 	id := v.query()
 	for q := 0; q < nodes; q++ {
-		nodeCfg := cfg
-		if perNode != nil {
-			perNode(rpc.NodeID(q), &nodeCfg)
-		}
 		wg.Add(1)
-		go func(q int, nodeCfg engine.Config) {
+		go func(q int) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			traces[q], errs[q] = v.run(ctx, id, rpc.NodeID(q), nodeCfg, st)
-		}(q, nodeCfg)
+			traces[q], errs[q] = v.run(ctx, id, rpc.NodeID(q), cfg, st)
+		}(q)
 	}
 	wg.Wait()
 	for q, err := range errs {
@@ -91,10 +84,10 @@ func runCompressedNodes(t *testing.T, nodes int, cfg engine.Config, w *plan.Work
 	return results, traces
 }
 
-// TestCompressedMatchSerial is the acceptance test for end-to-end
-// compression correctness: a columnar-compressed farm, compressed forwards,
-// ghosts and finals, on both transports, for every strategy — and the
-// results must be byte-identical to the serial oracle over the same farm.
+// TestCompressedMatchSerial is the acceptance test for stored-compression
+// correctness: a columnar-compressed farm whose envelopes are forwarded
+// verbatim, on both transports, for every strategy — and the results must
+// be byte-identical to the serial oracle over the same farm.
 // The bufpool balance pins the pooled decompression scratch path.
 func TestCompressedMatchSerial(t *testing.T) {
 	const nodes = 3
@@ -140,9 +133,8 @@ func TestCompressedMatchSerial(t *testing.T) {
 					Plan: p, Workload: w, App: app,
 					InputDataset: "pts",
 					Workers:      4,
-					Codec:        chunk.CodecColumnar,
 				}
-				got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, v, nil)
+				got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, v)
 				requireIdenticalChunks(t, want, got)
 				comp := (&metrics.QueryTrace{Nodes: traces}).Total()
 				if comp.CompressedBytes == 0 {
@@ -155,8 +147,7 @@ func TestCompressedMatchSerial(t *testing.T) {
 				// the same plan (a plan holds positions, not bytes) must read
 				// and send at least 1.5x the bytes. Both counts are sums of
 				// stored chunk sizes, so the ratio is exact, not timed.
-				cfg.Codec = chunk.CodecNone
-				_, traces = runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: rawRepo.Farm()}, v, nil)
+				_, traces = runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: rawRepo.Farm()}, v)
 				raw := (&metrics.QueryTrace{Nodes: traces}).Total()
 				if 2*raw.BytesRead < 3*comp.BytesRead {
 					t.Errorf("compressed farm read %d B, raw farm %d B: want >= 1.5x fewer", comp.BytesRead, raw.BytesRead)
@@ -175,10 +166,10 @@ func TestCompressedMatchSerial(t *testing.T) {
 // TestCompressedDADecodesOnlyAggregatedReads counts the compressed bytes
 // each node inflates under DA: a reader decompresses a read only when it
 // aggregates it here (ReadPairs > 0), and every forward is decompressed
-// once at each destination. The engine compresses nothing of its own
-// (CodecNone), so compressed stored chunks forward verbatim, raw ones stay
-// raw, and every inflated byte is some input's StoredBytes — the count is
-// exact, from plan.Schedule alone.
+// once at each destination. The engine compresses nothing of its own, so
+// compressed stored chunks forward verbatim, raw ones stay raw, and every
+// inflated byte is some input's StoredBytes — the count is exact, from
+// plan.Schedule alone.
 func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
 	const nodes = 3
 	repo := buildCompressedRepo(t, nodes)
@@ -224,7 +215,7 @@ func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
 	}
 	defer fabric.Close()
 	cfg := engine.Config{Plan: p, Workload: w, App: app, InputDataset: "pts", Workers: 4}
-	got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, newViews(t, fabric.Endpoint), nil)
+	got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, newViews(t, fabric.Endpoint))
 	requireIdenticalChunks(t, serialOracle(t, repo, p, w, app), got)
 	for q, tr := range traces {
 		if tr.Totals.CompressedBytes != want[q] {
@@ -234,71 +225,10 @@ func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
 	}
 }
 
-// TestCompressedMixedFleetMatchSerial pins mixed-fleet interoperability: one
-// node compresses its engine payloads, its peers run with compression off
-// (and a raw farm, so nothing they read or send is compressed on their
-// own). Receivers must decompress the compressing node's self-describing
-// payloads regardless of their configuration, and results must still match
-// the serial oracle byte for byte.
-func TestCompressedMixedFleetMatchSerial(t *testing.T) {
-	const nodes = 3
-	base := bufpool.Outstanding()
-	repo := buildRepo(t, nodes) // raw farm: only node 0's wire payloads compress
-	for _, s := range []plan.Strategy{plan.FRA, plan.DA} {
-		t.Run(s.String(), func(t *testing.T) {
-			app := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}
-			q := &core.Query{Input: "pts", Output: "img", Strategy: s, App: app}
-			w, err := repo.BuildWorkload(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			planner, err := plan.NewPlanner(repo.Machine())
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := planner.Plan(s, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := serialOracle(t, repo, p, w, &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4})
-
-			fabric, err := rpc.NewInprocFabric(nodes, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fabric.Close()
-			cfg := engine.Config{
-				Plan: p, Workload: w, App: app,
-				InputDataset: "pts",
-				Workers:      4,
-			}
-			got, traces := runCompressedNodes(t, nodes, cfg, w, engine.FarmStorage{Farm: repo.Farm()}, newViews(t, fabric.Endpoint),
-				func(id rpc.NodeID, c *engine.Config) {
-					if id == 0 {
-						c.Codec = chunk.CodecColumnar
-					}
-				})
-			requireIdenticalChunks(t, want, got)
-			var compBytes int64
-			for _, tr := range traces {
-				compBytes += tr.Totals.CompressedBytes
-			}
-			if compBytes == 0 {
-				t.Error("raw-configured peers never consumed node 0's compressed payloads")
-			}
-		})
-	}
-	if got := bufpool.Outstanding(); got != base {
-		t.Errorf("outstanding buffers after mixed-fleet queries: %d, want %d", got, base)
-	}
-}
-
 // TestDegradedCompressedFailover runs the kill-a-node-mid-query failover
-// with compression on everywhere it can be: a 2-way replicated farm whose
-// replicas are stored as columnar envelopes, and survivors that compress
-// their traffic. The resubmission reads the dead node's chunks from
-// compressed replica holders; the result must match the fault-free
-// reference.
+// over a 2-way replicated farm whose replicas are stored as columnar
+// envelopes. The resubmission reads the dead node's chunks from compressed
+// replica holders; the result must match the fault-free reference.
 func TestDegradedCompressedFailover(t *testing.T) {
 	leakcheck.Check(t)
 	repo, err := core.NewRepository(core.Options{
@@ -310,7 +240,6 @@ func TestDegradedCompressedFailover(t *testing.T) {
 	t.Cleanup(func() { repo.Close() })
 	loadTestDatasets(t, repo)
 
-	compress := func(c *engine.Config) { c.Codec = chunk.CodecColumnar }
 	t.Run("inproc", func(t *testing.T) {
 		for _, s := range []plan.Strategy{plan.FRA, plan.DA} {
 			t.Run(s.String(), func(t *testing.T) {
@@ -319,7 +248,7 @@ func TestDegradedCompressedFailover(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer fabric.Close()
-				checkDegradedTraces(t, runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint), compress))
+				checkDegradedTraces(t, runDegradedFailover(t, repo, s, newViews(t, fabric.Endpoint)))
 			})
 		}
 	})
@@ -329,19 +258,23 @@ func TestDegradedCompressedFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mesh.Close()
-		checkDegradedTraces(t, runDegradedFailover(t, repo, plan.DA, newViews(t, mesh.Endpoint), compress))
+		checkDegradedTraces(t, runDegradedFailover(t, repo, plan.DA, newViews(t, mesh.Endpoint)))
 	})
 }
 
 // TestCompressedPeerDeathLeaksNoBuffers kills a peer in the middle of a
-// compressed, flow-controlled DA query: the abort must drain every in-flight
-// compressed payload and pooled decompression scratch, leaving the bufpool
-// balance exactly where it started.
+// flow-controlled DA query over a compressed farm: the abort must drain
+// every in-flight forwarded envelope and pooled decompression scratch,
+// leaving the bufpool balance exactly where it started.
 func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 	const nodes = 3
 	base := bufpool.Outstanding()
-	repo, _, cfg := planDA(t, nodes)
-	cfg.Codec = chunk.CodecColumnar
+	repo := buildCompressedRepo(t, nodes)
+	cfg, err := prepare(repo, failoverQuery(plan.DA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.OnResult = func(rpc.NodeID, *chunk.Chunk) error { return nil }
 	fabric, err := rpc.NewInprocFabricOpts(nodes, rpc.InprocOptions{
 		Flow: rpc.Flow{WindowBytes: 4 << 10},
 	})
@@ -377,5 +310,58 @@ func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 	v.close()
 	if got := bufpool.Outstanding(); got != base {
 		t.Errorf("outstanding buffers after compressed peer death: %d, want %d", got, base)
+	}
+}
+
+// TestCompressedFarmWireCounts pins the wire rule on a compressed farm,
+// counted per node on queries through the repository: a forwarded chunk
+// travels as it is stored, and what the engine originates travels raw —
+// every ghost is the raster's raw accumulator encoding, every shipped final
+// its raw chunk encoding.
+func TestCompressedFarmWireCounts(t *testing.T) {
+	const nodes, cells = 3, 4
+	const accBytes = 8 + 16*cells*cells // RasterApp.EncodeAccum
+	repo := buildCompressedRepo(t, nodes)
+	var forwards, ghosts, finals int64
+	for _, s := range plan.Strategies {
+		res, err := repo.Execute(context.Background(), &core.Query{
+			Input: "pts", Output: "img", Strategy: s, App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: cells},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := res.Workload
+		for q, shares := range plan.Schedule(res.Plan, w) {
+			var lr, oh int64
+			for ti := range shares {
+				sh := &shares[ti]
+				for k, i := range sh.Reads {
+					n := int64(len(sh.Dests(k)))
+					lr += n * w.Inputs[i].StoredOrRaw()
+					forwards += n
+				}
+				for _, o := range sh.Locals {
+					if w.Outputs[o].Node != int32(q) {
+						oh += int64(chunk.EncodedSize(res.Chunks[o]))
+						finals++
+					}
+				}
+			}
+			tr := res.Report.Traces[q]
+			if got := tr.Phases[metrics.LocalReduction].BytesSent; got != lr {
+				t.Errorf("%v node %d: LR sent %d B, want the forwarded chunks' stored %d B", s, q, got, lr)
+			}
+			gc := tr.Phases[metrics.GlobalCombine]
+			ghosts += gc.MsgsSent
+			if gc.BytesSent != gc.MsgsSent*accBytes {
+				t.Errorf("%v node %d: GC sent %d B in %d ghosts, want %d B each", s, q, gc.BytesSent, gc.MsgsSent, accBytes)
+			}
+			if got := tr.Phases[metrics.OutputHandling].BytesSent; got != oh {
+				t.Errorf("%v node %d: OH sent %d B, want the shipped finals' raw %d B", s, q, got, oh)
+			}
+		}
+	}
+	if forwards == 0 || ghosts == 0 || finals == 0 {
+		t.Fatalf("setup: %d forwards, %d ghosts, %d shipped finals: every kind must be counted", forwards, ghosts, finals)
 	}
 }

@@ -112,18 +112,6 @@ type Config struct {
 	// the decode+aggregate hot path instead of one.
 	Workers int
 
-	// Codec compresses engine-originated payloads: forwarded input chunks
-	// read from raw storage, ghost accumulators (always flate — they are
-	// app-defined encodings the chunk-aware transform cannot parse), shipped
-	// final outputs, and result chunks written back to storage. Payloads
-	// already compressed at load time forward as-is whatever the setting,
-	// and every receive path decompresses self-describing envelopes
-	// regardless of its own Codec, so mixed fleets (compressing senders,
-	// raw-configured readers) interoperate. The adaptive skip threshold
-	// chunk.DefaultMinRatio applies: payloads that do not shrink go out raw.
-	// CodecNone (the zero value) leaves every engine-originated payload raw.
-	Codec chunk.Codec
-
 	// Exclude lists the dead processors the plan was made without
 	// (plan.Degrade onto surviving replica holders, then
 	// plan.Planner.Exclude): their deaths, before or during the run, do not
@@ -160,9 +148,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ResultDataset == "" && c.OnResult == nil {
 		return fmt.Errorf("engine: results have nowhere to go: set ResultDataset and/or OnResult")
-	}
-	if !c.Codec.Valid() {
-		return fmt.Errorf("engine: unknown compression codec %d", c.Codec)
 	}
 	return plan.Verify(c.Plan, c.Workload)
 }

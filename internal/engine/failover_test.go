@@ -88,7 +88,7 @@ func prepare(repo *core.Repository, q *core.Query, exclude ...rpc.NodeID) (engin
 			return in, out, space.IdentityMapper{}, nil
 		},
 	}
-	cfg, _, err := e.Prepare(q, chunk.CodecNone, exclude)
+	cfg, _, err := e.Prepare(q, exclude)
 	return cfg, err
 }
 
@@ -139,7 +139,7 @@ func runSurvivors(t *testing.T, v *views, cfg engine.Config, st engine.ChunkStor
 // node 0; the query resubmitted under a fresh id and planned without node 0
 // then completes on the survivors with results identical to the fault-free
 // reference. Returns the resubmission's survivor traces.
-func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v *views, mutate ...func(*engine.Config)) []engineTrace {
+func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v *views) []engineTrace {
 	t.Helper()
 	res, err := repo.Execute(context.Background(), failoverQuery(s))
 	if err != nil {
@@ -151,9 +151,6 @@ func runDegradedFailover(t *testing.T, repo *core.Repository, s plan.Strategy, v
 		cfg, err := prepare(repo, failoverQuery(s), exclude...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, m := range mutate {
-			m(&cfg)
 		}
 		return cfg
 	}

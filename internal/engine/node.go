@@ -347,26 +347,15 @@ func decodePooled[T any](n *node, data []byte, decode func(raw []byte) (T, error
 // or the pool is emptied at a collection.
 var lrChunks = sync.Pool{New: func() any { return new(chunk.Chunk) }}
 
-// decodeWhole decodes a possibly-compressed payload on a cold path (init
-// chunks, shipped finals) where the decoded chunk may outlive the call:
-// decompression allocates a garbage-collected buffer instead of pooled
+// decodeWhole decodes a possibly-compressed stored payload on a cold path
+// (existing output chunks for init) where the decoded chunk may outlive the
+// call: decompression allocates a garbage-collected buffer instead of pooled
 // scratch.
 func (n *node) decodeWhole(data []byte) (*chunk.Chunk, error) {
 	if chunk.IsCompressed(data) {
 		n.met.CompressedBytes.Add(int64(len(data)))
 	}
 	return chunk.DecodeAny(data)
-}
-
-// compress applies codec to an engine-originated payload and reports whether
-// the envelope is what came back: a payload that arrived compressed (storage
-// bytes forwarded verbatim) or does not shrink is returned as it is.
-func compress(payload []byte, codec chunk.Codec) (out []byte, shrunk bool) {
-	if codec == chunk.CodecNone || chunk.IsCompressed(payload) {
-		return payload, false
-	}
-	env, used := chunk.Compress(payload, codec, chunk.DefaultMinRatio)
-	return env, used != chunk.CodecNone
 }
 
 // phaseLocalReduction retrieves this node's local input chunks, forwards
@@ -386,7 +375,7 @@ func (n *node) phaseLocalReduction(ctx context.Context, t int32, accs map[int32]
 	p, w, sh := n.cfg.Plan, n.cfg.Workload, &n.share[t]
 
 	pl := newPool(ctx, n.cfg.workers(), n.met, func(wk work) error {
-		// Decompress (when the payload is a storage or wire envelope) and
+		// Decompress (when the chunk is stored as an envelope) and
 		// decode on the worker, into a recycled chunk; the chunk and the
 		// scratch buffer both recycle once the aggregation loop below is
 		// done with the decoded items aliasing them (App.Aggregate retains
@@ -467,15 +456,12 @@ func (n *node) readDisk(pl *pool, t int32, queue []int) error {
 			return fmt.Errorf("read input %d: %w", i, err)
 		}
 		if to := sh.Dests(k); len(to) > 0 {
-			// Compressed storage bytes forward verbatim (zero cost); raw
-			// storage bytes are compressed once here, then fanned out, so
-			// flow-control credits meter the compressed volume and every
-			// peer window holds proportionally more chunks in flight.
-			payload, _ := compress(data, n.cfg.Codec)
+			// A chunk travels as it is stored, raw or enveloped, so the
+			// flow-control credits charge its stored bytes.
 			for _, dst := range to {
 				if err := n.send(metrics.LocalReduction, rpc.Message{
 					Src: n.self, Dst: rpc.NodeID(dst.To), Type: msgInputChunk, Tile: t, Seq: i,
-					Payload: payload,
+					Payload: data,
 				}); err != nil {
 					return err
 				}
@@ -541,11 +527,6 @@ func (n *node) phaseGlobalCombine(ctx context.Context, t int32, accs map[int32]A
 			if err != nil {
 				return fmt.Errorf("encode ghost %d: %w", o, err)
 			}
-			if n.cfg.Codec != chunk.CodecNone {
-				// Accumulator payloads are app-defined encodings the
-				// chunk-aware transform cannot parse; flate covers them.
-				data, _ = compress(data, chunk.CodecFlate)
-			}
 			n.met.AddPhase(metrics.GlobalCombine, time.Since(start))
 			if err := n.send(metrics.GlobalCombine, rpc.Message{
 				Src: n.self, Dst: rpc.NodeID(p.Home[o]), Type: msgGhostAccum, Tile: t, Seq: o,
@@ -604,37 +585,27 @@ func (n *node) phaseOutput(ctx context.Context, t int32, accs map[int32]Accumula
 			}
 			// Encode into a pooled buffer: the transport owns and recycles
 			// it — once the frame is on the wire for TCP, when the receiver
-			// releases it in-process. Under a codec the envelope ships
-			// instead and the raw buffer recycles here; the envelope is a
-			// fresh unpooled allocation, so Pooled stays off for it.
+			// releases it in-process.
 			payload := chunk.AppendTo(out, bufpool.Get(chunk.EncodedSize(out))[:0])
-			pooled := true
-			if env, ok := compress(payload, n.cfg.Codec); ok {
-				bufpool.Put(payload)
-				payload, pooled = env, false
-			}
 			if err := n.send(metrics.OutputHandling, rpc.Message{
 				Src: n.self, Dst: rpc.NodeID(w.Outputs[o].Node), Type: msgFinalOutput, Tile: t, Seq: o,
-				Payload: payload, Pooled: pooled,
+				Payload: payload, Pooled: true,
 			}); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, func(msg rpc.Message) error {
-		compressed := chunk.IsCompressed(msg.Payload)
-		out, err := n.decodeWhole(msg.Payload)
+		out, err := chunk.Decode(msg.Payload)
 		if err != nil {
 			msg.Release()
 			return fmt.Errorf("decode final output %d: %w", msg.Seq, err)
 		}
 		err = n.emit(out)
-		if n.cfg.OnResult != nil && !compressed {
+		if n.cfg.OnResult != nil {
 			// The result callback may retain the decoded chunk, whose
 			// items alias the payload: return the credit but hand the
-			// bytes over to the retainer (and the GC). A compressed
-			// payload was fully consumed by decompression — the decoded
-			// chunk aliases the inflated copy — so it releases normally.
+			// bytes over to the retainer (and the GC).
 			msg.ReleaseKeep()
 		} else {
 			msg.Release()
@@ -675,10 +646,6 @@ func (n *node) emit(out *chunk.Chunk) error {
 		data := chunk.Encode(out)
 		out.Meta.Bytes = int64(len(data))
 		out.Meta.StoredBytes = 0
-		if env, ok := compress(data, n.cfg.Codec); ok {
-			data = env
-			out.Meta.StoredBytes = int64(len(env))
-		}
 		if err := n.st.WriteChunk(n.cfg.ResultDataset, out.Meta, data); err != nil {
 			return err
 		}

@@ -38,14 +38,14 @@ func ResolveAuto(addrs []string, spec *QuerySpec, dialTimeout, readTimeout time.
 }
 
 // resolveAuto is ResolveAuto for a resolver that knows the nodes in dead
-// are gone: it asks none of them.
+// are gone: it asks none of them, and the node it asks plans without them.
 func resolveAuto(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
 	var errs []error
 	for i, addr := range addrs {
 		if slices.Contains(dead, i) {
 			continue
 		}
-		sel, err := requestEstimate(addr, spec, dialTimeout, readTimeout)
+		sel, err := requestEstimate(addr, dead, spec, dialTimeout, readTimeout)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("frontend: estimates from node %d at %s: %w", i, addr, err))
 			continue
@@ -58,14 +58,15 @@ func resolveAuto(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readT
 	return nil, errors.Join(errs...)
 }
 
-// requestEstimate performs one estimate round-trip with a node.
-func requestEstimate(addr string, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
+// requestEstimate performs one estimate round-trip with a node, which prices
+// the candidates without the nodes in dead, as the query will run.
+func requestEstimate(addr string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeoutOrDefault(dialTimeout, defaultDialTimeout))
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	if err := WriteJSON(conn, &NodeRequest{Spec: *spec, Estimate: true}); err != nil {
+	if err := WriteJSON(conn, &NodeRequest{Spec: *spec, Estimate: true, Exclude: dead}); err != nil {
 		return nil, err
 	}
 	if t := timeoutOrDefault(readTimeout, defaultStreamTimeout); t > 0 {

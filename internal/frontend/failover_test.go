@@ -430,8 +430,8 @@ func TestClientBusyRetryFailover(t *testing.T) {
 
 // TestAutoSkipsDeadNodeFailover: a resolver that knows node 0 dead neither
 // asks it for AUTO's estimates nor sends it the query — on a real network
-// each such dial could cost the whole dial timeout — and plans the query
-// without it.
+// each such dial could cost the whole dial timeout — and both prices and
+// plans the query without it.
 func TestAutoSkipsDeadNodeFailover(t *testing.T) {
 	leakcheck.Check(t)
 	dead := startFakeNode(t, func(int) [][]byte { return doneFrame(0) })
@@ -476,8 +476,11 @@ func TestAutoSkipsDeadNodeFailover(t *testing.T) {
 		t.Fatalf("live node served %d requests, want 4 (estimate and query, twice)", len(reqs))
 	}
 	for _, r := range reqs {
-		if !r.Estimate && (r.Spec.Strategy != "DA" || !slices.Equal(r.Exclude, []int{0})) {
-			t.Errorf("query request = %+v, want strategy DA planned without node 0", r)
+		if !slices.Equal(r.Exclude, []int{0}) {
+			t.Errorf("request = %+v, want it priced or planned without node 0", r)
+		}
+		if !r.Estimate && r.Spec.Strategy != "DA" {
+			t.Errorf("query request = %+v, want strategy DA", r)
 		}
 	}
 }

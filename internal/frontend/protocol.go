@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"adr/internal/apps"
 	"adr/internal/bufpool"
@@ -58,12 +59,12 @@ type QuerySpec struct {
 	// ResultDataset, when set, writes results back to the farm as well as
 	// returning them.
 	ResultDataset string `json:"result_dataset,omitempty"`
-	// Codec, when set, compresses the query's engine payloads — forwarded
-	// chunks, ghost accumulators, shipped finals, result write-backs —
-	// with the named codec ("none", "flate" or "columnar"). Empty defers to
-	// each node's -compress default. Receivers decompress self-describing
-	// payloads whatever their own setting, so the value need not match the
-	// dataset's on-disk codec.
+	// Codec is ignored: a chunk travels in the form it is stored in, and
+	// what the engine originates travels raw. A back-end still refuses a
+	// name that is not a codec ("none", "flate" or "columnar").
+	//
+	// Deprecated: the codec is a property of the stored dataset, chosen at
+	// load time (adr-load -compress).
 	Codec string `json:"codec,omitempty"`
 }
 
@@ -74,6 +75,11 @@ type AppSpec struct {
 	CellsPerDim int    `json:"cells_per_dim"`
 	UseExisting bool   `json:"use_existing,omitempty"`
 }
+
+// maxCellsPerDim is the largest raster a query may ask for: one whose
+// encoded accumulator (RasterApp.EncodeAccum: 8 + 16·c² bytes) still fits
+// in one mesh frame, so its ghosts can be shipped.
+var maxCellsPerDim = int(math.Sqrt((rpc.MaxFrameBytes - 8) / 16))
 
 // Build instantiates the server-side App.
 func (a AppSpec) Build() (engine.App, error) {
@@ -98,6 +104,10 @@ func (a AppSpec) Build() (engine.App, error) {
 	cells := a.CellsPerDim
 	if cells <= 0 {
 		cells = 8
+	}
+	if cells > maxCellsPerDim {
+		return nil, fmt.Errorf("frontend: cells_per_dim %d over the limit %d: its ghost accumulator (8+16·c² bytes) would not fit in one %d-byte mesh frame",
+			cells, maxCellsPerDim, rpc.MaxFrameBytes)
 	}
 	return &apps.RasterApp{Op: op, CellsPerDim: cells, UseExisting: a.UseExisting}, nil
 }
@@ -126,16 +136,6 @@ func (q *QuerySpec) ParseStrategy() (plan.Strategy, error) {
 	return plan.ParseStrategy(q.Strategy)
 }
 
-// ParseCodec parses the spec's compression codec. The boolean reports
-// whether the spec named one at all (false defers to the node's default).
-func (q *QuerySpec) ParseCodec() (chunk.Codec, bool, error) {
-	if q.Codec == "" {
-		return chunk.CodecNone, false, nil
-	}
-	c, err := chunk.ParseCodec(q.Codec)
-	return c, true, err
-}
-
 // NodeRequest is the front-end -> back-end control frame: the query spec
 // plus the front-end-assigned query id that multiplexes the mesh. All nodes
 // of one query must receive the same id; a single front-end process (Fig 2)
@@ -152,8 +152,9 @@ type NodeRequest struct {
 	// Exclude lists the back-end nodes the resolver knows dead, learned from
 	// survivors' error frames (ErrorInfo.Dead). Every node plans the query
 	// without them — their chunks read from surviving replica holders, their
-	// outputs re-homed (core.Exec.Prepare) — and the resolver does not ask
-	// them. Set by the resolver, never by a client.
+	// outputs re-homed (core.Exec.Prepare) — an Estimate prices the
+	// candidates without them, and the resolver does not ask them. Set by
+	// the resolver, never by a client.
 	Exclude []int `json:"exclude,omitempty"`
 }
 

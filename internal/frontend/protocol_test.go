@@ -3,12 +3,15 @@ package frontend
 import (
 	"bufio"
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
 	"adr/internal/apps"
 	"adr/internal/chunk"
 	"adr/internal/engine"
 	"adr/internal/plan"
+	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
@@ -45,6 +48,36 @@ func TestAppSpecBuild(t *testing.T) {
 		t.Error("UseExisting not propagated")
 	}
 	var _ engine.App = app
+}
+
+// TestAppSpecCellsBound: a raster whose ghost accumulator could not travel
+// in one mesh frame is refused at Build, naming the value and the limit.
+// Past the limit, 3 037 000 500 cells per dimension overflow c*c (a
+// makeslice panic on every node the spec reaches) and 10^5 ask each node
+// for 160 GB.
+func TestAppSpecCellsBound(t *testing.T) {
+	if _, err := (AppSpec{Op: "sum", CellsPerDim: maxCellsPerDim}).Build(); err != nil {
+		t.Fatalf("%d cells per dimension: %v", maxCellsPerDim, err)
+	}
+	if maxCellsPerDim != 2047 {
+		t.Errorf("limit %d, want 2047: the largest c with 8+16c² <= %d", maxCellsPerDim, rpc.MaxFrameBytes)
+	}
+	// The bound's formula is EncodeAccum's length.
+	out := chunk.Meta{MBR: space.R(0, 1, 0, 1)}
+	small := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 3}
+	acc, err := small.Init(out, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, err := small.EncodeAccum(acc, out); err != nil || len(enc) != 8+16*3*3 {
+		t.Fatalf("3x3 accumulator encodes to %d bytes (%v), want %d", len(enc), err, 8+16*3*3)
+	}
+	for _, cells := range []int{maxCellsPerDim + 1, 100_000, 3_037_000_500} {
+		_, err := AppSpec{Op: "sum", CellsPerDim: cells}.Build()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(cells)) || !strings.Contains(err.Error(), strconv.Itoa(maxCellsPerDim)) {
+			t.Errorf("%d cells per dimension: err %v, want a refusal naming %d and the limit %d", cells, err, cells, maxCellsPerDim)
+		}
+	}
 }
 
 func TestParseBox(t *testing.T) {

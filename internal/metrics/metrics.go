@@ -84,9 +84,9 @@ type Node struct {
 	ReplicaFallbackReads atomic.Int64
 	// CompressedBytes counts compressed payload bytes this node decompressed:
 	// the local reads it aggregates (disk or cache; a read it only forwards
-	// is never decompressed here) and the payloads it receives (forwarded
-	// inputs, ghosts, existing and shipped outputs). Zero means every payload
-	// it consumed arrived raw.
+	// is never decompressed here) and the stored chunks it receives
+	// (forwarded inputs, existing outputs). Zero means every payload it
+	// consumed arrived raw; ghosts and shipped outputs always do.
 	CompressedBytes atomic.Int64
 	// DecodeNanos is the cumulative wall time workers spent decoding
 	// payloads — input chunks (chunk.DecodeInto, into a recycled chunk) in
