@@ -49,8 +49,9 @@ lines-pkg:
 # without dead nodes), the compression sweep (serial equivalence with
 # compressed farms on both transports and the read/wire byte reduction, the
 # per-node wire counts of a compressed farm — forwards at their stored size,
-# ghosts and finals raw — compressed-replica failover, pool-balance checks on
-# compressed failure paths), and the worker-pool suite (serial equivalence at every width, the
+# ghosts as their App encoded them, finals raw — compressed-replica failover,
+# pool-balance checks on compressed failure paths), and the worker-pool
+# suite (serial equivalence at every width, the
 # width actually in flight) — race-checked, bounded so a reintroduced hang
 # fails fast.
 test-failure:

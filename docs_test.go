@@ -245,6 +245,7 @@ var surfaceAllowlist = []surfaceEntry{
 	{"emulator.VM", emulatedApp},
 	{"apps.HistogramApp", "the second reference App; core's end-to-end test runs it through the engine"},
 	{"apps.UnpackBucket", "decodes HistogramApp's output items for core's end-to-end test"},
+	{"apps.MaxAccumBytes", "a raster's worst-case ghost size; the wire-bound tests in engine, frontend and backend pin against it"},
 	{"costmodel.Predict", "prices one plan; core's volume tests hold it against a traced run"},
 	{"costmodel.SeedCosts", "the pre-calibration costs core's volume tests predict with"},
 

@@ -19,6 +19,7 @@ import (
 
 	"adr/internal/chunk"
 	"adr/internal/engine"
+	"adr/internal/rpc"
 	"adr/internal/space"
 )
 
@@ -79,7 +80,8 @@ type RasterApp struct {
 	// Op is the per-cell reduction.
 	Op Op
 	// CellsPerDim subdivides each output chunk's MBR into CellsPerDim x
-	// CellsPerDim cells (first two dimensions).
+	// CellsPerDim cells (first two dimensions): at most 2 047, the largest
+	// raster whose ghosts fit in one mesh frame (CheckCellsPerDim).
 	CellsPerDim int
 	// MapPoint is the item-level user Map function: it projects an input
 	// item's coordinates into the output attribute space. nil truncates to
@@ -128,8 +130,8 @@ func (r *RasterApp) apply(a *rasterAccum, cell int, v int64) {
 // existing output chunk. Ghost replicas always start from the identity so
 // the global combine never double-counts seeds.
 func (r *RasterApp) Init(out chunk.Meta, existing *chunk.Chunk, ghost bool) (engine.Accumulator, error) {
-	if r.CellsPerDim <= 0 {
-		return nil, fmt.Errorf("apps: RasterApp.CellsPerDim must be positive")
+	if err := CheckCellsPerDim(r.CellsPerDim); err != nil {
+		return nil, err
 	}
 	if out.MBR.Dims < 2 {
 		return nil, fmt.Errorf("apps: RasterApp needs >= 2-D output chunks, got %d-D", out.MBR.Dims)
@@ -208,35 +210,58 @@ func (r *RasterApp) fold(a *rasterAccum, items []chunk.Item, mapPoint func(space
 	return nil
 }
 
-// Combine merges a ghost raster into the home raster cell-wise.
+// Combine merges a ghost raster into the home raster: src is a decoded
+// ghost (DecodeAccum's runs) or a dense raster, which is folded through
+// its wire form. Only populated cells (count != 0) take part, so Max and
+// Min never compare against an empty cell's 0.
 func (r *RasterApp) Combine(dst, src engine.Accumulator, out chunk.Meta) error {
-	d, ok1 := dst.(*rasterAccum)
-	s, ok2 := src.(*rasterAccum)
-	if !ok1 || !ok2 {
+	d, ok := dst.(*rasterAccum)
+	var g *rasterRuns
+	switch s := src.(type) {
+	case *rasterRuns:
+		g = s
+	case *rasterAccum:
+		data, _ := r.EncodeAccum(s, out) // cannot fail on a *rasterAccum
+		g = &rasterRuns{nx: s.nx, ny: s.ny, body: data[8:]}
+	}
+	if !ok || g == nil {
 		return fmt.Errorf("apps: combine on %T/%T", dst, src)
 	}
-	if d.nx != s.nx || d.ny != s.ny {
-		return fmt.Errorf("apps: combine a %dx%d raster into a %dx%d one", s.nx, s.ny, d.nx, d.ny)
+	if d.nx != g.nx || d.ny != g.ny {
+		return fmt.Errorf("apps: combine a %dx%d raster into a %dx%d one", g.nx, g.ny, d.nx, d.ny)
 	}
-	for c := range d.sums {
-		if s.counts[c] == 0 {
-			continue
+	return eachRun(g.body, d.nx*d.ny, func(start int, sums, counts []byte) error {
+		r.foldRun(d, start, sums, counts)
+		return nil
+	})
+}
+
+// foldRun combines one run of populated ghost cells, the first of them
+// cell start, into d; sums and counts are the run's wire bytes.
+func (r *RasterApp) foldRun(d *rasterAccum, start int, sums, counts []byte) {
+	k := len(sums) / 8
+	ds, dc := d.sums[start:start+k], d.counts[start:start+k]
+	switch r.Op {
+	case Sum, Mean, Count:
+		for i := range ds {
+			ds[i] += int64(binary.LittleEndian.Uint64(sums[8*i:]))
 		}
-		switch r.Op {
-		case Sum, Mean, Count:
-			d.sums[c] += s.sums[c]
-		case Max:
-			if d.counts[c] == 0 || s.sums[c] > d.sums[c] {
-				d.sums[c] = s.sums[c]
-			}
-		case Min:
-			if d.counts[c] == 0 || s.sums[c] < d.sums[c] {
-				d.sums[c] = s.sums[c]
+	case Max:
+		for i := range ds {
+			if v := int64(binary.LittleEndian.Uint64(sums[8*i:])); dc[i] == 0 || v > ds[i] {
+				ds[i] = v
 			}
 		}
-		d.counts[c] += s.counts[c]
+	case Min:
+		for i := range ds {
+			if v := int64(binary.LittleEndian.Uint64(sums[8*i:])); dc[i] == 0 || v < ds[i] {
+				ds[i] = v
+			}
+		}
 	}
-	return nil
+	for i := range dc {
+		dc[i] += int64(binary.LittleEndian.Uint64(counts[8*i:]))
+	}
 }
 
 // Output emits one item per populated cell: the cell's center coordinate
@@ -279,58 +304,179 @@ func (r *RasterApp) Output(acc engine.Accumulator, out chunk.Meta) (*chunk.Chunk
 	return c, nil
 }
 
-// EncodeAccum serializes the raster for ghost transfer: nx, ny, then sums
-// and counts (varint-free fixed width keeps this allocation-cheap).
+// rasterRuns is a decoded ghost raster: only its populated cells, as the
+// validated runs of EncodeAccum's wire form after nx and ny, copied out of
+// the payload.
+type rasterRuns struct {
+	nx, ny int
+	body   []byte
+}
+
+// nextRun returns the first maximal run [start, end) of populated cells
+// (count != 0) at or after cell from; start == end == len(counts) when
+// none is left.
+func nextRun(counts []int64, from int) (start, end int) {
+	start = from
+	for start < len(counts) && counts[start] == 0 {
+		start++
+	}
+	end = start
+	for end < len(counts) && counts[end] != 0 {
+		end++
+	}
+	return start, end
+}
+
+// uvarintLen is the length of x's minimal uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// MaxAccumBytes is the largest EncodeAccum payload of a raster with
+// cellsPerDim (>= 1) cells per dimension: a fully populated raster, which
+// is one run. Any other raster of that size encodes shorter: a gap of s
+// cells saves 16·s bytes and costs at most one more run header, a skip
+// varint of at most s bytes and a length varint of at most 8 (below 1<<28
+// cells per dimension). Past that it saturates at math.MaxInt64.
+func MaxAccumBytes(cellsPerDim int) int64 {
+	if cellsPerDim > 1<<28 {
+		return math.MaxInt64
+	}
+	n := int64(cellsPerDim) * int64(cellsPerDim)
+	return 8 + int64(uvarintLen(0)+uvarintLen(uint64(n))) + 16*n
+}
+
+// maxCellsPerDim is the largest raster whose worst-case ghost accumulator
+// fits in one mesh frame: 2 047 cells per dimension.
+var maxCellsPerDim = func() int {
+	c := int(math.Sqrt(rpc.MaxFrameBytes / 16))
+	for MaxAccumBytes(c) > rpc.MaxFrameBytes {
+		c--
+	}
+	return c
+}()
+
+// CheckCellsPerDim refuses a raster RasterApp cannot run: a non-positive
+// number of cells per dimension, or one whose fully populated ghost
+// accumulator (MaxAccumBytes) would not fit in one mesh frame, so its
+// ghosts could not be shipped.
+func CheckCellsPerDim(cells int) error {
+	if cells <= 0 {
+		return fmt.Errorf("apps: RasterApp.CellsPerDim must be positive")
+	}
+	if cells > maxCellsPerDim {
+		return fmt.Errorf("apps: %d cells per dimension over the limit %d: a full raster's ghost accumulator would not fit in one %d-byte mesh frame",
+			cells, maxCellsPerDim, rpc.MaxFrameBytes)
+	}
+	return nil
+}
+
+// EncodeAccum serializes the raster for ghost transfer as what it holds:
+// nx and ny (uint32 each), then, for each maximal run of populated cells,
+// the number of cells skipped since the previous run (uvarint), the run's
+// length (uvarint), its sums and its counts (int64 each). An untouched
+// raster is the 8-byte header alone; a fully populated one is a single run
+// of MaxAccumBytes. The buffer is sized exactly by one counting pass.
 func (r *RasterApp) EncodeAccum(acc engine.Accumulator, out chunk.Meta) ([]byte, error) {
 	a, ok := acc.(*rasterAccum)
 	if !ok {
 		return nil, fmt.Errorf("apps: accumulator is %T, want *rasterAccum", acc)
 	}
-	buf := make([]byte, 0, 8+16*len(a.sums))
+	size, prev := 8, 0
+	for s, e := nextRun(a.counts, 0); s < e; s, e = nextRun(a.counts, e) {
+		size += uvarintLen(uint64(s-prev)) + uvarintLen(uint64(e-s)) + 16*(e-s)
+		prev = e
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.nx))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.ny))
-	for _, v := range a.sums {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	for _, v := range a.counts {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	prev = 0
+	for s, e := nextRun(a.counts, 0); s < e; s, e = nextRun(a.counts, e) {
+		buf = binary.AppendUvarint(buf, uint64(s-prev))
+		buf = binary.AppendUvarint(buf, uint64(e-s))
+		for _, v := range a.sums[s:e] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		for _, v := range a.counts[s:e] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		prev = e
 	}
 	return buf, nil
 }
 
-// DecodeAccum inverts EncodeAccum.
+// eachRun walks body, the runs of an encoded n-cell raster (EncodeAccum's
+// form after nx and ny), and calls fn with each run's first cell and the
+// bytes of its sums and counts. It refuses what EncodeAccum cannot write: a
+// non-minimal varint, a run that is empty, overruns the raster or the
+// body, or starts where the previous run ended (runs are maximal, so a gap
+// of at least one cell lies between them, and no run can overlap another).
+func eachRun(body []byte, n int, fn func(start int, sums, counts []byte) error) error {
+	end := 0
+	for len(body) > 0 {
+		skip, k1 := binary.Uvarint(body)
+		if k1 <= 0 || k1 != uvarintLen(skip) {
+			return fmt.Errorf("apps: accumulator run after cell %d: bad skip varint", end)
+		}
+		length, k2 := binary.Uvarint(body[k1:])
+		if k2 <= 0 || k2 != uvarintLen(length) {
+			return fmt.Errorf("apps: accumulator run after cell %d: bad length varint", end)
+		}
+		body = body[k1+k2:]
+		switch {
+		case skip == 0 && end > 0:
+			return fmt.Errorf("apps: accumulator run at cell %d touches the previous run", end)
+		case length == 0:
+			return fmt.Errorf("apps: empty accumulator run after cell %d", end)
+		case skip > uint64(n-end) || length > uint64(n-end)-skip:
+			return fmt.Errorf("apps: accumulator run of %d cells, %d after cell %d, overruns the %d-cell raster", length, skip, end, n)
+		case length > uint64(len(body))/16:
+			return fmt.Errorf("apps: accumulator run of %d cells truncated at %d bytes", length, len(body))
+		}
+		start := end + int(skip)
+		end = start + int(length)
+		k := 8 * int(length)
+		if err := fn(start, body[:k], body[k:2*k]); err != nil {
+			return err
+		}
+		body = body[2*k:]
+	}
+	return nil
+}
+
+// DecodeAccum inverts EncodeAccum into a compact ghost (rasterRuns) that
+// holds the populated cells only, for Combine to fold; nothing the size of
+// the raster is allocated. A payload EncodeAccum could not have written
+// for this app is refused by error: a shape other than CellsPerDim x
+// CellsPerDim, any run eachRun refuses, or a run cell whose count is 0.
 func (r *RasterApp) DecodeAccum(data []byte, out chunk.Meta) (engine.Accumulator, error) {
+	if err := CheckCellsPerDim(r.CellsPerDim); err != nil {
+		return nil, err
+	}
 	if len(data) < 8 {
 		return nil, fmt.Errorf("apps: accumulator payload too short")
 	}
 	nx := int(binary.LittleEndian.Uint32(data[0:]))
 	ny := int(binary.LittleEndian.Uint32(data[4:]))
-	if nx <= 0 || ny <= 0 || nx > 1<<20 || ny > 1<<20 {
-		return nil, fmt.Errorf("apps: bad raster dims %dx%d", nx, ny)
-	}
 	if nx != r.CellsPerDim || ny != r.CellsPerDim {
 		return nil, fmt.Errorf("apps: accumulator raster is %dx%d cells, RasterApp.CellsPerDim is %d", nx, ny, r.CellsPerDim)
 	}
-	n := nx * ny
-	if len(data) != 8+16*n {
-		return nil, fmt.Errorf("apps: accumulator payload %d bytes, want %d", len(data), 8+16*n)
+	body := data[8:]
+	if err := eachRun(body, nx*ny, func(start int, _, counts []byte) error {
+		for i := 0; i < len(counts); i += 8 {
+			if binary.LittleEndian.Uint64(counts[i:]) == 0 {
+				return fmt.Errorf("apps: accumulator run holds empty cell %d", start+i/8)
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	a := &rasterAccum{
-		mbr: out.MBR,
-		nx:  nx, ny: ny,
-		sums:   make([]int64, n),
-		counts: make([]int64, n),
-	}
-	off := 8
-	for i := 0; i < n; i++ {
-		a.sums[i] = int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	for i := 0; i < n; i++ {
-		a.counts[i] = int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	return a, nil
+	return &rasterRuns{nx: nx, ny: ny, body: append([]byte(nil), body...)}, nil
 }
 
 // InitRequiresOutput reports whether existing output chunks seed Init.

@@ -151,11 +151,19 @@ func TestAccumCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two populated cells of 16, two one-cell runs: 8 + 2·(2 + 16) bytes.
+	if len(data) != 44 {
+		t.Errorf("two populated cells encode to %d bytes, want 44", len(data))
+	}
 	back, err := app.DecodeAccum(data, outMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := acc.(*rasterAccum), back.(*rasterAccum)
+	home, _ := app.Init(outMeta(), nil, false)
+	if err := app.Combine(home, back, outMeta()); err != nil {
+		t.Fatal(err)
+	}
+	a, b := acc.(*rasterAccum), home.(*rasterAccum)
 	for i := range a.sums {
 		if a.sums[i] != b.sums[i] || a.counts[i] != b.counts[i] {
 			t.Fatalf("cell %d mismatch", i)

@@ -35,6 +35,30 @@ func refCellAt(a *rasterAccum, p space.Point) (int, bool) {
 	return cy*a.nx + cx, true
 }
 
+// refRasterCombine is RasterApp's Combine as it stood before ghosts
+// travelled as runs: a dense ghost folded cell by cell, every cell with a
+// nonzero count taking part.
+func refRasterCombine(op Op, d, s *rasterAccum) {
+	for c := range d.sums {
+		if s.counts[c] == 0 {
+			continue
+		}
+		switch op {
+		case Sum, Mean, Count:
+			d.sums[c] += s.sums[c]
+		case Max:
+			if d.counts[c] == 0 || s.sums[c] > d.sums[c] {
+				d.sums[c] = s.sums[c]
+			}
+		case Min:
+			if d.counts[c] == 0 || s.sums[c] < d.sums[c] {
+				d.sums[c] = s.sums[c]
+			}
+		}
+		d.counts[c] += s.counts[c]
+	}
+}
+
 func refProjectTo2D(p space.Point) space.Point {
 	return space.Pt(p.Coords[0], p.Coords[1])
 }

@@ -56,8 +56,8 @@ func FuzzNodeRequest(f *testing.F) {
 		if !ok {
 			t.Fatalf("accepted request built %T", q.App)
 		}
-		if c := int64(r.CellsPerDim); 8+16*c*c > rpc.MaxFrameBytes {
-			t.Fatalf("accepted %d cells per dimension: its ghost exceeds one mesh frame", c)
+		if c := r.CellsPerDim; apps.MaxAccumBytes(c) > rpc.MaxFrameBytes {
+			t.Fatalf("accepted %d cells per dimension: its worst-case ghost exceeds one mesh frame", c)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -347,5 +348,27 @@ func TestExecuteBatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "batch query 1") {
 		t.Errorf("error does not name the failing query: %v", err)
+	}
+}
+
+// TestExecuteRefusesOversizedRaster: through the embedded API a raster too
+// large for its ghosts to travel fails its query with an error naming the
+// value and the limit, before anything is allocated (3 037 000 500 cells
+// per dimension overflow c·c in makeslice; 10^5 would ask each node for
+// 160 GB), and the repository keeps serving.
+func TestExecuteRefusesOversizedRaster(t *testing.T) {
+	leakcheck.Check(t)
+	repo := buildEnv(t, 3, 500, 48)
+	ctx := context.Background()
+	for _, cells := range []int{100_000, 3_037_000_500} {
+		_, err := repo.Execute(ctx, &core.Query{Input: "sensor", Output: "raster", Strategy: plan.FRA,
+			App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: cells}})
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(cells)) || !strings.Contains(err.Error(), "limit 2047") {
+			t.Errorf("%d cells per dimension: err %v, want a refusal naming %d and the limit 2047", cells, err, cells)
+		}
+	}
+	if _, err := repo.Execute(ctx, &core.Query{Input: "sensor", Output: "raster", Strategy: plan.FRA,
+		App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4}}); err != nil {
+		t.Fatalf("query after the refusals: %v", err)
 	}
 }

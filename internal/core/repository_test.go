@@ -161,7 +161,7 @@ func TestParallelMatchesSerialAllStrategiesAndOps(t *testing.T) {
 		for _, v := range variants {
 			v.opts.Nodes = nodes
 			repo := buildEnvOpts(t, v.opts, 3000, 42)
-			for _, op := range []apps.Op{apps.Sum, apps.Max, apps.Mean, apps.Count} {
+			for _, op := range []apps.Op{apps.Sum, apps.Max, apps.Min, apps.Mean, apps.Count} {
 				for _, s := range append(append([]plan.Strategy{}, plan.Strategies...), plan.Auto) {
 					// The default repository keeps the bare "nodes=N" prefix.
 					name := fmt.Sprintf("nodes=%d/%s/%s", nodes, op, s)

@@ -57,14 +57,18 @@ type App interface {
 	Aggregate(acc Accumulator, out chunk.Meta, in *chunk.Chunk) error
 
 	// Combine merges a partial accumulator (a ghost) into dst during the
-	// global combine phase.
+	// global combine phase. dst is one Init returned; src is whatever
+	// DecodeAccum returned, which need not be the type Init returns (an app
+	// may decode a ghost into a compact form that only Combine reads).
 	Combine(dst, src Accumulator, out chunk.Meta) error
 
 	// Output converts the final accumulator into the output chunk.
 	Output(acc Accumulator, out chunk.Meta) (*chunk.Chunk, error)
 
-	// EncodeAccum/DecodeAccum serialize accumulators for ghost transfer.
-	// The accumulator DecodeAccum returns must not alias data — the engine
+	// EncodeAccum/DecodeAccum serialize accumulators for ghost transfer:
+	// EncodeAccum is handed an accumulator Init returned, and the engine
+	// passes what DecodeAccum returns to Combine only, as its src. The
+	// accumulator DecodeAccum returns must not alias data — the engine
 	// recycles the buffer after the combine. Like Aggregate, Combine and
 	// DecodeAccum may run concurrently for different outputs.
 	EncodeAccum(acc Accumulator, out chunk.Meta) ([]byte, error)

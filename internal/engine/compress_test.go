@@ -313,26 +313,49 @@ func TestCompressedPeerDeathLeaksNoBuffers(t *testing.T) {
 	}
 }
 
+// ghostRecorder is a RasterApp that sums, per output chunk, the bytes its
+// EncodeAccum returned: what every ghost of that output put on the wire.
+type ghostRecorder struct {
+	*apps.RasterApp
+	mu    sync.Mutex
+	bytes map[chunk.ID]int64
+}
+
+func (g *ghostRecorder) EncodeAccum(acc engine.Accumulator, out chunk.Meta) ([]byte, error) {
+	data, err := g.RasterApp.EncodeAccum(acc, out)
+	g.mu.Lock()
+	g.bytes[out.ID] += int64(len(data))
+	g.mu.Unlock()
+	return data, err
+}
+
 // TestCompressedFarmWireCounts pins the wire rule on a compressed farm,
 // counted per node on queries through the repository: a forwarded chunk
-// travels as it is stored, and what the engine originates travels raw —
-// every ghost is the raster's raw accumulator encoding, every shipped final
-// its raw chunk encoding.
+// travels as it is stored, and what the engine originates travels as its
+// App or chunk codec wrote it — every ghost is what RasterApp.EncodeAccum
+// returned (its populated runs, so the size depends on the data), every
+// shipped final its raw chunk encoding. Every ghost of an output goes to
+// that output's home, so a node's GC receive count is the sum of its homed
+// outputs' encodings, and the nodes' GC sends add up to all of them.
 func TestCompressedFarmWireCounts(t *testing.T) {
 	const nodes, cells = 3, 4
-	const accBytes = 8 + 16*cells*cells // RasterApp.EncodeAccum
 	repo := buildCompressedRepo(t, nodes)
 	var forwards, ghosts, finals int64
 	for _, s := range plan.Strategies {
+		app := &ghostRecorder{RasterApp: &apps.RasterApp{Op: apps.Sum, CellsPerDim: cells}, bytes: map[chunk.ID]int64{}}
 		res, err := repo.Execute(context.Background(), &core.Query{
-			Input: "pts", Output: "img", Strategy: s, App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: cells},
+			Input: "pts", Output: "img", Strategy: s, App: app,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := res.Workload
+		var gcSent, encoded int64
+		for _, b := range app.bytes {
+			encoded += b
+		}
 		for q, shares := range plan.Schedule(res.Plan, w) {
-			var lr, oh int64
+			var lr, oh, gcRecv int64
 			for ti := range shares {
 				sh := &shares[ti]
 				for k, i := range sh.Reads {
@@ -347,18 +370,27 @@ func TestCompressedFarmWireCounts(t *testing.T) {
 					}
 				}
 			}
+			for o, home := range res.Plan.Home {
+				if home == int32(q) {
+					gcRecv += app.bytes[w.Outputs[o].ID]
+				}
+			}
 			tr := res.Report.Traces[q]
 			if got := tr.Phases[metrics.LocalReduction].BytesSent; got != lr {
 				t.Errorf("%v node %d: LR sent %d B, want the forwarded chunks' stored %d B", s, q, got, lr)
 			}
 			gc := tr.Phases[metrics.GlobalCombine]
 			ghosts += gc.MsgsSent
-			if gc.BytesSent != gc.MsgsSent*accBytes {
-				t.Errorf("%v node %d: GC sent %d B in %d ghosts, want %d B each", s, q, gc.BytesSent, gc.MsgsSent, accBytes)
+			gcSent += gc.BytesSent
+			if gc.BytesRecv != gcRecv {
+				t.Errorf("%v node %d: GC received %d B, want its homed outputs' encoded ghosts, %d B", s, q, gc.BytesRecv, gcRecv)
 			}
 			if got := tr.Phases[metrics.OutputHandling].BytesSent; got != oh {
 				t.Errorf("%v node %d: OH sent %d B, want the shipped finals' raw %d B", s, q, got, oh)
 			}
+		}
+		if gcSent != encoded {
+			t.Errorf("%v: GC sent %d B, want the %d B EncodeAccum returned", s, gcSent, encoded)
 		}
 	}
 	if forwards == 0 || ghosts == 0 || finals == 0 {

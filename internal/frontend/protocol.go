@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"adr/internal/apps"
 	"adr/internal/bufpool"
@@ -76,11 +75,6 @@ type AppSpec struct {
 	UseExisting bool   `json:"use_existing,omitempty"`
 }
 
-// maxCellsPerDim is the largest raster a query may ask for: one whose
-// encoded accumulator (RasterApp.EncodeAccum: 8 + 16·c² bytes) still fits
-// in one mesh frame, so its ghosts can be shipped.
-var maxCellsPerDim = int(math.Sqrt((rpc.MaxFrameBytes - 8) / 16))
-
 // Build instantiates the server-side App.
 func (a AppSpec) Build() (engine.App, error) {
 	if a.Kind != "" && a.Kind != "raster" {
@@ -105,9 +99,11 @@ func (a AppSpec) Build() (engine.App, error) {
 	if cells <= 0 {
 		cells = 8
 	}
-	if cells > maxCellsPerDim {
-		return nil, fmt.Errorf("frontend: cells_per_dim %d over the limit %d: its ghost accumulator (8+16·c² bytes) would not fit in one %d-byte mesh frame",
-			cells, maxCellsPerDim, rpc.MaxFrameBytes)
+	// A raster whose fully populated ghost would not fit in one mesh frame
+	// (over 2 047 cells per dimension) is refused here, before any node
+	// plans the query.
+	if err := apps.CheckCellsPerDim(cells); err != nil {
+		return nil, fmt.Errorf("frontend: cells_per_dim: %w", err)
 	}
 	return &apps.RasterApp{Op: op, CellsPerDim: cells, UseExisting: a.UseExisting}, nil
 }

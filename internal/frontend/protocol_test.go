@@ -50,32 +50,48 @@ func TestAppSpecBuild(t *testing.T) {
 	var _ engine.App = app
 }
 
-// TestAppSpecCellsBound: a raster whose ghost accumulator could not travel
-// in one mesh frame is refused at Build, naming the value and the limit.
+// TestAppSpecCellsBound: a raster whose worst-case ghost accumulator
+// (apps.MaxAccumBytes, a fully populated raster) could not travel in one
+// mesh frame is refused at Build, naming the value and the limit, 2 047.
 // Past the limit, 3 037 000 500 cells per dimension overflow c*c (a
 // makeslice panic on every node the spec reaches) and 10^5 ask each node
 // for 160 GB.
 func TestAppSpecCellsBound(t *testing.T) {
-	if _, err := (AppSpec{Op: "sum", CellsPerDim: maxCellsPerDim}).Build(); err != nil {
-		t.Fatalf("%d cells per dimension: %v", maxCellsPerDim, err)
+	const limit = 2047
+	if _, err := (AppSpec{Op: "sum", CellsPerDim: limit}).Build(); err != nil {
+		t.Fatalf("%d cells per dimension: %v", limit, err)
 	}
-	if maxCellsPerDim != 2047 {
-		t.Errorf("limit %d, want 2047: the largest c with 8+16c² <= %d", maxCellsPerDim, rpc.MaxFrameBytes)
+	if apps.MaxAccumBytes(limit) > rpc.MaxFrameBytes || apps.MaxAccumBytes(limit+1) <= rpc.MaxFrameBytes {
+		t.Errorf("limit %d is not the largest c whose worst case fits in %d bytes", limit, rpc.MaxFrameBytes)
 	}
-	// The bound's formula is EncodeAccum's length.
+	// The bound is EncodeAccum's length for a fully populated raster; an
+	// untouched one is the 8-byte header alone.
 	out := chunk.Meta{MBR: space.R(0, 1, 0, 1)}
 	small := &apps.RasterApp{Op: apps.Sum, CellsPerDim: 3}
-	acc, err := small.Init(out, nil, true)
+	empty, err := small.Init(out, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc, err := small.EncodeAccum(acc, out); err != nil || len(enc) != 8+16*3*3 {
-		t.Fatalf("3x3 accumulator encodes to %d bytes (%v), want %d", len(enc), err, 8+16*3*3)
+	if enc, err := small.EncodeAccum(empty, out); err != nil || len(enc) != 8 {
+		t.Errorf("empty 3x3 accumulator encodes to %d bytes (%v), want 8", len(enc), err)
 	}
-	for _, cells := range []int{maxCellsPerDim + 1, 100_000, 3_037_000_500} {
+	full, _ := small.Init(out, nil, true)
+	var pts []chunk.Item
+	for y := 0; y < 3; y++ {
+		for x := 0; x < 3; x++ {
+			pts = append(pts, chunk.Item{Coord: space.Pt((float64(x)+0.5)/3, (float64(y)+0.5)/3), Value: apps.EncodeValue(-1)})
+		}
+	}
+	if err := small.Aggregate(full, out, &chunk.Chunk{Items: pts}); err != nil {
+		t.Fatal(err)
+	}
+	if enc, err := small.EncodeAccum(full, out); err != nil || int64(len(enc)) != apps.MaxAccumBytes(3) {
+		t.Errorf("full 3x3 accumulator encodes to %d bytes (%v), want %d", len(enc), err, apps.MaxAccumBytes(3))
+	}
+	for _, cells := range []int{limit + 1, 100_000, 3_037_000_500} {
 		_, err := AppSpec{Op: "sum", CellsPerDim: cells}.Build()
-		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(cells)) || !strings.Contains(err.Error(), strconv.Itoa(maxCellsPerDim)) {
-			t.Errorf("%d cells per dimension: err %v, want a refusal naming %d and the limit %d", cells, err, cells, maxCellsPerDim)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(cells)) || !strings.Contains(err.Error(), strconv.Itoa(limit)) {
+			t.Errorf("%d cells per dimension: err %v, want a refusal naming %d and the limit %d", cells, err, cells, limit)
 		}
 	}
 }
