@@ -48,7 +48,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for -synthetic")
 	output := flag.Bool("output", false, "declare a regular-array output dataset (empty chunks)")
 	replicas := flag.Int("replicas", 1, "copies of each chunk, chained-declustered across disks (1 = unreplicated)")
-	compress := flag.String("compress", "none", "store chunks compressed: none, flate or columnar")
+	compress := flag.String("compress", "none", "store chunks compressed: none or columnar")
 	minRatio := flag.Float64("compress-min-ratio", 0, "store raw when compressed/raw exceeds this ratio (0 = default 0.9)")
 	flag.Parse()
 

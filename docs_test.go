@@ -268,9 +268,6 @@ var surfaceAllowlist = []surfaceEntry{
 	{"space.Registry.Names", "lists the registered attribute spaces, public through adr.Repository.Registry"},
 	{"space.NewAffineMapper", "the constructor of AffineMapper, which adr.go re-exports"},
 
-	// A load codec reached by name, not by identifier.
-	{"chunk.CodecFlate", "the flate load codec, chosen by name through chunk.ParseCodec (adr-load -compress flate); ROADMAP item 18 decides its future"},
-
 	// Fig 2's parallel-client (Meta-Chaos) role: the path that reads result
 	// streams straight from the back-end nodes, skipping the front-end
 	// relay. Its measurement on bench/ is owed (DESIGN.md §16).

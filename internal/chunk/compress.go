@@ -1,46 +1,41 @@
 package chunk
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
+	"math/bits"
 	"slices"
-	"sync"
 
-	"adr/internal/metrics"
+	"adr/internal/space"
 )
 
 // Chunk compression. A compressed chunk travels as a self-describing
 // envelope that wraps the raw Encode payload:
 //
 //	magic     uint32  'ADRZ' (distinct from the raw chunk magic)
-//	version   uint8   1
+//	version   uint8   2
 //	codec     uint8   Codec that produced the body
 //	rawSize   uint32  exact length of the decompressed Encode payload
 //	body      codec-specific bytes
 //
 // Because the envelope is recognisable from its first four bytes, the same
 // payload works on every byte-bound path — disk segments, the chunk cache
-// and RPC frames — and a reader that was not configured for compression can
-// still decompress what a compressing peer sends it (Decompress is cheap to
-// probe and a no-op on raw payloads). Decompression always reproduces the
-// raw encoding bit-for-bit, so query results are byte-identical with or
-// without compression.
+// and RPC frames — and a reader need not know how a dataset was loaded
+// (Decompress is cheap to probe and a no-op on raw payloads). Decompression
+// always reproduces the raw encoding bit-for-bit, so query results are
+// byte-identical with or without compression.
 //
 // CodecColumnar exploits the chunk layout itself: coordinates of items in
 // one chunk are spatially close (the MBR bounds them), so the XOR of
-// consecutive coordinates' IEEE-754 bit patterns zeroes the high bits and
-// uvarint-encodes short; item value bytes are concatenated and deflated as
-// one block so the Lempel-Ziv window sees cross-item redundancy. CodecFlate
-// simply deflates the whole raw payload and is the fallback for layouts the
-// columnar transform does not model.
+// consecutive coordinates' IEEE-754 bit patterns has zero high bytes, and
+// small fixed-point values have zero high bytes once zigzagged. Every such
+// word is stored without its leading and trailing zero bytes, so decoding
+// is a byte load and a shift per word, with nothing inflated. Version 1
+// envelopes (DEFLATE-based) are refused by name.
 const (
 	compMagic   = 0x4144525a // "ADRZ"
-	compVersion = 1
+	compVersion = 2
 
 	// envHeaderLen is the fixed envelope prefix before the codec body.
 	envHeaderLen = 4 + 1 + 1 + 4
@@ -58,11 +53,9 @@ type Codec byte
 const (
 	// CodecNone stores the raw Encode payload.
 	CodecNone Codec = 0
-	// CodecFlate deflates the whole raw payload (compress/flate).
-	CodecFlate Codec = 1
-	// CodecColumnar applies the chunk-aware columnar transform: per-dimension
-	// coordinate float-XOR deltas and value lengths as uvarints, value bytes
-	// deflated as one block.
+	// CodecColumnar applies the chunk-aware columnar transform: value
+	// lengths as uvarints, per-dimension coordinate XOR deltas and the
+	// values as zero-byte-suppressed words.
 	CodecColumnar Codec = 2
 )
 
@@ -71,8 +64,6 @@ func (c Codec) String() string {
 	switch c {
 	case CodecNone:
 		return "none"
-	case CodecFlate:
-		return "flate"
 	case CodecColumnar:
 		return "columnar"
 	}
@@ -85,29 +76,16 @@ func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "", "none":
 		return CodecNone, nil
-	case "flate":
-		return CodecFlate, nil
 	case "columnar":
 		return CodecColumnar, nil
 	}
-	return CodecNone, fmt.Errorf("chunk: unknown codec %q (want none, flate or columnar)", s)
+	return CodecNone, fmt.Errorf("chunk: unknown codec %q (want none or columnar)", s)
 }
 
 // DefaultMinRatio is the adaptive skip threshold: a chunk whose envelope
 // does not shrink below this fraction of the raw payload is stored raw, so
 // incompressible data never pays decompression on the read path.
 const DefaultMinRatio = 0.9
-
-// Compression observability: total raw bytes offered to Compress, total
-// envelope bytes it produced, chunks stored raw because they missed the
-// ratio threshold, and the achieved ratio distribution.
-var (
-	compRawBytes  = metrics.Default.Counter("adr_chunk_raw_bytes_total")
-	compOutBytes  = metrics.Default.Counter("adr_chunk_compressed_bytes_total")
-	compSkips     = metrics.Default.Counter("adr_chunk_compress_skips_total")
-	compRatioHist = metrics.Default.Histogram("adr_chunk_compress_ratio",
-		[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1})
-)
 
 // Compress wraps a raw Encode payload in a compressed envelope using codec.
 // It returns the payload to store or send plus the codec actually used:
@@ -117,38 +95,19 @@ var (
 // DefaultMinRatio). The skip path is what keeps already-dense chunks from
 // paying decompression for nothing.
 func Compress(raw []byte, codec Codec, minRatio float64) ([]byte, Codec) {
-	if codec == CodecNone {
+	if codec != CodecColumnar {
 		return raw, CodecNone
 	}
 	if minRatio <= 0 {
 		minRatio = DefaultMinRatio
 	}
-	var body []byte
-	var err error
-	switch codec {
-	case CodecFlate:
-		body, err = flateCompress(raw)
-	case CodecColumnar:
-		body, err = columnarCompress(raw)
-	default:
-		err = fmt.Errorf("chunk: unknown codec %d", codec)
-	}
-	if err != nil {
-		compSkips.Inc()
-		return raw, CodecNone
-	}
-	if float64(envHeaderLen+len(body)) >= minRatio*float64(len(raw)) {
-		compSkips.Inc()
-		return raw, CodecNone
-	}
-	env := make([]byte, 0, envHeaderLen+len(body))
-	env = binary.LittleEndian.AppendUint32(env, compMagic)
+	env := binary.LittleEndian.AppendUint32(make([]byte, 0, envHeaderLen+len(raw)), compMagic)
 	env = append(env, compVersion, byte(codec))
 	env = binary.LittleEndian.AppendUint32(env, uint32(len(raw)))
-	env = append(env, body...)
-	compRawBytes.Add(int64(len(raw)))
-	compOutBytes.Add(int64(len(env)))
-	compRatioHist.Observe(float64(len(env)) / float64(len(raw)))
+	env, err := columnarCompress(env, raw)
+	if err != nil || float64(len(env)) >= minRatio*float64(len(raw)) {
+		return raw, CodecNone
+	}
 	return env, codec
 }
 
@@ -174,39 +133,35 @@ func Decompress(buf []byte) ([]byte, error) {
 	if !IsCompressed(buf) {
 		return buf, nil
 	}
-	// Validate the claimed size before sizing the buffer by it, so a corrupt
-	// envelope cannot force a giant allocation just to be rejected.
-	n := RawLen(buf)
-	if n > maxRawLen {
-		return nil, fmt.Errorf("%w: envelope claims %d raw bytes", errCorrupt, n)
-	}
-	return DecompressTo(make([]byte, 0, n), buf)
+	return DecompressTo(nil, buf)
 }
 
 // DecompressTo appends buf's raw Encode payload to dst and returns the
-// extended slice; dst typically comes from bufpool sized by RawLen. A raw
-// (non-enveloped) buf is appended verbatim. Malformed envelopes return
-// errors wrapping errCorrupt.
+// extended slice; dst typically comes from bufpool sized by RawLen, and
+// then nothing is allocated. A raw (non-enveloped) buf is appended
+// verbatim. Malformed envelopes return dst unextended and an error wrapping
+// errCorrupt.
 func DecompressTo(dst, buf []byte) ([]byte, error) {
 	if !IsCompressed(buf) {
 		return append(dst, buf...), nil
 	}
-	if buf[4] != compVersion {
-		return dst, fmt.Errorf("%w: unsupported envelope version %d", errCorrupt, buf[4])
+	if v := buf[4]; v != compVersion {
+		if v == 1 {
+			return dst, fmt.Errorf("%w: envelope version 1 (DEFLATE-based) is no longer read; reload the dataset with adr-load", errCorrupt)
+		}
+		return dst, fmt.Errorf("%w: unsupported envelope version %d", errCorrupt, v)
 	}
-	codec := Codec(buf[5])
-	rawLen := int(binary.LittleEndian.Uint32(buf[6:]))
-	if rawLen > maxRawLen {
-		return dst, fmt.Errorf("%w: envelope claims %d raw bytes", errCorrupt, rawLen)
+	if codec := Codec(buf[5]); codec != CodecColumnar {
+		return dst, fmt.Errorf("%w: unknown envelope codec %d", errCorrupt, codec)
 	}
-	body := buf[envHeaderLen:]
-	switch codec {
-	case CodecFlate:
-		return flateDecompress(dst, body, rawLen)
-	case CodecColumnar:
-		return columnarDecompress(dst, body, rawLen)
+	// Every body byte yields at most 8 raw bytes (a word's control byte
+	// stands for 8), so a claimed size past that, or past maxRawLen, is
+	// refused before anything is sized by it.
+	rawLen, body := int(binary.LittleEndian.Uint32(buf[6:])), buf[envHeaderLen:]
+	if rawLen > maxRawLen || rawLen > 8*len(body) {
+		return dst, fmt.Errorf("%w: envelope claims %d raw bytes from a %d-byte body", errCorrupt, rawLen, len(body))
 	}
-	return dst, fmt.Errorf("%w: unknown envelope codec %d", errCorrupt, codec)
+	return columnarDecompress(dst, body, rawLen)
 }
 
 // DecodeAny decodes a chunk from either a raw encoding or a compressed
@@ -221,90 +176,6 @@ func DecodeAny(buf []byte) (*Chunk, error) {
 	return Decode(raw)
 }
 
-// flateCompress deflates the whole raw payload.
-func flateCompress(raw []byte) ([]byte, error) {
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// flateDecompress inflates body, which must yield exactly rawLen bytes.
-func flateDecompress(dst, body []byte, rawLen int) ([]byte, error) {
-	f := inflaters.Get().(*inflater)
-	defer inflaters.Put(f)
-	raw, err := f.inflate(body, rawLen)
-	if errors.Is(err, errStreamTooLong) {
-		return dst, fmt.Errorf("%w: flate body longer than raw size", errCorrupt)
-	}
-	if err != nil {
-		return dst, fmt.Errorf("%w: flate body: %v", errCorrupt, err)
-	}
-	if len(raw) != rawLen {
-		return dst, fmt.Errorf("%w: flate body inflates to %d of %d raw bytes", errCorrupt, len(raw), rawLen)
-	}
-	return append(dst, raw...), nil
-}
-
-// inflater is one pooled decompression context: a flate reader reset onto
-// each body (building a fresh one costs tens of kilobytes per chunk) and the
-// scratch a whole inflated stream lands in.
-type inflater struct {
-	body bytes.Reader
-	fr   io.ReadCloser // a flate.Resetter once made
-	buf  []byte
-	prev []uint64 // columnar XOR-delta chain heads, one per dimension
-}
-
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
-// errStreamTooLong reports a deflate stream that inflates past its limit.
-var errStreamTooLong = errors.New("stream longer than its limit")
-
-// inflate inflates the whole deflate stream body into the inflater's
-// scratch, valid until the inflater is next used or returned to the pool. A
-// stream of more than limit bytes fails with errStreamTooLong; a malformed
-// or truncated one (flate's io.ErrUnexpectedEOF included) with flate's
-// error. Only a clean end of stream succeeds.
-func (f *inflater) inflate(body []byte, limit int) ([]byte, error) {
-	f.body.Reset(body)
-	if f.fr == nil {
-		f.fr = flate.NewReader(&f.body)
-	} else if err := f.fr.(flate.Resetter).Reset(&f.body, nil); err != nil {
-		return nil, err
-	}
-	buf := f.buf[:0]
-	defer func() {
-		f.buf = buf[:0]
-		f.body.Reset(nil) // a pooled inflater keeps no caller's bytes alive
-	}()
-	for {
-		if len(buf) == cap(buf) {
-			// Double from 4 KiB, up to the one byte past limit that proves
-			// a stream too long.
-			buf = slices.Grow(buf, min(limit+1-len(buf), max(len(buf), 4<<10)))
-		}
-		n, err := f.fr.Read(buf[len(buf):min(cap(buf), limit+1)])
-		buf = buf[:len(buf)+n]
-		switch {
-		case len(buf) > limit:
-			return nil, errStreamTooLong
-		case err == io.EOF:
-			return buf, nil
-		case err != nil:
-			return nil, err
-		}
-	}
-}
-
 // rawHeader is the light parse of a raw Encode payload's fixed prefix that
 // the columnar transform needs: it stops before the item records.
 type rawHeader struct {
@@ -314,7 +185,8 @@ type rawHeader struct {
 	mbrOff int // offset of MBR Lo[0] within the payload
 }
 
-// parseRawHeader validates the fixed prefix of a raw chunk encoding.
+// parseRawHeader validates the fixed prefix of a raw chunk encoding, with
+// Decode's checks on it.
 func parseRawHeader(raw []byte) (rawHeader, error) {
 	var h rawHeader
 	if len(raw) < 24 {
@@ -324,8 +196,8 @@ func parseRawHeader(raw []byte) (rawHeader, error) {
 		return h, fmt.Errorf("%w: not a raw chunk encoding", errCorrupt)
 	}
 	h.dims = int(raw[5])
-	if h.dims == 0 {
-		return h, fmt.Errorf("%w: dims 0 out of range", errCorrupt)
+	if h.dims == 0 || h.dims > space.MaxDims {
+		return h, fmt.Errorf("%w: dims %d out of range", errCorrupt, h.dims)
 	}
 	h.nitems = int(binary.LittleEndian.Uint32(raw[18:]))
 	dsLen := int(binary.LittleEndian.Uint16(raw[22:]))
@@ -337,23 +209,79 @@ func parseRawHeader(raw []byte) (rawHeader, error) {
 	return h, nil
 }
 
-// columnarCompress applies the chunk-aware transform to a raw encoding.
-// Body layout:
+// A word is a uint64 stored without its zero high and low bytes: one
+// control byte, leading zero bytes << 4 | trailing zero bytes, then the
+// 8 − lz − tz bytes between them, low first. Zero is the control byte
+// 8 << 4 alone. Exactly one control byte describes each word, which is what
+// lets the decoder refuse every other spelling.
+func wordCtl(w uint64) byte {
+	if w == 0 {
+		return 8 << 4
+	}
+	return byte(bits.LeadingZeros64(w)/8<<4 | bits.TrailingZeros64(w)/8)
+}
+
+func appendWord(dst []byte, w uint64) []byte {
+	ctl := wordCtl(w)
+	dst = append(dst, ctl)
+	w >>= 8 * (ctl & 15)
+	for n := 8 - ctl>>4 - ctl&15; n > 0; n-- {
+		dst = append(dst, byte(w))
+		w >>= 8
+	}
+	return dst
+}
+
+// readWord decodes the word whose control byte is body[pos] and returns it
+// with the position after it. A control byte with lz + tz > 8, a word that
+// runs past body and a non-canonical spelling are corrupt.
+func readWord(body []byte, pos int) (uint64, int, error) {
+	if pos >= len(body) {
+		return 0, pos, fmt.Errorf("%w: word at %d past the body", errCorrupt, pos)
+	}
+	ctl := body[pos]
+	lz, tz := int(ctl>>4), int(ctl&15)
+	n := 8 - lz - tz
+	if n < 0 {
+		return 0, pos, fmt.Errorf("%w: word control %#x has %d+%d zero bytes", errCorrupt, ctl, lz, tz)
+	}
+	var w uint64
+	if pos+9 <= len(body) {
+		// One load; the mask drops the bytes past the word.
+		w = binary.LittleEndian.Uint64(body[pos+1:]) & (^uint64(0) >> (64 - 8*n))
+	} else {
+		if pos+1+n > len(body) {
+			return 0, pos, fmt.Errorf("%w: word at %d runs past the body", errCorrupt, pos)
+		}
+		for k := n; k > 0; k-- {
+			w = w<<8 | uint64(body[pos+k])
+		}
+	}
+	w <<= 8 * tz
+	if wordCtl(w) != ctl {
+		return 0, pos, fmt.Errorf("%w: non-canonical word control %#x at %d", errCorrupt, ctl, pos)
+	}
+	return w, pos + 1 + n, nil
+}
+
+// zigzag maps small negative and positive integers alike to small words.
+func zigzag(v uint64) uint64   { return v<<1 ^ uint64(int64(v)>>63) }
+func unzigzag(z uint64) uint64 { return z>>1 ^ -(z & 1) }
+
+// columnarCompress appends the columnar body of a raw encoding to dst:
 //
 //	header    raw[:headerLen] unchanged (self-describing: dims, items, MBR)
-//	deflate of the transformed item data, in stream order:
-//	  vlens   nitems uvarints, item value lengths
-//	  coords  dims columns; column d is nitems fixed 8-byte LE words of
-//	          bits(coord) XOR bits(previous coord), seeded bits(MBR.Lo[d])
-//	  values  all item value bytes concatenated
+//	vlens     nitems uvarints, item value lengths
+//	coords    dims columns; column d is nitems words of bits(coord) XOR
+//	          bits(previous coord), the chain seeded from bits(MBR.Lo[d])
+//	values    per item, an 8-byte value as the word of its zigzagged
+//	          little-endian int64, any other length verbatim
 //
 // The XOR-delta columns turn spatial locality into zero bytes — nearby
-// coordinates share sign/exponent/high-mantissa bits (leading zeros) and
-// grid-quantized coordinates share empty low mantissa bits (trailing
-// zeros) — and the single deflate stream then squeezes those zero runs
-// together with cross-item value redundancy that per-item encodings can
-// never see.
-func columnarCompress(raw []byte) ([]byte, error) {
+// coordinates share sign, exponent and high mantissa bits (leading zeros)
+// and grid-quantized coordinates share empty low mantissa bits (trailing
+// zeros) — and the word form drops them.
+func columnarCompress(dst, raw []byte) ([]byte, error) {
 	h, err := parseRawHeader(raw)
 	if err != nil {
 		return nil, err
@@ -362,13 +290,12 @@ func columnarCompress(raw []byte) ([]byte, error) {
 	offs := make([]int, h.nitems)
 	fixed := 8*h.dims + 4
 	off := h.length
-	for i := 0; i < h.nitems; i++ {
+	for i := range offs {
 		if off+fixed > len(raw) {
 			return nil, fmt.Errorf("%w: item %d truncated", errCorrupt, i)
 		}
 		offs[i] = off
-		vlen := int(binary.LittleEndian.Uint32(raw[off+8*h.dims:]))
-		off += fixed + vlen
+		off += fixed + int(binary.LittleEndian.Uint32(raw[off+8*h.dims:]))
 		if off > len(raw) {
 			return nil, fmt.Errorf("%w: item %d value truncated", errCorrupt, i)
 		}
@@ -377,111 +304,101 @@ func columnarCompress(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after items", errCorrupt, len(raw)-off)
 	}
 
-	var out bytes.Buffer
-	out.Grow(len(raw) / 2)
-	out.Write(raw[:h.length])
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	var scratch [2 * binary.MaxVarintLen64]byte
+	dst = append(dst, raw[:h.length]...)
 	for _, o := range offs {
-		n := binary.PutUvarint(scratch[:], uint64(binary.LittleEndian.Uint32(raw[o+8*h.dims:])))
-		if _, err := fw.Write(scratch[:n]); err != nil {
-			return nil, err
-		}
+		dst = binary.AppendUvarint(dst, uint64(binary.LittleEndian.Uint32(raw[o+8*h.dims:])))
 	}
 	for d := 0; d < h.dims; d++ {
 		prev := binary.LittleEndian.Uint64(raw[h.mbrOff+8*d:])
 		for _, o := range offs {
-			bits := binary.LittleEndian.Uint64(raw[o+8*d:])
-			binary.LittleEndian.PutUint64(scratch[:8], bits^prev)
-			prev = bits
-			if _, err := fw.Write(scratch[:8]); err != nil {
-				return nil, err
-			}
+			b := binary.LittleEndian.Uint64(raw[o+8*d:])
+			dst = appendWord(dst, b^prev)
+			prev = b
 		}
 	}
 	for _, o := range offs {
-		vlen := int(binary.LittleEndian.Uint32(raw[o+8*h.dims:]))
-		if _, err := fw.Write(raw[o+fixed : o+fixed+vlen]); err != nil {
-			return nil, err
+		v := raw[o+fixed : o+fixed+int(binary.LittleEndian.Uint32(raw[o+8*h.dims:]))]
+		if len(v) == 8 {
+			dst = appendWord(dst, zigzag(binary.LittleEndian.Uint64(v)))
+		} else {
+			dst = append(dst, v...)
 		}
 	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+	return dst, nil
 }
 
-// columnarDecompress reverses columnarCompress, reconstructing the raw
-// encoding bit-for-bit onto dst. The transformed stream is inflated whole
-// first; the transform is then undone from memory in one pass over the items.
+// columnarDecompress reverses columnarCompress, writing the raw encoding
+// bit-for-bit onto dst. The value lengths come first and fix every item
+// record's offset, so each column's words are written straight to their
+// places in the output; no scratch is needed. On error dst is returned
+// unextended.
 func columnarDecompress(dst, body []byte, rawLen int) ([]byte, error) {
 	h, err := parseRawHeader(body)
 	if err != nil {
 		return dst, err
 	}
 	// Each item record occupies at least its fixed part, bounding how many
-	// items a claimed raw size can hold — checked before sizing anything by
-	// nitems so a corrupt count cannot force a huge allocation.
+	// items a claimed raw size can hold.
 	fixed := 8*h.dims + 4
 	if h.length > rawLen || h.nitems > (rawLen-h.length)/fixed {
 		return dst, fmt.Errorf("%w: item count %d exceeds raw size %d", errCorrupt, h.nitems, rawLen)
 	}
-	f := inflaters.Get().(*inflater)
-	defer inflaters.Put(f)
-	// The stream is the item records with each 4-byte value length traded
-	// for a uvarint of at most 5 bytes: a longer stream is corrupt.
-	s, err := f.inflate(body[h.length:], rawLen-h.length+h.nitems)
-	if errors.Is(err, errStreamTooLong) {
-		return dst, fmt.Errorf("%w: transformed body longer than items need", errCorrupt)
-	}
-	if err != nil {
-		return dst, fmt.Errorf("%w: transformed body: %v", errCorrupt, err)
-	}
+	base := len(dst)
+	dst = slices.Grow(dst, rawLen)[:base+rawLen]
+	out := dst[base:]
+	copy(out, body[:h.length])
+	fail := func(err error) ([]byte, error) { return dst[:base], err }
 
-	// Value lengths first: they fix every item record's size.
-	pos, off := 0, h.length
+	// Value lengths: each lands in its item record, and together they must
+	// tile rawLen exactly.
+	pos, off := h.length, h.length
 	for i := 0; i < h.nitems; i++ {
-		vlen, n := binary.Uvarint(s[pos:])
-		if n <= 0 || vlen > math.MaxUint32 {
-			return dst, fmt.Errorf("%w: bad value length for item %d", errCorrupt, i)
+		vlen, n := binary.Uvarint(body[pos:])
+		if n <= 0 || vlen > math.MaxUint32 || (n > 1 && body[pos+n-1] == 0) {
+			return fail(fmt.Errorf("%w: bad value length for item %d", errCorrupt, i))
 		}
 		pos += n
-		if off += fixed + int(vlen); off > rawLen {
-			return dst, fmt.Errorf("%w: items overflow raw size at item %d", errCorrupt, i)
+		if off+fixed > rawLen || int(vlen) > rawLen-off-fixed {
+			return fail(fmt.Errorf("%w: items overflow raw size at item %d", errCorrupt, i))
 		}
+		binary.LittleEndian.PutUint32(out[off+8*h.dims:], uint32(vlen))
+		off += fixed + int(vlen)
 	}
 	if off != rawLen {
-		return dst, fmt.Errorf("%w: items cover %d of %d raw bytes", errCorrupt, off, rawLen)
+		return fail(fmt.Errorf("%w: items cover %d of %d raw bytes", errCorrupt, off, rawLen))
 	}
-	// What follows is exactly the coordinate columns and the value bytes.
-	if rest, want := len(s)-pos, rawLen-h.length-4*h.nitems; rest != want {
-		return dst, fmt.Errorf("%w: transformed body has %d bytes after the value lengths, items need %d", errCorrupt, rest, want)
-	}
-	coords, values := s[pos:], s[pos+8*h.dims*h.nitems:]
-
-	// Item records in order: coordinates from the XOR-delta columns (chains
-	// seeded from the MBR low corner), the value length, the value bytes.
-	prev := f.prev[:0]
+	// Coordinate columns, each chain seeded from the MBR low corner.
+	var w uint64
 	for d := 0; d < h.dims; d++ {
-		prev = append(prev, binary.LittleEndian.Uint64(body[h.mbrOff+8*d:]))
-	}
-	f.prev = prev
-	dst = slices.Grow(dst, rawLen)
-	dst = append(dst, body[:h.length]...)
-	pos = 0
-	for i := 0; i < h.nitems; i++ {
-		vlen, n := binary.Uvarint(s[pos:])
-		pos += n
-		for d := range prev {
-			prev[d] ^= binary.LittleEndian.Uint64(coords[8*(d*h.nitems+i):])
-			dst = binary.LittleEndian.AppendUint64(dst, prev[d])
+		prev := binary.LittleEndian.Uint64(body[h.mbrOff+8*d:])
+		for i, off := 0, h.length; i < h.nitems; i++ {
+			if w, pos, err = readWord(body, pos); err != nil {
+				return fail(err)
+			}
+			prev ^= w
+			binary.LittleEndian.PutUint64(out[off+8*d:], prev)
+			off += fixed + int(binary.LittleEndian.Uint32(out[off+8*h.dims:]))
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(vlen))
-		dst = append(dst, values[:vlen]...)
-		values = values[vlen:]
+	}
+	// Values.
+	for i, off := 0, h.length; i < h.nitems; i++ {
+		vlen := int(binary.LittleEndian.Uint32(out[off+8*h.dims:]))
+		v := out[off+fixed : off+fixed+vlen]
+		if vlen == 8 {
+			if w, pos, err = readWord(body, pos); err != nil {
+				return fail(err)
+			}
+			binary.LittleEndian.PutUint64(v, unzigzag(w))
+		} else {
+			if vlen > len(body)-pos {
+				return fail(fmt.Errorf("%w: value of item %d runs past the body", errCorrupt, i))
+			}
+			pos += copy(v, body[pos:pos+vlen])
+		}
+		off += fixed + vlen
+	}
+	if pos != len(body) {
+		return fail(fmt.Errorf("%w: %d trailing bytes after the values", errCorrupt, len(body)-pos))
 	}
 	return dst, nil
 }

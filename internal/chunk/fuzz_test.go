@@ -25,11 +25,18 @@ func fuzzSeeds() [][]byte {
 	}
 	hiDim.Meta.Items = 1
 	add(Encode(hiDim))
-	for _, codec := range []Codec{CodecFlate, CodecColumnar} {
-		if env, used := Compress(Encode(compressibleChunk(32)), codec, 2); used == codec {
-			add(env)
-		}
-	}
+	env, _ := Compress(Encode(compressibleChunk(32)), CodecColumnar, 2)
+	add(env)
+	odd, _ := Compress(Encode(sampleChunk()), CodecColumnar, 2)
+	add(odd)
+	add(v1Flate)
+	add(v1Columnar)
+	w := firstWord(env)
+	bad := append([]byte(nil), env...)
+	bad[w] = 0x55 // lz + tz > 8
+	add(bad)
+	add(respell(env, w))  // non-canonical word
+	add(env[:len(env)-1]) // truncated word
 	good := Encode(sampleChunk())
 	add(good[:len(good)-3])                  // truncated tail
 	add(append([]byte{0, 1, 2, 3}, good...)) // bad magic prefix
@@ -159,40 +166,46 @@ func TestDecodeIntoAllocs(t *testing.T) {
 }
 
 // FuzzDecompress covers the envelope path end to end: arbitrary input must
-// never panic, a successful decompression must be decodable or fail cleanly,
-// and raw (non-envelope) input must pass through untouched. Input that
-// decodes as a raw chunk must also survive each codec: compressed, it
-// decompresses back bit-identical, twice in a row, so state a pooled
-// inflater carries from one use to the next shows up as a mismatch.
+// never panic, and raw (non-envelope) input must pass through untouched.
+// An envelope it accepts must decompress to exactly RawLen bytes that Decode
+// accepts and that compress back to the envelope byte for byte, so the
+// decoder accepts one spelling of each chunk and no other. Input that
+// decodes as a raw chunk must survive the codec: compressed, it
+// decompresses back bit-identical.
 func FuzzDecompress(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := Decode(data); err == nil {
-			for _, codec := range []Codec{CodecFlate, CodecColumnar} {
-				env, _ := Compress(data, codec, 2)
-				for pass := 0; pass < 2; pass++ {
-					back, err := Decompress(env)
-					if err != nil {
-						t.Fatalf("%v pass %d: %v", codec, pass, err)
-					}
-					if !bytes.Equal(back, data) {
-						t.Fatalf("%v pass %d: round trip is not bit-identical", codec, pass)
-					}
-				}
+			env, _ := Compress(data, CodecColumnar, 2)
+			back, err := Decompress(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back, data) {
+				t.Fatal("round trip is not bit-identical")
 			}
 		}
 		raw, err := Decompress(data)
 		if err != nil {
 			return
 		}
-		if !IsCompressed(data) && !bytes.Equal(raw, data) {
-			t.Fatal("raw payload mutated by Decompress")
+		if !IsCompressed(data) {
+			if !bytes.Equal(raw, data) {
+				t.Fatal("raw payload mutated by Decompress")
+			}
+			_, _ = Decode(raw) // must not panic
+			return
 		}
-		if IsCompressed(data) && len(raw) != RawLen(data) {
+		if len(raw) != RawLen(data) {
 			t.Fatalf("decompressed %d bytes, envelope claimed %d", len(raw), RawLen(data))
 		}
-		_, _ = Decode(raw) // must not panic
+		if _, err := Decode(raw); err != nil {
+			t.Fatalf("accepted envelope decompresses to a payload Decode refuses: %v", err)
+		}
+		if env, used := Compress(raw, CodecColumnar, math.MaxFloat64); used != CodecColumnar || !bytes.Equal(env, data) {
+			t.Fatalf("accepted envelope does not re-compress byte-identically (%d bytes, want %d)", len(env), len(data))
+		}
 	})
 }

@@ -164,11 +164,11 @@ func TestCompressedMatchSerial(t *testing.T) {
 }
 
 // TestCompressedDADecodesOnlyAggregatedReads counts the compressed bytes
-// each node inflates under DA: a reader decompresses a read only when it
+// each node decompresses under DA: a reader decompresses a read only when it
 // aggregates it here (ReadPairs > 0), and every forward is decompressed
 // once at each destination. The engine compresses nothing of its own, so
 // compressed stored chunks forward verbatim, raw ones stay raw, and every
-// inflated byte is some input's StoredBytes — the count is exact, from
+// decompressed byte is some input's StoredBytes — the count is exact, from
 // plan.Schedule alone.
 func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
 	const nodes = 3
@@ -219,7 +219,7 @@ func TestCompressedDADecodesOnlyAggregatedReads(t *testing.T) {
 	requireIdenticalChunks(t, serialOracle(t, repo, p, w, app), got)
 	for q, tr := range traces {
 		if tr.Totals.CompressedBytes != want[q] {
-			t.Errorf("node %d inflated %d compressed bytes, want %d (reads it aggregates + forwards it receives)",
+			t.Errorf("node %d decompressed %d compressed bytes, want %d (reads it aggregates + forwards it receives)",
 				q, tr.Totals.CompressedBytes, want[q])
 		}
 	}

@@ -313,7 +313,7 @@ func (n *node) readChunk(p metrics.Phase, dataset string, m chunk.Meta) ([]byte,
 // decodePooled decodes a possibly-compressed payload on a pool worker, so
 // decompression overlaps aggregation exactly like decoding does; both are
 // timed into DecodeNanos, and the compressed volume lands in
-// CompressedBytes. A compressed payload inflates into a bufpool scratch
+// CompressedBytes. A compressed payload decompresses into a bufpool scratch
 // buffer, returned for the caller to Put after its last use of v, which may
 // alias it (nil for raw payloads, and on error).
 func decodePooled[T any](n *node, data []byte, decode func(raw []byte) (T, error)) (v T, scratch []byte, err error) {

@@ -60,7 +60,7 @@ type QuerySpec struct {
 	ResultDataset string `json:"result_dataset,omitempty"`
 	// Codec is ignored: a chunk travels in the form it is stored in, and
 	// what the engine originates travels raw. A back-end still refuses a
-	// name that is not a codec ("none", "flate" or "columnar").
+	// name that is not a codec ("none" or "columnar").
 	//
 	// Deprecated: the codec is a property of the stored dataset, chosen at
 	// load time (adr-load -compress).

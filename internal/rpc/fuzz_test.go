@@ -55,7 +55,7 @@ func FuzzTCPReadFrame(f *testing.F) {
 			if m.Src != 0 || m.Dst != 1 {
 				t.Fatalf("delivered a frame routed %d->%d on the connection 0->1", m.Src, m.Dst)
 			}
-			if len(m.Payload) > MaxFrameBytes-tcpHeaderLen || len(m.Payload) > len(in) {
+			if len(m.Payload) > MaxFrameBytes || len(m.Payload) > len(in) {
 				t.Fatalf("%d-byte payload from %d input bytes", len(m.Payload), len(in))
 			}
 			if owed != 0 && owed != int64(len(m.Payload)) {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -342,6 +344,47 @@ func TestTCPGarbageConnection(t *testing.T) {
 	}
 }
 
+// TestTCPFrameLimitIsPayload: MaxFrameBytes bounds the payload, not header
+// plus payload, on both ends. A payload 10 bytes under the limit arrives
+// intact; one byte over it is refused by the sender with both sizes named,
+// and the peer stays up for the next send.
+func TestTCPFrameLimitIsPayload(t *testing.T) {
+	mesh, err := NewLoopbackMesh(2, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	a, _ := mesh.Endpoint(0)
+	b, _ := mesh.Endpoint(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	near := make([]byte, MaxFrameBytes-10)
+	near[0], near[len(near)-1] = 0xad, 0xdc
+	if err := a.Send(Message{Src: 0, Dst: 1, Seq: 1, Payload: near}); err != nil {
+		t.Fatalf("send %d bytes: %v", len(near), err)
+	}
+	got, err := b.Recv(ctx)
+	if err != nil || got.Seq != 1 || len(got.Payload) != len(near) ||
+		got.Payload[0] != 0xad || got.Payload[len(near)-1] != 0xdc {
+		t.Fatalf("recv = type %v seq %d, %d bytes, %v; want seq 1 with %d bytes", got.Type, got.Seq, len(got.Payload), err, len(near))
+	}
+	got.Release()
+
+	err = a.Send(Message{Src: 0, Dst: 1, Seq: 2, Payload: make([]byte, MaxFrameBytes+1)})
+	var pe *PeerError
+	if err == nil || errors.As(err, &pe) ||
+		!strings.Contains(err.Error(), strconv.Itoa(MaxFrameBytes+1)) || !strings.Contains(err.Error(), strconv.Itoa(MaxFrameBytes)) {
+		t.Fatalf("oversized send = %v; want a local error naming %d and %d", err, MaxFrameBytes+1, MaxFrameBytes)
+	}
+	if err := a.Send(Message{Src: 0, Dst: 1, Seq: 3, Payload: []byte("after")}); err != nil {
+		t.Fatalf("send after a refused payload: %v", err)
+	}
+	if got, err := b.Recv(ctx); err != nil || got.Seq != 3 {
+		t.Fatalf("recv after a refused payload = %+v, %v; want seq 3 (peer must stay up)", got, err)
+	}
+}
+
 // TestTCPOversizedFrameDropsPeer: a peer announcing an absurd frame length
 // has its connection dropped rather than allocating gigabytes.
 func TestTCPOversizedFrameDropsPeer(t *testing.T) {
@@ -356,7 +399,7 @@ func TestTCPOversizedFrameDropsPeer(t *testing.T) {
 	conn := n0.conns[1]
 	n0.mu.Unlock()
 	var hdr [4 + tcpHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(MaxFrameBytes+1))
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(tcpHeaderLen+MaxFrameBytes+1))
 	if _, err := conn.c.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}

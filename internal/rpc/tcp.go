@@ -61,9 +61,11 @@ const (
 	frameCredit = 1 << 1 // transport-internal credit grant, never delivered
 )
 
-// MaxFrameBytes bounds a single message payload (64 MiB): far above any
-// chunk in the paper's applications, low enough to reject garbage lengths
-// from a confused peer.
+// MaxFrameBytes bounds a single message payload (64 MiB), the frame header
+// not counted: far above any chunk in the paper's applications, low enough
+// to reject garbage lengths from a confused peer. TCPNode.Send refuses a
+// larger payload before anything is written, and readFrame refuses a length
+// past tcpHeaderLen + MaxFrameBytes.
 const MaxFrameBytes = 64 << 20
 
 // defaultSendTimeout bounds how long a Send may wait for a peer to drain
@@ -364,9 +366,9 @@ func writeCredit(w io.Writer, src, dst NodeID, count int64) error {
 // sender charged against its window, 0 if it did not), a credit frame's
 // grant (credit > 0; never delivered to Recv), or an error — a *PeerError
 // with Op "frame" for a header no well-behaved peer writes: a length outside
-// [tcpHeaderLen, MaxFrameBytes], a src or dst that does not name this
-// connection, a credit frame that is not an 8-byte positive count. The
-// header is checked before any body byte is read or allocated.
+// [tcpHeaderLen, tcpHeaderLen+MaxFrameBytes], a src or dst that does not
+// name this connection, a credit frame that is not an 8-byte positive count.
+// The header is checked before any body byte is read or allocated.
 func readFrame(r io.Reader, peer, self NodeID) (m Message, owed, credit int64, err error) {
 	malformed := func(format string, args ...any) (Message, int64, int64, error) {
 		return Message{}, 0, 0, peerErr(peer, "frame", fmt.Errorf(format, args...))
@@ -376,8 +378,8 @@ func readFrame(r io.Reader, peer, self NodeID) (m Message, owed, credit int64, e
 		return Message{}, 0, 0, peerErr(peer, "read", err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:])
-	if length < tcpHeaderLen || length > MaxFrameBytes {
-		return malformed("malformed frame length %d (valid: %d..%d)", length, tcpHeaderLen, MaxFrameBytes)
+	if length < tcpHeaderLen || length > tcpHeaderLen+MaxFrameBytes {
+		return malformed("malformed frame length %d (valid: %d..%d)", length, tcpHeaderLen, tcpHeaderLen+MaxFrameBytes)
 	}
 	flags := hdr[13]
 	m = Message{
@@ -497,10 +499,15 @@ func (n *TCPNode) readLoop(conn *tcpConn) {
 // fail after the configured send timeout (and mark the peer dead). With
 // flow control configured, a non-Urgent payload first charges the per-peer
 // window, blocking until credit returns from the receiver's releases. A
+// payload over MaxFrameBytes is refused here, with no peer marked dead. A
 // Pooled payload is owned by the transport on every path out of Send.
 func (n *TCPNode) Send(m Message) error {
 	if err := n.admit(m); err != nil {
 		return err
+	}
+	if len(m.Payload) > MaxFrameBytes {
+		releasePooled(m)
+		return fmt.Errorf("rpc: %d-byte payload to node %d is over the %d-byte frame limit", len(m.Payload), m.Dst, MaxFrameBytes)
 	}
 	if m.Dst == n.self {
 		// Loopback traffic never transits readLoop; deliver counts it
