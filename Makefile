@@ -52,10 +52,12 @@ lines-pkg:
 # ghosts as their App encoded them, finals raw — compressed-replica failover,
 # pool-balance checks on compressed failure paths), and the worker-pool
 # suite (serial equivalence at every width, the
-# width actually in flight) — race-checked, bounded so a reintroduced hang
-# fails fast.
+# width actually in flight), and the control sessions (a front-end's
+# connection to a node carries request after request; a stale one is
+# redialled, a cut one fails retryably, an error line or an idle timeout
+# ends one) — race-checked, bounded so a reintroduced hang fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Kill|Compress|Workers' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Kill|Compress|Workers|Session' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/

@@ -213,6 +213,7 @@ func TestParallelClientAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	spec := &frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "AUTO",
 		App: frontend.AppSpec{Kind: "raster", Op: "count", CellsPerDim: 2},
@@ -331,6 +332,7 @@ func TestAutoSelectionSameOnEveryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	streams, err := pc.Query(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -69,8 +69,8 @@ func buildReplicatedFarmDir(t *testing.T, dir string, nodes, replicas int) {
 
 // nodeProxy stands in front of one node daemon's control port for the
 // failover tests. It relays each request and the node's reply stream frame by
-// frame, counts what it is asked, can hold requests or replies back, and
-// kills the daemon on demand; a killed node's proxy still accepts (and
+// frame, request after request on one session, counts what it is asked, can
+// hold requests or replies back, and kills the daemon on demand; a killed node's proxy still accepts (and
 // counts) connections, and hangs each up at once, as a dead host would.
 type nodeProxy struct {
 	srv  *backend.Server
@@ -160,42 +160,54 @@ func (p *nodeProxy) relay(conn net.Conn) {
 		case <-done:
 		}
 	}()
-	var req frontend.NodeRequest
-	if err := frontend.ReadJSON(bufio.NewReader(conn), &req); err != nil {
-		return
-	}
-	if !req.Estimate {
-		p.reqs.Add(1)
-	}
-	if !p.wait(&p.holdRequests) {
-		return
-	}
-	mu.Lock()
-	node, err := net.Dial("tcp", p.srv.ControlAddr())
-	mu.Unlock()
-	if err != nil {
-		return
-	}
-	defer node.Close()
-	if err := frontend.WriteJSON(node, &req); err != nil {
-		return
-	}
-	r := bufio.NewReader(node)
+	// One session, as a daemon serves it: request after request, each
+	// relayed to the daemon on one connection and answered up to the control
+	// line that ends it.
+	in := bufio.NewReader(conn)
+	var r *bufio.Reader
 	for {
-		frame, msg, err := frontend.ReadFrame(r, false)
-		if err != nil || !p.wait(&p.holdReplies) {
+		var req frontend.NodeRequest
+		if err := frontend.ReadJSON(in, &req); err != nil {
 			return
 		}
-		if frame != nil {
-			_, err = conn.Write(frame)
-		} else {
-			err = frontend.WriteJSON(conn, msg)
-			if p.relayed != nil {
-				p.relayed(msg)
+		if !req.Estimate {
+			p.reqs.Add(1)
+		}
+		if !p.wait(&p.holdRequests) {
+			return
+		}
+		if node == nil {
+			mu.Lock()
+			var err error
+			node, err = net.Dial("tcp", p.srv.ControlAddr())
+			mu.Unlock()
+			if err != nil {
+				return
 			}
+			defer node.Close()
+			r = bufio.NewReader(node)
 		}
-		if err != nil {
+		if err := frontend.WriteJSON(node, &req); err != nil {
 			return
+		}
+		for msg := (*frontend.Message)(nil); msg == nil; {
+			var frame []byte
+			var err error
+			frame, msg, err = frontend.ReadFrame(r, false)
+			if err != nil || !p.wait(&p.holdReplies) {
+				return
+			}
+			if frame != nil {
+				_, err = conn.Write(frame)
+			} else {
+				err = frontend.WriteJSON(conn, msg)
+				if p.relayed != nil {
+					p.relayed(msg)
+				}
+			}
+			if err != nil {
+				return
+			}
 		}
 	}
 }
@@ -297,6 +309,7 @@ func runKillFailover(t *testing.T, dir string, strategy plan.Strategy, kill int,
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer pc.Close()
 		query = func() ([]*frontend.ChunkJSON, *frontend.DoneStats, error) {
 			streams, err := pc.Query(spec)
 			if err != nil {
@@ -411,6 +424,7 @@ func TestBackendUnreplicatedDegradedAbortFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	servers[1].Close()
 
 	start := time.Now()

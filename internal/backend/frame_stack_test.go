@@ -146,6 +146,7 @@ func TestFrameStackMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer pc.Close()
 				for _, strategy := range []string{"FRA", "SRA", "DA", "HYBRID", "AUTO"} {
 					spec := &frontend.QuerySpec{
 						Input: "sensor", Output: "raster", Strategy: strategy,

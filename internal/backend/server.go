@@ -63,15 +63,17 @@ type Config struct {
 	// queries over a hot region read each chunk from disk once. 0 disables.
 	CacheBytes int64
 	// MaxQueries, when > 0, bounds the queries executing concurrently on
-	// this node; excess control connections queue (visible as the
+	// this node; excess requests queue (visible as the
 	// adr_node_admission_waiting gauge) instead of spawning unbounded query
 	// goroutines. 0 disables admission control. Enabling admission also
 	// enforces an execution deadline (QueryTimeout, or 30 s when unset) so
 	// that admission skew across overloaded nodes — each node running a
 	// query its peers never admitted — cannot pin admission slots forever.
 	MaxQueries int
-	// RequestTimeout bounds reading the request header off a new control
-	// connection, so a stalled client cannot pin a handler goroutine. 0
+	// RequestTimeout bounds how long a control session waits for its next
+	// request, and then for that request's header to arrive whole, so an
+	// idle session or a stalled client cannot pin a handler goroutine: an
+	// idle session is closed when it expires, and the front-end redials. 0
 	// selects 30 s; negative disables the deadline.
 	RequestTimeout time.Duration
 	// Flow bounds this node's in-flight forwarded bytes on the mesh (see
@@ -85,8 +87,8 @@ type Config struct {
 	CalibrationFile string
 }
 
-// defaultRequestTimeout is how long a fresh control connection may take to
-// deliver its NodeRequest header before the node gives up on it.
+// defaultRequestTimeout is how long a control session may sit idle, waiting
+// for its next NodeRequest, before the node closes it.
 const defaultRequestTimeout = 30 * time.Second
 
 // Admission-control instrumentation: how many queries are executing, how
@@ -129,8 +131,10 @@ type Server struct {
 	admit chan struct{}
 	done  chan struct{}
 
-	closed  bool
-	closeMu sync.Mutex
+	// sessions holds every open control session, for Close to end.
+	sessions map[net.Conn]struct{}
+	closed   bool
+	closeMu  sync.Mutex
 }
 
 // Start opens the farm, loads the catalog, joins the mesh and begins
@@ -205,9 +209,10 @@ func Start(cfg Config) (_ *Server, err error) {
 			Node:         cfg.Node,
 			Calib:        calib,
 		},
-		ctrl:    ctrl,
-		queries: metrics.NewQueryLog(metrics.Default, "adr_node"),
-		done:    make(chan struct{}),
+		ctrl:     ctrl,
+		queries:  metrics.NewQueryLog(metrics.Default, "adr_node"),
+		done:     make(chan struct{}),
+		sessions: make(map[net.Conn]struct{}),
 	}
 	s.exec.Resolve = s.resolve
 	if cfg.MaxQueries > 0 {
@@ -230,7 +235,8 @@ func (s *Server) Queries() *metrics.QueryLog { return s.queries }
 // Cache returns the node's chunk cache (nil when CacheBytes was 0).
 func (s *Server) Cache() *layout.ChunkCache { return s.cache }
 
-// Close shuts the daemon down.
+// Close shuts the daemon down. It closes every open control session, so no
+// session handler waits past it for a next request.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -238,6 +244,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.sessions {
+		conn.Close()
+	}
 	s.closeMu.Unlock()
 	close(s.done)
 	s.ctrl.Close()
@@ -255,65 +264,112 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one control connection: one query request, a stream of this
-// node's output chunks, then a done frame. Queries on different connections
-// run concurrently up to the admission bound; the dispatcher keeps their
-// mesh traffic apart.
+// handle serves one control session: request after request, each answered
+// in full — an estimate line, or this node's output chunks closed by a done
+// line — before the next is read. The rule the front-end's redial rests on:
+// once a request has parsed, the node writes its done or error line before
+// it ends the session, so a session closed without an answer carried no
+// request the node read, and resending it on a fresh connection cannot run a
+// query twice. An error line or a bad request ends the session, and so does
+// RequestTimeout spent waiting for the next request, silently: no request is
+// pending. Sessions run concurrently, their queries up to the admission
+// bound; the dispatcher keeps the queries' mesh traffic apart.
 func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
+	if !s.hold(conn) {
+		conn.Close()
+		return
+	}
+	defer s.drop(conn)
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 
-	// A client that never delivers its request header must not pin this
-	// goroutine (or, with admission control, an admission slot) forever.
+	// An idle session, or a client that never delivers its request, must not
+	// pin this goroutine forever. The admission slot is taken per request,
+	// so an idle session holds none.
 	reqTimeout := s.cfg.RequestTimeout
 	if reqTimeout == 0 {
 		reqTimeout = defaultRequestTimeout
 	}
-	if reqTimeout > 0 {
-		conn.SetReadDeadline(time.Now().Add(reqTimeout))
-	}
-	var req frontend.NodeRequest
-	if err := frontend.ReadJSON(r, &req); err != nil {
-		// A malformed or missing request used to drop the connection
-		// silently; tell the client what happened instead. Writing may fail
-		// if the peer is already gone — that is fine.
-		frontend.WriteJSON(w, &frontend.Message{
-			Type:  "error",
-			Error: fmt.Sprintf("backend: bad request: %v", err),
-			ErrInfo: &frontend.ErrorInfo{
-				Node: int(s.cfg.Node), Origin: -1,
-				Message: fmt.Sprintf("bad request: %v", err), Retryable: false,
-			},
-		})
-		w.Flush()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-
-	sendErr := func(err error, retryable bool) {
-		// Locate the failure for the client: this node reports it, and when
-		// the error chain identifies the node that caused it (a dead mesh
-		// peer, a peer-broadcast abort), name that node too. Retryable marks
-		// failures a fresh submission stands a chance against (admission
-		// busy, a peer's death) so clients know to back off and resubmit
-		// rather than give up; Dead names the dead peer, for the resolver to
-		// plan the resubmission without.
-		info := &frontend.ErrorInfo{Node: int(s.cfg.Node), Origin: -1, Message: err.Error(), Retryable: retryable}
-		var abort *engine.AbortError
-		var peer *rpc.PeerError
-		if errors.As(err, &abort) {
-			info.Origin = int(abort.Node)
-		} else if errors.As(err, &peer) {
-			info.Origin = int(peer.Peer)
+	for {
+		if reqTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(reqTimeout))
 		}
-		if dead, ok := engine.DeadPeer(err); ok {
-			info.Dead = []int{int(dead)}
+		if _, err := r.Peek(1); err != nil {
+			return // hung up, or idle past the bound
 		}
-		frontend.WriteJSON(w, &frontend.Message{Type: "error", Error: err.Error(), ErrInfo: info})
-		w.Flush()
+		if reqTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(reqTimeout))
+		}
+		var req frontend.NodeRequest
+		if err := frontend.ReadJSON(r, &req); err != nil {
+			// Tell the client what was wrong with its request. Writing
+			// may fail if the peer is already gone — that is fine.
+			frontend.WriteJSON(w, &frontend.Message{
+				Type:  "error",
+				Error: fmt.Sprintf("backend: bad request: %v", err),
+				ErrInfo: &frontend.ErrorInfo{
+					Node: int(s.cfg.Node), Origin: -1,
+					Message: fmt.Sprintf("bad request: %v", err), Retryable: false,
+				},
+			})
+			w.Flush()
+			return
+		}
+		conn.SetReadDeadline(time.Time{})
+		if !s.serve(&req, w) {
+			return
+		}
 	}
+}
 
+// hold adds conn to the open control sessions, or reports false once the
+// server is closed.
+func (s *Server) hold(conn net.Conn) bool {
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.sessions[conn] = struct{}{}
+	return true
+}
+
+// drop closes conn and removes it from the open control sessions.
+func (s *Server) drop(conn net.Conn) {
+	s.closeMu.Lock()
+	delete(s.sessions, conn)
+	s.closeMu.Unlock()
+	conn.Close()
+}
+
+// sendErr writes err as an error line. It locates the failure for the
+// client: this node reports it, and when the error chain identifies the node
+// that caused it (a dead mesh peer, a peer-broadcast abort), names that node
+// too. Retryable marks failures a fresh submission stands a chance against
+// (admission busy, a peer's death) so clients know to back off and resubmit
+// rather than give up; Dead names the dead peer, for the resolver to plan the
+// resubmission without.
+func (s *Server) sendErr(w *bufio.Writer, err error, retryable bool) {
+	info := &frontend.ErrorInfo{Node: int(s.cfg.Node), Origin: -1, Message: err.Error(), Retryable: retryable}
+	var abort *engine.AbortError
+	var peer *rpc.PeerError
+	if errors.As(err, &abort) {
+		info.Origin = int(abort.Node)
+	} else if errors.As(err, &peer) {
+		info.Origin = int(peer.Peer)
+	}
+	if dead, ok := engine.DeadPeer(err); ok {
+		info.Dead = []int{int(dead)}
+	}
+	frontend.WriteJSON(w, &frontend.Message{Type: "error", Error: err.Error(), ErrInfo: info})
+	w.Flush()
+}
+
+// serve answers one parsed request on w and reports whether the session may
+// carry another: only when a done or estimate line reached the socket. Every
+// per-query resource — the mailbox claim, the admission slot, the query
+// deadline — is taken and released inside.
+func (s *Server) serve(req *frontend.NodeRequest, w *bufio.Writer) bool {
 	// Estimate requests: an AUTO prepare whose plan is not run. Cost the spec
 	// under every fixed strategy with this node's calibrated model and reply
 	// with the selection — no mesh participation, no execution. The resolver
@@ -324,18 +380,17 @@ func (s *Server) handle(conn net.Conn) {
 	// resolve the query that would eventually occupy a slot.
 	if req.Estimate {
 		var sel *metrics.Selection
-		q, exclude, err := parseRequest(&req, s.exec.Machine.Procs)
+		q, exclude, err := parseRequest(req, s.exec.Machine.Procs)
 		if err == nil {
 			q.Strategy = plan.Auto
 			_, sel, err = s.exec.Prepare(q, exclude)
 		}
 		if err != nil {
-			sendErr(err, false)
-			return
+			s.sendErr(w, err, false)
+			return false
 		}
 		frontend.WriteJSON(w, &frontend.Message{Type: "estimate", Selection: sel})
-		w.Flush()
-		return
+		return w.Flush() == nil
 	}
 
 	// From here the request names a query this node is part of: claim its
@@ -346,12 +401,12 @@ func (s *Server) handle(conn net.Conn) {
 	ep := s.dispatch.Endpoint(req.QueryID)
 	defer s.dispatch.Release(req.QueryID)
 
-	// Admission control: bounded concurrent queries; excess connections
-	// queue (the adr_node_admission_waiting gauge is the queue depth). The
-	// wait is bounded: a query spans every mesh node, so if overloaded
-	// nodes admitted queries in different orders they could wait on each
-	// other's participation forever — a timed-out admission turns that into
-	// a typed "busy" error the client can retry instead.
+	// Admission control: bounded concurrent queries; excess requests queue
+	// (the adr_node_admission_waiting gauge is the queue depth). The wait is
+	// bounded: a query spans every mesh node, so if overloaded nodes
+	// admitted queries in different orders they could wait on each other's
+	// participation forever — a timed-out admission turns that into a typed
+	// "busy" error the client can retry instead.
 	if s.admit != nil {
 		wait := s.cfg.QueryTimeout
 		if wait <= 0 {
@@ -365,13 +420,13 @@ func (s *Server) handle(conn net.Conn) {
 			timer.Stop()
 		case <-timer.C:
 			admWaiting.Dec()
-			sendErr(fmt.Errorf("backend: node %d busy: %d queries running, admission queue timed out after %v", s.cfg.Node, s.cfg.MaxQueries, wait), true)
-			return
+			s.sendErr(w, fmt.Errorf("backend: node %d busy: %d queries running, admission queue timed out after %v", s.cfg.Node, s.cfg.MaxQueries, wait), true)
+			return false
 		case <-s.done:
 			admWaiting.Dec()
 			timer.Stop()
-			sendErr(fmt.Errorf("backend: node %d shutting down", s.cfg.Node), false)
-			return
+			s.sendErr(w, fmt.Errorf("backend: node %d shutting down", s.cfg.Node), false)
+			return false
 		}
 		admAdmitted.Inc()
 		admActive.Inc()
@@ -383,7 +438,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	start := time.Now()
 	rec := s.queries.Begin(req.QueryID, req.Spec.Input+"->"+req.Spec.Output+"/"+req.Spec.Strategy)
-	trace, chunks, err := s.runQuery(&req, ep, w)
+	trace, chunks, err := s.runQuery(req, ep, w)
 	s.queries.End(rec, err, metrics.EndStats{
 		BytesRead: trace.Totals.BytesRead,
 		BytesSent: trace.Totals.BytesSent,
@@ -391,8 +446,8 @@ func (s *Server) handle(conn net.Conn) {
 		Chunks:    int64(chunks),
 	})
 	if err != nil {
-		sendErr(err, engine.IsRetryable(err))
-		return
+		s.sendErr(w, err, engine.IsRetryable(err))
+		return false
 	}
 	frontend.WriteJSON(w, &frontend.Message{Type: "done", Stats: &frontend.DoneStats{
 		Node:       int(s.cfg.Node),
@@ -407,7 +462,7 @@ func (s *Server) handle(conn net.Conn) {
 		Degraded:   trace.Degraded,
 		Excluded:   trace.Excluded,
 	}})
-	w.Flush()
+	flushed := w.Flush() == nil
 	// Persist the calibration only now, with the client already holding its
 	// done line: the file write is off every query's path. A failed save must
 	// not fail anything — it is counted instead.
@@ -416,6 +471,7 @@ func (s *Server) handle(conn net.Conn) {
 			calibSaveErrs.Inc()
 		}
 	}
+	return flushed
 }
 
 // resolve is the catalog half of the shared prepare step for this node: the

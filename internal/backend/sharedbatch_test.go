@@ -50,6 +50,7 @@ func startDegradedCachedStack(t *testing.T) (dir string, pc *frontend.ParallelCl
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { pc.Close() })
 	streams, err := pc.Query(&frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "DA",
 		App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
@@ -151,6 +152,7 @@ func TestSharedBatchOverlapMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			defer pc.Close()
 			var queries, chunksRead, cacheHits int64
 			for _, strategy := range plan.Strategies {
 				want := serialReference(t, dir, nodes, &core.Query{
@@ -218,6 +220,7 @@ func TestSharedBatchZeroResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	results := queryConcurrently(t, pc, full, empty)
 
 	var counted int64
@@ -299,6 +302,7 @@ func TestSharedBatchAbortPeersComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	streams, err := pc.Query(&frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "FRA",
 		App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},

@@ -458,6 +458,7 @@ func TestParallelClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	spec := &frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "DA",
 		App: frontend.AppSpec{Op: "sum", CellsPerDim: 4},
@@ -606,6 +607,7 @@ func TestBackendMalformedControlRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	streams, err := pc.Query(&frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "DA",
 		App: frontend.AppSpec{Op: "count", CellsPerDim: 2},

@@ -1,10 +1,8 @@
 package frontend
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"slices"
 	"time"
 
@@ -32,22 +30,24 @@ func (q *QuerySpec) IsAuto() bool {
 // ResolveAuto asks the back-end nodes — first reachable wins — to cost spec
 // under every fixed strategy and returns the selection. The caller stamps
 // Selection.Strategy into the spec it executes. Timeouts follow the usual
-// convention (0 selects the default, negative disables).
+// convention (0 selects the default, negative disables). It pools nothing:
+// each call dials, and closes the connection behind the answer.
 func ResolveAuto(addrs []string, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
-	return resolveAuto(addrs, nil, spec, dialTimeout, readTimeout)
+	return resolveAuto(nil, addrs, nil, spec, dialTimeout, readTimeout)
 }
 
 // resolveAuto is ResolveAuto for a resolver that knows the nodes in dead
-// are gone: it asks none of them, and the node it asks plans without them.
-func resolveAuto(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
+// are gone, and asks over its sessions p: it asks none of the dead nodes,
+// and the node it asks plans without them.
+func resolveAuto(p *sessions, addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
 	var errs []error
 	for i, addr := range addrs {
 		if slices.Contains(dead, i) {
 			continue
 		}
-		sel, err := requestEstimate(addr, dead, spec, dialTimeout, readTimeout)
+		sel, err := requestEstimate(p, i, addr, dead, spec, dialTimeout, readTimeout)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("frontend: estimates from node %d at %s: %w", i, addr, err))
+			errs = append(errs, fmt.Errorf("frontend: estimates: %w", err))
 			continue
 		}
 		return sel, nil
@@ -58,46 +58,47 @@ func resolveAuto(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readT
 	return nil, errors.Join(errs...)
 }
 
-// requestEstimate performs one estimate round-trip with a node, which prices
-// the candidates without the nodes in dead, as the query will run.
-func requestEstimate(addr string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeoutOrDefault(dialTimeout, defaultDialTimeout))
+// requestEstimate performs one estimate round-trip with node at addr, on a
+// session from p, and the node prices the candidates without the nodes in
+// dead, as the query will run. So under AUTO the estimate and the query's
+// fan-out share the node's session. Only a clean estimate line returns the
+// session to p.
+func requestEstimate(p *sessions, node int, addr string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*metrics.Selection, error) {
+	req := &NodeRequest{Spec: *spec, Estimate: true, Exclude: dead}
+	sess, err := p.send(node, addr, req, timeoutOrDefault(dialTimeout, defaultDialTimeout), timeoutOrDefault(readTimeout, defaultStreamTimeout))
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	if err := WriteJSON(conn, &NodeRequest{Spec: *spec, Estimate: true, Exclude: dead}); err != nil {
-		return nil, err
-	}
-	if t := timeoutOrDefault(readTimeout, defaultStreamTimeout); t > 0 {
-		conn.SetReadDeadline(time.Now().Add(t))
-	}
 	var msg Message
-	if err := ReadJSON(bufio.NewReader(conn), &msg); err != nil {
-		return nil, err
+	if err := ReadJSON(sess.r, &msg); err != nil {
+		sess.conn.Close()
+		return nil, fmt.Errorf("frontend: node %d stream: %w", node, err)
 	}
+	if msg.Type == "estimate" && msg.Selection != nil && msg.Selection.Strategy != "" {
+		p.put(addr, sess)
+		return msg.Selection, nil
+	}
+	sess.conn.Close()
 	switch msg.Type {
 	case "estimate":
-		if msg.Selection == nil || msg.Selection.Strategy == "" {
-			return nil, fmt.Errorf("empty estimate frame")
-		}
-		return msg.Selection, nil
+		return nil, fmt.Errorf("frontend: node %d: empty estimate frame", node)
 	case "error":
-		return nil, queryErrFrom(-1, &msg)
+		return nil, queryErrFrom(node, &msg)
 	default:
-		return nil, fmt.Errorf("unexpected frame %q to estimate request", msg.Type)
+		return nil, fmt.Errorf("frontend: node %d: unexpected frame %q to estimate request", node, msg.Type)
 	}
 }
 
 // resolveSpec is the AUTO step ahead of a fan-out. A fixed-strategy spec
 // passes through with a nil selection; an AUTO spec is priced by a node not
 // in dead and comes back as a copy with the winner stamped in, leaving the
-// caller's spec (which may be retried or shared) untouched.
-func resolveSpec(addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*QuerySpec, *metrics.Selection, error) {
+// caller's spec (which may be retried or shared) untouched. The estimate
+// rides a session from p.
+func resolveSpec(p *sessions, addrs []string, dead []int, spec *QuerySpec, dialTimeout, readTimeout time.Duration) (*QuerySpec, *metrics.Selection, error) {
 	if !spec.IsAuto() {
 		return spec, nil, nil
 	}
-	sel, err := resolveAuto(addrs, dead, spec, dialTimeout, readTimeout)
+	sel, err := resolveAuto(p, addrs, dead, spec, dialTimeout, readTimeout)
 	if err != nil {
 		return nil, nil, err
 	}

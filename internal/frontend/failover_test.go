@@ -176,6 +176,7 @@ func TestParallelClientBusyRetryFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	pc.BusyRetries = 3
 	streams, err := pc.Query(&QuerySpec{Input: "pts", Output: "img"})
 	if err != nil {
@@ -194,6 +195,7 @@ func TestParallelClientBusyRetryFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc2.Close()
 	pc2.BusyRetries = -1
 	_, err = pc2.Query(&QuerySpec{Input: "pts", Output: "img"})
 	var qe *QueryError
@@ -210,6 +212,7 @@ func TestParallelClientBusyRetryFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc3.Close()
 	pc3.BusyRetries = 5
 	_, err = pc3.Query(&QuerySpec{Input: "pts", Output: "img"})
 	if !errors.As(err, &qe) || qe.Retryable {
@@ -238,6 +241,7 @@ func TestParallelClientExcludedToleranceFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	pc.DialTimeout = 2 * time.Second
 	streams, err := pc.Query(&QuerySpec{Input: "pts", Output: "img"})
 	if err != nil {
@@ -258,6 +262,7 @@ func TestParallelClientExcludedToleranceFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc2.Close()
 	pc2.DialTimeout = 2 * time.Second
 	pc2.BusyRetries = 1
 	_, err = pc2.Query(&QuerySpec{Input: "pts", Output: "img"})
@@ -283,6 +288,7 @@ func TestParallelClientJoinsAllErrorsFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	pc.BusyRetries = -1
 	_, err = pc.Query(&QuerySpec{Input: "pts", Output: "img"})
 	if err == nil {
@@ -318,6 +324,7 @@ func TestParallelClientReadTimeoutFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	pc.ReadTimeout = 200 * time.Millisecond
 	pc.BusyRetries = -1
 	start := time.Now()
@@ -449,6 +456,7 @@ func TestAutoSkipsDeadNodeFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	pc.dead.nodes = []int{0}
 	if _, err := pc.Query(spec); err != nil {
 		t.Fatalf("parallel AUTO query without node 0: %v", err)

@@ -50,14 +50,16 @@ func readFrames(conn net.Conn, r *bufio.Reader, timeout time.Duration, pooled bo
 }
 
 // fanOut submits req to every node's control port — save the nodes
-// req.Exclude names dead, whose streams come back Excluded and unasked — and
-// consumes the node streams concurrently, handing each chunk frame, with its
-// node's stream, to onFrame (from several goroutines at once, one per
-// stream; see readFrames for pooled). Timeouts: 0 selects the default,
-// negative disables. A node whose connection is refused, reset or cut
-// mid-stream may have died: its stream fails retryably, and the resubmission
-// learns from the survivors whether it did.
-func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) []NodeStream {
+// req.Exclude names dead, whose streams come back Excluded and unasked — on
+// a session taken from p (see sessions.send), and consumes the node streams
+// concurrently, handing each chunk frame, with its node's stream, to onFrame
+// (from several goroutines at once, one per stream; see readFrames for
+// pooled). A stream read cleanly to its done line hands its session back to
+// p; any other end closes it. Timeouts: 0 selects the default, negative
+// disables. A node whose connection is refused, reset or cut mid-stream may
+// have died: its stream fails retryably, and the resubmission learns from the
+// survivors whether it did.
+func fanOut(p *sessions, addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) []NodeStream {
 	dialTimeout = timeoutOrDefault(dialTimeout, defaultDialTimeout)
 	readTimeout = timeoutOrDefault(readTimeout, defaultStreamTimeout)
 	streams := make([]NodeStream, len(addrs))
@@ -71,7 +73,7 @@ func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Dura
 		wg.Add(1)
 		go func(s *NodeStream, addr string) {
 			defer wg.Done()
-			s.Err = s.run(addr, req, dialTimeout, readTimeout, pooled, onFrame)
+			s.Err = s.run(p, addr, req, dialTimeout, readTimeout, pooled, onFrame)
 			var qe *QueryError
 			if s.Err != nil && !errors.As(s.Err, &qe) && connLost(s.Err) {
 				s.Err = &QueryError{Node: s.Node, Origin: s.Node, Message: s.Err.Error(), Retryable: true}
@@ -82,23 +84,25 @@ func fanOut(addrs []string, req *NodeRequest, dialTimeout, readTimeout time.Dura
 	return streams
 }
 
-// run submits req to the node at addr and consumes its stream into s.
-func (s *NodeStream) run(addr string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) error {
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+// run submits req to the node at addr on a session from p and consumes its
+// stream into s. Only a clean done line returns the session to p.
+func (s *NodeStream) run(p *sessions, addr string, req *NodeRequest, dialTimeout, readTimeout time.Duration, pooled bool, onFrame func(s *NodeStream, frame []byte) error) error {
+	sess, err := p.send(s.Node, addr, req, dialTimeout, readTimeout)
 	if err != nil {
-		return fmt.Errorf("frontend: dial node %d at %s: %w", s.Node, addr, err)
+		return err
 	}
-	defer conn.Close()
-	if err := WriteJSON(conn, req); err != nil {
-		return fmt.Errorf("frontend: submit to node %d: %w", s.Node, err)
-	}
-	s.Stats, err = readFrames(conn, bufio.NewReader(conn), readTimeout, pooled, s.Node,
+	s.Stats, err = readFrames(sess.conn, sess.r, readTimeout, pooled, s.Node,
 		func(frame []byte) error { return onFrame(s, frame) })
-	var qe *QueryError
-	if err != nil && !errors.As(err, &qe) {
-		err = fmt.Errorf("frontend: node %d stream: %w", s.Node, err)
+	if err != nil {
+		sess.conn.Close()
+		var qe *QueryError
+		if !errors.As(err, &qe) {
+			err = fmt.Errorf("frontend: node %d stream: %w", s.Node, err)
+		}
+		return err
 	}
-	return err
+	p.put(addr, sess)
+	return nil
 }
 
 // connLost reports whether err is a node's connection going away — refused,

@@ -10,11 +10,12 @@ import (
 // ParallelClient is the parallel-client interface of Fig 2 (the role
 // Meta-Chaos played in the original system: "the Meta-Chaos interface is
 // mainly used for parallel clients"). Instead of funnelling every output
-// chunk through the front-end, a parallel client connects to each back-end
-// node's control port directly and consumes the per-node output streams
-// concurrently — each stream carries exactly the chunks that node owns, so
-// a data-parallel consumer (another simulation, a renderer farm) receives
-// its partition without a central merge.
+// chunk through the front-end, a parallel client talks to each back-end
+// node's control port directly, on a session it keeps open across queries,
+// and consumes the per-node output streams concurrently — each stream
+// carries exactly the chunks that node owns, so a data-parallel consumer
+// (another simulation, a renderer farm) receives its partition without a
+// central merge. Close it to close those sessions.
 //
 // Query-id discipline: the front-end owns the positive id half; parallel
 // clients draw from the negative half. Ids are allocated from a 64-bit
@@ -32,6 +33,8 @@ type ParallelClient struct {
 	// dead is the set of nodes every query runs without: a parallel client
 	// is its own resolver.
 	dead deadSet
+	// sessions holds the node connections kept open across queries.
+	sessions sessions
 
 	// DialTimeout bounds each per-node connect (0 selects 10 s, negative
 	// disables); ReadTimeout bounds each frame read on a node stream (0
@@ -84,6 +87,14 @@ func (c *ParallelClient) nextID() int32 {
 	return int32(int64(c.hi) - n%span)
 }
 
+// Close closes the client's idle node sessions. A query still running closes
+// its sessions when it ends, and the client stays usable: later queries dial
+// per node and close behind themselves.
+func (c *ParallelClient) Close() error {
+	c.sessions.Close()
+	return nil
+}
+
 // NodeStream is one back-end node's portion of a query result.
 type NodeStream struct {
 	Node   int
@@ -118,12 +129,12 @@ func (c *ParallelClient) queryOnce(spec *QuerySpec) ([]NodeStream, error) {
 	// A parallel client is its own resolver (no front-end in the path): of
 	// AUTO and of the dead set.
 	exclude := c.dead.list()
-	spec, sel, err := resolveSpec(c.nodeAddrs, exclude, spec, c.DialTimeout, c.ReadTimeout)
+	spec, sel, err := resolveSpec(&c.sessions, c.nodeAddrs, exclude, spec, c.DialTimeout, c.ReadTimeout)
 	if err != nil {
 		return nil, err
 	}
 	req := &NodeRequest{QueryID: c.nextID(), Spec: *spec, Exclude: exclude}
-	streams := fanOut(c.nodeAddrs, req, c.DialTimeout, c.ReadTimeout, false, func(s *NodeStream, frame []byte) error {
+	streams := fanOut(&c.sessions, c.nodeAddrs, req, c.DialTimeout, c.ReadTimeout, false, func(s *NodeStream, frame []byte) error {
 		cj, err := decodeFrame(frame)
 		if err == nil {
 			s.Chunks = append(s.Chunks, cj)

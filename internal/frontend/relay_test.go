@@ -96,6 +96,7 @@ func TestClientUnknownFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pc.Close()
 	pc.BusyRetries = -1
 	if _, err := pc.Query(&QuerySpec{Input: "pts", Output: "img"}); err == nil || !strings.Contains(err.Error(), `unknown frame "chunk"`) {
 		t.Fatalf("JSON chunk line: err = %v, want an unknown-frame error", err)

@@ -157,10 +157,10 @@ func (d *deadSet) learn(err error, n int) {
 }
 
 // Server is the ADR front-end process: it accepts client connections on a
-// socket, relays each query to every back-end node's control port, merges
-// the per-node output streams, and returns the combined stream to the
-// client together with aggregate statistics and the per-node, per-phase
-// query trace. Queries from concurrent clients run concurrently: each gets
+// socket, relays each query to every back-end node's control port over a
+// session the server keeps open across queries, merges the per-node output
+// streams, and returns the combined stream to the client together with
+// aggregate statistics and the per-node, per-phase query trace. Queries from concurrent clients run concurrently: each gets
 // a unique query id that the back-end nodes use to multiplex the mesh. The
 // front-end is the resolver: it picks AUTO's strategy and keeps the dead set
 // every query is planned without.
@@ -168,12 +168,13 @@ type Server struct {
 	// NodeAddrs lists the back-end nodes' control addresses.
 	NodeAddrs []string
 
-	dead    deadSet
-	ln      net.Listener
-	mu      sync.Mutex
-	closed  bool
-	queryID atomic.Int32
-	queries *metrics.QueryLog
+	dead     deadSet
+	sessions sessions
+	ln       net.Listener
+	mu       sync.Mutex
+	closed   bool
+	queryID  atomic.Int32
+	queries  *metrics.QueryLog
 }
 
 // Options tunes the front-end's observability behaviour.
@@ -210,7 +211,7 @@ func (s *Server) Queries() *metrics.QueryLog { return s.queries }
 // Addr returns the bound client address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops accepting clients.
+// Close stops accepting clients and closes the idle back-end sessions.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,6 +219,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.sessions.Close()
 	return s.ln.Close()
 }
 
@@ -261,7 +263,7 @@ func (s *Server) handleClient(conn net.Conn) {
 func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 	detail := spec.Input + "->" + spec.Output + "/" + spec.Strategy
 	exclude := s.dead.list()
-	spec, sel, err := resolveSpec(s.NodeAddrs, exclude, spec, 0, 0)
+	spec, sel, err := resolveSpec(&s.sessions, s.NodeAddrs, exclude, spec, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -295,7 +297,7 @@ func (s *Server) runQuery(spec *QuerySpec, w *bufio.Writer) error {
 // attached to it.
 func (s *Server) relayQuery(req *NodeRequest, sel *metrics.Selection, w *bufio.Writer) (*DoneStats, error) {
 	var wmu sync.Mutex
-	streams := fanOut(s.NodeAddrs, req, 0, 0, true, func(_ *NodeStream, frame []byte) error {
+	streams := fanOut(&s.sessions, s.NodeAddrs, req, 0, 0, true, func(_ *NodeStream, frame []byte) error {
 		// The relay never looks inside a chunk frame: the bytes the node
 		// encoded are the bytes the client decodes.
 		wmu.Lock()
