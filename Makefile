@@ -36,7 +36,8 @@ lines-pkg:
 # death, verbatim on both transports), peer death, send timeouts, malformed
 # and forged frames, abort broadcast, the inbound path (the Dispatcher/mailbox
 # table, the phase exchange primitive, a refused query's early arrivals), the
-# store fd-lifetime race, cache coherence under concurrency (a stale in-flight
+# store fd-lifetime race (Close waits for in-flight reads), cache coherence
+# under concurrency (a stale in-flight
 # load takes no new waiters), admission-control recovery, an overlapping query
 # surviving the abort of the peer whose in-flight loads it shares, the
 # flow-control/buffer-ownership sweep (credit windows under failure,
@@ -57,7 +58,7 @@ lines-pkg:
 # redialled, a cut one fails retryably, an error line or an idle timeout
 # ends one) — race-checked, bounded so a reintroduced hang fails fast.
 test-failure:
-	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|Admission|Compact|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Kill|Compress|Workers|Session' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
+	$(GO) test -race -timeout 120s -run 'Conformance|Fail|Fault|Abort|Death|Late|Dispatcher|Mailbox|Exchange|Refused|Timeout|Malformed|Forged|Race|WaitsForReaders|Admission|CacheConcurrent|Inflight|StaleFlight|SharedBatch|Flow|Credit|Leak|Recycles|Retires|Degraded|Kill|Compress|Workers|Session' ./internal/rpc/... ./internal/engine/... ./internal/backend/... ./internal/layout/... ./internal/frontend/...
 
 # The local gate mirrors CI: `docs` keeps the README flag tables and DESIGN.md
 # references exact, `bench-live` notices a change to the surface bench/

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"adr/internal/chunk"
 	"adr/internal/layout"
@@ -124,17 +122,9 @@ func describe(w io.Writer, ds *layout.Dataset, ndisks int) {
 }
 
 func probe(w io.Writer, ds *layout.Dataset, queryFlag string) error {
-	parts := strings.Split(queryFlag, ",")
-	vals := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return fmt.Errorf("bad query value %q", p)
-		}
-		vals[i] = v
-	}
-	if len(vals)%2 != 0 {
-		return fmt.Errorf("query needs lo,hi pairs")
+	vals, err := space.ParseBox(queryFlag)
+	if err != nil {
+		return fmt.Errorf("query: %w", err)
 	}
 	box := space.R(vals...)
 	sel := ds.Select(box)

@@ -72,4 +72,8 @@ func TestProbeBadQuery(t *testing.T) {
 	if err := probe(&out, ds, "0,1,2"); err == nil {
 		t.Fatal("probe accepted an odd-arity query")
 	}
+	// lo above hi: space.R panics on it, so probe must refuse it first.
+	if err := probe(&out, ds, "5,1"); err == nil || !strings.Contains(err.Error(), "lo 5 > hi 1") {
+		t.Fatalf("probe(5,1) = %v, want a lo > hi error", err)
+	}
 }

@@ -151,18 +151,12 @@ func main() {
 	}
 }
 
+// parseBounds parses -bounds; an attribute space needs every lo strictly
+// below its hi.
 func parseBounds(s string) (space.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts)%2 != 0 {
-		return space.Rect{}, fmt.Errorf("bounds need lo,hi pairs")
-	}
-	vals := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return space.Rect{}, fmt.Errorf("bad bound %q", p)
-		}
-		vals[i] = v
+	vals, err := space.ParseBox(s)
+	if err != nil {
+		return space.Rect{}, fmt.Errorf("bounds: %w", err)
 	}
 	for i := 0; i < len(vals); i += 2 {
 		if vals[i] >= vals[i+1] {

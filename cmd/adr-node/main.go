@@ -56,9 +56,9 @@ func registerFlags(fs *flag.FlagSet) *options {
 		metricsAddr:  fs.String("metrics-addr", "", "HTTP listen address for /metrics and /debug/queries (disabled when empty)"),
 		sendTimeout:  fs.Duration("send-timeout", 0, "mesh send timeout per peer; 0 uses the 30s default, negative disables"),
 		dialRetry:    fs.Duration("dial-retry", 0, "bound on mesh establishment: retrying unreachable peers and waiting for peers to dial in (default 30s)"),
-		queryTimeout: fs.Duration("query-timeout", 0, "per-query execution deadline on this node; 0 disables"),
+		queryTimeout: fs.Duration("query-timeout", 0, "per-query execution deadline on this node; 0 means 30s while -max-queries is on, unbounded otherwise"),
 		cacheBytes:   fs.Int64("cache-bytes", 256<<20, "chunk cache budget in bytes (0 disables caching)"),
-		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; excess queue (0 = unbounded)"),
+		maxQueries:   fs.Int("max-queries", 64, "max concurrently executing queries; a request beyond it waits for a slot (0 = unbounded)"),
 		fwdWindow:    fs.Int64("fwd-window-bytes", 0, "per-peer in-flight forwarded-byte window; senders block until receivers consume (0 disables)"),
 		calibFile:    fs.String("calibration-file", "", "JSON file persisting this node's cost-model calibration across restarts (in-memory only when empty)"),
 	}

@@ -11,11 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"adr/internal/apps"
 	"adr/internal/frontend"
+	"adr/internal/space"
 )
 
 func main() {
@@ -98,20 +97,13 @@ func main() {
 	}
 }
 
+// parseBox parses a -input-box/-output-box flag; empty selects the whole
+// dataset.
 func parseBox(s string) ([]float64, error) {
 	if s == "" {
 		return nil, nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad box value %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return space.ParseBox(s)
 }
 
 func fatal(err error) {

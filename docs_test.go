@@ -1,9 +1,15 @@
+//go:debug gotypesalias=1
+
 package adr_test
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -254,7 +260,7 @@ var surfaceAllowlist = []surfaceEntry{
 	{"rpc.InprocFabric.FlowHighWater", "engine's flow test asserts the credit window bounds in-flight bytes"},
 	{"backend.Server.Cache", "backend's cache tests read a node's cache counters"},
 	{"layout.CachedStore.Cache", "backend's cache tests reach the cache behind a node's stores"},
-	{"layout.ChunkCache.Invalidate", "per-chunk form of InvalidateDataset; only the cache-coherence tests drive it"},
+	{"costmodel.Calibration.Samples", "backend's AUTO stack test polls a node's saved calibration until a trace is folded in"},
 
 	// Typed errors a caller tells apart with errors.As.
 	{"frontend.QueryError", "the error Client.Query returns for a back-end refusal (backend's stack tests match it)"},
@@ -273,6 +279,7 @@ var surfaceAllowlist = []surfaceEntry{
 	// relay. Its measurement on bench/ is owed (DESIGN.md §16).
 	{"frontend.NewParallelClient", parallelClient},
 	{"frontend.NewParallelClientSlot", parallelClient},
+	{"frontend.ParallelClient.Query", parallelClient},
 }
 
 const (
@@ -282,196 +289,154 @@ const (
 )
 
 // stdlibInterfaces are the standard-library interfaces the module's types
-// implement, by method set: a method that completes one of these has a
-// caller even if no code in the module selects it.
-var stdlibInterfaces = [][]string{
-	{"String"},                             // fmt.Stringer
-	{"Error"},                              // error
-	{"Unwrap"},                             // the errors package's unwrap interface
-	{"Close"},                              // io.Closer
-	{"Read"},                               // io.Reader
-	{"Write"},                              // io.Writer
-	{"ServeHTTP"},                          // http.Handler
-	{"Len", "Less", "Swap", "Push", "Pop"}, // heap.Interface
-	{"String", "Set"},                      // flag.Value
-}
+// implement, each a type declared in this source: a method that completes
+// one of these has a caller even if no code in the module selects it.
+const stdlibInterfaces = `package stdlib
 
-// goFile is one parsed non-test file of the module.
-type goFile struct {
-	dir     string // module-relative directory, "." for the root package
-	f       *ast.File
-	imports map[string]string // local name -> module-relative directory
-}
+import (
+	"container/heap"
+	"flag"
+	"fmt"
+	"io"
+	"net/http"
+)
+
+type (
+	stringer  fmt.Stringer
+	errorType error
+	unwrapper interface{ Unwrap() error } // what errors.Is and errors.As look for
+	closer    io.Closer
+	reader    io.Reader
+	writer    io.Writer
+	handler   http.Handler
+	heapIface heap.Interface
+	flagValue flag.Value
+)
+`
 
 // TestDocsExportedSurface keeps internal/'s exported surface to what some
-// caller uses. It parses every non-test Go file in the repository —
+// caller uses. It type-checks every non-test package of the repository —
 // internal/, cmd/, examples/, the root package and bench/, which compiles
 // against this surface — and fails on an export under internal/ that has no
 // caller and no surfaceAllowlist entry, and on an allowlist entry that is
 // stale: the name now has a caller, or no longer exists.
 //
-// A top-level name has a caller if another package selects it (pkg.Name).
-// A method of an exported type has one if its name is selected anywhere in
-// non-test code, if it completes the method set of an interface declared in
-// the module or listed in stdlibInterfaces, or if adr.go re-exports its type
-// (those methods are the library's public API). A type named in the
-// signature or in the exported fields of a name that has a caller has one
-// too: the caller holds values of it.
+// A top-level name has a caller if another package uses it. A method of an
+// exported type has one if non-test code selects that very method (a
+// same-named method of another type does not count), if its type completes
+// an interface that has the method — one declared at package level in the
+// module or in stdlibInterfaces; an interface local to a function body does
+// not count, so a method only such a body reaches by assertion must earn
+// its place another way — or if adr.go re-exports its type (those methods
+// are the library's public API). A type named in the signature or in the
+// exported fields of a name that has a caller has one too: the caller holds
+// values of it.
 func TestDocsExportedSurface(t *testing.T) {
-	files := parseModule(t)
-	pkgName := map[string]string{} // internal/... directory -> package name
-	for _, gf := range files {
-		if strings.HasPrefix(gf.dir, "internal/") {
-			pkgName[gf.dir] = gf.f.Name.Name
-		}
-	}
-	dirOf := map[string]string{}
-	for dir, name := range pkgName {
-		if other, ok := dirOf[name]; ok {
-			t.Fatalf("%s and %s are both package %s: names would be ambiguous", dir, other, name)
-		}
-		dirOf[name] = dir
-	}
-
-	// Declarations: every exported name under internal/, the exported
-	// types each one's signature or exported fields name, and the method
-	// sets interface satisfaction is judged by.
-	declared := map[string]bool{} // pkg.Name and pkg.Type.Method
-	refs := map[string][]string{}
-	methodSets := map[string]map[string]bool{} // pkg.Type -> method names
-	results := map[string]*ast.FieldList{}     // pkg.func -> its results, exported or not
-	for _, gf := range files {
-		if pkg, ok := pkgName[gf.dir]; ok {
-			for _, decl := range gf.f.Decls {
-				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Type.Results != nil {
-					results[pkg+"."+d.Name.Name] = d.Type.Results
-				}
-			}
-		}
-	}
-	for _, gf := range files {
-		pkg, ok := pkgName[gf.dir]
-		if !ok {
+	pkgs := checkModule(t)
+	dirOf := map[string]string{} // package name -> internal/... directory
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		typeRefs := func(e ast.Expr) []string {
-			var out []string
-			gf.typeRefs(pkg, pkgName, e, &out)
-			return out
+		if other, ok := dirOf[p.types.Name()]; ok {
+			t.Fatalf("%s and %s are both package %s: names would be ambiguous", p.dir, other, p.types.Name())
 		}
-		for _, decl := range gf.f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				key := pkg + "." + d.Name.Name
-				if d.Recv != nil {
-					recv := recvTypeName(d.Recv.List[0].Type)
-					typ := pkg + "." + recv
-					if methodSets[typ] == nil {
-						methodSets[typ] = map[string]bool{}
-					}
-					methodSets[typ][d.Name.Name] = true
-					if !ast.IsExported(recv) {
-						continue // unreachable from another package but by an interface
-					}
-					key = typ + "." + d.Name.Name
-				}
-				if d.Name.IsExported() {
-					declared[key] = true
-					refs[key] = typeRefs(d.Type)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							key := pkg + "." + s.Name.Name
-							declared[key] = true
-							refs[key] = typeRefs(s.Type)
-						}
-					case *ast.ValueSpec:
-						for i, id := range s.Names {
-							if !id.IsExported() {
-								continue
-							}
-							key := pkg + "." + id.Name
-							declared[key] = true
-							refs[key] = typeRefs(s.Type)
-							if s.Type == nil && i < len(s.Values) {
-								// var X = f(...): X has f's result type.
-								if call, ok := s.Values[i].(*ast.CallExpr); ok {
-									if fn, ok := call.Fun.(*ast.Ident); ok && results[pkg+"."+fn.Name] != nil {
-										refs[key] = typeRefs(&ast.FuncType{Results: results[pkg+"."+fn.Name]})
-									}
-								}
-							}
-						}
+		dirOf[p.types.Name()] = p.dir
+	}
+
+	// Declarations: every exported name under internal/ and every exported
+	// method of an exported type, keyed pkg.Name and pkg.Type.Method, with
+	// the names each one's type refers to.
+	declared := map[string]types.Object{}
+	keyOf := map[types.Object]string{}
+	declare := func(key string, obj types.Object) {
+		declared[key] = obj
+		keyOf[obj] = key
+	}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			key := p.types.Name() + "." + name
+			declare(key, obj)
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named := tn.Type().(*types.Named)
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						declare(key+"."+m.Name(), m)
 					}
 				}
 			}
 		}
 	}
-
-	// Uses: pkg.Name selected from another package, every other selected
-	// name, the module's interfaces, and adr.go's re-exported types.
-	called := map[string]bool{}
-	selected := map[string]bool{}
-	reexported := map[string]bool{}
-	interfaces := append([][]string(nil), stdlibInterfaces...)
-	for _, gf := range files {
-		ast.Inspect(gf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := gf.imports[x.Name]; ok {
-						if name, ok := pkgName[dir]; ok && dir != gf.dir {
-							called[name+"."+n.Sel.Name] = true
-						}
-						return true
-					}
-				}
-				selected[n.Sel.Name] = true
-			case *ast.InterfaceType:
-				var set []string
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						set = append(set, id.Name)
-					}
-				}
-				interfaces = append(interfaces, set)
-			case *ast.TypeSpec:
-				if gf.dir == "." && n.Assign.IsValid() {
-					var out []string
-					gf.typeRefs("", pkgName, n.Type, &out)
-					for _, typ := range out {
-						reexported[typ] = true
-					}
-				}
+	refs := map[string][]string{}
+	for key, obj := range declared {
+		typ := obj.Type()
+		if _, ok := obj.(*types.TypeName); ok {
+			typ = typ.Underlying()
+		}
+		typeNames(typ, func(tn *types.TypeName) {
+			if k, ok := keyOf[tn]; ok {
+				refs[key] = append(refs[key], k)
 			}
-			return true
 		})
 	}
-	for key := range declared {
-		typ, method, isMethod := cutLast(key)
-		if !isMethod || !declared[typ] {
+
+	// Uses: objects used in non-test code (a top-level name only from
+	// another package), the interfaces declared at package level in the
+	// module and in stdlibInterfaces, and adr.go's re-exports.
+	used := map[types.Object]bool{}
+	reexported := map[types.Object]bool{}
+	var interfaces []*types.Interface
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			switch {
+			case isMethod(obj):
+				used[obj.(*types.Func).Origin()] = true
+			case obj.Pkg() != nil && obj.Pkg() != p.types && obj.Parent() == obj.Pkg().Scope():
+				used[obj] = true
+			}
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			switch {
+			case !ok:
+			case tn.IsAlias() && p.dir == ".":
+				typeNames(tn.Type(), func(tn *types.TypeName) { reexported[tn] = true })
+			case types.IsInterface(tn.Type()) && !tn.IsAlias():
+				interfaces = append(interfaces, tn.Type().Underlying().(*types.Interface))
+			}
+		}
+	}
+
+	called := map[string]bool{}
+	for key, obj := range declared {
+		if !isMethod(obj) {
+			called[key] = used[obj]
 			continue
 		}
-		implements := false
-		for _, set := range interfaces {
-			complete := slices.Contains(set, method)
-			for _, m := range set {
-				complete = complete && methodSets[typ][m]
-			}
-			implements = implements || complete
+		recv := obj.(*types.Func).Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
 		}
-		if selected[method] || implements || reexported[typ] {
-			called[key] = true
-		}
+		recvObj := recv.(*types.Named).Obj()
+		called[key] = used[obj] || reexported[recvObj] || slices.ContainsFunc(interfaces, func(iface *types.Interface) bool {
+			return hasMethod(iface, obj.Name()) &&
+				(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface))
+		})
 	}
 	reach := func(from map[string]bool) map[string]bool {
 		out := map[string]bool{}
 		var work []string
-		for name := range from {
-			if declared[name] {
+		for name, ok := range from {
+			if ok && declared[name] != nil {
 				out[name] = true
 				work = append(work, name)
 			}
@@ -480,7 +445,7 @@ func TestDocsExportedSurface(t *testing.T) {
 			name := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, r := range refs[name] {
-				if declared[r] && !out[r] {
+				if !out[r] {
 					out[r] = true
 					work = append(work, r)
 				}
@@ -497,7 +462,7 @@ func TestDocsExportedSurface(t *testing.T) {
 			t.Errorf("surfaceAllowlist: %s is listed twice", e.name)
 		case strings.TrimSpace(e.reason) == "":
 			t.Errorf("surfaceAllowlist: %s has no reason", e.name)
-		case !declared[e.name]:
+		case declared[e.name] == nil:
 			t.Errorf("surfaceAllowlist: %s no longer exists; drop its entry", e.name)
 		case called[e.name]:
 			t.Errorf("surfaceAllowlist: %s now has a caller; drop its entry", e.name)
@@ -520,125 +485,181 @@ func TestDocsExportedSurface(t *testing.T) {
 	}
 }
 
-// parseModule parses every non-test Go file of the repository, bench/
-// included, skipping hidden directories, testdata and run outputs.
-func parseModule(t *testing.T) []goFile {
+// checkedPkg is one type-checked non-test package.
+type checkedPkg struct {
+	dir   string // repository-relative directory, "." for the root package
+	types *types.Package
+	info  *types.Info // Uses only
+}
+
+// moduleImporter type-checks adr/... packages from their directories and
+// the standard library from source, caching each package by import path.
+type moduleImporter struct {
+	fset *token.FileSet
+	std  types.ImporterFrom
+	pkgs map[string]*checkedPkg
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, "", 0)
+}
+
+func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path != "adr" && !strings.HasPrefix(path, "adr/") {
+		return m.std.ImportFrom(path, dir, mode)
+	}
+	rel := "."
+	if path != "adr" {
+		rel = strings.TrimPrefix(path, "adr/")
+	}
+	p, err := m.check(path, rel, nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+// check type-checks the package at path from src, or from dir's non-test
+// files when src is nil.
+func (m *moduleImporter) check(path, dir string, src any) (*checkedPkg, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	p := &checkedPkg{dir: dir, info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	var names []string
+	if src == nil {
+		bp, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range bp.GoFiles {
+			names = append(names, filepath.Join(dir, name))
+		}
+	} else {
+		names = []string{path + ".go"}
+	}
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(m.fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	var err error
+	conf := types.Config{Importer: m}
+	if p.types, err = conf.Check(path, m.fset, files, p.info); err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// checkModule type-checks every non-test package of the repository, bench/
+// included, skipping hidden directories, testdata and run outputs, plus
+// stdlibInterfaces as the package "stdlib". The result is keyed by import
+// path.
+func checkModule(t *testing.T) map[string]*checkedPkg {
 	t.Helper()
-	var files []goFile
 	fset := token.NewFileSet()
+	m := &moduleImporter{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs: map[string]*checkedPkg{},
+	}
+	if _, err := m.check("stdlib", "", stdlibInterfaces); err != nil {
+		t.Fatal(err)
+	}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == filepath.Join("bench", "out")) {
-				return filepath.SkipDir
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == filepath.Join("bench", "out")) {
+			return filepath.SkipDir
+		}
+		if _, err := build.ImportDir(path, 0); err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
 			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
 			return err
 		}
-		gf := goFile{dir: filepath.ToSlash(filepath.Dir(path)), f: f, imports: map[string]string{}}
-		for _, imp := range f.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(ipath, "adr/")
-			if !ok {
-				continue
-			}
-			local := dir[strings.LastIndex(dir, "/")+1:]
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			gf.imports[local] = dir
+		ipath := "adr"
+		if path != "." {
+			ipath += "/" + filepath.ToSlash(path)
 		}
-		files = append(files, gf)
-		return nil
+		_, err = m.check(ipath, filepath.ToSlash(path), nil)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	return m.pkgs
 }
 
-// typeRefs appends to out the module's exported types that the type
-// expression e names, as pkg.Name; pkg is the package e is written in.
-// Function types contribute their parameters and results, struct types
-// their embedded and exported fields, interfaces their methods.
-func (gf *goFile) typeRefs(pkg string, pkgName map[string]string, e ast.Expr, out *[]string) {
-	rec := func(e ast.Expr) { gf.typeRefs(pkg, pkgName, e, out) }
-	fields := func(l *ast.FieldList, exportedOnly bool) {
-		if l == nil {
-			return
+// typeNames calls f with every named type typ refers to: the type itself
+// (an alias and the type it stands for) and its type arguments, the elements of composites, the parameters and
+// results of a signature, a struct's embedded and exported fields and an
+// interface's methods and embedded types.
+func typeNames(typ types.Type, f func(*types.TypeName)) {
+	rec := func(t types.Type) { typeNames(t, f) }
+	tuple := func(tu *types.Tuple) {
+		for i := 0; i < tu.Len(); i++ {
+			rec(tu.At(i).Type())
 		}
-		for _, f := range l.List {
-			if !exportedOnly || len(f.Names) == 0 || slices.ContainsFunc(f.Names, (*ast.Ident).IsExported) {
-				rec(f.Type)
+	}
+	switch t := typ.(type) {
+	case *types.Alias:
+		f(t.Obj())
+		rec(types.Unalias(t))
+	case *types.Named:
+		f(t.Origin().Obj())
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			rec(t.TypeArgs().At(i))
+		}
+	case *types.Pointer:
+		rec(t.Elem())
+	case *types.Slice:
+		rec(t.Elem())
+	case *types.Array:
+		rec(t.Elem())
+	case *types.Map:
+		rec(t.Key())
+		rec(t.Elem())
+	case *types.Chan:
+		rec(t.Elem())
+	case *types.Signature:
+		tuple(t.Params())
+		tuple(t.Results())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if fld := t.Field(i); fld.Exported() || fld.Embedded() {
+				rec(fld.Type())
 			}
 		}
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		if x.IsExported() && pkg != "" {
-			*out = append(*out, pkg+"."+x.Name)
+	case *types.Interface:
+		for i := 0; i < t.NumExplicitMethods(); i++ {
+			rec(t.ExplicitMethod(i).Type())
 		}
-	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok {
-			if name, ok := pkgName[gf.imports[id.Name]]; ok {
-				*out = append(*out, name+"."+x.Sel.Name)
-			}
+		for i := 0; i < t.NumEmbeddeds(); i++ {
+			rec(t.EmbeddedType(i))
 		}
-	case *ast.StarExpr:
-		rec(x.X)
-	case *ast.ArrayType:
-		rec(x.Elt)
-	case *ast.MapType:
-		rec(x.Key)
-		rec(x.Value)
-	case *ast.ChanType:
-		rec(x.Value)
-	case *ast.Ellipsis:
-		rec(x.Elt)
-	case *ast.IndexExpr:
-		rec(x.X)
-		rec(x.Index)
-	case *ast.FuncType:
-		fields(x.Params, false)
-		fields(x.Results, false)
-	case *ast.StructType:
-		fields(x.Fields, true)
-	case *ast.InterfaceType:
-		fields(x.Methods, false)
 	}
 }
 
-// cutLast splits "pkg.Type.Method" into "pkg.Type" and "Method"; ok is false
-// for a top-level "pkg.Name".
-func cutLast(key string) (head, last string, ok bool) {
-	i := strings.LastIndexByte(key, '.')
-	head, last = key[:i], key[i+1:]
-	return head, last, strings.Contains(head, ".")
+// isMethod reports whether obj is a method (of a concrete type or an
+// interface).
+func isMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
 }
 
-// recvTypeName is the base type name of a method receiver: T for T, *T,
-// T[P] and *T[P].
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// hasMethod reports whether iface's method set has a method called name.
+func hasMethod(iface *types.Interface, name string) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		if iface.Method(i).Name() == name {
+			return true
 		}
 	}
+	return false
 }

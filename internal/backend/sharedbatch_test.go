@@ -35,8 +35,9 @@ const degradedVictim = 2
 // startDegradedCachedStack is startCachedStack over a three-node farm loaded
 // with 2-way replication, with node degradedVictim dead. The parallel client
 // it returns has already learned the death from one query, so every query it
-// sends is planned without that node onto the survivors' replica copies;
-// the survivors' caches are emptied of what that query read.
+// sends is planned without that node onto the survivors' replica copies.
+// That query's input box lies outside the dataset, so it reads no chunk and
+// the survivors' caches are still cold.
 func startDegradedCachedStack(t *testing.T) (dir string, pc *frontend.ParallelClient) {
 	t.Helper()
 	const nodes = 3
@@ -53,19 +54,14 @@ func startDegradedCachedStack(t *testing.T) (dir string, pc *frontend.ParallelCl
 	t.Cleanup(func() { pc.Close() })
 	streams, err := pc.Query(&frontend.QuerySpec{
 		Input: "sensor", Output: "raster", Strategy: "DA",
-		App: frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
+		InputBox: []float64{100, 101, 100, 101},
+		App:      frontend.AppSpec{Kind: "raster", Op: "sum", CellsPerDim: 4},
 	})
 	if err != nil {
 		t.Fatalf("query that learns node %d dead: %v", degradedVictim, err)
 	}
 	if !streams[degradedVictim].Excluded {
 		t.Fatalf("query after node %d died was not planned without it", degradedVictim)
-	}
-	for i, s := range servers {
-		if i != degradedVictim {
-			s.Cache().InvalidateDataset("sensor")
-			s.Cache().InvalidateDataset("raster")
-		}
 	}
 	return dir, pc
 }

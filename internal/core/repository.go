@@ -309,14 +309,13 @@ func BuildWorkload(in, out *layout.Dataset, inBox, outBox space.Rect, mapper spa
 	inputs := in.Select(inBox)
 	outputs := out.Select(outBox)
 
-	// Positions of selected outputs, for target translation.
+	// Positions of selected outputs, for target translation: a search of
+	// the output dataset's own R-tree finds every output a mapped input
+	// intersects, and outPos keeps the selected ones.
 	outPos := make(map[chunk.ID]int32, len(outputs))
 	for pos, m := range outputs {
 		outPos[m.ID] = int32(pos)
 	}
-	// Re-index the selected outputs for fast intersection: a bulk-loaded
-	// R-tree over the selected subset.
-	outIdx := layout.SubsetIndex(outputs)
 
 	w := &plan.Workload{
 		Inputs:  inputs,
@@ -329,7 +328,7 @@ func BuildWorkload(in, out *layout.Dataset, inBox, outBox space.Rect, mapper spa
 		mapped := mapper.MapRect(im.MBR)
 		var ts []int32
 		if !mapped.IsEmpty() {
-			for _, id := range outIdx.Search(mapped) {
+			for _, id := range out.Index.Search(mapped) {
 				if pos, ok := outPos[id]; ok {
 					ts = append(ts, pos)
 				}

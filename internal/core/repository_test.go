@@ -3,8 +3,12 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -286,6 +290,65 @@ func TestUseExistingOutputSeedsAccumulators(t *testing.T) {
 	}
 }
 
+// TestUpdateInPlaceUnreadableOutputFails: an update-in-place query whose
+// output segment cannot be opened fails in the serial oracle and in the
+// engine, with an error naming the dataset and the chunk. Only a chunk the
+// store does not hold starts from the identity; an open error is not that.
+func TestUpdateInPlaceUnreadableOutputFails(t *testing.T) {
+	dir := t.TempDir()
+	loaded := buildEnvOpts(t, core.Options{Nodes: 2, StoreDir: dir}, 500, 3)
+	// Every disk's raster segment becomes a directory, which a fresh
+	// FileStore cannot open.
+	for disk := 0; disk < 2; disk++ {
+		seg := filepath.Join(dir, fmt.Sprintf("disk%03d", disk), "raster.dat")
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(seg, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repo, err := core.NewRepository(core.Options{Nodes: 2, StoreDir: dir, AccMemBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repo.Close()
+	for _, name := range []string{"sensor", "raster"} {
+		ds, _ := loaded.Dataset(name)
+		if err := repo.RegisterDataset(ds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &core.Query{
+		Input: "sensor", Output: "raster", Strategy: plan.DA,
+		App: &apps.RasterApp{Op: apps.Sum, CellsPerDim: 4, UseExisting: true},
+	}
+	names := regexp.MustCompile(`raster/\d+`)
+
+	w, err := repo.BuildWorkload(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, err := plan.NewPlanner(repo.Machine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := planner.Plan(q.Strategy, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = engine.RunSerial(engine.Config{
+		Plan: p, Workload: w, App: q.App,
+		InputDataset: q.Input, OutputDataset: q.Output,
+	}.WithSerialStorage(engine.FarmStorage{Farm: repo.Farm()}))
+	if err == nil || !names.MatchString(err.Error()) {
+		t.Errorf("RunSerial over an unreadable output segment = %v, want an error naming raster/<chunk>", err)
+	}
+	if _, err := repo.Execute(context.Background(), q); err == nil || !names.MatchString(err.Error()) {
+		t.Errorf("Execute over an unreadable output segment = %v, want an error naming raster/<chunk>", err)
+	}
+}
+
 func sumAll(t *testing.T, chunks []*chunk.Chunk) int64 {
 	t.Helper()
 	var total int64
@@ -318,10 +381,10 @@ func TestResultDatasetWriteBack(t *testing.T) {
 	for pos, m := range res.Workload.Outputs {
 		mm := m
 		mm.Dataset = "maxcomposite"
-		if !st.HasChunk("maxcomposite", mm) {
+		data, err := st.ReadChunk("maxcomposite", mm)
+		if errors.Is(err, layout.ErrNotFound) {
 			t.Fatalf("output %d not written back", pos)
 		}
-		data, err := st.ReadChunk("maxcomposite", mm)
 		if err != nil {
 			t.Fatal(err)
 		}

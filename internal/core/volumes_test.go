@@ -219,7 +219,7 @@ func TestPlanVolumesAgree(t *testing.T) {
 								eq("existing-output bytes sent+recv", tr.Phases[I].BytesSent+tr.Phases[I].BytesRecv, v.initBytes)
 								eq("forwarded-input bytes sent+recv", tr.Phases[LR].BytesSent+tr.Phases[LR].BytesRecv, v.inputBytes)
 								if s == plan.DA { // all traffic is stored chunks
-									eq("bytes sent+recv", tot.CommBytes(), v.initBytes+v.inputBytes)
+									eq("bytes sent+recv", tot.BytesSent+tot.BytesRecv, v.initBytes+v.inputBytes)
 								}
 								pairs += tot.AggOps
 							}
@@ -251,7 +251,7 @@ func TestPlanVolumesAgree(t *testing.T) {
 							eq("msgs recv", sn.MsgsRecv, sum4(v.recv))
 							eq("aggregation pairs", sn.AggPairs, v.pairs)
 							eq("ghost combines", sn.Combines, v.combines)
-							eq("bytes sent+recv", sn.CommBytes(), v.initBytes+v.inputBytes+v.ghostBytes+v.finalBytes)
+							eq("bytes sent+recv", sn.BytesSent+sn.BytesRecv, v.initBytes+v.inputBytes+v.ghostBytes+v.finalBytes)
 							simPairs += sn.AggPairs
 						}
 						if simPairs != wantPairs {

@@ -19,13 +19,11 @@ type ChunkStorage interface {
 	// ReadChunkCached returns the encoded payload of a local chunk and
 	// whether a chunk cache served it without a disk read by this caller;
 	// the engine counts hits on the query's trace and times only misses as
-	// disk reads. A storage without a cache reports false.
+	// disk reads. A storage without a cache reports false. A chunk the
+	// storage does not hold is an error wrapping layout.ErrNotFound.
 	ReadChunkCached(dataset string, m chunk.Meta) (data []byte, hit bool, err error)
 	// WriteChunk stores an encoded output chunk on the disk named by m.
 	WriteChunk(dataset string, m chunk.Meta, data []byte) error
-	// HasChunk reports whether the chunk exists (used for optional
-	// existing-output initialization).
-	HasChunk(dataset string, m chunk.Meta) bool
 }
 
 // FarmStorage adapts a layout.Farm to ChunkStorage. When the farm's stores
@@ -68,15 +66,6 @@ func (f FarmStorage) WriteChunk(dataset string, m chunk.Meta, data []byte) error
 		}
 	}
 	return nil
-}
-
-// HasChunk reports presence on the chunk's disk store.
-func (f FarmStorage) HasChunk(dataset string, m chunk.Meta) bool {
-	st, err := f.Farm.Store(int(m.Disk))
-	if err != nil {
-		return false
-	}
-	return st.Has(dataset, m.ID)
 }
 
 // Config describes one query execution.

@@ -156,14 +156,11 @@ func TestFarmStorage(t *testing.T) {
 	defer farm.Close()
 	st := FarmStorage{Farm: farm}
 	m := chunk.Meta{ID: 3, Disk: 2, Node: 1, MBR: space.R(0, 1)}
-	if st.HasChunk("d", m) {
-		t.Error("chunk should not exist yet")
+	if _, err := st.ReadChunk("d", m); !errors.Is(err, layout.ErrNotFound) {
+		t.Errorf("ReadChunk before the write = %v, want ErrNotFound", err)
 	}
 	if err := st.WriteChunk("d", m, []byte("payload")); err != nil {
 		t.Fatal(err)
-	}
-	if !st.HasChunk("d", m) {
-		t.Error("chunk should exist")
 	}
 	got, err := st.ReadChunk("d", m)
 	if err != nil || string(got) != "payload" {
@@ -171,8 +168,8 @@ func TestFarmStorage(t *testing.T) {
 	}
 	bad := m
 	bad.Disk = 99
-	if _, err := st.ReadChunk("d", bad); err == nil {
-		t.Error("bad disk should fail")
+	if _, err := st.ReadChunk("d", bad); err == nil || errors.Is(err, layout.ErrNotFound) {
+		t.Errorf("bad disk = %v, want a failure other than ErrNotFound", err)
 	}
 }
 

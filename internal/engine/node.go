@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"adr/internal/bufpool"
 	"adr/internal/chunk"
+	"adr/internal/layout"
 	"adr/internal/metrics"
 	"adr/internal/plan"
 	"adr/internal/rpc"
@@ -214,14 +216,15 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 			// Owner duties: read each owned output chunk in the tile from local
 			// disk and forward it to every other holder of a replica.
 			for k, o := range sh.Owned {
-				var payload []byte
-				if n.st.HasChunk(n.cfg.OutputDataset, w.Outputs[o]) {
-					data, err := n.readChunk(metrics.Initialization, n.cfg.OutputDataset, w.Outputs[o])
-					if err != nil {
-						return fmt.Errorf("read existing output %d: %w", o, err)
-					}
-					payload = data
-					c, err := n.decodeWhole(data)
+				// A chunk the store does not hold starts from the identity:
+				// the owner forwards an empty payload.
+				payload, err := n.readChunk(metrics.Initialization, n.cfg.OutputDataset, w.Outputs[o])
+				switch {
+				case errors.Is(err, layout.ErrNotFound):
+				case err != nil:
+					return fmt.Errorf("read existing output %d: %w", o, err)
+				default:
+					c, err := n.decodeWhole(payload)
 					if err != nil {
 						return fmt.Errorf("decode existing output %d: %w", o, err)
 					}
@@ -288,15 +291,15 @@ func (n *node) phaseInit(ctx context.Context, t int32) (map[int32]Accumulator, e
 // read's accounting: its bytes go to phase p, a cache hit is counted, and a
 // miss is timed as a disk read.
 func (n *node) readChunk(p metrics.Phase, dataset string, m chunk.Meta) ([]byte, error) {
-	if len(m.Holders) > 0 && m.Disk != m.Holders[0] {
-		// The meta was remapped off its primary copy by plan.Degrade: this
-		// read is being served by a surviving replica holder.
-		n.met.ReplicaFallbackReads.Add(1)
-	}
 	start := time.Now()
 	data, hit, err := n.st.ReadChunkCached(dataset, m)
 	if err != nil {
 		return nil, err
+	}
+	if len(m.Holders) > 0 && m.Disk != m.Holders[0] {
+		// The meta was remapped off its primary copy by plan.Degrade: this
+		// read was served by a surviving replica holder.
+		n.met.ReplicaFallbackReads.Add(1)
 	}
 	n.met.AddRead(p, int64(len(data)))
 	if hit {

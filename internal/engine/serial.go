@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"adr/internal/chunk"
+	"adr/internal/layout"
 )
 
 // RunSerial executes the basic processing loop of Fig 1 directly, with no
@@ -26,17 +28,19 @@ func RunSerial(cfg Config) ([]*chunk.Chunk, error) {
 	for o, m := range w.Outputs {
 		var existing *chunk.Chunk
 		if app.InitRequiresOutput() {
-			// The serial oracle reads directly; absence means nil.
-			if storage, ok := cfg.storageForSerial(); ok && storage.HasChunk(cfg.OutputDataset, m) {
+			// The serial oracle reads directly; only a chunk the storage
+			// does not hold starts from the identity.
+			if storage, ok := cfg.storageForSerial(); ok {
 				data, _, err := storage.ReadChunkCached(cfg.OutputDataset, m)
-				if err != nil {
+				switch {
+				case errors.Is(err, layout.ErrNotFound):
+				case err != nil:
 					return nil, fmt.Errorf("read existing output %d: %w", o, err)
+				default:
+					if existing, err = chunk.DecodeAny(data); err != nil {
+						return nil, err
+					}
 				}
-				c, err := chunk.DecodeAny(data)
-				if err != nil {
-					return nil, err
-				}
-				existing = c
 			}
 		}
 		acc, err := app.Init(m, existing, false)

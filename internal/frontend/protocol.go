@@ -113,13 +113,8 @@ func ParseBox(b []float64) (space.Rect, error) {
 	if len(b) == 0 {
 		return space.Rect{}, nil
 	}
-	if len(b)%2 != 0 || len(b) > 2*space.MaxDims {
-		return space.Rect{}, fmt.Errorf("frontend: box needs lo/hi pairs, got %d values", len(b))
-	}
-	for i := 0; i < len(b); i += 2 {
-		if b[i] > b[i+1] {
-			return space.Rect{}, fmt.Errorf("frontend: box lo %g > hi %g", b[i], b[i+1])
-		}
+	if err := space.CheckBox(b); err != nil {
+		return space.Rect{}, fmt.Errorf("frontend: %w", err)
 	}
 	return space.R(b...), nil
 }

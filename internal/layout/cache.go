@@ -65,10 +65,10 @@ type cacheEntry struct {
 }
 
 // flight is one in-progress load; waiters block on done. stale is set
-// (under the cache mutex) when a Put or Invalidate races the load: the
-// flight's bytes may predate the write, so they must not populate the
-// cache, and a reader arriving after the write must not be handed them — it
-// starts a flight of its own, which takes over the key's inflight slot.
+// (under the cache mutex) when a Put races the load: the flight's bytes may
+// predate the write, so they must not populate the cache, and a reader
+// arriving after the write must not be handed them — it starts a flight of
+// its own, which takes over the key's inflight slot.
 type flight struct {
 	done  chan struct{}
 	data  []byte
@@ -175,36 +175,6 @@ func (c *ChunkCache) Put(dataset string, id chunk.ID, data []byte) {
 	c.mu.Unlock()
 }
 
-// Invalidate drops the entry for (dataset, id) if resident.
-func (c *ChunkCache) Invalidate(dataset string, id chunk.ID) {
-	key := storeKey{dataset, id}
-	c.mu.Lock()
-	if fl, ok := c.inflight[key]; ok {
-		fl.stale = true
-	}
-	c.removeLocked(key, false)
-	c.mu.Unlock()
-}
-
-// InvalidateDataset drops every resident entry of the dataset (used after
-// operations that rewrite a whole segment, e.g. FileStore.Compact).
-func (c *ChunkCache) InvalidateDataset(dataset string) {
-	c.mu.Lock()
-	for key, fl := range c.inflight {
-		if key.dataset == dataset {
-			fl.stale = true
-		}
-	}
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.dataset == dataset {
-			c.removeLocked(e.key, false)
-		}
-		el = next
-	}
-	c.mu.Unlock()
-}
-
 // insertLocked admits data under the budget, evicting from the LRU tail.
 // Entries above the admission bound are not cached at all.
 func (c *ChunkCache) insertLocked(key storeKey, data []byte) {
@@ -287,22 +257,6 @@ func (s *CachedStore) Put(dataset string, id chunk.ID, data []byte) error {
 		return err
 	}
 	s.cache.Put(dataset, id, data)
-	return nil
-}
-
-// Compact forwards to the underlying store when it supports compaction and
-// then drops the dataset's cached entries. Compaction keeps the newest
-// record per id so resident bytes are logically identical, but dropping
-// them keeps the invalidation rule blunt: any segment rewrite clears the
-// dataset from cache.
-func (s *CachedStore) Compact(dataset string) error {
-	type compacter interface{ Compact(string) error }
-	if cs, ok := s.Store.(compacter); ok {
-		if err := cs.Compact(dataset); err != nil {
-			return err
-		}
-	}
-	s.cache.InvalidateDataset(dataset)
 	return nil
 }
 

@@ -179,10 +179,10 @@ func TestCacheInflightInvalidation(t *testing.T) {
 }
 
 // TestCacheStaleFlightTakesNoNewWaiters: a reader that starts after a
-// completed Put or Invalidate must not join the older in-flight load and be
-// served its pre-write bytes. The written payload is not resident afterwards
-// (a Put above the budget/8 admission bound, or an Invalidate), so the late
-// reader has to load for itself — and sees the store's new bytes.
+// completed Put must not join the older in-flight load and be served its
+// pre-write bytes. The written payload is not resident afterwards (a Put
+// above the budget/8 admission bound), so the late reader has to load for
+// itself — and sees the store's new bytes.
 func TestCacheStaleFlightTakesNoNewWaiters(t *testing.T) {
 	old, written := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32)
 	writes := []struct {
@@ -190,8 +190,6 @@ func TestCacheStaleFlightTakesNoNewWaiters(t *testing.T) {
 		write func(*ChunkCache)
 	}{
 		{"put above admission bound", func(c *ChunkCache) { c.Put("d", 1, written) }},
-		{"invalidate", func(c *ChunkCache) { c.Invalidate("d", 1) }},
-		{"invalidate dataset", func(c *ChunkCache) { c.InvalidateDataset("d") }},
 	}
 	for _, w := range writes {
 		t.Run(w.name, func(t *testing.T) {
@@ -313,51 +311,6 @@ func TestCacheAdmission(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidateDataset drops exactly the named dataset.
-func TestCacheInvalidateDataset(t *testing.T) {
-	cache := NewChunkCache(1 << 20)
-	mk := func(s string) func() ([]byte, error) {
-		return func() ([]byte, error) { return []byte(s), nil }
-	}
-	cache.GetThrough("a", 1, mk("a1"))
-	cache.GetThrough("b", 1, mk("b1"))
-	cache.InvalidateDataset("a")
-	if _, hit, _ := cache.GetThrough("a", 1, mk("a1")); hit {
-		t.Fatal("invalidated dataset still resident")
-	}
-	if _, hit, _ := cache.GetThrough("b", 1, mk("b1")); !hit {
-		t.Fatal("unrelated dataset dropped")
-	}
-}
-
-// TestCachedStoreCompact: compaction through the cached store invalidates
-// the dataset and keeps serving correct bytes.
-func TestCachedStoreCompact(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	cache := NewChunkCache(1 << 20)
-	cs := NewCachedStore(fs, cache)
-	data := bytes.Repeat([]byte{9}, 256)
-	for i := 0; i < 4; i++ {
-		if err := cs.Put("d", chunk.ID(i), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cs.Compact("d"); err != nil {
-		t.Fatal(err)
-	}
-	if n := cache.stats().Entries; n != 0 {
-		t.Fatalf("%d entries survive Compact", n)
-	}
-	got, err := cs.Get("d", 2)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("post-compact read: %v", err)
-	}
-}
-
 // TestCacheConcurrentMix hammers every operation from many goroutines; run
 // with -race. Correctness criterion: reads always return the full payload
 // most recently Put for the key (payload content encodes the key).
@@ -388,7 +341,10 @@ func TestCacheConcurrentMix(t *testing.T) {
 						return
 					}
 				case 3:
-					cache.Invalidate("d", chunk.ID(id))
+					// A cache-only write of the store's bytes: it marks
+					// an in-flight load of the key stale, as a write-back
+					// does.
+					cache.Put("d", chunk.ID(id), payload(id))
 				default:
 					got, err := cs.Get("d", chunk.ID(id))
 					if err != nil {

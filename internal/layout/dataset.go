@@ -245,16 +245,6 @@ func (l *Loader) Load(name string, sp space.AttrSpace, chunks []*chunk.Chunk) (*
 	}, nil
 }
 
-// SubsetIndex bulk-loads an R-tree over an arbitrary set of chunk metadata
-// (e.g. the chunks a range query selected), searchable by chunk ID.
-func SubsetIndex(metas []chunk.Meta) index.Index {
-	entries := make([]index.Entry, len(metas))
-	for i, m := range metas {
-		entries[i] = index.Entry{MBR: m.MBR, ID: m.ID}
-	}
-	return index.BulkLoad(entries, 0)
-}
-
 // PartitionGrid groups items into chunks by the cells of a regular grid:
 // the §2.2 partitioning step for the dense regular datasets (WCS, VM), and
 // a reasonable default for irregular points too (items landing in the same

@@ -6,11 +6,11 @@ package layout
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -29,6 +29,11 @@ var (
 	diskReadSec    = metrics.Default.Histogram("adr_disk_read_seconds", nil)
 )
 
+// ErrNotFound is what a Store's Get wraps for a chunk it does not hold. Any
+// other Get error means the store could not answer, not that the chunk is
+// absent.
+var ErrNotFound = errors.New("chunk not in store")
+
 // Store holds the encoded payloads of chunks on one disk. Chunks are
 // immutable once put for a given (dataset, id) pair, except that query
 // output handling may overwrite an output chunk in place (§2.4: "If the
@@ -37,10 +42,9 @@ var (
 type Store interface {
 	// Put stores (or overwrites) a chunk's encoded payload.
 	Put(dataset string, id chunk.ID, data []byte) error
-	// Get retrieves a chunk's encoded payload.
+	// Get retrieves a chunk's encoded payload; an error wrapping
+	// ErrNotFound says the store does not hold it.
 	Get(dataset string, id chunk.ID) ([]byte, error)
-	// Has reports whether the chunk is present.
-	Has(dataset string, id chunk.ID) bool
 	// Close releases resources.
 	Close() error
 }
@@ -75,33 +79,18 @@ func (s *memStore) Get(dataset string, id chunk.ID) ([]byte, error) {
 	defer s.mu.RUnlock()
 	d, ok := s.data[storeKey{dataset, id}]
 	if !ok {
-		return nil, fmt.Errorf("layout: chunk %s/%d not in store", dataset, id)
+		return nil, fmt.Errorf("layout: get %s/%d: %w", dataset, id, ErrNotFound)
 	}
 	return d, nil
-}
-
-// Has reports presence.
-func (s *memStore) Has(dataset string, id chunk.ID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.data[storeKey{dataset, id}]
-	return ok
 }
 
 // Close is a no-op.
 func (s *memStore) Close() error { return nil }
 
-// Len returns the number of stored chunks.
-func (s *memStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
-}
-
 // FileStore keeps chunks in append-only segment files, one per dataset, with
 // an in-memory offset index rebuilt by scanning on open. Record layout:
 // [u32 payload length][u32 chunk id][payload]. Overwrites append a new
-// record; the newest record for an id wins, and Compact drops the rest.
+// record, and the newest record for an id wins.
 type FileStore struct {
 	dir string
 
@@ -112,8 +101,8 @@ type FileStore struct {
 // segment is one dataset's append-only file. mu guards f's lifetime against
 // s.mu-free readers: Get acquires mu.RLock (while still holding s.mu, so
 // lock order is always s.mu → seg.mu) and keeps it across ReadAt, while
-// Compact and Close take mu.Lock before closing f. Without it a reader
-// could hit a closed fd mid-flight when Compact swaps the file under s.mu.
+// Close takes mu.Lock before closing f. Without it a reader could hit a
+// closed fd mid-flight.
 type segment struct {
 	mu    sync.RWMutex
 	f     *os.File
@@ -213,15 +202,15 @@ func (s *FileStore) Get(dataset string, id chunk.ID) ([]byte, error) {
 	seg, err := s.segmentFor(dataset)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("layout: get %s/%d: %w", dataset, id, err)
 	}
 	loc, ok := seg.index[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("layout: chunk %s/%d not in store", dataset, id)
+		return nil, fmt.Errorf("layout: get %s/%d: %w", dataset, id, ErrNotFound)
 	}
-	// Pin the fd before dropping s.mu: Compact/Close must wait for this
-	// read before closing the file it resolves to.
+	// Pin the fd before dropping s.mu: Close must wait for this read
+	// before closing the file it resolves to.
 	seg.mu.RLock()
 	s.mu.Unlock()
 	defer seg.mu.RUnlock()
@@ -234,84 +223,6 @@ func (s *FileStore) Get(dataset string, id chunk.ID) ([]byte, error) {
 	diskReads.Inc()
 	diskReadBytes.Add(int64(len(buf)))
 	return buf, nil
-}
-
-// Has reports presence.
-func (s *FileStore) Has(dataset string, id chunk.ID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seg, err := s.segmentFor(dataset)
-	if err != nil {
-		return false
-	}
-	_, ok := seg.index[id]
-	return ok
-}
-
-// Compact rewrites a dataset's segment keeping only the newest record per
-// chunk id, reclaiming space from overwrites.
-func (s *FileStore) Compact(dataset string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seg, err := s.segmentFor(dataset)
-	if err != nil {
-		return err
-	}
-	ids := make([]chunk.ID, 0, len(seg.index))
-	for id := range seg.index {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	tmpPath := filepath.Join(s.dir, sanitize(dataset)+".tmp")
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return fmt.Errorf("layout: compact: %w", err)
-	}
-	newIndex := make(map[chunk.ID]segmentLoc, len(ids))
-	var off int64
-	var hdr [8]byte
-	for _, id := range ids {
-		loc := seg.index[id]
-		buf := make([]byte, loc.length)
-		if _, err := seg.f.ReadAt(buf, loc.off); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("layout: compact read %d: %w", id, err)
-		}
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(buf)))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(id))
-		if _, err := tmp.Write(hdr[:]); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
-		newIndex[id] = segmentLoc{off: off + 8, length: loc.length}
-		off += 8 + int64(len(buf))
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	path := filepath.Join(s.dir, sanitize(dataset))
-	if err := os.Rename(tmpPath, path); err != nil {
-		return fmt.Errorf("layout: compact rename: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	// Wait for in-flight readers of the old file before closing it; new
-	// readers resolve to the replacement segment.
-	seg.mu.Lock()
-	seg.f.Close()
-	seg.mu.Unlock()
-	s.files[dataset] = &segment{f: f, index: newIndex, size: off}
-	return nil
 }
 
 // Close closes all segment files.

@@ -4,100 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"adr/internal/chunk"
 )
 
-// TestFileStoreCompactRace is the regression test for the Get/Compact fd
-// race: Get used to drop the store mutex before seg.f.ReadAt while Compact
-// closed and replaced that file under the mutex, so a concurrent reader
-// could fail mid-flight on a closed fd. With per-segment locking, readers
-// pin the fd across the read and Compact waits for them. Run with -race.
-func TestFileStoreCompactRace(t *testing.T) {
-	st, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	const ds = "hot"
-	const nChunks = 16
-	payloads := make([][]byte, nChunks)
-	for i := 0; i < nChunks; i++ {
-		payloads[i] = bytes.Repeat([]byte{byte(i + 1)}, 512+i)
-		if err := st.Put(ds, chunk.ID(i), payloads[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Overwrite half the ids so Compact has records to drop every round.
-	for i := 0; i < nChunks; i += 2 {
-		if err := st.Put(ds, chunk.ID(i), payloads[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	deadline := time.Now().Add(300 * time.Millisecond)
-	var stop atomic.Bool
-	errCh := make(chan error, 8)
-	var wg sync.WaitGroup
-
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				id := chunk.ID((i + r) % nChunks)
-				got, err := st.Get(ds, id)
-				if err != nil {
-					errCh <- fmt.Errorf("reader %d: %w", r, err)
-					return
-				}
-				if !bytes.Equal(got, payloads[id]) {
-					errCh <- fmt.Errorf("reader %d: chunk %d corrupted", r, id)
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			if err := st.Compact(ds); err != nil {
-				errCh <- fmt.Errorf("compact: %w", err)
-				return
-			}
-			// Re-create dropped records so the next round compacts again.
-			if err := st.Put(ds, 0, payloads[0]); err != nil {
-				errCh <- err
-				return
-			}
-		}
-	}()
-
-	for time.Now().Before(deadline) {
-		select {
-		case err := <-errCh:
-			t.Fatal(err)
-		default:
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-}
-
-// TestFileStoreCloseWaitsForReaders checks the same per-segment lock covers
-// Close: a reader that pinned the segment finishes its read before the fd
-// is closed underneath it.
+// TestFileStoreCloseWaitsForReaders checks the per-segment lock: a reader
+// that pinned the segment finishes its read before Close closes the fd
+// underneath it.
 func TestFileStoreCloseWaitsForReaders(t *testing.T) {
 	st, err := NewFileStore(t.TempDir())
 	if err != nil {

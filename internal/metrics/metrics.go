@@ -205,6 +205,3 @@ func (s *Snapshot) Add(o Snapshot) {
 		s.PhaseNanos[p] += o.PhaseNanos[p]
 	}
 }
-
-// CommBytes returns send+receive volume for the snapshot.
-func (s Snapshot) CommBytes() int64 { return s.BytesSent + s.BytesRecv }

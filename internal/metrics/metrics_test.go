@@ -46,7 +46,7 @@ func TestCounters(t *testing.T) {
 		t.Errorf("CommBytes = %d", (n.BytesSent.Load() + n.BytesRecv.Load()))
 	}
 	s := n.Snapshot()
-	if s.BytesRead != 100 || s.AggOps != 7 || s.CommBytes() != 30 {
+	if s.BytesRead != 100 || s.AggOps != 7 || s.BytesSent+s.BytesRecv != 30 {
 		t.Errorf("snapshot = %+v", s)
 	}
 }

@@ -13,6 +13,7 @@ package space
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -90,6 +91,38 @@ func R(bounds ...float64) Rect {
 		}
 	}
 	return r
+}
+
+// CheckBox reports why R would refuse the flattened lo/hi list b: an odd
+// count, more than MaxDims dimensions, or a lo above its hi.
+func CheckBox(b []float64) error {
+	if len(b)%2 != 0 || len(b) > 2*MaxDims {
+		return fmt.Errorf("box needs lo/hi pairs in at most %d dimensions, got %d values", MaxDims, len(b))
+	}
+	for i := 0; i < len(b); i += 2 {
+		if b[i] > b[i+1] {
+			return fmt.Errorf("box lo %g > hi %g", b[i], b[i+1])
+		}
+	}
+	return nil
+}
+
+// ParseBox parses a command-line box, "lo0,hi0,lo1,hi1,...", into a flat
+// lo/hi list that passes CheckBox.
+func ParseBox(s string) ([]float64, error) {
+	parts := strings.Split(s, ",")
+	b := make([]float64, len(parts))
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad box value %q", p)
+		}
+		b[i] = v
+	}
+	if err := CheckBox(b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // RectFromPoints builds the MBR of a set of points. All points must share a
